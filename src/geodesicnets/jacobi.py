@@ -563,12 +563,6 @@ def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6
 # reduced finite-difference Hessian (brute-force oracle)
 # ---------------------------------------------------------------------------
 
-def _upsample_matrix(n_samples: int, factor: int, loop: bool) -> np.ndarray:
-    """Linear part of the curve upsampling operator (fields never wrap)."""
-    t_mat, _ = stencils.upsample_operator(n_samples, factor, loop)
-    return t_mat
-
-
 def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
     """Displacement fields spanning the reduced space, with labels.
 
@@ -639,7 +633,9 @@ class _RefinedLength:
             s = net.edge_samples[e.id]
             shift = net.loop_shift(e.id)
             self.fine_base[e.id] = stencils.upsample_curve(s, refine, loop_shift=shift)
-            self.t_mats[e.id] = _upsample_matrix(s.shape[0], refine, e.id in net.periodic_edges)
+            # linear part only: displacement fields never wrap
+            self.t_mats[e.id], _ = stencils.upsample_operator(
+                s.shape[0], refine, e.id in net.periodic_edges)
 
     def _fine_net(self, displacement: dict[str, np.ndarray] | None):
         from .net import GeodesicNet as _GN

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import stencils
 from .geometry import MetricChart, g_norm, geodesic_integrate
 from .multigraph import star
 from .net import GeodesicNet, edge_lengths
 from .variation import stationarity_residual
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
     "PathCoord",
@@ -190,6 +193,8 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
     normal radius is ``delta_rel`` times the edge length in background
     units; edges are extended by ``eta_rel`` parameter units.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     lengths = net.lengths or edge_lengths(chart, net)
     tubes = {}
     for e in net.graph.edges:
@@ -269,6 +274,8 @@ def xi_prime(curve: np.ndarray) -> PathCoord:
     The longitudinal component must be strictly monotone; the normal part
     is re-gridded as a function of the rescaled longitudinal coordinate.
     """
+    from scipy.interpolate import CubicSpline
+
     lon = curve[:, 0]
     dlon = np.diff(lon)
     if not np.all(dlon > 0):
@@ -281,8 +288,6 @@ def xi_prime(curve: np.ndarray) -> PathCoord:
     u = np.empty((npts, curve.shape[1] - 1))
     for comp in range(curve.shape[1] - 1):
         # shape-preserving in theta; exact when theta is already the grid
-        from scipy.interpolate import CubicSpline
-
         spl = CubicSpline(theta, curve[:, comp + 1])
         u[:, comp] = spl(tgrid)
     return PathCoord(a=a, b=b, u=u)

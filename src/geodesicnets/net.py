@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import stencils
 from .geometry import MetricChart, g_norm
@@ -166,6 +165,8 @@ def reparametrize_constant_speed(
     A sample speed below 1e-8 times the edge mean speed is rejected (the
     resampling would divide by it).
     """
+    from scipy.interpolate import CubicSpline
+
     new_samples = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -195,6 +196,8 @@ def reparametrize_constant_speed(
 
 def resample(chart: MetricChart, net: GeodesicNet, n_samples: int) -> GeodesicNet:
     """Change the per-edge sample count (constant-speed resampling)."""
+    from scipy.interpolate import CubicSpline
+
     new_samples = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -228,7 +231,7 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
             vel = stencils.velocity(s, loop_shift=shift)
             tang = vel[0] if i == 0 else vel[-1]
         else:
-            tang = stencils.endpoint_first_derivative(s, i, order=6)
+            tang = stencils.endpoint_first_derivative(s, i)
         p = s[0] if i == 0 else s[-1]
         tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
         if i == 1:

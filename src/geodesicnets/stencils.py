@@ -78,7 +78,8 @@ def sbp42(n_samples: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense SBP(4,2) derivative matrix and quadrature weights for an open edge.
 
     Returns (D, w) with D of shape (n, n) and w of shape (n,), where
-    n = ``n_samples``.  w sums exactly to (n - 1) * h.
+    n = ``n_samples``.  w sums exactly to (n - 1) * h.  Both cached arrays
+    are read-only.
     """
     n = n_samples
     if n < 12:
@@ -93,6 +94,8 @@ def sbp42(n_samples: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     w = np.full(n, h)
     w[:4] = _SBP42_NORM * h
     w[-4:] = _SBP42_NORM[::-1] * h
+    D.flags.writeable = False
+    w.flags.writeable = False
     return D, w
 
 
@@ -101,14 +104,16 @@ def periodic_diff_matrix(n_samples: int, h: float) -> np.ndarray:
     """4th-order central derivative matrix on a periodic grid.
 
     Acts on the n independent samples of a loop edge (the duplicated
-    closing sample is excluded).
+    closing sample is excluded).  The cached matrix is read-only.
     """
     n = n_samples
     D = np.zeros((n, n))
     for i in range(n):
         for off, c in zip((-2, -1, 0, 1, 2), _CENTRAL4):
             D[i, (i + off) % n] += c
-    return D / h
+    D /= h
+    D.flags.writeable = False
+    return D
 
 
 def quadrature_weights(n_samples: int, h: float, loop: bool = False) -> np.ndarray:
@@ -182,7 +187,7 @@ def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     return out / h
 
 
-def second_derivative(samples: np.ndarray, loop_shift=None, order: int = 4) -> np.ndarray:
+def second_derivative(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     """Second parameter-derivative, 4th order (one-sided rows near open ends)."""
     n = samples.shape[0]
     h = 1.0 / (n - 1)
@@ -209,13 +214,14 @@ def second_derivative(samples: np.ndarray, loop_shift=None, order: int = 4) -> n
     return out / h**2
 
 
-def endpoint_first_derivative(samples: np.ndarray, end: int, order: int = 6) -> np.ndarray:
-    """One-sided first derivative at an edge endpoint (end 0 or 1)."""
+def endpoint_first_derivative(samples: np.ndarray, end: int) -> np.ndarray:
+    """One-sided 6th-order first derivative at an edge endpoint (end 0 or 1).
+
+    Uses the 7 samples nearest the end (all of them on shorter edges).
+    """
     n = samples.shape[0]
     h = 1.0 / (n - 1)
-    npts = order + 1
-    if n < npts:
-        npts = n
+    npts = min(7, n)
     grid = np.arange(npts, dtype=float)
     if end == 0:
         wgt = fd_weights(0.0, grid, 1)
@@ -224,50 +230,41 @@ def endpoint_first_derivative(samples: np.ndarray, end: int, order: int = 6) -> 
     return np.tensordot(wgt, samples[-npts:], axes=(0, 0)) / h
 
 
-def _upsample_slow(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndarray:
-    n = samples.shape[0]
-    m = (n - 1) * factor
-    pad = 3
-    if loop_shift is not None:
-        ext = _extend_loop(samples, loop_shift, pad)
-        base = pad
-    else:
-        ext = samples
-        base = 0
-    out = np.empty((m + 1,) + samples.shape[1:], dtype=float)
-    out[::factor] = samples
-    for r in range(1, factor):
-        tau = r / factor
-        for k in range(n - 1):
-            lo = base + k - 2
-            hi = lo + 6
-            if loop_shift is None:
-                lo = min(max(lo, 0), n - 6)
-                hi = lo + 6
-                xi = (base + k + tau) - lo
-            else:
-                xi = 2.0 + tau
-            wgt = fd_weights(xi, np.arange(6, dtype=float), 0)
-            out[k * factor + r] = np.tensordot(wgt, ext[lo:hi], axes=(0, 0))
-    return out
-
-
 @lru_cache(maxsize=64)
 def upsample_operator(n_samples: int, factor: int, loop: bool):
-    """Cached affine pieces of the upsampling map: fine = T @ x + c * shift."""
-    eye = np.eye(n_samples)
-    cols = []
-    for j in range(n_samples):
-        col = eye[:, j][:, None]
-        cols.append(
-            _upsample_slow(col, factor, loop_shift=np.zeros(1) if loop else None)[:, 0]
-        )
-    t_mat = np.stack(cols, axis=1)
+    """Cached affine pieces of the upsampling map: fine = T @ x + c * shift.
+
+    Fine sample ``k * factor + r`` is interpolated from the 6-point window
+    starting at ``lo_k``: centred on coarse interval k, clamped at the ends
+    of open edges, wrapped across the seam of loop edges (where the lattice
+    shift enters through c).  The weights depend only on the position
+    ``xi`` inside the window, so there is one Fornberg call per distinct
+    ``xi`` (5 per sub-step on open edges, 1 on loop edges), not one per
+    fine sample.  The cached arrays are read-only.
+    """
+    n = n_samples
+    k = np.arange(n - 1)
+    lo = k - 2 if loop else np.clip(k - 2, 0, n - 6)
+    cols = lo[:, None] + np.arange(6)
     if loop:
-        zero = np.zeros((n_samples, 1))
-        c_vec = _upsample_slow(zero, factor, loop_shift=np.ones(1))[:, 0]
-    else:
-        c_vec = np.zeros(t_mat.shape[0])
+        # window index -j is sample n-1-j minus the shift; n-1+j is sample j plus it
+        seam = (cols > n - 1).astype(int) - (cols < 0)
+        cols = cols - (n - 1) * seam
+    t_mat = np.zeros(((n - 1) * factor + 1, n))
+    t_mat[::factor] = np.eye(n)
+    c_vec = np.zeros(t_mat.shape[0])
+    nodes = np.arange(6, dtype=float)
+    for r in range(1, factor):
+        tau = r / factor
+        xi = np.full(n - 1, 2.0 + tau) if loop else (k + tau) - lo
+        uniq, which = np.unique(xi, return_inverse=True)
+        wgt = np.stack([fd_weights(float(x), nodes, 0) for x in uniq])[which]
+        rows = k * factor + r
+        np.add.at(t_mat, (rows[:, None], cols), wgt)
+        if loop:
+            c_vec[rows] = (wgt * seam).sum(axis=1)
+    t_mat.flags.writeable = False
+    c_vec.flags.writeable = False
     return t_mat, c_vec
 
 

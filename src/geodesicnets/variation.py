@@ -94,7 +94,7 @@ def vertex_balance(chart: MetricChart, net: GeodesicNet, v: str) -> np.ndarray:
             vel = stencils.velocity(s, loop_shift=shift)
             tang = vel[0] if i == 0 else vel[-1]
         else:
-            tang = stencils.endpoint_first_derivative(s, i, order=6)
+            tang = stencils.endpoint_first_derivative(s, i)
         p = s[0] if i == 0 else s[-1]
         tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
         out += (-1.0) ** (i + 1) * net.graph.edge(eid).multiplicity * tang

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geodesicnets
 from geodesicnets import cli, length, make_case, specfile
 
 
@@ -13,6 +17,17 @@ def write_case_spec(tmp_path, name, n=64, **mods):
     path = tmp_path / f"{name}.json"
     specfile.write_spec(doc, str(path))
     return path, doc
+
+
+# -- import cost --------------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy_interpolate():
+    src = os.path.dirname(os.path.dirname(geodesicnets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, geodesicnets, geodesicnets.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- spec files ---------------------------------------------------------------

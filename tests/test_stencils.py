@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from geodesicnets import stencils as st
 
@@ -92,3 +93,59 @@ def test_fornberg_interpolation_weights():
     w = st.fd_weights(2.5, x, 0)
     f = x**4 - 2 * x + 1
     assert abs(w @ f - (2.5**4 - 2 * 2.5 + 1)) < 1e-10
+
+
+def _upsample_reference(samples, factor, loop_shift=None):
+    """Sample-by-sample 6-point Lagrange upsampling, one Fornberg call per point."""
+    n = samples.shape[0]
+    m = (n - 1) * factor
+    pad = 3
+    if loop_shift is not None:
+        ext = st._extend_loop(samples, loop_shift, pad)
+        base = pad
+    else:
+        ext = samples
+        base = 0
+    out = np.empty((m + 1,) + samples.shape[1:], dtype=float)
+    out[::factor] = samples
+    for r in range(1, factor):
+        tau = r / factor
+        for k in range(n - 1):
+            lo = base + k - 2
+            hi = lo + 6
+            if loop_shift is None:
+                lo = min(max(lo, 0), n - 6)
+                hi = lo + 6
+                xi = (base + k + tau) - lo
+            else:
+                xi = 2.0 + tau
+            wgt = st.fd_weights(xi, np.arange(6, dtype=float), 0)
+            out[k * factor + r] = np.tensordot(wgt, ext[lo:hi], axes=(0, 0))
+    return out
+
+
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("factor", [2, 4, 8])
+@pytest.mark.parametrize("n", [12, 33, 65])
+def test_upsample_operator_matches_reference(n, factor, loop):
+    t_mat, c_vec = st.upsample_operator(n, factor, loop)
+    shift = np.zeros(1) if loop else None
+    ref_t = np.stack(
+        [_upsample_reference(col[:, None], factor, loop_shift=shift)[:, 0] for col in np.eye(n)],
+        axis=1,
+    )
+    if loop:
+        ref_c = _upsample_reference(np.zeros((n, 1)), factor, loop_shift=np.ones(1))[:, 0]
+    else:
+        ref_c = np.zeros(ref_t.shape[0])
+    assert np.array_equal(t_mat, ref_t)
+    assert np.array_equal(c_vec, ref_c)
+
+
+def test_cached_operators_are_read_only():
+    t_mat, c_vec = st.upsample_operator(33, 4, True)
+    d_mat, w = st.sbp42(33, 1 / 32)
+    d_per = st.periodic_diff_matrix(32, 1 / 32)
+    for arr in (t_mat, c_vec, d_mat, w, d_per):
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
