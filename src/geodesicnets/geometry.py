@@ -40,6 +40,9 @@ __all__ = [
     "g_norm",
 ]
 
+# Quarter turn of the plane: maps a vector to its positive normal.
+_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
 
 class DomainError(ValueError):
     """A point or trajectory left the chart domain."""

@@ -17,15 +17,17 @@ loop is a reparametrization, so the system reduces to periodicity of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+
 import numpy as np
 
 from . import stencils
-from .geometry import MetricChart, SampledCurve, g_dot, g_norm, parallel_transport
+from .geometry import _ROT90, MetricChart, SampledCurve, g_dot, g_norm, parallel_transport
 from .multigraph import GraphClass, classify
-from .net import GeodesicNet, NetField, edge_lengths
-from .variation import stationarity_residual
+from .net import GeodesicNet, NetField, edge_lengths, length
+from .variation import length_sample_gradient, stationarity_residual
 
 __all__ = [
     "ReducedField",
@@ -38,14 +40,13 @@ __all__ = [
     "jacobi_kernel",
     "classify_field",
     "is_nondegenerate",
+    "ReducedBasis",
+    "fd_hessian",
     "reduced_hessian_fd",
     "reduced_basis_fields",
     "random_reduced_field",
     "approximate_embeddedness",
 ]
-
-_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 # ---------------------------------------------------------------------------
 # frames and curvature coefficients
@@ -563,8 +564,60 @@ def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6
 # reduced finite-difference Hessian (brute-force oracle)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ReducedBasis:
+    """The reduced displacement space as one linear map B.
+
+    B sends d coefficients to displacement samples on every edge.  Its
+    first ``n_vertex`` columns are dense: vertex displacements with linear
+    ramps into the incident edges (on loop graphs, the normal motion of the
+    marked vertex), stored as one block over the stacked edge samples.
+    Every other column is a hat: frame vector a at interior sample j of
+    edge E, at column ``hat_offset[E] + (j - 1) * (n - 1) + a``.
+    """
+
+    edges: tuple
+    vertex_block: np.ndarray          # (sum over edges of (N+1) * n, n_vertex)
+    frames: dict[str, np.ndarray]     # (N+1, n-1, n) per edge
+    hat_offset: dict[str, int]
+    dim: int
+
+    @property
+    def n_vertex(self) -> int:
+        return self.vertex_block.shape[1]
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def apply(self, coef: np.ndarray) -> NetField:
+        """B @ coef as a displacement field."""
+        flat = self.vertex_block @ coef[: self.n_vertex]
+        vals = {}
+        start = 0
+        for e in self.edges:
+            npts, nm1, n = self.frames[e].shape
+            vals[e] = flat[start : start + npts * n].reshape(npts, n)
+            start += npts * n
+            off = self.hat_offset[e]
+            c = coef[off : off + (npts - 2) * nm1].reshape(npts - 2, nm1)
+            vals[e][1:-1] += (c[:, :, None] * self.frames[e][1:-1]).sum(axis=1)
+        return NetField(vals)
+
+    def pullback(self, grad: dict[str, np.ndarray]) -> np.ndarray:
+        """B^T g for a per-edge sample gradient g."""
+        out = np.empty(self.dim)
+        out[: self.n_vertex] = self.vertex_block.T @ np.concatenate(
+            [grad[e].ravel() for e in self.edges])
+        for e in self.edges:
+            npts, nm1, _ = self.frames[e].shape
+            off = self.hat_offset[e]
+            pair = (grad[e][1:-1, None, :] * self.frames[e][1:-1]).sum(axis=-1)
+            out[off : off + (npts - 2) * nm1] = pair.ravel()
+        return out
+
+
 def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
-    """Displacement fields spanning the reduced space, with labels.
+    """The map B spanning the reduced space, with one label per column.
 
     good* graphs: full vertex displacements (with linear tangential ramps
     into the incident edges) plus interior normal hats per edge.  Loop
@@ -573,51 +626,93 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
     """
     gclass = classify(net.graph)
     n = net.dim
-    fields = []
-    labels = []
+    edges = tuple(e.id for e in net.graph.edges)
     frames_by_edge = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
+    row_start = {}
+    rows = 0
+    for eid in edges:
+        s = net.edge_samples[eid]
+        shift = net.loop_shift(eid)
         v = stencils.velocity(s, loop_shift=shift)
-        frames_by_edge[e.id] = parallel_frame(chart, s, v, loop_shift=shift)
-
-    def zero_field():
-        return {e.id: np.zeros_like(net.edge_samples[e.id]) for e in net.graph.edges}
-
+        frames_by_edge[eid] = parallel_frame(chart, s, v, loop_shift=shift)
+        row_start[eid] = rows
+        rows += s.size
     if gclass is not GraphClass.LOOP_WITH_MULTIPLICITY:
-        for vtx in net.graph.vertices:
-            for c in range(n):
-                vals = zero_field()
-                for eid, i in net.graph.incident_pairs(vtx):
-                    s = net.edge_samples[eid]
-                    t = np.linspace(0.0, 1.0, s.shape[0])
-                    ramp = (1 - t) if i == 0 else t
-                    vals[eid][:, c] += ramp
-                fields.append(NetField(vals))
-                labels.append(("z", vtx, c))
+        labels = [("z", vtx, c) for vtx in net.graph.vertices for c in range(n)]
     else:
-        for vtx in net.graph.vertices:
+        labels = [("zn", vtx, a) for vtx in net.graph.vertices for a in range(n - 1)]
+    block = np.zeros((rows, len(labels)))
+
+    def edge_view(eid):
+        npts = net.edge_samples[eid].shape[0]
+        return block[row_start[eid] : row_start[eid] + npts * n].reshape(npts, n, -1)
+
+    for k, label in enumerate(labels):
+        vtx = label[1]
+        if label[0] == "z":
+            for eid, i in net.graph.incident_pairs(vtx):
+                t = np.linspace(0.0, 1.0, net.edge_samples[eid].shape[0])
+                edge_view(eid)[:, label[2], k] += (1 - t) if i == 0 else t
+        else:
             eid, i = net.graph.incident_pairs(vtx)[0]
             frames = frames_by_edge[eid]
             fr = frames[0] if i == 0 else frames[-1]
-            for a in range(n - 1):
-                vals = zero_field()
-                for eid2, i2 in net.graph.incident_pairs(vtx):
-                    idx = 0 if i2 == 0 else -1
-                    vals[eid2][idx] += fr[a]
-                fields.append(NetField(vals))
-                labels.append(("zn", vtx, a))
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        frames = frames_by_edge[e.id]
-        for j in range(1, s.shape[0] - 1):
-            for a in range(n - 1):
-                vals = zero_field()
-                vals[e.id][j] = frames[j, a]
-                fields.append(NetField(vals))
-                labels.append(("u", e.id, j, a))
-    return fields, labels
+            for eid2, i2 in net.graph.incident_pairs(vtx):
+                edge_view(eid2)[0 if i2 == 0 else -1, :, k] += fr[label[2]]
+    hat_offset = {}
+    col = len(labels)
+    for eid in edges:
+        hat_offset[eid] = col
+        npts = net.edge_samples[eid].shape[0]
+        labels.extend(("u", eid, j, a) for j in range(1, npts - 1) for a in range(n - 1))
+        col += (npts - 2) * (n - 1)
+    basis = ReducedBasis(edges=edges, vertex_block=block, frames=frames_by_edge,
+                         hat_offset=hat_offset, dim=col)
+    return basis, labels
+
+
+@lru_cache(maxsize=32)
+def _hat_colouring(n_samples: int, refine: int, loop: bool):
+    """Greedy Curtis-Powell-Reid colouring of the interior samples of an edge.
+
+    Returns (colour, coupled): for interior sample j, ``colour[j - 1]`` and
+    the interior indices (j' - 1) of the samples coupled to it, which are
+    the hat rows its columns can reach.  Two samples get the same colour
+    only when no interior sample is coupled to both, so one perturbation
+    of a whole colour class determines every hat entry it touches.
+    """
+    lo, hi = stencils.hessian_coupling(n_samples, refine, loop)
+    n_int = n_samples - 2
+    coupled = []
+    for j in range(1, n_samples - 1):
+        q = np.arange(lo[j], hi[j] + 1)
+        if loop:
+            # a window of n - 1 consecutive samples already covers the loop
+            q = q[: n_samples - 1] % (n_samples - 1)
+        coupled.append(q[(q >= 1) & (q <= n_int)] - 1)
+    used = [set() for _ in range(n_int)]
+    colour = np.empty(n_int, dtype=int)
+    for j, reach in enumerate(coupled):
+        taken = set().union(*(used[r] for r in reach))
+        colour[j] = min(set(range(len(taken) + 1)) - taken)
+        for r in reach:
+            used[r].add(int(colour[j]))
+    colour.flags.writeable = False
+    return colour, tuple(coupled)
+
+
+def _hat_groups(basis: ReducedBasis, net: GeodesicNet, refine: int):
+    """Hat columns by colour: per colour, a list of (column, reachable rows)."""
+    groups = {}
+    for e in basis.edges:
+        npts, nm1, _ = basis.frames[e].shape
+        colour, coupled = _hat_colouring(npts, refine, e in net.periodic_edges)
+        off = basis.hat_offset[e]
+        for j, reach in enumerate(coupled):
+            rows = off + (reach[:, None] * nm1 + np.arange(nm1)).ravel()
+            for a in range(nm1):
+                groups.setdefault(colour[j] * nm1 + a, []).append((off + j * nm1 + a, rows))
+    return [groups[c] for c in sorted(groups)]
 
 
 class _RefinedLength:
@@ -626,7 +721,6 @@ class _RefinedLength:
     def __init__(self, chart, net, refine):
         self.chart = chart
         self.net = net
-        self.refine = refine
         self.fine_base = {}
         self.t_mats = {}
         for e in net.graph.edges:
@@ -634,90 +728,101 @@ class _RefinedLength:
             shift = net.loop_shift(e.id)
             self.fine_base[e.id] = stencils.upsample_curve(s, refine, loop_shift=shift)
             # linear part only: displacement fields never wrap
-            self.t_mats[e.id], _ = stencils.upsample_operator(
-                s.shape[0], refine, e.id in net.periodic_edges)
+            self.t_mats[e.id], _ = stencils.upsample_operator(s.shape[0], refine, shift is not None)
 
-    def _fine_net(self, displacement: dict[str, np.ndarray] | None):
-        from .net import GeodesicNet as _GN
-
-        fine_samples = {}
-        for e, base in self.fine_base.items():
-            if displacement is None:
-                fine_samples[e] = base
-            else:
-                fine_samples[e] = base + self.t_mats[e] @ displacement[e]
-        return _GN(
+    def _fine_net(self, displacement: NetField) -> GeodesicNet:
+        fine_samples = {
+            e: base + self.t_mats[e] @ displacement.edge_values[e]
+            for e, base in self.fine_base.items()
+        }
+        return GeodesicNet(
             graph=self.net.graph,
             edge_samples=fine_samples,
             vertex_positions=self.net.vertex_positions,
             periodic_edges=self.net.periodic_edges,
         )
 
-    def gradient(self, displacement, fields):
-        """Gradient along each basis field at the displaced configuration."""
-        from .variation import length_sample_gradient
+    def gradient(self, displacement: NetField) -> dict[str, np.ndarray]:
+        """Exact gradient in the coarse samples at the displaced configuration."""
+        grad = length_sample_gradient(self.chart, self._fine_net(displacement))
+        return {e: self.t_mats[e].T @ g for e, g in grad.items()}
 
-        grad_fine = length_sample_gradient(self.chart, self._fine_net(displacement))
-        grad_coarse = {e: self.t_mats[e].T @ grad_fine[e] for e in grad_fine}
-        out = np.empty(len(fields))
-        for i, f in enumerate(fields):
-            out[i] = sum(float(np.sum(grad_coarse[e] * f.edge_values[e])) for e in grad_coarse)
-        return out
-
-    def value(self, displacement):
-        from .net import length
-
+    def value(self, displacement: NetField) -> float:
         return length(self.chart, self._fine_net(displacement))
+
+
+def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
+               step: float = 1e-5, refine: int = 1) -> np.ndarray:
+    """Symmetric Hessian of the discrete length over B, by central
+    differences of the exact gradient on the grid refined ``refine`` times.
+
+    Column compression (Curtis, Powell & Reid 1974; Coleman & More 1983):
+    hat columns of one colour are perturbed together, two gradients per
+    colour, and each hat row reads its entry from the one column of the
+    colour it is coupled to.  Dense vertex columns are perturbed alone and
+    fill the vertex rows by symmetry.  The gradient count, 2 (n_vertex +
+    colours), does not grow with the sample count.
+    """
+    functional = _RefinedLength(chart, net, refine)
+    d = len(basis)
+    nv = basis.n_vertex
+    h_mat = np.zeros((d, d))
+
+    def difference(cols):
+        coef = np.zeros(d)
+        coef[cols] = 1.0
+        gp = basis.pullback(functional.gradient(basis.apply(step * coef)))
+        gm = basis.pullback(functional.gradient(basis.apply(-step * coef)))
+        return (gp - gm) / (2 * step)
+
+    for j in range(nv):
+        h_mat[:, j] = difference([j])
+    for members in _hat_groups(basis, net, refine):
+        delta = difference([col for col, _ in members])
+        for col, rows in members:
+            h_mat[rows, col] = delta[rows]
+    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
+    return 0.5 * (h_mat + h_mat.T)
 
 
 def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
                        refine: int = 8, mode: str = "gradient"):
     """Dense symmetric Hessian of the discrete length over the reduced basis.
 
-    mode "gradient": central differences of the exact sample gradient
-    (default; accurate enough for kernel counting).  mode "length": plain
-    second central differences of the length (slower, noisier; kept as a
-    cross-check).
+    mode "gradient": central differences of the exact sample gradient,
+    column-compressed by ``fd_hessian`` (default; accurate enough for
+    kernel counting).  mode "length": plain second central differences of
+    the length over every pair of columns (slower, noisier; kept as an
+    independent cross-check).
     """
-    from .net import displace, length
-
-    fields, labels = reduced_basis_fields(chart, net)
-    d = len(fields)
+    basis, labels = reduced_basis_fields(chart, net)
     if step <= 0:
         raise ValueError("invalid step configuration")
-    h_mat = np.empty((d, d))
     if mode == "gradient":
-        functional = _RefinedLength(chart, net, refine)
-        for j in range(d):
-            dj = {e: step * v for e, v in fields[j].edge_values.items()}
-            gp = functional.gradient(dj, fields)
-            dj = {e: -step * v for e, v in fields[j].edge_values.items()}
-            gm = functional.gradient(dj, fields)
-            h_mat[:, j] = (gp - gm) / (2 * step)
-    elif mode == "length":
-        functional = _RefinedLength(chart, net, refine)
-
-        def l_of(f1, a, f2, b):
-            disp = {
-                e: a * f1.edge_values[e] + b * f2.edge_values[e]
-                for e in f1.edge_values
-            }
-            return functional.value(disp)
-
-        for i in range(d):
-            for j in range(i, d):
-                val = (
-                    l_of(fields[i], step, fields[j], step)
-                    - l_of(fields[i], step, fields[j], -step)
-                    - l_of(fields[i], -step, fields[j], step)
-                    + l_of(fields[i], -step, fields[j], -step)
-                ) / (4 * step * step)
-                h_mat[i, j] = val
-                h_mat[j, i] = val
-    else:
+        return fd_hessian(chart, net, basis, step, refine), labels
+    if mode != "length":
         raise ValueError(f"unknown mode {mode!r}")
-    h_mat = 0.5 * (h_mat + h_mat.T)
-    return h_mat, labels
+    functional = _RefinedLength(chart, net, refine)
+    d = len(basis)
+
+    def l_of(i, a, j, b):
+        coef = np.zeros(d)
+        coef[i] += a
+        coef[j] += b
+        return functional.value(basis.apply(coef))
+
+    h_mat = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            val = (
+                l_of(i, step, j, step)
+                - l_of(i, step, j, -step)
+                - l_of(i, -step, j, step)
+                + l_of(i, -step, j, -step)
+            ) / (4 * step * step)
+            h_mat[i, j] = val
+            h_mat[j, i] = val
+    return 0.5 * (h_mat + h_mat.T), labels
 
 
 def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):

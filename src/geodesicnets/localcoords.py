@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import stencils
-from .geometry import MetricChart, g_norm, geodesic_integrate
+from .geometry import _ROT90, MetricChart, g_norm, geodesic_integrate
 from .multigraph import star
 from .net import GeodesicNet, edge_lengths
 from .variation import stationarity_residual
@@ -51,9 +51,6 @@ __all__ = [
     "mean_curvature_H",
     "stationarity_equivalence_check",
 ]
-
-_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 class TubeError(ValueError):
     """Coordinates or curves left the tube of validity."""

@@ -158,11 +158,12 @@ def length(chart: MetricChart, net: GeodesicNet) -> float:
 
 
 def reparametrize_constant_speed(
-    chart: MetricChart, net: GeodesicNet, upsample: int = 8
+    chart: MetricChart, net: GeodesicNet, upsample: int = 8, n_samples: int | None = None
 ) -> GeodesicNet:
     """Arc-length resampling of every edge; endpoint samples are pinned.
 
-    A sample speed below 1e-8 times the edge mean speed is rejected (the
+    ``n_samples`` intervals per edge (default: keep each edge's count).  A
+    sample speed below 1e-8 times the edge mean speed is rejected (the
     resampling would divide by it).
     """
     from scipy.interpolate import CubicSpline
@@ -170,10 +171,10 @@ def reparametrize_constant_speed(
     new_samples = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        n = s.shape[0] - 1
+        n = s.shape[0] - 1 if n_samples is None else n_samples
         shift = net.loop_shift(e.id)
         fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
-        vf = stencils.velocity(fine, loop_shift=None if shift is None else shift)
+        vf = stencils.velocity(fine, loop_shift=shift)
         speed = g_norm(chart, fine, vf)
         if speed.min() < 1e-8 * speed.mean():
             raise ValueError(f"edge {e.id!r} has a near-zero speed sample; not an immersion")
@@ -196,28 +197,7 @@ def reparametrize_constant_speed(
 
 def resample(chart: MetricChart, net: GeodesicNet, n_samples: int) -> GeodesicNet:
     """Change the per-edge sample count (constant-speed resampling)."""
-    from scipy.interpolate import CubicSpline
-
-    new_samples = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        fine = stencils.upsample_curve(s, 8, loop_shift=shift)
-        vf = stencils.velocity(fine, loop_shift=shift)
-        speed = g_norm(chart, fine, vf)
-        tf = np.linspace(0.0, 1.0, fine.shape[0])
-        arc = CubicSpline(tf, speed).antiderivative()(tf)
-        arc[0] = 0.0
-        t_of_arc = CubicSpline(arc, tf)
-        targets = np.linspace(0.0, arc[-1], n_samples + 1)
-        ts = np.clip(t_of_arc(targets), 0.0, 1.0)
-        out = CubicSpline(tf, fine, axis=0)(ts)
-        out[0] = s[0]
-        out[-1] = s[-1]
-        new_samples[e.id] = out
-    new = replace(net, edge_samples=new_samples, lengths={})
-    new.lengths = edge_lengths(chart, new)
-    return new
+    return reparametrize_constant_speed(chart, net, n_samples=n_samples)
 
 
 def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):

@@ -32,6 +32,7 @@ from .geometry import (
 from .jacobi import (
     NondegeneracyVerdict,
     classify_field,
+    fd_hessian,
     is_nondegenerate,
     reduced_basis_fields,
 )
@@ -117,31 +118,6 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
 
-def _stack_basis(fields):
-    """Per-edge (dof, N+1, n) stacks of the basis displacement fields."""
-    edges = fields[0].edge_values.keys()
-    return {e: np.stack([f.edge_values[e] for f in fields]) for e in edges}
-
-
-def _reduced_gradient_coarse(chart, net, basis_stack):
-    grad = length_sample_gradient(chart, net)
-    out = 0.0
-    for e, gval in grad.items():
-        out = out + np.einsum("pn,dpn->d", gval, basis_stack[e])
-    return out
-
-
-def _combine(fields, coef) -> NetField:
-    out = None
-    for f, c in zip(fields, coef):
-        if c == 0.0:
-            continue
-        out = f.scaled(c) if out is None else out.plus(f, c)
-    if out is None:
-        return fields[0].scaled(0.0)
-    return out
-
-
 def solve_stationary(chart: MetricChart, init: GeodesicNet,
                      opts: SolveOptions | None = None) -> SolveResult:
     """Newton iteration to a critical point of the discrete length.
@@ -155,11 +131,12 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     evals = evecs = None
     stale = 0
 
+    def reduced_gradient(net_now):
+        basis, _ = reduced_basis_fields(chart, net_now)
+        return basis, basis.pullback(length_sample_gradient(chart, net_now))
+
     def merit(cand_net):
-        cand_fields, _ = reduced_basis_fields(chart, cand_net)
-        return float(
-            np.linalg.norm(_reduced_gradient_coarse(chart, cand_net, _stack_basis(cand_fields)))
-        )
+        return float(np.linalg.norm(reduced_gradient(cand_net)[1]))
 
     def try_direction(net_now, direction, gnorm):
         alpha = 1.0
@@ -174,9 +151,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         return None, None
 
     for it in range(opts.max_iterations + 1):
-        fields, labels = reduced_basis_fields(chart, net)
-        basis = _stack_basis(fields)
-        grad = _reduced_gradient_coarse(chart, net, basis)
+        basis, grad = reduced_gradient(net)
         gnorm = float(np.linalg.norm(grad))
         trace.append({"iteration": it, "gradient_norm": gnorm})
         if gnorm <= opts.tolerance:
@@ -184,15 +159,9 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
                                gradient_norm=gnorm, trace=trace)
         if it == opts.max_iterations:
             break
-        d = len(fields)
+        d = len(basis)
         if evals is None or stale >= opts.hessian_refresh:
-            hess = np.empty((d, d))
-            step = opts.hessian_step
-            for j in range(d):
-                gp = _reduced_gradient_coarse(chart, displace(net, fields[j], step), basis)
-                gm = _reduced_gradient_coarse(chart, displace(net, fields[j], -step), basis)
-                hess[:, j] = (gp - gm) / (2 * step)
-            hess = 0.5 * (hess + hess.T)
+            hess = fd_hessian(chart, net, basis, step=opts.hessian_step)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())
@@ -207,7 +176,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         coef_eig = np.zeros(d)
         act = ~null
         coef_eig[act] = -g_eig[act] / evals[act]
-        direction = _combine(fields, evecs @ coef_eig)
+        direction = basis.apply(evecs @ coef_eig)
         cand, alpha = try_direction(net, direction, gnorm)
         if cand is None and stale > 0:
             # retry with a fresh Newton matrix before damping
@@ -219,7 +188,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             mu = max(1e-6 * emax**2, 1e-14)
             for _ in range(opts.lm_max_boosts):
                 coef = -(evals * g_eig) / (evals**2 + mu)
-                direction = _combine(fields, evecs @ coef)
+                direction = basis.apply(evecs @ coef)
                 cand, alpha = try_direction(net, direction, gnorm)
                 if cand is not None:
                     break

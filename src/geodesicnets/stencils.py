@@ -20,9 +20,9 @@ __all__ = [
     "quadrature_weights",
     "velocity",
     "velocity_ho",
-    "second_derivative",
     "endpoint_first_derivative",
     "upsample_curve",
+    "hessian_coupling",
 ]
 
 
@@ -187,33 +187,6 @@ def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     return out / h
 
 
-def second_derivative(samples: np.ndarray, loop_shift=None) -> np.ndarray:
-    """Second parameter-derivative, 4th order (one-sided rows near open ends)."""
-    n = samples.shape[0]
-    h = 1.0 / (n - 1)
-    if loop_shift is not None:
-        c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-        ext = _extend_loop(samples, loop_shift, 2)
-        out = sum(
-            cj * ext[2 + off : 2 + off + n]
-            for off, cj in zip((-2, -1, 0, 1, 2), c)
-        )
-        return out / h**2
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    out = np.zeros_like(samples, dtype=float)
-    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    core = sum(cj * samples[2 + off : 2 + off + (n - 4)] for off, cj in zip((-2, -1, 0, 1, 2), c))
-    out[2:-2] = core
-    grid = np.arange(7, dtype=float)
-    for i in (0, 1):
-        wgt = fd_weights(float(i), grid, 2)
-        out[i] = np.tensordot(wgt, samples[:7], axes=(0, 0))
-        wgt_r = fd_weights(float(6 - i), grid, 2)
-        out[n - 1 - i] = np.tensordot(wgt_r, samples[-7:], axes=(0, 0))
-    return out / h**2
-
-
 def endpoint_first_derivative(samples: np.ndarray, end: int) -> np.ndarray:
     """One-sided 6th-order first derivative at an edge endpoint (end 0 or 1).
 
@@ -230,6 +203,18 @@ def endpoint_first_derivative(samples: np.ndarray, end: int) -> np.ndarray:
     return np.tensordot(wgt, samples[-npts:], axes=(0, 0)) / h
 
 
+# Fine samples inside coarse interval k are interpolated from the _WINDOW
+# coarse samples starting _BACK before k (clamped to open edges).
+_WINDOW = 6
+_BACK = 2
+
+
+def _window_starts(n: int, loop: bool) -> np.ndarray:
+    """First coarse sample of the interpolation window of every interval."""
+    k = np.arange(n - 1)
+    return k - _BACK if loop else np.clip(k - _BACK, 0, n - _WINDOW)
+
+
 @lru_cache(maxsize=64)
 def upsample_operator(n_samples: int, factor: int, loop: bool):
     """Cached affine pieces of the upsampling map: fine = T @ x + c * shift.
@@ -244,8 +229,8 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     """
     n = n_samples
     k = np.arange(n - 1)
-    lo = k - 2 if loop else np.clip(k - 2, 0, n - 6)
-    cols = lo[:, None] + np.arange(6)
+    lo = _window_starts(n, loop)
+    cols = lo[:, None] + np.arange(_WINDOW)
     if loop:
         # window index -j is sample n-1-j minus the shift; n-1+j is sample j plus it
         seam = (cols > n - 1).astype(int) - (cols < 0)
@@ -253,10 +238,10 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     t_mat = np.zeros(((n - 1) * factor + 1, n))
     t_mat[::factor] = np.eye(n)
     c_vec = np.zeros(t_mat.shape[0])
-    nodes = np.arange(6, dtype=float)
+    nodes = np.arange(_WINDOW, dtype=float)
     for r in range(1, factor):
         tau = r / factor
-        xi = np.full(n - 1, 2.0 + tau) if loop else (k + tau) - lo
+        xi = np.full(n - 1, _BACK + tau) if loop else (k + tau) - lo
         uniq, which = np.unique(xi, return_inverse=True)
         wgt = np.stack([fd_weights(float(x), nodes, 0) for x in uniq])[which]
         rows = k * factor + r
@@ -266,6 +251,58 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     t_mat.flags.writeable = False
     c_vec.flags.writeable = False
     return t_mat, c_vec
+
+
+def _sbp42_footprint(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last column of every row of the open-edge SBP(4,2) matrix."""
+    m = np.arange(n)
+    half = len(_CENTRAL4) // 2
+    rows, width = _SBP42_ROWS.shape
+    head, tail = m < rows, m >= n - rows
+    lo = np.where(head, 0, np.where(tail, n - width, m - half))
+    hi = np.where(head, width - 1, np.where(tail, n - 1, m + half))
+    return lo, hi
+
+
+def hessian_coupling(n_samples: int, factor: int, loop: bool):
+    """Coarse samples that can share a nonzero Hessian entry of the refined length.
+
+    The length of an edge upsampled by ``factor`` is a sum of local terms,
+    one per fine sample m, and term m reads the fine samples in the
+    footprint of row m of the derivative operator.  Coarse sample p moves
+    the fine samples of column p of the upsampling matrix T.  Samples p and
+    q are coupled when one term reads fine samples moved by both.  All of
+    these sets are index windows, so the pattern costs O(n): p is coupled
+    at most to the samples ``lo[p] <= q <= hi[p]``.  On loop edges the
+    windows are unwrapped; take q modulo n - 1.
+    """
+    n, f = n_samples, factor
+    p = np.arange(n)
+    # the intervals whose interpolation window holds p
+    if loop:
+        kmin, kmax = p + _BACK - _WINDOW + 1, p + _BACK
+    else:
+        starts = _window_starts(n, False)
+        kmin = np.searchsorted(starts + _WINDOW - 1, p, "left")
+        kmax = np.searchsorted(starts, p, "right") - 1
+    # fine rows [a, b] of column p of T: its node row and the inner rows of those intervals
+    a, b = p * f, p * f
+    if f > 1:
+        a = np.minimum(a, kmin * f + 1)
+        b = np.maximum(b, kmax * f + f - 1)
+    if loop:
+        # every footprint is [m - half, m + half], so the pattern is a circulant band
+        half = len(_CENTRAL4) // 2
+        width = int((b[0] - a[0] + 2 * half) // f)
+        lo, hi = p - width, p + width
+    else:
+        # the terms [tlo, thi] whose footprint meets [a, b], then the samples whose terms overlap
+        foot_lo, foot_hi = _sbp42_footprint((n - 1) * f + 1)
+        tlo = np.searchsorted(foot_hi, a, "left")
+        thi = np.searchsorted(foot_lo, b, "right") - 1
+        lo = np.searchsorted(thi, tlo, "left")
+        hi = np.searchsorted(tlo, thi, "right") - 1
+    return lo, hi
 
 
 def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndarray:

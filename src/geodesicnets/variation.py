@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stencils
 from .geometry import MetricChart, g_dot, g_norm
-from .net import GeodesicNet, NetField, displace, edge_lengths
+from .net import GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
 
 __all__ = [
     "StationarityReport",
@@ -85,20 +85,12 @@ def first_variation(chart: MetricChart, net: GeodesicNet, fld: NetField) -> floa
 
 
 def vertex_balance(chart: MetricChart, net: GeodesicNet, v: str) -> np.ndarray:
-    """V(v): signed multiplicity-weighted sum of endpoint unit velocities."""
+    """V(v): signed multiplicity-weighted sum of endpoint unit velocities,
+    that is minus the weighted sum of the inward unit tangents."""
     out = np.zeros(net.dim)
-    for eid, i in net.graph.incident_pairs(v):
-        s = net.edge_samples[eid]
-        shift = net.loop_shift(eid)
-        if shift is not None:
-            vel = stencils.velocity(s, loop_shift=shift)
-            tang = vel[0] if i == 0 else vel[-1]
-        else:
-            tang = stencils.endpoint_first_derivative(s, i)
-        p = s[0] if i == 0 else s[-1]
-        tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
-        out += (-1.0) ** (i + 1) * net.graph.edge(eid).multiplicity * tang
-    return out
+    for _, _, tang, mult in vertex_unit_tangents(chart, net, v):
+        out += mult * tang
+    return -out
 
 
 @dataclass

@@ -30,6 +30,23 @@ def test_cli_import_does_not_load_scipy_interpolate():
     assert out.stdout.strip() == "False"
 
 
+def test_kernel_certification_does_not_load_scipy():
+    # the shooting route and the compressed FD Hessian are numpy only
+    src = os.path.dirname(os.path.dirname(geodesicnets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, warnings, geodesicnets as g\n"
+        "warnings.simplefilter('ignore')\n"
+        "case = g.make_case('sphere-equator', 16)\n"
+        "g.jacobi_kernel(case.chart, case.net)\n"
+        "g.reduced_hessian_fd(case.chart, case.net)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- spec files ---------------------------------------------------------------
 
 def test_spec_roundtrip_all_cases(tmp_path):

@@ -1,0 +1,204 @@
+"""The reduced map B and the column-compressed FD Hessian builder.
+
+The reference here is the per-column build the builder replaced: one
+NetField per reduced column, two gradients per column, each gradient
+paired with every field.
+"""
+
+import numpy as np
+import pytest
+
+from geodesicnets import make_case, reduced_hessian_fd, stencils
+from geodesicnets import jacobi as jac
+from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
+from geodesicnets.multigraph import GraphClass, classify
+from geodesicnets.net import NetField, displace
+from geodesicnets.solver import SolveOptions
+from geodesicnets.variation import length_sample_gradient
+
+CASES = ("honeycomb-torus", "sphere-theta", "sphere-equator")
+
+
+def reference_fields(chart, net):
+    """The reduced basis as one NetField per column, built column by column."""
+    n = net.dim
+    fields = []
+    frames_by_edge = {}
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        shift = net.loop_shift(e.id)
+        v = stencils.velocity(s, loop_shift=shift)
+        frames_by_edge[e.id] = parallel_frame(chart, s, v, loop_shift=shift)
+
+    def zero_field():
+        return {e.id: np.zeros_like(net.edge_samples[e.id]) for e in net.graph.edges}
+
+    if classify(net.graph) is not GraphClass.LOOP_WITH_MULTIPLICITY:
+        for vtx in net.graph.vertices:
+            for c in range(n):
+                vals = zero_field()
+                for eid, i in net.graph.incident_pairs(vtx):
+                    t = np.linspace(0.0, 1.0, net.edge_samples[eid].shape[0])
+                    vals[eid][:, c] += (1 - t) if i == 0 else t
+                fields.append(NetField(vals))
+    else:
+        for vtx in net.graph.vertices:
+            eid, i = net.graph.incident_pairs(vtx)[0]
+            fr = frames_by_edge[eid][0] if i == 0 else frames_by_edge[eid][-1]
+            for a in range(n - 1):
+                vals = zero_field()
+                for eid2, i2 in net.graph.incident_pairs(vtx):
+                    vals[eid2][0 if i2 == 0 else -1] += fr[a]
+                fields.append(NetField(vals))
+    for e in net.graph.edges:
+        frames = frames_by_edge[e.id]
+        for j in range(1, net.edge_samples[e.id].shape[0] - 1):
+            for a in range(n - 1):
+                vals = zero_field()
+                vals[e.id][j] = frames[j, a]
+                fields.append(NetField(vals))
+    return fields
+
+
+def reference_oracle(chart, net, step=1e-5, refine=8):
+    """Per-column reduced FD Hessian: 2 d gradients, each paired with every field."""
+    fields = reference_fields(chart, net)
+    functional = jac._RefinedLength(chart, net, refine)
+    d = len(fields)
+
+    def paired(sign, j):
+        disp = NetField({e: sign * step * v for e, v in fields[j].edge_values.items()})
+        grad = functional.gradient(disp)
+        out = np.empty(d)
+        for i, f in enumerate(fields):
+            out[i] = sum(float(np.sum(grad[e] * f.edge_values[e])) for e in grad)
+        return out
+
+    h_mat = np.empty((d, d))
+    for j in range(d):
+        h_mat[:, j] = (paired(1.0, j) - paired(-1.0, j)) / (2 * step)
+    return 0.5 * (h_mat + h_mat.T)
+
+
+def reference_newton(chart, net, step):
+    """Per-column Newton matrix on the coarse grid, as the solver built it."""
+    fields = reference_fields(chart, net)
+    stack = {e: np.stack([f.edge_values[e] for f in fields]) for e in net.edge_samples}
+
+    def reduced_gradient(moved):
+        grad = length_sample_gradient(chart, moved)
+        return sum(np.einsum("pn,dpn->d", g, stack[e]) for e, g in grad.items())
+
+    d = len(fields)
+    hess = np.empty((d, d))
+    for j in range(d):
+        gp = reduced_gradient(displace(net, fields[j], step))
+        gm = reduced_gradient(displace(net, fields[j], -step))
+        hess[:, j] = (gp - gm) / (2 * step)
+    return 0.5 * (hess + hess.T)
+
+
+def reference_pattern(chart, net, refine):
+    """Hat-hat entries the coupling pattern allows (True) or rules out."""
+    basis, labels = reduced_basis_fields(chart, net)
+    d, nv = len(basis), basis.n_vertex
+    allowed = np.zeros((d, d), dtype=bool)
+    for e in basis.edges:
+        npts, nm1, _ = basis.frames[e].shape
+        _, coupled = jac._hat_colouring(npts, refine, e in net.periodic_edges)
+        off = basis.hat_offset[e]
+        for j, reach in enumerate(coupled):
+            rows = off + (reach[:, None] * nm1 + np.arange(nm1)).ravel()
+            for a in range(nm1):
+                allowed[rows, off + j * nm1 + a] = True
+    return allowed[nv:, nv:]
+
+
+def assert_matches(h_new, h_ref, nv):
+    """Hat-hat block bitwise equal; every other entry within 1e-8 of max|H|."""
+    assert h_new.shape == h_ref.shape
+    assert np.array_equal(h_new[nv:, nv:], h_ref[nv:, nv:])
+    assert np.abs(h_new - h_ref).max() <= 1e-8 * np.abs(h_ref).max()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_basis_columns_match_reference_fields(name):
+    case = make_case(name, 24)
+    basis, labels = reduced_basis_fields(case.chart, case.net)
+    fields = reference_fields(case.chart, case.net)
+    assert len(basis) == len(fields) == len(labels)
+    rng = np.random.default_rng(3)
+    grad = {e: rng.normal(size=s.shape) for e, s in case.net.edge_samples.items()}
+    pulled = basis.pullback(grad)
+    for j, f in enumerate(fields):
+        coef = np.zeros(len(basis))
+        coef[j] = 1.0
+        col = basis.apply(coef)
+        for e in case.net.edge_samples:
+            assert np.array_equal(col.edge_values[e], f.edge_values[e])
+        paired = sum(float(np.sum(grad[e] * f.edge_values[e])) for e in grad)
+        assert abs(pulled[j] - paired) <= 1e-13 * max(1.0, abs(paired))
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("n_samples", (24, 33))
+@pytest.mark.parametrize("refine", (2, 8))
+def test_compressed_oracle_matches_per_column_build(name, n_samples, refine):
+    case = make_case(name, n_samples)
+    h_new, _ = reduced_hessian_fd(case.chart, case.net, refine=refine)
+    h_ref = reference_oracle(case.chart, case.net, refine=refine)
+    basis, _ = reduced_basis_fields(case.chart, case.net)
+    nv = basis.n_vertex
+    assert_matches(h_new, h_ref, nv)
+    # the structural pattern covers every nonzero of the reference
+    hat_ref = h_ref[nv:, nv:]
+    assert not np.any((hat_ref != 0.0) & ~reference_pattern(case.chart, case.net, refine))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
+    calls = []
+    original = jac.length_sample_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(jac, "length_sample_gradient", counted)
+    counts = []
+    for n_samples in (32, 96):
+        case = make_case(name, n_samples)
+        calls.clear()
+        h_mat, _ = reduced_hessian_fd(case.chart, case.net)
+        counts.append(len(calls))
+        n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
+        if case.net.periodic_edges:
+            # greedy colouring of a circulant band of half-width k needs at
+            # most 2k + 1 colours; how many depends on N modulo the band
+            lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
+            k = 2 * int(hi[0])
+            assert len(calls) <= 2 * (n_vertex + 2 * k + 1)
+        assert len(calls) < 2 * h_mat.shape[0]  # the per-column build makes 2 d
+    if not case.net.periodic_edges:
+        assert counts[0] == counts[1]
+
+
+def test_newton_matrix_matches_per_column_build():
+    case = make_case("honeycomb-torus", 32)
+    rng = np.random.default_rng(11)
+    basis, _ = reduced_basis_fields(case.chart, case.net)
+    coef = np.zeros(len(basis))
+    coef[basis.n_vertex:] = 1e-3 * rng.normal(size=len(basis) - basis.n_vertex)
+    net = displace(case.net, basis.apply(coef), 1.0)
+    step = SolveOptions().hessian_step
+    basis, _ = reduced_basis_fields(case.chart, net)
+    h_new = fd_hessian(case.chart, net, basis, step=step)
+    assert_matches(h_new, reference_newton(case.chart, net, step), basis.n_vertex)
+
+
+def test_hat_colouring_is_structurally_orthogonal():
+    for loop in (False, True):
+        colour, coupled = jac._hat_colouring(40, 8, loop)
+        for c in set(colour.tolist()):
+            rows = np.concatenate([coupled[j] for j in np.flatnonzero(colour == c)])
+            assert len(rows) == len(np.unique(rows))

@@ -54,14 +54,6 @@ def test_velocity_ho_endpoint_accuracy():
     assert abs(v[-1] - 2.0 * np.cos(2.3)) < 1e-8
 
 
-def test_second_derivative_smooth():
-    n = 65
-    t = np.linspace(0, 1, n)
-    f = np.cos(3 * t)
-    d2 = st.second_derivative(f)
-    assert np.abs(d2 + 9 * np.cos(3 * t)).max() < 1e-5
-
-
 def test_endpoint_first_derivative_matches():
     t = np.linspace(0, 1, 65)
     f = np.exp(0.7 * t)
@@ -149,3 +141,37 @@ def test_cached_operators_are_read_only():
     for arr in (t_mat, c_vec, d_mat, w, d_per):
         with pytest.raises(ValueError):
             arr[0] += 1.0
+
+
+def _brute_coupling(n, factor, loop):
+    """Coarse coupling of the refined length from dense boolean products."""
+    t_mat, _ = st.upsample_operator(n, factor, loop)
+    moved = (t_mat != 0).astype(int)
+    n_fine = t_mat.shape[0]
+    if loop:
+        # identify the duplicated seam sample with sample 0, coarse and fine
+        fold_c = np.eye(n, n - 1, dtype=int) + np.eye(n, n - 1, k=-(n - 1), dtype=int)
+        fold_f = np.eye(n_fine, n_fine - 1, dtype=int) + np.eye(n_fine, n_fine - 1,
+                                                                 k=-(n_fine - 1), dtype=int)
+        moved = fold_f.T @ moved @ fold_c
+        reads = sum(np.roll(np.eye(n_fine - 1, dtype=int), k, axis=1) for k in range(-2, 3))
+    else:
+        d_mat, _ = st.sbp42(n_fine, 1.0 / (n_fine - 1))
+        reads = ((d_mat != 0) | np.eye(n_fine, dtype=bool)).astype(int)
+    terms = (reads @ moved) > 0
+    return (terms.T.astype(int) @ terms.astype(int)) > 0
+
+
+@pytest.mark.parametrize("loop", (False, True))
+@pytest.mark.parametrize("n", (13, 24))
+@pytest.mark.parametrize("factor", (1, 2, 8))
+def test_hessian_coupling_covers_brute_force_pattern(n, factor, loop):
+    brute = _brute_coupling(n, factor, loop)
+    lo, hi = st.hessian_coupling(n, factor, loop)
+    size = brute.shape[0]
+    windows = np.zeros_like(brute)
+    for p in range(size):
+        windows[p, np.arange(lo[p], hi[p] + 1) % size] = True
+    assert not np.any(brute & ~windows)
+    if loop:
+        assert np.array_equal(windows, brute)

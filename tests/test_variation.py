@@ -4,6 +4,7 @@ import pytest
 from conftest import jitter_net, random_ambient_field
 
 from geodesicnets import (
+    CASE_NAMES,
     NetField,
     TangentialField,
     apply_A_E,
@@ -85,6 +86,27 @@ def test_balance_detects_vertex_perturbation(rng):
             s += np.outer(1 - t, shift)
     net.vertex_positions["A"] = net.vertex_positions["A"] + shift
     assert np.linalg.norm(vertex_balance(case.chart, net, "A")) > 1e-2
+
+
+def test_balance_is_minus_weighted_inward_tangents():
+    for name in CASE_NAMES:
+        case = make_case(name, 64, multiplicity=2)  # the loop cases take the multiplicity
+        net = case.net
+        for v in net.graph.vertices:
+            # the signed sum of endpoint unit velocities, written out
+            expect = np.zeros(net.dim)
+            for eid, i in net.graph.incident_pairs(v):
+                s = net.edge_samples[eid]
+                shift = net.loop_shift(eid)
+                if shift is not None:
+                    vel = st.velocity(s, loop_shift=shift)
+                    tang = vel[0] if i == 0 else vel[-1]
+                else:
+                    tang = st.endpoint_first_derivative(s, i)
+                p = s[0] if i == 0 else s[-1]
+                tang = tang / g_norm(case.chart, p[None, :], tang[None, :])[0]
+                expect += (-1.0) ** (i + 1) * net.graph.edge(eid).multiplicity * tang
+            assert np.array_equal(vertex_balance(case.chart, net, v), expect)
 
 
 def test_balance_collinear_subdivision_cancels():
