@@ -123,6 +123,11 @@ def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -
         if s is None:
             problems.append(f"edge {e.id!r} has no samples")
             continue
+        if len(s) < stencils.MIN_SAMPLES:
+            problems.append(
+                f"edge {e.id!r} has {len(s)} samples; at least {stencils.MIN_SAMPLES} are needed"
+            )
+            continue
         for i, idx in ((0, 0), (1, -1)):
             vpos = net.vertex_positions[e.endpoint(i)]
             gap = np.linalg.norm(chart.displacement(vpos, s[idx]))
@@ -209,9 +214,9 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
         shift = net.loop_shift(eid)
         if shift is not None:
             vel = stencils.velocity(s, loop_shift=shift)
-            tang = vel[0] if i == 0 else vel[-1]
         else:
-            tang = stencils.endpoint_first_derivative(s, i)
+            vel = stencils.velocity_ho(s)
+        tang = vel[0] if i == 0 else vel[-1]
         p = s[0] if i == 0 else s[-1]
         tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
         if i == 1:

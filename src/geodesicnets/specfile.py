@@ -25,7 +25,8 @@ from .geometry import (
     conformal_family,
 )
 from .multigraph import WeightedMultigraph, validate
-from .net import GeodesicNet, edge_lengths
+from .net import GeodesicNet, check_net, edge_lengths
+from .stencils import MIN_SAMPLES
 
 __all__ = ["NetSpec", "SpecError", "load_spec", "parse_spec", "spec_from_case",
            "write_spec", "results_document", "write_results", "export_plot_csv",
@@ -144,14 +145,12 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
             samples[eid] = _meridian_samples(float(spec["longitude"]), n_samples)
         else:
             raise SpecError(f"edge {eid!r} needs samples or a known generator")
-    net = GeodesicNet(
+    return GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions=vertices,
         periodic_edges=frozenset(doc.get("periodic_edges", [])),
     )
-    net.lengths = edge_lengths(chart, net)
-    return net
 
 
 def parse_spec(doc: dict) -> NetSpec:
@@ -168,11 +167,10 @@ def parse_spec(doc: dict) -> NetSpec:
     n_samples = int(options.get("n_samples", 64))
     chart = base if bumps is None else conformal_family(base, bumps, 1.0)
     net = _parse_net(doc.get("net", {}), graph, chart, n_samples)
-    from .net import check_net
-
     problems = check_net(chart, net, tol=1e-7)
     if problems:
         raise SpecError("invalid net: " + "; ".join(problems))
+    net.lengths = edge_lengths(chart, net)
     return NetSpec(
         graph=graph,
         base_chart=base,
@@ -193,6 +191,11 @@ def spec_from_case(name: str, n_samples: int = 64) -> dict:
     """Net-spec document for one of the built-in cases."""
     if name not in CASE_NAMES:
         raise SpecError(f"unknown case {name!r}; choose from {CASE_NAMES}")
+    if n_samples < MIN_SAMPLES - 1:
+        raise SpecError(
+            f"n_samples {n_samples} is too small: edges need at least {MIN_SAMPLES} samples "
+            f"(n_samples >= {MIN_SAMPLES - 1})"
+        )
     case = make_case(name, n_samples=n_samples)
     net = case.net
     doc = {

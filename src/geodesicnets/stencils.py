@@ -1,10 +1,12 @@
 """Finite-difference stencils and quadrature on uniform edge grids.
 
 Every edge of a net is sampled on a uniform parameter grid over [0, 1].
-The first-derivative operator and the quadrature weights used for lengths
-form a summation-by-parts pair, so the discrete integration-by-parts
-identity holds exactly; this keeps discrete first variations equal to
-exact derivatives of the discrete length.
+The first-derivative operator D and the quadrature weights w used for
+lengths form a summation-by-parts pair, diag(w) D + D^T diag(w) =
+diag(-1, 0, ..., 0, 1), so the discrete integration-by-parts identity holds
+exactly; this keeps discrete first variations equal to exact derivatives
+of the discrete length.  Every derivative is applied as a sliding stencil
+(a band); no (N x N) matrix is formed, and D^T is taken from the identity.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MIN_SAMPLES",
     "fd_weights",
-    "sbp42",
-    "periodic_diff_matrix",
     "quadrature_weights",
     "velocity",
+    "derivative_ho",
     "velocity_ho",
-    "endpoint_first_derivative",
     "upsample_curve",
     "hessian_coupling",
 ]
@@ -60,7 +61,7 @@ def fd_weights(xi: float, x: np.ndarray, m: int) -> np.ndarray:
 
 # Diagonal-norm SBP(4,2) first-derivative coefficients: 4th-order interior,
 # 2nd-order one-sided boundary rows, trapezoid-like norm with modified end
-# weights.  Q + Q^T = diag(-1, 0, ..., 0, 1) holds exactly.
+# weights.  Q + Q^T = diag(-1, 0, ..., 0, 1) holds exactly for Q = diag(w) D.
 _SBP42_NORM = np.array([17.0 / 48.0, 59.0 / 48.0, 43.0 / 48.0, 49.0 / 48.0])
 _SBP42_ROWS = np.array(
     [
@@ -70,62 +71,37 @@ _SBP42_ROWS = np.array(
         [3.0 / 98.0, 0.0, -59.0 / 98.0, 0.0, 32.0 / 49.0, -4.0 / 49.0],
     ]
 )
+# the last four rows, on the last six samples
+_SBP42_END = -_SBP42_ROWS[::-1, ::-1]
 _CENTRAL4 = np.array([1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0])
 
-
-@lru_cache(maxsize=32)
-def sbp42(n_samples: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense SBP(4,2) derivative matrix and quadrature weights for an open edge.
-
-    Returns (D, w) with D of shape (n, n) and w of shape (n,), where
-    n = ``n_samples``.  w sums exactly to (n - 1) * h.  Both cached arrays
-    are read-only.
-    """
-    n = n_samples
-    if n < 12:
-        raise ValueError("open-edge grids need at least 12 samples")
-    D = np.zeros((n, n))
-    for i in range(4):
-        D[i, :6] = _SBP42_ROWS[i]
-        D[n - 1 - i, n - 6 :] = -_SBP42_ROWS[i][::-1]
-    for i in range(4, n - 4):
-        D[i, i - 2 : i + 3] = _CENTRAL4
-    D /= h
-    w = np.full(n, h)
-    w[:4] = _SBP42_NORM * h
-    w[-4:] = _SBP42_NORM[::-1] * h
-    D.flags.writeable = False
-    w.flags.writeable = False
-    return D, w
+# Fewest samples an edge may have: the SBP(4,2) boundary blocks of both
+# ends must not overlap.
+MIN_SAMPLES = 12
 
 
-@lru_cache(maxsize=32)
-def periodic_diff_matrix(n_samples: int, h: float) -> np.ndarray:
-    """4th-order central derivative matrix on a periodic grid.
+def _require_open(n: int) -> None:
+    if n < MIN_SAMPLES:
+        raise ValueError(f"open-edge grids need at least {MIN_SAMPLES} samples")
 
-    Acts on the n independent samples of a loop edge (the duplicated
-    closing sample is excluded).  The cached matrix is read-only.
-    """
-    n = n_samples
-    D = np.zeros((n, n))
-    for i in range(n):
-        for off, c in zip((-2, -1, 0, 1, 2), _CENTRAL4):
-            D[i, (i + off) % n] += c
-    D /= h
-    D.flags.writeable = False
-    return D
+
+def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` outputs of a sliding stencil; output k reads ``ext[k : k + len(coeffs)]``."""
+    return sum(c * ext[k : k + rows] for k, c in enumerate(coeffs) if c != 0.0)
 
 
 def quadrature_weights(n_samples: int, h: float, loop: bool = False) -> np.ndarray:
     """Quadrature weights matching the derivative operator on the same grid."""
+    w = np.full(n_samples, h)
     if loop:
         # closing sample duplicated: split its weight between the two copies
-        w = np.full(n_samples, h)
         w[0] = 0.5 * h
         w[-1] = 0.5 * h
         return w
-    _, w = sbp42(n_samples, h)
-    return w.copy()
+    _require_open(n_samples)
+    w[:4] = _SBP42_NORM * h
+    w[-4:] = _SBP42_NORM[::-1] * h
+    return w
 
 
 def _extend_loop(samples: np.ndarray, shift: np.ndarray | float, pad: int) -> np.ndarray:
@@ -140,23 +116,58 @@ def _extend_loop(samples: np.ndarray, shift: np.ndarray | float, pad: int) -> np
 
 
 def velocity(samples: np.ndarray, loop_shift=None) -> np.ndarray:
-    """First parameter-derivative of samples on the unit interval.
+    """SBP first parameter-derivative D of samples on the unit interval.
 
-    samples: (N+1, ...) array at parameters k/N.  For loop edges pass the
-    lattice shift so periodic stencils are used across the seam.
+    samples: (N+1,) or (N+1, d) array at parameters k/N.  Open edges get
+    the SBP(4,2) band: the central 4th-order stencil inside and the
+    one-sided boundary blocks in the first and last four rows.  For loop
+    edges pass the lattice shift so the central stencil runs across the
+    seam.  No matrix is formed.
     """
     n = samples.shape[0]
     h = 1.0 / (n - 1)
     if loop_shift is not None:
-        ext = _extend_loop(samples, loop_shift, 2)
-        out = sum(
-            c * ext[2 + off : 2 + off + n]
-            for off, c in zip((-2, -1, 0, 1, 2), _CENTRAL4)
-            if c != 0.0
-        )
-        return out / h
-    D, _ = sbp42(n, h)
-    return np.tensordot(D, samples, axes=(1, 0))
+        return _stencil(_extend_loop(samples, loop_shift, 2), _CENTRAL4, n) / h
+    _require_open(n)
+    out = np.empty(samples.shape)
+    out[2:-2] = _stencil(samples, _CENTRAL4, n - 4)
+    out[:4] = _SBP42_ROWS @ samples[:6]
+    out[-4:] = _SBP42_END @ samples[-6:]
+    out /= h
+    return out
+
+
+@lru_cache(maxsize=2)
+def _weights6(m: int) -> np.ndarray:
+    """7-point Fornberg weights of the m-th derivative: row r is the
+    stencil at node r of the window (row 3 is the central one)."""
+    grid = np.arange(7.0)
+    wgt = np.stack([fd_weights(float(r), grid, m) for r in range(7)])
+    wgt.flags.writeable = False
+    return wgt
+
+
+def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:
+    """6th-order m-th parameter-derivative (m = 1 or 2) by 7-point stencils.
+
+    Central inside and across the seam of loop edges; the three rows at
+    each open end use the one-sided stencils of the end window.  samples
+    are shaped as for ``velocity``.
+    """
+    n = samples.shape[0]
+    h = 1.0 / (n - 1)
+    wgt = _weights6(m)
+    if loop_shift is not None:
+        return _stencil(_extend_loop(samples, loop_shift, 3), wgt[3], n) / h**m
+    if n < 8:
+        raise ValueError("need at least 8 samples")
+    out = np.empty(samples.shape)
+    out[3:-3] = _stencil(samples, wgt[3], n - 6)
+    for i in range(3):
+        out[i] = wgt[i] @ samples[:7]
+        out[n - 1 - i] = wgt[6 - i] @ samples[-7:]
+    out /= h**m
+    return out
 
 
 def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
@@ -166,41 +177,7 @@ def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     tangents); the SBP ``velocity`` remains the operator paired with the
     length quadrature.
     """
-    n = samples.shape[0]
-    h = 1.0 / (n - 1)
-    c = fd_weights(3.0, np.arange(7.0), 1)
-    offsets = (-3, -2, -1, 0, 1, 2, 3)
-    if loop_shift is not None:
-        ext = _extend_loop(samples, loop_shift, 3)
-        out = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c))
-        return out / h
-    if n < 8:
-        raise ValueError("need at least 8 samples")
-    out = np.zeros_like(samples, dtype=float)
-    out[3:-3] = sum(cj * samples[3 + off : n - 3 + off] for off, cj in zip(offsets, c))
-    grid = np.arange(7, dtype=float)
-    for i in range(3):
-        w0 = fd_weights(float(i), grid, 1)
-        out[i] = np.tensordot(w0, samples[:7], axes=(0, 0))
-        w1 = fd_weights(float(6 - i), grid, 1)
-        out[n - 1 - i] = np.tensordot(w1, samples[-7:], axes=(0, 0))
-    return out / h
-
-
-def endpoint_first_derivative(samples: np.ndarray, end: int) -> np.ndarray:
-    """One-sided 6th-order first derivative at an edge endpoint (end 0 or 1).
-
-    Uses the 7 samples nearest the end (all of them on shorter edges).
-    """
-    n = samples.shape[0]
-    h = 1.0 / (n - 1)
-    npts = min(7, n)
-    grid = np.arange(npts, dtype=float)
-    if end == 0:
-        wgt = fd_weights(0.0, grid, 1)
-        return np.tensordot(wgt, samples[:npts], axes=(0, 0)) / h
-    wgt = fd_weights(float(npts - 1), grid, 1)
-    return np.tensordot(wgt, samples[-npts:], axes=(0, 0)) / h
+    return derivative_ho(samples, 1, loop_shift)
 
 
 # Fine samples inside coarse interval k are interpolated from the _WINDOW
@@ -253,7 +230,7 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     return t_mat, c_vec
 
 
-def _sbp42_footprint(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sbp_footprint(n: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last column of every row of the open-edge SBP(4,2) matrix."""
     m = np.arange(n)
     half = len(_CENTRAL4) // 2
@@ -297,7 +274,7 @@ def hessian_coupling(n_samples: int, factor: int, loop: bool):
         lo, hi = p - width, p + width
     else:
         # the terms [tlo, thi] whose footprint meets [a, b], then the samples whose terms overlap
-        foot_lo, foot_hi = _sbp42_footprint((n - 1) * f + 1)
+        foot_lo, foot_hi = _sbp_footprint((n - 1) * f + 1)
         tlo = np.searchsorted(foot_hi, a, "left")
         thi = np.searchsorted(foot_lo, b, "right") - 1
         lo = np.searchsorted(thi, tlo, "left")

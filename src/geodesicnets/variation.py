@@ -119,25 +119,16 @@ class StationarityReport:
 def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityReport:
     edge_res = {}
     edge_max = {}
-    c1 = stencils.fd_weights(3.0, np.arange(7.0), 1)
-    c2 = stencils.fd_weights(3.0, np.arange(7.0), 2)
-    offsets = (-3, -2, -1, 0, 1, 2, 3)
     for e in net.graph.edges:
-        s, h, shift, _ = _edge_grid(net, e.id)
-        if shift is not None:
-            ext = np.concatenate([s[-4:-1] - shift, s, s[1:4] + shift], axis=0)
-            n = s.shape[0]
-            v = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c1)) / h
-            acc = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c2)) / h**2
-            pts = s
-        else:
-            # central 6th-order stencils on the interior range: their
-            # footprints still cover every sample, and endpoint geodesy is
-            # what the vertex balance measures
-            n = s.shape[0]
-            v = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c1)) / h
-            acc = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c2)) / h**2
-            pts = s[3:-3]
+        s, _, shift, _ = _edge_grid(net, e.id)
+        v = stencils.derivative_ho(s, 1, loop_shift=shift)
+        acc = stencils.derivative_ho(s, 2, loop_shift=shift)
+        pts = s
+        if shift is None:
+            # central 6th-order rows only: their footprints still cover
+            # every sample, and endpoint geodesy is what the vertex balance
+            # measures
+            v, acc, pts = v[3:-3], acc[3:-3], s[3:-3]
         gam = chart.christoffel_many(pts)
         cov = acc + np.einsum("pkij,pi,pj->pk", gam, v, v)
         speed2 = g_dot(chart, pts, v, v)
@@ -244,7 +235,6 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
     out = {}
     for e in net.graph.edges:
         s, h, shift, w = _edge_grid(net, e.id)
-        n = s.shape[0]
         v = stencils.velocity(s, loop_shift=shift)
         speed = g_norm(chart, s, v)
         g = chart.metric_many(s)
@@ -252,23 +242,18 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
         gv_over_s = np.einsum("pij,pj->pi", g, v) / speed[:, None]
         # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)
         grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
-        # transpose of the derivative operator applied to w * g v / speed
-        wgv = w[:, None] * gv_over_s
         if shift is None:
-            d_mat, _ = stencils.sbp42(n, h)
-            grad += d_mat.T @ wgv
+            # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
+            grad -= w[:, None] * _field_velocity(gv_over_s, shift)
+            grad[0] -= gv_over_s[0]
+            grad[-1] += gv_over_s[-1]
         else:
-            m = n - 1
-            d_per = stencils.periodic_diff_matrix(m, h)
-            # independent samples 0..m-1; fold weights of the duplicate end
-            w_ind = np.full(m, h)
-            gv_ind = gv_over_s[:m].copy()
-            gv_ind[0] = 0.5 * (gv_over_s[0] + gv_over_s[-1])  # same physical point
-            contrib = d_per.T @ (w_ind[:, None] * gv_ind)
-            grad_ind = grad[:m].copy()
-            grad_ind[0] += grad[-1]
-            grad_ind += contrib
-            grad = np.zeros_like(s)
-            grad[:m] = grad_ind
+            # D^T = -D on the uniform independent samples; the seam sample
+            # is one physical point, so fold the duplicate row onto row 0
+            u = gv_over_s.copy()
+            u[0] = u[-1] = 0.5 * (gv_over_s[0] + gv_over_s[-1])
+            grad[0] += grad[-1]
+            grad -= _field_velocity(h * u, shift)
+            grad[-1] = 0.0
         out[e.id] = e.multiplicity * grad
     return out

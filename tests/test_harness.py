@@ -201,6 +201,33 @@ def test_cli_generate_and_run(tmp_path):
     assert rep["graph_class"] == "loop"
 
 
+@pytest.mark.parametrize("n", [0, 2, 10])
+def test_cli_generate_rejects_too_few_samples(tmp_path, capsys, n):
+    out_spec = tmp_path / "gen.json"
+    code = cli.main(["generate", "--case", "sphere-equator", "--n-samples", str(n),
+                     "--out", str(out_spec)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: n_samples")
+    assert not out_spec.exists()
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-equator"])
+def test_cli_generate_accepts_the_sample_floor(tmp_path, name):
+    out_spec = tmp_path / "gen.json"
+    assert cli.main(["generate", "--case", name, "--n-samples", "11",
+                     "--out", str(out_spec)]) == 0
+    assert cli.main(["check", "--spec", str(out_spec), "--out", str(tmp_path / "res.json")]) == 0
+    net = specfile.load_spec(str(out_spec)).net
+    assert {s.shape[0] for s in net.edge_samples.values()} == {12}
+
+
+def test_spec_rejects_short_edge():
+    doc = specfile.spec_from_case("honeycomb-torus", 64)
+    doc["net"]["edges"]["E1"]["samples"] = doc["net"]["edges"]["E1"]["samples"][::16]
+    with pytest.raises(specfile.SpecError, match="'E1' has 5 samples"):
+        specfile.parse_spec(doc)
+
+
 def test_cli_rejects_inconsistent_net(tmp_path, capsys):
     doc = specfile.spec_from_case("honeycomb-torus", 64)
     rng = np.random.default_rng(0)

@@ -4,9 +4,25 @@ import pytest
 from geodesicnets import stencils as st
 
 
+def _sbp42_reference(n, h):
+    """Dense SBP(4,2) derivative matrix, row by row from its coefficient blocks."""
+    d_mat = np.zeros((n, n))
+    for i in range(4):
+        d_mat[i, :6] = st._SBP42_ROWS[i]
+        d_mat[n - 1 - i, n - 6 :] = -st._SBP42_ROWS[i][::-1]
+    for i in range(4, n - 4):
+        d_mat[i, i - 2 : i + 3] = st._CENTRAL4
+    return d_mat / h
+
+
+def _banded_matrix(n):
+    """D as the banded layer applies it: its action on the unit vectors."""
+    return st.velocity(np.eye(n))
+
+
 def test_sbp_pair_identity_exact():
     n, h = 41, 1.0 / 40
-    d_mat, w = st.sbp42(n, h)
+    d_mat, w = _banded_matrix(n), st.quadrature_weights(n, h)
     q = np.diag(w) @ d_mat
     b = q + q.T
     expect = np.zeros((n, n))
@@ -25,7 +41,7 @@ def test_quadrature_weights_sum():
 def test_derivative_exact_on_quadratics_and_interior_cubics():
     n = 33
     t = np.linspace(0, 1, n)
-    d_mat, _ = st.sbp42(n, 1 / (n - 1))
+    d_mat = _banded_matrix(n)
     f2 = 3 * t**2 - t + 0.5
     assert np.abs(d_mat @ f2 - (6 * t - 1)).max() < 1e-11
     f3 = 2 * t**3 - t**2 + 0.5 * t - 1
@@ -57,8 +73,26 @@ def test_velocity_ho_endpoint_accuracy():
 def test_endpoint_first_derivative_matches():
     t = np.linspace(0, 1, 65)
     f = np.exp(0.7 * t)
-    assert abs(st.endpoint_first_derivative(f, 0) - 0.7) < 1e-9
-    assert abs(st.endpoint_first_derivative(f, 1) - 0.7 * np.exp(0.7)) < 1e-9
+    v = st.velocity_ho(f)
+    assert abs(v[0] - 0.7) < 1e-9
+    assert abs(v[-1] - 0.7 * np.exp(0.7)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [12, 13, 33, 65, 513])
+def test_banded_velocity_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    d_mat = _sbp42_reference(n, 1.0 / (n - 1))
+    for x in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        ref = d_mat @ x
+        assert np.abs(st.velocity(x) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_open_grids_below_the_floor_are_refused():
+    for n in (st.MIN_SAMPLES - 1, 5):
+        with pytest.raises(ValueError, match="at least"):
+            st.velocity(np.zeros((n, 2)))
+        with pytest.raises(ValueError, match="at least"):
+            st.quadrature_weights(n, 1.0 / (n - 1))
 
 
 def test_upsample_preserves_nodes_and_accuracy():
@@ -136,9 +170,7 @@ def test_upsample_operator_matches_reference(n, factor, loop):
 
 def test_cached_operators_are_read_only():
     t_mat, c_vec = st.upsample_operator(33, 4, True)
-    d_mat, w = st.sbp42(33, 1 / 32)
-    d_per = st.periodic_diff_matrix(32, 1 / 32)
-    for arr in (t_mat, c_vec, d_mat, w, d_per):
+    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2)):
         with pytest.raises(ValueError):
             arr[0] += 1.0
 
@@ -156,7 +188,7 @@ def _brute_coupling(n, factor, loop):
         moved = fold_f.T @ moved @ fold_c
         reads = sum(np.roll(np.eye(n_fine - 1, dtype=int), k, axis=1) for k in range(-2, 3))
     else:
-        d_mat, _ = st.sbp42(n_fine, 1.0 / (n_fine - 1))
+        d_mat = _sbp42_reference(n_fine, 1.0 / (n_fine - 1))
         reads = ((d_mat != 0) | np.eye(n_fine, dtype=bool)).astype(int)
     terms = (reads @ moved) > 0
     return (terms.T.astype(int) @ terms.astype(int)) > 0

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import jitter_net, random_ambient_field
+from test_stencils import _sbp42_reference
 
 from geodesicnets import (
     CASE_NAMES,
@@ -19,8 +22,9 @@ from geodesicnets import (
 )
 from geodesicnets.geometry import g_dot, g_norm
 from geodesicnets.jacobi import parallel_frame, random_reduced_field
-from geodesicnets.net import displace
+from geodesicnets.net import displace, edge_lengths
 from geodesicnets.solver import SolveOptions, solve_stationary
+from geodesicnets.variation import length_sample_gradient
 from geodesicnets import stencils as st
 
 
@@ -100,9 +104,9 @@ def test_balance_is_minus_weighted_inward_tangents():
                 shift = net.loop_shift(eid)
                 if shift is not None:
                     vel = st.velocity(s, loop_shift=shift)
-                    tang = vel[0] if i == 0 else vel[-1]
                 else:
-                    tang = st.endpoint_first_derivative(s, i)
+                    vel = st.velocity_ho(s)
+                tang = vel[0] if i == 0 else vel[-1]
                 p = s[0] if i == 0 else s[-1]
                 tang = tang / g_norm(case.chart, p[None, :], tang[None, :])[0]
                 expect += (-1.0) ** (i + 1) * net.graph.edge(eid).multiplicity * tang
@@ -134,6 +138,74 @@ def test_residual_reports():
         case = make_case(name, n)
         rep = stationarity_residual(case.chart, case.net)
         assert rep.aggregate <= tol
+
+
+def _endpoint_derivative_reference(samples, end):
+    """One-sided 7-point first derivative at an open end, its own Fornberg call."""
+    h = 1.0 / (samples.shape[0] - 1)
+    grid = np.arange(7.0)
+    if end == 0:
+        return np.tensordot(st.fd_weights(0.0, grid, 1), samples[:7], axes=(0, 0)) / h
+    return np.tensordot(st.fd_weights(6.0, grid, 1), samples[-7:], axes=(0, 0)) / h
+
+
+def _stationarity_reference(chart, net):
+    """Edge residuals and balance with the inline 6th-order stencils."""
+    c1 = st.fd_weights(3.0, np.arange(7.0), 1)
+    c2 = st.fd_weights(3.0, np.arange(7.0), 2)
+    offsets = (-3, -2, -1, 0, 1, 2, 3)
+    residuals, worst = {}, []
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        n = s.shape[0]
+        h = 1.0 / (n - 1)
+        shift = net.loop_shift(e.id)
+        if shift is not None:
+            ext = np.concatenate([s[-4:-1] - shift, s, s[1:4] + shift], axis=0)
+            v = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c1)) / h
+            acc = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c2)) / h**2
+            pts = s
+        else:
+            v = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c1)) / h
+            acc = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c2)) / h**2
+            pts = s[3:-3]
+        gam = chart.christoffel_many(pts)
+        cov = acc + np.einsum("pkij,pi,pj->pk", gam, v, v)
+        residuals[e.id] = cov
+        worst.append(float((g_norm(chart, pts, cov) / g_dot(chart, pts, v, v)).max()))
+    balance = {}
+    for vtx in net.graph.vertices:
+        out = np.zeros(net.dim)
+        for eid, i in net.graph.incident_pairs(vtx):
+            s = net.edge_samples[eid]
+            shift = net.loop_shift(eid)
+            if shift is not None:
+                vel = st.velocity(s, loop_shift=shift)
+                tang = vel[0] if i == 0 else vel[-1]
+            else:
+                tang = _endpoint_derivative_reference(s, i)
+            p = s[0] if i == 0 else s[-1]
+            tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
+            if i == 1:
+                tang = -tang
+            out += net.graph.edge(eid).multiplicity * tang
+        balance[vtx] = -out
+        p = net.vertex_positions[vtx]
+        worst.append(float(g_norm(chart, p[None, :], balance[vtx][None, :])[0]))
+    return residuals, balance, max(worst)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_residual_matches_inline_stencil_reference(name):
+    case = make_case(name, 64)
+    rep = stationarity_residual(case.chart, case.net)
+    residuals, balance, aggregate = _stationarity_reference(case.chart, case.net)
+    for eid, cov in residuals.items():
+        assert np.array_equal(rep.edge_residuals[eid], cov)
+    for v, bal in balance.items():
+        assert np.array_equal(rep.vertex_balance[v], bal)
+        assert np.array_equal(vertex_balance(case.chart, case.net, v), bal)
+    assert rep.aggregate == aggregate
 
 
 def test_residual_flags_jitter(rng):
@@ -304,3 +376,65 @@ def test_first_variation_small_after_polish(rng):
     for _ in range(10):
         fld = random_reduced_field(case.chart, res.net, rng)
         assert abs(first_variation(case.chart, res.net, fld)) <= 1e-6
+
+
+# -- exact length gradient ---------------------------------------------------
+
+def _gradient_reference(chart, net):
+    """Length gradient with dense derivative matrices: D^T @ (w * g v / speed).
+
+    Also returns, per edge, the largest entry of the covector g v / speed
+    that D^T acts on, the scale of the rounding in either form.
+    """
+    out, scale = {}, {}
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        n = s.shape[0]
+        h = 1.0 / (n - 1)
+        shift = net.loop_shift(e.id)
+        w = st.quadrature_weights(n, h, loop=shift is not None)
+        v = st.velocity(s, loop_shift=shift)
+        speed = g_norm(chart, s, v)
+        u = np.einsum("pij,pj->pi", chart.metric_many(s), v) / speed[:, None]
+        dg = chart.metric_deriv_many(s)
+        grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
+        if shift is None:
+            grad += _sbp42_reference(n, h).T @ (w[:, None] * u)
+        else:
+            m = n - 1
+            d_per = sum(c * np.roll(np.eye(m), k, axis=1)
+                        for k, c in zip(range(-2, 3), st._CENTRAL4)) / h
+            u_ind = u[:m].copy()
+            u_ind[0] = 0.5 * (u[0] + u[-1])
+            grad[0] += grad[-1]
+            grad[:m] += d_per.T @ (h * u_ind)
+            grad[-1] = 0.0
+        out[e.id] = e.multiplicity * grad
+        scale[e.id] = e.multiplicity * np.abs(u).max()
+    return out, scale
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.03])
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_length_gradient_matches_dense_transpose(name, jitter):
+    case = make_case(name, 64, multiplicity=2)  # the loop cases take the multiplicity
+    net = jitter_net(case.net, np.random.default_rng(3), amp=jitter) if jitter else case.net
+    grad = length_sample_gradient(case.chart, net)
+    ref, scale = _gradient_reference(case.chart, net)
+    for eid, g in grad.items():
+        assert np.abs(g - ref[eid]).max() <= 1e-14 * scale[eid]
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator"])
+def test_derivative_layer_memory_is_linear(name):
+    # one dense (4097 x 4097) derivative matrix would take 134 MB
+    tracemalloc.start()
+    try:
+        case = make_case(name, 4096)
+        edge_lengths(case.chart, case.net)
+        length_sample_gradient(case.chart, case.net)
+        stationarity_residual(case.chart, case.net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
