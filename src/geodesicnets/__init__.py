@@ -26,7 +26,6 @@ from .geometry import (
     g_dot,
     g_norm,
     geodesic_integrate,
-    log_background,
     parallel_transport,
 )
 from .jacobi import (
@@ -67,7 +66,6 @@ from .net import (
     edge_lengths,
     length,
     reparametrize_constant_speed,
-    resample,
     vertex_unit_tangents,
 )
 from .solver import (

@@ -4,7 +4,7 @@ One spec file describes one experiment; every command reads a spec, runs
 one pipeline stage and writes a deterministic results document (plus an
 optional CSV of per-edge samples).
 
-Exit codes: 0 success, 2 validation failure, 3 solver failure.
+Exit codes: 0 success, 2 validation failure, 3 solver or numerical failure.
 """
 
 from __future__ import annotations
@@ -237,12 +237,13 @@ def main(argv=None) -> int:
             "export-plot": _cmd_export_plot,
         }[args.command]
         return handler(spec, args, options)
+    except (solver.SolverError, np.linalg.LinAlgError) as ex:
+        # LinAlgError is a ValueError, but a numerical failure, not bad input
+        print(f"solver error: {ex}", file=sys.stderr)
+        return EXIT_SOLVER
     except (specfile.SpecError, ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION
-    except solver.SolverError as ex:
-        print(f"solver error: {ex}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ __all__ = [
     "geodesic_integrate",
     "parallel_transport",
     "exp_background",
-    "log_background",
     "g_dot",
     "g_norm",
 ]
@@ -178,8 +177,6 @@ class DirectionalBumpField(ScalarField):
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
                  chart: "MetricChart | None" = None, amplitude: float = 1.0,
                  power: int = 1):
-        from scipy.interpolate import CubicHermiteSpline
-
         self.center = np.asarray(center, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.chart = chart
@@ -192,8 +189,12 @@ class DirectionalBumpField(ScalarField):
         m = self.anchor_points.shape[0]
         self._s_grid = np.linspace(0.0, 1.0, m)
         h_s = self._s_grid[1] - self._s_grid[0]
-        self._curve = CubicHermiteSpline(self._s_grid, self.anchor_points, vels, axis=0)
-        self._vel = self._curve.derivative()
+        # cubic Hermite interpolant: per-interval power-basis coefficients
+        # of z = s - s_k, highest degree first
+        dx = np.diff(self._s_grid)[:, None]
+        slope = np.diff(self.anchor_points, axis=0) / dx
+        t = (vels[:-1] + vels[1:] - 2 * slope) / dx
+        self._coeffs = (t / dx, (slope - vels[:-1]) / dx - t, vels[:-1], self.anchor_points[:-1])
         # normal injectivity bound from the discrete curvature of the anchor
         speed2 = np.einsum("pi,pi->p", vels, vels)
         acc = np.gradient(vels, h_s, axis=0)
@@ -201,6 +202,14 @@ class DirectionalBumpField(ScalarField):
         kappa = np.linalg.norm(acc_perp, axis=1) / speed2
         inj = 0.5 / max(kappa.max(), 1e-12)
         self.radius = float(min(radius, inj))
+
+    def _hermite(self, s):
+        """Anchor curve at parameters s: position, velocity and acceleration."""
+        k = np.clip(np.searchsorted(self._s_grid, s, "right") - 1, 0, len(self._s_grid) - 2)
+        z = (s - self._s_grid[k])[:, None]
+        c3, c2, c1, c0 = (c[k] for c in self._coeffs)
+        pos = ((c3 * z + c2) * z + c1) * z + c0
+        return pos, (3 * c3 * z + 2 * c2) * z + c1, 6 * c3 * z + 2 * c2
 
     def _lift(self, points):
         """Represent points in the unwrapped frame of the anchor curve."""
@@ -219,9 +228,7 @@ class DirectionalBumpField(ScalarField):
         s = self._s_grid[np.argmin(d2, axis=1)].astype(float)
         lo, hi = self._s_grid[0], self._s_grid[-1]
         for _ in range(40):
-            f = self._curve(s)
-            fp = self._vel(s)
-            fpp = self._vel(s, 1)
+            f, fp, fpp = self._hermite(s)
             r = points - f
             psi = np.einsum("pi,pi->p", r, fp)
             dpsi = -np.einsum("pi,pi->p", fp, fp) + np.einsum("pi,pi->p", r, fpp)
@@ -243,10 +250,7 @@ class DirectionalBumpField(ScalarField):
         grads = np.zeros_like(points)
         if np.any(inside):
             zin = lifted[inside]
-            s = self._project(zin)
-            c = self._curve(s)
-            fp = self._vel(s)
-            fpp = self._vel(s, 1)
+            c, fp, fpp = self._hermite(self._project(zin))
             offset = zin - c
             pairing = offset @ self.direction
             chi = _bump_profile(rho[inside])
@@ -728,7 +732,3 @@ def exp_background(chart: MetricChart, p, w) -> np.ndarray:
         raise DomainError("background exponential left the chart domain")
     return q
 
-
-def log_background(chart: MetricChart, p, q) -> np.ndarray:
-    """Inverse of exp_background: the shortest representative of q - p."""
-    return chart.displacement(p, q)

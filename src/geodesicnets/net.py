@@ -27,7 +27,6 @@ __all__ = [
     "vertex_unit_tangents",
     "displace",
     "check_net",
-    "resample",
 ]
 
 ENDPOINT_TOL = 1e-9
@@ -123,6 +122,11 @@ def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -
         if s is None:
             problems.append(f"edge {e.id!r} has no samples")
             continue
+        if s.ndim != 2 or s.shape[1] != chart.dim:
+            problems.append(
+                f"edge {e.id!r} samples have shape {s.shape}; expected (n, {chart.dim})"
+            )
+            continue
         if len(s) < stencils.MIN_SAMPLES:
             problems.append(
                 f"edge {e.id!r} has {len(s)} samples; at least {stencils.MIN_SAMPLES} are needed"
@@ -167,12 +171,13 @@ def reparametrize_constant_speed(
 ) -> GeodesicNet:
     """Arc-length resampling of every edge; endpoint samples are pinned.
 
-    ``n_samples`` intervals per edge (default: keep each edge's count).  A
+    ``n_samples`` intervals per edge (default: keep each edge's count).  The
+    SBP speed on the ``upsample`` times finer grid is integrated to arc
+    length, the arc-length map is inverted, and the edge's 6-point
+    interpolant is evaluated at the parameters found (``stencils``).  A
     sample speed below 1e-8 times the edge mean speed is rejected (the
-    resampling would divide by it).
+    inverse map would divide by it).
     """
-    from scipy.interpolate import CubicSpline
-
     new_samples = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -183,26 +188,16 @@ def reparametrize_constant_speed(
         speed = g_norm(chart, fine, vf)
         if speed.min() < 1e-8 * speed.mean():
             raise ValueError(f"edge {e.id!r} has a near-zero speed sample; not an immersion")
-        tf = np.linspace(0.0, 1.0, fine.shape[0])
-        # cumulative arc length on the fine grid (trapezoid is plenty here)
-        arc = CubicSpline(tf, speed).antiderivative()(tf)
-        arc[0] = 0.0
-        t_of_arc = CubicSpline(arc, tf)
+        arc = stencils.running_integral(speed, loop=shift is not None)
         targets = np.linspace(0.0, arc[-1], n + 1)
-        ts = np.clip(t_of_arc(targets), 0.0, 1.0)
-        interp = CubicSpline(tf, fine, axis=0)
-        out = interp(ts)
+        ts = np.clip(stencils.inverse_interpolate(arc, targets), 0.0, 1.0)
+        out = stencils.evaluate_curve(s, ts, loop_shift=shift)
         out[0] = s[0]
         out[-1] = s[-1]
         new_samples[e.id] = out
     new = replace(net, edge_samples=new_samples, constant_speed=True, lengths={})
     new.lengths = edge_lengths(chart, new)
     return new
-
-
-def resample(chart: MetricChart, net: GeodesicNet, n_samples: int) -> GeodesicNet:
-    """Change the per-edge sample count (constant-speed resampling)."""
-    return reparametrize_constant_speed(chart, net, n_samples=n_samples)
 
 
 def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
@@ -213,10 +208,9 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
         s = net.edge_samples[eid]
         shift = net.loop_shift(eid)
         if shift is not None:
-            vel = stencils.velocity(s, loop_shift=shift)
+            tang = stencils.seam_velocity(s, shift, i)
         else:
-            vel = stencils.velocity_ho(s)
-        tang = vel[0] if i == 0 else vel[-1]
+            tang = stencils.end_derivative_ho(s, 1, 0 if i == 0 else -1)
         p = s[0] if i == 0 else s[-1]
         tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
         if i == 1:

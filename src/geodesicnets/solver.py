@@ -245,8 +245,7 @@ def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
         start_nondeg = verify_nondegenerate
     net = res0.net
     for g_prev, g_next in zip(g_path[:-1], g_path[1:]):
-        net = _continue_step(g_prev, g_next, net, opts, max_halvings)
-        res = solve_stationary(g_next, net, opts)
+        res = _continue_step(g_prev, g_next, net, opts, max_halvings)
         if start_nondeg:
             verdict = is_nondegenerate(g_next, res.net)
             res.trace.append({"nondegenerate": verdict.nondegenerate})
@@ -257,9 +256,11 @@ def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
     return results
 
 
-def _continue_step(g_prev, g_next, net, opts, max_halvings, depth=0):
+def _continue_step(g_prev, g_next, net, opts, max_halvings, depth=0) -> SolveResult:
+    """Solve at g_next from net; on failure, bisect the metric step and go
+    through the midpoint.  Returns the solve that reached g_next."""
     try:
-        return solve_stationary(g_next, net, opts).net
+        return solve_stationary(g_next, net, opts)
     except (MaxIterationsError, SingularSystemError):
         if depth >= max_halvings:
             raise ContinuationStall(
@@ -268,8 +269,8 @@ def _continue_step(g_prev, g_next, net, opts, max_halvings, depth=0):
         g_mid = _interpolate_charts(g_prev, g_next, 0.5)
         if g_mid is None:
             raise ContinuationStall("cannot bisect between unrelated metrics")
-        net_mid = _continue_step(g_prev, g_mid, net, opts, max_halvings, depth + 1)
-        return _continue_step(g_mid, g_next, net_mid, opts, max_halvings, depth + 1)
+        mid = _continue_step(g_prev, g_mid, net, opts, max_halvings, depth + 1)
+        return _continue_step(g_mid, g_next, mid.net, opts, max_halvings, depth + 1)
 
 
 # ---------------------------------------------------------------------------

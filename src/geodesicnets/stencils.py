@@ -7,6 +7,8 @@ diag(-1, 0, ..., 0, 1), so the discrete integration-by-parts identity holds
 exactly; this keeps discrete first variations equal to exact derivatives
 of the discrete length.  Every derivative is applied as a sliding stencil
 (a band); no (N x N) matrix is formed, and D^T is taken from the identity.
+The 6-point windows of the upsampling map also give point evaluation,
+running integrals and inverse interpolation, for arc-length work.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ __all__ = [
     "fd_weights",
     "quadrature_weights",
     "velocity",
+    "seam_velocity",
     "derivative_ho",
+    "end_derivative_ho",
     "velocity_ho",
     "upsample_curve",
+    "evaluate_curve",
+    "running_integral",
+    "inverse_interpolate",
     "hessian_coupling",
 ]
 
@@ -147,27 +154,41 @@ def _weights6(m: int) -> np.ndarray:
     return wgt
 
 
-def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:
-    """6th-order m-th parameter-derivative (m = 1 or 2) by 7-point stencils.
+def seam_velocity(samples: np.ndarray, loop_shift, end: int) -> np.ndarray:
+    """Row 0 (end 0) or row n-1 (end 1) of the loop-edge ``velocity``, read
+    from the five samples around the seam."""
+    h = 1.0 / (samples.shape[0] - 1)
+    if end == 0:
+        near = np.concatenate([samples[-3:-1] - loop_shift, samples[:3]])
+    else:
+        near = np.concatenate([samples[-3:], samples[1:3] + loop_shift])
+    return _stencil(near, _CENTRAL4, 1)[0] / h
 
-    Central inside and across the seam of loop edges; the three rows at
-    each open end use the one-sided stencils of the end window.  samples
-    are shaped as for ``velocity``.
+
+def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:
+    """6th-order m-th parameter-derivative (m = 1 or 2) by central 7-point stencils.
+
+    Every row of loop edges (the stencil runs across the seam); the n - 6
+    rows [3:-3] of open edges, whose ends ``end_derivative_ho`` gives.
+    samples are shaped as for ``velocity``.
     """
     n = samples.shape[0]
     h = 1.0 / (n - 1)
-    wgt = _weights6(m)
+    central = _weights6(m)[3]
     if loop_shift is not None:
-        return _stencil(_extend_loop(samples, loop_shift, 3), wgt[3], n) / h**m
+        return _stencil(_extend_loop(samples, loop_shift, 3), central, n) / h**m
     if n < 8:
         raise ValueError("need at least 8 samples")
-    out = np.empty(samples.shape)
-    out[3:-3] = _stencil(samples, wgt[3], n - 6)
-    for i in range(3):
-        out[i] = wgt[i] @ samples[:7]
-        out[n - 1 - i] = wgt[6 - i] @ samples[-7:]
-    out /= h**m
-    return out
+    return _stencil(samples, central, n - 6) / h**m
+
+
+def end_derivative_ho(samples: np.ndarray, m: int, row: int) -> np.ndarray:
+    """One of the rows 0, 1, 2 or -3, -2, -1 of the 6th-order m-th derivative
+    on an open edge: the one-sided 7-point stencil on the end samples."""
+    h = 1.0 / (samples.shape[0] - 1)
+    if row >= 0:
+        return _weights6(m)[row] @ samples[:7] / h**m
+    return _weights6(m)[7 + row] @ samples[-7:] / h**m
 
 
 def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
@@ -177,7 +198,13 @@ def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     tangents); the SBP ``velocity`` remains the operator paired with the
     length quadrature.
     """
-    return derivative_ho(samples, 1, loop_shift)
+    if loop_shift is not None:
+        return derivative_ho(samples, 1, loop_shift)
+    out = np.empty(samples.shape)
+    out[3:-3] = derivative_ho(samples, 1)
+    for row in (0, 1, 2, -3, -2, -1):
+        out[row] = end_derivative_ho(samples, 1, row)
+    return out
 
 
 # Fine samples inside coarse interval k are interpolated from the _WINDOW
@@ -295,3 +322,80 @@ def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndar
     if loop_shift is not None:
         out += np.multiply.outer(c_vec, np.asarray(loop_shift, dtype=float))
     return out
+
+
+def _lagrange(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Lagrange basis weights at points x (P,) on node rows (P, W) or one node row (W,)."""
+    nodes = np.broadcast_to(nodes, (x.shape[0], nodes.shape[-1]))
+    width = nodes.shape[1]
+    ones = np.ones((x.shape[0], 1))
+    diff = x[:, None] - nodes
+    # products of the differences to the nodes before j and after j
+    before = np.cumprod(np.hstack([ones, diff[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, diff[:, :0:-1]]), axis=1)[:, ::-1]
+    gaps = nodes[:, :, None] - nodes[:, None, :]
+    gaps[:, np.arange(width), np.arange(width)] = 1.0
+    return before * after / gaps.prod(axis=2)
+
+
+def _cell_windows(values: np.ndarray, loop_shift=None):
+    """The interpolation window of every interval, as ``upsample_operator`` takes it.
+
+    Returns the (n-1, 6, ...) window samples (continued across the seam of
+    loop edges) and each interval's offset inside its window.
+    """
+    n = values.shape[0]
+    k = np.arange(n - 1)
+    lo = _window_starts(n, loop_shift is not None)
+    start = lo
+    if loop_shift is not None:
+        values = _extend_loop(values, loop_shift, _BACK)
+        start = lo + _BACK
+    return values[start[:, None] + np.arange(_WINDOW)], k - lo
+
+
+def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.ndarray:
+    """The ``upsample_curve`` interpolant of samples at parameters t in [0, 1].
+
+    Same 6-point windows and seam handling, so on the fine grid it returns
+    ``upsample_curve`` up to rounding.
+    """
+    windows, offset = _cell_windows(samples, loop_shift)
+    x = np.asarray(t, dtype=float) * (samples.shape[0] - 1)
+    k = np.clip(np.floor(x).astype(int), 0, samples.shape[0] - 2)
+    wgt = _lagrange(x - k + offset[k], np.arange(_WINDOW, dtype=float))
+    return np.einsum("pj,pj...->p...", wgt, windows[k])
+
+
+@lru_cache(maxsize=1)
+def _cell_integrals() -> np.ndarray:
+    """Row o: integrals over [o, o + 1] of the 6 Lagrange basis polynomials
+    on nodes 0..5 (3-point Gauss-Legendre, exact for degree 5)."""
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    nodes = np.arange(_WINDOW, dtype=float)
+    rows = [0.5 * gw @ _lagrange(o + 0.5 * (gx + 1.0), nodes) for o in range(_WINDOW - 1)]
+    tab = np.stack(rows)
+    tab.flags.writeable = False
+    return tab
+
+
+def running_integral(values: np.ndarray, loop: bool = False) -> np.ndarray:
+    """Integral from 0 to each grid parameter of the ``upsample_curve``
+    interpolant of scalar values sampled uniformly over [0, 1]."""
+    n = values.shape[0]
+    windows, offset = _cell_windows(values, 0.0 if loop else None)
+    cells = np.einsum("kj,kj->k", _cell_integrals()[offset], windows) / (n - 1)
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
+def inverse_interpolate(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Parameters in [0, 1] at which increasing uniform samples reach targets.
+
+    6-point Lagrange interpolation of the parameter as a function of the
+    value, on clamped windows (as on open edges).
+    """
+    n = values.shape[0]
+    k = np.clip(np.searchsorted(values, targets) - 1, 0, n - 2)
+    cols = _window_starts(n, False)[k][:, None] + np.arange(_WINDOW)
+    wgt = _lagrange(np.asarray(targets, dtype=float), values[cols])
+    return np.einsum("pj,pj->p", wgt, cols) / (n - 1)

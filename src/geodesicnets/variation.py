@@ -121,14 +121,12 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
     edge_max = {}
     for e in net.graph.edges:
         s, _, shift, _ = _edge_grid(net, e.id)
+        # open edges keep the central 6th-order rows only: their footprints
+        # still cover every sample, and endpoint geodesy is what the vertex
+        # balance measures
         v = stencils.derivative_ho(s, 1, loop_shift=shift)
         acc = stencils.derivative_ho(s, 2, loop_shift=shift)
-        pts = s
-        if shift is None:
-            # central 6th-order rows only: their footprints still cover
-            # every sample, and endpoint geodesy is what the vertex balance
-            # measures
-            v, acc, pts = v[3:-3], acc[3:-3], s[3:-3]
+        pts = s if shift is not None else s[3:-3]
         gam = chart.christoffel_many(pts)
         cov = acc + np.einsum("pkij,pi,pj->pk", gam, v, v)
         speed2 = g_dot(chart, pts, v, v)

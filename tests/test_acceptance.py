@@ -42,7 +42,7 @@ from geodesicnets.geometry import RadialBumpField, StereographicSphereChart, Sum
 from geodesicnets.jacobi import random_reduced_field
 from geodesicnets.localcoords import PathCoord
 from geodesicnets.multigraph import WeightedMultigraph
-from geodesicnets.net import GeodesicNet, edge_lengths, resample
+from geodesicnets.net import GeodesicNet, edge_lengths, reparametrize_constant_speed
 
 
 def _report(line):
@@ -285,7 +285,7 @@ def test_criterion_8_invariance_battery():
             assert jacobi_kernel(scaled, case.net).dimension == dim, (name, c)
             base_len = length(case.chart, case.net)
             assert abs(length(scaled, case.net) - c * base_len) <= 1e-10 * base_len
-        fine = resample(case.chart, case.net, 128)
+        fine = reparametrize_constant_speed(case.chart, case.net, n_samples=128)
         assert jacobi_kernel(case.chart, fine).dimension == dim, name
     base = length(*((lambda c: (c.chart, c.net))(make_case("sphere-equator", 64))))
     for mult in (1, 2, 3):

@@ -11,7 +11,6 @@ from geodesicnets import (
     exp_background,
     g_norm,
     geodesic_integrate,
-    log_background,
     parallel_transport,
 )
 from geodesicnets.cases import HEX_LATTICE
@@ -190,14 +189,6 @@ def test_exp_background_is_affine():
     assert np.allclose(exp_background(TORUS, p, np.zeros(2)), p)
 
 
-def test_exp_log_roundtrip():
-    p = np.array([0.4, -0.1])
-    for _ in range(5):
-        w = np.random.default_rng(1).uniform(-0.1, 0.1, 2)
-        q = exp_background(TORUS, p, w)
-        assert np.abs(log_background(TORUS, p, q) - w).max() < 1e-12
-
-
 def test_exp_background_injectivity_bound():
     with pytest.raises(DomainError):
         exp_background(TORUS, [0.0, 0.0], [2.0, 0.0])
@@ -239,3 +230,21 @@ def test_constant_conformal_factor_keeps_geodesics():
     case = make_case("sphere-equator", 128)
     rep = stationarity_residual(chart, case.net)
     assert rep.aggregate < 1e-9
+
+
+# -- directional bumps -------------------------------------------------------
+
+def test_directional_bump_anchor_matches_scipy_hermite():
+    from scipy.interpolate import CubicHermiteSpline
+
+    from geodesicnets.geometry import DirectionalBumpField
+
+    s_grid = np.linspace(0.0, 1.0, 40)
+    pts = np.stack([np.cos(2 * s_grid), np.sin(3 * s_grid)], axis=1)
+    vel = np.stack([-2 * np.sin(2 * s_grid), 3 * np.cos(3 * s_grid)], axis=1)
+    fld = DirectionalBumpField(pts[20], 0.1, [0.0, 1.0], pts, vel)
+    ref = CubicHermiteSpline(s_grid, pts, vel, axis=0)
+    s = np.concatenate([np.random.default_rng(5).uniform(0.0, 1.0, 200), s_grid])
+    for order, got in enumerate(fld._hermite(s)):
+        expect = ref(s, order)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()

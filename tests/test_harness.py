@@ -47,6 +47,29 @@ def test_kernel_certification_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_newton_commands_do_not_load_scipy(tmp_path):
+    # solve, perturb and continue run on numpy alone
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=16)
+    doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
+    doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
+    ramp = tmp_path / "ramp.json"
+    specfile.write_spec(doc, str(ramp))
+    runs = [["solve", "--spec", str(path)], ["perturb", "--spec", str(path)],
+            ["continue", "--spec", str(ramp)]]
+    src = os.path.dirname(os.path.dirname(geodesicnets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, os, sys, warnings\n"
+        "from geodesicnets import cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"codes = [cli.main(argv + ['--out', os.devnull]) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [[0, 0, 0], []]
+
+
 # -- spec files ---------------------------------------------------------------
 
 def test_spec_roundtrip_all_cases(tmp_path):
@@ -251,3 +274,31 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     path, _ = write_case_spec(tmp_path, "honeycomb-torus")
     code = cli.main(["solve", "--spec", str(path)])
     assert code == 3
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, but it is a numerical failure, not bad input
+    def singular(*a, **kw):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.solver, "solve_stationary", singular)
+    path, _ = write_case_spec(tmp_path, "honeycomb-torus")
+    assert cli.main(["solve", "--spec", str(path)]) == 3
+    assert "Singular matrix" in capsys.readouterr().err
+
+
+def test_cli_rejects_flat_sample_list(tmp_path, capsys):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus")
+    doc["net"]["edges"]["E2"]["samples"] = list(np.linspace(0.0, 1.0, 20))
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert "edge 'E2' samples have shape (20,)" in capsys.readouterr().err
+
+
+def test_cli_rejects_samples_of_the_wrong_dimension(tmp_path, capsys):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus")
+    arr = np.asarray(doc["net"]["edges"]["E1"]["samples"])
+    doc["net"]["edges"]["E1"]["samples"] = np.hstack([arr, np.zeros((len(arr), 1))]).tolist()
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert "edge 'E1' samples have shape (65, 3); expected (n, 2)" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from geodesicnets import (
 from geodesicnets import stencils as st
 from geodesicnets.geometry import ConstantField, conformal_family, g_dot, g_norm
 from geodesicnets.jacobi import assemble_jacobi_system, random_reduced_field
-from geodesicnets.net import resample
+from geodesicnets.net import reparametrize_constant_speed
 
 
 def edge_frame(case, eid):
@@ -296,7 +296,7 @@ def test_kernel_invariant_under_constant_scaling():
 
 def test_kernel_invariant_under_refinement():
     case = make_case("sphere-theta", 64)
-    fine = resample(case.chart, case.net, 128)
+    fine = reparametrize_constant_speed(case.chart, case.net, n_samples=128)
     assert jacobi_kernel(case.chart, fine).dimension == 3
 
 

@@ -12,7 +12,7 @@ from geodesicnets import (
 from geodesicnets.cases import HEX_LATTICE
 from geodesicnets.geometry import ConstantField, FlatTorusChart, conformal_family
 from geodesicnets.multigraph import WeightedMultigraph
-from geodesicnets.net import GeodesicNet, check_net, edge_lengths, resample
+from geodesicnets.net import GeodesicNet, check_net, edge_lengths
 
 SPHERE = StereographicSphereChart(radius=1.0)
 
@@ -179,7 +179,7 @@ def test_check_net_catches_endpoint_mismatch():
 
 def test_resample_preserves_geometry():
     case = make_case("sphere-equator", 64)
-    fine = resample(case.chart, case.net, 128)
+    fine = reparametrize_constant_speed(case.chart, case.net, n_samples=128)
     assert fine.edge_samples["E"].shape[0] == 129
     # quadrature scale at the new resolution, not interpolation error
     assert abs(length(case.chart, fine) - 2 * np.pi) < 5e-6

@@ -168,9 +168,38 @@ def test_upsample_operator_matches_reference(n, factor, loop):
     assert np.array_equal(c_vec, ref_c)
 
 
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("factor", [2, 8])
+@pytest.mark.parametrize("n", [12, 33, 65])
+def test_point_evaluation_matches_upsampling(n, factor, loop):
+    rng = np.random.default_rng(n * factor)
+    samples = rng.normal(size=(n, 2))
+    shift = None
+    if loop:
+        shift = np.array([1.0, -0.5])
+        samples[-1] = samples[0] + shift
+    fine = st.upsample_curve(samples, factor, loop_shift=shift)
+    t = np.arange(fine.shape[0]) / (fine.shape[0] - 1)
+    assert np.abs(st.evaluate_curve(samples, t, loop_shift=shift) - fine).max() < 1e-14
+
+
+def test_running_integral_and_inverse_interpolation():
+    # the 6-point interpolant reproduces polynomials of degree 5
+    t = np.linspace(0.0, 1.0, 41)
+    f = 1.0 + t**5 - 0.5 * t**2
+    exact = t + t**6 / 6.0 - t**3 / 6.0
+    assert np.abs(st.running_integral(f) - exact).max() < 1e-14
+    # a loop value sequence integrates through the seam; its mean is exact
+    per = 2.0 + np.sin(2.0 * np.pi * t)
+    assert abs(st.running_integral(per, loop=True)[-1] - 2.0) < 1e-14
+    # the parameters at which an increasing map reaches given values, off the nodes
+    targets = np.random.default_rng(3).uniform(0.0, np.sinh(1.0), 50)
+    assert np.abs(st.inverse_interpolate(np.sinh(t), targets) - np.arcsinh(targets)).max() < 1e-9
+
+
 def test_cached_operators_are_read_only():
     t_mat, c_vec = st.upsample_operator(33, 4, True)
-    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2)):
+    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals()):
         with pytest.raises(ValueError):
             arr[0] += 1.0
 
