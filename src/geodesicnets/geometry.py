@@ -51,23 +51,42 @@ class DomainError(ValueError):
 # scalar fields (conformal factors)
 # ---------------------------------------------------------------------------
 
-def _bump_profile(rho: np.ndarray) -> np.ndarray:
-    """C^2 compactly supported profile (1 - rho^2)^3 on rho < 1."""
-    rho = np.asarray(rho)
-    out = np.zeros_like(rho, dtype=float)
-    inside = rho < 1.0
-    out[inside] = (1.0 - rho[inside] ** 2) ** 3
-    return out
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products, shape (m, n, n)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _profile_jet(u: np.ndarray, radius: float, order: int):
+    """Profile (1 - |u|^2 / radius^2)^3, zero outside the ball, with its
+    gradient and Hessian in u; entries above ``order`` are None."""
+    q = np.maximum(1.0 - np.einsum("pi,pi->p", u, u) / radius**2, 0.0)
+    d1 = d2 = None
+    if order >= 1:
+        d1 = (-6.0 / radius**2) * (q**2)[:, None] * u
+    if order >= 2:
+        d2 = ((-6.0 / radius**2) * (q**2)[:, None, None] * np.eye(u.shape[1])
+              + (24.0 / radius**4) * q[:, None, None] * _outer(u, u))
+    return q**3, d1, d2
 
 
 class ScalarField:
-    """Scalar field h with chart gradient; used as a conformal factor."""
+    """Scalar field h with chart gradient and Hessian; used as a conformal factor."""
+
+    def jet_many(self, points: np.ndarray, order: int = 2):
+        """(value, gradient, Hessian) of h at each point, from one evaluation.
+
+        Shapes (m,), (m, n) and (m, n, n); entries above ``order`` are None.
+        """
+        raise NotImplementedError
 
     def value_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet_many(points, 0)[0]
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet_many(points, 1)[1]
+
+    def hessian_many(self, points: np.ndarray) -> np.ndarray:
+        return self.jet_many(points, 2)[2]
 
     def value(self, p) -> float:
         return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
@@ -89,11 +108,11 @@ class ConstantField(ScalarField):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def value_many(self, points):
-        return np.full(points.shape[0], self.c)
-
-    def gradient_many(self, points):
-        return np.zeros_like(points, dtype=float)
+    def jet_many(self, points, order=2):
+        m, n = points.shape
+        return (np.full(m, self.c),
+                np.zeros((m, n)) if order >= 1 else None,
+                np.zeros((m, n, n)) if order >= 2 else None)
 
     def sup_bound(self):
         return abs(self.c)
@@ -108,17 +127,13 @@ class SumField(ScalarField):
     def __init__(self, fields):
         self.fields = list(fields)
 
-    def value_many(self, points):
-        out = np.zeros(points.shape[0])
+    def jet_many(self, points, order=2):
+        m, n = points.shape
+        out = [np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))][: order + 1]
         for f in self.fields:
-            out += f.value_many(points)
-        return out
-
-    def gradient_many(self, points):
-        out = np.zeros_like(points, dtype=float)
-        for f in self.fields:
-            out += f.gradient_many(points)
-        return out
+            for acc, part in zip(out, f.jet_many(points, order)):
+                acc += part
+        return tuple(out) + (None,) * (2 - order)
 
     def sup_bound(self):
         return sum(f.sup_bound() for f in self.fields)
@@ -138,25 +153,12 @@ class RadialBumpField(ScalarField):
         self.amplitude = float(amplitude)
         self.chart = chart
 
-    def _disp(self, points):
-        if self.chart is None:
-            return points - self.center
-        return self.chart.displacement_many(np.broadcast_to(self.center, points.shape), points)
-
-    def value_many(self, points):
-        d = self._disp(points)
-        rho = np.linalg.norm(d, axis=1) / self.radius
-        return self.amplitude * _bump_profile(rho)
-
-    def gradient_many(self, points):
-        d = self._disp(points)
-        r = np.linalg.norm(d, axis=1)
-        rho = r / self.radius
-        out = np.zeros_like(points, dtype=float)
-        inside = (rho < 1.0) & (r > 0)
-        coef = self.amplitude * (-6.0) * (1.0 - rho[inside] ** 2) ** 2 / self.radius**2
-        out[inside] = coef[:, None] * d[inside]
-        return out
+    def jet_many(self, points, order=2):
+        d = points - self.center
+        if self.chart is not None:
+            d = self.chart.wrap_many(d)
+        jet = _profile_jet(d, self.radius, order)
+        return tuple(None if part is None else self.amplitude * part for part in jet)
 
     def sup_bound(self):
         return abs(self.amplitude)
@@ -166,12 +168,19 @@ class RadialBumpField(ScalarField):
 
 
 class DirectionalBumpField(ScalarField):
-    """chi(|z - center|/radius) * <z - c(z), w> with c(z) the nearest point
-    on a smooth anchor curve.
+    """chi(|z - center|/radius) * <z - c(z), w>^power with c(z) the nearest
+    point on a smooth anchor curve through the center.
 
-    Vanishes identically along the anchor curve; the gradient is analytic
-    through the projection (the radius must stay below the anchor's normal
-    injectivity radius, which the constructor enforces).
+    Vanishes identically along the anchor curve; the derivatives are
+    analytic through the projection.  The radius is capped below the
+    anchor's normal injectivity radius and the chart's injectivity bound,
+    so the ball is one disc in the center's frame.  Points are wrapped once
+    against the center and every point outside the ball is zero, which is
+    exact while ``wrap_many`` returns the shortest representative of every
+    displacement shorter than the radius (on the hexagonal torus up to
+    0.75, against an injectivity bound of 0.866).  Only the survivors are
+    lifted and projected, seeded from the anchor window through the center;
+    the ball must not reach the ends of an open anchor curve.
     """
 
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
@@ -201,34 +210,56 @@ class DirectionalBumpField(ScalarField):
         acc_perp = acc - vels * (np.einsum("pi,pi->p", acc, vels) / speed2)[:, None]
         kappa = np.linalg.norm(acc_perp, axis=1) / speed2
         inj = 0.5 / max(kappa.max(), 1e-12)
-        self.radius = float(min(radius, inj))
+        bound = np.inf if chart is None else chart.injectivity_bound()
+        self.radius = float(min(radius, inj, bound))
+        self._window(vels)
+
+    def _window(self, vels):
+        """Anchor samples that can be the foot of a point in the ball.
+
+        The contiguous run through the sample nearest the center on which
+        the offset along the center tangent increases, out to the first
+        sample beyond 2 * radius (a foot is at most that far from the center).
+        """
+        rel = self.anchor_points - self.center
+        dist = np.linalg.norm(rel, axis=1)
+        jc = int(np.argmin(dist))
+        self._tangent = vels[jc] / np.linalg.norm(vels[jc])
+        along = rel @ self._tangent
+        ok = dist <= 2.0 * self.radius
+        step = np.diff(along) > 0
+        right = np.flatnonzero(~(step[jc:] & ok[jc:-1]))
+        hi = jc + (right[0] if right.size else step.size - jc)
+        left = np.flatnonzero(~(step[:jc] & ok[1:jc + 1])[::-1])
+        lo = jc - (left[0] if left.size else jc)
+        self._win_along = along[lo:hi + 1]
+        self._win_s = self._s_grid[lo:hi + 1]
 
     def _hermite(self, s):
-        """Anchor curve at parameters s: position, velocity and acceleration."""
+        """Anchor curve at parameters s: position and derivatives 1 to 3."""
         k = np.clip(np.searchsorted(self._s_grid, s, "right") - 1, 0, len(self._s_grid) - 2)
         z = (s - self._s_grid[k])[:, None]
         c3, c2, c1, c0 = (c[k] for c in self._coeffs)
         pos = ((c3 * z + c2) * z + c1) * z + c0
-        return pos, (3 * c3 * z + 2 * c2) * z + c1, 6 * c3 * z + 2 * c2
+        return pos, (3 * c3 * z + 2 * c2) * z + c1, 6 * c3 * z + 2 * c2, 6 * c3
 
-    def _lift(self, points):
-        """Represent points in the unwrapped frame of the anchor curve."""
-        if self.chart is None:
-            return points
-        diff = points[:, None, :] - self.anchor_points[None, :, :]
-        flat = self.chart.wrap_many(diff.reshape(-1, points.shape[1]))
-        disp = flat.reshape(diff.shape)
-        j = np.argmin(np.einsum("psi,psi->ps", disp, disp), axis=1)
-        rows = np.arange(points.shape[0])
-        return self.anchor_points[j] + disp[rows, j]
+    def _seed(self, points):
+        """Anchor parameters interpolated between the window samples that
+        bracket each point's offset along the center tangent."""
+        along, s = self._win_along, self._win_s
+        if along.size == 1:
+            return np.full(points.shape[0], s[0])
+        key = (points - self.center) @ self._tangent
+        k = np.clip(np.searchsorted(along, key), 1, along.size - 1)
+        frac = np.clip((key - along[k - 1]) / (along[k] - along[k - 1]), 0.0, 1.0)
+        return s[k - 1] + frac * (s[k] - s[k - 1])
 
     def _project(self, points):
-        """Nearest anchor parameter per point (Newton, nearest-node seed)."""
-        d2 = ((points[:, None, :] - self.anchor_points[None, :, :]) ** 2).sum(axis=2)
-        s = self._s_grid[np.argmin(d2, axis=1)].astype(float)
+        """Nearest anchor parameter per point (Newton from the window seed)."""
+        s = self._seed(points)
         lo, hi = self._s_grid[0], self._s_grid[-1]
         for _ in range(40):
-            f, fp, fpp = self._hermite(s)
+            f, fp, fpp, _ = self._hermite(s)
             r = points - f
             psi = np.einsum("pi,pi->p", r, fp)
             dpsi = -np.einsum("pi,pi->p", fp, fp) + np.einsum("pi,pi->p", r, fpp)
@@ -239,43 +270,54 @@ class DirectionalBumpField(ScalarField):
             s = s_new
         return s
 
-    def _eval(self, points):
+    def jet_many(self, points, order=2):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lifted = self._lift(points)
-        rel = lifted - self.center
-        dist = np.linalg.norm(rel, axis=1)
-        rho = dist / self.radius
-        inside = rho < 1.0
-        vals = np.zeros(points.shape[0])
-        grads = np.zeros_like(points)
-        if np.any(inside):
-            zin = lifted[inside]
-            c, fp, fpp = self._hermite(self._project(zin))
-            offset = zin - c
-            pairing = offset @ self.direction
-            chi = _bump_profile(rho[inside])
-            powered = pairing if self.power == 1 else pairing**self.power
-            vals[inside] = self.amplitude * chi * powered
-            # grad(<z - c(z), w>) = w - <F', w> F' / (|F'|^2 - <z-c, F''>)
-            denom = np.einsum("pi,pi->p", fp, fp) - np.einsum("pi,pi->p", offset, fpp)
-            proj_w = fp * ((fp @ self.direction) / denom)[:, None]
-            d_pair = self.direction[None, :] - proj_w
-            if self.power != 1:
-                d_pair = d_pair * (self.power * pairing ** (self.power - 1))[:, None]
-            rr = rho[inside]
-            dd = np.maximum(dist[inside], 1e-300)
-            dchi = -6.0 * rr * (1.0 - rr**2) ** 2 / self.radius
-            grads[inside] = self.amplitude * (
-                dchi[:, None] * (rel[inside] / dd[:, None]) * powered[:, None]
-                + chi[:, None] * d_pair
-            )
-        return vals, grads
-
-    def value_many(self, points):
-        return self._eval(points)[0]
-
-    def gradient_many(self, points):
-        return self._eval(points)[1]
+        m, n = points.shape
+        rel = points - self.center
+        if self.chart is not None:
+            rel = self.chart.wrap_many(rel)
+        inside = np.flatnonzero(np.einsum("pi,pi->p", rel, rel) < self.radius**2)
+        vals = np.zeros(m)
+        grads = np.zeros((m, n)) if order >= 1 else None
+        hess = np.zeros((m, n, n)) if order >= 2 else None
+        if inside.size == 0:
+            return vals, grads, hess
+        u = rel[inside]
+        z = self.center + u  # the lift in the center's frame
+        c, fp, fpp, fppp = self._hermite(self._project(z))
+        offset = z - c
+        w = self.direction
+        pairing = offset @ w
+        p = self.power
+        chi, dchi, ddchi = _profile_jet(u, self.radius, order)
+        powered = pairing**p
+        vals[inside] = self.amplitude * chi * powered
+        if order == 0:
+            return vals, grads, hess
+        # s(z): <z - F(s), F'(s)> = 0, so grad s = F' / D with
+        # D = |F'|^2 - <z - F, F''>, and grad <z - F(s), w> = w - <F', w> grad s
+        big_d = np.einsum("pi,pi->p", fp, fp) - np.einsum("pi,pi->p", offset, fpp)
+        a_w = fp @ w
+        d_pair = w - fp * (a_w / big_d)[:, None]
+        dp1 = p * pairing ** (p - 1)
+        d_pow = dp1[:, None] * d_pair
+        grads[inside] = self.amplitude * (powered[:, None] * dchi + chi[:, None] * d_pow)
+        if order == 1:
+            return vals, grads, hess
+        # Hessian of the pairing, through grad D = K grad s - F'' with
+        # K = 3 <F', F''> - <z - F, F'''>
+        k_coef = 3.0 * np.einsum("pi,pi->p", fp, fpp) - np.einsum("pi,pi->p", offset, fppp)
+        c_tt = (a_w * k_coef / big_d - fpp @ w) / big_d**2
+        h_pair = (c_tt[:, None, None] * _outer(fp, fp)
+                  - (a_w / big_d**2)[:, None, None] * (_outer(fp, fpp) + _outer(fpp, fp)))
+        h_pow = dp1[:, None, None] * h_pair
+        if p >= 2:
+            h_pow += (p * (p - 1) * pairing ** (p - 2))[:, None, None] * _outer(d_pair, d_pair)
+        hess[inside] = self.amplitude * (
+            powered[:, None, None] * ddchi + _outer(dchi, d_pow) + _outer(d_pow, dchi)
+            + chi[:, None, None] * h_pow
+        )
+        return vals, grads, hess
 
     def sup_bound(self):
         return abs(self.amplitude) * self.radius**self.power
@@ -326,24 +368,9 @@ class MetricChart:
     def christoffel(self, p) -> np.ndarray:
         return self.christoffel_many(np.asarray(p, dtype=float)[None, :])[0]
 
-    christoffel_fd_step = 1e-4
-
     def christoffel_deriv_many(self, points: np.ndarray) -> np.ndarray:
-        """d_m Gamma^k_ij, shape (m, n, n, n, n) indexed [.., m, k, i, j].
-
-        Central differences of the Christoffel symbols unless a subclass
-        provides a closed form.
-        """
-        n = self.dim
-        step = self.christoffel_fd_step
-        out = np.empty((points.shape[0], n, n, n, n))
-        for m in range(n):
-            dp = np.zeros(n)
-            dp[m] = step
-            out[:, m] = (
-                self.christoffel_many(points + dp) - self.christoffel_many(points - dp)
-            ) / (2 * step)
-        return out
+        """d_m Gamma^k_ij, shape (m, n, n, n, n) indexed [.., m, k, i, j]."""
+        raise NotImplementedError
 
     def curvature_many(self, points, X, Y, Z) -> np.ndarray:
         """R(X,Y)Z at each point (Jacobi-compatible sign)."""
@@ -554,33 +581,63 @@ class ConformalChart(MetricChart):
         return self.factor_many(points)[:, None, None] * self.base.metric_many(points)
 
     def metric_deriv_many(self, points):
+        h, dh, _ = self.field.jet_many(points, 1)
+        f = 1.0 + self.amplitude * h
+        grad = self.amplitude * dh
         g = self.base.metric_many(points)
         dg = self.base.metric_deriv_many(points)
-        f = self.factor_many(points)
-        grad = self.amplitude * self.field.gradient_many(points)
         return grad[:, :, None, None] * g[:, None, :, :] + f[:, None, None, None] * dg
+
+    def _sigma(self, points, order):
+        """sigma = grad(log f) / 2 for f = 1 + x*h, and for order 2 its
+        derivative d_m sigma_l = x d_m d_l h / (2 f) - 2 sigma_m sigma_l,
+        from one evaluation of the field."""
+        h, dh, ddh = self.field.jet_many(points, order)
+        f = 1.0 + self.amplitude * h
+        sig = 0.5 * self.amplitude * dh / f[:, None]
+        if order < 2:
+            return sig, None
+        dsig = 0.5 * self.amplitude * ddh / f[:, None, None] - 2.0 * _outer(sig, sig)
+        return sig, dsig
 
     def christoffel_many(self, points):
         base_gam = self.base.christoffel_many(points)
         if isinstance(self.field, ConstantField):
             return base_gam
-        f = self.factor_many(points)
-        sig = 0.5 * self.amplitude * self.field.gradient_many(points) / f[:, None]
+        sig, _ = self._sigma(points, 1)
         g = self.base.metric_many(points)
-        ginv = np.linalg.inv(self.metric_many(points)) * f[:, None, None]  # base inverse
-        n = self.dim
-        eye = np.eye(n)
+        sig_up = np.einsum("pkl,pl->pk", np.linalg.inv(g), sig)
+        eye = np.eye(self.dim)
+        # delta_ki sigma_j + delta_kj sigma_i - g_ij g^kl sigma_l
         extra = (
             eye[None, :, :, None] * sig[:, None, None, :]
             + eye[None, :, None, :] * sig[:, None, :, None]
-            - np.einsum("pij,pkl,pl->pkij", g, ginv, sig)
+            - g[:, None, :, :] * sig_up[:, :, None, None]
         )
         return base_gam + extra
 
     def christoffel_deriv_many(self, points):
+        """Exact: d_m of the conformal correction plus the base chart's own
+        derivatives, so stacked bumps recurse through their bases."""
+        base_dgam = self.base.christoffel_deriv_many(points)
         if isinstance(self.field, ConstantField):
-            return self.base.christoffel_deriv_many(points)
-        return MetricChart.christoffel_deriv_many(self, points)
+            return base_dgam
+        sig, dsig = self._sigma(points, 2)
+        g = self.base.metric_many(points)
+        dg = self.base.metric_deriv_many(points)
+        ginv = np.linalg.inv(g)
+        sig_up = np.einsum("pkl,pl->pk", ginv, sig)
+        # d_m (g^kl sigma_l) = -g^ka (d_m g_ab) g^bl sigma_l + g^kl d_m sigma_l
+        dsig_up = (np.einsum("pkl,pml->pmk", ginv, dsig)
+                   - np.einsum("pka,pmab,pb->pmk", ginv, dg, sig_up))
+        eye = np.eye(self.dim)
+        extra = (
+            eye[None, None, :, :, None] * dsig[:, :, None, None, :]
+            + eye[None, None, :, None, :] * dsig[:, :, None, :, None]
+            - dg[:, :, None, :, :] * sig_up[:, None, :, None, None]
+            - g[:, None, None, :, :] * dsig_up[:, :, :, None, None]
+        )
+        return base_dgam + extra
 
     def contains(self, p):
         return self.base.contains(p)

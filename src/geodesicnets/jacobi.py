@@ -27,7 +27,7 @@ from . import stencils
 from .geometry import _ROT90, MetricChart, SampledCurve, g_dot, g_norm, parallel_transport
 from .multigraph import GraphClass, classify
 from .net import GeodesicNet, NetField, edge_lengths, length
-from .variation import length_sample_gradient, stationarity_residual
+from .variation import NotStationaryError, length_sample_gradient, stationarity_residual
 
 __all__ = [
     "ReducedField",
@@ -181,7 +181,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
     """Square linear system whose null space is the reduced Jacobi space."""
     agg = stationarity_residual(chart, net).aggregate
     if agg > residual_tol:
-        raise ValueError(f"net is not stationary (residual {agg:.3g})")
+        raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
     if agg > 0.01 * residual_tol:
         warnings.warn(f"assembling Jacobi system at marginal residual {agg:.3g}")
     gclass = classify(net.graph)
@@ -673,30 +673,43 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
 
 @lru_cache(maxsize=32)
 def _hat_colouring(n_samples: int, refine: int, loop: bool):
-    """Greedy Curtis-Powell-Reid colouring of the interior samples of an edge.
+    """Curtis-Powell-Reid colouring of the interior samples of an edge.
 
     Returns (colour, coupled): for interior sample j, ``colour[j - 1]`` and
     the interior indices (j' - 1) of the samples coupled to it, which are
     the hat rows its columns can reach.  Two samples get the same colour
     only when no interior sample is coupled to both, so one perturbation
-    of a whole colour class determines every hat entry it touches.
+    of a whole colour class determines every hat entry it touches.  Open
+    edges, and loops too short for two blocks, are coloured greedily.  On a
+    loop edge the coupling is a circulant band of half-width k, so the
+    n - 1 positions around the loop (the vertex last) are cut into
+    q = floor((n - 1) / (2k + 1)) balanced blocks and a sample's colour is
+    its offset in its block: at most ceil((n - 1) / q) colours.
     """
     lo, hi = stencils.hessian_coupling(n_samples, refine, loop)
-    n_int = n_samples - 2
+    m, n_int = n_samples - 1, n_samples - 2
     coupled = []
     for j in range(1, n_samples - 1):
         q = np.arange(lo[j], hi[j] + 1)
         if loop:
             # a window of n - 1 consecutive samples already covers the loop
-            q = q[: n_samples - 1] % (n_samples - 1)
+            q = q[:m] % m
         coupled.append(q[(q >= 1) & (q <= n_int)] - 1)
-    used = [set() for _ in range(n_int)]
-    colour = np.empty(n_int, dtype=int)
-    for j, reach in enumerate(coupled):
-        taken = set().union(*(used[r] for r in reach))
-        colour[j] = min(set(range(len(taken) + 1)) - taken)
-        for r in reach:
-            used[r].add(int(colour[j]))
+    blocks = m // (2 * int(hi[0]) + 1) if loop else 0
+    if blocks >= 2:
+        # equal offsets in two blocks are at least one block, 2k + 1
+        # positions, apart both ways round
+        starts = np.arange(blocks) * m // blocks
+        k = np.arange(n_int)
+        colour = k - starts[np.searchsorted(starts, k, "right") - 1]
+    else:
+        used = [set() for _ in range(n_int)]
+        colour = np.empty(n_int, dtype=int)
+        for j, reach in enumerate(coupled):
+            taken = set().union(*(used[r] for r in reach))
+            colour[j] = min(set(range(len(taken) + 1)) - taken)
+            for r in reach:
+                used[r].add(int(colour[j]))
     colour.flags.writeable = False
     return colour, tuple(coupled)
 

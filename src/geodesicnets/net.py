@@ -176,7 +176,9 @@ def reparametrize_constant_speed(
     length, the arc-length map is inverted, and the edge's 6-point
     interpolant is evaluated at the parameters found (``stencils``).  A
     sample speed below 1e-8 times the edge mean speed is rejected (the
-    inverse map would divide by it).
+    inverse map would divide by it).  ``lengths`` is left empty, as after
+    ``displace``: the solver reparametrizes every line-search trial and
+    fills it only for the nets it accepts.
     """
     new_samples = {}
     for e in net.graph.edges:
@@ -195,9 +197,7 @@ def reparametrize_constant_speed(
         out[0] = s[0]
         out[-1] = s[-1]
         new_samples[e.id] = out
-    new = replace(net, edge_samples=new_samples, constant_speed=True, lengths={})
-    new.lengths = edge_lengths(chart, new)
-    return new
+    return replace(net, edge_samples=new_samples, constant_speed=True, lengths={})
 
 
 def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):

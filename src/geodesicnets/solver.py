@@ -37,7 +37,7 @@ from .jacobi import (
     reduced_basis_fields,
 )
 from .net import GeodesicNet, NetField, displace, edge_lengths, length, reparametrize_constant_speed
-from .variation import length_sample_gradient
+from .variation import NotStationaryError, length_sample_gradient
 
 __all__ = [
     "SolveOptions",
@@ -50,6 +50,7 @@ __all__ = [
     "NoProgressError",
     "NoNormalPointError",
     "ClearanceError",
+    "StationarityLostError",
     "solve_stationary",
     "continue_family",
     "build_condition_C_bump",
@@ -90,6 +91,11 @@ class ClearanceError(SolverError):
     pass
 
 
+class StationarityLostError(SolverError):
+    """A net the solver returned fails the stationarity gate: a numerical
+    failure, unlike a non-stationary net supplied by the caller."""
+
+
 @dataclass
 class SolveOptions:
     max_iterations: int = 60
@@ -127,6 +133,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     """
     opts = opts or SolveOptions()
     net = reparametrize_constant_speed(chart, init)
+    net.lengths = edge_lengths(chart, net)
     trace = []
     evals = evecs = None
     stale = 0
@@ -144,6 +151,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             cand = reparametrize_constant_speed(chart, displace(net_now, direction, alpha))
             cand_gnorm = merit(cand)
             if cand_gnorm < gnorm * (1.0 - 1e-4 * alpha) or cand_gnorm <= opts.tolerance:
+                cand.lengths = edge_lengths(chart, cand)
                 return cand, alpha
             if alpha < 1e-6:
                 break
@@ -492,6 +500,10 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
             except SolverError:
                 x *= 0.5
                 continue
+            except NotStationaryError as ex:
+                raise StationarityLostError(
+                    f"solved net under bump {bump_count} (amplitude {x:g}) failed the gate: {ex}"
+                ) from ex
             if new_verdict.kernel_dimension <= verdict.kernel_dimension:
                 accepted = (g_new, res.net, new_verdict, x)
                 break

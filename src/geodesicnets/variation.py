@@ -26,6 +26,7 @@ from .geometry import MetricChart, g_dot, g_norm
 from .net import GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
 
 __all__ = [
+    "NotStationaryError",
     "StationarityReport",
     "first_variation",
     "vertex_balance",
@@ -37,6 +38,10 @@ __all__ = [
     "length_sample_gradient",
     "covariant_deriv",
 ]
+
+
+class NotStationaryError(ValueError):
+    """The net fails the stationarity gate of a second-variation computation."""
 
 
 def _edge_grid(net: GeodesicNet, eid: str):
@@ -190,7 +195,7 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
     if check_stationary:
         agg = stationarity_residual(chart, net).aggregate
         if agg > 100 * residual_tol:
-            raise ValueError(f"net is not stationary (residual {agg:.3g})")
+            raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
         if agg > residual_tol:
             warnings.warn(f"hessian at a marginally stationary net (residual {agg:.3g})")
     lengths = edge_lengths(chart, net)

@@ -248,3 +248,160 @@ def test_directional_bump_anchor_matches_scipy_hermite():
     for order, got in enumerate(fld._hermite(s)):
         expect = ref(s, order)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+# -- closed-form Hessians and Christoffel derivatives -------------------------
+
+def _directional(case_name, eid, idx, power, n=32, radius=0.2, direction=(0.6, 0.8)):
+    from geodesicnets.geometry import DirectionalBumpField
+    from geodesicnets.solver import _anchor_spline_data
+
+    case = make_case(case_name, n)
+    pts, vel, center = _anchor_spline_data(case.net, eid, idx)
+    fld = DirectionalBumpField(center, radius, direction, pts, vel, chart=case.chart,
+                               power=power)
+    return case, fld
+
+
+def _around(center, radius, count, seed, lattice=None):
+    """Random points in a disc of 1.3 * radius around center (so they
+    straddle the support boundary), moved to random lattice cells."""
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2 * np.pi, count)
+    rad = 1.3 * radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    pts = center + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if lattice is not None:
+        pts = pts + rng.integers(-2, 3, size=(count, 2)) @ lattice
+    return pts
+
+
+def _fd_hessian(fld, pts, step=1e-6):
+    cols = []
+    for m in range(pts.shape[1]):
+        dp = np.zeros(pts.shape[1])
+        dp[m] = step
+        cols.append((fld.gradient_many(pts + dp) - fld.gradient_many(pts - dp)) / (2 * step))
+    return np.stack(cols, axis=2)
+
+
+def _fd_christoffel_deriv(chart, pts, step=1e-5):
+    out = []
+    for m in range(chart.dim):
+        dp = np.zeros(chart.dim)
+        dp[m] = step
+        out.append((chart.christoffel_many(pts + dp) - chart.christoffel_many(pts - dp)) / (2 * step))
+    return np.stack(out, axis=1)
+
+
+DIRECTIONAL_ANCHORS = [
+    ("honeycomb-torus", "E1", 16),   # open edge, mid-edge
+    ("flat-loop", "E", 1),           # loop edge, ball over its seam
+    ("sphere-equator", "E", 8),      # loop edge in the stereographic chart
+]
+
+
+@pytest.mark.parametrize("power", (1, 2))
+@pytest.mark.parametrize("case_name,eid,idx", DIRECTIONAL_ANCHORS)
+def test_directional_bump_hessian_matches_fd_of_gradient(case_name, eid, idx, power):
+    case, fld = _directional(case_name, eid, idx, power)
+    lattice = getattr(case.chart, "lattice", None)
+    pts = _around(fld.center, fld.radius, 300, seed=idx, lattice=lattice)
+    v, g, h = fld.jet_many(pts)
+    assert np.count_nonzero(v) > 100
+    assert np.array_equal(v, fld.value_many(pts)) and np.array_equal(g, fld.gradient_many(pts))
+    assert np.abs(h - np.swapaxes(h, 1, 2)).max() <= 1e-14 * np.abs(h).max()
+    assert np.abs(h - _fd_hessian(fld, pts)).max() <= 1e-6 * np.abs(h).max()
+
+
+def test_radial_constant_and_sum_hessians_match_fd_of_gradient():
+    from geodesicnets.geometry import SumField
+
+    radial = RadialBumpField([0.7, 0.4], 0.3, -1.5, chart=TORUS)
+    fields = [ConstantField(0.4), radial,
+              SumField([radial, RadialBumpField([0.9, 0.2], 0.25, 2.0, chart=TORUS),
+                        ConstantField(1.0)])]
+    pts = _around(np.array([0.8, 0.3]), 0.3, 300, seed=2, lattice=HEX_LATTICE)
+    for fld in fields:
+        h = fld.hessian_many(pts)
+        assert h.shape == (300, 2, 2)
+        assert np.abs(h - _fd_hessian(fld, pts)).max() <= 1e-6 * max(np.abs(h).max(), 1.0)
+
+
+def test_conformal_christoffel_derivative_matches_fd():
+    # bump on bump over a flat torus: the exact derivative recurses through the base
+    case, fld = _directional("honeycomb-torus", "E1", 16, power=2)
+    inner = conformal_family(case.chart, RadialBumpField(fld.center + [0.05, 0.1], 0.3, 1.0,
+                                                         chart=case.chart), 0.3)
+    stacked = conformal_family(inner, fld, 0.5)
+    pts = _around(fld.center, fld.radius, 200, seed=4, lattice=HEX_LATTICE)
+    # a radial bump over the round sphere: the base has curvature of its own
+    on_sphere = conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0), 0.3)
+    for chart, p in ((stacked, pts), (on_sphere, _around(np.array([0.3, 0.1]), 0.6, 200, seed=5))):
+        exact = chart.christoffel_deriv_many(p)
+        assert np.abs(exact - _fd_christoffel_deriv(chart, p)).max() <= 1e-6 * np.abs(exact).max()
+
+
+def _all_pairs_reference(fld, points):
+    """Value and gradient of a directional bump as evaluated before the cull:
+    every point lifted by its nearest anchor sample (all pairs), projected
+    by Newton from the nearest anchor node."""
+    diff = points[:, None, :] - fld.anchor_points[None, :, :]
+    disp = fld.chart.wrap_many(diff.reshape(-1, 2)).reshape(diff.shape)
+    j = np.argmin(np.einsum("psi,psi->ps", disp, disp), axis=1)
+    lifted = fld.anchor_points[j] + disp[np.arange(len(points)), j]
+    rel = lifted - fld.center
+    dist = np.linalg.norm(rel, axis=1)
+    rho = dist / fld.radius
+    inside = rho < 1.0
+    vals, grads = np.zeros(len(points)), np.zeros_like(points)
+    z = lifted[inside]
+    d2 = ((z[:, None, :] - fld.anchor_points[None, :, :]) ** 2).sum(axis=2)
+    s = fld._s_grid[np.argmin(d2, axis=1)]
+    for _ in range(40):
+        f, fp, fpp, _ = fld._hermite(s)
+        r = z - f
+        s = np.clip(s - np.einsum("pi,pi->p", r, fp)
+                    / (np.einsum("pi,pi->p", r, fpp) - np.einsum("pi,pi->p", fp, fp)), 0.0, 1.0)
+    c, fp, fpp, _ = fld._hermite(s)
+    w = fld.direction
+    pairing = (z - c) @ w
+    chi = (1.0 - rho[inside] ** 2) ** 3
+    vals[inside] = fld.amplitude * chi * pairing**fld.power
+    denom = np.einsum("pi,pi->p", fp, fp) - np.einsum("pi,pi->p", z - c, fpp)
+    d_pair = (w - fp * ((fp @ w) / denom)[:, None]) * (fld.power * pairing ** (fld.power - 1))[:, None]
+    dchi = -6.0 * rho[inside] * (1.0 - rho[inside] ** 2) ** 2 / fld.radius
+    grads[inside] = fld.amplitude * ((dchi * pairing**fld.power / dist[inside])[:, None] * rel[inside]
+                                     + chi[:, None] * d_pair)
+    return vals, grads
+
+
+@pytest.mark.parametrize("power", (1, 2))
+@pytest.mark.parametrize("case_name,eid,idx", [("honeycomb-torus", "E2", 20), ("flat-loop", "E", 1)])
+def test_culled_bump_matches_all_pairs_reference(case_name, eid, idx, power):
+    case, fld = _directional(case_name, eid, idx, power)
+    pts = _around(fld.center, fld.radius, 400, seed=7, lattice=HEX_LATTICE)
+    vals, grads = fld.jet_many(pts, 1)[:2]
+    ref_vals, ref_grads = _all_pairs_reference(fld, pts)
+    assert np.array_equal(vals != 0.0, ref_vals != 0.0)
+    assert 100 < np.count_nonzero(vals) < 400
+    assert np.abs(vals - ref_vals).max() <= 1e-12 * np.abs(ref_vals).max()
+    assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
+
+
+def test_bumped_christoffel_derivative_memory_is_linear():
+    import tracemalloc
+
+    from geodesicnets import stencils
+
+    peaks = []
+    for n in (64, 256):
+        case, fld = _directional("honeycomb-torus", "E1", n // 2, power=2, n=n)
+        chart = conformal_family(case.chart, fld, 0.02)
+        points = stencils.upsample_curve(case.net.edge_samples["E1"], 8)
+        chart.christoffel_deriv_many(points)
+        tracemalloc.start()
+        chart.christoffel_deriv_many(points)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # 4x the points; an all-pairs (points x anchors) table would give 16x
+    assert peaks[1] <= 4.0 * peaks[0]

@@ -302,3 +302,45 @@ def test_cli_rejects_samples_of_the_wrong_dimension(tmp_path, capsys):
     specfile.write_spec(doc, str(path))
     assert cli.main(["check", "--spec", str(path)]) == 2
     assert "edge 'E1' samples have shape (65, 3); expected (n, 2)" in capsys.readouterr().err
+
+
+def test_cli_perturb_solved_net_off_the_gate_is_a_solver_error(tmp_path, capsys):
+    # the bumped solve on sphere-theta returns a net that fails the residual
+    # gate: a numerical failure (exit 3), reported after that one solve
+    path, _ = write_case_spec(tmp_path, "sphere-theta", n=64)
+    assert cli.main(["perturb", "--spec", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: solved net under bump 1")
+    assert "net is not stationary" in err
+
+
+def test_cli_perturb_rejects_a_non_stationary_input(tmp_path, capsys):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    arr = np.asarray(doc["net"]["edges"]["E1"]["samples"])
+    t = np.linspace(0.0, 1.0, len(arr))
+    arr[:, 1] += 0.05 * np.sin(np.pi * t)
+    doc["net"]["edges"]["E1"]["samples"] = arr.tolist()
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["perturb", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: net is not stationary")
+
+
+def test_cli_chart_roundtrip_rejects_a_3d_chart(tmp_path, capsys):
+    t = np.linspace(0.0, 1.0, 17)
+    bend = np.sin(np.pi * t)
+    zero = np.zeros_like(t)
+    curves = {"E1": np.stack([t, 0.3 * bend, zero], axis=1),
+              "E2": np.stack([t, -0.3 * bend, zero], axis=1),
+              "E3": np.stack([t, zero, 0.3 * bend], axis=1)}
+    doc = {
+        "graph": {"vertices": ["A", "B"],
+                  "edges": [{"id": e, "v0": "A", "v1": "B"} for e in curves]},
+        "metric": {"kind": "euclidean", "dim": 3},
+        "net": {"vertices": {"A": [0.0, 0.0, 0.0], "B": [1.0, 0.0, 0.0]},
+                "edges": {e: {"samples": c.tolist()} for e, c in curves.items()}},
+        "options": {},
+    }
+    path = tmp_path / "theta3d.json"
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 2
+    assert "needs a planar chart" in capsys.readouterr().err

@@ -173,8 +173,8 @@ def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
         counts.append(len(calls))
         n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
         if case.net.periodic_edges:
-            # greedy colouring of a circulant band of half-width k needs at
-            # most 2k + 1 colours; how many depends on N modulo the band
+            # the conflict graph is a circulant band of half-width k, so no
+            # colouring needs more than 2k + 1 colours
             lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
             k = 2 * int(hi[0])
             assert len(calls) <= 2 * (n_vertex + 2 * k + 1)
@@ -202,3 +202,32 @@ def test_hat_colouring_is_structurally_orthogonal():
         for c in set(colour.tolist()):
             rows = np.concatenate([coupled[j] for j in np.flatnonzero(colour == c)])
             assert len(rows) == len(np.unique(rows))
+
+
+def test_loop_colouring_uses_balanced_blocks():
+    for refine in (1, 8):
+        width = int(stencils.hessian_coupling(40, refine, True)[1][0])
+        for n in range(16, 513):
+            colour, coupled = jac._hat_colouring(n + 1, refine, True)
+            for c in set(colour.tolist()):
+                rows = np.concatenate([coupled[j] for j in np.flatnonzero(colour == c)])
+                assert len(rows) == len(np.unique(rows))
+            blocks = n // (2 * width + 1)
+            if blocks >= 2:
+                assert len(set(colour.tolist())) <= -(-n // blocks)
+    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 2 * (1 + 16) gradients
+    assert jac._hat_colouring(65, 8, True)[0].max() + 1 == 16
+
+
+def test_sphere_equator_oracle_gradient_count(monkeypatch):
+    calls = []
+    original = jac.length_sample_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(jac, "length_sample_gradient", counted)
+    case = make_case("sphere-equator", 64)
+    reduced_hessian_fd(case.chart, case.net)
+    assert len(calls) == 34

@@ -37,6 +37,32 @@ def test_solve_jittered_honeycomb(rng):
     assert np.linalg.norm(case.chart.wrap(d_a - d_b)) < 1e-8
 
 
+def test_solve_computes_lengths_of_accepted_nets_only(rng, monkeypatch):
+    import geodesicnets.net as net_mod
+    import geodesicnets.solver as solver_mod
+
+    calls = []
+    original = net_mod.edge_lengths
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(net_mod, "edge_lengths", counted)
+    monkeypatch.setattr(solver_mod, "edge_lengths", counted)
+    # a jittered loop whose line search rejects most of its trials
+    case = make_case("sphere-equator", 32)
+    net = jitter_net(case.net, rng, amp=0.05)
+    try:
+        res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-10, max_iterations=20))
+    except solver_mod.MaxIterationsError as ex:
+        res = ex.result
+    accepted = sum("step_size" in row for row in res.trace)
+    # the initial reparametrization plus one per accepted step, none per trial
+    assert accepted >= 2 and len(calls) == 1 + accepted
+    assert res.net.lengths == original(case.chart, res.net)
+
+
 def test_solve_newton_quadratic_tail(rng):
     case = make_case("honeycomb-torus", 64)
     net = jitter_net(case.net, rng, amp=0.05)
