@@ -176,10 +176,6 @@ def _cmd_continue(spec, args, options):
 
 
 def _cmd_chart_roundtrip(spec, args, options):
-    if spec.net.dim != 2:
-        raise specfile.SpecError(
-            f"chart-roundtrip needs a planar chart; this net has dimension {spec.net.dim}"
-        )
     chart = spec.chart()
     nc = localcoords.build_net_chart(chart, spec.net)
     coords = localcoords.coordinates_of(nc, spec.net)

@@ -14,6 +14,7 @@ geodesic reads  J'' + R(f', J)f' = 0  and the round sphere has
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "SumField",
     "RadialBumpField",
     "DirectionalBumpField",
+    "HermiteCurve",
+    "foot_parameters",
     "SampledCurve",
     "conformal_family",
     "geodesic_integrate",
@@ -154,9 +157,8 @@ class RadialBumpField(ScalarField):
         self.chart = chart
 
     def jet_many(self, points, order=2):
-        d = points - self.center
-        if self.chart is not None:
-            d = self.chart.wrap_many(d)
+        d = (points - self.center if self.chart is None
+             else self.chart.displacement_many(self.center, points))
         jet = _profile_jet(d, self.radius, order)
         return tuple(None if part is None else self.amplitude * part for part in jet)
 
@@ -167,20 +169,70 @@ class RadialBumpField(ScalarField):
         return (min(0.0, self.amplitude), max(0.0, self.amplitude))
 
 
+class HermiteCurve:
+    """Piecewise cubic Hermite interpolant of samples and their parameter
+    derivatives on an increasing grid.
+
+    Stored as per-interval power-basis coefficients of z = s - s_k, highest
+    degree first; parameters outside the grid extend the end cubics.
+    """
+
+    def __init__(self, grid, values, derivatives):
+        self.grid = np.asarray(grid, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.derivatives = np.asarray(derivatives, dtype=float)
+        dx = np.diff(self.grid)[:, None]
+        slope = np.diff(self.values, axis=0) / dx
+        t = (self.derivatives[:-1] + self.derivatives[1:] - 2 * slope) / dx
+        self._coeffs = (t / dx, (slope - self.derivatives[:-1]) / dx - t,
+                        self.derivatives[:-1], self.values[:-1])
+
+    def __call__(self, s) -> np.ndarray:
+        """Value at parameters s, shape (len(s), d)."""
+        return self.jet(s, 0)[0]
+
+    def jet(self, s, order: int = 3) -> tuple:
+        """Value and parameter derivatives 1 to ``order`` at parameters s,
+        each of shape (len(s), d)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        k = np.clip(np.searchsorted(self.grid, s, "right") - 1, 0, len(self.grid) - 2)
+        z = (s - self.grid[k])[:, None]
+        c3, c2, c1, c0 = (c[k] for c in self._coeffs)
+        return (((c3 * z + c2) * z + c1) * z + c0, (3 * c3 * z + 2 * c2) * z + c1,
+                6 * c3 * z + 2 * c2, 6 * c3)[: order + 1]
+
+
+def foot_parameters(jet, points: np.ndarray, s: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Parameters of the nearest curve points, by Newton on <z - F(s), F'(s)> = 0.
+
+    ``jet(s)`` returns (F, F', F'') at parameters s; the iteration starts
+    from the seeds s and stays in [lo, hi].
+    """
+    for _ in range(60):
+        f, fp, fpp = jet(s)
+        r = points - f
+        psi = np.einsum("pi,pi->p", r, fp)
+        dpsi = -np.einsum("pi,pi->p", fp, fp) + np.einsum("pi,pi->p", r, fpp)
+        s_new = np.clip(s - psi / dpsi, lo, hi)
+        if np.abs(s_new - s).max() < 1e-15:
+            return s_new
+        s = s_new
+    return s
+
+
 class DirectionalBumpField(ScalarField):
     """chi(|z - center|/radius) * <z - c(z), w>^power with c(z) the nearest
     point on a smooth anchor curve through the center.
 
     Vanishes identically along the anchor curve; the derivatives are
-    analytic through the projection.  The radius is capped below the
-    anchor's normal injectivity radius and the chart's injectivity bound,
-    so the ball is one disc in the center's frame.  Points are wrapped once
-    against the center and every point outside the ball is zero, which is
-    exact while ``wrap_many`` returns the shortest representative of every
-    displacement shorter than the radius (on the hexagonal torus up to
-    0.75, against an injectivity bound of 0.866).  Only the survivors are
-    lifted and projected, seeded from the anchor window through the center;
-    the ball must not reach the ends of an open anchor curve.
+    analytic through the projection.  The anchor is the cubic Hermite
+    curve of the given samples and velocities over [0, 1].  The radius is
+    capped below the anchor's normal injectivity radius and the chart's
+    injectivity bound, so the ball is one disc in the center's frame.
+    Points are taken at their shortest displacement from the center and
+    every point outside the ball is zero.  Only the survivors are lifted
+    and projected, seeded from the anchor window through the center; the
+    ball must not reach the ends of an open anchor curve.
     """
 
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
@@ -193,20 +245,12 @@ class DirectionalBumpField(ScalarField):
         # power 1: the transversality pairing form; power 2: one-signed
         # pinning form with vanishing gradient along the anchor
         self.power = int(power)
-        self.anchor_points = np.asarray(anchor_points, dtype=float)
+        pts = np.asarray(anchor_points, dtype=float)
         vels = np.asarray(anchor_velocities, dtype=float)
-        m = self.anchor_points.shape[0]
-        self._s_grid = np.linspace(0.0, 1.0, m)
-        h_s = self._s_grid[1] - self._s_grid[0]
-        # cubic Hermite interpolant: per-interval power-basis coefficients
-        # of z = s - s_k, highest degree first
-        dx = np.diff(self._s_grid)[:, None]
-        slope = np.diff(self.anchor_points, axis=0) / dx
-        t = (vels[:-1] + vels[1:] - 2 * slope) / dx
-        self._coeffs = (t / dx, (slope - vels[:-1]) / dx - t, vels[:-1], self.anchor_points[:-1])
+        self.anchor = HermiteCurve(np.linspace(0.0, 1.0, pts.shape[0]), pts, vels)
         # normal injectivity bound from the discrete curvature of the anchor
         speed2 = np.einsum("pi,pi->p", vels, vels)
-        acc = np.gradient(vels, h_s, axis=0)
+        acc = np.gradient(vels, self.anchor.grid[1], axis=0)
         acc_perp = acc - vels * (np.einsum("pi,pi->p", acc, vels) / speed2)[:, None]
         kappa = np.linalg.norm(acc_perp, axis=1) / speed2
         inj = 0.5 / max(kappa.max(), 1e-12)
@@ -221,7 +265,7 @@ class DirectionalBumpField(ScalarField):
         the offset along the center tangent increases, out to the first
         sample beyond 2 * radius (a foot is at most that far from the center).
         """
-        rel = self.anchor_points - self.center
+        rel = self.anchor.values - self.center
         dist = np.linalg.norm(rel, axis=1)
         jc = int(np.argmin(dist))
         self._tangent = vels[jc] / np.linalg.norm(vels[jc])
@@ -233,15 +277,7 @@ class DirectionalBumpField(ScalarField):
         left = np.flatnonzero(~(step[:jc] & ok[1:jc + 1])[::-1])
         lo = jc - (left[0] if left.size else jc)
         self._win_along = along[lo:hi + 1]
-        self._win_s = self._s_grid[lo:hi + 1]
-
-    def _hermite(self, s):
-        """Anchor curve at parameters s: position and derivatives 1 to 3."""
-        k = np.clip(np.searchsorted(self._s_grid, s, "right") - 1, 0, len(self._s_grid) - 2)
-        z = (s - self._s_grid[k])[:, None]
-        c3, c2, c1, c0 = (c[k] for c in self._coeffs)
-        pos = ((c3 * z + c2) * z + c1) * z + c0
-        return pos, (3 * c3 * z + 2 * c2) * z + c1, 6 * c3 * z + 2 * c2, 6 * c3
+        self._win_s = self.anchor.grid[lo:hi + 1]
 
     def _seed(self, points):
         """Anchor parameters interpolated between the window samples that
@@ -254,28 +290,11 @@ class DirectionalBumpField(ScalarField):
         frac = np.clip((key - along[k - 1]) / (along[k] - along[k - 1]), 0.0, 1.0)
         return s[k - 1] + frac * (s[k] - s[k - 1])
 
-    def _project(self, points):
-        """Nearest anchor parameter per point (Newton from the window seed)."""
-        s = self._seed(points)
-        lo, hi = self._s_grid[0], self._s_grid[-1]
-        for _ in range(40):
-            f, fp, fpp, _ = self._hermite(s)
-            r = points - f
-            psi = np.einsum("pi,pi->p", r, fp)
-            dpsi = -np.einsum("pi,pi->p", fp, fp) + np.einsum("pi,pi->p", r, fpp)
-            s_new = np.clip(s - psi / dpsi, lo, hi)
-            if np.abs(s_new - s).max() < 1e-15:
-                s = s_new
-                break
-            s = s_new
-        return s
-
     def jet_many(self, points, order=2):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, n = points.shape
-        rel = points - self.center
-        if self.chart is not None:
-            rel = self.chart.wrap_many(rel)
+        rel = (points - self.center if self.chart is None
+               else self.chart.displacement_many(self.center, points))
         inside = np.flatnonzero(np.einsum("pi,pi->p", rel, rel) < self.radius**2)
         vals = np.zeros(m)
         grads = np.zeros((m, n)) if order >= 1 else None
@@ -284,7 +303,8 @@ class DirectionalBumpField(ScalarField):
             return vals, grads, hess
         u = rel[inside]
         z = self.center + u  # the lift in the center's frame
-        c, fp, fpp, fppp = self._hermite(self._project(z))
+        s = foot_parameters(lambda s: self.anchor.jet(s, 2), z, self._seed(z), 0.0, 1.0)
+        c, fp, fpp, fppp = self.anchor.jet(s)
         offset = z - c
         w = self.direction
         pairing = offset @ w
@@ -450,12 +470,15 @@ class FlatTorusChart(MetricChart):
         self.dim = self.lattice.shape[0]
         self._inv = np.linalg.inv(self.lattice)
         combos = []
-        rng = range(-2, 3)
-        from itertools import product
-        for k in product(rng, repeat=self.dim):
+        for k in product(range(-2, 3), repeat=self.dim):
             if any(k):
                 combos.append(np.asarray(k, float) @ self.lattice)
         self._inj = 0.5 * min(np.linalg.norm(c) for c in combos)
+        # the 3^dim neighbouring lattice vectors v, zero first so that ties
+        # keep the rounded representative, and their |v|^2
+        near = np.array(list(product((0, -1, 1), repeat=self.dim)), dtype=float)
+        self._near = near @ self.lattice
+        self._near_sq = np.einsum("ki,ki->k", self._near, self._near)[:, None]
 
     def metric_many(self, points):
         m = points.shape[0]
@@ -484,8 +507,12 @@ class FlatTorusChart(MetricChart):
         return self.wrap_many(np.asarray(p, dtype=float)[None, :])[0]
 
     def displacement_many(self, p, q):
-        d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-        return self.wrap_many(d)
+        """Shortest representative of q - p: the one with rounded lattice
+        coordinates or one of its 3^dim neighbours."""
+        d = self.wrap_many(np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
+        # |d + v|^2 - |d|^2 = 2 <v, d> + |v|^2 for every neighbour v
+        gain = 2.0 * self._near @ d.T + self._near_sq
+        return d + self._near[gain.argmin(axis=0)]
 
     def injectivity_bound(self):
         return self._inj
@@ -726,28 +753,18 @@ def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int) -> Sample
     return SampledCurve(points=xs, velocities=vs * T)
 
 
-def _hermite_eval(p0, p1, m0, m1, tau):
-    """Cubic Hermite on one interval; m are derivatives w.r.t. tau in [0,1]."""
-    t2 = tau * tau
-    t3 = t2 * tau
-    return (
-        (2 * t3 - 3 * t2 + 1) * p0
-        + (t3 - 2 * t2 + tau) * m0
-        + (-2 * t3 + 3 * t2) * p1
-        + (t3 - t2) * m1
-    )
-
-
 def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarray:
     """Transport w0 along the curve: W' + Gamma(c', W) = 0 (RK4 per interval).
 
-    Positions and velocities at half-steps come from cubic Hermite
-    interpolation of the samples.
+    Positions and velocities at the half-steps come from the cubic Hermite
+    curve of the samples, for all intervals in one call.
     """
     pts = curve.points
     vel = curve.velocity_samples()
     n = pts.shape[0]
     h = 1.0 / (n - 1)
+    grid = np.linspace(0.0, 1.0, n)
+    mid, mid_vel = HermiteCurve(grid, pts, vel).jet(grid[:-1] + 0.5 * h, 1)
     out = np.empty_like(pts, dtype=float)
     w = np.asarray(w0, dtype=float).copy()
     out[0] = w
@@ -757,19 +774,10 @@ def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarra
         return -np.einsum("kij,i,j->k", gam, xdot, wv)
 
     for k in range(n - 1):
-        p0, p1 = pts[k], pts[k + 1]
-        m0, m1 = vel[k] * h, vel[k + 1] * h
-        xm = _hermite_eval(p0, p1, m0, m1, 0.5)
-        vm = (
-            (6 * 0.25 - 6 * 0.5) * p0
-            + (3 * 0.25 - 4 * 0.5 + 1) * m0
-            + (-6 * 0.25 + 6 * 0.5) * p1
-            + (3 * 0.25 - 2 * 0.5) * m1
-        ) / h
-        k1 = rhs(p0, vel[k], w)
-        k2 = rhs(xm, vm, w + 0.5 * h * k1)
-        k3 = rhs(xm, vm, w + 0.5 * h * k2)
-        k4 = rhs(p1, vel[k + 1], w + h * k3)
+        k1 = rhs(pts[k], vel[k], w)
+        k2 = rhs(mid[k], mid_vel[k], w + 0.5 * h * k1)
+        k3 = rhs(mid[k], mid_vel[k], w + 0.5 * h * k2)
+        k4 = rhs(pts[k + 1], vel[k + 1], w + h * k3)
         w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = w
     return out

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import stencils
-from .geometry import _ROT90, MetricChart, g_norm, geodesic_integrate
+from .geometry import (
+    _ROT90, HermiteCurve, MetricChart, foot_parameters, g_norm, geodesic_integrate,
+)
 from .multigraph import star
 from .net import GeodesicNet, edge_lengths
 from .variation import stationarity_residual
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
     "PathCoord",
@@ -70,72 +68,45 @@ class PathCoord:
 
 @dataclass
 class EdgeTube:
-    """Extended reference curve with a Euclidean normal frame."""
+    """Extended reference curve with a Euclidean normal frame, in a planar chart."""
 
     eid: str
-    s_grid: np.ndarray            # fine grid spanning [-eta, 1+eta]
-    curve: CubicHermiteSpline     # F(s)
-    velocity: CubicHermiteSpline  # F'(s)
+    curve: HermiteCurve           # F(s) on a fine grid spanning [-eta, 1+eta]
+    velocity: HermiteCurve        # F'(s) on the same grid
     delta_long: float             # longitudinal chart radius (parameter units)
     delta_norm: float             # normal chart radius (background length units)
     eta: float
-    points: np.ndarray            # F at the fine nodes (for projection guesses)
     periodic: bool = False        # reference edge is a smooth closed loop
+
+    def jet(self, s) -> tuple:
+        """(F, F', F'') at parameters s."""
+        return (self.curve(s),) + self.velocity.jet(s, 1)
 
     def frame(self, s) -> np.ndarray:
         """Euclidean-orthonormal normal frame at s, shape (len(s), n-1, n)."""
         fp = self.velocity(s)
-        if fp.ndim == 1:
-            fp = fp[None, :]
-        n = fp.shape[1]
-        if n != 2:
-            raise NotImplementedError("tubes are implemented for planar charts")
         that = fp / np.linalg.norm(fp, axis=1, keepdims=True)
         return (that @ _ROT90.T)[:, None, :]
 
     def frame_deriv(self, s) -> np.ndarray:
-        fp = self.velocity(s)
-        fpp = self.velocity(s, 1)
-        if fp.ndim == 1:
-            fp = fp[None, :]
-            fpp = fpp[None, :]
+        fp, fpp = self.velocity.jet(s, 1)
         nrm = np.linalg.norm(fp, axis=1, keepdims=True)
         that_d = fpp / nrm - fp * np.einsum("pi,pi->p", fp, fpp)[:, None] / nrm**3
         return (that_d @ _ROT90.T)[:, None, :]
 
     def embed(self, s, u) -> np.ndarray:
         """(s, u) -> F(s) + sum_a u_a N_a(s)."""
-        pts = self.curve(s)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        frames = self.frame(s)
-        return pts + np.einsum("pa,pai->pi", np.atleast_2d(u), frames)
+        return self.curve(s) + np.einsum("pa,pai->pi", np.atleast_2d(u), self.frame(s))
 
-    def project(self, z: np.ndarray, s_guess: np.ndarray | None = None):
+    def project(self, z: np.ndarray, s_guess: np.ndarray):
         """Invert the tube map: ambient points -> (s, u) coordinates.
 
-        ``s_guess`` selects the branch when the tube wraps (loop edges);
-        without it the nearest fine node seeds the Newton iteration.
+        Newton on the foot point from ``s_guess``, which also selects the
+        branch when the tube wraps (loop edges).
         """
         z = np.atleast_2d(z)
-        if s_guess is not None:
-            s = np.array(s_guess, dtype=float).copy()
-        else:
-            d2 = ((z[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-            s = self.s_grid[np.argmin(d2, axis=1)].astype(float)
-        for _ in range(60):
-            f = self.curve(s)
-            fp = self.velocity(s)
-            fpp = self.velocity(s, 1)
-            r = z - f
-            psi = np.einsum("pi,pi->p", r, fp)
-            dpsi = -np.einsum("pi,pi->p", fp, fp) + np.einsum("pi,pi->p", r, fpp)
-            step = psi / dpsi
-            s_new = np.clip(s - step, self.s_grid[0], self.s_grid[-1])
-            if np.abs(s_new - s).max() < 1e-15:
-                s = s_new
-                break
-            s = s_new
+        s = foot_parameters(self.jet, z, np.array(s_guess, dtype=float),
+                            self.curve.grid[0], self.curve.grid[-1])
         frames = self.frame(s)
         u = np.einsum("pi,pai->pa", z - self.curve(s), frames)
         resid = z - self.embed(s, u)
@@ -188,10 +159,11 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
 
     The longitudinal radius is ``delta_rel`` in parameter units; the
     normal radius is ``delta_rel`` times the edge length in background
-    units; edges are extended by ``eta_rel`` parameter units.
+    units; edges are extended by ``eta_rel`` parameter units.  Tubes need
+    a planar chart; other nets are refused with ``TubeError``.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
+    if net.dim != 2:
+        raise TubeError(f"tube construction needs a planar chart; this net has dimension {net.dim}")
     lengths = net.lengths or edge_lengths(chart, net)
     tubes = {}
     for e in net.graph.edges:
@@ -214,17 +186,13 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
         s_grid = np.linspace(-eta, 1.0 + eta, pts.shape[0])
         gam = chart.christoffel_many(pts)
         accs = -np.einsum("pkij,pi,pj->pk", gam, vels, vels)
-        curve = CubicHermiteSpline(s_grid, pts, vels, axis=0)
-        vel_spline = CubicHermiteSpline(s_grid, vels, accs, axis=0)
         tube = EdgeTube(
             eid=e.id,
-            s_grid=s_grid,
-            curve=curve,
-            velocity=vel_spline,
+            curve=HermiteCurve(s_grid, pts, vels),
+            velocity=HermiteCurve(s_grid, vels, accs),
             delta_long=delta_rel,
             delta_norm=delta_rel * lengths[e.id],
             eta=eta,
-            points=pts,
             periodic=e.id in net.periodic_edges,
         )
         _validate_tube(tube)
@@ -235,9 +203,9 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
 
 def _validate_tube(tube: EdgeTube) -> None:
     """Sampling check that the tube does not self-overlap within its radius."""
-    pts = tube.points
-    s = tube.s_grid
-    speed = np.linalg.norm(tube.velocity(s), axis=1)
+    pts = tube.curve.values
+    s = tube.curve.grid
+    speed = np.linalg.norm(tube.velocity.values, axis=1)
     sep_param = 4.0 * tube.delta_norm / speed.min()
     for k in range(0, len(s), 4):
         d = np.linalg.norm(pts - pts[k], axis=1)
@@ -269,25 +237,20 @@ def xi_prime(curve: np.ndarray) -> PathCoord:
     """Trivialization curve -> (a, b, u); constant on reparametrizations.
 
     The longitudinal component must be strictly monotone; the normal part
-    is re-gridded as a function of the rescaled longitudinal coordinate.
+    is re-gridded as a function of the rescaled longitudinal coordinate:
+    the curve parameters at which the longitudinal coordinate reaches the
+    uniform targets come from ``stencils.inverse_interpolate``, and the
+    normal part is read there with ``stencils.evaluate_curve``.
     """
-    from scipy.interpolate import CubicSpline
-
     lon = curve[:, 0]
-    dlon = np.diff(lon)
-    if not np.all(dlon > 0):
+    if not np.all(np.diff(lon) > 0):
         raise TubeError("longitudinal component is not strictly monotone")
     a = float(lon[0])
     b = float(lon[-1])
-    theta = (lon - a) / (b - a)
-    npts = curve.shape[0]
-    tgrid = np.linspace(0.0, 1.0, npts)
-    u = np.empty((npts, curve.shape[1] - 1))
-    for comp in range(curve.shape[1] - 1):
-        # shape-preserving in theta; exact when theta is already the grid
-        spl = CubicSpline(theta, curve[:, comp + 1])
-        u[:, comp] = spl(tgrid)
-    return PathCoord(a=a, b=b, u=u)
+    # the targets of ``xi``, so a curve from ``xi`` is read at its own samples
+    t = np.linspace(0.0, 1.0, curve.shape[0])
+    params = stencils.inverse_interpolate(lon, (1 - t) * a + t * b)
+    return PathCoord(a=a, b=b, u=stencils.evaluate_curve(curve[:, 1:], params))
 
 
 def tube_embed(nc: NetChart, eid: str, triv_curve: np.ndarray) -> np.ndarray:
@@ -316,9 +279,9 @@ def tube_coordinates(nc: NetChart, eid: str, samples: np.ndarray,
         s_guess = np.linspace(0.0, 1.0, samples.shape[0])
     # pull each sample into the lift frame of the tube
     guess_idx = np.clip(
-        np.searchsorted(tube.s_grid, s_guess), 0, tube.points.shape[0] - 1
+        np.searchsorted(tube.curve.grid, s_guess), 0, tube.curve.grid.shape[0] - 1
     )
-    ref = tube.points[guess_idx]
+    ref = tube.curve.values[guess_idx]
     lifted = ref + base.displacement_many(ref, samples)
     s, u = tube.project(lifted, s_guess=s_guess)
     return np.concatenate([s[:, None], u], axis=1)
@@ -421,9 +384,10 @@ def _lagrangian_values(g: MetricChart, nc: NetChart, pc: PathCoord, eid: str,
             shift = np.zeros(u.shape[1])
         w = stencils.velocity(u, loop_shift=shift)
     s = (1 - t) * a + t * b
-    pts = tube.curve(s) + np.einsum("pa,pai->pi", u, tube.frame(s))
+    frame = tube.frame(s)
+    pts = tube.curve(s) + np.einsum("pa,pai->pi", u, frame)
     vel = (b - a) * (tube.velocity(s) + np.einsum("pa,pai->pi", u, tube.frame_deriv(s)))
-    vel = vel + np.einsum("pa,pai->pi", w, tube.frame(s))
+    vel = vel + np.einsum("pa,pai->pi", w, frame)
     return g_norm(g, pts, vel)
 
 
@@ -477,8 +441,8 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
             ) / (2 * fd_step)
         ddt_grad_w = stencils.velocity(grad_w, loop_shift=shift)
         h1[e.id] = e.multiplicity * (grad_u - ddt_grad_w)
-        # endpoint blocks for the vertex part; Simpson keeps the endpoint
-        # integrals at interior-order accuracy
+        # endpoint blocks for the vertex part, integrated with the weights
+        # of ``lagrangian_integral`` so they differentiate that functional
         dl_da = (
             _lagrangian_values(g, nc, pc, e.id, a=pc.a + fd_step, w=w_arr)
             - _lagrangian_values(g, nc, pc, e.id, a=pc.a - fd_step, w=w_arr)
@@ -487,11 +451,9 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
             _lagrangian_values(g, nc, pc, e.id, b=pc.b + fd_step, w=w_arr)
             - _lagrangian_values(g, nc, pc, e.id, b=pc.b - fd_step, w=w_arr)
         ) / (2 * fd_step)
-        from scipy.integrate import simpson
-
-        h_grid = 1.0 / (npts - 1)
-        int_da = float(simpson(dl_da, dx=h_grid))
-        int_db = float(simpson(dl_db, dx=h_grid))
+        wq = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=shift is not None)
+        int_da = float(wq @ dl_da)
+        int_db = float(wq @ dl_db)
         a1 = e.multiplicity * np.concatenate([[int_da], -grad_w[0]])
         a2 = e.multiplicity * np.concatenate([[int_db], grad_w[-1]])
         endpoint_data[e.id] = (a1, a2)

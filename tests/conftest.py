@@ -47,3 +47,21 @@ def jitter_net(net, rng, amp=0.05, vertex_only=False):
     out.constant_speed = False
     out.lengths = {}
     return out
+
+
+def theta3d_doc():
+    """Spec document of a theta net in flat 3-space (not planar)."""
+    t = np.linspace(0.0, 1.0, 17)
+    bend = np.sin(np.pi * t)
+    zero = np.zeros_like(t)
+    curves = {"E1": np.stack([t, 0.3 * bend, zero], axis=1),
+              "E2": np.stack([t, -0.3 * bend, zero], axis=1),
+              "E3": np.stack([t, zero, 0.3 * bend], axis=1)}
+    return {
+        "graph": {"vertices": ["A", "B"],
+                  "edges": [{"id": e, "v0": "A", "v1": "B"} for e in curves]},
+        "metric": {"kind": "euclidean", "dim": 3},
+        "net": {"vertices": {"A": [0.0, 0.0, 0.0], "B": [1.0, 0.0, 0.0]},
+                "edges": {e: {"samples": c.tolist()} for e, c in curves.items()}},
+        "options": {},
+    }

@@ -234,20 +234,43 @@ def test_constant_conformal_factor_keeps_geodesics():
 
 # -- directional bumps -------------------------------------------------------
 
-def test_directional_bump_anchor_matches_scipy_hermite():
+def test_shared_hermite_curve_matches_scipy_hermite():
+    # the one cubic Hermite of the library: the anchor of a directional bump
+    # (orders 0 to 3) and the position and velocity curves of a tube (0 and 1)
     from scipy.interpolate import CubicHermiteSpline
 
     from geodesicnets.geometry import DirectionalBumpField
+    from geodesicnets.localcoords import build_net_chart
 
     s_grid = np.linspace(0.0, 1.0, 40)
     pts = np.stack([np.cos(2 * s_grid), np.sin(3 * s_grid)], axis=1)
     vel = np.stack([-2 * np.sin(2 * s_grid), 3 * np.cos(3 * s_grid)], axis=1)
     fld = DirectionalBumpField(pts[20], 0.1, [0.0, 1.0], pts, vel)
-    ref = CubicHermiteSpline(s_grid, pts, vel, axis=0)
-    s = np.concatenate([np.random.default_rng(5).uniform(0.0, 1.0, 200), s_grid])
-    for order, got in enumerate(fld._hermite(s)):
-        expect = ref(s, order)
-        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    case = make_case("sphere-theta", 32)
+    tube = build_net_chart(case.chart, case.net).tubes["E1"]
+    rng = np.random.default_rng(5)
+    for curve, order in ((fld.anchor, 3), (tube.curve, 1), (tube.velocity, 1)):
+        ref = CubicHermiteSpline(curve.grid, curve.values, curve.derivatives, axis=0)
+        s = np.concatenate([rng.uniform(curve.grid[0], curve.grid[-1], 200), curve.grid])
+        jet = curve.jet(s, order)
+        assert len(jet) == order + 1
+        for nu, got in enumerate(jet):
+            expect = ref(s, nu)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_torus_displacement_is_shortest_representative():
+    # brute force over the lattice vectors with coordinates in -3..3
+    rng = np.random.default_rng(11)
+    d = rng.uniform(-1.0, 1.0, size=(20000, 2))
+    got = TORUS.displacement_many(np.zeros(2), d)
+    k = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)), axis=-1).reshape(-1, 2)
+    cand = d[:, None, :] + k @ HEX_LATTICE
+    shortest = np.sqrt(np.einsum("pki,pki->pk", cand, cand).min(axis=1))
+    assert np.abs(np.linalg.norm(got, axis=1) - shortest).max() <= 1e-14
+    # each is a representative: it differs from d by a lattice vector
+    coeff = (got - d) @ np.linalg.inv(HEX_LATTICE)
+    assert np.abs(coeff - np.round(coeff)).max() <= 1e-12
 
 
 # -- closed-form Hessians and Christoffel derivatives -------------------------
@@ -345,24 +368,25 @@ def _all_pairs_reference(fld, points):
     """Value and gradient of a directional bump as evaluated before the cull:
     every point lifted by its nearest anchor sample (all pairs), projected
     by Newton from the nearest anchor node."""
-    diff = points[:, None, :] - fld.anchor_points[None, :, :]
+    anchor = fld.anchor.values
+    diff = points[:, None, :] - anchor[None, :, :]
     disp = fld.chart.wrap_many(diff.reshape(-1, 2)).reshape(diff.shape)
     j = np.argmin(np.einsum("psi,psi->ps", disp, disp), axis=1)
-    lifted = fld.anchor_points[j] + disp[np.arange(len(points)), j]
+    lifted = anchor[j] + disp[np.arange(len(points)), j]
     rel = lifted - fld.center
     dist = np.linalg.norm(rel, axis=1)
     rho = dist / fld.radius
     inside = rho < 1.0
     vals, grads = np.zeros(len(points)), np.zeros_like(points)
     z = lifted[inside]
-    d2 = ((z[:, None, :] - fld.anchor_points[None, :, :]) ** 2).sum(axis=2)
-    s = fld._s_grid[np.argmin(d2, axis=1)]
+    d2 = ((z[:, None, :] - anchor[None, :, :]) ** 2).sum(axis=2)
+    s = fld.anchor.grid[np.argmin(d2, axis=1)]
     for _ in range(40):
-        f, fp, fpp, _ = fld._hermite(s)
+        f, fp, fpp = fld.anchor.jet(s, 2)
         r = z - f
         s = np.clip(s - np.einsum("pi,pi->p", r, fp)
                     / (np.einsum("pi,pi->p", r, fpp) - np.einsum("pi,pi->p", fp, fp)), 0.0, 1.0)
-    c, fp, fpp, _ = fld._hermite(s)
+    c, fp, fpp = fld.anchor.jet(s, 2)
     w = fld.direction
     pairing = (z - c) @ w
     chi = (1.0 - rho[inside] ** 2) ** 3

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import theta3d_doc
+
 import geodesicnets
 from geodesicnets import cli, length, make_case, specfile
 
@@ -68,6 +70,33 @@ def test_newton_commands_do_not_load_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert json.loads(out.stdout) == [[0, 0, 0], []]
+
+
+def test_no_cli_command_loads_scipy(tmp_path):
+    # every command in one interpreter, chart-roundtrip included
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
+    doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
+    ramp = tmp_path / "ramp.json"
+    specfile.write_spec(doc, str(ramp))
+    runs = [["generate", "--case", "sphere-theta", "--out", str(tmp_path / "generated.json")]]
+    runs += [[cmd, "--spec", str(path), "--out", os.devnull]
+             for cmd in ("check", "solve", "jacobi", "perturb", "chart-roundtrip")]
+    runs += [["continue", "--spec", str(ramp), "--out", os.devnull],
+             ["export-plot", "--spec", str(path), "--csv", str(tmp_path / "net.csv"),
+              "--out", os.devnull]]
+    src = os.path.dirname(os.path.dirname(geodesicnets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, sys, warnings\n"
+        "from geodesicnets import cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [[0] * 8, []]
 
 
 # -- spec files ---------------------------------------------------------------
@@ -326,21 +355,7 @@ def test_cli_perturb_rejects_a_non_stationary_input(tmp_path, capsys):
 
 
 def test_cli_chart_roundtrip_rejects_a_3d_chart(tmp_path, capsys):
-    t = np.linspace(0.0, 1.0, 17)
-    bend = np.sin(np.pi * t)
-    zero = np.zeros_like(t)
-    curves = {"E1": np.stack([t, 0.3 * bend, zero], axis=1),
-              "E2": np.stack([t, -0.3 * bend, zero], axis=1),
-              "E3": np.stack([t, zero, 0.3 * bend], axis=1)}
-    doc = {
-        "graph": {"vertices": ["A", "B"],
-                  "edges": [{"id": e, "v0": "A", "v1": "B"} for e in curves]},
-        "metric": {"kind": "euclidean", "dim": 3},
-        "net": {"vertices": {"A": [0.0, 0.0, 0.0], "B": [1.0, 0.0, 0.0]},
-                "edges": {e: {"samples": c.tolist()} for e, c in curves.items()}},
-        "options": {},
-    }
     path = tmp_path / "theta3d.json"
-    specfile.write_spec(doc, str(path))
+    specfile.write_spec(theta3d_doc(), str(path))
     assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 2
     assert "needs a planar chart" in capsys.readouterr().err

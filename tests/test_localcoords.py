@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import jitter_net
+from conftest import jitter_net, theta3d_doc
 
 from geodesicnets import (
     PathCoord,
@@ -112,6 +112,16 @@ def test_xi_prime_rejects_non_monotone():
 
 
 # -- lambda map and tube coordinates -----------------------------------------
+
+def test_build_net_chart_refuses_a_3d_net(tmp_path):
+    from geodesicnets import specfile
+
+    path = tmp_path / "theta3d.json"
+    specfile.write_spec(theta3d_doc(), str(path))
+    spec = specfile.load_spec(str(path))
+    with pytest.raises(TubeError, match="needs a planar chart"):
+        build_net_chart(spec.chart(), spec.net)
+
 
 def test_center_roundtrip_exact():
     for name in ("honeycomb-torus", "sphere-theta", "sphere-equator"):
