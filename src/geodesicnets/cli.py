@@ -205,7 +205,8 @@ def _cmd_chart_roundtrip(spec, args, options):
         "constraint_norm": c_res.norm,
         "interior_residual_max": max(float(np.abs(v).max()) for v in h1.values()),
         "vertex_residual_max": max(float(np.linalg.norm(v)) for v in h2.values()),
-        "equivalence_check": localcoords.stationarity_equivalence_check(chart, nc, coords),
+        "equivalence_check": localcoords.stationarity_equivalence_check(
+            chart, nc, coords, residuals=(h1, h2, c_res)),
     }
     ok = worst <= 1e-9 and report["equivalence_check"]
     code = _finish(args, "chart-roundtrip", options, report, net=spec.net)

@@ -40,6 +40,8 @@ __all__ = [
     "exp_background",
     "g_dot",
     "g_norm",
+    "metric_dot",
+    "metric_norm",
 ]
 
 # Quarter turn of the plane: maps a vector to its positive normal.
@@ -367,6 +369,11 @@ class MetricChart:
         """d_k g_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
         raise NotImplementedError
 
+    def metric_jet_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g, dg): ``metric_many`` and ``metric_deriv_many`` at once, equal
+        to them bit for bit."""
+        return self.metric_many(points), self.metric_deriv_many(points)
+
     def metric(self, p) -> np.ndarray:
         return self.metric_many(np.asarray(p, dtype=float)[None, :])[0]
 
@@ -528,24 +535,26 @@ class StereographicSphereChart(MetricChart):
     def __init__(self, radius: float = 1.0, dim: int = 2):
         self.radius = float(radius)
         self.dim = dim
+        self._eye = np.eye(dim)
 
     def _mu(self, points):
-        r2 = self.radius**2
-        return 2.0 * r2 / (r2 + np.einsum("ij,ij->i", points, points))
-
-    def metric_many(self, points):
-        mu = self._mu(points)
-        eye = np.eye(self.dim)
-        return mu[:, None, None] ** 2 * eye
-
-    def metric_deriv_many(self, points):
-        # d_k g_ij = 2 mu d_k(mu) delta_ij,  d_k mu = -2 p_k mu / (r^2+|p|^2)
+        """(mu, r^2 + |p|^2) at each point."""
         r2 = self.radius**2
         denom = r2 + np.einsum("ij,ij->i", points, points)
-        mu = 2.0 * r2 / denom
+        return 2.0 * r2 / denom, denom
+
+    def metric_many(self, points):
+        return self._mu(points)[0][:, None, None] ** 2 * self._eye
+
+    def metric_deriv_many(self, points):
+        return self.metric_jet_many(points)[1]
+
+    def metric_jet_many(self, points):
+        # d_k g_ij = 2 mu d_k(mu) delta_ij,  d_k mu = -2 p_k mu / (r^2+|p|^2)
+        mu, denom = self._mu(points)
         dmu = -2.0 * points * (mu / denom)[:, None]
-        eye = np.eye(self.dim)
-        return 2.0 * mu[:, None, None, None] * dmu[:, :, None, None] * eye
+        return (mu[:, None, None] ** 2 * self._eye,
+                2.0 * mu[:, None, None, None] * dmu[:, :, None, None] * self._eye)
 
     def _lam_derivs(self, points):
         """First and second derivatives of lambda = log mu."""
@@ -608,12 +617,16 @@ class ConformalChart(MetricChart):
         return self.factor_many(points)[:, None, None] * self.base.metric_many(points)
 
     def metric_deriv_many(self, points):
+        return self.metric_jet_many(points)[1]
+
+    def metric_jet_many(self, points):
+        """One field evaluation plus the base chart's own jet, so stacked
+        bumps recurse through their bases."""
         h, dh, _ = self.field.jet_many(points, 1)
         f = 1.0 + self.amplitude * h
-        grad = self.amplitude * dh
-        g = self.base.metric_many(points)
-        dg = self.base.metric_deriv_many(points)
-        return grad[:, :, None, None] * g[:, None, :, :] + f[:, None, None, None] * dg
+        g, dg = self.base.metric_jet_many(points)
+        return (f[:, None, None] * g,
+                (self.amplitude * dh)[:, :, None, None] * g[:, None, :, :] + f[:, None, None, None] * dg)
 
     def _sigma(self, points, order):
         """sigma = grad(log f) / 2 for f = 1 + x*h, and for order 2 its
@@ -694,12 +707,22 @@ def conformal_family(base: MetricChart, field: ScalarField, amplitude: float) ->
 # metric pairings
 # ---------------------------------------------------------------------------
 
+def metric_dot(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> at each point for the metric matrices g, shape (m, n, n)."""
+    return np.einsum("pij,pi,pj->p", g, a, b)
+
+
+def metric_norm(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(metric_dot(g, a, a), 0.0))
+
+
 def g_dot(chart: MetricChart, points, a, b) -> np.ndarray:
     g = chart.metric_many(np.asarray(points, dtype=float))
-    return np.einsum("pij,pi,pj->p", g, np.asarray(a, float), np.asarray(b, float))
+    return metric_dot(g, np.asarray(a, float), np.asarray(b, float))
+
 
 def g_norm(chart: MetricChart, points, a) -> np.ndarray:
-    return np.sqrt(np.maximum(g_dot(chart, points, a, a), 0.0))
+    return metric_norm(chart.metric_many(np.asarray(points, dtype=float)), np.asarray(a, float))
 
 
 # ---------------------------------------------------------------------------

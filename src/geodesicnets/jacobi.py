@@ -17,17 +17,32 @@ loop is a reparametrization, so the system reduces to periodicity of
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from . import stencils
-from .geometry import _ROT90, MetricChart, SampledCurve, g_dot, g_norm, parallel_transport
-from .multigraph import GraphClass, classify
+from .geometry import (
+    _ROT90,
+    MetricChart,
+    SampledCurve,
+    g_dot,
+    g_norm,
+    metric_norm,
+    parallel_transport,
+)
+from .multigraph import GraphClass, WeightedMultigraph, classify
 from .net import GeodesicNet, NetField, edge_lengths, length
-from .variation import NotStationaryError, length_sample_gradient, stationarity_residual
+from .variation import (
+    NotStationaryError,
+    edge_length_gradient,
+    length_sample_gradient,
+    stationarity_residual,
+)
 
 __all__ = [
     "ReducedField",
@@ -44,6 +59,7 @@ __all__ = [
     "fd_hessian",
     "reduced_hessian_fd",
     "reduced_basis_fields",
+    "reduced_gradient",
     "random_reduced_field",
     "approximate_embeddedness",
 ]
@@ -62,9 +78,7 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
     """
     n = samples.shape[1]
     if n == 2:
-        raw = np.einsum("ij,pj->pi", _ROT90, np.einsum("pij,pj->pi", chart.metric_many(samples), velocities))
-        nrm = g_norm(chart, samples, raw)
-        return (raw / nrm[:, None])[:, None, :]
+        return _normal_frame(chart.metric_many(samples), velocities)
     frames = np.empty((samples.shape[0], n - 1, n))
     v0 = velocities[0]
     g0 = chart.metric(samples[0])
@@ -83,6 +97,12 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
     for a, w in enumerate(basis[1:]):
         frames[:, a, :] = parallel_transport(chart, curve, w)
     return frames
+
+
+def _normal_frame(g: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """The planar ``parallel_frame`` from the metric g at the samples."""
+    raw = np.einsum("ij,pj->pi", _ROT90, np.einsum("pij,pj->pi", g, velocities))
+    return (raw / metric_norm(g, raw)[:, None])[:, None, :]
 
 
 def jacobi_ode_coefficients(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
@@ -508,44 +528,42 @@ def approximate_embeddedness(chart: MetricChart, net: GeodesicNet,
         s1 = net.edge_samples[e1]
         for e2 in eids[i:]:
             s2 = net.edge_samples[e2]
-            same = e1 == e2
-            for k, p in enumerate(s1):
-                d = np.linalg.norm(chart.displacement_many(np.broadcast_to(p, s2.shape), s2), axis=1)
-                if same:
-                    lo = max(0, k - guard)
-                    hi = min(len(d), k + guard + 1)
-                    d[lo:hi] = np.inf
-                    # periodic edges: the seam pairs are the same point
-                    if e1 in net.periodic_edges:
-                        if k < guard:
-                            d[len(d) - (guard - k) - 1 :] = np.inf
-                        if k > len(d) - 1 - guard:
-                            d[: guard - (len(d) - 1 - k) + 1] = np.inf
-                else:
-                    shared = _shared_vertex_windows(net, e1, k, e2, guard)
-                    for lo, hi in shared:
-                        d[lo:hi] = np.inf
+            # one displacement call per block of about 2^16 sample pairs
+            block = max(1, 65536 // s2.shape[0])
+            for k0 in range(0, s1.shape[0], block):
+                k = np.arange(k0, min(k0 + block, s1.shape[0]))
+                d = np.linalg.norm(chart.displacement_many(
+                    np.repeat(s1[k], s2.shape[0], axis=0), np.tile(s2, (k.size, 1))), axis=1)
+                d = d.reshape(k.size, s2.shape[0])
+                d[_ignored_pairs(net, e1, k, e2, guard)] = np.inf
                 if np.min(d) < threshold:
                     return False
     return True
 
 
-def _shared_vertex_windows(net, e1, k, e2, guard):
-    """Index windows on e2 to ignore because e1[k] sits near a shared vertex."""
-    out = []
+def _ignored_pairs(net, e1, k, e2, guard):
+    """Mask (len(k), samples of e2) of the pairs of sample k of e1 and a
+    sample of e2 that are near by construction: neighbours along one edge,
+    the seam of a periodic edge, or the two sides of a shared vertex."""
     n1 = net.edge_samples[e1].shape[0]
     n2 = net.edge_samples[e2].shape[0]
-    ends1 = []
-    if k < guard:
-        ends1.append(net.graph.edge(e1).endpoint(0))
-    if k > n1 - 1 - guard:
-        ends1.append(net.graph.edge(e1).endpoint(1))
-    for v in ends1:
-        if net.graph.edge(e2).endpoint(0) == v:
-            out.append((0, guard + 1))
-        if net.graph.edge(e2).endpoint(1) == v:
-            out.append((n2 - guard - 1, n2))
-    return out
+    k = k[:, None]
+    j = np.arange(n2)[None, :]
+    if e1 == e2:
+        mask = np.abs(j - k) <= guard
+        if e1 in net.periodic_edges:
+            # the seam pairs are the same point
+            mask |= (k < guard) & (j >= n2 - 1 - (guard - k))
+            mask |= (k > n1 - 1 - guard) & (j <= guard - (n1 - 1 - k))
+        return mask
+    mask = np.zeros((k.shape[0], n2), dtype=bool)
+    edge1, edge2 = net.graph.edge(e1), net.graph.edge(e2)
+    for near, v in ((k < guard, edge1.endpoint(0)), (k > n1 - 1 - guard, edge1.endpoint(1))):
+        if edge2.endpoint(0) == v:
+            mask |= near & (j <= guard)
+        if edge2.endpoint(1) == v:
+            mask |= near & (j >= n2 - guard - 1)
+    return mask
 
 
 def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
@@ -579,7 +597,7 @@ class ReducedBasis:
     edges: tuple
     vertex_block: np.ndarray          # (sum over edges of (N+1) * n, n_vertex)
     frames: dict[str, np.ndarray]     # (N+1, n-1, n) per edge
-    hat_offset: dict[str, int]
+    hat_offset: Mapping[str, int]
     dim: int
 
     @property
@@ -624,51 +642,90 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
     graphs: normal hats at every sample (vertex motion along the loop is a
     reparametrization and is excluded).
     """
-    gclass = classify(net.graph)
-    n = net.dim
-    edges = tuple(e.id for e in net.graph.edges)
-    frames_by_edge = {}
-    row_start = {}
-    rows = 0
-    for eid in edges:
-        s = net.edge_samples[eid]
-        shift = net.loop_shift(eid)
+    frames = {}
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        shift = net.loop_shift(e.id)
+        frames[e.id] = parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift),
+                                      loop_shift=shift)
+    basis, labels = _reduced_basis(net, frames)
+    return basis, list(labels)
+
+
+def reduced_gradient(chart: MetricChart, net: GeodesicNet):
+    """(B, B^T grad L): the reduced basis and the reduced length gradient.
+
+    Equal bit for bit to ``reduced_basis_fields`` and the pullback of
+    ``length_sample_gradient``, from one velocity and one metric jet per
+    edge, which feed both the frames and the gradient.
+    """
+    frames = {}
+    grad = {}
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        shift = net.loop_shift(e.id)
         v = stencils.velocity(s, loop_shift=shift)
-        frames_by_edge[eid] = parallel_frame(chart, s, v, loop_shift=shift)
-        row_start[eid] = rows
-        rows += s.size
-    if gclass is not GraphClass.LOOP_WITH_MULTIPLICITY:
-        labels = [("z", vtx, c) for vtx in net.graph.vertices for c in range(n)]
+        g, dg = chart.metric_jet_many(s)
+        frames[e.id] = (_normal_frame(g, v) if net.dim == 2
+                        else parallel_frame(chart, s, v, loop_shift=shift))
+        grad[e.id] = e.multiplicity * edge_length_gradient(v, g, dg, shift)
+    basis, _ = _reduced_basis(net, frames)
+    return basis, basis.pullback(grad)
+
+
+def _reduced_basis(net: GeodesicNet, frames: dict[str, np.ndarray]):
+    """B for the frames (N+1, n-1, n) of every edge, and its column labels."""
+    graph = net.graph
+    counts = tuple(net.edge_samples[e.id].shape[0] for e in graph.edges)
+    labels, hat_offset, dim, block = _basis_layout(graph, counts, net.dim)
+    if block is None:
+        # loop graphs: the normal motion of the marked vertex, in its frame
+        block = np.zeros((net.dim * sum(counts), len(graph.vertices) * (net.dim - 1)))
+        for k, (_, vtx, a) in enumerate(labels[: block.shape[1]]):
+            eid, i = graph.incident_pairs(vtx)[0]
+            fr = frames[eid][0] if i == 0 else frames[eid][-1]
+            for eid2, i2 in graph.incident_pairs(vtx):
+                _edge_rows(block, graph, counts, eid2)[0 if i2 == 0 else -1, :, k] += fr[a]
+    basis = ReducedBasis(edges=tuple(e.id for e in graph.edges), vertex_block=block,
+                         frames=frames, hat_offset=hat_offset, dim=dim)
+    return basis, labels
+
+
+def _edge_rows(block: np.ndarray, graph: WeightedMultigraph, counts: tuple, eid: str):
+    """An edge's rows of a vertex block over the stacked samples, as (N+1, n, columns)."""
+    k = [e.id for e in graph.edges].index(eid)
+    n = block.shape[0] // sum(counts)
+    start = n * sum(counts[:k])
+    return block[start : start + n * counts[k]].reshape(counts[k], n, -1)
+
+
+@lru_cache(maxsize=32)
+def _basis_layout(graph: WeightedMultigraph, counts: tuple, n: int):
+    """The part of B that depends only on the graph, the sample counts and
+    the dimension: (labels, hat offsets, d, vertex block).
+
+    The vertex block is the read-only ramp block of good* graphs; on loop
+    graphs it is None, because there it is the marked vertex's frame.
+    """
+    if classify(graph) is GraphClass.LOOP_WITH_MULTIPLICITY:
+        labels = [("zn", vtx, a) for vtx in graph.vertices for a in range(n - 1)]
+        block = None
     else:
-        labels = [("zn", vtx, a) for vtx in net.graph.vertices for a in range(n - 1)]
-    block = np.zeros((rows, len(labels)))
-
-    def edge_view(eid):
-        npts = net.edge_samples[eid].shape[0]
-        return block[row_start[eid] : row_start[eid] + npts * n].reshape(npts, n, -1)
-
-    for k, label in enumerate(labels):
-        vtx = label[1]
-        if label[0] == "z":
-            for eid, i in net.graph.incident_pairs(vtx):
-                t = np.linspace(0.0, 1.0, net.edge_samples[eid].shape[0])
-                edge_view(eid)[:, label[2], k] += (1 - t) if i == 0 else t
-        else:
-            eid, i = net.graph.incident_pairs(vtx)[0]
-            frames = frames_by_edge[eid]
-            fr = frames[0] if i == 0 else frames[-1]
-            for eid2, i2 in net.graph.incident_pairs(vtx):
-                edge_view(eid2)[0 if i2 == 0 else -1, :, k] += fr[label[2]]
+        labels = [("z", vtx, c) for vtx in graph.vertices for c in range(n)]
+        block = np.zeros((n * sum(counts), len(labels)))
+        for k, (_, vtx, c) in enumerate(labels):
+            for eid, i in graph.incident_pairs(vtx):
+                rows = _edge_rows(block, graph, counts, eid)
+                t = np.linspace(0.0, 1.0, rows.shape[0])
+                rows[:, c, k] += (1 - t) if i == 0 else t
+        block.flags.writeable = False
     hat_offset = {}
     col = len(labels)
-    for eid in edges:
-        hat_offset[eid] = col
-        npts = net.edge_samples[eid].shape[0]
-        labels.extend(("u", eid, j, a) for j in range(1, npts - 1) for a in range(n - 1))
+    for e, npts in zip(graph.edges, counts):
+        hat_offset[e.id] = col
+        labels.extend(("u", e.id, j, a) for j in range(1, npts - 1) for a in range(n - 1))
         col += (npts - 2) * (n - 1)
-    basis = ReducedBasis(edges=edges, vertex_block=block, frames=frames_by_edge,
-                         hat_offset=hat_offset, dim=col)
-    return basis, labels
+    return tuple(labels), MappingProxyType(hat_offset), col, block
 
 
 @lru_cache(maxsize=32)

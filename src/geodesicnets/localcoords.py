@@ -475,12 +475,19 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
 
 
 def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoord,
-                                   tol: float = 1e-4, ambient_tol: float | None = None) -> bool:
+                                   tol: float = 1e-4, ambient_tol: float | None = None,
+                                   residuals: tuple | None = None) -> bool:
     """True when the coordinate residual (H, C) and the ambient stationarity
-    residual agree on whether the net is stationary."""
+    residual agree on whether the net is stationary.
+
+    ``residuals`` is (h1, h2, c_res) as ``mean_curvature_H`` and
+    ``constraint_C`` return them for these coordinates, when the caller
+    has them already; otherwise they are computed here.
+    """
     ambient_tol = tol if ambient_tol is None else ambient_tol
-    h1, h2 = mean_curvature_H(g, nc, coords)
-    c_res = constraint_C(nc, coords)
+    if residuals is None:
+        residuals = (*mean_curvature_H(g, nc, coords), constraint_C(nc, coords))
+    h1, h2, c_res = residuals
     h1_norm = max(float(np.abs(v).max()) for v in h1.values())
     h2_norm = max(float(np.linalg.norm(v)) for v in h2.values())
     coord_stationary = max(h1_norm, h2_norm, c_res.norm) <= tol

@@ -34,10 +34,10 @@ from .jacobi import (
     classify_field,
     fd_hessian,
     is_nondegenerate,
-    reduced_basis_fields,
+    reduced_gradient,
 )
 from .net import GeodesicNet, NetField, displace, edge_lengths, length, reparametrize_constant_speed
-from .variation import NotStationaryError, length_sample_gradient
+from .variation import NotStationaryError
 
 __all__ = [
     "SolveOptions",
@@ -134,32 +134,27 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     opts = opts or SolveOptions()
     net = reparametrize_constant_speed(chart, init)
     net.lengths = edge_lengths(chart, net)
+    basis, grad = reduced_gradient(chart, net)
     trace = []
     evals = evecs = None
     stale = 0
 
-    def reduced_gradient(net_now):
-        basis, _ = reduced_basis_fields(chart, net_now)
-        return basis, basis.pullback(length_sample_gradient(chart, net_now))
-
-    def merit(cand_net):
-        return float(np.linalg.norm(reduced_gradient(cand_net)[1]))
-
     def try_direction(net_now, direction, gnorm):
+        """(step size, accepted net, its basis and reduced gradient), or None."""
         alpha = 1.0
         for _ in range(opts.max_backtracks):
             cand = reparametrize_constant_speed(chart, displace(net_now, direction, alpha))
-            cand_gnorm = merit(cand)
+            cand_basis, cand_grad = reduced_gradient(chart, cand)
+            cand_gnorm = float(np.linalg.norm(cand_grad))
             if cand_gnorm < gnorm * (1.0 - 1e-4 * alpha) or cand_gnorm <= opts.tolerance:
                 cand.lengths = edge_lengths(chart, cand)
-                return cand, alpha
+                return alpha, cand, cand_basis, cand_grad
             if alpha < 1e-6:
                 break
             alpha *= opts.backtrack_factor
-        return None, None
+        return None
 
     for it in range(opts.max_iterations + 1):
-        basis, grad = reduced_gradient(net)
         gnorm = float(np.linalg.norm(grad))
         trace.append({"iteration": it, "gradient_norm": gnorm})
         if gnorm <= opts.tolerance:
@@ -185,29 +180,30 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         act = ~null
         coef_eig[act] = -g_eig[act] / evals[act]
         direction = basis.apply(evecs @ coef_eig)
-        cand, alpha = try_direction(net, direction, gnorm)
-        if cand is None and stale > 0:
+        step = try_direction(net, direction, gnorm)
+        if step is None and stale > 0:
             # retry with a fresh Newton matrix before damping
             evals = None
             stale = opts.hessian_refresh
             continue
-        if cand is None:
+        if step is None:
             # damped least-squares steps on the gradient norm
             mu = max(1e-6 * emax**2, 1e-14)
             for _ in range(opts.lm_max_boosts):
                 coef = -(evals * g_eig) / (evals**2 + mu)
                 direction = basis.apply(evecs @ coef)
-                cand, alpha = try_direction(net, direction, gnorm)
-                if cand is not None:
+                step = try_direction(net, direction, gnorm)
+                if step is not None:
                     break
                 mu *= 10.0
-        if cand is None:
+        if step is None:
             raise MaxIterationsError(
                 f"line search stalled at iteration {it} (gradient {gnorm:.3e})",
                 result=SolveResult(net=net, converged=False, iterations=it,
                                    gradient_norm=gnorm, trace=trace),
             )
-        net = cand
+        # the accepted candidate's basis and gradient serve the next iteration
+        alpha, net, basis, grad = step
         trace[-1]["step_size"] = alpha
         stale += 1
         if alpha < 0.5:

@@ -94,7 +94,11 @@ def _require_open(n: int) -> None:
 
 def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
     """``rows`` outputs of a sliding stencil; output k reads ``ext[k : k + len(coeffs)]``."""
-    return sum(c * ext[k : k + rows] for k, c in enumerate(coeffs) if c != 0.0)
+    out = 0
+    for k, c in enumerate(coeffs):
+        if c != 0.0:
+            out = out + c * ext[k : k + rows]
+    return out
 
 
 def quadrature_weights(n_samples: int, h: float, loop: bool = False) -> np.ndarray:
@@ -211,12 +215,17 @@ def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
 # coarse samples starting _BACK before k (clamped to open edges).
 _WINDOW = 6
 _BACK = 2
+# The fixed node row of a window, as positions inside it.
+_NODES = np.arange(_WINDOW, dtype=float)
 
 
+@lru_cache(maxsize=64)
 def _window_starts(n: int, loop: bool) -> np.ndarray:
-    """First coarse sample of the interpolation window of every interval."""
+    """First coarse sample of the interpolation window of every interval (read-only)."""
     k = np.arange(n - 1)
-    return k - _BACK if loop else np.clip(k - _BACK, 0, n - _WINDOW)
+    lo = k - _BACK if loop else np.clip(k - _BACK, 0, n - _WINDOW)
+    lo.flags.writeable = False
+    return lo
 
 
 @lru_cache(maxsize=64)
@@ -242,12 +251,11 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     t_mat = np.zeros(((n - 1) * factor + 1, n))
     t_mat[::factor] = np.eye(n)
     c_vec = np.zeros(t_mat.shape[0])
-    nodes = np.arange(_WINDOW, dtype=float)
     for r in range(1, factor):
         tau = r / factor
         xi = np.full(n - 1, _BACK + tau) if loop else (k + tau) - lo
         uniq, which = np.unique(xi, return_inverse=True)
-        wgt = np.stack([fd_weights(float(x), nodes, 0) for x in uniq])[which]
+        wgt = np.stack([fd_weights(float(x), _NODES, 0) for x in uniq])[which]
         rows = k * factor + r
         np.add.at(t_mat, (rows[:, None], cols), wgt)
         if loop:
@@ -324,34 +332,32 @@ def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndar
     return out
 
 
-def _lagrange(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Lagrange basis weights at points x (P,) on node rows (P, W) or one node row (W,)."""
-    nodes = np.broadcast_to(nodes, (x.shape[0], nodes.shape[-1]))
-    width = nodes.shape[1]
-    ones = np.ones((x.shape[0], 1))
-    diff = x[:, None] - nodes
-    # products of the differences to the nodes before j and after j
-    before = np.cumprod(np.hstack([ones, diff[:, :-1]]), axis=1)
-    after = np.cumprod(np.hstack([ones, diff[:, :0:-1]]), axis=1)[:, ::-1]
-    gaps = nodes[:, :, None] - nodes[:, None, :]
-    gaps[:, np.arange(width), np.arange(width)] = 1.0
-    return before * after / gaps.prod(axis=2)
+def _denominators(nodes: np.ndarray) -> np.ndarray:
+    """Products over k != j of (nodes[j] - nodes[k]), per node row."""
+    width = nodes.shape[-1]
+    gaps = nodes[..., :, None] - nodes[..., None, :]
+    gaps.reshape(-1, width * width)[:, :: width + 1] = 1.0  # the diagonals
+    return gaps.prod(axis=-1)
 
 
-def _cell_windows(values: np.ndarray, loop_shift=None):
-    """The interpolation window of every interval, as ``upsample_operator`` takes it.
+# The denominators of the fixed node row are integers, so exact.
+_NODE_DENOMINATORS = _denominators(_NODES)
+_NODE_DENOMINATORS.flags.writeable = False
 
-    Returns the (n-1, 6, ...) window samples (continued across the seam of
-    loop edges) and each interval's offset inside its window.
-    """
-    n = values.shape[0]
-    k = np.arange(n - 1)
-    lo = _window_starts(n, loop_shift is not None)
-    start = lo
-    if loop_shift is not None:
-        values = _extend_loop(values, loop_shift, _BACK)
-        start = lo + _BACK
-    return values[start[:, None] + np.arange(_WINDOW)], k - lo
+
+def _lagrange(x: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+    """Lagrange basis weights at points x (P,) on node rows (P, W), or on the
+    fixed row ``_NODES`` when nodes is None."""
+    diff = x[:, None] - (_NODES if nodes is None else nodes)
+    # running products of the differences to the nodes before j (row 0)
+    # and, from the far end, after j (row 1)
+    prods = np.empty((2,) + diff.shape)
+    prods[:, :, 0] = 1.0
+    prods[0, :, 1:] = diff[:, :-1]
+    prods[1, :, 1:] = diff[:, :0:-1]
+    np.multiply.accumulate(prods, axis=2, out=prods)
+    denom = _NODE_DENOMINATORS if nodes is None else _denominators(nodes)
+    return prods[0] * prods[1, :, ::-1] / denom
 
 
 def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.ndarray:
@@ -360,11 +366,16 @@ def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.nd
     Same 6-point windows and seam handling, so on the fine grid it returns
     ``upsample_curve`` up to rounding.
     """
-    windows, offset = _cell_windows(samples, loop_shift)
-    x = np.asarray(t, dtype=float) * (samples.shape[0] - 1)
-    k = np.clip(np.floor(x).astype(int), 0, samples.shape[0] - 2)
-    wgt = _lagrange(x - k + offset[k], np.arange(_WINDOW, dtype=float))
-    return np.einsum("pj,pj...->p...", wgt, windows[k])
+    n = samples.shape[0]
+    x = np.asarray(t, dtype=float) * (n - 1)
+    k = np.minimum(np.maximum(np.floor(x).astype(int), 0), n - 2)
+    lo = _window_starts(n, loop_shift is not None)[k]
+    wgt = _lagrange(x - k + (k - lo))
+    if loop_shift is not None:
+        samples = _extend_loop(samples, loop_shift, _BACK)
+        lo = lo + _BACK
+    # only the windows of the intervals that hold a t
+    return np.einsum("pj,pj...->p...", wgt, samples[lo[:, None] + np.arange(_WINDOW)])
 
 
 @lru_cache(maxsize=1)
@@ -372,19 +383,34 @@ def _cell_integrals() -> np.ndarray:
     """Row o: integrals over [o, o + 1] of the 6 Lagrange basis polynomials
     on nodes 0..5 (3-point Gauss-Legendre, exact for degree 5)."""
     gx, gw = np.polynomial.legendre.leggauss(3)
-    nodes = np.arange(_WINDOW, dtype=float)
-    rows = [0.5 * gw @ _lagrange(o + 0.5 * (gx + 1.0), nodes) for o in range(_WINDOW - 1)]
+    rows = [0.5 * gw @ _lagrange(o + 0.5 * (gx + 1.0)) for o in range(_WINDOW - 1)]
     tab = np.stack(rows)
     tab.flags.writeable = False
     return tab
+
+
+@lru_cache(maxsize=64)
+def _cell_layout(n: int, loop: bool):
+    """The interpolation window of every interval, as ``upsample_operator``
+    takes it: sample indices (n-1, 6), into the samples continued by _BACK
+    across the seam on loop edges, and the ``_cell_integrals`` row of each
+    interval's offset inside its window.  Read-only."""
+    lo = _window_starts(n, loop)
+    idx = (lo + _BACK if loop else lo)[:, None] + np.arange(_WINDOW)
+    weights = _cell_integrals()[np.arange(n - 1) - lo]
+    idx.flags.writeable = False
+    weights.flags.writeable = False
+    return idx, weights
 
 
 def running_integral(values: np.ndarray, loop: bool = False) -> np.ndarray:
     """Integral from 0 to each grid parameter of the ``upsample_curve``
     interpolant of scalar values sampled uniformly over [0, 1]."""
     n = values.shape[0]
-    windows, offset = _cell_windows(values, 0.0 if loop else None)
-    cells = np.einsum("kj,kj->k", _cell_integrals()[offset], windows) / (n - 1)
+    idx, weights = _cell_layout(n, loop)
+    if loop:
+        values = _extend_loop(values, 0.0, _BACK)
+    cells = np.einsum("kj,kj->k", weights, values[idx]) / (n - 1)
     return np.concatenate([[0.0], np.cumsum(cells)])
 
 
@@ -395,7 +421,7 @@ def inverse_interpolate(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     value, on clamped windows (as on open edges).
     """
     n = values.shape[0]
-    k = np.clip(np.searchsorted(values, targets) - 1, 0, n - 2)
+    k = np.minimum(np.maximum(np.searchsorted(values, targets) - 1, 0), n - 2)
     cols = _window_starts(n, False)[k][:, None] + np.arange(_WINDOW)
     wgt = _lagrange(np.asarray(targets, dtype=float), values[cols])
     return np.einsum("pj,pj->p", wgt, cols) / (n - 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencils
-from .geometry import MetricChart, g_dot, g_norm
+from .geometry import MetricChart, g_dot, g_norm, metric_norm
 from .net import GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "hessian_form",
     "hessian_fd_oracle",
     "length_sample_gradient",
+    "edge_length_gradient",
     "covariant_deriv",
 ]
 
@@ -237,26 +238,38 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
     """
     out = {}
     for e in net.graph.edges:
-        s, h, shift, w = _edge_grid(net, e.id)
+        s = net.edge_samples[e.id]
+        shift = net.loop_shift(e.id)
+        g, dg = chart.metric_jet_many(s)
         v = stencils.velocity(s, loop_shift=shift)
-        speed = g_norm(chart, s, v)
-        g = chart.metric_many(s)
-        dg = chart.metric_deriv_many(s)
-        gv_over_s = np.einsum("pij,pj->pi", g, v) / speed[:, None]
-        # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)
-        grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
-        if shift is None:
-            # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
-            grad -= w[:, None] * _field_velocity(gv_over_s, shift)
-            grad[0] -= gv_over_s[0]
-            grad[-1] += gv_over_s[-1]
-        else:
-            # D^T = -D on the uniform independent samples; the seam sample
-            # is one physical point, so fold the duplicate row onto row 0
-            u = gv_over_s.copy()
-            u[0] = u[-1] = 0.5 * (gv_over_s[0] + gv_over_s[-1])
-            grad[0] += grad[-1]
-            grad -= _field_velocity(h * u, shift)
-            grad[-1] = 0.0
-        out[e.id] = e.multiplicity * grad
+        out[e.id] = e.multiplicity * edge_length_gradient(v, g, dg, shift)
     return out
+
+
+def edge_length_gradient(v: np.ndarray, g: np.ndarray, dg: np.ndarray, loop_shift) -> np.ndarray:
+    """Gradient of one edge's discrete length in its samples, multiplicity 1.
+
+    v is the SBP ``stencils.velocity`` of the samples and (g, dg) the
+    ``metric_jet_many`` at them; ``loop_shift`` is not None on periodic edges.
+    """
+    n = v.shape[0]
+    h = 1.0 / (n - 1)
+    w = stencils.quadrature_weights(n, h, loop=loop_shift is not None)
+    speed = metric_norm(g, v)
+    gv_over_s = np.einsum("pij,pj->pi", g, v) / speed[:, None]
+    # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)
+    grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
+    if loop_shift is None:
+        # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
+        grad -= w[:, None] * _field_velocity(gv_over_s, loop_shift)
+        grad[0] -= gv_over_s[0]
+        grad[-1] += gv_over_s[-1]
+    else:
+        # D^T = -D on the uniform independent samples; the seam sample
+        # is one physical point, so fold the duplicate row onto row 0
+        u = gv_over_s.copy()
+        u[0] = u[-1] = 0.5 * (gv_over_s[0] + gv_over_s[-1])
+        grad[0] += grad[-1]
+        grad -= _field_velocity(h * u, loop_shift)
+        grad[-1] = 0.0
+    return grad

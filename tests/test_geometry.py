@@ -399,6 +399,32 @@ def _all_pairs_reference(fld, points):
     return vals, grads
 
 
+def _jet_charts():
+    """Flat torus, sphere, and conformal charts over radial, directional and
+    stacked (bump-on-bump) fields, with points that straddle the supports."""
+    case, fld = _directional("honeycomb-torus", "E1", 16, power=2)
+    radial = RadialBumpField(fld.center + [0.05, 0.1], 0.3, 1.0, chart=case.chart)
+    inner = conformal_family(case.chart, radial, 0.3)
+    on_torus = _around(fld.center, fld.radius, 200, seed=4, lattice=HEX_LATTICE)
+    on_sphere = _around(np.array([0.3, 0.1]), 0.6, 200, seed=5)
+    return [
+        ("torus", TORUS, on_torus),
+        ("sphere", SPHERE, on_sphere),
+        ("radial", inner, on_torus),
+        ("directional", conformal_family(case.chart, fld, 0.5), on_torus),
+        ("stacked", conformal_family(inner, fld, 0.5), on_torus),
+        ("radial-on-sphere", conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0), 0.3),
+         on_sphere),
+    ]
+
+
+def test_metric_jet_equals_metric_and_derivative_bitwise():
+    for name, chart, pts in _jet_charts():
+        g, dg = chart.metric_jet_many(pts)
+        assert np.array_equal(g, chart.metric_many(pts)), name
+        assert np.array_equal(dg, chart.metric_deriv_many(pts)), name
+
+
 @pytest.mark.parametrize("power", (1, 2))
 @pytest.mark.parametrize("case_name,eid,idx", [("honeycomb-torus", "E2", 20), ("flat-loop", "E", 1)])
 def test_culled_bump_matches_all_pairs_reference(case_name, eid, idx, power):

@@ -205,7 +205,16 @@ def test_cli_solve_and_continue(tmp_path):
     assert all(s["gradient_norm"] <= 1e-8 for s in rep["steps"])
 
 
-def test_cli_chart_roundtrip(tmp_path):
+def test_cli_chart_roundtrip(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("mean_curvature_H", "constraint_C"):
+        original = getattr(cli.localcoords, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.localcoords, name, counted)
     path, _ = write_case_spec(tmp_path, "sphere-equator")
     out = tmp_path / "res.json"
     code = cli.main(["chart-roundtrip", "--spec", str(path), "--out", str(out)])
@@ -213,6 +222,8 @@ def test_cli_chart_roundtrip(tmp_path):
     rep = json.loads(out.read_text())["report"]
     assert rep["roundtrip_worst"] <= 1e-9
     assert rep["equivalence_check"] is True
+    # the report and the equivalence check share one evaluation of each residual
+    assert calls == {"mean_curvature_H": 1, "constraint_C": 1}
 
 
 def test_cli_export_plot_reingests_bitfaithfully(tmp_path):

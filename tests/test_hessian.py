@@ -8,7 +8,10 @@ paired with every field.
 import numpy as np
 import pytest
 
-from geodesicnets import make_case, reduced_hessian_fd, stencils
+from conftest import jitter_net
+
+from geodesicnets import RadialBumpField, ScalarField, conformal_family, make_case
+from geodesicnets import reduced_hessian_fd, stencils
 from geodesicnets import jacobi as jac
 from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
 from geodesicnets.multigraph import GraphClass, classify
@@ -231,3 +234,63 @@ def test_sphere_equator_oracle_gradient_count(monkeypatch):
     case = make_case("sphere-equator", 64)
     reduced_hessian_fd(case.chart, case.net)
     assert len(calls) == 34
+
+
+# -- one trial of the Newton line search ---------------------------------------
+
+class CountingField(ScalarField):
+    """A scalar field that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def jet_many(self, points, order=2):
+        self.calls += 1
+        return self.inner.jet_many(points, order)
+
+    def bounds(self):
+        return self.inner.bounds()
+
+
+def assert_same_gradient(chart, net):
+    """``reduced_gradient`` equals the basis and pullback built separately, bitwise."""
+    basis, grad = jac.reduced_gradient(chart, net)
+    ref_basis, _ = reduced_basis_fields(chart, net)
+    assert np.array_equal(grad, ref_basis.pullback(length_sample_gradient(chart, net)))
+    assert np.array_equal(basis.vertex_block, ref_basis.vertex_block)
+    assert basis.dim == ref_basis.dim and dict(basis.hat_offset) == dict(ref_basis.hat_offset)
+    for e in basis.edges:
+        assert np.array_equal(basis.frames[e], ref_basis.frames[e])
+
+
+@pytest.mark.parametrize("name", CASES + ("flat-loop",))
+def test_reduced_gradient_equals_pullback_of_sample_gradient(name):
+    case = make_case(name, 32)
+    # the loop cases keep per-net vertex columns: the marked vertex's frame
+    assert_same_gradient(case.chart, jitter_net(case.net, np.random.default_rng(5), amp=0.02))
+
+
+def test_reduced_gradient_evaluates_each_bump_once_per_edge():
+    case = make_case("honeycomb-torus", 32)
+    inner = CountingField(RadialBumpField([0.5, 0.05], 0.2, 1.0, chart=case.chart))
+    outer = CountingField(RadialBumpField([0.4, 0.1], 0.25, -0.5, chart=case.chart))
+    # bump on bump: the outer chart's jet recurses through its base once
+    chart = conformal_family(conformal_family(case.chart, inner, 0.4), outer, 0.3)
+    net = jitter_net(case.net, np.random.default_rng(6), amp=0.02)
+    jac.reduced_gradient(chart, net)
+    assert inner.calls == outer.calls == len(net.graph.edges)
+    assert_same_gradient(chart, net)
+
+
+def test_cached_basis_layout_is_read_only():
+    case = make_case("honeycomb-torus", 32)
+    basis, labels = reduced_basis_fields(case.chart, case.net)
+    again, _ = jac.reduced_gradient(case.chart, case.net)
+    assert again.vertex_block is basis.vertex_block
+    with pytest.raises(ValueError):
+        basis.vertex_block[0, 0] += 1.0
+    with pytest.raises(TypeError):
+        basis.hat_offset["E1"] = 0
+    labels.append(None)  # every caller gets its own list
+    assert len(reduced_basis_fields(case.chart, case.net)[1]) == len(basis)

@@ -18,7 +18,11 @@ from geodesicnets import (
 )
 from geodesicnets import stencils as st
 from geodesicnets.geometry import ConstantField, conformal_family, g_dot, g_norm
-from geodesicnets.jacobi import assemble_jacobi_system, random_reduced_field
+from geodesicnets.jacobi import (
+    approximate_embeddedness,
+    assemble_jacobi_system,
+    random_reduced_field,
+)
 from geodesicnets.net import reparametrize_constant_speed
 
 
@@ -222,6 +226,47 @@ def test_degenerate_verdicts():
         verdict = is_nondegenerate(case.chart, case.net)
         assert not verdict.nondegenerate
         assert verdict.kernel_dimension == dim
+
+
+def _embedding_gap_reference(chart, net):
+    """Smallest sample distance that ``approximate_embeddedness`` weighs, one
+    sample at a time against every sample of every edge."""
+    eids = [e.id for e in net.graph.edges]
+    guard = max(2, net.edge_samples[eids[0]].shape[0] // 16)
+    best = np.inf
+    for i, e1 in enumerate(eids):
+        s1 = net.edge_samples[e1]
+        for e2 in eids[i:]:
+            s2 = net.edge_samples[e2]
+            n1, n2 = s1.shape[0], s2.shape[0]
+            for k, p in enumerate(s1):
+                d = np.linalg.norm(chart.displacement_many(np.broadcast_to(p, s2.shape), s2), axis=1)
+                if e1 == e2:
+                    d[max(0, k - guard) : k + guard + 1] = np.inf
+                    if e1 in net.periodic_edges:
+                        if k < guard:
+                            d[n2 - (guard - k) - 1 :] = np.inf
+                        if k > n2 - 1 - guard:
+                            d[: guard - (n2 - 1 - k) + 1] = np.inf
+                else:
+                    ends = [net.graph.edge(e1).endpoint(0)] if k < guard else []
+                    ends += [net.graph.edge(e1).endpoint(1)] if k > n1 - 1 - guard else []
+                    for v in ends:
+                        if net.graph.edge(e2).endpoint(0) == v:
+                            d[: guard + 1] = np.inf
+                        if net.graph.edge(e2).endpoint(1) == v:
+                            d[n2 - guard - 1 :] = np.inf
+                best = min(best, float(d.min()))
+    return best
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
+def test_blocked_embeddedness_matches_per_sample_reference(name):
+    case = make_case(name, 64)
+    gap = _embedding_gap_reference(case.chart, case.net)
+    assert approximate_embeddedness(case.chart, case.net)
+    assert approximate_embeddedness(case.chart, case.net, gap * (1 - 1e-12))
+    assert not approximate_embeddedness(case.chart, case.net, gap * (1 + 1e-12))
 
 
 def test_not_good_graph_rejected():

@@ -282,6 +282,16 @@ def test_equivalence_check_on_jittered(rng):
         assert stationarity_equivalence_check(case.chart, nc, coords)
 
 
+def test_equivalence_check_takes_the_residuals_it_would_compute(rng):
+    case, nc = chart_for("honeycomb-torus")
+    coords = coordinates_of(nc, case.net)
+    coords.coords["E1"].u[:, 0] += 0.05 * np.sin(np.pi * np.linspace(0, 1, 65))
+    residuals = (*mean_curvature_H(case.chart, nc, coords), constraint_C(nc, coords))
+    for tol in (1e-8, 1e-4, 1.0):
+        assert (stationarity_equivalence_check(case.chart, nc, coords, tol=tol, residuals=residuals)
+                == stationarity_equivalence_check(case.chart, nc, coords, tol=tol))
+
+
 def test_coordinate_hessian_matches_ambient(rng):
     from geodesicnets import NetField, hessian_form
 

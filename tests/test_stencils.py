@@ -199,9 +199,17 @@ def test_running_integral_and_inverse_interpolation():
 
 def test_cached_operators_are_read_only():
     t_mat, c_vec = st.upsample_operator(33, 4, True)
-    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals()):
+    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals(),
+                st._window_starts(33, False), st._window_starts(33, True),
+                st._NODE_DENOMINATORS):
         with pytest.raises(ValueError):
-            arr[0] += 1.0
+            arr[0] += 1
+
+
+def test_fixed_node_row_weights_match_explicit_rows():
+    x = np.random.default_rng(4).uniform(0.0, 5.0, 40)
+    rows = np.broadcast_to(st._NODES, (x.size, st._NODES.size))
+    assert np.array_equal(st._lagrange(x), st._lagrange(x, rows))
 
 
 def _brute_coupling(n, factor, loop):
