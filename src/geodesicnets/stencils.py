@@ -340,9 +340,12 @@ def _denominators(nodes: np.ndarray) -> np.ndarray:
     return gaps.prod(axis=-1)
 
 
-# The denominators of the fixed node row are integers, so exact.
-_NODE_DENOMINATORS = _denominators(_NODES)
-_NODE_DENOMINATORS.flags.writeable = False
+@lru_cache(maxsize=1)
+def _node_denominators() -> np.ndarray:
+    """``_denominators`` of the fixed node row: integers, so exact (read-only)."""
+    denom = _denominators(_NODES)
+    denom.flags.writeable = False
+    return denom
 
 
 def _lagrange(x: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
@@ -356,7 +359,7 @@ def _lagrange(x: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
     prods[0, :, 1:] = diff[:, :-1]
     prods[1, :, 1:] = diff[:, :0:-1]
     np.multiply.accumulate(prods, axis=2, out=prods)
-    denom = _NODE_DENOMINATORS if nodes is None else _denominators(nodes)
+    denom = _node_denominators() if nodes is None else _denominators(nodes)
     return prods[0] * prods[1, :, ::-1] / denom
 
 

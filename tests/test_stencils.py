@@ -201,7 +201,7 @@ def test_cached_operators_are_read_only():
     t_mat, c_vec = st.upsample_operator(33, 4, True)
     for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals(),
                 st._window_starts(33, False), st._window_starts(33, True),
-                st._NODE_DENOMINATORS):
+                st._node_denominators()):
         with pytest.raises(ValueError):
             arr[0] += 1
 
