@@ -722,7 +722,12 @@ def g_dot(chart: MetricChart, points, a, b) -> np.ndarray:
 
 
 def g_norm(chart: MetricChart, points, a) -> np.ndarray:
-    return metric_norm(chart.metric_many(np.asarray(points, dtype=float)), np.asarray(a, float))
+    """|a|_g at each point; points and a are (..., n), for instance the
+    stacked samples of an edge group, with one ``metric_many`` call."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
+    g = chart.metric_many(points.reshape(-1, n))
+    return metric_norm(g, np.asarray(a, float).reshape(-1, n)).reshape(points.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -657,19 +657,21 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
 
     Equal bit for bit to ``reduced_basis_fields`` and the pullback of
     ``length_sample_gradient``, from one velocity and one metric jet per
-    edge, which feed both the frames and the gradient.
+    edge group, which feed both the frames and the gradient.
     """
     frames = {}
     grad = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
-        g, dg = chart.metric_jet_many(s)
-        frames[e.id] = (_normal_frame(g, v) if net.dim == 2
-                        else parallel_frame(chart, s, v, loop_shift=shift))
-        grad[e.id] = e.multiplicity * edge_length_gradient(v, g, dg, shift)
-    basis, _ = _reduced_basis(net, frames)
+    for grp in net.edge_groups():
+        v, g, grad_group = edge_length_gradient(chart, grp)
+        if net.dim == 2:
+            fr = _normal_frame(g, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
+        else:
+            shifts = grp.shifts if grp.loop else [None] * len(grp.ids)
+            fr = [parallel_frame(chart, s, vel, loop_shift=shift)
+                  for s, vel, shift in zip(grp.samples, v, shifts)]
+        frames.update(zip(grp.ids, fr))
+        grad.update(zip(grp.ids, grad_group))
+    basis, _ = _reduced_basis(net, {e.id: frames[e.id] for e in net.graph.edges})
     return basis, basis.pullback(grad)
 
 
@@ -786,23 +788,31 @@ def _hat_groups(basis: ReducedBasis, net: GeodesicNet, refine: int):
 
 
 class _RefinedLength:
-    """Refined-grid length functional, affine in the coarse samples."""
+    """Refined-grid length functional, affine in the coarse samples.
+
+    The fine samples are the upsampled net plus T times the displacement,
+    and the coarse gradient is T^T times the fine one; at refine 1, T is
+    the identity and is not formed.
+    """
 
     def __init__(self, chart, net, refine):
         self.chart = chart
         self.net = net
         self.fine_base = {}
-        self.t_mats = {}
+        self.t_mats = None if refine == 1 else {}
         for e in net.graph.edges:
             s = net.edge_samples[e.id]
             shift = net.loop_shift(e.id)
             self.fine_base[e.id] = stencils.upsample_curve(s, refine, loop_shift=shift)
-            # linear part only: displacement fields never wrap
-            self.t_mats[e.id], _ = stencils.upsample_operator(s.shape[0], refine, shift is not None)
+            if self.t_mats is not None:
+                # linear part only: displacement fields never wrap
+                self.t_mats[e.id], _ = stencils.upsample_operator(s.shape[0], refine,
+                                                                  shift is not None)
 
     def _fine_net(self, displacement: NetField) -> GeodesicNet:
+        d = displacement.edge_values
         fine_samples = {
-            e: base + self.t_mats[e] @ displacement.edge_values[e]
+            e: base + (d[e] if self.t_mats is None else self.t_mats[e] @ d[e])
             for e, base in self.fine_base.items()
         }
         return GeodesicNet(
@@ -815,6 +825,8 @@ class _RefinedLength:
     def gradient(self, displacement: NetField) -> dict[str, np.ndarray]:
         """Exact gradient in the coarse samples at the displaced configuration."""
         grad = length_sample_gradient(self.chart, self._fine_net(displacement))
+        if self.t_mats is None:
+            return grad
         return {e: self.t_mats[e].T @ g for e, g in grad.items()}
 
     def value(self, displacement: NetField) -> float:

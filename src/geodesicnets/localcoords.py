@@ -202,19 +202,24 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
 
 
 def _validate_tube(tube: EdgeTube) -> None:
-    """Sampling check that the tube does not self-overlap within its radius."""
-    pts = tube.curve.values
+    """Sampling check that the tube does not self-overlap within its radius:
+    every 4th node against every node, one distance call per block of about
+    2^16 node pairs."""
+    coords = np.ascontiguousarray(tube.curve.values.T)  # one row per coordinate
     s = tube.curve.grid
     speed = np.linalg.norm(tube.velocity.values, axis=1)
     sep_param = 4.0 * tube.delta_norm / speed.min()
-    for k in range(0, len(s), 4):
-        d = np.linalg.norm(pts - pts[k], axis=1)
+    rows = np.arange(0, len(s), 4)
+    block = max(1, 65536 // len(s))
+    for k0 in range(0, rows.size, block):
+        k = rows[k0 : k0 + block, None]
+        diff = coords[:, None, :] - coords[:, k]
+        d = np.sqrt((diff * diff).sum(axis=0))
         sep = np.abs(s - s[k])
         if tube.periodic:
             # the extension wraps once around a closed reference curve
             sep = np.minimum(sep, np.abs(sep - 1.0))
-        far = sep > sep_param
-        if np.any(d[far] < 2.0 * tube.delta_norm):
+        if np.any((sep > sep_param) & (d < 2.0 * tube.delta_norm)):
             warnings.warn(
                 f"tube of edge {tube.eid!r} may self-overlap; shrink delta_rel"
             )

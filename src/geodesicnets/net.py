@@ -19,6 +19,7 @@ from .multigraph import WeightedMultigraph
 
 __all__ = [
     "GeodesicNet",
+    "EdgeGroup",
     "NetField",
     "TangentialField",
     "length",
@@ -61,6 +62,24 @@ class GeodesicNet:
         s = self.edge_samples[edge_id]
         return s[-1] - s[0]
 
+    def edge_groups(self) -> list["EdgeGroup"]:
+        """The edges grouped by (sample count, loop flag), each group stacked
+        for one numpy pass; groups and their edges come in graph order."""
+        members = {}
+        for e in self.graph.edges:
+            key = (self.edge_samples[e.id].shape[0], e.id in self.periodic_edges)
+            members.setdefault(key, []).append(e)
+        groups = []
+        for (_, loop), edges in members.items():
+            samples = np.array([self.edge_samples[e.id] for e in edges], dtype=float)
+            groups.append(EdgeGroup(
+                ids=tuple(e.id for e in edges),
+                samples=samples,
+                shifts=samples[:, -1] - samples[:, 0] if loop else None,
+                multiplicities=np.array([e.multiplicity for e in edges]),
+            ))
+        return groups
+
     def copy(self) -> "GeodesicNet":
         return replace(
             self,
@@ -68,6 +87,25 @@ class GeodesicNet:
             vertex_positions={v: p.copy() for v, p in self.vertex_positions.items()},
             lengths=dict(self.lengths),
         )
+
+
+@dataclass(frozen=True)
+class EdgeGroup:
+    """Edges of a net with one sample count and one loop flag, stacked.
+
+    samples is (E, N+1, n); shifts holds the seam shift of every edge,
+    (E, n), on a group of loop edges and is None on open edges.  A single
+    edge is a group of one.
+    """
+
+    ids: tuple[str, ...]
+    samples: np.ndarray
+    shifts: np.ndarray | None
+    multiplicities: np.ndarray
+
+    @property
+    def loop(self) -> bool:
+        return self.shifts is not None
 
 
 @dataclass
@@ -144,20 +182,16 @@ def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -
     return problems
 
 
-def _edge_speed(chart: MetricChart, net: GeodesicNet, edge_id: str):
-    s = net.edge_samples[edge_id]
-    v = stencils.velocity(s, loop_shift=net.loop_shift(edge_id))
-    return s, v, g_norm(chart, s, v)
-
-
 def edge_lengths(chart: MetricChart, net: GeodesicNet) -> dict[str, float]:
     """Per-edge g-length by the matched quadrature (no multiplicities)."""
     out = {}
-    for e in net.graph.edges:
-        s, _, speed = _edge_speed(chart, net, e.id)
-        w = stencils.quadrature_weights(s.shape[0], 1.0 / (s.shape[0] - 1), loop=e.id in net.periodic_edges)
-        out[e.id] = float(w @ speed)
-    return out
+    for grp in net.edge_groups():
+        speed = g_norm(chart, grp.samples, stencils.velocity(grp.samples, loop_shift=grp.shifts))
+        npts = grp.samples.shape[1]
+        w = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=grp.loop)
+        # vecdot: one dot product per edge, bitwise the per-edge w @ speed
+        out.update(zip(grp.ids, np.vecdot(speed, w).tolist()))
+    return {e.id: out[e.id] for e in net.graph.edges}
 
 
 def length(chart: MetricChart, net: GeodesicNet) -> float:
@@ -174,29 +208,33 @@ def reparametrize_constant_speed(
     ``n_samples`` intervals per edge (default: keep each edge's count).  The
     SBP speed on the ``upsample`` times finer grid is integrated to arc
     length, the arc-length map is inverted, and the edge's 6-point
-    interpolant is evaluated at the parameters found (``stencils``).  A
+    interpolant is evaluated at the parameters found (``stencils``), for
+    each group of ``GeodesicNet.edge_groups`` in one pass.  A
     sample speed below 1e-8 times the edge mean speed is rejected (the
     inverse map would divide by it).  ``lengths`` is left empty, as after
     ``displace``: the solver reparametrizes every line-search trial and
     fills it only for the nets it accepts.
     """
     new_samples = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        n = s.shape[0] - 1 if n_samples is None else n_samples
-        shift = net.loop_shift(e.id)
+    for grp in net.edge_groups():
+        s, shift = grp.samples, grp.shifts
         fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
-        vf = stencils.velocity(fine, loop_shift=shift)
-        speed = g_norm(chart, fine, vf)
-        if speed.min() < 1e-8 * speed.mean():
-            raise ValueError(f"edge {e.id!r} has a near-zero speed sample; not an immersion")
-        arc = stencils.running_integral(speed, loop=shift is not None)
-        targets = np.linspace(0.0, arc[-1], n + 1)
+        speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
+        slow = speed.min(axis=-1) < 1e-8 * speed.mean(axis=-1)
+        if slow.any():
+            eid = grp.ids[int(np.argmax(slow))]
+            raise ValueError(f"edge {eid!r} has a near-zero speed sample; not an immersion")
+        arc = stencils.running_integral(speed, loop=grp.loop)
+        n = s.shape[1] - 1 if n_samples is None else n_samples
+        # np.linspace(0, arc[e, -1], n + 1) for every edge e, bit for bit
+        targets = np.arange(n + 1.0) * (arc[:, -1:] / n)
+        targets[:, -1] = arc[:, -1]
         ts = np.clip(stencils.inverse_interpolate(arc, targets), 0.0, 1.0)
         out = stencils.evaluate_curve(s, ts, loop_shift=shift)
-        out[0] = s[0]
-        out[-1] = s[-1]
-        new_samples[e.id] = out
+        out[:, 0] = s[:, 0]
+        out[:, -1] = s[:, -1]
+        new_samples.update(zip(grp.ids, out))
+    new_samples = {e.id: new_samples[e.id] for e in net.graph.edges}
     return replace(net, edge_samples=new_samples, constant_speed=True, lengths={})
 
 

@@ -297,15 +297,13 @@ def _clearance(chart, net, eid, idx):
     the bump vanishes along it by construction, and sign violations from
     re-entering arcs are caught by the explicit verification.
     """
+    others = [net.edge_samples[e.id] for e in net.graph.edges if e.id != eid]
+    if not others:
+        return np.inf
+    pts = np.concatenate(others)
     p = net.edge_samples[eid][idx]
-    best = np.inf
-    for e2 in net.graph.edges:
-        if e2.id == eid:
-            continue
-        s2 = net.edge_samples[e2.id]
-        d = np.linalg.norm(chart.displacement_many(np.broadcast_to(p, s2.shape), s2), axis=1)
-        best = min(best, float(d.min()))
-    return best
+    return float(np.linalg.norm(chart.displacement_many(np.broadcast_to(p, pts.shape), pts),
+                                axis=1).min())
 
 
 def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetField,

@@ -9,6 +9,10 @@ of the discrete length.  Every derivative is applied as a sliding stencil
 (a band); no (N x N) matrix is formed, and D^T is taken from the identity.
 The 6-point windows of the upsampling map also give point evaluation,
 running integrals and inverse interpolation, for arc-length work.
+
+The edge-grid operators take one edge or a group of edges with the same
+sample count stacked on leading axes: curves are (..., N+1, d), scalar
+samples (..., N+1), and a single edge is a group of one.
 """
 
 from __future__ import annotations
@@ -92,12 +96,22 @@ def _require_open(n: int) -> None:
         raise ValueError(f"open-edge grids need at least {MIN_SAMPLES} samples")
 
 
+def _count(samples: np.ndarray) -> int:
+    """Samples per edge of values (N+1,) or of curves (..., N+1, d)."""
+    return samples.shape[0 if samples.ndim == 1 else -2]
+
+
+def _rows(samples: np.ndarray, start: int, stop: int | None = None) -> np.ndarray:
+    """The samples start:stop of values (N+1,) or of curves (..., N+1, d), as a view."""
+    return samples[start:stop] if samples.ndim == 1 else samples[..., start:stop, :]
+
+
 def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` outputs of a sliding stencil; output k reads ``ext[k : k + len(coeffs)]``."""
+    """``rows`` outputs of a sliding stencil; output k reads samples k to k + len(coeffs) - 1."""
     out = 0
     for k, c in enumerate(coeffs):
         if c != 0.0:
-            out = out + c * ext[k : k + rows]
+            out = out + c * _rows(ext, k, k + rows)
     return out
 
 
@@ -115,35 +129,38 @@ def quadrature_weights(n_samples: int, h: float, loop: bool = False) -> np.ndarr
     return w
 
 
-def _extend_loop(samples: np.ndarray, shift: np.ndarray | float, pad: int) -> np.ndarray:
-    """Periodic extension of a loop edge's unwrapped samples.
+def _extend_loop(samples: np.ndarray, shift, pad: int) -> np.ndarray:
+    """Periodic extension of loop edges' unwrapped samples.
 
-    ``samples[-1]`` must equal ``samples[0] + shift``; the lift is continued
-    on both sides by the same shift.
+    The last sample of an edge must equal its first plus the edge's shift
+    ((d,) or (..., d) for curves, one row per stacked edge); the lift is
+    continued on both sides by the same shift.
     """
-    head = samples[-1 - pad : -1] - shift
-    tail = samples[1 : 1 + pad] + shift
-    return np.concatenate([head, samples, tail], axis=0)
+    if samples.ndim > 1:
+        shift = np.asarray(shift)[..., None, :]
+    head = _rows(samples, -1 - pad, -1) - shift
+    tail = _rows(samples, 1, 1 + pad) + shift
+    return np.concatenate([head, samples, tail], axis=0 if samples.ndim == 1 else -2)
 
 
 def velocity(samples: np.ndarray, loop_shift=None) -> np.ndarray:
     """SBP first parameter-derivative D of samples on the unit interval.
 
-    samples: (N+1,) or (N+1, d) array at parameters k/N.  Open edges get
-    the SBP(4,2) band: the central 4th-order stencil inside and the
-    one-sided boundary blocks in the first and last four rows.  For loop
-    edges pass the lattice shift so the central stencil runs across the
-    seam.  No matrix is formed.
+    samples: (N+1,) values or (..., N+1, d) curves at parameters k/N.
+    Open edges get the SBP(4,2) band: the central 4th-order stencil inside
+    and the one-sided boundary blocks in the first and last four rows.  For
+    loop edges pass the lattice shifts so the central stencil runs across
+    the seam.  No matrix is formed.
     """
-    n = samples.shape[0]
+    n = _count(samples)
     h = 1.0 / (n - 1)
     if loop_shift is not None:
         return _stencil(_extend_loop(samples, loop_shift, 2), _CENTRAL4, n) / h
     _require_open(n)
     out = np.empty(samples.shape)
-    out[2:-2] = _stencil(samples, _CENTRAL4, n - 4)
-    out[:4] = _SBP42_ROWS @ samples[:6]
-    out[-4:] = _SBP42_END @ samples[-6:]
+    _rows(out, 2, -2)[...] = _stencil(samples, _CENTRAL4, n - 4)
+    _rows(out, 0, 4)[...] = _SBP42_ROWS @ _rows(samples, 0, 6)
+    _rows(out, -4)[...] = _SBP42_END @ _rows(samples, -6)
     out /= h
     return out
 
@@ -318,17 +335,17 @@ def hessian_coupling(n_samples: int, factor: int, loop: bool):
 
 
 def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndarray:
-    """Resample a curve on a ``factor`` times finer uniform grid.
+    """Resample curves (..., N+1, d) on a ``factor`` times finer uniform grid.
 
     Sliding 6-point Lagrange interpolation (O(h^6) for smooth data); loop
     edges are interpolated through the periodic seam.
     """
     if factor == 1:
         return samples.copy()
-    t_mat, c_vec = upsample_operator(samples.shape[0], factor, loop_shift is not None)
+    t_mat, c_vec = upsample_operator(_count(samples), factor, loop_shift is not None)
     out = t_mat @ samples
     if loop_shift is not None:
-        out += np.multiply.outer(c_vec, np.asarray(loop_shift, dtype=float))
+        out += c_vec[:, None] * np.asarray(loop_shift, dtype=float)[..., None, :]
     return out
 
 
@@ -363,22 +380,33 @@ def _lagrange(x: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
     return prods[0] * prods[1, :, ::-1] / denom
 
 
+def _gather(stacked: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx (..., J) of every stacked edge of (..., L, w), as one array
+    (edges * J, w): a single ``np.take`` on the flattened rows."""
+    length, width = stacked.shape[-2:]
+    starts = np.arange(0, stacked.size // width, length).reshape(idx.shape[:-1] + (1,))
+    return np.take(stacked.reshape(-1, width), (idx + starts).ravel(), axis=0)
+
+
 def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.ndarray:
-    """The ``upsample_curve`` interpolant of samples at parameters t in [0, 1].
+    """The ``upsample_curve`` interpolant of curves (..., N+1, d) at
+    parameters t (..., P) in [0, 1], one row of t per stacked edge.
 
     Same 6-point windows and seam handling, so on the fine grid it returns
     ``upsample_curve`` up to rounding.
     """
-    n = samples.shape[0]
+    n = samples.shape[-2]
     x = np.asarray(t, dtype=float) * (n - 1)
     k = np.minimum(np.maximum(np.floor(x).astype(int), 0), n - 2)
     lo = _window_starts(n, loop_shift is not None)[k]
-    wgt = _lagrange(x - k + (k - lo))
+    wgt = _lagrange((x - k + (k - lo)).ravel())
     if loop_shift is not None:
         samples = _extend_loop(samples, loop_shift, _BACK)
         lo = lo + _BACK
-    # only the windows of the intervals that hold a t
-    return np.einsum("pj,pj...->p...", wgt, samples[lo[:, None] + np.arange(_WINDOW)])
+    # only the windows of the intervals that hold a t, one row per t
+    cols = (lo[..., None] + np.arange(_WINDOW)).reshape(lo.shape[:-1] + (-1,))
+    win = _gather(samples, cols).reshape(-1, _WINDOW, samples.shape[-1])
+    return np.einsum("pj,pj...->p...", wgt, win).reshape(x.shape + samples.shape[-1:])
 
 
 @lru_cache(maxsize=1)
@@ -408,23 +436,48 @@ def _cell_layout(n: int, loop: bool):
 
 def running_integral(values: np.ndarray, loop: bool = False) -> np.ndarray:
     """Integral from 0 to each grid parameter of the ``upsample_curve``
-    interpolant of scalar values sampled uniformly over [0, 1]."""
-    n = values.shape[0]
+    interpolant of scalar values (..., N+1) sampled uniformly over [0, 1]."""
+    n = values.shape[-1]
     idx, weights = _cell_layout(n, loop)
     if loop:
-        values = _extend_loop(values, 0.0, _BACK)
-    cells = np.einsum("kj,kj->k", weights, values[idx]) / (n - 1)
-    return np.concatenate([[0.0], np.cumsum(cells)])
+        values = np.concatenate([values[..., -1 - _BACK : -1], values, values[..., 1 : 1 + _BACK]],
+                                axis=-1)
+    # one row per cell of every edge, with the per-edge signature "kj,kj->k"
+    win = np.take(values, idx, axis=-1).reshape(-1, _WINDOW)
+    cells = np.einsum("kj,kj->k", np.tile(weights, (win.shape[0] // (n - 1), 1)), win) / (n - 1)
+    cells = cells.reshape(values.shape[:-1] + (n - 1,))
+    return np.concatenate([np.zeros(cells.shape[:-1] + (1,)), np.cumsum(cells, axis=-1)], axis=-1)
+
+
+def _search_rows(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``np.searchsorted`` of every row of targets (..., P) in the same row
+    of values (..., N+1).
+
+    Complex numbers order by real part, then by imaginary part, so with the
+    row index as real part each row keeps to its own block of one sorted
+    array, and the values and targets compare exactly as floats.
+    """
+    row = np.arange(values.size // values.shape[-1]).reshape(values.shape[:-1] + (1,))
+    keys = np.empty(values.shape, dtype=complex)
+    keys.real, keys.imag = row, values
+    probes = np.empty(targets.shape, dtype=complex)
+    probes.real, probes.imag = row, targets
+    found = np.searchsorted(keys.ravel(), probes.ravel()).reshape(targets.shape)
+    return found - row * values.shape[-1]
 
 
 def inverse_interpolate(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Parameters in [0, 1] at which increasing uniform samples reach targets.
+    """Parameters in [0, 1] at which increasing uniform samples (..., N+1)
+    reach targets (..., P), row by row.
 
     6-point Lagrange interpolation of the parameter as a function of the
     value, on clamped windows (as on open edges).
     """
-    n = values.shape[0]
-    k = np.minimum(np.maximum(np.searchsorted(values, targets) - 1, 0), n - 2)
-    cols = _window_starts(n, False)[k][:, None] + np.arange(_WINDOW)
-    wgt = _lagrange(np.asarray(targets, dtype=float), values[cols])
-    return np.einsum("pj,pj->p", wgt, cols) / (n - 1)
+    n = values.shape[-1]
+    targets = np.asarray(targets, dtype=float)
+    k = np.minimum(np.maximum(_search_rows(values, targets) - 1, 0), n - 2)
+    cols = _window_starts(n, False)[k][..., None] + np.arange(_WINDOW)
+    nodes = _gather(values[..., None], cols.reshape(cols.shape[:-2] + (-1,)))
+    wgt = _lagrange(targets.ravel(), nodes.reshape(-1, _WINDOW))
+    params = np.einsum("pj,pj->p", wgt, cols.reshape(-1, _WINDOW)) / (n - 1)
+    return params.reshape(targets.shape)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stencils
 from .geometry import MetricChart, g_dot, g_norm, metric_norm
-from .net import GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
+from .net import EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
 
 __all__ = [
     "NotStationaryError",
@@ -58,7 +58,7 @@ def _field_velocity(values: np.ndarray, shift) -> np.ndarray:
     # field components never wrap: loop edges use a zero seam shift
     if shift is None:
         return stencils.velocity(values)
-    return stencils.velocity(values, loop_shift=np.zeros(values.shape[1]))
+    return stencils.velocity(values, loop_shift=np.zeros(values.shape[-1]))
 
 
 def covariant_deriv(chart: MetricChart, samples, vel, values, shift) -> np.ndarray:
@@ -237,39 +237,42 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
     the result with any field that repeats its seam value is correct.
     """
     out = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        g, dg = chart.metric_jet_many(s)
-        v = stencils.velocity(s, loop_shift=shift)
-        out[e.id] = e.multiplicity * edge_length_gradient(v, g, dg, shift)
-    return out
+    for grp in net.edge_groups():
+        out.update(zip(grp.ids, edge_length_gradient(chart, grp)[2]))
+    return {e.id: out[e.id] for e in net.graph.edges}
 
 
-def edge_length_gradient(v: np.ndarray, g: np.ndarray, dg: np.ndarray, loop_shift) -> np.ndarray:
-    """Gradient of one edge's discrete length in its samples, multiplicity 1.
+def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
+    """(v, g, grad) of one edge group, from one velocity and one metric jet.
 
-    v is the SBP ``stencils.velocity`` of the samples and (g, dg) the
-    ``metric_jet_many`` at them; ``loop_shift`` is not None on periodic edges.
+    v is the SBP ``stencils.velocity`` of the stacked samples (E, N+1, n),
+    g the metric at them, one row per sample (E * (N+1), n, n), and grad
+    the gradient of each edge's discrete length in its samples,
+    multiplicity included (E, N+1, n).  Every edge's rows are computed
+    with the same per-row operations as for a group of one.
     """
-    n = v.shape[0]
-    h = 1.0 / (n - 1)
-    w = stencils.quadrature_weights(n, h, loop=loop_shift is not None)
-    speed = metric_norm(g, v)
-    gv_over_s = np.einsum("pij,pj->pi", g, v) / speed[:, None]
+    s = group.samples
+    n_edges, npts, n = s.shape
+    h = 1.0 / (npts - 1)
+    v = stencils.velocity(s, loop_shift=group.shifts)
+    g, dg = chart.metric_jet_many(s.reshape(-1, n))
+    rows = v.reshape(-1, n)
+    w = stencils.quadrature_weights(npts, h, loop=group.loop)
+    speed = metric_norm(g, rows).reshape(n_edges, npts, 1)
+    gv_over_s = np.einsum("pij,pj->pi", g, rows).reshape(s.shape) / speed
     # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)
-    grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
-    if loop_shift is None:
+    grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, rows, rows).reshape(s.shape) / (2.0 * speed)
+    if not group.loop:
         # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
-        grad -= w[:, None] * _field_velocity(gv_over_s, loop_shift)
-        grad[0] -= gv_over_s[0]
-        grad[-1] += gv_over_s[-1]
+        grad -= w[:, None] * _field_velocity(gv_over_s, None)
+        grad[:, 0] -= gv_over_s[:, 0]
+        grad[:, -1] += gv_over_s[:, -1]
     else:
         # D^T = -D on the uniform independent samples; the seam sample
         # is one physical point, so fold the duplicate row onto row 0
         u = gv_over_s.copy()
-        u[0] = u[-1] = 0.5 * (gv_over_s[0] + gv_over_s[-1])
-        grad[0] += grad[-1]
-        grad -= _field_velocity(h * u, loop_shift)
-        grad[-1] = 0.0
-    return grad
+        u[:, 0] = u[:, -1] = 0.5 * (gv_over_s[:, 0] + gv_over_s[:, -1])
+        grad[:, 0] += grad[:, -1]
+        grad -= _field_velocity(h * u, group.shifts)
+        grad[:, -1] = 0.0
+    return v, g, group.multiplicities[:, None, None] * grad

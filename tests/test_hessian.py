@@ -271,7 +271,7 @@ def test_reduced_gradient_equals_pullback_of_sample_gradient(name):
     assert_same_gradient(case.chart, jitter_net(case.net, np.random.default_rng(5), amp=0.02))
 
 
-def test_reduced_gradient_evaluates_each_bump_once_per_edge():
+def test_reduced_gradient_evaluates_each_bump_once_per_group():
     case = make_case("honeycomb-torus", 32)
     inner = CountingField(RadialBumpField([0.5, 0.05], 0.2, 1.0, chart=case.chart))
     outer = CountingField(RadialBumpField([0.4, 0.1], 0.25, -0.5, chart=case.chart))
@@ -279,8 +279,26 @@ def test_reduced_gradient_evaluates_each_bump_once_per_edge():
     chart = conformal_family(conformal_family(case.chart, inner, 0.4), outer, 0.3)
     net = jitter_net(case.net, np.random.default_rng(6), amp=0.02)
     jac.reduced_gradient(chart, net)
-    assert inner.calls == outer.calls == len(net.graph.edges)
+    # the three edges have one sample count: one group
+    assert inner.calls == outer.calls == len(net.edge_groups()) == 1
     assert_same_gradient(chart, net)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_refined_length_at_refine_one_uses_no_operator(name):
+    """At refine 1 the displaced samples and the gradient are used as they
+    are, bitwise what the identity operator gave."""
+    case = make_case(name, 24)
+    net = jitter_net(case.net, np.random.default_rng(3), amp=0.02)
+    basis, _ = reduced_basis_fields(case.chart, net)
+    disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
+    functional = jac._RefinedLength(case.chart, net, 1)
+    assert functional.t_mats is None
+    eye = {e: np.eye(s.shape[0]) for e, s in net.edge_samples.items()}
+    moved = displace(net, NetField({e: eye[e] @ d for e, d in disp.edge_values.items()}), 1.0)
+    want = {e: eye[e].T @ g for e, g in length_sample_gradient(case.chart, moved).items()}
+    got = functional.gradient(disp)
+    assert all(np.array_equal(got[e], want[e]) for e in want)
 
 
 def test_cached_basis_layout_is_read_only():

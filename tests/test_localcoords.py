@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -112,6 +114,39 @@ def test_xi_prime_rejects_non_monotone():
 
 
 # -- lambda map and tube coordinates -----------------------------------------
+
+def test_tube_folding_back_within_two_radii_warns():
+    # a curve that winds 1.9 times round a shrinking circle: its two turns
+    # pass 0.016 apart, inside twice the normal radius 0.05
+    from geodesicnets.geometry import HermiteCurve
+    from geodesicnets.localcoords import EdgeTube, _validate_tube
+
+    s = np.linspace(0.0, 1.0, 801)
+    ang = 2.0 * np.pi * 1.9 * s
+    rad = 1.0 - 0.03 * s
+    pts = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    vels = np.gradient(pts, s, axis=0)
+    accs = np.gradient(vels, s, axis=0)
+    tube = EdgeTube(eid="E", curve=HermiteCurve(s, pts, vels), velocity=HermiteCurve(s, vels, accs),
+                    delta_long=0.1, delta_norm=0.05, eta=0.0)
+    with pytest.warns(UserWarning, match="may self-overlap"):
+        _validate_tube(tube)
+    # one turn only: nothing comes back
+    one_turn = EdgeTube(eid="E", curve=HermiteCurve(s[:400], pts[:400], vels[:400]),
+                        velocity=HermiteCurve(s[:400], vels[:400], accs[:400]),
+                        delta_long=0.1, delta_norm=0.05, eta=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _validate_tube(one_turn)
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
+def test_built_in_tubes_do_not_overlap(name):
+    case = make_case(name, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_net_chart(case.chart, case.net)
+
 
 def test_build_net_chart_refuses_a_3d_net(tmp_path):
     from geodesicnets import specfile

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from conftest import jitter_net
 
 from geodesicnets import (
     StereographicSphereChart,
@@ -10,9 +14,19 @@ from geodesicnets import (
     vertex_unit_tangents,
 )
 from geodesicnets.cases import HEX_LATTICE
-from geodesicnets.geometry import ConstantField, FlatTorusChart, conformal_family
+from geodesicnets import stencils
+from geodesicnets.geometry import (
+    ConstantField,
+    DirectionalBumpField,
+    FlatTorusChart,
+    RadialBumpField,
+    conformal_family,
+)
+from geodesicnets.jacobi import reduced_gradient
 from geodesicnets.multigraph import WeightedMultigraph
-from geodesicnets.net import GeodesicNet, check_net, edge_lengths
+from geodesicnets.net import EdgeGroup, GeodesicNet, check_net, edge_lengths
+from geodesicnets.solver import _anchor_spline_data
+from geodesicnets.variation import length_sample_gradient
 
 SPHERE = StereographicSphereChart(radius=1.0)
 
@@ -183,3 +197,102 @@ def test_resample_preserves_geometry():
     assert fine.edge_samples["E"].shape[0] == 129
     # quadrature scale at the new resolution, not interpolation error
     assert abs(length(case.chart, fine) - 2 * np.pi) < 5e-6
+
+
+# -- stacked edge groups -----------------------------------------------------
+
+def _two_group_theta():
+    """sphere-theta with edge E2 resampled to 40 intervals: two groups."""
+    case = make_case("sphere-theta", 32)
+    net = jitter_net(case.net, np.random.default_rng(7), amp=0.02)
+    s = net.edge_samples["E2"]
+    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 41))
+    out[0], out[-1] = s[0], s[-1]
+    net.edge_samples["E2"] = out
+    return case.chart, net
+
+
+def _bumped_honeycomb(kind):
+    case = make_case("honeycomb-torus", 32)
+    if kind == "radial":
+        fld = RadialBumpField([0.4, 0.1], 0.3, 1.0, chart=case.chart)
+    else:
+        # the ball meets its anchor edge only, as for the bumps the solver builds
+        pts, vel, center = _anchor_spline_data(case.net, "E1", 16)
+        fld = DirectionalBumpField(center, 0.2, [0.6, 0.8], pts, vel, chart=case.chart, power=2)
+    chart = conformal_family(case.chart, fld, 0.5)
+    return chart, jitter_net(case.net, np.random.default_rng(8), amp=0.02)
+
+
+def _group_configs():
+    equator = make_case("sphere-equator", 32)
+    return {
+        "theta-two-groups": _two_group_theta(),
+        "equator-loop": (equator.chart, jitter_net(equator.net, np.random.default_rng(9), amp=0.02)),
+        "honeycomb-radial": _bumped_honeycomb("radial"),
+        "honeycomb-directional": _bumped_honeycomb("directional"),
+    }
+
+
+def _per_edge_results(chart, net):
+    basis, reduced = reduced_gradient(chart, net)
+    return {
+        "reparametrize": reparametrize_constant_speed(chart, net).edge_samples,
+        "lengths": edge_lengths(chart, net),
+        "gradient": length_sample_gradient(chart, net),
+        "frames": basis.frames,
+        "reduced": {"all": reduced},
+    }
+
+
+@pytest.mark.parametrize("name", ["theta-two-groups", "equator-loop", "honeycomb-radial",
+                                  "honeycomb-directional"])
+def test_stacked_groups_match_groups_of_one_bitwise(name, monkeypatch):
+    chart, net = _group_configs()[name]
+    grouped = GeodesicNet.edge_groups
+    sizes = [len(g.ids) for g in net.edge_groups()]
+    assert sum(sizes) == len(net.graph.edges)
+    if name != "equator-loop":
+        assert max(sizes) > 1
+    stacked = _per_edge_results(chart, net)
+
+    def groups_of_one(self):
+        return [EdgeGroup(ids=(eid,), samples=g.samples[k : k + 1],
+                          shifts=None if g.shifts is None else g.shifts[k : k + 1],
+                          multiplicities=g.multiplicities[k : k + 1])
+                for g in grouped(self) for k, eid in enumerate(g.ids)]
+
+    monkeypatch.setattr(GeodesicNet, "edge_groups", groups_of_one)
+    alone = _per_edge_results(chart, net)
+    for what, per_edge in stacked.items():
+        assert per_edge.keys() == alone[what].keys(), what
+        for key, value in per_edge.items():
+            assert np.array_equal(value, alone[what][key]), (what, key)
+
+
+@pytest.mark.parametrize("two_groups", [False, True])
+def test_one_trial_evaluates_the_metric_once_per_group(two_groups, monkeypatch):
+    """One line-search trial (reparametrize, then the reduced gradient) on
+    sphere-theta: one metric and one metric-jet call per group, not per edge."""
+    if two_groups:
+        chart, net = _two_group_theta()
+    else:
+        case = make_case("sphere-theta", 32)
+        chart, net = case.chart, jitter_net(case.net, np.random.default_rng(7), amp=0.02)
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(StereographicSphereChart, name)
+
+        def wrapper(self, points):
+            calls[name] += 1
+            return method(self, points)
+
+        return wrapper
+
+    for name in ("metric_many", "metric_jet_many"):
+        monkeypatch.setattr(StereographicSphereChart, name, counted(name))
+    reduced_gradient(chart, reparametrize_constant_speed(chart, net))
+    groups = 2 if two_groups else 1
+    assert len(net.edge_groups()) == groups < len(net.graph.edges)
+    assert calls == {"metric_many": groups, "metric_jet_many": groups}

@@ -179,6 +179,23 @@ def test_bump_construction_honeycomb():
     assert pair[spec.t_index] > 0
 
 
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator"])
+def test_clearance_is_the_minimum_over_the_other_edges(name):
+    """One displacement call on all other edges gives the per-edge minimum,
+    bitwise; a net with no other edge is clear everywhere."""
+    from geodesicnets.solver import _clearance
+
+    case = make_case(name, 32)
+    net = jitter_net(case.net, np.random.default_rng(2), amp=0.02)
+    for e in net.graph.edges:
+        for idx in (3, 16, 28):
+            p = net.edge_samples[e.id][idx]
+            want = min((float(np.linalg.norm(case.chart.displacement_many(
+                np.broadcast_to(p, net.edge_samples[o.id].shape), net.edge_samples[o.id]),
+                axis=1).min()) for o in net.graph.edges if o.id != e.id), default=np.inf)
+            assert _clearance(case.chart, net, e.id, idx) == want
+
+
 def test_bump_rejects_tangential_field():
     case = make_case("sphere-equator", 64)
     t = np.linspace(0, 1, 65)

@@ -197,6 +197,40 @@ def test_running_integral_and_inverse_interpolation():
     assert np.abs(st.inverse_interpolate(np.sinh(t), targets) - np.arcsinh(targets)).max() < 1e-9
 
 
+@pytest.mark.parametrize("loop", [False, True])
+def test_stacked_edges_match_single_edges_bitwise(loop):
+    """A group of edges with one sample count gives every edge the bits it
+    gets alone, for each operator the arc-length reparametrization uses."""
+    rng = np.random.default_rng(11)
+    n, edges = 33, 3
+    curves = rng.normal(size=(edges, n, 2))
+    shifts = None
+    if loop:
+        shifts = rng.normal(size=(edges, 2))
+        curves[:, -1] = curves[:, 0] + shifts
+    values = np.cumsum(rng.uniform(0.5, 1.5, size=(edges, 4 * n)), axis=1)
+    targets = np.sort(rng.uniform(values[:, :1], values[:, -1:], size=(edges, 20)), axis=1)
+    t = np.sort(rng.uniform(0.0, 1.0, size=(edges, 20)), axis=1)
+    stacked = {
+        "velocity": st.velocity(curves, loop_shift=shifts),
+        "upsample": st.upsample_curve(curves, 8, loop_shift=shifts),
+        "evaluate": st.evaluate_curve(curves, t, loop_shift=shifts),
+        "integral": st.running_integral(values, loop=loop),
+        "inverse": st.inverse_interpolate(values, targets),
+    }
+    for e in range(edges):
+        shift = None if shifts is None else shifts[e]
+        alone = {
+            "velocity": st.velocity(curves[e], loop_shift=shift),
+            "upsample": st.upsample_curve(curves[e], 8, loop_shift=shift),
+            "evaluate": st.evaluate_curve(curves[e], t[e], loop_shift=shift),
+            "integral": st.running_integral(values[e], loop=loop),
+            "inverse": st.inverse_interpolate(values[e], targets[e]),
+        }
+        for name, got in stacked.items():
+            assert np.array_equal(got[e], alone[name]), name
+
+
 def test_cached_operators_are_read_only():
     t_mat, c_vec = st.upsample_operator(33, 4, True)
     for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals(),
