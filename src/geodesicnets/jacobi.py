@@ -659,9 +659,8 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     ``length_sample_gradient``, from one velocity and one metric jet per
     edge group, which feed both the frames and the gradient.
     """
-    frames = {}
-    grad = {}
-    for grp in net.edge_groups():
+
+    def frames_and_gradient(grp):
         v, g, grad_group = edge_length_gradient(chart, grp)
         if net.dim == 2:
             fr = _normal_frame(g, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
@@ -669,10 +668,11 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
             shifts = grp.shifts if grp.loop else [None] * len(grp.ids)
             fr = [parallel_frame(chart, s, vel, loop_shift=shift)
                   for s, vel, shift in zip(grp.samples, v, shifts)]
-        frames.update(zip(grp.ids, fr))
-        grad.update(zip(grp.ids, grad_group))
-    basis, _ = _reduced_basis(net, {e.id: frames[e.id] for e in net.graph.edges})
-    return basis, basis.pullback(grad)
+        return zip(fr, grad_group)
+
+    per_edge = net.map_groups(frames_and_gradient)
+    basis, _ = _reduced_basis(net, {eid: fr for eid, (fr, _) in per_edge.items()})
+    return basis, basis.pullback({eid: gr for eid, (_, gr) in per_edge.items()})
 
 
 def _reduced_basis(net: GeodesicNet, frames: dict[str, np.ndarray]):

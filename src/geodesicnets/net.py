@@ -80,6 +80,14 @@ class GeodesicNet:
             ))
         return groups
 
+    def map_groups(self, f) -> dict:
+        """``f(group)``, one result per edge of the group, for every group of
+        ``edge_groups``, spread into a dict keyed by edge id in graph order."""
+        out = {}
+        for grp in self.edge_groups():
+            out.update(zip(grp.ids, f(grp)))
+        return {e.id: out[e.id] for e in self.graph.edges}
+
     def copy(self) -> "GeodesicNet":
         return replace(
             self,
@@ -184,14 +192,14 @@ def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -
 
 def edge_lengths(chart: MetricChart, net: GeodesicNet) -> dict[str, float]:
     """Per-edge g-length by the matched quadrature (no multiplicities)."""
-    out = {}
-    for grp in net.edge_groups():
+
+    def group_lengths(grp):
         speed = g_norm(chart, grp.samples, stencils.velocity(grp.samples, loop_shift=grp.shifts))
         npts = grp.samples.shape[1]
         w = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=grp.loop)
-        # vecdot: one dot product per edge, bitwise the per-edge w @ speed
-        out.update(zip(grp.ids, np.vecdot(speed, w).tolist()))
-    return {e.id: out[e.id] for e in net.graph.edges}
+        return [float(w @ sp) for sp in speed]
+
+    return net.map_groups(group_lengths)
 
 
 def length(chart: MetricChart, net: GeodesicNet) -> float:
@@ -215,8 +223,8 @@ def reparametrize_constant_speed(
     ``displace``: the solver reparametrizes every line-search trial and
     fills it only for the nets it accepts.
     """
-    new_samples = {}
-    for grp in net.edge_groups():
+
+    def resample(grp):
         s, shift = grp.samples, grp.shifts
         fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
         speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
@@ -233,9 +241,9 @@ def reparametrize_constant_speed(
         out = stencils.evaluate_curve(s, ts, loop_shift=shift)
         out[:, 0] = s[:, 0]
         out[:, -1] = s[:, -1]
-        new_samples.update(zip(grp.ids, out))
-    new_samples = {e.id: new_samples[e.id] for e in net.graph.edges}
-    return replace(net, edge_samples=new_samples, constant_speed=True, lengths={})
+        return out
+
+    return replace(net, edge_samples=net.map_groups(resample), constant_speed=True, lengths={})
 
 
 def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):

@@ -236,10 +236,7 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
     folded onto sample 0 and the duplicate end row is zeroed, so pairing
     the result with any field that repeats its seam value is correct.
     """
-    out = {}
-    for grp in net.edge_groups():
-        out.update(zip(grp.ids, edge_length_gradient(chart, grp)[2]))
-    return {e.id: out[e.id] for e in net.graph.edges}
+    return net.map_groups(lambda grp: edge_length_gradient(chart, grp)[2])
 
 
 def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
