@@ -35,6 +35,7 @@ __all__ = [
     "foot_parameters",
     "SampledCurve",
     "conformal_family",
+    "linear_rk4_flow",
     "geodesic_integrate",
     "parallel_transport",
     "exp_background",
@@ -377,9 +378,6 @@ class MetricChart:
     def metric(self, p) -> np.ndarray:
         return self.metric_many(np.asarray(p, dtype=float)[None, :])[0]
 
-    def metric_deriv(self, p) -> np.ndarray:
-        return self.metric_deriv_many(np.asarray(p, dtype=float)[None, :])[0]
-
     def christoffel_many(self, points: np.ndarray) -> np.ndarray:
         """Gamma^k_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
         g = self.metric_many(points)
@@ -556,49 +554,32 @@ class StereographicSphereChart(MetricChart):
         return (mu[:, None, None] ** 2 * self._eye,
                 2.0 * mu[:, None, None, None] * dmu[:, :, None, None] * self._eye)
 
-    def _lam_derivs(self, points):
-        """First and second derivatives of lambda = log mu."""
+    def _lam_derivs(self, points, order=2):
+        """First and, for order 2, second derivatives of lambda = log mu."""
         r2 = self.radius**2
         denom = r2 + np.einsum("ij,ij->i", points, points)
         lam1 = -2.0 * points / denom[:, None]
-        eye = np.eye(self.dim)
+        if order < 2:
+            return lam1, None
         lam2 = (
-            -2.0 * eye[None, :, :] / denom[:, None, None]
+            -2.0 * self._eye / denom[:, None, None]
             + 4.0 * points[:, :, None] * points[:, None, :] / denom[:, None, None] ** 2
         )
         return lam1, lam2
 
     def christoffel_many(self, points):
         # Gamma^k_ij = delta_ik lam_j + delta_jk lam_i - delta_ij lam_k
-        lam1, _ = self._lam_derivs(points)
-        n = self.dim
-        m = points.shape[0]
-        gam = np.zeros((m, n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    gam[:, k, i, j] = (
-                        (1.0 if i == k else 0.0) * lam1[:, j]
-                        + (1.0 if j == k else 0.0) * lam1[:, i]
-                        - (1.0 if i == j else 0.0) * lam1[:, k]
-                    )
-        return gam
+        lam1, _ = self._lam_derivs(points, 1)
+        eye = self._eye
+        return (eye[:, :, None] * lam1[:, None, None, :] + eye[:, None, :] * lam1[:, None, :, None]
+                - eye * lam1[:, :, None, None])
 
     def christoffel_deriv_many(self, points):
-        _, lam2 = self._lam_derivs(points)
-        n = self.dim
-        m = points.shape[0]
-        out = np.zeros((m, n, n, n, n))
-        for mm in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        out[:, mm, k, i, j] = (
-                            (1.0 if i == k else 0.0) * lam2[:, j, mm]
-                            + (1.0 if j == k else 0.0) * lam2[:, i, mm]
-                            - (1.0 if i == j else 0.0) * lam2[:, k, mm]
-                        )
-        return out
+        # d_m Gamma^k_ij = delta_ik lam_jm + delta_jk lam_im - delta_ij lam_km
+        lam2 = np.swapaxes(self._lam_derivs(points)[1], 1, 2)  # [p, m, a]
+        eye = self._eye
+        return (eye[:, :, None] * lam2[:, :, None, None, :] + eye[:, None, :] * lam2[:, :, None, :, None]
+                - eye * lam2[:, :, :, None, None])
 
 
 class ConformalChart(MetricChart):
@@ -752,21 +733,50 @@ class SampledCurve:
         return stencils.velocity(self.points, loop_shift=self.loop_shift)
 
 
+def linear_rk4_flow(a_nodes: np.ndarray, a_mid: np.ndarray, h: float) -> np.ndarray:
+    """Running products of the classical RK4 steps of y' = A(t) y.
+
+    ``a_nodes`` holds A at the S + 1 nodes and ``a_mid`` at the S
+    half-steps, shapes (S + 1, d, d) and (S, d, d), for the step h.  Every
+    step matrix M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A_k,
+    K2 = A_k+1/2 (I + h/2 K1), K3 = A_k+1/2 (I + h/2 K2) and
+    K4 = A_k+1 (I + h K3), is formed in one batched pass; the products
+    Phi_k = M_k ... M_1 come from a doubling prefix product (Blelloch
+    1990), ceil(log2 S) batched matmuls.  Returns Phi_0 = I to Phi_S,
+    shape (S + 1, d, d).
+    """
+    eye = np.eye(a_nodes.shape[-1])
+    a0, a1 = a_nodes[:-1], a_nodes[1:]
+    k2 = a_mid @ (eye + 0.5 * h * a0)
+    k3 = a_mid @ (eye + 0.5 * h * k2)
+    k4 = a1 @ (eye + h * k3)
+    phi = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    span = 1
+    while span < phi.shape[0]:
+        # Hillis-Steele: Phi_k <- (M_k ... M_k-span+1) (M_k-span ... M_k-2 span+1)
+        phi[span:] = phi[span:] @ phi[:-span]
+        span *= 2
+    return np.concatenate([eye[None], phi])
+
+
 def _geodesic_rhs(chart, x, v):
-    gam = chart.christoffel_many(x[None, :])[0]
-    acc = -np.einsum("kij,i,j->k", gam, v, v)
-    return v, acc
+    return v, -np.einsum("pkij,pi,pj->pk", chart.christoffel_many(x), v, v)
 
 
-def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int) -> SampledCurve:
-    """Integrate the geodesic equation with classical RK4 over parameter T."""
+def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int):
+    """Integrate the geodesic equation with classical RK4 over parameter T.
+
+    ``p`` and ``v`` are one initial condition (n,) or a batch (B, n); each
+    stage makes one ``christoffel_many`` call for the whole batch.  One
+    initial condition gives one ``SampledCurve``, a batch a list of B
+    curves.
+    """
     p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x, vel = np.atleast_2d(p).copy(), np.atleast_2d(np.asarray(v, dtype=float)).copy()
     h = T / steps
-    xs = np.empty((steps + 1, chart.dim))
-    vs = np.empty((steps + 1, chart.dim))
-    xs[0], vs[0] = p, v
-    x, vel = p.copy(), v.copy()
+    xs = np.empty((x.shape[0], steps + 1, x.shape[1]))
+    vs = np.empty_like(xs)
+    xs[:, 0], vs[:, 0] = x, vel
     for k in range(steps):
         k1x, k1v = _geodesic_rhs(chart, x, vel)
         k2x, k2v = _geodesic_rhs(chart, x + 0.5 * h * k1x, vel + 0.5 * h * k1v)
@@ -774,18 +784,22 @@ def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int) -> Sample
         k4x, k4v = _geodesic_rhs(chart, x + h * k3x, vel + h * k3v)
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not chart.contains(x):
+        if not all(chart.contains(row) for row in x):
             raise DomainError(f"geodesic left the chart domain at step {k + 1}")
-        xs[k + 1], vs[k + 1] = x, vel
+        xs[:, k + 1], vs[:, k + 1] = x, vel
     # velocities are parameter-derivatives w.r.t. the curve's own [0,1] grid
-    return SampledCurve(points=xs, velocities=vs * T)
+    curves = [SampledCurve(points=pb, velocities=vb * T) for pb, vb in zip(xs, vs)]
+    return curves[0] if p.ndim == 1 else curves
 
 
 def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarray:
     """Transport w0 along the curve: W' + Gamma(c', W) = 0 (RK4 per interval).
 
-    Positions and velocities at the half-steps come from the cubic Hermite
-    curve of the samples, for all intervals in one call.
+    ``w0`` is one vector (n,) or several (r, n); the result is (N+1, n) or
+    (N+1, r, n).  Positions and velocities at the half-steps come from the
+    cubic Hermite curve of the samples; one ``christoffel_many`` call
+    covers nodes and half-steps, and one ``linear_rk4_flow`` moves every
+    vector.
     """
     pts = curve.points
     vel = curve.velocity_samples()
@@ -793,22 +807,11 @@ def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarra
     h = 1.0 / (n - 1)
     grid = np.linspace(0.0, 1.0, n)
     mid, mid_vel = HermiteCurve(grid, pts, vel).jet(grid[:-1] + 0.5 * h, 1)
-    out = np.empty_like(pts, dtype=float)
-    w = np.asarray(w0, dtype=float).copy()
-    out[0] = w
-
-    def rhs(x, xdot, wv):
-        gam = chart.christoffel_many(x[None, :])[0]
-        return -np.einsum("kij,i,j->k", gam, xdot, wv)
-
-    for k in range(n - 1):
-        k1 = rhs(pts[k], vel[k], w)
-        k2 = rhs(mid[k], mid_vel[k], w + 0.5 * h * k1)
-        k3 = rhs(mid[k], mid_vel[k], w + 0.5 * h * k2)
-        k4 = rhs(pts[k + 1], vel[k + 1], w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = w
-    return out
+    gam = chart.christoffel_many(np.concatenate([pts, mid]))
+    # A_kj = -Gamma^k_ij c'^i
+    a_mat = -np.einsum("pkij,pi->pkj", gam, np.concatenate([vel, mid_vel]))
+    phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h)
+    return np.einsum("sij,...j->s...i", phi, np.asarray(w0, dtype=float))
 
 
 def exp_background(chart: MetricChart, p, w) -> np.ndarray:

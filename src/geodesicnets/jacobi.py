@@ -32,6 +32,7 @@ from .geometry import (
     SampledCurve,
     g_dot,
     g_norm,
+    linear_rk4_flow,
     metric_norm,
     parallel_transport,
 )
@@ -79,14 +80,9 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
     n = samples.shape[1]
     if n == 2:
         return _normal_frame(chart.metric_many(samples), velocities)
-    frames = np.empty((samples.shape[0], n - 1, n))
-    v0 = velocities[0]
     g0 = chart.metric(samples[0])
-    basis = [v0]
-    for k in range(n):
-        cand = np.zeros(n)
-        cand[k] = 1.0
-        w = cand.copy()
+    basis = [velocities[0]]
+    for w in np.eye(n):
         for b in basis:
             w = w - (w @ g0 @ b) / (b @ g0 @ b) * b
         if np.linalg.norm(w) > 1e-8:
@@ -94,9 +90,7 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
         if len(basis) == n:
             break
     curve = SampledCurve(points=samples, velocities=velocities, loop_shift=loop_shift)
-    for a, w in enumerate(basis[1:]):
-        frames[:, a, :] = parallel_transport(chart, curve, w)
-    return frames
+    return parallel_transport(chart, curve, np.array(basis[1:]))
 
 
 def _normal_frame(g: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -120,34 +114,18 @@ def jacobi_ode_coefficients(chart: MetricChart, samples: np.ndarray, velocities:
 def _propagate(K_fine: np.ndarray, h_fine: float, record_stride: int):
     """Fundamental matrix of u'' + K(t) u = 0 on the fine grid.
 
-    RK4 with step 2*h_fine (midpoint values are exact fine samples);
+    RK4 with step 2*h_fine (midpoint values are exact fine samples), as
+    one ``linear_rk4_flow`` of y = (u, u'), y' = [[0, I], [-K, 0]] y;
     returns the matrices at every ``record_stride`` fine nodes.
     """
     m = K_fine.shape[1]
-    dim = 2 * m
-    n_fine = K_fine.shape[0] - 1
-    if n_fine % 2:
-        raise ValueError("fine grid must have an even interval count")
-    psi = np.eye(dim)
-    records = [psi.copy()]
-    h = 2.0 * h_fine
-
-    def rhs(Kt, y):
-        out = np.empty_like(y)
-        out[:m] = y[m:]
-        out[m:] = -Kt @ y[:m]
-        return out
-
-    for j in range(0, n_fine, 2):
-        K0, K1, K2 = K_fine[j], K_fine[j + 1], K_fine[j + 2]
-        k1 = rhs(K0, psi)
-        k2 = rhs(K1, psi + 0.5 * h * k1)
-        k3 = rhs(K1, psi + 0.5 * h * k2)
-        k4 = rhs(K2, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (j + 2) % record_stride == 0:
-            records.append(psi.copy())
-    return np.array(records)
+    if (K_fine.shape[0] - 1) % 2 or record_stride % 2:
+        raise ValueError("fine grid and record stride must span an even interval count")
+    a_mat = np.zeros((K_fine.shape[0], 2 * m, 2 * m))
+    a_mat[:, :m, m:] = np.eye(m)
+    a_mat[:, m:, :m] = -K_fine
+    psi = linear_rk4_flow(a_mat[::2], a_mat[1::2], 2.0 * h_fine)
+    return psi[:: record_stride // 2]
 
 
 @dataclass
@@ -198,7 +176,13 @@ def _edge_data(chart, net, eid, refine):
 
 def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8,
                            residual_tol: float = 1e-3) -> ShootingSystem:
-    """Square linear system whose null space is the reduced Jacobi space."""
+    """Square linear system whose null space is the reduced Jacobi space.
+
+    ``refine`` must be even: one RK4 step spans two fine intervals, so an
+    odd refinement puts coarse nodes mid-step.
+    """
+    if refine < 2 or refine % 2:
+        raise ValueError(f"refine must be an even integer >= 2, got {refine!r}")
     agg = stationarity_residual(chart, net).aggregate
     if agg > residual_tol:
         raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")

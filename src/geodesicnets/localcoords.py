@@ -165,18 +165,28 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
     if net.dim != 2:
         raise TubeError(f"tube construction needs a planar chart; this net has dimension {net.dim}")
     lengths = net.lengths or edge_lengths(chart, net)
-    tubes = {}
+    fine_data = {}
     for e in net.graph.edges:
-        s = net.edge_samples[e.id]
         shift = net.loop_shift(e.id)
-        fine = stencils.upsample_curve(s, refine, loop_shift=shift)
-        m = fine.shape[0]
+        fine = stencils.upsample_curve(net.edge_samples[e.id], refine, loop_shift=shift)
+        fine_data[e.id] = (fine, stencils.velocity_ho(fine, loop_shift=shift))
+    # both end extensions of every edge, one geodesic batch per fine sample count
+    extensions = {}
+    for m in {fine.shape[0] for fine, _ in fine_data.values()}:
+        eids = [eid for eid, (fine, _) in fine_data.items() if fine.shape[0] == m]
         h_f = 1.0 / (m - 1)
-        vf = stencils.velocity_ho(fine, loop_shift=shift)
         n_ext = int(np.ceil(eta_rel / h_f))
         eta = n_ext * h_f
-        fwd = geodesic_integrate(chart, fine[-1], vf[-1], eta, n_ext)
-        bwd = geodesic_integrate(chart, fine[0], -vf[0], eta, n_ext)
+        starts = [fine_data[eid] for eid in eids]
+        curves = geodesic_integrate(
+            chart, [x for fine, _ in starts for x in (fine[-1], fine[0])],
+            [v for _, vf in starts for v in (vf[-1], -vf[0])], eta, n_ext)
+        for k, eid in enumerate(eids):
+            extensions[eid] = (eta, curves[2 * k], curves[2 * k + 1])
+    tubes = {}
+    for e in net.graph.edges:
+        fine, vf = fine_data[e.id]
+        eta, fwd, bwd = extensions[e.id]
         pts = np.concatenate([bwd.points[1:][::-1], fine, fwd.points[1:]], axis=0)
         # integrator velocities are scaled to its own unit span; rescale to
         # the tube parameter (backward run flips the sign)

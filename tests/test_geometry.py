@@ -145,8 +145,28 @@ def test_geodesic_speed_drift():
 
 def test_geodesic_domain_error():
     box = EuclideanChart(2, box=([0, 0], [1, 1]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"at step \d+"):
         geodesic_integrate(box, [0.5, 0.5], [1.0, 0.0], 2.0, 100)
+
+
+def test_batched_geodesics_equal_single_runs(rng):
+    p = rng.uniform(-0.5, 0.5, size=(5, 2))
+    v = rng.normal(size=(5, 2))
+    batch = geodesic_integrate(SPHERE, p, v, 1.3, 200)
+    assert len(batch) == 5
+    for k, cv in enumerate(batch):
+        one = geodesic_integrate(SPHERE, p[k], v[k], 1.3, 200)
+        assert np.abs(cv.points - one.points).max() < 1e-14
+        assert np.abs(cv.velocities - one.velocities).max() < 1e-13 * np.abs(one.velocities).max()
+
+
+def test_batched_geodesic_domain_error_names_the_step():
+    box = EuclideanChart(2, box=([0, 0], [1, 1]))
+    with pytest.raises(DomainError) as single:
+        geodesic_integrate(box, [0.2, 0.5], [1.0, 0.0], 2.0, 100)
+    with pytest.raises(DomainError) as batch:
+        geodesic_integrate(box, [[0.5, 0.5], [0.2, 0.5]], [[0.0, 0.1], [1.0, 0.0]], 2.0, 100)
+    assert str(batch.value) == str(single.value)
 
 
 # -- parallel transport ------------------------------------------------------

@@ -17,8 +17,17 @@ from geodesicnets import (
     reduced_kernel_dimension,
 )
 from geodesicnets import stencils as st
-from geodesicnets.geometry import ConstantField, conformal_family, g_dot, g_norm
+from geodesicnets.geometry import (
+    ConstantField,
+    StereographicSphereChart,
+    conformal_family,
+    g_dot,
+    g_norm,
+    geodesic_integrate,
+)
 from geodesicnets.jacobi import (
+    _edge_fine_data,
+    _propagate,
     approximate_embeddedness,
     assemble_jacobi_system,
     random_reduced_field,
@@ -66,6 +75,18 @@ def test_frame_loop_holonomy_identity():
         assert abs(o - 1.0) < 1e-6  # orientable cases: identity
 
 
+def test_frame_in_three_dimensions_is_orthonormal_and_normal():
+    chart = StereographicSphereChart(1.0, dim=3)
+    cv = geodesic_integrate(chart, [0.1, 0.2, -0.1], [0.5, -0.3, 0.4], 1.0, 256)
+    frames = parallel_frame(chart, cv.points, cv.velocities)
+    assert frames.shape == (257, 2, 3)
+    g = chart.metric_many(cv.points)
+    gram = np.einsum("pai,pij,pbj->pab", frames, g, frames)
+    assert np.abs(gram - np.eye(2)).max() < 1e-10
+    tangent = cv.velocities / g_norm(chart, cv.points, cv.velocities)[:, None]
+    assert np.abs(np.einsum("pai,pij,pj->pa", frames, g, tangent)).max() < 1e-10
+
+
 # -- curvature coefficients --------------------------------------------------
 
 def test_jacobi_coefficients_flat_zero():
@@ -97,6 +118,69 @@ def test_jacobi_coefficients_symmetric():
     s, v, frames = edge_frame(case, "E2")
     k_mat = jacobi_ode_coefficients(case.chart, s, v, frames)
     assert np.abs(k_mat - np.swapaxes(k_mat, 1, 2)).max() < 1e-8
+
+
+# -- the propagator ----------------------------------------------------------
+
+def _propagate_reference(K_fine, h_fine, record_stride):
+    """One RK4 step at a time on (u, u'), with the stages written out."""
+    m = K_fine.shape[1]
+    psi = np.eye(2 * m)
+    records = [psi.copy()]
+    h = 2.0 * h_fine
+
+    def rhs(Kt, y):
+        out = np.empty_like(y)
+        out[:m] = y[m:]
+        out[m:] = -Kt @ y[:m]
+        return out
+
+    for j in range(0, K_fine.shape[0] - 1, 2):
+        K0, K1, K2 = K_fine[j], K_fine[j + 1], K_fine[j + 2]
+        k1 = rhs(K0, psi)
+        k2 = rhs(K1, psi + 0.5 * h * k1)
+        k3 = rhs(K1, psi + 0.5 * h * k2)
+        k4 = rhs(K2, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (j + 2) % record_stride == 0:
+            records.append(psi.copy())
+    return np.array(records)
+
+
+def _smooth_symmetric_k(rng, n_fine, m):
+    t = np.linspace(0.0, 1.0, n_fine + 1)
+    k_mat = np.zeros((n_fine + 1, m, m))
+    for k in range(3):
+        c = rng.normal(size=(2, m, m))
+        c = c + np.swapaxes(c, 1, 2)
+        k_mat += np.sin(np.pi * (k + 1) * t)[:, None, None] * c[0]
+        k_mat += np.cos(np.pi * k * t)[:, None, None] * c[1]
+    return 5.0 * k_mat
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_propagate_matches_stepwise_reference(m, rng):
+    n_coarse, refine = 64, 8
+    if m == 1:
+        case = make_case("sphere-theta", n_coarse)
+        k_fine = _edge_fine_data(case.chart, case.net, "E1", refine)[4]
+    else:
+        k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)
+    h_fine = 1.0 / (k_fine.shape[0] - 1)
+    psi = _propagate(k_fine, h_fine, refine)
+    ref = _propagate_reference(k_fine, h_fine, refine)
+    assert psi.shape == ref.shape == (n_coarse + 1, 2 * m, 2 * m)
+    assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("refine", [3, 5])
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator"])
+def test_odd_refine_refused(name, refine):
+    case = make_case(name, 64)
+    with pytest.raises(ValueError, match="refine"):
+        assemble_jacobi_system(case.chart, case.net, refine=refine)
+    with pytest.raises(ValueError, match="refine"):
+        jacobi_kernel(case.chart, case.net, refine=refine)
 
 
 # -- the shooting system -----------------------------------------------------
