@@ -65,6 +65,7 @@ def _resolve(spec, args):
     options.setdefault("tol", 1e-8)
     options.setdefault("svd_tol", 1e-6)
     options.setdefault("residual_tol", 1e-3)
+    specfile.check_tolerances(options)
     options["seed"] = args.seed
     return options
 

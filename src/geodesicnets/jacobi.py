@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -37,11 +37,10 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, edge_lengths, length
+from .net import GeodesicNet, NetField, copies_per_pass, edge_lengths, length
 from .variation import (
     NotStationaryError,
     edge_length_gradient,
-    length_sample_gradient,
     stationarity_residual,
 )
 
@@ -184,7 +183,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
     if refine < 2 or refine % 2:
         raise ValueError(f"refine must be an even integer >= 2, got {refine!r}")
     agg = stationarity_residual(chart, net).aggregate
-    if agg > residual_tol:
+    if not agg <= residual_tol:  # a NaN residual fails too
         raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
     if agg > 0.01 * residual_tol:
         warnings.warn(f"assembling Jacobi system at marginal residual {agg:.3g}")
@@ -593,29 +592,52 @@ class ReducedBasis:
 
     def apply(self, coef: np.ndarray) -> NetField:
         """B @ coef as a displacement field."""
-        flat = self.vertex_block @ coef[: self.n_vertex]
+        return NetField({e: v[0] for e, v in self.apply_many(coef[None]).items()})
+
+    def apply_many(self, coefs: np.ndarray) -> dict[str, np.ndarray]:
+        """B @ coef for every row of coefs (K, d): per edge, (K, N+1, n).
+        Each row is the same matrix-vector product as alone."""
+        flat = np.matmul(self.vertex_block, coefs[:, : self.n_vertex, None])[..., 0]
         vals = {}
         start = 0
         for e in self.edges:
             npts, nm1, n = self.frames[e].shape
-            vals[e] = flat[start : start + npts * n].reshape(npts, n)
+            vals[e] = flat[:, start : start + npts * n].reshape(-1, npts, n)
             start += npts * n
             off = self.hat_offset[e]
-            c = coef[off : off + (npts - 2) * nm1].reshape(npts - 2, nm1)
-            vals[e][1:-1] += (c[:, :, None] * self.frames[e][1:-1]).sum(axis=1)
-        return NetField(vals)
+            c = coefs[:, off : off + (npts - 2) * nm1].reshape(-1, npts - 2, nm1)
+            vals[e][:, 1:-1] += (c[..., None] * self.frames[e][1:-1]).sum(axis=-2)
+        return vals
 
     def pullback(self, grad: dict[str, np.ndarray]) -> np.ndarray:
         """B^T g for a per-edge sample gradient g."""
-        out = np.empty(self.dim)
-        out[: self.n_vertex] = self.vertex_block.T @ np.concatenate(
-            [grad[e].ravel() for e in self.edges])
-        for e in self.edges:
-            npts, nm1, _ = self.frames[e].shape
-            off = self.hat_offset[e]
-            pair = (grad[e][1:-1, None, :] * self.frames[e][1:-1]).sum(axis=-1)
-            out[off : off + (npts - 2) * nm1] = pair.ravel()
-        return out
+        return self.pullback_many({e: grad[e][None] for e in self.edges})[0]
+
+    def pullback_many(self, grads: dict[str, np.ndarray]) -> list[np.ndarray]:
+        """B^T g for K gradients stacked per edge, (K, N+1, n): K new (d,) arrays."""
+        return _pullback([self.vertex_block], {e: fr[None] for e, fr in self.frames.items()},
+                         grads, self.dim)
+
+
+def _pullback(blocks: list, frames: dict, grads: dict, dim: int) -> list[np.ndarray]:
+    """B^T g of K stacked copies, one new (d,) array per copy.
+
+    grads maps every edge, in graph order, to (K, N+1, n) and frames to
+    (K or 1, N+1, n-1, n); blocks holds the vertex block of every copy, or
+    one for all.  The hat columns follow the vertex columns edge by edge.
+    Each copy's vertex part is the same ``block.T @ g`` product as alone.
+    """
+    k = len(next(iter(grads.values())))
+    hats = np.concatenate([(g[:, 1:-1, None, :] * frames[e][:, 1:-1]).sum(axis=-1).reshape(k, -1)
+                           for e, g in grads.items()], axis=1)
+    out = []
+    for c in range(k):
+        block = blocks[c if len(blocks) > 1 else 0]
+        row = np.empty(dim)
+        row[: block.shape[1]] = block.T @ np.concatenate([g[c].ravel() for g in grads.values()])
+        row[block.shape[1] :] = hats[c]
+        out.append(row)
+    return out
 
 
 def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
@@ -643,20 +665,41 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     ``length_sample_gradient``, from one velocity and one metric jet per
     edge group, which feed both the frames and the gradient.
     """
+    frames, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
+    basis, _ = _reduced_basis(net, {e: fr[0] for e, fr in frames.items()})
+    return basis, grad
 
-    def frames_and_gradient(grp):
-        v, g, grad_group = edge_length_gradient(chart, grp)
+
+def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list):
+    """Frames and reduced gradients of K configurations of net's edges.
+
+    groups are the K copies of ``net.edge_groups()`` stacked by
+    ``EdgeGroup.copies``.  Returns the frames of every edge, (K, N+1, n-1,
+    n) in graph order, and K reduced gradients B_k^T grad L_k, each equal bit
+    for bit to ``reduced_gradient`` of its configuration alone; no basis is
+    built.
+    """
+    frames, grads = {}, {}
+    k = len(groups[0].ids) // len(set(groups[0].ids))
+    for grp in groups:
+        v, g, grad = edge_length_gradient(chart, grp)
         if net.dim == 2:
             fr = _normal_frame(g, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
         else:
             shifts = grp.shifts if grp.loop else [None] * len(grp.ids)
-            fr = [parallel_frame(chart, s, vel, loop_shift=shift)
-                  for s, vel, shift in zip(grp.samples, v, shifts)]
-        return zip(fr, grad_group)
-
-    per_edge = net.map_groups(frames_and_gradient)
-    basis, _ = _reduced_basis(net, {eid: fr for eid, (fr, _) in per_edge.items()})
-    return basis, basis.pullback({eid: gr for eid, (_, gr) in per_edge.items()})
+            fr = np.array([parallel_frame(chart, s, vel, loop_shift=shift)
+                           for s, vel, shift in zip(grp.samples, v, shifts)])
+        for i, eid in enumerate(grp.ids[: len(grp.ids) // k]):
+            frames[eid] = fr.reshape((k, -1) + fr.shape[1:])[:, i]
+            grads[eid] = grad.reshape((k, -1) + grad.shape[1:])[:, i]
+    order = [e.id for e in net.graph.edges]
+    frames = {e: frames[e] for e in order}
+    counts = tuple(frames[e].shape[1] for e in order)
+    labels, _, dim, block = _basis_layout(net.graph, counts, net.dim)
+    blocks = [block] if block is not None else [
+        _loop_vertex_block(net, counts, labels, {e: fr[c] for e, fr in frames.items()})
+        for c in range(k)]
+    return frames, _pullback(blocks, frames, {e: grads[e] for e in order}, dim)
 
 
 def _reduced_basis(net: GeodesicNet, frames: dict[str, np.ndarray]):
@@ -665,16 +708,23 @@ def _reduced_basis(net: GeodesicNet, frames: dict[str, np.ndarray]):
     counts = tuple(net.edge_samples[e.id].shape[0] for e in graph.edges)
     labels, hat_offset, dim, block = _basis_layout(graph, counts, net.dim)
     if block is None:
-        # loop graphs: the normal motion of the marked vertex, in its frame
-        block = np.zeros((net.dim * sum(counts), len(graph.vertices) * (net.dim - 1)))
-        for k, (_, vtx, a) in enumerate(labels[: block.shape[1]]):
-            eid, i = graph.incident_pairs(vtx)[0]
-            fr = frames[eid][0] if i == 0 else frames[eid][-1]
-            for eid2, i2 in graph.incident_pairs(vtx):
-                _edge_rows(block, graph, counts, eid2)[0 if i2 == 0 else -1, :, k] += fr[a]
+        block = _loop_vertex_block(net, counts, labels, frames)
     basis = ReducedBasis(edges=tuple(e.id for e in graph.edges), vertex_block=block,
                          frames=frames, hat_offset=hat_offset, dim=dim)
     return basis, labels
+
+
+def _loop_vertex_block(net: GeodesicNet, counts: tuple, labels: tuple, frames: dict):
+    """The vertex block of a loop graph: the normal motion of the marked
+    vertex, in its frame."""
+    graph = net.graph
+    block = np.zeros((net.dim * sum(counts), len(graph.vertices) * (net.dim - 1)))
+    for k, (_, vtx, a) in enumerate(labels[: block.shape[1]]):
+        eid, i = graph.incident_pairs(vtx)[0]
+        fr = frames[eid][0] if i == 0 else frames[eid][-1]
+        for eid2, i2 in graph.incident_pairs(vtx):
+            _edge_rows(block, graph, counts, eid2)[0 if i2 == 0 else -1, :, k] += fr[a]
+    return block
 
 
 def _edge_rows(block: np.ndarray, graph: WeightedMultigraph, counts: tuple, eid: str):
@@ -776,45 +826,53 @@ class _RefinedLength:
 
     The fine samples are the upsampled net plus T times the displacement,
     and the coarse gradient is T^T times the fine one; at refine 1, T is
-    the identity and is not formed.
+    the identity and is not formed.  Displaced copies of the net are
+    evaluated stacked, one ``edge_length_gradient`` per edge group.
     """
 
     def __init__(self, chart, net, refine):
         self.chart = chart
         self.net = net
-        self.fine_base = {}
-        self.t_mats = None if refine == 1 else {}
-        for e in net.graph.edges:
-            s = net.edge_samples[e.id]
-            shift = net.loop_shift(e.id)
-            self.fine_base[e.id] = stencils.upsample_curve(s, refine, loop_shift=shift)
-            if self.t_mats is not None:
-                # linear part only: displacement fields never wrap
-                self.t_mats[e.id], _ = stencils.upsample_operator(s.shape[0], refine,
-                                                                  shift is not None)
+        self.groups = net.edge_groups()
+        self.fine_base = [stencils.upsample_curve(grp.samples, refine, loop_shift=grp.shifts)
+                          for grp in self.groups]
+        # linear part only: displacement fields never wrap
+        self.t_mats = None if refine == 1 else [
+            stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
+            for grp in self.groups]
 
-    def _fine_net(self, displacement: NetField) -> GeodesicNet:
-        d = displacement.edge_values
-        fine_samples = {
-            e: base + (d[e] if self.t_mats is None else self.t_mats[e] @ d[e])
-            for e, base in self.fine_base.items()
-        }
-        return GeodesicNet(
-            graph=self.net.graph,
-            edge_samples=fine_samples,
-            vertex_positions=self.net.vertex_positions,
-            periodic_edges=self.net.periodic_edges,
-        )
+    def _fine_groups(self, disp: dict[str, np.ndarray]):
+        """The stacked fine edge groups of the copies displaced by disp, per
+        edge (K, N+1, n); with each group's T, or None."""
+        for j, (grp, base) in enumerate(zip(self.groups, self.fine_base)):
+            d = np.stack([disp[e] for e in grp.ids], axis=1).reshape((-1,) + grp.samples.shape[1:])
+            t_mat = None if self.t_mats is None else self.t_mats[j]
+            moved = d if t_mat is None else t_mat @ d
+            fine = base + moved.reshape((-1,) + base.shape)
+            yield grp, grp.copies(fine.reshape((-1,) + base.shape[1:])), t_mat
+
+    def gradients(self, disp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Exact gradients in the coarse samples of K displaced copies: disp
+        and the result map every edge to (K, N+1, n)."""
+        out = {}
+        for grp, fine, t_mat in self._fine_groups(disp):
+            grad = edge_length_gradient(self.chart, fine)[2]
+            if t_mat is not None:
+                grad = t_mat.T @ grad
+            grad = grad.reshape((-1,) + grp.samples.shape)
+            out.update((e, grad[:, i]) for i, e in enumerate(grp.ids))
+        return {e.id: out[e.id] for e in self.net.graph.edges}
 
     def gradient(self, displacement: NetField) -> dict[str, np.ndarray]:
-        """Exact gradient in the coarse samples at the displaced configuration."""
-        grad = length_sample_gradient(self.chart, self._fine_net(displacement))
-        if self.t_mats is None:
-            return grad
-        return {e: self.t_mats[e].T @ g for e, g in grad.items()}
+        """Exact gradient in the coarse samples at one displaced configuration."""
+        grad = self.gradients({e: d[None] for e, d in displacement.edge_values.items()})
+        return {e: g[0] for e, g in grad.items()}
 
     def value(self, displacement: NetField) -> float:
-        return length(self.chart, self._fine_net(displacement))
+        fine = {}
+        for grp, stacked, _ in self._fine_groups({e: d[None] for e, d in displacement.edge_values.items()}):
+            fine.update(zip(grp.ids, stacked.samples))
+        return length(self.chart, replace(self.net, edge_samples=fine, lengths={}))
 
 
 def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
@@ -826,27 +884,32 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     hat columns of one colour are perturbed together, two gradients per
     colour, and each hat row reads its entry from the one column of the
     colour it is coupled to.  Dense vertex columns are perturbed alone and
-    fill the vertex rows by symmetry.  The gradient count, 2 (n_vertex +
-    colours), does not grow with the sample count.
+    fill the vertex rows by symmetry.  The probe count, 2 (n_vertex +
+    colours), does not grow with the sample count.  The probes are
+    evaluated stacked, as many per pass as ``net.MAX_STACKED_ROWS`` fine
+    sample rows hold, and every probe's gradient is bitwise what it gets
+    alone.
     """
     functional = _RefinedLength(chart, net, refine)
     d = len(basis)
     nv = basis.n_vertex
+    members = _hat_groups(basis, net, refine)
+    # rows +step * coef and -step * coef of every probe coefficient coef
+    probes = np.zeros((2 * (nv + len(members)), d))
+    for j, cols in enumerate([[c] for c in range(nv)] + [[c for c, _ in m] for m in members]):
+        probes[2 * j, cols] = step
+        probes[2 * j + 1] = -probes[2 * j]
+    size = copies_per_pass(sum(base.shape[0] * base.shape[1] for base in functional.fine_base))
+    pulled = []
+    for start in range(0, len(probes), size):
+        pulled += basis.pullback_many(functional.gradients(basis.apply_many(probes[start : start + size])))
+    delta = [(gp - gm) / (2 * step) for gp, gm in zip(pulled[0::2], pulled[1::2])]
     h_mat = np.zeros((d, d))
-
-    def difference(cols):
-        coef = np.zeros(d)
-        coef[cols] = 1.0
-        gp = basis.pullback(functional.gradient(basis.apply(step * coef)))
-        gm = basis.pullback(functional.gradient(basis.apply(-step * coef)))
-        return (gp - gm) / (2 * step)
-
     for j in range(nv):
-        h_mat[:, j] = difference([j])
-    for members in _hat_groups(basis, net, refine):
-        delta = difference([col for col, _ in members])
-        for col, rows in members:
-            h_mat[rows, col] = delta[rows]
+        h_mat[:, j] = delta[j]
+    for members_c, delta_c in zip(members, delta[nv:]):
+        for col, rows in members_c:
+            h_mat[rows, col] = delta_c[rows]
     h_mat[:nv, nv:] = h_mat[nv:, :nv].T
     return 0.5 * (h_mat + h_mat.T)
 

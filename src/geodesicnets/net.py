@@ -28,9 +28,19 @@ __all__ = [
     "vertex_unit_tangents",
     "displace",
     "check_net",
+    "constant_speed_samples",
+    "MAX_STACKED_ROWS",
+    "copies_per_pass",
 ]
 
 ENDPOINT_TOL = 1e-9
+
+# Most sample rows one stacked pass over copies of a net may hold (the
+# FD-Hessian probes, the line-search ladder): bounds its memory whatever
+# the number of copies.  A copy larger than this is passed alone.
+MAX_STACKED_ROWS = 8192
+# Refinement of the grid on which arc length is integrated.
+ARC_UPSAMPLE = 8
 
 
 @dataclass
@@ -115,6 +125,15 @@ class EdgeGroup:
     def loop(self) -> bool:
         return self.shifts is not None
 
+    def copies(self, samples: np.ndarray) -> "EdgeGroup":
+        """The group of K displaced copies of these edges, with samples
+        (K * E, M, n) in copy-major order; loop groups read their seam
+        shifts from these samples."""
+        k = samples.shape[0] // len(self.ids)
+        return EdgeGroup(ids=self.ids * k, samples=samples,
+                         shifts=samples[:, -1] - samples[:, 0] if self.loop else None,
+                         multiplicities=np.tile(self.multiplicities, k))
+
 
 @dataclass
 class NetField:
@@ -161,8 +180,10 @@ class TangentialField:
 
 
 def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -> list[str]:
-    """Structural violations: endpoint mismatches, domain exits, bad shapes."""
-    problems = []
+    """Structural violations: non-finite coordinates, endpoint mismatches,
+    domain exits, bad shapes."""
+    problems = [f"vertex {v!r} has a non-finite position"
+                for v, p in net.vertex_positions.items() if not np.isfinite(p).all()]
     for e in net.graph.edges:
         s = net.edge_samples.get(e.id)
         if s is None:
@@ -178,10 +199,13 @@ def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -
                 f"edge {e.id!r} has {len(s)} samples; at least {stencils.MIN_SAMPLES} are needed"
             )
             continue
+        if not np.isfinite(s).all():
+            problems.append(f"edge {e.id!r} has non-finite samples")
+            continue
         for i, idx in ((0, 0), (1, -1)):
             vpos = net.vertex_positions[e.endpoint(i)]
             gap = np.linalg.norm(chart.displacement(vpos, s[idx]))
-            if gap > tol:
+            if not gap <= tol:
                 problems.append(
                     f"edge {e.id!r} endpoint {i} misses vertex {e.endpoint(i)!r} by {gap:.3g}"
                 )
@@ -208,42 +232,58 @@ def length(chart: MetricChart, net: GeodesicNet) -> float:
     return sum(e.multiplicity * per_edge[e.id] for e in net.graph.edges)
 
 
+def copies_per_pass(rows_per_copy: int) -> int:
+    """Copies of rows_per_copy sample rows one stacked pass holds: at least one."""
+    return max(1, MAX_STACKED_ROWS // rows_per_copy)
+
+
 def reparametrize_constant_speed(
-    chart: MetricChart, net: GeodesicNet, upsample: int = 8, n_samples: int | None = None
+    chart: MetricChart, net: GeodesicNet, upsample: int = ARC_UPSAMPLE, n_samples: int | None = None
 ) -> GeodesicNet:
     """Arc-length resampling of every edge; endpoint samples are pinned.
 
-    ``n_samples`` intervals per edge (default: keep each edge's count).  The
-    SBP speed on the ``upsample`` times finer grid is integrated to arc
-    length, the arc-length map is inverted, and the edge's 6-point
-    interpolant is evaluated at the parameters found (``stencils``), for
-    each group of ``GeodesicNet.edge_groups`` in one pass.  A
-    sample speed below 1e-8 times the edge mean speed is rejected (the
-    inverse map would divide by it).  ``lengths`` is left empty, as after
-    ``displace``: the solver reparametrizes every line-search trial and
-    fills it only for the nets it accepts.
+    ``constant_speed_samples`` of each group of ``GeodesicNet.edge_groups``.
+    ``lengths`` is left empty, as after ``displace``: the solver fills it
+    only for the nets it accepts.
     """
+    return replace(
+        net,
+        edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, upsample, n_samples)),
+        constant_speed=True,
+        lengths={},
+    )
 
-    def resample(grp):
-        s, shift = grp.samples, grp.shifts
-        fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
-        speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
-        slow = speed.min(axis=-1) < 1e-8 * speed.mean(axis=-1)
-        if slow.any():
-            eid = grp.ids[int(np.argmax(slow))]
-            raise ValueError(f"edge {eid!r} has a near-zero speed sample; not an immersion")
-        arc = stencils.running_integral(speed, loop=grp.loop)
-        n = s.shape[1] - 1 if n_samples is None else n_samples
-        # np.linspace(0, arc[e, -1], n + 1) for every edge e, bit for bit
-        targets = np.arange(n + 1.0) * (arc[:, -1:] / n)
-        targets[:, -1] = arc[:, -1]
-        ts = np.clip(stencils.inverse_interpolate(arc, targets), 0.0, 1.0)
-        out = stencils.evaluate_curve(s, ts, loop_shift=shift)
-        out[:, 0] = s[:, 0]
-        out[:, -1] = s[:, -1]
-        return out
 
-    return replace(net, edge_samples=net.map_groups(resample), constant_speed=True, lengths={})
+def constant_speed_samples(chart: MetricChart, group: EdgeGroup, upsample: int = ARC_UPSAMPLE,
+                           n_samples: int | None = None) -> np.ndarray:
+    """Arc-length resampling of one edge group, (E, n_samples + 1, n), in one pass.
+
+    ``n_samples`` intervals per edge (default: keep the count).  The SBP
+    speed on the ``upsample`` times finer grid is integrated to arc
+    length, the arc-length map is inverted, and the edge's 6-point
+    interpolant is evaluated at the parameters found (``stencils``).  A
+    sample speed below 1e-8 times the edge mean speed is rejected with a
+    ValueError naming the group's first such edge (the inverse map would
+    divide by it).  Each edge's rows go through the same operations as in
+    a group of one.
+    """
+    s, shift = group.samples, group.shifts
+    fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
+    speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
+    slow = speed.min(axis=-1) < 1e-8 * speed.mean(axis=-1)
+    if slow.any():
+        eid = group.ids[int(np.argmax(slow))]
+        raise ValueError(f"edge {eid!r} has a near-zero speed sample; not an immersion")
+    arc = stencils.running_integral(speed, loop=group.loop)
+    n = s.shape[1] - 1 if n_samples is None else n_samples
+    # np.linspace(0, arc[e, -1], n + 1) for every edge e, bit for bit
+    targets = np.arange(n + 1.0) * (arc[:, -1:] / n)
+    targets[:, -1] = arc[:, -1]
+    ts = np.clip(stencils.inverse_interpolate(arc, targets), 0.0, 1.0)
+    out = stencils.evaluate_curve(s, ts, loop_shift=shift)
+    out[:, 0] = s[:, 0]
+    out[:, -1] = s[:, -1]
+    return out
 
 
 def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):

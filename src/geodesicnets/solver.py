@@ -31,12 +31,24 @@ from .geometry import (
 )
 from .jacobi import (
     NondegeneracyVerdict,
+    _reduced_basis,
     classify_field,
     fd_hessian,
     is_nondegenerate,
     reduced_gradient,
+    stacked_reduced_gradients,
 )
-from .net import GeodesicNet, NetField, displace, edge_lengths, length, reparametrize_constant_speed
+from .net import (
+    ARC_UPSAMPLE,
+    GeodesicNet,
+    NetField,
+    constant_speed_samples,
+    copies_per_pass,
+    displace,
+    edge_lengths,
+    length,
+    reparametrize_constant_speed,
+)
 from .variation import NotStationaryError
 
 __all__ = [
@@ -109,10 +121,19 @@ class SolveOptions:
     lm_max_boosts: int = 12       # damping escalations when Newton steps fail
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        # written so that NaN fails every test
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and positive")
+        if not self.max_iterations >= 1:
             raise ValueError("max iterations must be at least 1")
+        if not 0 < self.backtrack_factor < 1:
+            raise ValueError("backtrack factor must lie strictly between 0 and 1")
+        if not self.max_backtracks >= 1:
+            raise ValueError("max backtracks must be at least 1")
+        if not 0 < self.hessian_step < np.inf:
+            raise ValueError("hessian step must be finite and positive")
+        if not self.hessian_refresh >= 1:
+            raise ValueError("hessian refresh must be at least 1")
 
 
 @dataclass
@@ -138,21 +159,6 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     trace = []
     evals = evecs = None
     stale = 0
-
-    def try_direction(net_now, direction, gnorm):
-        """(step size, accepted net, its basis and reduced gradient), or None."""
-        alpha = 1.0
-        for _ in range(opts.max_backtracks):
-            cand = reparametrize_constant_speed(chart, displace(net_now, direction, alpha))
-            cand_basis, cand_grad = reduced_gradient(chart, cand)
-            cand_gnorm = float(np.linalg.norm(cand_grad))
-            if cand_gnorm < gnorm * (1.0 - 1e-4 * alpha) or cand_gnorm <= opts.tolerance:
-                cand.lengths = edge_lengths(chart, cand)
-                return alpha, cand, cand_basis, cand_grad
-            if alpha < 1e-6:
-                break
-            alpha *= opts.backtrack_factor
-        return None
 
     for it in range(opts.max_iterations + 1):
         gnorm = float(np.linalg.norm(grad))
@@ -180,7 +186,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         act = ~null
         coef_eig[act] = -g_eig[act] / evals[act]
         direction = basis.apply(evecs @ coef_eig)
-        step = try_direction(net, direction, gnorm)
+        step = _line_search(chart, net, direction, gnorm, opts)
         if step is None and stale > 0:
             # retry with a fresh Newton matrix before damping
             evals = None
@@ -192,7 +198,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             for _ in range(opts.lm_max_boosts):
                 coef = -(evals * g_eig) / (evals**2 + mu)
                 direction = basis.apply(evecs @ coef)
-                step = try_direction(net, direction, gnorm)
+                step = _line_search(chart, net, direction, gnorm, opts)
                 if step is not None:
                     break
                 mu *= 10.0
@@ -213,6 +219,66 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         result=SolveResult(net=net, converged=False, iterations=opts.max_iterations,
                            gradient_norm=gnorm, trace=trace),
     )
+
+
+def _line_search(chart, net, direction, gnorm, opts):
+    """(step size, accepted net, its basis and reduced gradient), or None.
+
+    Backtracking on the gradient norm (Armijo) over the ladder alpha = f^k,
+    k < max_backtracks, which ends after the first alpha below 1e-6.
+    alpha = 1 is tried alone; the rest of the ladder goes in ladder order,
+    stacked as many candidates per pass as ``net.MAX_STACKED_ROWS``
+    resampling rows hold, one pass per edge group.  Every candidate's
+    reduced gradient is bitwise that of the candidate alone; the first that
+    passes is accepted, and only it gets its net, basis and lengths built.
+    """
+    ladder = []
+    alpha = 1.0
+    for _ in range(opts.max_backtracks):
+        ladder.append(alpha)
+        if alpha < 1e-6:
+            break
+        alpha *= opts.backtrack_factor
+    groups = net.edge_groups()
+    moves = [np.array([direction.edge_values[e] for e in grp.ids]) for grp in groups]
+    size = copies_per_pass(sum(len(grp.ids) * ((grp.samples.shape[1] - 1) * ARC_UPSAMPLE + 1)
+                               for grp in groups))
+
+    def first_accepted(alphas):
+        scale = np.array(alphas)[:, None, None, None]
+        resampled = []
+        for grp, move in zip(groups, moves):
+            moved = (grp.samples + scale * move).reshape((-1,) + grp.samples.shape[1:])
+            resampled.append(grp.copies(constant_speed_samples(chart, grp.copies(moved))))
+        frames, grads = stacked_reduced_gradients(chart, net, resampled)
+        for c, (alpha, grad) in enumerate(zip(alphas, grads)):
+            gn = float(np.linalg.norm(grad))
+            if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
+                samples = {}
+                for grp, stacked in zip(groups, resampled):
+                    samples.update(zip(grp.ids, stacked.samples[c * len(grp.ids) :]))
+                cand = replace(displace(net, direction, alpha), constant_speed=True,
+                               edge_samples={e.id: samples[e.id] for e in net.graph.edges})
+                basis, _ = _reduced_basis(cand, {e: fr[c] for e, fr in frames.items()})
+                cand.lengths = edge_lengths(chart, cand)
+                return alpha, cand, basis, grad
+        return None
+
+    def attempt(alphas):
+        try:
+            return first_accepted(alphas)
+        except ValueError:
+            if len(alphas) == 1:
+                raise
+            # a near-zero speed in the pass: candidate by candidate, the error
+            # is raised only when no candidate before the faulty one passes
+            return next((s for s in (attempt([a]) for a in alphas) if s is not None), None)
+
+    for start, stop in [(0, 1)] + [(i, i + size) for i in range(1, len(ladder), size)]:
+        step = attempt(ladder[start:stop])
+        if step is not None:
+            return step
+    return None
 
 
 def _interpolate_charts(g0: MetricChart, g1: MetricChart, frac: float) -> MetricChart | None:

@@ -28,7 +28,7 @@ from .multigraph import WeightedMultigraph, validate
 from .net import GeodesicNet, check_net, edge_lengths
 from .stencils import MIN_SAMPLES
 
-__all__ = ["NetSpec", "SpecError", "load_spec", "parse_spec", "spec_from_case",
+__all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec", "spec_from_case",
            "write_spec", "results_document", "write_results", "export_plot_csv",
            "read_plot_csv"]
 
@@ -153,12 +153,22 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
     )
 
 
+def check_tolerances(options: dict) -> None:
+    """Refuse a tolerance option that is not a finite positive number."""
+    for key in ("tol", "svd_tol", "residual_tol"):
+        x = options.get(key, 1.0)
+        # written so that NaN fails the test
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < np.inf:
+            raise SpecError(f"options.{key} must be a finite positive number, got {x!r}")
+
+
 def parse_spec(doc: dict) -> NetSpec:
     _reject_unknown(doc, {"graph", "metric", "net", "options"}, "document root")
     options = dict(doc.get("options", {}))
     _reject_unknown(
         options, {"n_samples", "tol", "svd_tol", "residual_tol", "seed"}, "options"
     )
+    check_tolerances(options)
     graph = _parse_graph(doc.get("graph", {}))
     problems = validate(graph)
     if problems:

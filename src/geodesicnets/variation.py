@@ -105,7 +105,7 @@ class StationarityReport:
 
     Edge residuals are covariant accelerations normalized by the squared
     speed (so they are parametrization-scale free); the aggregate is the
-    maximum over both parts.
+    maximum over both parts, NaN if any part is NaN.
     """
 
     edge_residuals: dict[str, np.ndarray]
@@ -146,7 +146,8 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
         vb[v] = bal
         p = net.vertex_positions[v]
         vn[v] = float(g_norm(chart, p[None, :], bal[None, :])[0])
-    agg = max(list(edge_max.values()) + list(vn.values()))
+    # np.max, unlike max, does not drop a NaN
+    agg = float(np.max([*edge_max.values(), *vn.values()]))
     return StationarityReport(edge_res, edge_max, vb, vn, agg)
 
 
@@ -195,7 +196,7 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
     """
     if check_stationary:
         agg = stationarity_residual(chart, net).aggregate
-        if agg > 100 * residual_tol:
+        if not agg <= 100 * residual_tol:  # a NaN residual fails too
             raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
         if agg > residual_tol:
             warnings.warn(f"hessian at a marginally stationary net (residual {agg:.3g})")

@@ -370,3 +370,40 @@ def test_cli_chart_roundtrip_rejects_a_3d_chart(tmp_path, capsys):
     specfile.write_spec(theta3d_doc(), str(path))
     assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 2
     assert "needs a planar chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "jacobi"])
+@pytest.mark.parametrize("where", ["vertex", "sample"])
+def test_cli_refuses_non_finite_coordinates(tmp_path, capsys, command, where):
+    # before the gate, a NaN vertex passed as stationary and a NaN sample
+    # gave a NaN total length (check) or an SVD failure (jacobi)
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus")
+    if where == "vertex":
+        doc["net"]["vertices"]["A"][0] = float("nan")
+    else:
+        doc["net"]["edges"]["E1"]["samples"][10][1] = float("nan")
+    specfile.write_spec(doc, str(path))
+    assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "res.json")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "res.json").exists()
+
+
+@pytest.mark.parametrize("key", ["tol", "svd_tol", "residual_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1e-8, "1e-8", True])
+def test_spec_rejects_a_tolerance_that_is_not_finite_and_positive(key, value):
+    doc = specfile.spec_from_case("honeycomb-torus", 32)
+    doc["options"][key] = value
+    with pytest.raises(specfile.SpecError, match=f"options.{key} must be a finite positive number"):
+        specfile.parse_spec(doc)
+
+
+def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys):
+    # options.tol: inf used to call every net stationary
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    doc["options"]["tol"] = float("inf")
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert "options.tol" in capsys.readouterr().err
+    good, _ = write_case_spec(tmp_path, "sphere-equator", n=32)
+    assert cli.main(["check", "--spec", str(good), "--tol", "inf"]) == 2
+    assert "options.tol" in capsys.readouterr().err

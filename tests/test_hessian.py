@@ -5,17 +5,20 @@ NetField per reduced column, two gradients per column, each gradient
 paired with every field.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import jitter_net
+from conftest import jitter_net, theta3d_doc
 
 from geodesicnets import RadialBumpField, ScalarField, conformal_family, make_case
-from geodesicnets import reduced_hessian_fd, stencils
+from geodesicnets import reduced_hessian_fd, specfile, stencils
 from geodesicnets import jacobi as jac
+from geodesicnets import net as net_mod
 from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
 from geodesicnets.multigraph import GraphClass, classify
-from geodesicnets.net import NetField, displace
+from geodesicnets.net import GeodesicNet, NetField, displace
 from geodesicnets.solver import SolveOptions
 from geodesicnets.variation import length_sample_gradient
 
@@ -158,30 +161,37 @@ def test_compressed_oracle_matches_per_column_build(name, n_samples, refine):
     assert not np.any((hat_ref != 0.0) & ~reference_pattern(case.chart, case.net, refine))
 
 
+def count_gradients(monkeypatch) -> list:
+    """Gradient evaluations of the FD oracle: the list gets the number of
+    displaced copies of every stacked pass."""
+    calls = []
+    original = jac._RefinedLength.gradients
+
+    def counted(self, disp):
+        calls.append(len(next(iter(disp.values()))))
+        return original(self, disp)
+
+    monkeypatch.setattr(jac._RefinedLength, "gradients", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
-    calls = []
-    original = jac.length_sample_gradient
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(jac, "length_sample_gradient", counted)
+    calls = count_gradients(monkeypatch)
     counts = []
     for n_samples in (32, 96):
         case = make_case(name, n_samples)
         calls.clear()
         h_mat, _ = reduced_hessian_fd(case.chart, case.net)
-        counts.append(len(calls))
+        counts.append(sum(calls))
         n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
         if case.net.periodic_edges:
             # the conflict graph is a circulant band of half-width k, so no
             # colouring needs more than 2k + 1 colours
             lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
             k = 2 * int(hi[0])
-            assert len(calls) <= 2 * (n_vertex + 2 * k + 1)
-        assert len(calls) < 2 * h_mat.shape[0]  # the per-column build makes 2 d
+            assert sum(calls) <= 2 * (n_vertex + 2 * k + 1)
+        assert sum(calls) < 2 * h_mat.shape[0]  # the per-column build makes 2 d
     if not case.net.periodic_edges:
         assert counts[0] == counts[1]
 
@@ -223,17 +233,10 @@ def test_loop_colouring_uses_balanced_blocks():
 
 
 def test_sphere_equator_oracle_gradient_count(monkeypatch):
-    calls = []
-    original = jac.length_sample_gradient
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(jac, "length_sample_gradient", counted)
+    calls = count_gradients(monkeypatch)
     case = make_case("sphere-equator", 64)
     reduced_hessian_fd(case.chart, case.net)
-    assert len(calls) == 34
+    assert sum(calls) == 34
 
 
 # -- one trial of the Newton line search ---------------------------------------
@@ -312,3 +315,100 @@ def test_cached_basis_layout_is_read_only():
         basis.hat_offset["E1"] = 0
     labels.append(None)  # every caller gets its own list
     assert len(reduced_basis_fields(case.chart, case.net)[1]) == len(basis)
+
+
+# -- stacked probes --------------------------------------------------------------
+
+def per_probe_fd_hessian(chart, net, basis, step=1e-5, refine=1):
+    """The compressed builder probe by probe, as it was before the probes
+    were stacked: two gradients per probe, each pulled back alone."""
+    functional = jac._RefinedLength(chart, net, refine)
+    d = len(basis)
+    nv = basis.n_vertex
+    h_mat = np.zeros((d, d))
+
+    def difference(cols):
+        coef = np.zeros(d)
+        coef[cols] = 1.0
+        gp = basis.pullback(functional.gradient(basis.apply(step * coef)))
+        gm = basis.pullback(functional.gradient(basis.apply(-step * coef)))
+        return (gp - gm) / (2 * step)
+
+    for j in range(nv):
+        h_mat[:, j] = difference([j])
+    for members in jac._hat_groups(basis, net, refine):
+        delta = difference([col for col, _ in members])
+        for col, rows in members:
+            h_mat[rows, col] = delta[rows]
+    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
+    return 0.5 * (h_mat + h_mat.T)
+
+
+def fine_rows(net, refine):
+    return sum((s.shape[0] - 1) * refine + 1 for s in net.edge_samples.values())
+
+
+def jittered(name, n_samples=24, seed=8):
+    """(chart, net): a built-in case, or the theta net in flat 3-space, jittered."""
+    if name == "theta3d":
+        spec = specfile.parse_spec(theta3d_doc())
+        chart, net = spec.chart(), spec.net
+    else:
+        case = make_case(name, n_samples)
+        chart, net = case.chart, case.net
+    return chart, jitter_net(net, np.random.default_rng(seed), amp=0.02)
+
+
+@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
+@pytest.mark.parametrize("refine", (1, 2, 8))
+def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypatch):
+    chart, net = jittered(name)
+    basis, _ = reduced_basis_fields(chart, net)
+    want = per_probe_fd_hessian(chart, net, basis, refine=refine)
+    assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
+    # k copies per pass: the probes span several passes, the last one short
+    n_probes = 2 * (basis.n_vertex + len(jac._hat_groups(basis, net, refine)))
+    k = next(k for k in range(3, n_probes) if n_probes % k)
+    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
+    assert n_probes > 2 * k
+    assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
+
+
+@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
+def test_refined_gradient_is_the_gradient_of_the_fine_net(name):
+    """One displaced copy: T^T times the sample gradient of the net built
+    from the upsampled samples plus T times the displacement, bitwise."""
+    chart, net = jittered(name, seed=3)
+    basis, _ = reduced_basis_fields(chart, net)
+    disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
+    t_mats, fine = {}, {}
+    for e in net.graph.edges:
+        s, shift = net.edge_samples[e.id], net.loop_shift(e.id)
+        t_mats[e.id] = stencils.upsample_operator(s.shape[0], 8, shift is not None)[0]
+        fine[e.id] = (stencils.upsample_curve(s, 8, loop_shift=shift)
+                      + t_mats[e.id] @ disp.edge_values[e.id])
+    fine_net = GeodesicNet(graph=net.graph, edge_samples=fine,
+                           vertex_positions=net.vertex_positions,
+                           periodic_edges=net.periodic_edges)
+    want = {e: t_mats[e].T @ g for e, g in length_sample_gradient(chart, fine_net).items()}
+    got = jac._RefinedLength(chart, net, 8).gradient(disp)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[e], want[e]) for e in want)
+
+
+def test_one_stacked_pass_stays_within_the_row_cap():
+    """Peak traced memory of the oracle: three d x d arrays for H plus at
+    most 512 bytes per row of one stacked pass, although the probes hold
+    several times the cap (all of them in one pass take about 12 MB here)."""
+    case = make_case("honeycomb-torus", 64)
+    basis, _ = reduced_basis_fields(case.chart, case.net)
+    fd_hessian(case.chart, case.net, basis, refine=8)  # the operator caches
+    n_probes = 2 * (basis.n_vertex + len(jac._hat_groups(basis, case.net, 8)))
+    assert n_probes * fine_rows(case.net, 8) > 4 * net_mod.MAX_STACKED_ROWS
+    tracemalloc.start()
+    try:
+        h_mat = fd_hessian(case.chart, case.net, basis, refine=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * h_mat.nbytes + 512 * net_mod.MAX_STACKED_ROWS

@@ -433,3 +433,22 @@ def test_kernel_invariant_under_multiplicity():
     for mult in (1, 2, 3):
         case = make_case("sphere-equator", 64, multiplicity=mult)
         assert jacobi_kernel(case.chart, case.net).dimension == 2
+
+
+def test_a_nan_sample_fails_the_residual_gates():
+    """A NaN set after parsing: NotStationaryError before any SVD, from the
+    shooting assembly and from the second variation alike."""
+    from geodesicnets import specfile, stationarity_residual
+    from geodesicnets.variation import NotStationaryError
+
+    spec = specfile.parse_spec(specfile.spec_from_case("honeycomb-torus", 32))
+    chart, net = spec.chart(), spec.net
+    net.edge_samples["E2"][10, 1] = np.nan
+    assert np.isnan(stationarity_residual(chart, net).aggregate)
+    with pytest.raises(NotStationaryError, match="residual nan"):
+        assemble_jacobi_system(chart, net)
+    with pytest.raises(NotStationaryError, match="residual nan"):
+        jacobi_kernel(chart, net)
+    zero = NetField({e: np.zeros_like(s) for e, s in net.edge_samples.items()})
+    with pytest.raises(NotStationaryError, match="residual nan"):
+        hessian_form(chart, net, zero, zero)

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import jitter_net
 
@@ -18,9 +23,18 @@ from geodesicnets import (
     solve_stationary,
     stationarity_residual,
 )
+from geodesicnets import net as net_mod
+from geodesicnets.cases import CASE_NAMES
 from geodesicnets.geometry import RadialBumpField, SumField
-from geodesicnets.net import TangentialField
-from geodesicnets.solver import ContinuationStall, NoNormalPointError, SolverError
+from geodesicnets.jacobi import fd_hessian, reduced_gradient
+from geodesicnets.net import (
+    NetField,
+    TangentialField,
+    displace,
+    edge_lengths,
+    reparametrize_constant_speed,
+)
+from geodesicnets.solver import ContinuationStall, NoNormalPointError, SolverError, _line_search
 
 
 # -- solve -------------------------------------------------------------------
@@ -101,10 +115,148 @@ def test_solve_stationary_input_is_fixed_point():
 
 
 def test_solve_option_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(max_iterations=0)
+    for field, value in [
+        ("tolerance", -1.0), ("tolerance", 0.0), ("tolerance", np.nan), ("tolerance", np.inf),
+        ("max_iterations", 0),
+        ("backtrack_factor", 0.0), ("backtrack_factor", 1.0), ("backtrack_factor", np.nan),
+        ("max_backtracks", 0),
+        ("hessian_step", 0.0), ("hessian_step", -1e-5), ("hessian_step", np.nan),
+        ("hessian_refresh", 0),
+    ]:
+        with pytest.raises(ValueError):
+            SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_their_limits():
+    SolveOptions(tolerance=1e-300, backtrack_factor=0.999, max_backtracks=1, hessian_refresh=1)
+
+
+# -- the stacked line-search ladder --------------------------------------------
+
+def sequential_line_search(chart, net, direction, gnorm, opts):
+    """The backtracking loop trial by trial, as it was before the ladder
+    was stacked: reparametrize, reduced gradient, Armijo test, in turn."""
+    alpha = 1.0
+    for _ in range(opts.max_backtracks):
+        cand = reparametrize_constant_speed(chart, displace(net, direction, alpha))
+        cand_basis, cand_grad = reduced_gradient(chart, cand)
+        cand_gnorm = float(np.linalg.norm(cand_grad))
+        if cand_gnorm < gnorm * (1.0 - 1e-4 * alpha) or cand_gnorm <= opts.tolerance:
+            cand.lengths = edge_lengths(chart, cand)
+            return alpha, cand, cand_basis, cand_grad
+        if alpha < 1e-6:
+            break
+        alpha *= opts.backtrack_factor
+    return None
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as ex:
+        return f"ValueError: {ex}"
+
+
+def assert_same_step(got, want):
+    """Both searches refused alike, or accepted the same step with bitwise
+    equal net, basis and reduced gradient."""
+    if want is None or isinstance(want, str):
+        assert got == want
+        return
+    (alpha, cand, basis, grad), (w_alpha, w_cand, w_basis, w_grad) = got, want
+    assert alpha == w_alpha
+    assert np.array_equal(grad, w_grad)
+    assert list(cand.edge_samples) == list(w_cand.edge_samples)
+    for e, s in w_cand.edge_samples.items():
+        assert np.array_equal(cand.edge_samples[e], s)
+        assert np.array_equal(basis.frames[e], w_basis.frames[e])
+    for v, p in w_cand.vertex_positions.items():
+        assert np.array_equal(cand.vertex_positions[v], p)
+    assert cand.lengths == w_cand.lengths and cand.constant_speed
+    assert np.array_equal(basis.vertex_block, w_basis.vertex_block)
+    assert basis.dim == w_basis.dim and dict(basis.hat_offset) == dict(w_basis.hat_offset)
+
+
+def ladder_rows(net):
+    return sum((s.shape[0] - 1) * net_mod.ARC_UPSAMPLE + 1 for s in net.edge_samples.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CASE_NAMES), seed=st.integers(0, 2**32 - 1), newton=st.booleans(),
+       log_scale=st.floats(-3.0, 1.5), ratio=st.floats(0.5, 2.0),
+       factor=st.floats(0.05, 0.95), backtracks=st.integers(1, 30),
+       copies=st.sampled_from([1, 2, 3, None]))
+def test_stacked_ladder_matches_sequential_trials(name, seed, newton, log_scale, ratio, factor,
+                                                  backtracks, copies):
+    """Random and scaled Newton directions on jittered nets, with ladders
+    of any factor and length, and passes of one copy to the default cap."""
+    rng = np.random.default_rng(seed)
+    case = make_case(name, 16)
+    net = reparametrize_constant_speed(case.chart, jitter_net(case.net, rng, amp=0.02))
+    basis, grad = reduced_gradient(case.chart, net)
+    if newton:
+        coef = -np.linalg.lstsq(fd_hessian(case.chart, net, basis), grad, rcond=1e-8)[0]
+    else:
+        coef = rng.normal(size=len(basis))
+        coef *= 1e-2 / np.abs(coef).max()
+    direction = basis.apply(10.0**log_scale * coef)
+    gnorm = ratio * float(np.linalg.norm(grad))
+    opts = SolveOptions(backtrack_factor=factor, max_backtracks=backtracks)
+    want = outcome(sequential_line_search, case.chart, net, direction, gnorm, opts)
+    cap = net_mod.MAX_STACKED_ROWS if copies is None else copies * ladder_rows(net)
+    with mock.patch.object(net_mod, "MAX_STACKED_ROWS", cap):
+        got = outcome(_line_search, case.chart, net, direction, gnorm, opts)
+    assert_same_step(got, want)
+
+
+def collapsing_direction(net, eid, at):
+    """Moves eleven samples of a straight edge along it, onto their middle
+    one at step size ``at``: a near-zero speed there, a mere
+    reparametrization at smaller steps."""
+    vals = {e: np.zeros_like(s) for e, s in net.edge_samples.items()}
+    s = net.edge_samples[eid]
+    window = np.arange(11, 22)
+    vals[eid][window] = (s[16] - s[window]) / at
+    return NetField(vals)
+
+
+@pytest.mark.parametrize("at, gnorm, expect", [
+    (1.0, 2.0, "error"),     # the first candidate is the faulty one
+    (0.25, 2.0, 1.0),        # accepted alone, before the faulty candidate
+    (0.25, 0.7, 0.5),        # accepted in the pass that holds the faulty one
+    (0.25, 0.5, "error"),    # the faulty one comes first, a later one would pass
+    (0.5, 0.5, "error"),     # the faulty one opens the stacked pass
+])
+def test_near_zero_speed_is_refused_only_before_an_accepted_step(at, gnorm, expect):
+    case = make_case("honeycomb-torus", 32)
+    direction = collapsing_direction(case.net, "E2", at)
+    opts = SolveOptions()
+    want = outcome(sequential_line_search, case.chart, case.net, direction, gnorm, opts)
+    got = outcome(_line_search, case.chart, case.net, direction, gnorm, opts)
+    assert_same_step(got, want)
+    if expect == "error":
+        assert got == "ValueError: edge 'E2' has a near-zero speed sample; not an immersion"
+    else:
+        assert got[0] == expect
+
+
+def test_one_stacked_ladder_pass_stays_within_the_row_cap():
+    """Peak traced memory of a ladder whose 21 candidates all fail: at most
+    256 bytes per resampling row of one pass (about 4 MB in one pass)."""
+    case = make_case("sphere-theta", 64)
+    net = reparametrize_constant_speed(case.chart, case.net)
+    basis, _ = reduced_gradient(case.chart, net)
+    direction = basis.apply(np.random.default_rng(0).normal(size=len(basis)) * 1e-3)
+    opts = SolveOptions()
+    assert _line_search(case.chart, net, direction, 0.0, opts) is None
+    assert 21 * ladder_rows(net) > 3 * net_mod.MAX_STACKED_ROWS
+    tracemalloc.start()
+    try:
+        _line_search(case.chart, net, direction, 0.0, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * net_mod.MAX_STACKED_ROWS
 
 
 # -- continuation ------------------------------------------------------------
