@@ -64,7 +64,9 @@ def _resolve(spec, args):
         options["svd_tol"] = args.svd_tol
     options.setdefault("tol", 1e-8)
     options.setdefault("svd_tol", 1e-6)
-    options.setdefault("residual_tol", 1e-3)
+    # the stationarity gate of the command's kernel verdicts
+    options.setdefault("residual_tol", solver.BreakOptions.residual_tol
+                       if args.command == "perturb" else 1e-3)
     specfile.check_tolerances(options)
     options["seed"] = args.seed
     return options
@@ -145,7 +147,7 @@ def _cmd_jacobi(spec, args, options):
 
 def _cmd_perturb(spec, args, options):
     chart = spec.chart()
-    bopts = solver.BreakOptions(svd_tol=options["svd_tol"])
+    bopts = solver.BreakOptions(svd_tol=options["svd_tol"], residual_tol=options["residual_tol"])
     chart2, net2, verdict, history = solver.break_degeneracy(chart, spec.net, bopts)
     report = {
         "history": history,

@@ -380,15 +380,7 @@ class MetricChart:
 
     def christoffel_many(self, points: np.ndarray) -> np.ndarray:
         """Gamma^k_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
-        g = self.metric_many(points)
-        dg = self.metric_deriv_many(points)
-        ginv = np.linalg.inv(g)
-        # 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dg is indexed [m, k, i, j]
-        t1 = np.transpose(dg, (0, 1, 2, 3))  # d_i g_jl -> [m, i, j, l]
-        t2 = np.transpose(dg, (0, 2, 1, 3))  # d_j g_il -> [m, i, j, l]
-        t3 = np.transpose(dg, (0, 2, 3, 1))  # d_l g_ij -> [m, i, j, l]
-        br = t1 + t2 - t3
-        return 0.5 * np.einsum("mkl,mijl->mkij", ginv, br)
+        raise NotImplementedError
 
     def christoffel(self, p) -> np.ndarray:
         return self.christoffel_many(np.asarray(p, dtype=float)[None, :])[0]
@@ -467,12 +459,13 @@ class EuclideanChart(MetricChart):
         return bool(np.all(p >= self.box[0]) and np.all(p <= self.box[1]))
 
 
-class FlatTorusChart(MetricChart):
-    """R^n modulo the lattice spanned by the rows of ``lattice``."""
+class FlatTorusChart(EuclideanChart):
+    """R^n modulo the lattice spanned by the rows of ``lattice``; the
+    metric is the Euclidean one."""
 
     def __init__(self, lattice):
         self.lattice = np.asarray(lattice, dtype=float)
-        self.dim = self.lattice.shape[0]
+        super().__init__(dim=self.lattice.shape[0])
         self._inv = np.linalg.inv(self.lattice)
         combos = []
         for k in product(range(-2, 3), repeat=self.dim):
@@ -484,23 +477,6 @@ class FlatTorusChart(MetricChart):
         near = np.array(list(product((0, -1, 1), repeat=self.dim)), dtype=float)
         self._near = near @ self.lattice
         self._near_sq = np.einsum("ki,ki->k", self._near, self._near)[:, None]
-
-    def metric_many(self, points):
-        m = points.shape[0]
-        return np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
-
-    def metric_deriv_many(self, points):
-        m = points.shape[0]
-        return np.zeros((m, self.dim, self.dim, self.dim))
-
-    def christoffel_many(self, points):
-        m = points.shape[0]
-        return np.zeros((m, self.dim, self.dim, self.dim))
-
-    def christoffel_deriv_many(self, points):
-        m = points.shape[0]
-        n = self.dim
-        return np.zeros((m, n, n, n, n))
 
     def wrap_many(self, points):
         points = np.asarray(points, dtype=float)

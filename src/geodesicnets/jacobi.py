@@ -9,9 +9,11 @@ displacements plus per-edge initial data (u(0), u'(0)); equations couple
 the propagated boundary values back to the vertices and impose the signed
 sum of perpendicular endpoint derivatives at every vertex.
 
-Loop graphs drop the vertex unknowns: moving the marked vertex along the
-loop is a reparametrization, so the system reduces to periodicity of
-(u, u') through the monodromy and the frame holonomy.
+A loop graph is one self-loop edge.  It drops the vertex unknowns: moving
+the marked vertex along the loop is a reparametrization, so the system
+reduces to periodicity of (u, u') through the edge's monodromy and the
+frame holonomy at the seam.  Both the shooting system and the reduced FD
+Hessian refuse not-good graphs.
 """
 
 from __future__ import annotations
@@ -129,11 +131,9 @@ def _propagate(K_fine: np.ndarray, h_fine: float, record_stride: int):
 
 @dataclass
 class _EdgeData:
-    eid: str
     multiplicity: int
     length: float
     frames: np.ndarray        # coarse nodes, (N+1, n-1, n)
-    tangents: np.ndarray      # g-unit tangents at coarse nodes, (N+1, n)
     psi: np.ndarray           # fundamental matrices at coarse nodes
     endpoints_g: tuple        # metric matrices at the two endpoint samples
 
@@ -147,7 +147,6 @@ class ShootingSystem:
     edge_index: dict[str, int]       # edge -> column offset of (u0, ud0)
     dim: int                         # chart dimension
     nm1: int                         # n - 1
-    loop_order: list | None = None   # for loop graphs: ordered (eid, forward)
 
 
 def _edge_fine_data(chart, net, eid, refine):
@@ -163,14 +162,19 @@ def _edge_fine_data(chart, net, eid, refine):
 
 
 def _edge_data(chart, net, eid, refine):
-    e = net.graph.edge(eid)
     s, fine, vf, frames_f, K_f, l_e = _edge_fine_data(chart, net, eid, refine)
     psi = _propagate(K_f, 1.0 / (fine.shape[0] - 1), record_stride=refine)
-    frames = frames_f[::refine]
-    tang = vf[::refine] / g_norm(chart, fine[::refine], vf[::refine])[:, None]
-    g0 = chart.metric(s[0])
-    g1 = chart.metric(s[-1])
-    return _EdgeData(eid, e.multiplicity, l_e, frames, tang, psi, (g0, g1))
+    return _EdgeData(net.graph.edge(eid).multiplicity, l_e, frames_f[::refine], psi,
+                     (chart.metric(s[0]), chart.metric(s[-1])))
+
+
+def _good_class(graph: WeightedMultigraph) -> GraphClass:
+    """``classify(graph)``, refusing a not-good graph: both the shooting
+    system and the reduced space are defined for good graphs only."""
+    gclass = classify(graph)
+    if gclass is GraphClass.NOT_GOOD:
+        raise ValueError("nondegeneracy is only defined for good graphs")
+    return gclass
 
 
 def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8,
@@ -178,161 +182,65 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
     """Square linear system whose null space is the reduced Jacobi space.
 
     ``refine`` must be even: one RK4 step spans two fine intervals, so an
-    odd refinement puts coarse nodes mid-step.
+    odd refinement puts coarse nodes mid-step.  A not-good graph is
+    refused with a ValueError.
     """
     if refine < 2 or refine % 2:
         raise ValueError(f"refine must be an even integer >= 2, got {refine!r}")
+    gclass = _good_class(net.graph)
     agg = stationarity_residual(chart, net).aggregate
     if not agg <= residual_tol:  # a NaN residual fails too
         raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
     if agg > 0.01 * residual_tol:
         warnings.warn(f"assembling Jacobi system at marginal residual {agg:.3g}")
-    gclass = classify(net.graph)
     n = net.dim
     nm1 = n - 1
-    edata = {e.id: _edge_data(chart, net, e.id, refine) for e in net.graph.edges}
+    edges = net.graph.edges
+    edata = {e.id: _edge_data(chart, net, e.id, refine) for e in edges}
 
     if gclass is GraphClass.LOOP_WITH_MULTIPLICITY:
-        order = _cycle_order(net.graph)
-        mono = np.eye(2 * nm1)
-        prev_frames_end = None
-        prev_len = None
-        first = None
-        for eid, forward in order:
-            ed = edata[eid]
-            phi = ed.psi[-1]
-            if not forward:
-                rev = np.block(
-                    [[np.eye(nm1), np.zeros((nm1, nm1))], [np.zeros((nm1, nm1)), -np.eye(nm1)]]
-                )
-                phi = rev @ np.linalg.inv(phi) @ rev
-            if first is None:
-                first = (ed, forward)
-            else:
-                t = _frame_transfer(chart, net, prev_frames_end, ed, forward, prev_len)
-                mono = t @ mono
-            mono = phi @ mono
-            prev_frames_end = (ed, forward)
-            prev_len = ed.length
-        ed0, fwd0 = first
-        t_close = _frame_transfer(chart, net, prev_frames_end, ed0, fwd0, prev_len)
-        mono = t_close @ mono
-        a_mat = mono - np.eye(2 * nm1)
-        return ShootingSystem(
-            matrix=a_mat,
-            graph_class=gclass,
-            edges=edata,
-            z_index={},
-            edge_index={order[0][0]: 0},
-            dim=n,
-            nm1=nm1,
-            loop_order=order,
-        )
+        # one self-loop edge: (u, u') after the edge's flow, carried back
+        # into the frame at the start by the seam holonomy, the overlap of
+        # the end and start frames in the metric at the seam
+        (eid,) = edata
+        ed = edata[eid]
+        end, start = ed.frames[-1], ed.frames[0]
+        hol = np.zeros((2 * nm1, 2 * nm1))
+        hol[:nm1, :nm1] = [[end[b] @ ed.endpoints_g[1] @ start[a] for b in range(nm1)]
+                           for a in range(nm1)]
+        hol[nm1:, nm1:] = hol[:nm1, :nm1]
+        return ShootingSystem(matrix=hol @ ed.psi[-1] - np.eye(2 * nm1), graph_class=gclass,
+                              edges=edata, z_index={}, edge_index={eid: 0}, dim=n, nm1=nm1)
 
-    verts = list(net.graph.vertices)
+    verts = net.graph.vertices
     z_index = {v: n * k for k, v in enumerate(verts)}
     n_z = n * len(verts)
-    edge_index = {}
-    col = n_z
-    for e in net.graph.edges:
-        edge_index[e.id] = col
-        col += 2 * nm1
-    size = col
-    rows = []
-    # (a), (b): boundary coupling of each edge to its endpoint vertices
-    for e in net.graph.edges:
-        ed = edata[e.id]
-        c0 = edge_index[e.id]
-        phi = ed.psi[-1]
-        for i, (gmat, sgn_rows) in enumerate(zip(ed.endpoints_g, (None, phi))):
-            block = np.zeros((nm1, size))
-            frames_i = ed.frames[0] if i == 0 else ed.frames[-1]
-            proj = frames_i @ (ed.endpoints_g[i])  # rows: e_a^T g
-            vtx = net.graph.edge(e.id).endpoint(i)
-            block[:, z_index[vtx] : z_index[vtx] + n] = -proj
-            if i == 0:
-                block[:, c0 : c0 + nm1] += np.eye(nm1)
-            else:
-                block[:, c0 : c0 + 2 * nm1] += phi[:nm1, :]
-            rows.append(block)
-    # (c): vertex conditions B_v = 0
+    edge_index = {e.id: n_z + 2 * nm1 * k for k, e in enumerate(edges)}
+    size = n_z + 2 * nm1 * len(edges)
+    a_mat = np.zeros((size, size))
+    # (a), (b): boundary coupling of each edge end to its vertex, nm1 rows each
+    for k, e in enumerate(edges):
+        ed, c0 = edata[e.id], edge_index[e.id]
+        for i, frames_i in ((0, ed.frames[0]), (1, ed.frames[-1])):
+            rows = a_mat[(2 * k + i) * nm1 : (2 * k + i + 1) * nm1]
+            z0 = z_index[e.endpoint(i)]
+            rows[:, z0 : z0 + n] = -(frames_i @ ed.endpoints_g[i])  # rows: e_a^T g
+        a_mat[2 * k * nm1 : (2 * k + 1) * nm1, c0 : c0 + nm1] = np.eye(nm1)
+        a_mat[(2 * k + 1) * nm1 : (2 * k + 2) * nm1, c0 : c0 + 2 * nm1] = ed.psi[-1][:nm1]
+    # (c): vertex conditions B_v = 0, n rows each
     for v in verts:
-        block = np.zeros((n, size))
+        r0 = 2 * nm1 * len(edges) + z_index[v]
+        rows = a_mat[r0 : r0 + n]
         for eid, i in net.graph.incident_pairs(v):
-            ed = edata[eid]
-            c0 = edge_index[eid]
-            sgn = (-1.0) ** (i + 1)
-            coef = sgn * ed.multiplicity / ed.length
-            frames_i = ed.frames[0] if i == 0 else ed.frames[-1]
+            ed, c0 = edata[eid], edge_index[eid]
+            coef = (-1.0) ** (i + 1) * ed.multiplicity / ed.length
             if i == 0:
                 # ud(0) occupies the second half of the edge block
-                for a in range(nm1):
-                    block[:, c0 + nm1 + a] += coef * frames_i[a]
+                rows[:, c0 + nm1 : c0 + 2 * nm1] += coef * ed.frames[0].T
             else:
-                phi = ed.psi[-1]
-                for a in range(nm1):
-                    block[:, c0 : c0 + 2 * nm1] += coef * np.outer(frames_i[a], phi[nm1 + a, :])
-        rows.append(block)
-    a_mat = np.vstack(rows)
-    return ShootingSystem(
-        matrix=a_mat,
-        graph_class=gclass,
-        edges=edata,
-        z_index=z_index,
-        edge_index=edge_index,
-        dim=n,
-        nm1=nm1,
-    )
-
-
-def _cycle_order(graph):
-    """Ordered traversal (edge id, forward?) of a single-cycle graph."""
-    edges = list(graph.edges)
-    if len(edges) == 1:
-        return [(edges[0].id, True)]
-    order = []
-    used = set()
-    e0 = edges[0]
-    order.append((e0.id, True))
-    used.add(e0.id)
-    v = e0.v1
-    while len(order) < len(edges):
-        for e in edges:
-            if e.id in used:
-                continue
-            if e.v0 == v:
-                order.append((e.id, True))
-                v = e.v1
-            elif e.v1 == v:
-                order.append((e.id, False))
-                v = e.v0
-            else:
-                continue
-            used.add(e.id)
-            break
-        else:
-            raise ValueError("graph is not a single cycle")
-    return order
-
-
-def _frame_transfer(chart, net, prev, ed_next, forward_next, prev_len):
-    """Transfer matrix for (u, u') across a shared degree-two vertex."""
-    ed_prev, fwd_prev = prev
-    frames_prev = ed_prev.frames[-1] if fwd_prev else ed_prev.frames[0]
-    pt_prev_idx = -1 if fwd_prev else 0
-    s_prev = net.edge_samples[ed_prev.eid][pt_prev_idx]
-    frames_next = ed_next.frames[0] if forward_next else ed_next.frames[-1]
-    gmat = chart.metric(s_prev)
-    nm1 = frames_prev.shape[0]
-    o = np.empty((nm1, nm1))
-    for a in range(nm1):
-        for b in range(nm1):
-            o[a, b] = frames_prev[b] @ gmat @ frames_next[a]
-    ratio = ed_next.length / prev_len
-    t = np.zeros((2 * nm1, 2 * nm1))
-    t[:nm1, :nm1] = o
-    t[nm1:, nm1:] = ratio * o
-    return t
+                rows[:, c0 : c0 + 2 * nm1] += coef * (ed.frames[-1].T @ ed.psi[-1][nm1:])
+    return ShootingSystem(matrix=a_mat, graph_class=gclass, edges=edata, z_index=z_index,
+                          edge_index=edge_index, dim=n, nm1=nm1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,34 +307,21 @@ def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
     """Null space of the shooting system, reconstructed to ambient fields."""
     sysm = assemble_jacobi_system(chart, net, refine=refine, residual_tol=residual_tol)
     a_mat = sysm.matrix
-    u_svd, svals, vt = np.linalg.svd(a_mat)
+    _, svals, vt = np.linalg.svd(a_mat)
     if sysm.graph_class is GraphClass.LOOP_WITH_MULTIPLICITY:
         scale = max(float(svals.max()), float(np.linalg.norm(a_mat + np.eye(a_mat.shape[0]), 2)))
     else:
         scale = float(svals.max())
-    threshold = svd_tol * scale
-    zero_mask = svals <= threshold
+    zero_mask, threshold, gap = _split_spectrum(svals, svd_tol, scale)
     ratios = svals / scale
     ill = bool(np.any((ratios > svd_tol) & (ratios < 10 * svd_tol)))
     if ill:
         warnings.warn("ill-separated Jacobi kernel: singular values inside the tolerance band")
-    kernel_vecs = vt[zero_mask.nonzero()[0], :] if zero_mask.any() else np.zeros((0, a_mat.shape[1]))
-    discarded = svals[zero_mask]
-    retained = svals[~zero_mask]
-    if discarded.size == 0 or retained.size == 0 or discarded.max() == 0.0:
-        gap = np.inf
-    else:
-        gap = float(retained.min() / discarded.max())
-    basis = []
-    ambient = []
-    for vec in kernel_vecs:
-        red = _reconstruct(chart, net, sysm, vec)
-        basis.append(red)
-        ambient.append(red.to_net_field(chart, net))
+    basis = [_reconstruct(chart, net, sysm, vec) for vec in vt[zero_mask]]
     return JacobiKernel(
         dimension=len(basis),
         basis=basis,
-        ambient=ambient,
+        ambient=[red.to_net_field(chart, net) for red in basis],
         singular_values=svals,
         threshold=threshold,
         gap=gap,
@@ -434,43 +329,30 @@ def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
     )
 
 
+def _split_spectrum(svals: np.ndarray, svd_tol: float, scale: float):
+    """The kernel rule of both certification routes: (mask of the singular
+    values at most svd_tol * scale, that threshold, the gap between the
+    smallest kept and the largest discarded value, inf without both)."""
+    threshold = svd_tol * scale
+    zero = svals <= threshold
+    discarded = svals[zero]
+    retained = svals[~zero]
+    if discarded.size == 0 or retained.size == 0 or discarded.max() == 0.0:
+        return zero, threshold, np.inf
+    return zero, threshold, float(retained.min() / discarded.max())
+
+
 def _reconstruct(chart, net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedField:
-    n = sysm.dim
     nm1 = sysm.nm1
+    u_profiles = {eid: np.einsum("tij,j->ti", sysm.edges[eid].psi, vec[off : off + 2 * nm1])[:, :nm1]
+                  for eid, off in sysm.edge_index.items()}
     if sysm.graph_class is GraphClass.LOOP_WITH_MULTIPLICITY:
-        u_profiles = {}
-        z = {}
-        y0 = vec
-        prev = None
-        prev_len = None
-        first = None
-        for eid, forward in sysm.loop_order:
-            ed = sysm.edges[eid]
-            if first is None:
-                first = (ed, forward)
-            else:
-                t = _frame_transfer(chart, net, prev, ed, forward, prev_len)
-                y0 = t @ y0
-            prof = np.einsum("tij,j->ti", ed.psi, y0)[:, :nm1]
-            if not forward:
-                prof = prof[::-1]
-            u_profiles[eid] = prof
-            y0 = np.einsum("ij,j->i", ed.psi[-1], y0)
-            prev = (ed, forward)
-            prev_len = ed.length
-        for v in net.graph.vertices:
-            eid, i = net.graph.incident_pairs(v)[0]
-            ed = sysm.edges[eid]
-            frames_i = ed.frames[0] if i == 0 else ed.frames[-1]
-            uv = u_profiles[eid][0] if i == 0 else u_profiles[eid][-1]
-            z[v] = np.einsum("a,ai->i", uv, frames_i)
-        return ReducedField(z=z, u=u_profiles)
-    z = {v: vec[off : off + n] for v, off in sysm.z_index.items()}
-    u_profiles = {}
-    for eid, off in sysm.edge_index.items():
-        ed = sysm.edges[eid]
-        y0 = vec[off : off + 2 * nm1]
-        u_profiles[eid] = np.einsum("tij,j->ti", ed.psi, y0)[:, :nm1]
+        # the marked vertex moves with the loop's normal profile at t = 0
+        ((eid, prof),) = u_profiles.items()
+        (v,) = net.graph.vertices
+        return ReducedField(z={v: np.einsum("a,ai->i", prof[0], sysm.edges[eid].frames[0])},
+                            u=u_profiles)
+    z = {v: vec[off : off + sysm.dim] for v, off in sysm.z_index.items()}
     return ReducedField(z=z, u=u_profiles)
 
 
@@ -551,10 +433,7 @@ def _ignored_pairs(net, e1, k, e2, guard):
 
 def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
                      refine: int = 8, residual_tol: float = 1e-3) -> NondegeneracyVerdict:
-    gclass = classify(net.graph)
-    if gclass is GraphClass.NOT_GOOD:
-        raise ValueError("nondegeneracy is only defined for good graphs")
-    if gclass is GraphClass.GOOD_STAR and not approximate_embeddedness(chart, net):
+    if classify(net.graph) is GraphClass.GOOD_STAR and not approximate_embeddedness(chart, net):
         raise ValueError("net failed the approximate embeddedness check")
     ker = jacobi_kernel(chart, net, svd_tol=svd_tol, refine=refine, residual_tol=residual_tol)
     verdict = Verdict.NONDEGENERATE if ker.dimension == 0 else Verdict.DEGENERATE
@@ -922,11 +801,13 @@ def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
     column-compressed by ``fd_hessian`` (default; accurate enough for
     kernel counting).  mode "length": plain second central differences of
     the length over every pair of columns (slower, noisier; kept as an
-    independent cross-check).
+    independent cross-check).  A not-good graph is refused with a
+    ValueError, as by the shooting route.
     """
-    basis, labels = reduced_basis_fields(chart, net)
-    if step <= 0:
+    if not 0 < step < np.inf:  # written so that NaN fails too
         raise ValueError("invalid step configuration")
+    _good_class(net.graph)
+    basis, labels = reduced_basis_fields(chart, net)
     if mode == "gradient":
         return fd_hessian(chart, net, basis, step, refine), labels
     if mode != "length":
@@ -957,13 +838,7 @@ def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
 def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):
     """Kernel count of the reduced Hessian with the same tolerance rule."""
     svals = np.linalg.svd(h_mat, compute_uv=False)
-    scale = float(svals.max())
-    zero = svals <= svd_tol * scale
-    discarded = svals[zero]
-    retained = svals[~zero]
-    gap = np.inf if (discarded.size == 0 or retained.size == 0 or discarded.max() == 0.0) else float(
-        retained.min() / discarded.max()
-    )
+    zero, _, gap = _split_spectrum(svals, svd_tol, float(svals.max()))
     return int(zero.sum()), svals, gap
 
 

@@ -181,9 +181,14 @@ class TangentialField:
 
 def check_net(chart: MetricChart, net: GeodesicNet, tol: float = ENDPOINT_TOL) -> list[str]:
     """Structural violations: non-finite coordinates, endpoint mismatches,
-    domain exits, bad shapes."""
+    domain exits, bad shapes, periodic edges that are not self-loops."""
     problems = [f"vertex {v!r} has a non-finite position"
                 for v, p in net.vertex_positions.items() if not np.isfinite(p).all()]
+    unknown = net.periodic_edges - {e.id for e in net.graph.edges}
+    problems += [f"periodic edge {eid!r} is not an edge of the graph"
+                 for eid in sorted(unknown, key=repr)]
+    problems += [f"periodic edge {e.id!r} is not a self-loop (v0 != v1)"
+                 for e in net.graph.edges if e.id in net.periodic_edges and e.v0 != e.v1]
     for e in net.graph.edges:
         s = net.edge_samples.get(e.id)
         if s is None:

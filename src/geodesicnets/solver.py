@@ -70,6 +70,13 @@ __all__ = [
     "break_degeneracy",
 ]
 
+# A Newton-matrix eigenvalue counts as null at most NULL_THRESHOLD times
+# the largest one, or TIKHONOV_FLOOR; failed Newton steps escalate the
+# damping at most LM_MAX_BOOSTS times.
+NULL_THRESHOLD = 1e-8
+TIKHONOV_FLOOR = 1e-10
+LM_MAX_BOOSTS = 12
+
 
 class SolverError(RuntimeError):
     pass
@@ -114,11 +121,8 @@ class SolveOptions:
     tolerance: float = 1e-10
     backtrack_factor: float = 0.5
     max_backtracks: int = 24
-    tikhonov_floor: float = 1e-10
-    null_threshold: float = 1e-8
     hessian_step: float = 1e-5
     hessian_refresh: int = 4      # rebuild the Newton matrix every k iterations
-    lm_max_boosts: int = 12       # damping escalations when Newton steps fail
 
     def __post_init__(self):
         # written so that NaN fails every test
@@ -174,7 +178,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())
-        null = np.abs(evals) <= max(opts.null_threshold * emax, opts.tikhonov_floor)
+        null = np.abs(evals) <= max(NULL_THRESHOLD * emax, TIKHONOV_FLOOR)
         g_eig = evecs.T @ grad
         null_frac = np.linalg.norm(g_eig[null]) / max(gnorm, 1e-300)
         if null.any() and null_frac > 0.9:
@@ -195,7 +199,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         if step is None:
             # damped least-squares steps on the gradient norm
             mu = max(1e-6 * emax**2, 1e-14)
-            for _ in range(opts.lm_max_boosts):
+            for _ in range(LM_MAX_BOOSTS):
                 coef = -(evals * g_eig) / (evals**2 + mu)
                 direction = basis.apply(evecs @ coef)
                 step = _line_search(chart, net, direction, gnorm, opts)
@@ -476,8 +480,8 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
     the refined discrete length; both on the same refined grid.
     """
     step_x, step_s = steps
-    if min(step_x, step_s) <= 0:
-        raise SolverError("FD steps must be positive")
+    if not (0 < step_x < np.inf and 0 < step_s < np.inf):  # written so that NaN fails too
+        raise SolverError("FD steps must be finite and positive")
     fine_samples = {}
     fine_j = {}
     for e in net.graph.edges:

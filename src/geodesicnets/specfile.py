@@ -40,6 +40,8 @@ class SpecError(ValueError):
 
 
 def _reject_unknown(section: dict, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise SpecError(f"{where} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -66,8 +68,8 @@ class NetSpec:
 def _parse_graph(doc: dict) -> WeightedMultigraph:
     _reject_unknown(doc, {"vertices", "edges"}, "graph")
     edges = []
-    for e in doc.get("edges", []):
-        _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, f"graph.edges[{e.get('id')}]")
+    for k, e in enumerate(doc.get("edges", [])):
+        _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, f"graph.edges[{k}]")
         edges.append((e["id"], e["v0"], e["v1"], int(e.get("multiplicity", 1))))
     return WeightedMultigraph.build(doc.get("vertices", []), edges)
 
@@ -78,7 +80,7 @@ def _parse_metric(doc: dict):
     )
     kind = doc.get("kind")
     if kind == "flat-torus":
-        base = FlatTorusChart(np.asarray(doc["lattice"], dtype=float))
+        base = FlatTorusChart(_parse_lattice(doc.get("lattice")))
     elif kind == "stereographic-sphere":
         base = StereographicSphereChart(radius=float(doc.get("radius", 1.0)),
                                         dim=int(doc.get("dim", 2)))
@@ -105,6 +107,20 @@ def _parse_metric(doc: dict):
     if schedule is not None:
         schedule = [float(x) for x in schedule]
     return base, bumps, schedule
+
+
+def _parse_lattice(value) -> np.ndarray:
+    """metric.lattice as a finite, square, non-singular matrix: |det| must
+    exceed 1e-12 times its Hadamard bound, the product of the row norms."""
+    try:
+        lat = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        lat = np.empty(0)
+    if (lat.ndim != 2 or lat.shape[0] != lat.shape[1] or lat.size == 0
+            or not np.isfinite(lat).all()
+            or not abs(np.linalg.det(lat)) > 1e-12 * np.prod(np.linalg.norm(lat, axis=1))):
+        raise SpecError(f"metric.lattice must be a finite, square, non-singular matrix, got {value!r}")
+    return lat
 
 
 def _meridian_samples(longitude_deg: float, n: int) -> np.ndarray:
@@ -164,10 +180,10 @@ def check_tolerances(options: dict) -> None:
 
 def parse_spec(doc: dict) -> NetSpec:
     _reject_unknown(doc, {"graph", "metric", "net", "options"}, "document root")
-    options = dict(doc.get("options", {}))
     _reject_unknown(
-        options, {"n_samples", "tol", "svd_tol", "residual_tol", "seed"}, "options"
+        doc.get("options", {}), {"n_samples", "tol", "svd_tol", "residual_tol", "seed"}, "options"
     )
+    options = dict(doc.get("options", {}))
     check_tolerances(options)
     graph = _parse_graph(doc.get("graph", {}))
     problems = validate(graph)

@@ -217,8 +217,8 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
 def hessian_fd_oracle(chart: MetricChart, net: GeodesicNet, x_fld: NetField,
                       y_fld: NetField, step: float = 1e-4) -> float:
     """Central mixed second difference of the length over net (+) sX (+) xY."""
-    if step <= 0 or step < 1e-12:
-        raise ValueError("step underflow")
+    if not 1e-12 <= step < np.inf:  # written so that NaN fails too
+        raise ValueError("step must be finite and at least 1e-12")
     from .net import length
 
     def l_at(a: float, b: float) -> float:

@@ -29,6 +29,14 @@ def test_flat_torus_metric_identity():
     assert np.allclose(TORUS.metric(p), np.eye(2))
 
 
+def test_flat_torus_is_euclidean_locally():
+    pts = np.array([[0.3, -0.2], [5.0, 7.0]])
+    flat = EuclideanChart(2)
+    for name in ("metric_many", "metric_deriv_many", "christoffel_many", "christoffel_deriv_many"):
+        assert np.array_equal(getattr(TORUS, name)(pts), getattr(flat, name)(pts))
+    assert TORUS.contains(pts[1])
+
+
 def test_sphere_metric_at_origin():
     assert np.allclose(SPHERE.metric([0.0, 0.0]), 4.0 * np.eye(2))
 

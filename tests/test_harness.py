@@ -388,6 +388,80 @@ def test_cli_refuses_non_finite_coordinates(tmp_path, capsys, command, where):
     assert not (tmp_path / "res.json").exists()
 
 
+def _subdivided_loop_doc(n=32):
+    """The closed geodesic of the hex torus cut by a degree-two vertex M
+    into two edges V-M-V: a not-good graph."""
+    from geodesicnets.cases import HEX_LATTICE
+
+    lam = HEX_LATTICE[0]
+    t = np.linspace(0.0, 1.0, n + 1)[:, None]
+    return {
+        "graph": {"vertices": ["V", "M"],
+                  "edges": [{"id": "E1", "v0": "V", "v1": "M"}, {"id": "E2", "v0": "M", "v1": "V"}]},
+        "metric": {"kind": "flat-torus", "lattice": HEX_LATTICE.tolist()},
+        "net": {"vertices": {"V": [0.0, 0.0], "M": (0.5 * lam).tolist()},
+                "edges": {"E1": {"samples": (t * 0.5 * lam).tolist()},
+                          "E2": {"samples": (0.5 * lam + t * 0.5 * lam).tolist()}}},
+        "options": {"n_samples": n},
+    }
+
+
+def test_cli_certification_refuses_a_not_good_graph(tmp_path, capsys):
+    path = tmp_path / "vmv.json"
+    specfile.write_spec(_subdivided_loop_doc(), str(path))
+    out = tmp_path / "res.json"
+    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["graph_class"] == "not-good"
+    for command in ("jacobi", "perturb"):
+        assert cli.main([command, "--spec", str(path)]) == 2
+        assert "only defined for good graphs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "jacobi"])
+@pytest.mark.parametrize("periodic, message", [
+    (["E1"], "periodic edge 'E1' is not a self-loop"),
+    (["nope"], "periodic edge 'nope' is not an edge of the graph"),
+], ids=["open-edge", "unknown-id"])
+def test_cli_refuses_periodic_edges_that_are_not_self_loops(tmp_path, capsys, command, periodic,
+                                                            message):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    doc["net"]["periodic_edges"] = periodic
+    specfile.write_spec(doc, str(path))
+    assert cli.main([command, "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("options",), [1], "options must be a JSON object, got list"),
+    (("graph",), [], "graph must be a JSON object, got list"),
+    (("graph", "edges", 0), ["E1", "A", "B"], "graph.edges[0] must be a JSON object, got list"),
+    (("metric", "lattice"), [[1.5, 0.5]], "metric.lattice must be a finite, square, non-singular"),
+    (("metric", "lattice"), [[1.0, 0.0], [2.0, 0.0]], "metric.lattice must be a finite, square"),
+    (("metric", "lattice"), [[1.0, float("nan")], [0.0, 1.0]], "metric.lattice must be a finite"),
+], ids=["options-list", "graph-list", "edge-list", "lattice-1x2", "lattice-singular", "lattice-nan"])
+def test_cli_refuses_malformed_sections(tmp_path, capsys, where, value, message):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_perturb_gates_on_options_residual_tol(tmp_path, capsys):
+    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+    args = cli._parser().parse_args(["perturb", "--spec", str(path)])
+    assert cli._resolve(specfile.load_spec(str(path)), args)["residual_tol"] == \
+        cli.solver.BreakOptions.residual_tol
+    # below the residual of the built-in net (about 5e-13)
+    doc["options"]["residual_tol"] = 1e-14
+    specfile.write_spec(doc, str(path))
+    assert cli.main(["perturb", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: net is not stationary")
+
+
 @pytest.mark.parametrize("key", ["tol", "svd_tol", "residual_tol"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1e-8, "1e-8", True])
 def test_spec_rejects_a_tolerance_that_is_not_finite_and_positive(key, value):

@@ -368,8 +368,10 @@ def test_not_good_graph_rejected():
         edge_samples={"E1": t * 0.5 * lam, "E2": 0.5 * lam + t * 0.5 * lam},
         vertex_positions={"V": np.zeros(2), "M": 0.5 * lam},
     )
-    with pytest.raises(ValueError):
-        is_nondegenerate(chart, net)
+    # both certification routes refuse it, not only the verdict
+    for certify in (is_nondegenerate, jacobi_kernel, assemble_jacobi_system, reduced_hessian_fd):
+        with pytest.raises(ValueError, match="only defined for good graphs"):
+            certify(chart, net)
 
 
 # -- reduced FD hessian oracle -----------------------------------------------
@@ -408,8 +410,9 @@ def test_reduced_fd_modes_agree():
 
 def test_reduced_fd_invalid_step():
     case = make_case("sphere-equator", 16)
-    with pytest.raises(ValueError):
-        reduced_hessian_fd(case.chart, case.net, step=0.0)
+    for step in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="invalid step"):
+            reduced_hessian_fd(case.chart, case.net, step=step)
 
 
 # -- invariances -------------------------------------------------------------

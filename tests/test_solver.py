@@ -401,8 +401,9 @@ def test_mixed_second_derivative_rejects_bad_steps():
     case = make_case("honeycomb-torus", 64)
     ker = jacobi_kernel(case.chart, case.net)
     spec, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
-    with pytest.raises(SolverError):
-        mixed_second_derivative(case.chart, h_fld, case.net, ker.ambient[0], steps=(0.0, 1e-4))
+    for steps in ((0.0, 1e-4), (float("nan"), 1e-4), (1e-4, float("nan")), (1e-4, float("inf"))):
+        with pytest.raises(SolverError, match="finite and positive"):
+            mixed_second_derivative(case.chart, h_fld, case.net, ker.ambient[0], steps=steps)
 
 
 # -- degeneracy breaking -----------------------------------------------------

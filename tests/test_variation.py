@@ -362,6 +362,14 @@ def test_hessian_oracle_zero_and_bilinear(rng):
     assert abs(two - 2 * one) <= 1e-5 * max(1.0, abs(two))
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-13, float("nan"), float("inf")])
+def test_hessian_oracle_rejects_bad_steps(step):
+    case = make_case("honeycomb-torus", 32)
+    zero = NetField({e.id: np.zeros((33, 2)) for e in case.net.graph.edges})
+    with pytest.raises(ValueError, match="finite and at least 1e-12"):
+        hessian_fd_oracle(case.chart, case.net, zero, zero, step=step)
+
+
 def test_hessian_rejects_far_from_stationary(rng):
     case = make_case("honeycomb-torus", 64)
     net = jitter_net(case.net, rng, amp=0.05)
