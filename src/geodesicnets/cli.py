@@ -4,7 +4,9 @@ One spec file describes one experiment; every command reads a spec, runs
 one pipeline stage and writes a deterministic results document (plus an
 optional CSV of per-edge samples).
 
-Exit codes: 0 success, 2 validation failure, 3 solver or numerical failure.
+Exit codes: 0 success, 2 validation failure, 3 solver or numerical failure
+(also a ``solve`` whose net fails the stationarity tolerance; its results
+document is still written).
 """
 
 from __future__ import annotations
@@ -126,7 +128,11 @@ def _cmd_solve(spec, args, options):
         "trace": res.trace,
         "stationarity": _report_stationarity(chart, res.net, options["tol"]),
     }
-    return _finish(args, "solve", options, report, net=res.net)
+    code = _finish(args, "solve", options, report, net=res.net)
+    if not report["stationarity"]["stationary"]:
+        raise solver.StationarityLostError(
+            f"the solved net is not stationary (residual {report['stationarity']['aggregate']:.3g})")
+    return code
 
 
 def _cmd_jacobi(spec, args, options):

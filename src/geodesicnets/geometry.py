@@ -43,6 +43,7 @@ __all__ = [
     "g_norm",
     "metric_dot",
     "metric_norm",
+    "min_distance",
 ]
 
 # Quarter turn of the plane: maps a vector to its positive normal.
@@ -685,6 +686,29 @@ def g_norm(chart: MetricChart, points, a) -> np.ndarray:
     n = points.shape[-1]
     g = chart.metric_many(points.reshape(-1, n))
     return metric_norm(g, np.asarray(a, float).reshape(-1, n)).reshape(points.shape[:-1])
+
+
+def min_distance(chart: MetricChart, a: np.ndarray, b: np.ndarray, ignore=None) -> float:
+    """Smallest |chart.displacement_many(a_i, b_j)| over the point pairs
+    that ``ignore`` does not mask; inf when every pair is masked.
+
+    ``ignore(k)``, for an index array k into a, returns the (len(k), len(b))
+    mask of the pairs to skip.  One displacement call per block of about
+    2^16 pairs; the lengths are summed coordinate by coordinate, bitwise
+    ``np.linalg.norm(..., axis=1)`` without its slow reduction over a
+    short axis.
+    """
+    best = np.inf
+    block = max(1, 65536 // len(b))
+    for k0 in range(0, len(a), block):
+        k = np.arange(k0, min(k0 + block, len(a)))
+        disp = chart.displacement_many(np.repeat(a[k], len(b), axis=0), np.tile(b, (k.size, 1)))
+        d = np.sqrt(sum(disp[:, i] * disp[:, i] for i in range(disp.shape[1])))
+        d = d.reshape(k.size, len(b))
+        if ignore is not None:
+            d[ignore(k)] = np.inf
+        best = min(best, float(d.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .geometry import (
     g_norm,
     linear_rk4_flow,
     metric_norm,
+    min_distance,
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
@@ -390,19 +391,11 @@ def approximate_embeddedness(chart: MetricChart, net: GeodesicNet,
     eids = [e.id for e in net.graph.edges]
     guard = max(2, net.edge_samples[eids[0]].shape[0] // 16)
     for i, e1 in enumerate(eids):
-        s1 = net.edge_samples[e1]
         for e2 in eids[i:]:
-            s2 = net.edge_samples[e2]
-            # one displacement call per block of about 2^16 sample pairs
-            block = max(1, 65536 // s2.shape[0])
-            for k0 in range(0, s1.shape[0], block):
-                k = np.arange(k0, min(k0 + block, s1.shape[0]))
-                d = np.linalg.norm(chart.displacement_many(
-                    np.repeat(s1[k], s2.shape[0], axis=0), np.tile(s2, (k.size, 1))), axis=1)
-                d = d.reshape(k.size, s2.shape[0])
-                d[_ignored_pairs(net, e1, k, e2, guard)] = np.inf
-                if np.min(d) < threshold:
-                    return False
+            gap = min_distance(chart, net.edge_samples[e1], net.edge_samples[e2],
+                               lambda k: _ignored_pairs(net, e1, k, e2, guard))
+            if gap < threshold:
+                return False
     return True
 
 
@@ -525,24 +518,19 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
     good* graphs: full vertex displacements (with linear tangential ramps
     into the incident edges) plus interior normal hats per edge.  Loop
     graphs: normal hats at every sample (vertex motion along the loop is a
-    reparametrization and is excluded).
+    reparametrization and is excluded).  B is the basis of ``reduced_gradient``.
     """
-    frames = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        frames[e.id] = parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift),
-                                      loop_shift=shift)
-    basis, labels = _reduced_basis(net, frames)
-    return basis, list(labels)
+    basis, _ = reduced_gradient(chart, net)
+    counts = tuple(basis.frames[e].shape[0] for e in basis.edges)
+    return basis, list(_basis_layout(net.graph, counts, net.dim)[0])
 
 
 def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     """(B, B^T grad L): the reduced basis and the reduced length gradient.
 
-    Equal bit for bit to ``reduced_basis_fields`` and the pullback of
-    ``length_sample_gradient``, from one velocity and one metric jet per
-    edge group, which feed both the frames and the gradient.
+    The gradient is bitwise the pullback of ``length_sample_gradient``; one
+    velocity and one metric jet per edge group feed both the frames and the
+    gradient.
     """
     frames, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
     basis, _ = _reduced_basis(net, {e: fr[0] for e, fr in frames.items()})
@@ -842,42 +830,29 @@ def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):
     return int(zero.sum()), svals, gap
 
 
-def random_reduced_field(chart: MetricChart, net: GeodesicNet, rng, modes: int = 3,
-                         normalize: bool = True) -> NetField:
-    """Random element of the reduced displacement space as an ambient field.
+def random_reduced_field(chart: MetricChart, net: GeodesicNet, rng) -> NetField:
+    """Random element of the reduced displacement space, B applied to random
+    coefficients and scaled to unit max norm.
 
-    good* graphs: full vertex displacements interpolated linearly into the
-    edges plus random interior normal profiles; loop graphs: random
-    periodic normal profiles.  Lies exactly in the span of
-    ``reduced_basis_fields``.
+    good* graphs: random vertex displacements, ramped linearly into the
+    edges, plus a normal profile of three sine modes at the interior
+    samples of every edge; loop graphs: a periodic normal profile of three
+    sine and cosine modes, whose seam value moves the marked vertex.
     """
-    gclass = classify(net.graph)
-    z = {}
-    if gclass is not GraphClass.LOOP_WITH_MULTIPLICITY:
-        z = {v: rng.normal(size=net.dim) for v in net.graph.vertices}
-    vals = {}
-    for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        npts = s.shape[0]
-        t = np.linspace(0.0, 1.0, npts)
-        shift = net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
-        frames = parallel_frame(chart, s, v, loop_shift=shift)
-        out = np.zeros_like(s, dtype=float)
-        prof = np.zeros((npts, net.dim - 1))
-        if z:
-            out += np.outer(1 - t, z[e.endpoint(0)]) + np.outer(t, z[e.endpoint(1)])
-            for k in range(1, modes + 1):
-                prof += np.outer(np.sin(np.pi * k * t), rng.normal(size=net.dim - 1))
+    basis, _ = reduced_basis_fields(chart, net)
+    loop = classify(net.graph) is GraphClass.LOOP_WITH_MULTIPLICITY
+    coef = [] if loop else [rng.normal(size=net.dim) for _ in net.graph.vertices]
+    modes = np.arange(1, 4)
+    for e in basis.edges:
+        t = np.linspace(0.0, 1.0, basis.frames[e].shape[0])[:, None]
+        if loop:
+            # per mode, the sine and then the cosine amplitudes
+            amp = rng.normal(size=(modes.size, 2, net.dim - 1))
+            phase = 2 * np.pi * modes * t
+            prof = np.sin(phase) @ amp[:, 0] + np.cos(phase) @ amp[:, 1]
+            coef.insert(0, prof[0])
         else:
-            for k in range(1, modes + 1):
-                prof += np.outer(np.sin(2 * np.pi * k * t), rng.normal(size=net.dim - 1))
-                prof += np.outer(np.cos(2 * np.pi * k * t), rng.normal(size=net.dim - 1))
-        out += np.einsum("pa,pai->pi", prof, frames)
-        vals[e.id] = out
-    fld = NetField(vals)
-    if normalize:
-        mx = fld.max_norm(chart, net)
-        if mx > 0:
-            fld = fld.scaled(1.0 / mx)
-    return fld
+            prof = np.sin(np.pi * modes * t) @ rng.normal(size=(modes.size, net.dim - 1))
+        coef.append(prof[1:-1].ravel())
+    fld = basis.apply(np.concatenate(coef))
+    return fld.scaled(1.0 / fld.max_norm(chart, net))

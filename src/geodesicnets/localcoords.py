@@ -24,7 +24,8 @@ import numpy as np
 
 from . import stencils
 from .geometry import (
-    _ROT90, HermiteCurve, MetricChart, foot_parameters, g_norm, geodesic_integrate,
+    _ROT90, EuclideanChart, HermiteCurve, MetricChart, foot_parameters, g_norm,
+    geodesic_integrate, min_distance,
 )
 from .multigraph import star
 from .net import GeodesicNet, edge_lengths
@@ -49,6 +50,14 @@ __all__ = [
     "mean_curvature_H",
     "stationarity_equivalence_check",
 ]
+
+# Tube radius and extension (see ``build_net_chart``), the upsampling of
+# the tube curves, and the difference step of ``mean_curvature_H``.
+DELTA_REL = 0.1
+ETA_REL = 0.2
+TUBE_REFINE = 8
+FD_STEP = 1e-6
+
 
 class TubeError(ValueError):
     """Coordinates or curves left the tube of validity."""
@@ -153,13 +162,12 @@ class NetCoord:
     coords: dict[str, PathCoord]
 
 
-def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1,
-                    eta_rel: float = 0.2, refine: int = 8) -> NetChart:
+def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
     """Tubes around a smooth (stationary) net, extended geodesically.
 
-    The longitudinal radius is ``delta_rel`` in parameter units; the
-    normal radius is ``delta_rel`` times the edge length in background
-    units; edges are extended by ``eta_rel`` parameter units.  Tubes need
+    The longitudinal radius is ``DELTA_REL`` in parameter units; the
+    normal radius is ``DELTA_REL`` times the edge length in background
+    units; edges are extended by ``ETA_REL`` parameter units.  Tubes need
     a planar chart; other nets are refused with ``TubeError``.
     """
     if net.dim != 2:
@@ -168,14 +176,14 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
     fine_data = {}
     for e in net.graph.edges:
         shift = net.loop_shift(e.id)
-        fine = stencils.upsample_curve(net.edge_samples[e.id], refine, loop_shift=shift)
+        fine = stencils.upsample_curve(net.edge_samples[e.id], TUBE_REFINE, loop_shift=shift)
         fine_data[e.id] = (fine, stencils.velocity_ho(fine, loop_shift=shift))
     # both end extensions of every edge, one geodesic batch per fine sample count
     extensions = {}
     for m in {fine.shape[0] for fine, _ in fine_data.values()}:
         eids = [eid for eid, (fine, _) in fine_data.items() if fine.shape[0] == m]
         h_f = 1.0 / (m - 1)
-        n_ext = int(np.ceil(eta_rel / h_f))
+        n_ext = int(np.ceil(ETA_REL / h_f))
         eta = n_ext * h_f
         starts = [fine_data[eid] for eid in eids]
         curves = geodesic_integrate(
@@ -200,8 +208,8 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
             eid=e.id,
             curve=HermiteCurve(s_grid, pts, vels),
             velocity=HermiteCurve(s_grid, vels, accs),
-            delta_long=delta_rel,
-            delta_norm=delta_rel * lengths[e.id],
+            delta_long=DELTA_REL,
+            delta_norm=DELTA_REL * lengths[e.id],
             eta=eta,
             periodic=e.id in net.periodic_edges,
         )
@@ -213,27 +221,23 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet, delta_rel: float = 0.1
 
 def _validate_tube(tube: EdgeTube) -> None:
     """Sampling check that the tube does not self-overlap within its radius:
-    every 4th node against every node, one distance call per block of about
-    2^16 node pairs."""
-    coords = np.ascontiguousarray(tube.curve.values.T)  # one row per coordinate
+    every 4th node against every node at least four radii further along the
+    curve, in plain chart coordinates."""
+    pts = tube.curve.values
     s = tube.curve.grid
     speed = np.linalg.norm(tube.velocity.values, axis=1)
     sep_param = 4.0 * tube.delta_norm / speed.min()
-    rows = np.arange(0, len(s), 4)
-    block = max(1, 65536 // len(s))
-    for k0 in range(0, rows.size, block):
-        k = rows[k0 : k0 + block, None]
-        diff = coords[:, None, :] - coords[:, k]
-        d = np.sqrt((diff * diff).sum(axis=0))
-        sep = np.abs(s - s[k])
+
+    def near_along(k):
+        sep = np.abs(s - s[4 * k, None])
         if tube.periodic:
             # the extension wraps once around a closed reference curve
             sep = np.minimum(sep, np.abs(sep - 1.0))
-        if np.any((sep > sep_param) & (d < 2.0 * tube.delta_norm)):
-            warnings.warn(
-                f"tube of edge {tube.eid!r} may self-overlap; shrink delta_rel"
-            )
-            return
+        return sep <= sep_param
+
+    gap = min_distance(EuclideanChart(pts.shape[1]), pts[::4], pts, near_along)
+    if gap < 2.0 * tube.delta_norm:
+        warnings.warn(f"tube of edge {tube.eid!r} may self-overlap within twice its radius")
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +428,7 @@ def lagrangian_integral(g: MetricChart, nc: NetChart, coords: NetCoord) -> float
     return total
 
 
-def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
-                     fd_step: float = 1e-6):
+def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
     """Coordinate stationarity residual (interior part, vertex part).
 
     Interior: n(E) (grad_u L - d/dt grad_w L) per edge on the grid.
@@ -445,27 +448,27 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
         grad_w = np.empty((npts, nm1))
         for aidx in range(nm1):
             du = np.zeros((npts, nm1))
-            du[:, aidx] = fd_step
+            du[:, aidx] = FD_STEP
             grad_u[:, aidx] = (
                 _lagrangian_values(g, nc, pc, e.id, u=pc.u + du, w=w_arr)
                 - _lagrangian_values(g, nc, pc, e.id, u=pc.u - du, w=w_arr)
-            ) / (2 * fd_step)
+            ) / (2 * FD_STEP)
             grad_w[:, aidx] = (
                 _lagrangian_values(g, nc, pc, e.id, w=w_arr + du)
                 - _lagrangian_values(g, nc, pc, e.id, w=w_arr - du)
-            ) / (2 * fd_step)
+            ) / (2 * FD_STEP)
         ddt_grad_w = stencils.velocity(grad_w, loop_shift=shift)
         h1[e.id] = e.multiplicity * (grad_u - ddt_grad_w)
         # endpoint blocks for the vertex part, integrated with the weights
         # of ``lagrangian_integral`` so they differentiate that functional
         dl_da = (
-            _lagrangian_values(g, nc, pc, e.id, a=pc.a + fd_step, w=w_arr)
-            - _lagrangian_values(g, nc, pc, e.id, a=pc.a - fd_step, w=w_arr)
-        ) / (2 * fd_step)
+            _lagrangian_values(g, nc, pc, e.id, a=pc.a + FD_STEP, w=w_arr)
+            - _lagrangian_values(g, nc, pc, e.id, a=pc.a - FD_STEP, w=w_arr)
+        ) / (2 * FD_STEP)
         dl_db = (
-            _lagrangian_values(g, nc, pc, e.id, b=pc.b + fd_step, w=w_arr)
-            - _lagrangian_values(g, nc, pc, e.id, b=pc.b - fd_step, w=w_arr)
-        ) / (2 * fd_step)
+            _lagrangian_values(g, nc, pc, e.id, b=pc.b + FD_STEP, w=w_arr)
+            - _lagrangian_values(g, nc, pc, e.id, b=pc.b - FD_STEP, w=w_arr)
+        ) / (2 * FD_STEP)
         wq = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=shift is not None)
         int_da = float(wq @ dl_da)
         int_db = float(wq @ dl_db)
@@ -490,16 +493,14 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord,
 
 
 def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoord,
-                                   tol: float = 1e-4, ambient_tol: float | None = None,
-                                   residuals: tuple | None = None) -> bool:
+                                   tol: float = 1e-4, residuals: tuple | None = None) -> bool:
     """True when the coordinate residual (H, C) and the ambient stationarity
-    residual agree on whether the net is stationary.
+    residual agree on whether the net is stationary, both at ``tol``.
 
     ``residuals`` is (h1, h2, c_res) as ``mean_curvature_H`` and
     ``constraint_C`` return them for these coordinates, when the caller
     has them already; otherwise they are computed here.
     """
-    ambient_tol = tol if ambient_tol is None else ambient_tol
     if residuals is None:
         residuals = (*mean_curvature_H(g, nc, coords), constraint_C(nc, coords))
     h1, h2, c_res = residuals
@@ -507,5 +508,5 @@ def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoor
     h2_norm = max(float(np.linalg.norm(v)) for v in h2.values())
     coord_stationary = max(h1_norm, h2_norm, c_res.norm) <= tol
     net = lambda_map(nc, coords)
-    ambient_stationary = stationarity_residual(g, net).aggregate <= ambient_tol
+    ambient_stationary = stationarity_residual(g, net).aggregate <= tol
     return coord_stationary == ambient_stationary

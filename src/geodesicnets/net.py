@@ -242,9 +242,8 @@ def copies_per_pass(rows_per_copy: int) -> int:
     return max(1, MAX_STACKED_ROWS // rows_per_copy)
 
 
-def reparametrize_constant_speed(
-    chart: MetricChart, net: GeodesicNet, upsample: int = ARC_UPSAMPLE, n_samples: int | None = None
-) -> GeodesicNet:
+def reparametrize_constant_speed(chart: MetricChart, net: GeodesicNet,
+                                 n_samples: int | None = None) -> GeodesicNet:
     """Arc-length resampling of every edge; endpoint samples are pinned.
 
     ``constant_speed_samples`` of each group of ``GeodesicNet.edge_groups``.
@@ -253,18 +252,18 @@ def reparametrize_constant_speed(
     """
     return replace(
         net,
-        edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, upsample, n_samples)),
+        edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, n_samples)),
         constant_speed=True,
         lengths={},
     )
 
 
-def constant_speed_samples(chart: MetricChart, group: EdgeGroup, upsample: int = ARC_UPSAMPLE,
+def constant_speed_samples(chart: MetricChart, group: EdgeGroup,
                            n_samples: int | None = None) -> np.ndarray:
     """Arc-length resampling of one edge group, (E, n_samples + 1, n), in one pass.
 
     ``n_samples`` intervals per edge (default: keep the count).  The SBP
-    speed on the ``upsample`` times finer grid is integrated to arc
+    speed on the ``ARC_UPSAMPLE`` times finer grid is integrated to arc
     length, the arc-length map is inverted, and the edge's 6-point
     interpolant is evaluated at the parameters found (``stencils``).  A
     sample speed below 1e-8 times the edge mean speed is rejected with a
@@ -273,7 +272,7 @@ def constant_speed_samples(chart: MetricChart, group: EdgeGroup, upsample: int =
     a group of one.
     """
     s, shift = group.samples, group.shifts
-    fine = stencils.upsample_curve(s, upsample, loop_shift=shift)
+    fine = stencils.upsample_curve(s, ARC_UPSAMPLE, loop_shift=shift)
     speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
     slow = speed.min(axis=-1) < 1e-8 * speed.mean(axis=-1)
     if slow.any():
@@ -299,7 +298,7 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
         s = net.edge_samples[eid]
         shift = net.loop_shift(eid)
         if shift is not None:
-            tang = stencils.seam_velocity(s, shift, i)
+            tang = stencils.velocity(s, loop_shift=shift)[0 if i == 0 else -1]
         else:
             tang = stencils.end_derivative_ho(s, 1, 0 if i == 0 else -1)
         p = s[0] if i == 0 else s[-1]

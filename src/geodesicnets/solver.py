@@ -28,6 +28,7 @@ from .geometry import (
     MetricChart,
     conformal_family,
     g_norm,
+    min_distance,
 )
 from .jacobi import (
     NondegeneracyVerdict,
@@ -70,12 +71,22 @@ __all__ = [
     "break_degeneracy",
 ]
 
-# A Newton-matrix eigenvalue counts as null at most NULL_THRESHOLD times
-# the largest one, or TIKHONOV_FLOOR; failed Newton steps escalate the
-# damping at most LM_MAX_BOOSTS times.
+# The Newton matrix differences the gradient with step HESSIAN_STEP; its
+# eigenvalue counts as null at most NULL_THRESHOLD times the largest one,
+# or TIKHONOV_FLOOR; failed Newton steps escalate the damping at most
+# LM_MAX_BOOSTS times, and a continuation step is bisected at most
+# MAX_HALVINGS times.  Degeneracy breaking stacks at most MAX_BUMPS bumps,
+# halves an anchor's radius at most MAX_SHRINK times, and halves each
+# bump's amplitude from BUMP_AMPLITUDE down to MIN_AMPLITUDE_FACTOR of it.
+HESSIAN_STEP = 1e-5
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
 LM_MAX_BOOSTS = 12
+MAX_HALVINGS = 8
+MAX_SHRINK = 6
+MAX_BUMPS = 4
+BUMP_AMPLITUDE = 0.02
+MIN_AMPLITUDE_FACTOR = 1.0 / 16.0
 
 
 class SolverError(RuntimeError):
@@ -121,7 +132,6 @@ class SolveOptions:
     tolerance: float = 1e-10
     backtrack_factor: float = 0.5
     max_backtracks: int = 24
-    hessian_step: float = 1e-5
     hessian_refresh: int = 4      # rebuild the Newton matrix every k iterations
 
     def __post_init__(self):
@@ -134,8 +144,6 @@ class SolveOptions:
             raise ValueError("backtrack factor must lie strictly between 0 and 1")
         if not self.max_backtracks >= 1:
             raise ValueError("max backtracks must be at least 1")
-        if not 0 < self.hessian_step < np.inf:
-            raise ValueError("hessian step must be finite and positive")
         if not self.hessian_refresh >= 1:
             raise ValueError("hessian refresh must be at least 1")
 
@@ -174,7 +182,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             break
         d = len(basis)
         if evals is None or stale >= opts.hessian_refresh:
-            hess = fd_hessian(chart, net, basis, step=opts.hessian_step)
+            hess = fd_hessian(chart, net, basis, step=HESSIAN_STEP)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())
@@ -303,8 +311,7 @@ def _interpolate_charts(g0: MetricChart, g1: MetricChart, frac: float) -> Metric
 
 def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
                     opts: SolveOptions | None = None,
-                    verify_nondegenerate: bool | None = None,
-                    max_halvings: int = 8) -> list[SolveResult]:
+                    verify_nondegenerate: bool | None = None) -> list[SolveResult]:
     """Warm-started solve along a metric path with step halving on failure."""
     opts = opts or SolveOptions()
     res0 = solve_stationary(g_path[0], f0, opts)
@@ -319,7 +326,7 @@ def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
         start_nondeg = verify_nondegenerate
     net = res0.net
     for g_prev, g_next in zip(g_path[:-1], g_path[1:]):
-        res = _continue_step(g_prev, g_next, net, opts, max_halvings)
+        res = _continue_step(g_prev, g_next, net, opts)
         if start_nondeg:
             verdict = is_nondegenerate(g_next, res.net)
             res.trace.append({"nondegenerate": verdict.nondegenerate})
@@ -330,21 +337,21 @@ def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
     return results
 
 
-def _continue_step(g_prev, g_next, net, opts, max_halvings, depth=0) -> SolveResult:
+def _continue_step(g_prev, g_next, net, opts, depth=0) -> SolveResult:
     """Solve at g_next from net; on failure, bisect the metric step and go
     through the midpoint.  Returns the solve that reached g_next."""
     try:
         return solve_stationary(g_next, net, opts)
     except (MaxIterationsError, SingularSystemError):
-        if depth >= max_halvings:
+        if depth >= MAX_HALVINGS:
             raise ContinuationStall(
                 "metric step fell below the floor without convergence (bifurcation?)"
             )
         g_mid = _interpolate_charts(g_prev, g_next, 0.5)
         if g_mid is None:
             raise ContinuationStall("cannot bisect between unrelated metrics")
-        mid = _continue_step(g_prev, g_mid, net, opts, max_halvings, depth + 1)
-        return _continue_step(g_mid, g_next, mid.net, opts, max_halvings, depth + 1)
+        mid = _continue_step(g_prev, g_mid, net, opts, depth + 1)
+        return _continue_step(g_mid, g_next, mid.net, opts, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +377,10 @@ def _clearance(chart, net, eid, idx):
     others = [net.edge_samples[e.id] for e in net.graph.edges if e.id != eid]
     if not others:
         return np.inf
-    pts = np.concatenate(others)
-    p = net.edge_samples[eid][idx]
-    return float(np.linalg.norm(chart.displacement_many(np.broadcast_to(p, pts.shape), pts),
-                                axis=1).min())
+    return min_distance(chart, net.edge_samples[eid][idx : idx + 1], np.concatenate(others))
 
 
-def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetField,
-                           radius: float | None = None, max_shrink: int = 6):
+def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetField):
     """Conformal bump for a Jacobi field: supported in a small ball around an
     interior net point, vanishing along the net, with <grad h, J> >= 0.
 
@@ -407,16 +410,11 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
         clear = _clearance(chart, net, eid, idx)
         if clear <= 0:
             continue
-        r = radius if radius is not None else min(0.45 * clear, 0.2 * lengths[eid])
-        if not np.isfinite(r):
-            r = 0.2 * lengths[eid]
+        r = min(0.45 * clear, 0.2 * lengths[eid])
         perp = normal.edge_values[eid][idx]
         w = perp / np.linalg.norm(perp)
         anchor_pts, anchor_vel, center = _anchor_spline_data(net, eid, idx)
-        for _ in range(max_shrink):
-            if r > 0.5 * clear:
-                r *= 0.5
-                continue
+        for _ in range(MAX_SHRINK):
             h_fld = DirectionalBumpField(center, r, w, anchor_pts, anchor_vel, chart=chart)
             r = h_fld.radius  # may have been capped by the curvature bound
             ok, why = _verify_bump(chart, net, eid, idx, h_fld, j_field)
@@ -517,9 +515,6 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
 
 @dataclass
 class BreakOptions:
-    max_bumps: int = 4
-    amplitude: float = 0.02
-    min_amplitude_factor: float = 1.0 / 16.0
     svd_tol: float = 1e-6
     residual_tol: float = 5e-3
     solve: SolveOptions = field(default_factory=SolveOptions)
@@ -545,7 +540,7 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
     if verdict.nondegenerate:
         return chart, net, verdict, history
     cur_chart, cur_net = chart, net
-    for bump_count in range(1, opts.max_bumps + 1):
+    for bump_count in range(1, MAX_BUMPS + 1):
         j_field = verdict.kernel.ambient[0]
         spec, _ = build_condition_C_bump(cur_chart, cur_net, j_field)
         anchor_pts, anchor_vel, center = _anchor_spline_data(cur_net, spec.edge, spec.t_index)
@@ -553,9 +548,9 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
             center, spec.radius, spec.direction, anchor_pts, anchor_vel,
             chart=cur_chart, power=2,
         )
-        x = opts.amplitude
+        x = BUMP_AMPLITUDE
         accepted = None
-        while x >= opts.amplitude * opts.min_amplitude_factor:
+        while x >= BUMP_AMPLITUDE * MIN_AMPLITUDE_FACTOR:
             g_new = conformal_family(cur_chart, h_pin, x)
             try:
                 res = solve_stationary(g_new, cur_net, opts.solve)
@@ -589,5 +584,5 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
         if verdict.nondegenerate:
             return cur_chart, cur_net, verdict, history
     raise NoProgressError(
-        f"kernel still {verdict.kernel_dimension}-dimensional after {opts.max_bumps} bumps"
+        f"kernel still {verdict.kernel_dimension}-dimensional after {MAX_BUMPS} bumps"
     )

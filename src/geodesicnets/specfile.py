@@ -39,12 +39,52 @@ class SpecError(ValueError):
     """The spec document is malformed."""
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _typed(value, kind: type, where: str):
+    """value, refused unless it is of the JSON type kind (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise SpecError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
 def _reject_unknown(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise SpecError(f"{where} must be a JSON object, got {type(section).__name__}")
-    unknown = set(section) - allowed
+    unknown = set(_typed(section, dict, where)) - allowed
     if unknown:
         raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _number(value, where: str, positive: bool = False) -> float:
+    """A JSON number that is finite, and positive if asked, as a float."""
+    low = 0.0 if positive else -np.inf
+    # written so that NaN fails the test
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < np.inf:
+        kind = "finite positive" if positive else "finite"
+        raise SpecError(f"{where} must be a {kind} number, got {value!r}")
+    return float(value)
+
+
+def _count(value, where: str) -> int:
+    """A JSON number that is a positive integer, as an int."""
+    if not (_number(value, where, positive=True) >= 1 and float(value).is_integer()):
+        raise SpecError(f"{where} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _floats(value) -> np.ndarray:
+    """value as a float array, empty when it is not a nest of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
+def _point(value, dim: int, where: str) -> np.ndarray:
+    p = _floats(value)
+    if p.shape != (dim,):
+        raise SpecError(f"{where} must be a point of dimension {dim}, got {value!r}")
+    return p
 
 
 @dataclass
@@ -67,11 +107,15 @@ class NetSpec:
 
 def _parse_graph(doc: dict) -> WeightedMultigraph:
     _reject_unknown(doc, {"vertices", "edges"}, "graph")
+    vertices = [_typed(v, str, f"graph.vertices[{k}]")
+                for k, v in enumerate(_typed(doc.get("vertices", []), list, "graph.vertices"))]
     edges = []
-    for k, e in enumerate(doc.get("edges", [])):
-        _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, f"graph.edges[{k}]")
-        edges.append((e["id"], e["v0"], e["v1"], int(e.get("multiplicity", 1))))
-    return WeightedMultigraph.build(doc.get("vertices", []), edges)
+    for k, e in enumerate(_typed(doc.get("edges", []), list, "graph.edges")):
+        where = f"graph.edges[{k}]"
+        _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, where)
+        edges.append((*(_typed(e[key], str, f"{where}.{key}") for key in ("id", "v0", "v1")),
+                      _count(e.get("multiplicity", 1), f"{where}.multiplicity")))
+    return WeightedMultigraph.build(vertices, edges)
 
 
 def _parse_metric(doc: dict):
@@ -82,40 +126,37 @@ def _parse_metric(doc: dict):
     if kind == "flat-torus":
         base = FlatTorusChart(_parse_lattice(doc.get("lattice")))
     elif kind == "stereographic-sphere":
-        base = StereographicSphereChart(radius=float(doc.get("radius", 1.0)),
-                                        dim=int(doc.get("dim", 2)))
+        radius = _number(doc.get("radius", 1.0), "metric.radius", positive=True)
+        base = StereographicSphereChart(radius=radius, dim=_count(doc.get("dim", 2), "metric.dim"))
     elif kind == "euclidean":
         box = doc.get("box")
-        base = EuclideanChart(dim=int(doc.get("dim", 2)), box=box)
+        base = EuclideanChart(dim=_count(doc.get("dim", 2), "metric.dim"), box=box)
     else:
         raise SpecError(f"unknown metric kind {kind!r}")
     bumps = None
     if doc.get("bumps"):
         fields = []
-        for b in doc["bumps"]:
-            _reject_unknown(b, {"center", "radius", "amplitude"}, "metric.bumps[]")
-            fields.append(
-                RadialBumpField(
-                    np.asarray(b["center"], dtype=float),
-                    float(b["radius"]),
-                    float(b["amplitude"]),
-                    chart=base,
-                )
-            )
+        for k, b in enumerate(_typed(doc["bumps"], list, "metric.bumps")):
+            where = f"metric.bumps[{k}]"
+            _reject_unknown(b, {"center", "radius", "amplitude"}, where)
+            center = _point(b["center"], base.dim, f"{where}.center")
+            for x in center:
+                _number(x, f"{where}.center")
+            radius = _number(b["radius"], f"{where}.radius", positive=True)
+            amplitude = _number(b["amplitude"], f"{where}.amplitude")
+            fields.append(RadialBumpField(center, radius, amplitude, chart=base))
         bumps = SumField(fields)
     schedule = doc.get("amplitude_schedule")
     if schedule is not None:
-        schedule = [float(x) for x in schedule]
+        schedule = [_number(x, f"metric.amplitude_schedule[{k}]")
+                    for k, x in enumerate(_typed(schedule, list, "metric.amplitude_schedule"))]
     return base, bumps, schedule
 
 
 def _parse_lattice(value) -> np.ndarray:
     """metric.lattice as a finite, square, non-singular matrix: |det| must
     exceed 1e-12 times its Hadamard bound, the product of the row norms."""
-    try:
-        lat = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        lat = np.empty(0)
+    lat = _floats(value)
     if (lat.ndim != 2 or lat.shape[0] != lat.shape[1] or lat.size == 0
             or not np.isfinite(lat).all()
             or not abs(np.linalg.det(lat)) > 1e-12 * np.prod(np.linalg.norm(lat, axis=1))):
@@ -136,9 +177,10 @@ def _meridian_samples(longitude_deg: float, n: int) -> np.ndarray:
 
 def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_samples: int) -> GeodesicNet:
     _reject_unknown(doc, {"vertices", "edges", "periodic_edges"}, "net")
-    vertices = {v: np.asarray(p, dtype=float) for v, p in doc.get("vertices", {}).items()}
+    vertices = {v: _point(p, chart.dim, f"net.vertices[{v}]")
+                for v, p in _typed(doc.get("vertices", {}), dict, "net.vertices").items()}
     samples = {}
-    for eid, spec in doc.get("edges", {}).items():
+    for eid, spec in _typed(doc.get("edges", {}), dict, "net.edges").items():
         allowed = {"samples", "generator", "to", "center", "radius", "angles", "longitude"}
         _reject_unknown(spec, allowed, f"net.edges[{eid}]")
         if "samples" in spec:
@@ -172,10 +214,7 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
 def check_tolerances(options: dict) -> None:
     """Refuse a tolerance option that is not a finite positive number."""
     for key in ("tol", "svd_tol", "residual_tol"):
-        x = options.get(key, 1.0)
-        # written so that NaN fails the test
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < np.inf:
-            raise SpecError(f"options.{key} must be a finite positive number, got {x!r}")
+        _number(options.get(key, 1.0), f"options.{key}", positive=True)
 
 
 def parse_spec(doc: dict) -> NetSpec:
@@ -190,7 +229,7 @@ def parse_spec(doc: dict) -> NetSpec:
     if problems:
         raise SpecError("invalid graph: " + "; ".join(problems))
     base, bumps, schedule = _parse_metric(doc.get("metric", {}))
-    n_samples = int(options.get("n_samples", 64))
+    n_samples = _count(options.get("n_samples", 64), "options.n_samples")
     chart = base if bumps is None else conformal_family(base, bumps, 1.0)
     net = _parse_net(doc.get("net", {}), graph, chart, n_samples)
     problems = check_net(chart, net, tol=1e-7)

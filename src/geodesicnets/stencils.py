@@ -26,7 +26,6 @@ __all__ = [
     "fd_weights",
     "quadrature_weights",
     "velocity",
-    "seam_velocity",
     "derivative_ho",
     "end_derivative_ho",
     "velocity_ho",
@@ -173,17 +172,6 @@ def _weights6(m: int) -> np.ndarray:
     wgt = np.stack([fd_weights(float(r), grid, m) for r in range(7)])
     wgt.flags.writeable = False
     return wgt
-
-
-def seam_velocity(samples: np.ndarray, loop_shift, end: int) -> np.ndarray:
-    """Row 0 (end 0) or row n-1 (end 1) of the loop-edge ``velocity``, read
-    from the five samples around the seam."""
-    h = 1.0 / (samples.shape[0] - 1)
-    if end == 0:
-        near = np.concatenate([samples[-3:-1] - loop_shift, samples[:3]])
-    else:
-        near = np.concatenate([samples[-3:], samples[1:3] + loop_shift])
-    return _stencil(near, _CENTRAL4, 1)[0] / h
 
 
 def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:

@@ -74,19 +74,16 @@ def _perp(chart: MetricChart, samples, vel, values) -> np.ndarray:
 
 
 def first_variation(chart: MetricChart, net: GeodesicNet, fld: NetField) -> float:
-    """d/ds of the discrete length along the field (exact, not approximate)."""
+    """d/ds of the discrete length along the field (exact, not approximate):
+    the pairing of ``length_sample_gradient`` with the field's samples, whose
+    seam values repeat on periodic edges."""
+    grad = length_sample_gradient(chart, net)
     total = 0.0
     for e in net.graph.edges:
-        s, h, shift, w = _edge_grid(net, e.id)
         x = fld.edge_values[e.id]
-        if x.shape != s.shape:
+        if x.shape != grad[e.id].shape:
             raise ValueError(f"field shape mismatch on edge {e.id!r}")
-        v = stencils.velocity(s, loop_shift=shift)
-        speed = g_norm(chart, s, v)
-        dx = _field_velocity(x, shift)
-        dg = chart.metric_deriv_many(s)
-        term = g_dot(chart, s, dx, v) + 0.5 * np.einsum("pkij,pk,pi,pj->p", dg, x, v, v)
-        total += e.multiplicity * float(w @ (term / speed))
+        total += float(np.sum(grad[e.id] * x))
     return total
 
 

@@ -14,7 +14,7 @@ from geodesicnets import (
     parallel_transport,
 )
 from geodesicnets.cases import HEX_LATTICE
-from geodesicnets.geometry import DomainError
+from geodesicnets.geometry import DomainError, min_distance
 from geodesicnets.variation import stationarity_residual
 from geodesicnets.cases import make_case
 
@@ -299,6 +299,34 @@ def test_torus_displacement_is_shortest_representative():
     # each is a representative: it differs from d by a lattice vector
     coeff = (got - d) @ np.linalg.inv(HEX_LATTICE)
     assert np.abs(coeff - np.round(coeff)).max() <= 1e-12
+
+
+def _min_distance_reference(chart, a, b, mask):
+    """min_distance pair by pair."""
+    best = np.inf
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            if not mask[i, j]:
+                best = min(best, float(np.linalg.norm(chart.displacement(p, q))))
+    return best
+
+
+@pytest.mark.parametrize("chart, n_a, n_b", [(TORUS, 30, 200), (SPHERE, 40, 1700)],
+                         ids=["hex-torus", "sphere"])
+def test_min_distance_matches_brute_force(chart, n_a, n_b):
+    # points over several torus cells, so that the wrap matters; the sphere
+    # sizes span two blocks of the scan
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1.5, 1.5, size=(n_a, 2))
+    b = rng.uniform(-1.5, 1.5, size=(n_b, 2))
+    none = np.zeros((n_a, n_b), dtype=bool)
+    mask = rng.random((n_a, n_b)) < 0.5
+    for m, ignore in ((none, None), (mask, lambda k: mask[k])):
+        want = _min_distance_reference(chart, a, b, m)
+        assert min_distance(chart, a, b, ignore) == pytest.approx(want, rel=1e-14, abs=0)
+    assert min_distance(chart, a, b, lambda k: np.ones((k.size, n_b), dtype=bool)) == np.inf
+    want = _min_distance_reference(chart, a[:1], b, none[:1])
+    assert min_distance(chart, a[:1], b) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # -- closed-form Hessians and Christoffel derivatives -------------------------

@@ -316,6 +316,16 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 3
 
 
+def test_cli_solve_refuses_a_solved_net_that_is_not_stationary(tmp_path, capsys):
+    # Newton ends on sphere-theta with the residual at 0.137: the document
+    # is written, and says so, but the command fails
+    path, _ = write_case_spec(tmp_path, "sphere-theta", n=32)
+    out = tmp_path / "res.json"
+    assert cli.main(["solve", "--spec", str(path), "--out", str(out)]) == 3
+    assert "solver error: the solved net is not stationary" in capsys.readouterr().err
+    assert json.loads(out.read_text())["report"]["stationarity"]["stationary"] is False
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     # LinAlgError is a ValueError, but it is a numerical failure, not bad input
     def singular(*a, **kw):
@@ -431,16 +441,40 @@ def test_cli_refuses_periodic_edges_that_are_not_self_loops(tmp_path, capsys, co
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where, value, message", [
-    (("options",), [1], "options must be a JSON object, got list"),
-    (("graph",), [], "graph must be a JSON object, got list"),
-    (("graph", "edges", 0), ["E1", "A", "B"], "graph.edges[0] must be a JSON object, got list"),
-    (("metric", "lattice"), [[1.5, 0.5]], "metric.lattice must be a finite, square, non-singular"),
-    (("metric", "lattice"), [[1.0, 0.0], [2.0, 0.0]], "metric.lattice must be a finite, square"),
-    (("metric", "lattice"), [[1.0, float("nan")], [0.0, 1.0]], "metric.lattice must be a finite"),
-], ids=["options-list", "graph-list", "edge-list", "lattice-1x2", "lattice-singular", "lattice-nan"])
-def test_cli_refuses_malformed_sections(tmp_path, capsys, where, value, message):
-    path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, where, value, message", [
+    ("honeycomb-torus", ("options",), [1], "options must be a JSON object, got list"),
+    ("honeycomb-torus", ("graph",), [], "graph must be a JSON object, got list"),
+    ("honeycomb-torus", ("graph", "edges", 0), ["E1", "A", "B"],
+     "graph.edges[0] must be a JSON object, got list"),
+    ("honeycomb-torus", ("metric", "lattice"), [[1.5, 0.5]],
+     "metric.lattice must be a finite, square, non-singular"),
+    ("honeycomb-torus", ("metric", "lattice"), [[1.0, 0.0], [2.0, 0.0]],
+     "metric.lattice must be a finite, square"),
+    ("honeycomb-torus", ("metric", "lattice"), [[1.0, NAN], [0.0, 1.0]],
+     "metric.lattice must be a finite"),
+    ("sphere-theta", ("metric", "radius"), NAN, "metric.radius must be a finite positive number"),
+    ("sphere-theta", ("metric", "radius"), 0.0, "metric.radius must be a finite positive number"),
+    ("honeycomb-torus", ("metric", "bumps"), [{"center": [0.5, 0.4], "radius": NAN, "amplitude": 1.0}],
+     "metric.bumps[0].radius must be a finite positive number"),
+    ("honeycomb-torus", ("metric", "bumps"), [{"center": [0.5], "radius": 0.3, "amplitude": 1.0}],
+     "metric.bumps[0].center must be a point of dimension 2"),
+    ("honeycomb-torus", ("metric", "amplitude_schedule"), [0.0, NAN],
+     "metric.amplitude_schedule[1] must be a finite number"),
+    ("honeycomb-torus", ("graph", "edges", 0, "multiplicity"), 1.7,
+     "graph.edges[0].multiplicity must be a positive integer"),
+    ("honeycomb-torus", ("graph", "edges", 0, "id"), ["E1"], "graph.edges[0].id must be a JSON string"),
+    ("honeycomb-torus", ("net", "vertices", "A"), 0.5, "net.vertices[A] must be a point of dimension 2"),
+    ("honeycomb-torus", ("net", "vertices"), [[0.0, 0.0]], "net.vertices must be a JSON object, got list"),
+    ("honeycomb-torus", ("net", "edges"), [], "net.edges must be a JSON object, got list"),
+], ids=["options-list", "graph-list", "edge-list", "lattice-1x2", "lattice-singular", "lattice-nan",
+        "sphere-radius-nan", "sphere-radius-zero", "bump-radius-nan", "bump-center-1d",
+        "schedule-nan", "multiplicity-fraction", "edge-id-list", "vertex-scalar",
+        "net-vertices-list", "net-edges-list"])
+def test_cli_refuses_malformed_sections(tmp_path, capsys, name, where, value, message):
+    path, doc = write_case_spec(tmp_path, name, n=32)
     parent = doc
     for key in where[:-1]:
         parent = parent[key]

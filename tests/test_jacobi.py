@@ -274,6 +274,40 @@ def test_kernel_elements_annihilate_hessian(rng):
             assert abs(val) <= 1e-5
 
 
+def _random_reduced_field_reference(case, rng):
+    """``random_reduced_field`` edge by edge: the same draws, ramps and sine
+    (and cosine) profiles in each edge's own ``parallel_frame``."""
+    net = case.net
+    z = {} if net.periodic_edges else {v: rng.normal(size=net.dim) for v in net.graph.vertices}
+    vals = {}
+    for e in net.graph.edges:
+        s, _, frames = edge_frame(case, e.id)
+        t = np.linspace(0.0, 1.0, s.shape[0])
+        out = np.zeros_like(s)
+        prof = np.zeros((s.shape[0], net.dim - 1))
+        if z:
+            out += np.outer(1 - t, z[e.endpoint(0)]) + np.outer(t, z[e.endpoint(1)])
+            for k in range(1, 4):
+                prof += np.outer(np.sin(np.pi * k * t), rng.normal(size=net.dim - 1))
+        else:
+            for k in range(1, 4):
+                prof += np.outer(np.sin(2 * np.pi * k * t), rng.normal(size=net.dim - 1))
+                prof += np.outer(np.cos(2 * np.pi * k * t), rng.normal(size=net.dim - 1))
+        vals[e.id] = out + np.einsum("pa,pai->pi", prof, frames)
+    fld = NetField(vals)
+    return fld.scaled(1.0 / fld.max_norm(case.chart, net))
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
+def test_random_reduced_field_matches_edge_by_edge_reference(name):
+    # B sums the ramp and hat columns in another order: rounding only
+    case = make_case(name, 32)
+    got = random_reduced_field(case.chart, case.net, np.random.default_rng(3))
+    want = _random_reduced_field_reference(case, np.random.default_rng(3))
+    for e, val in want.edge_values.items():
+        assert np.abs(got.edge_values[e] - val).max() <= 16 * np.finfo(float).eps
+
+
 # -- classification ----------------------------------------------------------
 
 def test_classify_field_tangential():

@@ -120,7 +120,6 @@ def test_solve_option_validation():
         ("max_iterations", 0),
         ("backtrack_factor", 0.0), ("backtrack_factor", 1.0), ("backtrack_factor", np.nan),
         ("max_backtracks", 0),
-        ("hessian_step", 0.0), ("hessian_step", -1e-5), ("hessian_step", np.nan),
         ("hessian_refresh", 0),
     ]:
         with pytest.raises(ValueError):
