@@ -29,7 +29,7 @@ print(f"== equator of the unit sphere (length {l_e:.6f}) ==")
 # a parallel unit normal field along the equator
 s = net.edge_samples["E"]
 v = st.velocity(s, loop_shift=net.loop_shift("E"))
-frames = parallel_frame(chart, s, v, loop_shift=net.loop_shift("E"))
+frames = parallel_frame(chart, s, v)
 normal = NetField({"E": frames[:, 0, :].copy()})
 
 print("\nsecond variation along the unit normal (the classical -length):")

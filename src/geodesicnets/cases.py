@@ -12,7 +12,7 @@ flat-loop         a closed straight geodesic on the hexagonal flat torus
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .geometry import FlatTorusChart, MetricChart, StereographicSphereChart
 from .multigraph import WeightedMultigraph
 from .net import GeodesicNet, edge_lengths
 
-__all__ = ["Case", "make_case", "CASE_NAMES", "HEX_LATTICE"]
+__all__ = ["Case", "make_case", "meridian", "CASE_NAMES", "HEX_LATTICE"]
 
 HEX_LATTICE = np.array([[1.5, np.sqrt(3.0) / 2.0], [1.5, -np.sqrt(3.0) / 2.0]])
 
@@ -32,7 +32,6 @@ class Case:
     name: str
     chart: MetricChart
     net: GeodesicNet
-    options: dict = field(default_factory=dict)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -57,7 +56,6 @@ def _honeycomb(n_samples: int) -> tuple[MetricChart, GeodesicNet]:
         graph=graph,
         edge_samples=samples,
         vertex_positions={"A": a, "B": np.array([1.0, 0.0])},
-        constant_speed=True,
     )
     net.lengths = edge_lengths(chart, net)
     return chart, net
@@ -80,28 +78,31 @@ def _stereographic(y: np.ndarray) -> np.ndarray:
     return np.stack([y1, y2], axis=-1) / (1.0 - y3)[..., None]
 
 
+def meridian(longitude: float, n_samples: int) -> np.ndarray:
+    """The meridian of the unit sphere at ``longitude`` (radians) from the
+    north to the south pole, n_samples + 1 samples in the sphere-theta chart."""
+    theta = np.pi * _grid(n_samples)
+    y = np.stack(
+        [np.sin(theta) * np.cos(longitude), np.sin(theta) * np.sin(longitude), np.cos(theta)],
+        axis=1,
+    )
+    return _stereographic(y)
+
+
 def _sphere_theta(n_samples: int) -> tuple[MetricChart, GeodesicNet]:
     chart = StereographicSphereChart(radius=1.0)
     graph = WeightedMultigraph.build(
         ["N", "S"],
         [("E1", "N", "S", 1), ("E2", "N", "S", 1), ("E3", "N", "S", 1)],
     )
-    t = _grid(n_samples)
-    theta = np.pi * t
-    samples = {}
-    for eid, lon in (("E1", 0.0), ("E2", 2 * np.pi / 3), ("E3", 4 * np.pi / 3)):
-        y = np.stack(
-            [np.sin(theta) * np.cos(lon), np.sin(theta) * np.sin(lon), np.cos(theta)],
-            axis=1,
-        )
-        samples[eid] = _stereographic(y)
+    samples = {eid: meridian(lon, n_samples)
+               for eid, lon in (("E1", 0.0), ("E2", 2 * np.pi / 3), ("E3", 4 * np.pi / 3))}
     north = _stereographic(np.array([0.0, 0.0, 1.0]))
     south = _stereographic(np.array([0.0, 0.0, -1.0]))
     net = GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions={"N": north, "S": south},
-        constant_speed=True,
     )
     net.lengths = edge_lengths(chart, net)
     return chart, net
@@ -118,7 +119,6 @@ def _sphere_equator(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart,
         edge_samples=samples,
         vertex_positions={"V": np.array([1.0, 0.0])},
         periodic_edges=frozenset({"E"}),
-        constant_speed=True,
     )
     net.lengths = edge_lengths(chart, net)
     return chart, net
@@ -135,7 +135,6 @@ def _flat_loop(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, Geod
         edge_samples=samples,
         vertex_positions={"V": np.zeros(2)},
         periodic_edges=frozenset({"E"}),
-        constant_speed=True,
     )
     net.lengths = edge_lengths(chart, net)
     return chart, net
@@ -153,4 +152,4 @@ def make_case(name: str, n_samples: int = 64, multiplicity: int = 1) -> Case:
         chart, net = _flat_loop(n_samples, multiplicity)
     else:
         raise KeyError(f"unknown case {name!r}; choose from {CASE_NAMES}")
-    return Case(name=name, chart=chart, net=net, options={"n_samples": n_samples})
+    return Case(name=name, chart=chart, net=net)

@@ -13,12 +13,9 @@ geodesic reads  J'' + R(f', J)f' = 0  and the round sphere has
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-
-from . import stencils
 
 __all__ = [
     "MetricChart",
@@ -33,7 +30,6 @@ __all__ = [
     "DirectionalBumpField",
     "HermiteCurve",
     "foot_parameters",
-    "SampledCurve",
     "conformal_family",
     "linear_rk4_flow",
     "geodesic_integrate",
@@ -101,14 +97,9 @@ class ScalarField:
     def gradient(self, p) -> np.ndarray:
         return self.gradient_many(np.asarray(p, dtype=float)[None, :])[0]
 
-    def sup_bound(self) -> float:
-        """Upper bound for |h| over the chart."""
-        raise NotImplementedError
-
     def bounds(self) -> tuple[float, float]:
         """(lower, upper) bounds of h over the chart."""
-        s = self.sup_bound()
-        return (-s, s)
+        raise NotImplementedError
 
 
 class ConstantField(ScalarField):
@@ -120,9 +111,6 @@ class ConstantField(ScalarField):
         return (np.full(m, self.c),
                 np.zeros((m, n)) if order >= 1 else None,
                 np.zeros((m, n, n)) if order >= 2 else None)
-
-    def sup_bound(self):
-        return abs(self.c)
 
     def bounds(self):
         return (self.c, self.c)
@@ -141,9 +129,6 @@ class SumField(ScalarField):
             for acc, part in zip(out, f.jet_many(points, order)):
                 acc += part
         return tuple(out) + (None,) * (2 - order)
-
-    def sup_bound(self):
-        return sum(f.sup_bound() for f in self.fields)
 
     def bounds(self):
         lo = sum(f.bounds()[0] for f in self.fields)
@@ -165,9 +150,6 @@ class RadialBumpField(ScalarField):
              else self.chart.displacement_many(self.center, points))
         jet = _profile_jet(d, self.radius, order)
         return tuple(None if part is None else self.amplitude * part for part in jet)
-
-    def sup_bound(self):
-        return abs(self.amplitude)
 
     def bounds(self):
         return (min(0.0, self.amplitude), max(0.0, self.amplitude))
@@ -343,11 +325,8 @@ class DirectionalBumpField(ScalarField):
         )
         return vals, grads, hess
 
-    def sup_bound(self):
-        return abs(self.amplitude) * self.radius**self.power
-
     def bounds(self):
-        hi = self.sup_bound()
+        hi = abs(self.amplitude) * self.radius**self.power
         if self.power % 2 == 0:
             return (min(0.0, self.amplitude) * self.radius**self.power,
                     max(0.0, self.amplitude) * self.radius**self.power)
@@ -367,14 +346,10 @@ class MetricChart:
     def metric_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def metric_deriv_many(self, points: np.ndarray) -> np.ndarray:
-        """d_k g_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
-        raise NotImplementedError
-
     def metric_jet_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g, dg): ``metric_many`` and ``metric_deriv_many`` at once, equal
-        to them bit for bit."""
-        return self.metric_many(points), self.metric_deriv_many(points)
+        """(g, dg): g as ``metric_many`` gives it, bit for bit, and its
+        derivatives d_k g_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
+        raise NotImplementedError
 
     def metric(self, p) -> np.ndarray:
         return self.metric_many(np.asarray(p, dtype=float)[None, :])[0]
@@ -440,9 +415,9 @@ class EuclideanChart(MetricChart):
         m = points.shape[0]
         return np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
 
-    def metric_deriv_many(self, points):
+    def metric_jet_many(self, points):
         m = points.shape[0]
-        return np.zeros((m, self.dim, self.dim, self.dim))
+        return self.metric_many(points), np.zeros((m, self.dim, self.dim, self.dim))
 
     def christoffel_many(self, points):
         m = points.shape[0]
@@ -521,9 +496,6 @@ class StereographicSphereChart(MetricChart):
     def metric_many(self, points):
         return self._mu(points)[0][:, None, None] ** 2 * self._eye
 
-    def metric_deriv_many(self, points):
-        return self.metric_jet_many(points)[1]
-
     def metric_jet_many(self, points):
         # d_k g_ij = 2 mu d_k(mu) delta_ij,  d_k mu = -2 p_k mu / (r^2+|p|^2)
         mu, denom = self._mu(points)
@@ -574,9 +546,6 @@ class ConformalChart(MetricChart):
     def metric_many(self, points):
         return self.factor_many(points)[:, None, None] * self.base.metric_many(points)
 
-    def metric_deriv_many(self, points):
-        return self.metric_jet_many(points)[1]
-
     def metric_jet_many(self, points):
         """One field evaluation plus the base chart's own jet, so stacked
         bumps recurse through their bases."""
@@ -621,8 +590,7 @@ class ConformalChart(MetricChart):
         if isinstance(self.field, ConstantField):
             return base_dgam
         sig, dsig = self._sigma(points, 2)
-        g = self.base.metric_many(points)
-        dg = self.base.metric_deriv_many(points)
+        g, dg = self.base.metric_jet_many(points)
         ginv = np.linalg.inv(g)
         sig_up = np.einsum("pkl,pl->pk", ginv, sig)
         # d_m (g^kl sigma_l) = -g^ka (d_m g_ab) g^bl sigma_l + g^kl d_m sigma_l
@@ -715,24 +683,6 @@ def min_distance(chart: MetricChart, a: np.ndarray, b: np.ndarray, ignore=None) 
 # curves, geodesics, transport
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SampledCurve:
-    """Uniformly sampled curve with optional exact parameter-velocities."""
-
-    points: np.ndarray
-    velocities: np.ndarray | None = None
-    loop_shift: np.ndarray | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.points.shape[0]
-
-    def velocity_samples(self) -> np.ndarray:
-        if self.velocities is not None:
-            return self.velocities
-        return stencils.velocity(self.points, loop_shift=self.loop_shift)
-
-
 def linear_rk4_flow(a_nodes: np.ndarray, a_mid: np.ndarray, h: float) -> np.ndarray:
     """Running products of the classical RK4 steps of y' = A(t) y.
 
@@ -768,8 +718,9 @@ def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int):
 
     ``p`` and ``v`` are one initial condition (n,) or a batch (B, n); each
     stage makes one ``christoffel_many`` call for the whole batch.  One
-    initial condition gives one ``SampledCurve``, a batch a list of B
-    curves.
+    initial condition gives (points, velocities), each (steps + 1, n); a
+    batch gives them (B, steps + 1, n).  Velocities are derivatives in the
+    curve's own parameter over [0, 1].
     """
     p = np.asarray(p, dtype=float)
     x, vel = np.atleast_2d(p).copy(), np.atleast_2d(np.asarray(v, dtype=float)).copy()
@@ -787,13 +738,14 @@ def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int):
         if not all(chart.contains(row) for row in x):
             raise DomainError(f"geodesic left the chart domain at step {k + 1}")
         xs[:, k + 1], vs[:, k + 1] = x, vel
-    # velocities are parameter-derivatives w.r.t. the curve's own [0,1] grid
-    curves = [SampledCurve(points=pb, velocities=vb * T) for pb, vb in zip(xs, vs)]
-    return curves[0] if p.ndim == 1 else curves
+    vs *= T
+    return (xs[0], vs[0]) if p.ndim == 1 else (xs, vs)
 
 
-def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarray:
-    """Transport w0 along the curve: W' + Gamma(c', W) = 0 (RK4 per interval).
+def parallel_transport(chart: MetricChart, points: np.ndarray, velocities: np.ndarray,
+                       w0) -> np.ndarray:
+    """Transport w0 along the curve sampled by points and their parameter
+    velocities over [0, 1]: W' + Gamma(c', W) = 0 (RK4 per interval).
 
     ``w0`` is one vector (n,) or several (r, n); the result is (N+1, n) or
     (N+1, r, n).  Positions and velocities at the half-steps come from the
@@ -801,15 +753,13 @@ def parallel_transport(chart: MetricChart, curve: SampledCurve, w0) -> np.ndarra
     covers nodes and half-steps, and one ``linear_rk4_flow`` moves every
     vector.
     """
-    pts = curve.points
-    vel = curve.velocity_samples()
-    n = pts.shape[0]
+    n = points.shape[0]
     h = 1.0 / (n - 1)
     grid = np.linspace(0.0, 1.0, n)
-    mid, mid_vel = HermiteCurve(grid, pts, vel).jet(grid[:-1] + 0.5 * h, 1)
-    gam = chart.christoffel_many(np.concatenate([pts, mid]))
+    mid, mid_vel = HermiteCurve(grid, points, velocities).jet(grid[:-1] + 0.5 * h, 1)
+    gam = chart.christoffel_many(np.concatenate([points, mid]))
     # A_kj = -Gamma^k_ij c'^i
-    a_mat = -np.einsum("pkij,pi->pkj", gam, np.concatenate([vel, mid_vel]))
+    a_mat = -np.einsum("pkij,pi->pkj", gam, np.concatenate([velocities, mid_vel]))
     phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h)
     return np.einsum("sij,...j->s...i", phi, np.asarray(w0, dtype=float))
 

@@ -31,7 +31,6 @@ from . import stencils
 from .geometry import (
     _ROT90,
     MetricChart,
-    SampledCurve,
     g_dot,
     g_norm,
     linear_rk4_flow,
@@ -40,7 +39,7 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, copies_per_pass, edge_lengths, length
+from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_lengths, length
 from .variation import (
     NotStationaryError,
     edge_length_gradient,
@@ -67,12 +66,15 @@ __all__ = [
     "approximate_embeddedness",
 ]
 
+# classify_field calls a field tangential when its normal part is at most
+# this fraction of it.
+TANGENTIAL_TOL = 1e-7
+
 # ---------------------------------------------------------------------------
 # frames and curvature coefficients
 # ---------------------------------------------------------------------------
 
-def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
-                   loop_shift=None) -> np.ndarray:
+def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     """g-orthonormal parallel normal frame along a geodesic edge.
 
     Returns (N+1, n-1, n).  In two dimensions the frame is the continuous
@@ -91,8 +93,7 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
             basis.append(w / np.sqrt(w @ g0 @ w))
         if len(basis) == n:
             break
-    curve = SampledCurve(points=samples, velocities=velocities, loop_shift=loop_shift)
-    return parallel_transport(chart, curve, np.array(basis[1:]))
+    return parallel_transport(chart, samples, velocities, np.array(basis[1:]))
 
 
 def _normal_frame(g: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -155,9 +156,9 @@ def _edge_fine_data(chart, net, eid, refine):
     shift = net.loop_shift(eid)
     fine = stencils.upsample_curve(s, refine, loop_shift=shift)
     vf = stencils.velocity_ho(fine, loop_shift=shift)
-    frames_f = parallel_frame(chart, fine, vf, loop_shift=shift)
+    frames_f = parallel_frame(chart, fine, vf)
     K_f = jacobi_ode_coefficients(chart, fine, vf, frames_f)
-    w = stencils.quadrature_weights(fine.shape[0], 1.0 / (fine.shape[0] - 1), loop=shift is not None)
+    w = stencils.quadrature_weights(fine.shape[0], loop=shift is not None)
     l_e = float(w @ g_norm(chart, fine, vf))
     return s, fine, vf, frames_f, K_f, l_e
 
@@ -261,7 +262,7 @@ class ReducedField:
             s = net.edge_samples[e.id]
             shift = net.loop_shift(e.id)
             v = stencils.velocity(s, loop_shift=shift)
-            frames = parallel_frame(chart, s, v, loop_shift=shift)
+            frames = parallel_frame(chart, s, v)
             that = v / g_norm(chart, s, v)[:, None]
             t = np.linspace(0.0, 1.0, s.shape[0])
             if self.z:
@@ -357,9 +358,9 @@ def _reconstruct(chart, net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedFi
     return ReducedField(z=z, u=u_profiles)
 
 
-def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField,
-                   tol: float = 1e-7):
-    """Split J into tangential h*f' plus normal rest; classify by the rest."""
+def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
+    """Split J into tangential h*f' plus normal rest; classify by the rest,
+    tangential when its max norm is at most ``TANGENTIAL_TOL`` of J's."""
     profiles = {}
     normal = {}
     max_total = 0.0
@@ -375,9 +376,7 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField,
         normal[e.id] = perp
         max_total = max(max_total, float(g_norm(chart, s, vals).max()))
         max_perp = max(max_perp, float(g_norm(chart, s, perp).max()))
-    kind = "tangential" if max_perp <= tol * max(max_total, 1e-300) else "non-tangential"
-    from .net import TangentialField
-
+    kind = "tangential" if max_perp <= TANGENTIAL_TOL * max(max_total, 1e-300) else "non-tangential"
     return kind, TangentialField(profiles), NetField(normal)
 
 
@@ -425,10 +424,10 @@ def _ignored_pairs(net, e1, k, e2, guard):
 
 
 def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
-                     refine: int = 8, residual_tol: float = 1e-3) -> NondegeneracyVerdict:
+                     residual_tol: float = 1e-3) -> NondegeneracyVerdict:
     if classify(net.graph) is GraphClass.GOOD_STAR and not approximate_embeddedness(chart, net):
         raise ValueError("net failed the approximate embeddedness check")
-    ker = jacobi_kernel(chart, net, svd_tol=svd_tol, refine=refine, residual_tol=residual_tol)
+    ker = jacobi_kernel(chart, net, svd_tol=svd_tol, residual_tol=residual_tol)
     verdict = Verdict.NONDEGENERATE if ker.dimension == 0 else Verdict.DEGENERATE
     return NondegeneracyVerdict(verdict=verdict, kernel_dimension=ker.dimension, kernel=ker)
 
@@ -553,9 +552,7 @@ def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list
         if net.dim == 2:
             fr = _normal_frame(g, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
         else:
-            shifts = grp.shifts if grp.loop else [None] * len(grp.ids)
-            fr = np.array([parallel_frame(chart, s, vel, loop_shift=shift)
-                           for s, vel, shift in zip(grp.samples, v, shifts)])
+            fr = np.array([parallel_frame(chart, s, vel) for s, vel in zip(grp.samples, v)])
         for i, eid in enumerate(grp.ids[: len(grp.ids) // k]):
             frames[eid] = fr.reshape((k, -1) + fr.shape[1:])[:, i]
             grads[eid] = grad.reshape((k, -1) + grad.shape[1:])[:, i]

@@ -71,9 +71,6 @@ class PathCoord:
     b: float
     u: np.ndarray  # (N+1, n-1) on the uniform grid over [0, 1]
 
-    def stack(self) -> np.ndarray:
-        return np.concatenate([[self.a, self.b], self.u.ravel()])
-
 
 @dataclass
 class EdgeTube:
@@ -186,21 +183,20 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
         n_ext = int(np.ceil(ETA_REL / h_f))
         eta = n_ext * h_f
         starts = [fine_data[eid] for eid in eids]
-        curves = geodesic_integrate(
+        points, velocities = geodesic_integrate(
             chart, [x for fine, _ in starts for x in (fine[-1], fine[0])],
             [v for _, vf in starts for v in (vf[-1], -vf[0])], eta, n_ext)
         for k, eid in enumerate(eids):
-            extensions[eid] = (eta, curves[2 * k], curves[2 * k + 1])
+            extensions[eid] = (eta, points[2 * k : 2 * k + 2], velocities[2 * k : 2 * k + 2])
     tubes = {}
     for e in net.graph.edges:
         fine, vf = fine_data[e.id]
-        eta, fwd, bwd = extensions[e.id]
-        pts = np.concatenate([bwd.points[1:][::-1], fine, fwd.points[1:]], axis=0)
+        # the forward and the backward run
+        eta, (fwd, bwd), (fwd_vel, bwd_vel) = extensions[e.id]
+        pts = np.concatenate([bwd[1:][::-1], fine, fwd[1:]], axis=0)
         # integrator velocities are scaled to its own unit span; rescale to
         # the tube parameter (backward run flips the sign)
-        vels = np.concatenate(
-            [-(bwd.velocities[1:] / eta)[::-1], vf, fwd.velocities[1:] / eta], axis=0
-        )
+        vels = np.concatenate([-(bwd_vel[1:] / eta)[::-1], vf, fwd_vel[1:] / eta], axis=0)
         s_grid = np.linspace(-eta, 1.0 + eta, pts.shape[0])
         gam = chart.christoffel_many(pts)
         accs = -np.einsum("pkij,pi,pj->pk", gam, vels, vels)
@@ -420,10 +416,7 @@ def lagrangian_integral(g: MetricChart, nc: NetChart, coords: NetCoord) -> float
     total = 0.0
     for e in nc.reference.graph.edges:
         vals = _lagrangian_values(g, nc, coords.coords[e.id], e.id)
-        npts = vals.shape[0]
-        wq = stencils.quadrature_weights(
-            npts, 1.0 / (npts - 1), loop=e.id in nc.reference.periodic_edges
-        )
+        wq = stencils.quadrature_weights(vals.shape[0], loop=e.id in nc.reference.periodic_edges)
         total += e.multiplicity * float(wq @ vals)
     return total
 
@@ -469,7 +462,7 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
             _lagrangian_values(g, nc, pc, e.id, b=pc.b + FD_STEP, w=w_arr)
             - _lagrangian_values(g, nc, pc, e.id, b=pc.b - FD_STEP, w=w_arr)
         ) / (2 * FD_STEP)
-        wq = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=shift is not None)
+        wq = stencils.quadrature_weights(npts, loop=shift is not None)
         int_da = float(wq @ dl_da)
         int_db = float(wq @ dl_db)
         a1 = e.multiplicity * np.concatenate([[int_da], -grad_w[0]])

@@ -55,15 +55,11 @@ class GeodesicNet:
     edge_samples: dict[str, np.ndarray]
     vertex_positions: dict[str, np.ndarray]
     periodic_edges: frozenset[str] = frozenset()
-    constant_speed: bool = False
     lengths: dict[str, float] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return next(iter(self.edge_samples.values())).shape[1]
-
-    def samples(self, edge_id: str) -> np.ndarray:
-        return self.edge_samples[edge_id]
 
     def loop_shift(self, edge_id: str):
         """Lattice shift across the seam of a periodic edge, else None."""
@@ -153,10 +149,8 @@ class NetField:
     def scaled(self, c: float) -> "NetField":
         return NetField({e: c * val for e, val in self.edge_values.items()})
 
-    def plus(self, other: "NetField", c: float = 1.0) -> "NetField":
-        return NetField(
-            {e: val + c * other.edge_values[e] for e, val in self.edge_values.items()}
-        )
+    def plus(self, other: "NetField") -> "NetField":
+        return NetField({e: val + other.edge_values[e] for e, val in self.edge_values.items()})
 
     def max_norm(self, chart: MetricChart, net: GeodesicNet) -> float:
         return max(
@@ -224,8 +218,7 @@ def edge_lengths(chart: MetricChart, net: GeodesicNet) -> dict[str, float]:
 
     def group_lengths(grp):
         speed = g_norm(chart, grp.samples, stencils.velocity(grp.samples, loop_shift=grp.shifts))
-        npts = grp.samples.shape[1]
-        w = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=grp.loop)
+        w = stencils.quadrature_weights(grp.samples.shape[1], loop=grp.loop)
         return [float(w @ sp) for sp in speed]
 
     return net.map_groups(group_lengths)
@@ -253,7 +246,6 @@ def reparametrize_constant_speed(chart: MetricChart, net: GeodesicNet,
     return replace(
         net,
         edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, n_samples)),
-        constant_speed=True,
         lengths={},
     )
 
@@ -322,6 +314,5 @@ def displace(net: GeodesicNet, fld: NetField, s: float) -> GeodesicNet:
         net,
         edge_samples=new_samples,
         vertex_positions=new_positions,
-        constant_speed=False,
         lengths={},
     )

@@ -78,6 +78,7 @@ __all__ = [
 # MAX_HALVINGS times.  Degeneracy breaking stacks at most MAX_BUMPS bumps,
 # halves an anchor's radius at most MAX_SHRINK times, and halves each
 # bump's amplitude from BUMP_AMPLITUDE down to MIN_AMPLITUDE_FACTOR of it.
+# mixed_second_derivative works on the grid MIXED_REFINE times finer.
 HESSIAN_STEP = 1e-5
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
@@ -87,6 +88,7 @@ MAX_SHRINK = 6
 MAX_BUMPS = 4
 BUMP_AMPLITUDE = 0.02
 MIN_AMPLITUDE_FACTOR = 1.0 / 16.0
+MIXED_REFINE = 8
 
 
 class SolverError(RuntimeError):
@@ -269,7 +271,7 @@ def _line_search(chart, net, direction, gnorm, opts):
                 samples = {}
                 for grp, stacked in zip(groups, resampled):
                     samples.update(zip(grp.ids, stacked.samples[c * len(grp.ids) :]))
-                cand = replace(displace(net, direction, alpha), constant_speed=True,
+                cand = replace(displace(net, direction, alpha),
                                edge_samples={e.id: samples[e.id] for e in net.graph.edges})
                 basis, _ = _reduced_basis(cand, {e: fr[c] for e, fr in frames.items()})
                 cand.lengths = edge_lengths(chart, cand)
@@ -469,13 +471,13 @@ def _verify_bump(chart, net, eid, idx, h_fld, j_field, tol=1e-9):
 
 
 def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: NetField,
-                            steps: tuple[float, float] = (1e-4, 1e-4),
-                            refine: int = 8) -> tuple[float, float]:
+                            steps: tuple[float, float] = (1e-4, 1e-4)) -> tuple[float, float]:
     """d^2/dx ds of the length under (conformal amplitude x, displacement s J).
 
     Returns (closed_form, finite_difference): the quadrature of
     (1/2) <grad h, J> L along the net, and the central mixed difference of
-    the refined discrete length; both on the same refined grid.
+    the refined discrete length; both on the same grid, ``MIXED_REFINE``
+    times finer than the net's.
     """
     step_x, step_s = steps
     if not (0 < step_x < np.inf and 0 < step_s < np.inf):  # written so that NaN fails too
@@ -484,9 +486,10 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
     fine_j = {}
     for e in net.graph.edges:
         shift = net.loop_shift(e.id)
-        fine_samples[e.id] = stencils.upsample_curve(net.edge_samples[e.id], refine, loop_shift=shift)
+        fine_samples[e.id] = stencils.upsample_curve(net.edge_samples[e.id], MIXED_REFINE,
+                                                     loop_shift=shift)
         fine_j[e.id] = stencils.upsample_curve(
-            j_field.edge_values[e.id], refine,
+            j_field.edge_values[e.id], MIXED_REFINE,
             loop_shift=None if shift is None else np.zeros(net.dim),
         )
     fine_net = replace(net, edge_samples=fine_samples, lengths={})
@@ -494,11 +497,10 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
     closed = 0.0
     for e in net.graph.edges:
         s = fine_samples[e.id]
-        npts = s.shape[0]
         shift = fine_net.loop_shift(e.id)
         v = stencils.velocity(s, loop_shift=shift)
         speed = g_norm(g0, s, v)
-        w = stencils.quadrature_weights(npts, 1.0 / (npts - 1), loop=shift is not None)
+        w = stencils.quadrature_weights(s.shape[0], loop=shift is not None)
         pair = np.einsum("pi,pi->p", h_fld.gradient_many(s), fine_j[e.id])
         closed += 0.5 * e.multiplicity * float(w @ (pair * speed))
 

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .cases import CASE_NAMES, make_case
+from .cases import CASE_NAMES, make_case, meridian
 from .geometry import (
     EuclideanChart,
     FlatTorusChart,
@@ -164,17 +164,6 @@ def _parse_lattice(value) -> np.ndarray:
     return lat
 
 
-def _meridian_samples(longitude_deg: float, n: int) -> np.ndarray:
-    from .cases import _stereographic
-
-    lon = np.deg2rad(longitude_deg)
-    theta = np.pi * np.linspace(0.0, 1.0, n + 1)
-    y = np.stack(
-        [np.sin(theta) * np.cos(lon), np.sin(theta) * np.sin(lon), np.cos(theta)], axis=1
-    )
-    return _stereographic(y)
-
-
 def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_samples: int) -> GeodesicNet:
     _reject_unknown(doc, {"vertices", "edges", "periodic_edges"}, "net")
     vertices = {v: _point(p, chart.dim, f"net.vertices[{v}]")
@@ -200,7 +189,7 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
             ang = (1 - t) * a0 + t * a1
             samples[eid] = center + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         elif gen == "meridian":
-            samples[eid] = _meridian_samples(float(spec["longitude"]), n_samples)
+            samples[eid] = meridian(np.deg2rad(float(spec["longitude"])), n_samples)
         else:
             raise SpecError(f"edge {eid!r} needs samples or a known generator")
     return GeodesicNet(

@@ -114,8 +114,10 @@ def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def quadrature_weights(n_samples: int, h: float, loop: bool = False) -> np.ndarray:
-    """Quadrature weights matching the derivative operator on the same grid."""
+def quadrature_weights(n_samples: int, loop: bool = False) -> np.ndarray:
+    """Quadrature weights matching the derivative operator on the uniform
+    grid of n_samples over [0, 1]."""
+    h = 1.0 / (n_samples - 1)
     w = np.full(n_samples, h)
     if loop:
         # closing sample duplicated: split its weight between the two copies

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import stencils
 from .geometry import MetricChart, g_dot, g_norm, metric_norm
-from .net import EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, vertex_unit_tangents
+from .net import (
+    EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, length, vertex_unit_tangents,
+)
 
 __all__ = [
     "NotStationaryError",
@@ -40,6 +42,10 @@ __all__ = [
     "covariant_deriv",
 ]
 
+# hessian_form warns above this stationarity residual and refuses a net
+# above 100 times it.
+HESSIAN_RESIDUAL_TOL = 1e-4
+
 
 class NotStationaryError(ValueError):
     """The net fails the stationarity gate of a second-variation computation."""
@@ -47,11 +53,8 @@ class NotStationaryError(ValueError):
 
 def _edge_grid(net: GeodesicNet, eid: str):
     s = net.edge_samples[eid]
-    n = s.shape[0]
-    h = 1.0 / (n - 1)
     shift = net.loop_shift(eid)
-    w = stencils.quadrature_weights(n, h, loop=shift is not None)
-    return s, h, shift, w
+    return s, shift, stencils.quadrature_weights(s.shape[0], loop=shift is not None)
 
 
 def _field_velocity(values: np.ndarray, shift) -> np.ndarray:
@@ -123,7 +126,7 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
     edge_res = {}
     edge_max = {}
     for e in net.graph.edges:
-        s, _, shift, _ = _edge_grid(net, e.id)
+        s, shift, _ = _edge_grid(net, e.id)
         # open edges keep the central 6th-order rows only: their footprints
         # still cover every sample, and endpoint geodesy is what the vertex
         # balance measures
@@ -153,7 +156,7 @@ def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
     """Samples of A_E applied to the field; output is g-orthogonal to f'."""
     lengths = lengths or edge_lengths(chart, net)
     e = net.graph.edge(eid)
-    s, h, shift, _ = _edge_grid(net, eid)
+    s, shift, _ = _edge_grid(net, eid)
     y = fld.edge_values[eid]
     v = stencils.velocity(s, loop_shift=shift)
     # differentiate the perpendicular part: same operator in the continuum,
@@ -173,7 +176,7 @@ def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField,
     out = np.zeros(net.dim)
     for eid, i in net.graph.incident_pairs(v):
         e = net.graph.edge(eid)
-        s, h, shift, _ = _edge_grid(net, eid)
+        s, shift, _ = _edge_grid(net, eid)
         y = fld.edge_values[eid]
         vel = stencils.velocity(s, loop_shift=shift)
         yperp = _perp(chart, s, vel, y)
@@ -185,22 +188,23 @@ def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField,
 
 
 def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: NetField,
-                 residual_tol: float = 1e-4, check_stationary: bool = True) -> float:
+                 check_stationary: bool = True) -> float:
     """Second variation: sum of edge integrals of <A_E(Y), X> plus vertex terms.
 
     Only defined at (approximately) stationary nets: warns when the
-    stationarity residual is within 100x of ``residual_tol``, errors above.
+    stationarity residual is within 100x of ``HESSIAN_RESIDUAL_TOL``,
+    errors above.
     """
     if check_stationary:
         agg = stationarity_residual(chart, net).aggregate
-        if not agg <= 100 * residual_tol:  # a NaN residual fails too
+        if not agg <= 100 * HESSIAN_RESIDUAL_TOL:  # a NaN residual fails too
             raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
-        if agg > residual_tol:
+        if agg > HESSIAN_RESIDUAL_TOL:
             warnings.warn(f"hessian at a marginally stationary net (residual {agg:.3g})")
     lengths = edge_lengths(chart, net)
     total = 0.0
     for e in net.graph.edges:
-        s, h, shift, w = _edge_grid(net, e.id)
+        s, shift, w = _edge_grid(net, e.id)
         a_of_y = apply_A_E(chart, net, e.id, y_fld, lengths)
         total += float(w @ g_dot(chart, s, a_of_y, x_fld.edge_values[e.id]))
     for v in net.graph.vertices:
@@ -216,8 +220,6 @@ def hessian_fd_oracle(chart: MetricChart, net: GeodesicNet, x_fld: NetField,
     """Central mixed second difference of the length over net (+) sX (+) xY."""
     if not 1e-12 <= step < np.inf:  # written so that NaN fails too
         raise ValueError("step must be finite and at least 1e-12")
-    from .net import length
-
     def l_at(a: float, b: float) -> float:
         moved = displace(displace(net, x_fld, a), y_fld, b)
         return length(chart, moved)
@@ -252,7 +254,7 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
     v = stencils.velocity(s, loop_shift=group.shifts)
     g, dg = chart.metric_jet_many(s.reshape(-1, n))
     rows = v.reshape(-1, n)
-    w = stencils.quadrature_weights(npts, h, loop=group.loop)
+    w = stencils.quadrature_weights(npts, loop=group.loop)
     speed = metric_norm(g, rows).reshape(n_edges, npts, 1)
     gv_over_s = np.einsum("pij,pj->pi", g, rows).reshape(s.shape) / speed
     # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)

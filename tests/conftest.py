@@ -44,7 +44,6 @@ def jitter_net(net, rng, amp=0.05, vertex_only=False):
             s += np.outer(np.sin(np.pi * t), rng.uniform(-amp, amp, size=net.dim))
     for v in out.vertex_positions:
         out.vertex_positions[v] = out.vertex_positions[v] + jit[v]
-    out.constant_speed = False
     out.lengths = {}
     return out
 

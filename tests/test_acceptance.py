@@ -266,8 +266,8 @@ def test_criterion_7_convergence_orders():
     assert ratios and max(ratios) < 100.0
 
     # geodesic integrator speed drift at step 1e-3
-    cv = geodesic_integrate(sphere, [0.3, -0.1], [0.5, 0.7], 1.0, 1000)
-    speeds = g_norm(sphere, cv.points, cv.velocities)
+    points, velocities = geodesic_integrate(sphere, [0.3, -0.1], [0.5, 0.7], 1.0, 1000)
+    speeds = g_norm(sphere, points, velocities)
     drift = abs(speeds[-1] - speeds[0]) / speeds[0]
     assert drift <= 1e-8
     _report(

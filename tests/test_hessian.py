@@ -34,7 +34,7 @@ def reference_fields(chart, net):
         s = net.edge_samples[e.id]
         shift = net.loop_shift(e.id)
         v = stencils.velocity(s, loop_shift=shift)
-        frames_by_edge[e.id] = parallel_frame(chart, s, v, loop_shift=shift)
+        frames_by_edge[e.id] = parallel_frame(chart, s, v)
 
     def zero_field():
         return {e.id: np.zeros_like(net.edge_samples[e.id]) for e in net.graph.edges}
@@ -262,7 +262,7 @@ def assert_same_gradient(chart, net):
     frames = {}
     for e in basis.edges:
         s, shift = net.edge_samples[e], net.loop_shift(e)
-        frames[e] = parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift), loop_shift=shift)
+        frames[e] = parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift))
     ref_basis, _ = jac._reduced_basis(net, frames)
     assert np.array_equal(grad, ref_basis.pullback(length_sample_gradient(chart, net)))
     assert np.array_equal(basis.vertex_block, ref_basis.vertex_block)

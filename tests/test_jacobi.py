@@ -40,7 +40,7 @@ def edge_frame(case, eid):
     s = net.edge_samples[eid]
     shift = net.loop_shift(eid)
     v = st.velocity(s, loop_shift=shift)
-    return s, v, parallel_frame(case.chart, s, v, loop_shift=shift)
+    return s, v, parallel_frame(case.chart, s, v)
 
 
 # -- frames ------------------------------------------------------------------
@@ -77,13 +77,13 @@ def test_frame_loop_holonomy_identity():
 
 def test_frame_in_three_dimensions_is_orthonormal_and_normal():
     chart = StereographicSphereChart(1.0, dim=3)
-    cv = geodesic_integrate(chart, [0.1, 0.2, -0.1], [0.5, -0.3, 0.4], 1.0, 256)
-    frames = parallel_frame(chart, cv.points, cv.velocities)
+    points, velocities = geodesic_integrate(chart, [0.1, 0.2, -0.1], [0.5, -0.3, 0.4], 1.0, 256)
+    frames = parallel_frame(chart, points, velocities)
     assert frames.shape == (257, 2, 3)
-    g = chart.metric_many(cv.points)
+    g = chart.metric_many(points)
     gram = np.einsum("pai,pij,pbj->pab", frames, g, frames)
     assert np.abs(gram - np.eye(2)).max() < 1e-10
-    tangent = cv.velocities / g_norm(chart, cv.points, cv.velocities)[:, None]
+    tangent = velocities / g_norm(chart, points, velocities)[:, None]
     assert np.abs(np.einsum("pai,pij,pj->pa", frames, g, tangent)).max() < 1e-10
 
 
@@ -213,11 +213,11 @@ def test_system_curvature_block_scales_with_radius():
         samples[-1] = samples[0]
         net = GeodesicNet(graph=graph, edge_samples={"E": samples},
                           vertex_positions={"V": samples[0]},
-                          periodic_edges=frozenset({"E"}), constant_speed=True)
+                          periodic_edges=frozenset({"E"}))
         net.lengths = edge_lengths(chart, net)
         s = net.edge_samples["E"]
         v = st.velocity(s, loop_shift=net.loop_shift("E"))
-        frames = parallel_frame(chart, s, v, loop_shift=net.loop_shift("E"))
+        frames = parallel_frame(chart, s, v)
         k_mat = jacobi_ode_coefficients(chart, s, v, frames)
         mono[radius] = float(k_mat[:, 0, 0].mean()) / net.lengths["E"] ** 2
     # sectional curvature scales with 1/r^2

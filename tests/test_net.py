@@ -111,7 +111,6 @@ def test_reparametrize_idempotent_on_straight_edge():
         for e in out.edge_samples
     )
     assert worst < 1e-12
-    assert out.constant_speed
 
 
 def test_reparametrize_graded_line_becomes_uniform():

@@ -21,8 +21,8 @@ def _banded_matrix(n):
 
 
 def test_sbp_pair_identity_exact():
-    n, h = 41, 1.0 / 40
-    d_mat, w = _banded_matrix(n), st.quadrature_weights(n, h)
+    n = 41
+    d_mat, w = _banded_matrix(n), st.quadrature_weights(n)
     q = np.diag(w) @ d_mat
     b = q + q.T
     expect = np.zeros((n, n))
@@ -32,9 +32,9 @@ def test_sbp_pair_identity_exact():
 
 
 def test_quadrature_weights_sum():
-    w = st.quadrature_weights(65, 1 / 64)
+    w = st.quadrature_weights(65)
     assert abs(w.sum() - 1.0) < 1e-14
-    wl = st.quadrature_weights(65, 1 / 64, loop=True)
+    wl = st.quadrature_weights(65, loop=True)
     assert abs(wl.sum() - 1.0) < 1e-14
 
 
@@ -92,7 +92,7 @@ def test_open_grids_below_the_floor_are_refused():
         with pytest.raises(ValueError, match="at least"):
             st.velocity(np.zeros((n, 2)))
         with pytest.raises(ValueError, match="at least"):
-            st.quadrature_weights(n, 1.0 / (n - 1))
+            st.quadrature_weights(n)
 
 
 def test_upsample_preserves_nodes_and_accuracy():

@@ -33,7 +33,7 @@ def unit_normal_field(case):
     eid = net.graph.edges[0].id
     s = net.edge_samples[eid]
     v = st.velocity(s, loop_shift=net.loop_shift(eid))
-    frames = parallel_frame(case.chart, s, v, loop_shift=net.loop_shift(eid))
+    frames = parallel_frame(case.chart, s, v)
     return NetField({eid: frames[:, 0, :].copy()})
 
 
@@ -400,11 +400,11 @@ def _gradient_reference(chart, net):
         n = s.shape[0]
         h = 1.0 / (n - 1)
         shift = net.loop_shift(e.id)
-        w = st.quadrature_weights(n, h, loop=shift is not None)
+        w = st.quadrature_weights(n, loop=shift is not None)
         v = st.velocity(s, loop_shift=shift)
         speed = g_norm(chart, s, v)
         u = np.einsum("pij,pj->pi", chart.metric_many(s), v) / speed[:, None]
-        dg = chart.metric_deriv_many(s)
+        dg = chart.metric_jet_many(s)[1]
         grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
         if shift is None:
             grad += _sbp42_reference(n, h).T @ (w[:, None] * u)
