@@ -5,14 +5,16 @@ one pipeline stage and writes a deterministic results document (plus an
 optional CSV of per-edge samples).
 
 Exit codes: 0 success, 2 validation failure, 3 solver or numerical failure
-(also a ``solve`` whose net fails the stationarity tolerance; its results
-document is still written).
+(also a ``solve`` whose net fails the stationarity tolerance, whose results
+document is still written, and a report holding a non-finite number, which
+is not written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -93,7 +95,22 @@ def _kernel_doc(ker, svd_tol):
     }
 
 
+def _non_finite_key(value, key: str):
+    """The key path of the first non-finite number in a report, or None."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return key if isinstance(value, float) and not math.isfinite(value) else None
+    return next((bad for bad in (_non_finite_key(v, k) for k, v in items) if bad), None)
+
+
 def _finish(args, command, options, report, net=None, fields=None):
+    bad = _non_finite_key(report, "report")
+    if bad:
+        # strict JSON has no NaN or Infinity
+        raise FloatingPointError(f"{bad} is not finite; no results document written")
     doc = specfile.results_document(command, options, report)
     if args.out:
         specfile.write_results(doc, args.out)
@@ -250,6 +267,10 @@ def main(argv=None) -> int:
     except (solver.SolverError, np.linalg.LinAlgError) as ex:
         # LinAlgError is a ValueError, but a numerical failure, not bad input
         print(f"solver error: {ex}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ArithmeticError as ex:
+        # an overflow, or a report with a non-finite number
+        print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_SOLVER
     except (specfile.SpecError, ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)

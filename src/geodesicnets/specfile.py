@@ -27,6 +27,7 @@ from .geometry import (
 from .multigraph import WeightedMultigraph, validate
 from .net import GeodesicNet, check_net, edge_lengths
 from .stencils import MIN_SAMPLES
+from .variation import stationarity_residual
 
 __all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec", "spec_from_case",
            "write_spec", "results_document", "write_results", "export_plot_csv",
@@ -73,11 +74,13 @@ def _count(value, where: str) -> int:
 
 
 def _floats(value) -> np.ndarray:
-    """value as a float array, empty when it is not a nest of numbers."""
+    """value as a float array, empty when it is not a regular nest of JSON
+    numbers (strings, booleans, null and objects do not count)."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nest
         return np.empty(0)
+    return arr.astype(float) if arr.dtype.kind in "iuf" else np.empty(0)
 
 
 def _point(value, dim: int, where: str) -> np.ndarray:
@@ -113,8 +116,10 @@ def _parse_graph(doc: dict) -> WeightedMultigraph:
     for k, e in enumerate(_typed(doc.get("edges", []), list, "graph.edges")):
         where = f"graph.edges[{k}]"
         _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, where)
-        edges.append((*(_typed(e[key], str, f"{where}.{key}") for key in ("id", "v0", "v1")),
+        edges.append((*(_typed(e.get(key), str, f"{where}.{key}") for key in ("id", "v0", "v1")),
                       _count(e.get("multiplicity", 1), f"{where}.multiplicity")))
+    if not edges:
+        raise SpecError("graph.edges must hold at least one edge")
     return WeightedMultigraph.build(vertices, edges)
 
 
@@ -129,8 +134,14 @@ def _parse_metric(doc: dict):
         radius = _number(doc.get("radius", 1.0), "metric.radius", positive=True)
         base = StereographicSphereChart(radius=radius, dim=_count(doc.get("dim", 2), "metric.dim"))
     elif kind == "euclidean":
+        dim = _count(doc.get("dim", 2), "metric.dim")
         box = doc.get("box")
-        base = EuclideanChart(dim=_count(doc.get("dim", 2), "metric.dim"), box=box)
+        if box is not None:
+            box = _floats(box)
+            if box.shape != (2, dim) or not np.isfinite(box).all():
+                raise SpecError(f"metric.box must be two finite points of dimension {dim}, "
+                                f"got {doc['box']!r}")
+        base = EuclideanChart(dim=dim, box=box)
     else:
         raise SpecError(f"unknown metric kind {kind!r}")
     bumps = None
@@ -139,11 +150,11 @@ def _parse_metric(doc: dict):
         for k, b in enumerate(_typed(doc["bumps"], list, "metric.bumps")):
             where = f"metric.bumps[{k}]"
             _reject_unknown(b, {"center", "radius", "amplitude"}, where)
-            center = _point(b["center"], base.dim, f"{where}.center")
+            center = _point(b.get("center"), base.dim, f"{where}.center")
             for x in center:
                 _number(x, f"{where}.center")
-            radius = _number(b["radius"], f"{where}.radius", positive=True)
-            amplitude = _number(b["amplitude"], f"{where}.amplitude")
+            radius = _number(b.get("radius"), f"{where}.radius", positive=True)
+            amplitude = _number(b.get("amplitude"), f"{where}.amplitude")
             fields.append(RadialBumpField(center, radius, amplitude, chart=base))
         bumps = SumField(fields)
     schedule = doc.get("amplitude_schedule")
@@ -168,35 +179,49 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
     _reject_unknown(doc, {"vertices", "edges", "periodic_edges"}, "net")
     vertices = {v: _point(p, chart.dim, f"net.vertices[{v}]")
                 for v, p in _typed(doc.get("vertices", {}), dict, "net.vertices").items()}
+    missing = [v for v in graph.vertices if v not in vertices]
+    if missing:
+        raise SpecError(f"net.vertices has no position for vertex {missing[0]!r}")
+    edge_ids = {e.id for e in graph.edges}
     samples = {}
     for eid, spec in _typed(doc.get("edges", {}), dict, "net.edges").items():
+        where = f"net.edges[{eid}]"
         allowed = {"samples", "generator", "to", "center", "radius", "angles", "longitude"}
-        _reject_unknown(spec, allowed, f"net.edges[{eid}]")
+        _reject_unknown(spec, allowed, where)
+        if eid not in edge_ids:
+            raise SpecError(f"{where} is not an edge of the graph")
         if "samples" in spec:
-            samples[eid] = np.asarray(spec["samples"], dtype=float)
+            samples[eid] = _floats(spec["samples"])
+            if samples[eid].size == 0:
+                raise SpecError(f"{where}.samples must be a non-empty array of numbers")
             continue
         gen = spec.get("generator")
         t = np.linspace(0.0, 1.0, n_samples + 1)
         e = graph.edge(eid)
         if gen == "straight":
             p0 = vertices[e.v0]
-            p1 = np.asarray(spec["to"], dtype=float) if "to" in spec else vertices[e.v1]
+            p1 = _point(spec["to"], chart.dim, f"{where}.to") if "to" in spec else vertices[e.v1]
             samples[eid] = (1 - t)[:, None] * p0 + t[:, None] * p1
         elif gen == "circle-arc":
-            center = np.asarray(spec["center"], dtype=float)
-            radius = float(spec["radius"])
-            a0, a1 = (float(a) for a in spec["angles"])
-            ang = (1 - t) * a0 + t * a1
+            center = _point(spec.get("center"), 2, f"{where}.center")
+            radius = _number(spec.get("radius"), f"{where}.radius")
+            angles = _floats(spec.get("angles"))
+            if angles.shape != (2,) or not np.isfinite(angles).all():
+                raise SpecError(f"{where}.angles must be two finite numbers, got {spec.get('angles')!r}")
+            ang = (1 - t) * angles[0] + t * angles[1]
             samples[eid] = center + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         elif gen == "meridian":
-            samples[eid] = meridian(np.deg2rad(float(spec["longitude"])), n_samples)
+            longitude = _number(spec.get("longitude"), f"{where}.longitude")
+            samples[eid] = meridian(np.deg2rad(longitude), n_samples)
         else:
-            raise SpecError(f"edge {eid!r} needs samples or a known generator")
+            raise SpecError(f"{where} needs samples or a known generator")
+    periodic = _typed(doc.get("periodic_edges", []), list, "net.periodic_edges")
     return GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions=vertices,
-        periodic_edges=frozenset(doc.get("periodic_edges", [])),
+        periodic_edges=frozenset(_typed(p, str, f"net.periodic_edges[{k}]")
+                                 for k, p in enumerate(periodic)),
     )
 
 
@@ -268,11 +293,22 @@ def spec_from_case(name: str, n_samples: int = 64) -> dict:
                 for e in net.graph.edges
             },
         },
-        "options": {"n_samples": n_samples, "tol": 1e-8, "svd_tol": 1e-6},
+        "options": {"n_samples": n_samples, "tol": _case_tolerance(case.chart, net),
+                    "svd_tol": 1e-6},
     }
     if net.periodic_edges:
         doc["net"]["periodic_edges"] = sorted(net.periodic_edges)
     return doc
+
+
+def _case_tolerance(chart: MetricChart, net: GeodesicNet) -> float:
+    """1e-8, or the smallest power of ten at least twice the net's own
+    stationarity residual when that is larger, so the net passes ``check``."""
+    floor = 2.0 * stationarity_residual(chart, net).aggregate
+    power = -8
+    while 10.0**power < floor and power < 0:
+        power += 1
+    return 10.0**power
 
 
 def _metric_doc(chart: MetricChart) -> dict:

@@ -442,6 +442,9 @@ def test_cli_refuses_periodic_edges_that_are_not_self_loops(tmp_path, capsys, co
 
 
 NAN = float("nan")
+# the unit circle as a generated loop edge of sphere-equator
+CIRCLE = {"generator": "circle-arc", "center": [0.0, 0.0], "radius": 1.0,
+          "angles": [0.0, 2.0 * np.pi]}
 
 
 @pytest.mark.parametrize("name, where, value, message", [
@@ -469,10 +472,41 @@ NAN = float("nan")
     ("honeycomb-torus", ("net", "vertices", "A"), 0.5, "net.vertices[A] must be a point of dimension 2"),
     ("honeycomb-torus", ("net", "vertices"), [[0.0, 0.0]], "net.vertices must be a JSON object, got list"),
     ("honeycomb-torus", ("net", "edges"), [], "net.edges must be a JSON object, got list"),
+    ("honeycomb-torus", ("net", "edges", "E1", "samples", 3), {"x": 1.0},
+     "net.edges[E1].samples must be a non-empty array of numbers"),
+    ("sphere-equator", ("net", "periodic_edges"), NAN, "net.periodic_edges must be a JSON array"),
+    ("sphere-equator", ("net", "periodic_edges"), -1, "net.periodic_edges must be a JSON array"),
+    ("sphere-equator", ("net", "periodic_edges"), True, "net.periodic_edges must be a JSON array"),
+    ("sphere-equator", ("net", "periodic_edges"), [[1, 2]],
+     "net.periodic_edges[0] must be a JSON string"),
+    ("sphere-equator", ("net", "periodic_edges"), [{}], "net.periodic_edges[0] must be a JSON string"),
+    ("sphere-equator", ("net", "edges", "E"), {**CIRCLE, "radius": [1]},
+     "net.edges[E].radius must be a finite number"),
+    ("sphere-equator", ("net", "edges", "E"), {**CIRCLE, "angles": [0]},
+     "net.edges[E].angles must be two finite numbers"),
+    ("sphere-equator", ("net", "edges", "E"), {**CIRCLE, "center": [0.0]},
+     "net.edges[E].center must be a point of dimension 2"),
+    ("sphere-theta", ("net", "edges", "E1"), {"generator": "meridian", "longitude": "0"},
+     "net.edges[E1].longitude must be a finite number"),
+    ("honeycomb-torus", ("net", "edges", "E1"), {"generator": "straight", "to": [1.0]},
+     "net.edges[E1].to must be a point of dimension 2"),
+    ("honeycomb-torus", ("graph",), {"vertices": [], "edges": []},
+     "graph.edges must hold at least one edge"),
+    ("honeycomb-torus", ("metric",), {"kind": "euclidean", "box": "x"},
+     "metric.box must be two finite points of dimension 2"),
+    ("honeycomb-torus", ("net", "vertices", "A"), ["0", "0"],
+     "net.vertices[A] must be a point of dimension 2"),
+    ("honeycomb-torus", ("net", "vertices"), {"A": [0.0, 0.0]},
+     "net.vertices has no position for vertex 'B'"),
+    ("honeycomb-torus", ("net", "edges", "E9"), {"generator": "straight"},
+     "net.edges[E9] is not an edge of the graph"),
 ], ids=["options-list", "graph-list", "edge-list", "lattice-1x2", "lattice-singular", "lattice-nan",
         "sphere-radius-nan", "sphere-radius-zero", "bump-radius-nan", "bump-center-1d",
         "schedule-nan", "multiplicity-fraction", "edge-id-list", "vertex-scalar",
-        "net-vertices-list", "net-edges-list"])
+        "net-vertices-list", "net-edges-list", "sample-object", "periodic-nan", "periodic-number",
+        "periodic-true", "periodic-nested-list", "periodic-object", "arc-radius-list",
+        "arc-angles-short", "arc-center-1d", "meridian-longitude-string", "straight-to-1d",
+        "no-edges", "box-string", "vertex-strings", "vertex-missing", "edge-outside-graph"])
 def test_cli_refuses_malformed_sections(tmp_path, capsys, name, where, value, message):
     path, doc = write_case_spec(tmp_path, name, n=32)
     parent = doc
@@ -515,3 +549,65 @@ def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys):
     good, _ = write_case_spec(tmp_path, "sphere-equator", n=32)
     assert cli.main(["check", "--spec", str(good), "--tol", "inf"]) == 2
     assert "options.tol" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, where, message", [
+    # the length overflows: the report would hold Infinity or NaN, which
+    # strict JSON parsers reject
+    ("honeycomb-torus", ("net", "edges", "E1", "samples", 10, 1),
+     "numerical failure: report.stationarity.edge_max.E1 is not finite"),
+    # a finite radius whose square overflows
+    ("sphere-theta", ("metric", "radius"), "numerical failure:"),
+], ids=["sample", "sphere-radius"])
+def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, name, where, message):
+    path, doc = write_case_spec(tmp_path, name, n=32)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = 1e308
+    specfile.write_spec(doc, str(path))
+    out = tmp_path / "res.json"
+    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_non_finite_report_keys_are_named():
+    report = {"kernel": {"spectral_gap": None, "singular_values": [1.0, 2.0]},
+              "steps": [{"amplitude": 0.0}, {"amplitude": float("nan")}]}
+    assert cli._non_finite_key(report, "report") == "report.steps[1].amplitude"
+    report["steps"].pop()
+    assert cli._non_finite_key(report, "report") is None
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
+def test_generated_spec_is_stationary_by_its_own_tolerance(tmp_path, name, n):
+    path, out = tmp_path / "spec.json", tmp_path / "res.json"
+    assert cli.main(["generate", "--case", name, "--n-samples", str(n), "--out", str(path)]) == 0
+    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 0
+    stationarity = json.loads(out.read_text())["report"]["stationarity"]
+    assert stationarity["stationary"] is True
+    # the smallest power of ten above twice the residual, and never below 1e-8
+    tol = json.loads(path.read_text())["options"]["tol"]
+    assert tol == 1e-8 or stationarity["aggregate"] > tol / 20.0
+
+
+def test_every_exported_name_resolves():
+    import ast
+    import importlib
+    import pathlib
+
+    package = pathlib.Path(geodesicnets.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        name = "geodesicnets" if source.stem == "__init__" else f"geodesicnets.{source.stem}"
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"{name}.__all__ names {attr!r}"
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"geodesicnets.{node.module}")
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module} has no {alias.name!r}"
+                assert hasattr(geodesicnets, alias.asname or alias.name)
