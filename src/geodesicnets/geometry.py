@@ -326,11 +326,10 @@ class DirectionalBumpField(ScalarField):
         return vals, grads, hess
 
     def bounds(self):
-        hi = abs(self.amplitude) * self.radius**self.power
+        scale = self.radius**self.power
         if self.power % 2 == 0:
-            return (min(0.0, self.amplitude) * self.radius**self.power,
-                    max(0.0, self.amplitude) * self.radius**self.power)
-        return (-hi, hi)
+            return (min(0.0, self.amplitude) * scale, max(0.0, self.amplitude) * scale)
+        return (-abs(self.amplitude) * scale, abs(self.amplitude) * scale)
 
 
 # ---------------------------------------------------------------------------
