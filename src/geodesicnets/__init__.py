@@ -22,7 +22,6 @@ from .geometry import (
     StereographicSphereChart,
     SumField,
     conformal_family,
-    exp_background,
     g_dot,
     g_norm,
     geodesic_integrate,
@@ -50,7 +49,6 @@ from .localcoords import (
     constraint_C,
     coordinates_of,
     lagrangian_integral,
-    lagrangian_L,
     lambda_map,
     mean_curvature_H,
     stationarity_equivalence_check,

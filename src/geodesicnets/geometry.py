@@ -3,12 +3,22 @@
 All manifolds live in a single global chart: a box in R^n, a flat torus
 (R^n modulo a lattice), or the stereographic plane of a round sphere.
 Conformal families (1 + x*h) * g0 stack on any base chart.  The auxiliary
-background metric used for exponential maps and normal bundles is always
-the Euclidean chart metric, so exp/log are affine.
+background metric used for normal bundles is always the Euclidean chart
+metric.
 
-Curvature follows the sign convention in which the Jacobi equation along a
-geodesic reads  J'' + R(f', J)f' = 0  and the round sphere has
-<R(X,Y)X, Y> > 0 for orthonormal X, Y.
+Every chart is conformally flat, g = e^(2 phi) delta, and hands out one
+primitive: the jet of phi (``MetricChart.factor_jet_many``).  Pairings,
+the Christoffel symbols and the curvature follow from it in closed form
+(Lee, Introduction to Riemannian Manifolds, 2nd ed., Thm 7.30):
+
+    <a, b>_g   = e^(2 phi) a.b
+    Gamma(v, w) = (v.dphi) w + (w.dphi) v - (v.w) dphi
+    R(X, Y) Z  = (Y.Z) T X + T(Y, Z) X - T(X, Z) Y - (X.Z) T Y,
+    T = ddphi - dphi dphi^T + |dphi|^2 I / 2,
+
+with Euclidean dots.  Curvature follows the sign convention in which the
+Jacobi equation along a geodesic reads  J'' + R(f', J)f' = 0  and the
+round sphere has <R(X,Y)X, Y> > 0 for orthonormal X, Y.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ __all__ = [
     "linear_rk4_flow",
     "geodesic_integrate",
     "parallel_transport",
-    "exp_background",
+    "christoffel_apply",
+    "curvature_form",
+    "curvature_apply",
     "g_dot",
     "g_norm",
     "metric_dot",
@@ -88,18 +100,17 @@ class ScalarField:
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
         return self.jet_many(points, 1)[1]
 
-    def hessian_many(self, points: np.ndarray) -> np.ndarray:
-        return self.jet_many(points, 2)[2]
-
-    def value(self, p) -> float:
-        return float(self.value_many(np.asarray(p, dtype=float)[None, :])[0])
-
-    def gradient(self, p) -> np.ndarray:
-        return self.gradient_many(np.asarray(p, dtype=float)[None, :])[0]
-
     def bounds(self) -> tuple[float, float]:
         """(lower, upper) bounds of h over the chart."""
         raise NotImplementedError
+
+
+def _constant_jet(c: float, points: np.ndarray, order: int):
+    """Jet of the constant c: (c, 0, 0), entries above ``order`` None."""
+    m, n = points.shape
+    return (np.full(m, c),
+            np.zeros((m, n)) if order >= 1 else None,
+            np.zeros((m, n, n)) if order >= 2 else None)
 
 
 class ConstantField(ScalarField):
@@ -107,10 +118,7 @@ class ConstantField(ScalarField):
         self.c = float(c)
 
     def jet_many(self, points, order=2):
-        m, n = points.shape
-        return (np.full(m, self.c),
-                np.zeros((m, n)) if order >= 1 else None,
-                np.zeros((m, n, n)) if order >= 2 else None)
+        return _constant_jet(self.c, points, order)
 
     def bounds(self):
         return (self.c, self.c)
@@ -337,48 +345,39 @@ class DirectionalBumpField(ScalarField):
 # ---------------------------------------------------------------------------
 
 class MetricChart:
-    """Base class; subclasses provide vectorized metric data."""
+    """Base class of the conformally flat charts, g = lam * delta with
+    lam = e^(2 phi).
+
+    Subclasses provide ``factor_jet_many``; the metric, the Christoffel
+    symbols and the curvature are derived from it here.
+    """
 
     dim: int
 
     # -- metric data ------------------------------------------------------
+    def factor_jet_many(self, points: np.ndarray, order: int = 2):
+        """(lam, dphi, ddphi) at each point, from one evaluation: the factor
+        lam = e^(2 phi), shape (m,), and the gradient and Hessian of phi,
+        (m, n) and (m, n, n); entries above ``order`` are None."""
+        raise NotImplementedError
+
     def metric_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def metric_jet_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g, dg): g as ``metric_many`` gives it, bit for bit, and its
-        derivatives d_k g_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
-        raise NotImplementedError
-
-    def metric(self, p) -> np.ndarray:
-        return self.metric_many(np.asarray(p, dtype=float)[None, :])[0]
+        """g_ij = lam delta_ij, shape (m, n, n)."""
+        lam = self.factor_jet_many(points, 0)[0]
+        return lam[:, None, None] * np.eye(self.dim)
 
     def christoffel_many(self, points: np.ndarray) -> np.ndarray:
-        """Gamma^k_ij, shape (m, n, n, n) indexed [.., k, i, j]."""
-        raise NotImplementedError
-
-    def christoffel(self, p) -> np.ndarray:
-        return self.christoffel_many(np.asarray(p, dtype=float)[None, :])[0]
-
-    def christoffel_deriv_many(self, points: np.ndarray) -> np.ndarray:
-        """d_m Gamma^k_ij, shape (m, n, n, n, n) indexed [.., m, k, i, j]."""
-        raise NotImplementedError
+        """Gamma^k_ij = delta_ki phi_j + delta_kj phi_i - delta_ij phi_k,
+        shape (m, n, n, n) indexed [.., k, i, j]."""
+        dphi = self.factor_jet_many(points, 1)[1]
+        eye = np.eye(self.dim)
+        return (eye[:, :, None] * dphi[:, None, None, :] + eye[:, None, :] * dphi[:, None, :, None]
+                - eye * dphi[:, :, None, None])
 
     def curvature_many(self, points, X, Y, Z) -> np.ndarray:
         """R(X,Y)Z at each point (Jacobi-compatible sign)."""
-        gam = self.christoffel_many(points)
-        dgam = self.christoffel_deriv_many(points)
-        # R(X,Y)Z^l = [dGam_j Gam^l_ik - dGam_i Gam^l_jk
-        #              + Gam^l_jm Gam^m_ik - Gam^l_im Gam^m_jk] X^i Y^j Z^k
-        t1 = np.einsum("pjlik,pi,pj,pk->pl", dgam, X, Y, Z)
-        t2 = np.einsum("piljk,pi,pj,pk->pl", dgam, X, Y, Z)
-        t3 = np.einsum("pljm,pmik,pi,pj,pk->pl", gam, gam, X, Y, Z)
-        t4 = np.einsum("plim,pmjk,pi,pj,pk->pl", gam, gam, X, Y, Z)
-        return t1 - t2 + t3 - t4
-
-    def curvature(self, p, X, Y, Z) -> np.ndarray:
-        arr = lambda a: np.asarray(a, dtype=float)[None, :]
-        return self.curvature_many(arr(p), arr(X), arr(Y), arr(Z))[0]
+        _, dphi, ddphi = self.factor_jet_many(points, 2)
+        return curvature_apply(curvature_form(dphi, ddphi), X, Y, Z)
 
     # -- domain -----------------------------------------------------------
     def contains(self, p) -> bool:
@@ -410,22 +409,8 @@ class EuclideanChart(MetricChart):
         self.dim = dim
         self.box = None if box is None else (np.asarray(box[0], float), np.asarray(box[1], float))
 
-    def metric_many(self, points):
-        m = points.shape[0]
-        return np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
-
-    def metric_jet_many(self, points):
-        m = points.shape[0]
-        return self.metric_many(points), np.zeros((m, self.dim, self.dim, self.dim))
-
-    def christoffel_many(self, points):
-        m = points.shape[0]
-        return np.zeros((m, self.dim, self.dim, self.dim))
-
-    def christoffel_deriv_many(self, points):
-        m = points.shape[0]
-        n = self.dim
-        return np.zeros((m, n, n, n, n))
+    def factor_jet_many(self, points, order=2):
+        return _constant_jet(1.0, points, order)
 
     def contains(self, p):
         if self.box is None:
@@ -486,48 +471,17 @@ class StereographicSphereChart(MetricChart):
         self.dim = dim
         self._eye = np.eye(dim)
 
-    def _mu(self, points):
-        """(mu, r^2 + |p|^2) at each point."""
+    def factor_jet_many(self, points, order=2):
+        # phi = log mu: d phi = -2 p / (r^2 + |p|^2)
         r2 = self.radius**2
         denom = r2 + np.einsum("ij,ij->i", points, points)
-        return 2.0 * r2 / denom, denom
-
-    def metric_many(self, points):
-        return self._mu(points)[0][:, None, None] ** 2 * self._eye
-
-    def metric_jet_many(self, points):
-        # d_k g_ij = 2 mu d_k(mu) delta_ij,  d_k mu = -2 p_k mu / (r^2+|p|^2)
-        mu, denom = self._mu(points)
-        dmu = -2.0 * points * (mu / denom)[:, None]
-        return (mu[:, None, None] ** 2 * self._eye,
-                2.0 * mu[:, None, None, None] * dmu[:, :, None, None] * self._eye)
-
-    def _lam_derivs(self, points, order=2):
-        """First and, for order 2, second derivatives of lambda = log mu."""
-        r2 = self.radius**2
-        denom = r2 + np.einsum("ij,ij->i", points, points)
-        lam1 = -2.0 * points / denom[:, None]
-        if order < 2:
-            return lam1, None
-        lam2 = (
-            -2.0 * self._eye / denom[:, None, None]
-            + 4.0 * points[:, :, None] * points[:, None, :] / denom[:, None, None] ** 2
-        )
-        return lam1, lam2
-
-    def christoffel_many(self, points):
-        # Gamma^k_ij = delta_ik lam_j + delta_jk lam_i - delta_ij lam_k
-        lam1, _ = self._lam_derivs(points, 1)
-        eye = self._eye
-        return (eye[:, :, None] * lam1[:, None, None, :] + eye[:, None, :] * lam1[:, None, :, None]
-                - eye * lam1[:, :, None, None])
-
-    def christoffel_deriv_many(self, points):
-        # d_m Gamma^k_ij = delta_ik lam_jm + delta_jk lam_im - delta_ij lam_km
-        lam2 = np.swapaxes(self._lam_derivs(points)[1], 1, 2)  # [p, m, a]
-        eye = self._eye
-        return (eye[:, :, None] * lam2[:, :, None, None, :] + eye[:, None, :] * lam2[:, :, None, :, None]
-                - eye * lam2[:, :, :, None, None])
+        lam = (2.0 * r2 / denom) ** 2
+        dphi = -2.0 * points / denom[:, None] if order >= 1 else None
+        ddphi = None
+        if order >= 2:
+            ddphi = (-2.0 * self._eye / denom[:, None, None]
+                     + 4.0 * _outer(points, points) / denom[:, None, None] ** 2)
+        return lam, dphi, ddphi
 
 
 class ConformalChart(MetricChart):
@@ -539,70 +493,20 @@ class ConformalChart(MetricChart):
         self.amplitude = float(amplitude)
         self.dim = base.dim
 
-    def factor_many(self, points):
-        return 1.0 + self.amplitude * self.field.value_many(points)
-
-    def metric_many(self, points):
-        return self.factor_many(points)[:, None, None] * self.base.metric_many(points)
-
-    def metric_jet_many(self, points):
-        """One field evaluation plus the base chart's own jet, so stacked
-        bumps recurse through their bases."""
-        h, dh, _ = self.field.jet_many(points, 1)
-        f = 1.0 + self.amplitude * h
-        g, dg = self.base.metric_jet_many(points)
-        return (f[:, None, None] * g,
-                (self.amplitude * dh)[:, :, None, None] * g[:, None, :, :] + f[:, None, None, None] * dg)
-
-    def _sigma(self, points, order):
-        """sigma = grad(log f) / 2 for f = 1 + x*h, and for order 2 its
-        derivative d_m sigma_l = x d_m d_l h / (2 f) - 2 sigma_m sigma_l,
-        from one evaluation of the field."""
+    def factor_jet_many(self, points, order=2):
+        """The base chart's jet plus that of (log f) / 2 for f = 1 + x*h,
+        from one field evaluation, so stacked bumps recurse through their
+        bases: d phi gains sigma = x dh / (2 f), and dd phi gains
+        x ddh / (2 f) - 2 sigma sigma^T."""
         h, dh, ddh = self.field.jet_many(points, order)
+        lam, dphi, ddphi = self.base.factor_jet_many(points, order)
         f = 1.0 + self.amplitude * h
-        sig = 0.5 * self.amplitude * dh / f[:, None]
-        if order < 2:
-            return sig, None
-        dsig = 0.5 * self.amplitude * ddh / f[:, None, None] - 2.0 * _outer(sig, sig)
-        return sig, dsig
-
-    def christoffel_many(self, points):
-        base_gam = self.base.christoffel_many(points)
-        if isinstance(self.field, ConstantField):
-            return base_gam
-        sig, _ = self._sigma(points, 1)
-        g = self.base.metric_many(points)
-        sig_up = np.einsum("pkl,pl->pk", np.linalg.inv(g), sig)
-        eye = np.eye(self.dim)
-        # delta_ki sigma_j + delta_kj sigma_i - g_ij g^kl sigma_l
-        extra = (
-            eye[None, :, :, None] * sig[:, None, None, :]
-            + eye[None, :, None, :] * sig[:, None, :, None]
-            - g[:, None, :, :] * sig_up[:, :, None, None]
-        )
-        return base_gam + extra
-
-    def christoffel_deriv_many(self, points):
-        """Exact: d_m of the conformal correction plus the base chart's own
-        derivatives, so stacked bumps recurse through their bases."""
-        base_dgam = self.base.christoffel_deriv_many(points)
-        if isinstance(self.field, ConstantField):
-            return base_dgam
-        sig, dsig = self._sigma(points, 2)
-        g, dg = self.base.metric_jet_many(points)
-        ginv = np.linalg.inv(g)
-        sig_up = np.einsum("pkl,pl->pk", ginv, sig)
-        # d_m (g^kl sigma_l) = -g^ka (d_m g_ab) g^bl sigma_l + g^kl d_m sigma_l
-        dsig_up = (np.einsum("pkl,pml->pmk", ginv, dsig)
-                   - np.einsum("pka,pmab,pb->pmk", ginv, dg, sig_up))
-        eye = np.eye(self.dim)
-        extra = (
-            eye[None, None, :, :, None] * dsig[:, :, None, None, :]
-            + eye[None, None, :, None, :] * dsig[:, :, None, :, None]
-            - dg[:, :, None, :, :] * sig_up[:, None, :, None, None]
-            - g[:, None, None, :, :] * dsig_up[:, :, :, None, None]
-        )
-        return base_dgam + extra
+        if order >= 1:
+            sig = 0.5 * self.amplitude * dh / f[:, None]
+            dphi = dphi + sig
+        if order >= 2:
+            ddphi = ddphi + 0.5 * self.amplitude * ddh / f[:, None, None] - 2.0 * _outer(sig, sig)
+        return f * lam, dphi, ddphi
 
     def contains(self, p):
         return self.base.contains(p)
@@ -629,30 +533,57 @@ def conformal_family(base: MetricChart, field: ScalarField, amplitude: float) ->
 
 
 # ---------------------------------------------------------------------------
-# metric pairings
+# metric pairings, Christoffel contraction and curvature
 # ---------------------------------------------------------------------------
 
-def metric_dot(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a, b> at each point for the metric matrices g, shape (m, n, n)."""
-    return np.einsum("pij,pi,pj->p", g, a, b)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean dot products over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
 
 
-def metric_norm(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(metric_dot(g, a, a), 0.0))
+def metric_dot(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b>_g at each point for the conformal factors lam, shape (m,)."""
+    return lam * _dot(a, b)
+
+
+def metric_norm(lam: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(metric_dot(lam, a, a), 0.0))
 
 
 def g_dot(chart: MetricChart, points, a, b) -> np.ndarray:
-    g = chart.metric_many(np.asarray(points, dtype=float))
-    return metric_dot(g, np.asarray(a, float), np.asarray(b, float))
+    lam = chart.factor_jet_many(np.asarray(points, dtype=float), 0)[0]
+    return metric_dot(lam, np.asarray(a, float), np.asarray(b, float))
 
 
 def g_norm(chart: MetricChart, points, a) -> np.ndarray:
     """|a|_g at each point; points and a are (..., n), for instance the
-    stacked samples of an edge group, with one ``metric_many`` call."""
+    stacked samples of an edge group, with one ``factor_jet_many`` call."""
     points = np.asarray(points, dtype=float)
     n = points.shape[-1]
-    g = chart.metric_many(points.reshape(-1, n))
-    return metric_norm(g, np.asarray(a, float).reshape(-1, n)).reshape(points.shape[:-1])
+    lam = chart.factor_jet_many(points.reshape(-1, n), 0)[0]
+    return metric_norm(lam, np.asarray(a, float).reshape(-1, n)).reshape(points.shape[:-1])
+
+
+def christoffel_apply(dphi: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gamma(v, w)^k = Gamma^k_ij v^i w^j = (v.dphi) w + (w.dphi) v - (v.w) dphi
+    at each point, for the gradients dphi of ``factor_jet_many``."""
+    return (_dot(v, dphi)[..., None] * w + _dot(w, dphi)[..., None] * v
+            - _dot(v, w)[..., None] * dphi)
+
+
+def curvature_form(dphi: np.ndarray, ddphi: np.ndarray) -> np.ndarray:
+    """T = ddphi - dphi dphi^T + |dphi|^2 I / 2, the tensor of
+    ``curvature_apply`` (minus the Schouten tensor of g = e^(2 phi) delta)."""
+    return (ddphi - _outer(dphi, dphi)
+            + (0.5 * _dot(dphi, dphi))[:, None, None] * np.eye(dphi.shape[1]))
+
+
+def curvature_apply(tmat: np.ndarray, X, Y, Z) -> np.ndarray:
+    """R(X,Y)Z = (Y.Z) T X + T(Y, Z) X - T(X, Z) Y - (X.Z) T Y for T from
+    ``curvature_form``; T is (..., n, n) and X, Y, Z broadcast against (..., n)."""
+    tz = (tmat @ Z[..., None])[..., 0]
+    return (_dot(Y, Z)[..., None] * (tmat @ X[..., None])[..., 0] + _dot(Y, tz)[..., None] * X
+            - _dot(X, tz)[..., None] * Y - _dot(X, Z)[..., None] * (tmat @ Y[..., None])[..., 0])
 
 
 def min_distance(chart: MetricChart, a: np.ndarray, b: np.ndarray, ignore=None) -> float:
@@ -709,14 +640,14 @@ def linear_rk4_flow(a_nodes: np.ndarray, a_mid: np.ndarray, h: float) -> np.ndar
 
 
 def _geodesic_rhs(chart, x, v):
-    return v, -np.einsum("pkij,pi,pj->pk", chart.christoffel_many(x), v, v)
+    return v, -christoffel_apply(chart.factor_jet_many(x, 1)[1], v, v)
 
 
 def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int):
     """Integrate the geodesic equation with classical RK4 over parameter T.
 
     ``p`` and ``v`` are one initial condition (n,) or a batch (B, n); each
-    stage makes one ``christoffel_many`` call for the whole batch.  One
+    stage makes one ``factor_jet_many`` call for the whole batch.  One
     initial condition gives (points, velocities), each (steps + 1, n); a
     batch gives them (B, steps + 1, n).  Velocities are derivatives in the
     curve's own parameter over [0, 1].
@@ -748,7 +679,7 @@ def parallel_transport(chart: MetricChart, points: np.ndarray, velocities: np.nd
 
     ``w0`` is one vector (n,) or several (r, n); the result is (N+1, n) or
     (N+1, r, n).  Positions and velocities at the half-steps come from the
-    cubic Hermite curve of the samples; one ``christoffel_many`` call
+    cubic Hermite curve of the samples; one ``factor_jet_many`` call
     covers nodes and half-steps, and one ``linear_rk4_flow`` moves every
     vector.
     """
@@ -756,24 +687,10 @@ def parallel_transport(chart: MetricChart, points: np.ndarray, velocities: np.nd
     h = 1.0 / (n - 1)
     grid = np.linspace(0.0, 1.0, n)
     mid, mid_vel = HermiteCurve(grid, points, velocities).jet(grid[:-1] + 0.5 * h, 1)
-    gam = chart.christoffel_many(np.concatenate([points, mid]))
-    # A_kj = -Gamma^k_ij c'^i
-    a_mat = -np.einsum("pkij,pi->pkj", gam, np.concatenate([velocities, mid_vel]))
+    dphi = chart.factor_jet_many(np.concatenate([points, mid]), 1)[1]
+    vel = np.concatenate([velocities, mid_vel])
+    # A w = -Gamma(c', w): A = -((c'.dphi) I + c' dphi^T - dphi c'^T)
+    a_mat = -(_dot(vel, dphi)[:, None, None] * np.eye(points.shape[1])
+              + _outer(vel, dphi) - _outer(dphi, vel))
     phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h)
     return np.einsum("sij,...j->s...i", phi, np.asarray(w0, dtype=float))
-
-
-def exp_background(chart: MetricChart, p, w) -> np.ndarray:
-    """Exponential map of the Euclidean background metric: p + w."""
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
-    bound = chart.injectivity_bound()
-    if np.isfinite(bound) and np.linalg.norm(w) > bound:
-        raise DomainError(
-            f"background exponential step |w|={np.linalg.norm(w):.3g} exceeds injectivity bound {bound:.3g}"
-        )
-    q = p + w
-    if not chart.contains(q):
-        raise DomainError("background exponential left the chart domain")
-    return q
-

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -31,6 +31,9 @@ from . import stencils
 from .geometry import (
     _ROT90,
     MetricChart,
+    _dot,
+    curvature_apply,
+    curvature_form,
     g_dot,
     g_norm,
     linear_rk4_flow,
@@ -39,7 +42,7 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_lengths, length
+from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_lengths
 from .variation import (
     NotStationaryError,
     edge_length_gradient,
@@ -83,34 +86,35 @@ def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarr
     """
     n = samples.shape[1]
     if n == 2:
-        return _normal_frame(chart.metric_many(samples), velocities)
-    g0 = chart.metric(samples[0])
+        return _normal_frame(chart.factor_jet_many(samples, 0)[0], velocities)
+    # g is conformal: Euclidean Gram-Schmidt, then g-unit vectors
     basis = [velocities[0]]
     for w in np.eye(n):
         for b in basis:
-            w = w - (w @ g0 @ b) / (b @ g0 @ b) * b
+            w = w - (w @ b) / (b @ b) * b
         if np.linalg.norm(w) > 1e-8:
-            basis.append(w / np.sqrt(w @ g0 @ w))
+            basis.append(w / np.linalg.norm(w))
         if len(basis) == n:
             break
-    return parallel_transport(chart, samples, velocities, np.array(basis[1:]))
+    lam0 = chart.factor_jet_many(samples[:1], 0)[0][0]
+    return parallel_transport(chart, samples, velocities, np.array(basis[1:]) / np.sqrt(lam0))
 
 
-def _normal_frame(g: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """The planar ``parallel_frame`` from the metric g at the samples."""
-    raw = np.einsum("ij,pj->pi", _ROT90, np.einsum("pij,pj->pi", g, velocities))
-    return (raw / metric_norm(g, raw)[:, None])[:, None, :]
+def _normal_frame(lam: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """The planar ``parallel_frame`` from the conformal factors lam at the
+    samples: the quarter-turned velocity, which is g-normal, made g-unit."""
+    raw = np.einsum("ij,pj->pi", _ROT90, velocities)
+    return (raw / metric_norm(lam, raw)[:, None])[:, None, :]
 
 
 def jacobi_ode_coefficients(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
                             frames: np.ndarray) -> np.ndarray:
-    """K(t)_ab = <R(f', e_a) f', e_b>_g, shape (N+1, n-1, n-1)."""
-    npts, nm1, _ = frames.shape
-    K = np.empty((npts, nm1, nm1))
-    for a in range(nm1):
-        curv = chart.curvature_many(samples, velocities, frames[:, a, :], velocities)
-        for b in range(nm1):
-            K[:, a, b] = g_dot(chart, samples, curv, frames[:, b, :])
+    """K(t)_ab = <R(f', e_a) f', e_b>_g, shape (N+1, n-1, n-1), from one
+    factor jet."""
+    lam, dphi, ddphi = chart.factor_jet_many(samples, 2)
+    vel = velocities[:, None, :]
+    curv = curvature_apply(curvature_form(dphi, ddphi)[:, None], vel, frames, vel)
+    K = lam[:, None, None] * _dot(curv[:, :, None], frames[:, None])
     return 0.5 * (K + np.swapaxes(K, 1, 2))
 
 
@@ -137,7 +141,7 @@ class _EdgeData:
     length: float
     frames: np.ndarray        # coarse nodes, (N+1, n-1, n)
     psi: np.ndarray           # fundamental matrices at coarse nodes
-    endpoints_g: tuple        # metric matrices at the two endpoint samples
+    endpoints_lam: tuple      # conformal factors at the two endpoint samples
 
 
 @dataclass
@@ -167,7 +171,7 @@ def _edge_data(chart, net, eid, refine):
     s, fine, vf, frames_f, K_f, l_e = _edge_fine_data(chart, net, eid, refine)
     psi = _propagate(K_f, 1.0 / (fine.shape[0] - 1), record_stride=refine)
     return _EdgeData(net.graph.edge(eid).multiplicity, l_e, frames_f[::refine], psi,
-                     (chart.metric(s[0]), chart.metric(s[-1])))
+                     tuple(chart.factor_jet_many(s[[0, -1]], 0)[0]))
 
 
 def _good_class(graph: WeightedMultigraph) -> GraphClass:
@@ -206,10 +210,8 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
         # the end and start frames in the metric at the seam
         (eid,) = edata
         ed = edata[eid]
-        end, start = ed.frames[-1], ed.frames[0]
         hol = np.zeros((2 * nm1, 2 * nm1))
-        hol[:nm1, :nm1] = [[end[b] @ ed.endpoints_g[1] @ start[a] for b in range(nm1)]
-                           for a in range(nm1)]
+        hol[:nm1, :nm1] = ed.endpoints_lam[1] * (ed.frames[0] @ ed.frames[-1].T)
         hol[nm1:, nm1:] = hol[:nm1, :nm1]
         return ShootingSystem(matrix=hol @ ed.psi[-1] - np.eye(2 * nm1), graph_class=gclass,
                               edges=edata, z_index={}, edge_index={eid: 0}, dim=n, nm1=nm1)
@@ -226,7 +228,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
         for i, frames_i in ((0, ed.frames[0]), (1, ed.frames[-1])):
             rows = a_mat[(2 * k + i) * nm1 : (2 * k + i + 1) * nm1]
             z0 = z_index[e.endpoint(i)]
-            rows[:, z0 : z0 + n] = -(frames_i @ ed.endpoints_g[i])  # rows: e_a^T g
+            rows[:, z0 : z0 + n] = -ed.endpoints_lam[i] * frames_i  # rows: e_a^T g
         a_mat[2 * k * nm1 : (2 * k + 1) * nm1, c0 : c0 + nm1] = np.eye(nm1)
         a_mat[(2 * k + 1) * nm1 : (2 * k + 2) * nm1, c0 : c0 + 2 * nm1] = ed.psi[-1][:nm1]
     # (c): vertex conditions B_v = 0, n rows each
@@ -370,7 +372,7 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
         shift = net.loop_shift(e.id)
         v = stencils.velocity(s, loop_shift=shift)
         vals = fld.edge_values[e.id]
-        coef = g_dot(chart, s, vals, v) / g_dot(chart, s, v, v)
+        coef = _dot(vals, v) / _dot(v, v)  # the g-projection of a conformal g
         perp = vals - coef[:, None] * v
         profiles[e.id] = coef
         normal[e.id] = perp
@@ -528,7 +530,7 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     """(B, B^T grad L): the reduced basis and the reduced length gradient.
 
     The gradient is bitwise the pullback of ``length_sample_gradient``; one
-    velocity and one metric jet per edge group feed both the frames and the
+    velocity and one factor jet per edge group feed both the frames and the
     gradient.
     """
     frames, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
@@ -548,9 +550,9 @@ def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list
     frames, grads = {}, {}
     k = len(groups[0].ids) // len(set(groups[0].ids))
     for grp in groups:
-        v, g, grad = edge_length_gradient(chart, grp)
+        v, lam, grad = edge_length_gradient(chart, grp)
         if net.dim == 2:
-            fr = _normal_frame(g, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
+            fr = _normal_frame(lam, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
         else:
             fr = np.array([parallel_frame(chart, s, vel) for s, vel in zip(grp.samples, v)])
         for i, eid in enumerate(grp.ids[: len(grp.ids) // k]):
@@ -672,17 +674,33 @@ def _hat_colouring(n_samples: int, refine: int, loop: bool):
 
 
 def _hat_groups(basis: ReducedBasis, net: GeodesicNet, refine: int):
-    """Hat columns by colour: per colour, a list of (column, reachable rows)."""
+    """Hat columns by colour: per colour, (its columns, and the row and
+    column indices of the hat entries it determines).  Cached on the basis
+    layout."""
+    return _colour_classes(tuple((basis.frames[e].shape[0], basis.frames[e].shape[1],
+                                  e in net.periodic_edges, basis.hat_offset[e])
+                                 for e in basis.edges), refine)
+
+
+@lru_cache(maxsize=32)
+def _colour_classes(layout: tuple, refine: int):
+    """``_hat_groups`` for the layout (samples, n - 1, loop, hat offset) per edge."""
     groups = {}
-    for e in basis.edges:
-        npts, nm1, _ = basis.frames[e].shape
-        colour, coupled = _hat_colouring(npts, refine, e in net.periodic_edges)
-        off = basis.hat_offset[e]
+    for npts, nm1, loop, off in layout:
+        colour, coupled = _hat_colouring(npts, refine, loop)
         for j, reach in enumerate(coupled):
             rows = off + (reach[:, None] * nm1 + np.arange(nm1)).ravel()
             for a in range(nm1):
                 groups.setdefault(colour[j] * nm1 + a, []).append((off + j * nm1 + a, rows))
-    return [groups[c] for c in sorted(groups)]
+    out = []
+    for c in sorted(groups):
+        cols = np.array([col for col, _ in groups[c]])
+        rows = np.concatenate([r for _, r in groups[c]])
+        at = np.concatenate([np.full(r.size, col) for col, r in groups[c]])
+        for arr in (cols, rows, at):
+            arr.flags.writeable = False
+        out.append((cols, rows, at))
+    return tuple(out)
 
 
 class _RefinedLength:
@@ -732,12 +750,6 @@ class _RefinedLength:
         grad = self.gradients({e: d[None] for e, d in displacement.edge_values.items()})
         return {e: g[0] for e, g in grad.items()}
 
-    def value(self, displacement: NetField) -> float:
-        fine = {}
-        for grp, stacked, _ in self._fine_groups({e: d[None] for e, d in displacement.edge_values.items()}):
-            fine.update(zip(grp.ids, stacked.samples))
-        return length(self.chart, replace(self.net, edge_samples=fine, lengths={}))
-
 
 def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
                step: float = 1e-5, refine: int = 1) -> np.ndarray:
@@ -760,7 +772,7 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     members = _hat_groups(basis, net, refine)
     # rows +step * coef and -step * coef of every probe coefficient coef
     probes = np.zeros((2 * (nv + len(members)), d))
-    for j, cols in enumerate([[c] for c in range(nv)] + [[c for c, _ in m] for m in members]):
+    for j, cols in enumerate([[c] for c in range(nv)] + [cols for cols, _, _ in members]):
         probes[2 * j, cols] = step
         probes[2 * j + 1] = -probes[2 * j]
     size = copies_per_pass(sum(base.shape[0] * base.shape[1] for base in functional.fine_base))
@@ -771,53 +783,24 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     h_mat = np.zeros((d, d))
     for j in range(nv):
         h_mat[:, j] = delta[j]
-    for members_c, delta_c in zip(members, delta[nv:]):
-        for col, rows in members_c:
-            h_mat[rows, col] = delta_c[rows]
+    for (_, rows, cols), delta_c in zip(members, delta[nv:]):
+        h_mat[rows, cols] = delta_c[rows]
     h_mat[:nv, nv:] = h_mat[nv:, :nv].T
     return 0.5 * (h_mat + h_mat.T)
 
 
 def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
-                       refine: int = 8, mode: str = "gradient"):
-    """Dense symmetric Hessian of the discrete length over the reduced basis.
-
-    mode "gradient": central differences of the exact sample gradient,
-    column-compressed by ``fd_hessian`` (default; accurate enough for
-    kernel counting).  mode "length": plain second central differences of
-    the length over every pair of columns (slower, noisier; kept as an
-    independent cross-check).  A not-good graph is refused with a
-    ValueError, as by the shooting route.
+                       refine: int = 8):
+    """Dense symmetric Hessian of the discrete length over the reduced basis:
+    central differences of the exact sample gradient, column-compressed by
+    ``fd_hessian``.  A not-good graph is refused with a ValueError, as by
+    the shooting route.
     """
     if not 0 < step < np.inf:  # written so that NaN fails too
         raise ValueError("invalid step configuration")
     _good_class(net.graph)
     basis, labels = reduced_basis_fields(chart, net)
-    if mode == "gradient":
-        return fd_hessian(chart, net, basis, step, refine), labels
-    if mode != "length":
-        raise ValueError(f"unknown mode {mode!r}")
-    functional = _RefinedLength(chart, net, refine)
-    d = len(basis)
-
-    def l_of(i, a, j, b):
-        coef = np.zeros(d)
-        coef[i] += a
-        coef[j] += b
-        return functional.value(basis.apply(coef))
-
-    h_mat = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            val = (
-                l_of(i, step, j, step)
-                - l_of(i, step, j, -step)
-                - l_of(i, -step, j, step)
-                + l_of(i, -step, j, -step)
-            ) / (4 * step * step)
-            h_mat[i, j] = val
-            h_mat[j, i] = val
-    return 0.5 * (h_mat + h_mat.T), labels
+    return fd_hessian(chart, net, basis, step, refine), labels
 
 
 def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):

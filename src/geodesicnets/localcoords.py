@@ -24,8 +24,8 @@ import numpy as np
 
 from . import stencils
 from .geometry import (
-    _ROT90, EuclideanChart, HermiteCurve, MetricChart, foot_parameters, g_norm,
-    geodesic_integrate, min_distance,
+    _ROT90, EuclideanChart, HermiteCurve, MetricChart, christoffel_apply, foot_parameters,
+    g_norm, geodesic_integrate, min_distance,
 )
 from .multigraph import star
 from .net import GeodesicNet, edge_lengths
@@ -45,7 +45,6 @@ __all__ = [
     "lambda_map",
     "coordinates_of",
     "constraint_C",
-    "lagrangian_L",
     "lagrangian_integral",
     "mean_curvature_H",
     "stationarity_equivalence_check",
@@ -198,8 +197,7 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
         # the tube parameter (backward run flips the sign)
         vels = np.concatenate([-(bwd_vel[1:] / eta)[::-1], vf, fwd_vel[1:] / eta], axis=0)
         s_grid = np.linspace(-eta, 1.0 + eta, pts.shape[0])
-        gam = chart.christoffel_many(pts)
-        accs = -np.einsum("pkij,pi,pj->pk", gam, vels, vels)
+        accs = -christoffel_apply(chart.factor_jet_many(pts, 1)[1], vels, vels)
         tube = EdgeTube(
             eid=e.id,
             curve=HermiteCurve(s_grid, pts, vels),
@@ -404,11 +402,6 @@ def _lagrangian_values(g: MetricChart, nc: NetChart, pc: PathCoord, eid: str,
     vel = (b - a) * (tube.velocity(s) + np.einsum("pa,pai->pi", u, tube.frame_deriv(s)))
     vel = vel + np.einsum("pa,pai->pi", w, frame)
     return g_norm(g, pts, vel)
-
-
-def lagrangian_L(g: MetricChart, nc: NetChart, coords: NetCoord, eid: str) -> np.ndarray:
-    """Length integrand of one edge in its path coordinates, on the grid."""
-    return _lagrangian_values(g, nc, coords.coords[eid], eid)
 
 
 def lagrangian_integral(g: MetricChart, nc: NetChart, coords: NetCoord) -> float:

@@ -35,6 +35,14 @@ __all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec"
 
 TOOL_VERSION = "0.1.0"
 
+# Largest accepted edge multiplicity, sample count and radius (of the sphere
+# or of a bump): below them a multiplicity-weighted balance and the arrays
+# of an edge stay finite and allocatable, and so does r^4 (a bump profile's
+# Hessian).
+MAX_MULTIPLICITY = 10**6
+MAX_SAMPLES = 2**16
+MAX_RADIUS = 1e50
+
 
 class SpecError(ValueError):
     """The spec document is malformed."""
@@ -56,20 +64,24 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _number(value, where: str, positive: bool = False) -> float:
-    """A JSON number that is finite, and positive if asked, as a float."""
+def _number(value, where: str, positive: bool = False, below: float = np.inf) -> float:
+    """A JSON number that is finite, positive if asked, and below ``below``,
+    as a float."""
     low = 0.0 if positive else -np.inf
     # written so that NaN fails the test
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < np.inf:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < below:
         kind = "finite positive" if positive else "finite"
-        raise SpecError(f"{where} must be a {kind} number, got {value!r}")
+        bound = f" below {below:g}" if below < np.inf else ""
+        raise SpecError(f"{where} must be a {kind} number{bound}, got {value!r}")
     return float(value)
 
 
-def _count(value, where: str) -> int:
-    """A JSON number that is a positive integer, as an int."""
-    if not (_number(value, where, positive=True) >= 1 and float(value).is_integer()):
-        raise SpecError(f"{where} must be a positive integer, got {value!r}")
+def _count(value, where: str, most: int | None = None) -> int:
+    """A JSON number that is a positive integer, at most ``most`` if given, as an int."""
+    if not (_number(value, where, positive=True) >= 1 and float(value).is_integer()
+            and (most is None or value <= most)):
+        bound = "" if most is None else f" at most {most}"
+        raise SpecError(f"{where} must be a positive integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -117,7 +129,8 @@ def _parse_graph(doc: dict) -> WeightedMultigraph:
         where = f"graph.edges[{k}]"
         _reject_unknown(e, {"id", "v0", "v1", "multiplicity"}, where)
         edges.append((*(_typed(e.get(key), str, f"{where}.{key}") for key in ("id", "v0", "v1")),
-                      _count(e.get("multiplicity", 1), f"{where}.multiplicity")))
+                      _count(e.get("multiplicity", 1), f"{where}.multiplicity",
+                             MAX_MULTIPLICITY)))
     if not edges:
         raise SpecError("graph.edges must hold at least one edge")
     return WeightedMultigraph.build(vertices, edges)
@@ -131,7 +144,7 @@ def _parse_metric(doc: dict):
     if kind == "flat-torus":
         base = FlatTorusChart(_parse_lattice(doc.get("lattice")))
     elif kind == "stereographic-sphere":
-        radius = _number(doc.get("radius", 1.0), "metric.radius", positive=True)
+        radius = _number(doc.get("radius", 1.0), "metric.radius", positive=True, below=MAX_RADIUS)
         base = StereographicSphereChart(radius=radius, dim=_count(doc.get("dim", 2), "metric.dim"))
     elif kind == "euclidean":
         dim = _count(doc.get("dim", 2), "metric.dim")
@@ -153,7 +166,7 @@ def _parse_metric(doc: dict):
             center = _point(b.get("center"), base.dim, f"{where}.center")
             for x in center:
                 _number(x, f"{where}.center")
-            radius = _number(b.get("radius"), f"{where}.radius", positive=True)
+            radius = _number(b.get("radius"), f"{where}.radius", positive=True, below=MAX_RADIUS)
             amplitude = _number(b.get("amplitude"), f"{where}.amplitude")
             fields.append(RadialBumpField(center, radius, amplitude, chart=base))
         bumps = SumField(fields)
@@ -243,7 +256,7 @@ def parse_spec(doc: dict) -> NetSpec:
     if problems:
         raise SpecError("invalid graph: " + "; ".join(problems))
     base, bumps, schedule = _parse_metric(doc.get("metric", {}))
-    n_samples = _count(options.get("n_samples", 64), "options.n_samples")
+    n_samples = _count(options.get("n_samples", 64), "options.n_samples", MAX_SAMPLES)
     chart = base if bumps is None else conformal_family(base, bumps, 1.0)
     net = _parse_net(doc.get("net", {}), graph, chart, n_samples)
     problems = check_net(chart, net, tol=1e-7)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencils
-from .geometry import MetricChart, g_dot, g_norm, metric_norm
+from .geometry import MetricChart, _dot, christoffel_apply, g_dot, g_norm, metric_dot, metric_norm
 from .net import (
     EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, length, vertex_unit_tangents,
 )
@@ -66,14 +66,14 @@ def _field_velocity(values: np.ndarray, shift) -> np.ndarray:
 
 def covariant_deriv(chart: MetricChart, samples, vel, values, shift) -> np.ndarray:
     """(D_t Z)^k = dZ^k/dt + Gamma^k_ij f'^i Z^j along an edge."""
-    dz = _field_velocity(values, shift)
-    gam = chart.christoffel_many(samples)
-    return dz + np.einsum("pkij,pi,pj->pk", gam, vel, values)
+    dphi = chart.factor_jet_many(samples, 1)[1]
+    return _field_velocity(values, shift) + christoffel_apply(dphi, vel, values)
 
 
-def _perp(chart: MetricChart, samples, vel, values) -> np.ndarray:
-    coef = g_dot(chart, samples, values, vel) / g_dot(chart, samples, vel, vel)
-    return values - coef[:, None] * vel
+def _perp(vel, values) -> np.ndarray:
+    """The part of values g-orthogonal to vel; a conformal g has the
+    Euclidean orthogonal complement."""
+    return values - (_dot(values, vel) / _dot(vel, vel))[:, None] * vel
 
 
 def first_variation(chart: MetricChart, net: GeodesicNet, fld: NetField) -> float:
@@ -133,10 +133,9 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
         v = stencils.derivative_ho(s, 1, loop_shift=shift)
         acc = stencils.derivative_ho(s, 2, loop_shift=shift)
         pts = s if shift is not None else s[3:-3]
-        gam = chart.christoffel_many(pts)
-        cov = acc + np.einsum("pkij,pi,pj->pk", gam, v, v)
-        speed2 = g_dot(chart, pts, v, v)
-        norm = g_norm(chart, pts, cov) / speed2
+        lam, dphi, _ = chart.factor_jet_many(pts, 1)
+        cov = acc + christoffel_apply(dphi, v, v)
+        norm = metric_norm(lam, cov) / metric_dot(lam, v, v)
         edge_res[e.id] = cov
         edge_max[e.id] = float(norm.max())
     vb = {}
@@ -161,11 +160,11 @@ def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
     v = stencils.velocity(s, loop_shift=shift)
     # differentiate the perpendicular part: same operator in the continuum,
     # and tangential fields are annihilated exactly at the discrete level
-    yperp = _perp(chart, s, v, y)
+    yperp = _perp(v, y)
     ydot = covariant_deriv(chart, s, v, yperp, shift)
     yddot = covariant_deriv(chart, s, v, ydot, shift)
     curv = chart.curvature_many(s, v, yperp, v)
-    out = -(e.multiplicity / lengths[eid]) * _perp(chart, s, v, yddot + curv)
+    out = -(e.multiplicity / lengths[eid]) * _perp(v, yddot + curv)
     return out
 
 
@@ -179,10 +178,10 @@ def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField,
         s, shift, _ = _edge_grid(net, eid)
         y = fld.edge_values[eid]
         vel = stencils.velocity(s, loop_shift=shift)
-        yperp = _perp(chart, s, vel, y)
+        yperp = _perp(vel, y)
         ydot = covariant_deriv(chart, s, vel, yperp, shift)
         idx = 0 if i == 0 else -1
-        perp = _perp(chart, s[idx][None, :], vel[idx][None, :], ydot[idx][None, :])[0]
+        perp = _perp(vel[idx][None, :], ydot[idx][None, :])[0]
         out += (-1.0) ** (i + 1) * (e.multiplicity / lengths[eid]) * perp
     return out
 
@@ -240,11 +239,11 @@ def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np
 
 
 def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
-    """(v, g, grad) of one edge group, from one velocity and one metric jet.
+    """(v, lam, grad) of one edge group, from one velocity and one factor jet.
 
     v is the SBP ``stencils.velocity`` of the stacked samples (E, N+1, n),
-    g the metric at them, one row per sample (E * (N+1), n, n), and grad
-    the gradient of each edge's discrete length in its samples,
+    lam the conformal factor at them, one entry per sample (E * (N+1),),
+    and grad the gradient of each edge's discrete length in its samples,
     multiplicity included (E, N+1, n).  Every edge's rows are computed
     with the same per-row operations as for a group of one.
     """
@@ -252,13 +251,14 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
     n_edges, npts, n = s.shape
     h = 1.0 / (npts - 1)
     v = stencils.velocity(s, loop_shift=group.shifts)
-    g, dg = chart.metric_jet_many(s.reshape(-1, n))
+    lam, dphi, _ = chart.factor_jet_many(s.reshape(-1, n), 1)
     rows = v.reshape(-1, n)
     w = stencils.quadrature_weights(npts, loop=group.loop)
-    speed = metric_norm(g, rows).reshape(n_edges, npts, 1)
-    gv_over_s = np.einsum("pij,pj->pi", g, rows).reshape(s.shape) / speed
-    # metric-variation part: w_m * (d_c g)(v, v) / (2 speed)
-    grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, rows, rows).reshape(s.shape) / (2.0 * speed)
+    speed = metric_norm(lam, rows).reshape(n_edges, npts, 1)
+    gv_over_s = (lam[:, None] * rows).reshape(s.shape) / speed
+    # metric-variation part: w (d_c g)(v, v) / (2 speed) = w speed d_c phi,
+    # as d_c g = 2 lam d_c phi delta
+    grad = w[:, None] * speed * dphi.reshape(s.shape)
     if not group.loop:
         # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
         grad -= w[:, None] * _field_velocity(gv_over_s, None)
@@ -272,4 +272,4 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
         grad[:, 0] += grad[:, -1]
         grad -= _field_velocity(h * u, group.shifts)
         grad[:, -1] = 0.0
-    return v, g, group.multiplicities[:, None, None] * grad
+    return v, lam, group.multiplicities[:, None, None] * grad

@@ -70,3 +70,17 @@ def theta3d_doc():
                 "edges": {e: {"samples": c.tolist()} for e, c in curves.items()}},
         "options": {},
     }
+
+
+def metric_tensor_jet(chart, points):
+    """The dense metric jet of a conformally flat chart, from its factor jet:
+    g_ij, d_k g_ij and d_k d_l g_ij, indexed [.., i, j], [.., k, i, j] and
+    [.., k, l, i, j].  With g = lam delta and lam = e^(2 phi):
+    d_k g = 2 lam phi_k delta and d_k d_l g = lam (4 phi_k phi_l + 2 phi_kl) delta."""
+    lam, dphi, ddphi = chart.factor_jet_many(points)
+    eye = np.eye(points.shape[1])
+    g = lam[:, None, None] * eye
+    dg = (2.0 * lam[:, None] * dphi)[:, :, None, None] * eye
+    ddg = (lam[:, None, None] * (4.0 * dphi[:, :, None] * dphi[:, None, :] + 2.0 * ddphi)
+           )[:, :, :, None, None] * eye
+    return g, dg, ddg

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import metric_tensor_jet
 
 from geodesicnets import (
     ConstantField,
@@ -8,13 +12,12 @@ from geodesicnets import (
     RadialBumpField,
     StereographicSphereChart,
     conformal_family,
-    exp_background,
     g_norm,
     geodesic_integrate,
     parallel_transport,
 )
 from geodesicnets.cases import HEX_LATTICE
-from geodesicnets.geometry import DomainError, min_distance
+from geodesicnets.geometry import DomainError, christoffel_apply, min_distance
 from geodesicnets.variation import stationarity_residual
 from geodesicnets.cases import make_case
 
@@ -22,37 +25,69 @@ TORUS = FlatTorusChart(HEX_LATTICE)
 SPHERE = StereographicSphereChart(radius=1.0)
 
 
+def _one(p):
+    return np.asarray(p, dtype=float)[None, :]
+
+
+def _metric(chart, p):
+    return chart.metric_many(_one(p))[0]
+
+
+def _christoffel(chart, p):
+    return chart.christoffel_many(_one(p))[0]
+
+
+def _curvature(chart, p, x_vec, y_vec, z_vec):
+    return chart.curvature_many(_one(p), _one(x_vec), _one(y_vec), _one(z_vec))[0]
+
+
+def _exp_background(chart, p, w):
+    """Exponential map of the Euclidean background metric: p + w, refused
+    beyond the injectivity bound or outside the chart domain."""
+    p = np.asarray(p, dtype=float)
+    w = np.asarray(w, dtype=float)
+    bound = chart.injectivity_bound()
+    if np.isfinite(bound) and np.linalg.norm(w) > bound:
+        raise DomainError(f"background exponential step |w|={np.linalg.norm(w):.3g} "
+                          f"exceeds injectivity bound {bound:.3g}")
+    q = p + w
+    if not chart.contains(q):
+        raise DomainError("background exponential left the chart domain")
+    return q
+
+
 # -- metric evaluation -------------------------------------------------------
 
 def test_flat_torus_metric_identity():
     p = np.array([0.3, -0.2])
-    assert np.allclose(TORUS.metric(p), np.eye(2))
+    assert np.allclose(_metric(TORUS, p), np.eye(2))
 
 
 def test_flat_torus_is_euclidean_locally():
     pts = np.array([[0.3, -0.2], [5.0, 7.0]])
     flat = EuclideanChart(2)
-    for name in ("metric_many", "christoffel_many", "christoffel_deriv_many"):
+    for name in ("metric_many", "christoffel_many"):
         assert np.array_equal(getattr(TORUS, name)(pts), getattr(flat, name)(pts))
-    for a, b in zip(TORUS.metric_jet_many(pts), flat.metric_jet_many(pts)):
+    for a, b in zip(TORUS.factor_jet_many(pts), flat.factor_jet_many(pts)):
         assert np.array_equal(a, b)
+    assert np.all(TORUS.factor_jet_many(pts)[0] == 1.0)
     assert TORUS.contains(pts[1])
 
 
 def test_sphere_metric_at_origin():
-    assert np.allclose(SPHERE.metric([0.0, 0.0]), 4.0 * np.eye(2))
+    assert np.allclose(_metric(SPHERE, [0.0, 0.0]), 4.0 * np.eye(2))
 
 
 def test_conformal_scaling_of_flat_metric():
     field = ConstantField(0.5)
     chart = conformal_family(EuclideanChart(2), field, 0.2)
-    assert np.allclose(chart.metric([1.0, 2.0]), 1.1 * np.eye(2))
+    assert np.allclose(_metric(chart, [1.0, 2.0]), 1.1 * np.eye(2))
 
 
 def test_torus_metric_periodicity():
     p = np.array([0.2, 0.1])
     for lam in HEX_LATTICE:
-        assert np.allclose(TORUS.metric(p), TORUS.metric(p + lam))
+        assert np.allclose(_metric(TORUS, p), _metric(TORUS, p + lam))
 
 
 def test_conformal_family_rejects_sign_violation():
@@ -63,20 +98,20 @@ def test_conformal_family_rejects_sign_violation():
 # -- christoffels ------------------------------------------------------------
 
 def test_torus_christoffels_vanish():
-    assert np.abs(TORUS.christoffel([0.4, 0.4])).max() == 0.0
+    assert np.abs(_christoffel(TORUS, [0.4, 0.4])).max() == 0.0
 
 
 def test_sphere_christoffel_closed_form_vs_finite_difference():
     p = np.array([0.3, 0.0])
-    gam = SPHERE.christoffel(p)
+    gam = _christoffel(SPHERE, p)
     step = 1e-6
     n = 2
     dg = np.empty((n, n, n))
     for k in range(n):
         dp = np.zeros(n)
         dp[k] = step
-        dg[k] = (SPHERE.metric(p + dp) - SPHERE.metric(p - dp)) / (2 * step)
-    ginv = np.linalg.inv(SPHERE.metric(p))
+        dg[k] = (_metric(SPHERE, p + dp) - _metric(SPHERE, p - dp)) / (2 * step)
+    ginv = np.linalg.inv(_metric(SPHERE, p))
     oracle = np.empty((n, n, n))
     for k in range(n):
         for i in range(n):
@@ -89,28 +124,28 @@ def test_sphere_christoffel_closed_form_vs_finite_difference():
 
 def test_christoffel_symmetry():
     for chart, p in [(SPHERE, [0.2, -0.5]), (TORUS, [0.1, 0.1])]:
-        gam = chart.christoffel(p)
+        gam = _christoffel(chart, p)
         assert np.abs(gam - np.swapaxes(gam, 1, 2)).max() < 1e-14
 
 
 def test_conformal_constant_keeps_base_christoffels():
     chart = conformal_family(SPHERE, ConstantField(1.0), 0.7)
     p = np.array([0.2, 0.4])
-    assert np.allclose(chart.christoffel(p), SPHERE.christoffel(p), atol=1e-13)
+    assert np.allclose(_christoffel(chart, p), _christoffel(SPHERE, p), atol=1e-13)
 
 
 def test_conformal_zero_amplitude_equals_base():
     bump = RadialBumpField([0.3, 0.0], 0.4, 1.0)
     chart = conformal_family(SPHERE, bump, 0.0)
     p = np.array([0.25, 0.05])
-    assert np.allclose(chart.metric(p), SPHERE.metric(p))
-    assert np.allclose(chart.christoffel(p), SPHERE.christoffel(p), atol=1e-12)
+    assert np.allclose(_metric(chart, p), _metric(SPHERE, p))
+    assert np.allclose(_christoffel(chart, p), _christoffel(SPHERE, p), atol=1e-12)
 
 
 # -- curvature ---------------------------------------------------------------
 
 def test_flat_curvature_vanishes():
-    out = TORUS.curvature([0.1, 0.2], [1.0, 0], [0, 1.0], [1.0, 1.0])
+    out = _curvature(TORUS, [0.1, 0.2], [1.0, 0], [0, 1.0], [1.0, 1.0])
     assert np.abs(out).max() == 0.0
 
 
@@ -120,8 +155,8 @@ def test_sphere_sectional_curvature_is_one(rng):
         p = rng.normal(size=2) * 0.6
         x_vec = rng.normal(size=2)
         y_vec = rng.normal(size=2)
-        g = SPHERE.metric(p)
-        num = float(y_vec @ g @ SPHERE.curvature(p, x_vec, y_vec, x_vec))
+        g = _metric(SPHERE, p)
+        num = float(y_vec @ g @ _curvature(SPHERE, p, x_vec, y_vec, x_vec))
         den = (x_vec @ g @ x_vec) * (y_vec @ g @ y_vec) - (x_vec @ g @ y_vec) ** 2
         assert abs(num / den - 1.0) < 1e-6
 
@@ -129,8 +164,8 @@ def test_sphere_sectional_curvature_is_one(rng):
 def test_curvature_antisymmetry(rng):
     p = rng.normal(size=2) * 0.5
     x_vec, y_vec, z_vec = rng.normal(size=(3, 2))
-    r1 = SPHERE.curvature(p, x_vec, y_vec, z_vec)
-    r2 = SPHERE.curvature(p, y_vec, x_vec, z_vec)
+    r1 = _curvature(SPHERE, p, x_vec, y_vec, z_vec)
+    r2 = _curvature(SPHERE, p, y_vec, x_vec, z_vec)
     assert np.abs(r1 + r2).max() < 1e-10 * max(1.0, np.abs(r1).max())
 
 
@@ -216,13 +251,13 @@ def test_metric_compatibility_of_transport():
 
 def test_exp_background_is_affine():
     p, w = np.array([0.1, 0.2]), np.array([0.05, -0.03])
-    assert np.allclose(exp_background(TORUS, p, w), p + w)
-    assert np.allclose(exp_background(TORUS, p, np.zeros(2)), p)
+    assert np.allclose(_exp_background(TORUS, p, w), p + w)
+    assert np.allclose(_exp_background(TORUS, p, np.zeros(2)), p)
 
 
 def test_exp_background_injectivity_bound():
     with pytest.raises(DomainError):
-        exp_background(TORUS, [0.0, 0.0], [2.0, 0.0])
+        _exp_background(TORUS, [0.0, 0.0], [2.0, 0.0])
 
 
 # -- conformal families ------------------------------------------------------
@@ -366,6 +401,35 @@ def _fd_hessian(fld, pts, step=1e-6):
     return np.stack(cols, axis=2)
 
 
+def _christoffel_reference(g, dg):
+    """(Gamma^k_ij [.., k, i, j], the bracket (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    [.., l, i, j]) from the dense metric jet: the Levi-Civita formula."""
+    first = 0.5 * (np.einsum("pijl->plij", dg) + np.einsum("pjil->plij", dg) - dg)
+    return np.einsum("pkl,plij->pkij", np.linalg.inv(g), first), first
+
+
+def _christoffel_deriv_reference(g, dg, ddg):
+    """d_m Gamma^k_ij [.., m, k, i, j] from the dense metric jet, by the
+    product rule with d_m g^-1 = -g^-1 (d_m g) g^-1."""
+    ginv = np.linalg.inv(g)
+    _, first = _christoffel_reference(g, dg)
+    dfirst = 0.5 * (np.einsum("pmijl->pmlij", ddg) + np.einsum("pmjil->pmlij", ddg) - ddg)
+    dginv = -np.einsum("pka,pmab,pbl->pmkl", ginv, dg, ginv)
+    return (np.einsum("pmkl,plij->pmkij", dginv, first)
+            + np.einsum("pkl,pmlij->pmkij", ginv, dfirst))
+
+
+def _curvature_reference(gam, dgam, X, Y, Z):
+    """R(X,Y)Z^l = [dGam_j Gam^l_ik - dGam_i Gam^l_jk + Gam^l_jm Gam^m_ik
+    - Gam^l_im Gam^m_jk] X^i Y^j Z^k, from the Christoffel symbols and
+    their derivatives."""
+    t1 = np.einsum("pjlik,pi,pj,pk->pl", dgam, X, Y, Z)
+    t2 = np.einsum("piljk,pi,pj,pk->pl", dgam, X, Y, Z)
+    t3 = np.einsum("pljm,pmik,pi,pj,pk->pl", gam, gam, X, Y, Z)
+    t4 = np.einsum("plim,pmjk,pi,pj,pk->pl", gam, gam, X, Y, Z)
+    return t1 - t2 + t3 - t4
+
+
 def _fd_christoffel_deriv(chart, pts, step=1e-5):
     out = []
     for m in range(chart.dim):
@@ -404,7 +468,7 @@ def test_radial_constant_and_sum_hessians_match_fd_of_gradient():
                         ConstantField(1.0)])]
     pts = _around(np.array([0.8, 0.3]), 0.3, 300, seed=2, lattice=HEX_LATTICE)
     for fld in fields:
-        h = fld.hessian_many(pts)
+        h = fld.jet_many(pts)[2]
         assert h.shape == (300, 2, 2)
         assert np.abs(h - _fd_hessian(fld, pts)).max() <= 1e-6 * max(np.abs(h).max(), 1.0)
 
@@ -419,7 +483,7 @@ def test_conformal_christoffel_derivative_matches_fd():
     # a radial bump over the round sphere: the base has curvature of its own
     on_sphere = conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0), 0.3)
     for chart, p in ((stacked, pts), (on_sphere, _around(np.array([0.3, 0.1]), 0.6, 200, seed=5))):
-        exact = chart.christoffel_deriv_many(p)
+        exact = _christoffel_deriv_reference(*metric_tensor_jet(chart, p))
         assert np.abs(exact - _fd_christoffel_deriv(chart, p)).max() <= 1e-6 * np.abs(exact).max()
 
 
@@ -478,10 +542,11 @@ def _jet_charts():
 
 
 def test_metric_jet_equals_metric_and_derivative_bitwise():
-    """g is ``metric_many`` bit for bit; dg matches central differences of it."""
+    """g from the factor jet is ``metric_many`` bit for bit; dg matches
+    central differences of it."""
     eps = 1e-6
     for name, chart, pts in _jet_charts():
-        g, dg = chart.metric_jet_many(pts)
+        g, dg, _ = metric_tensor_jet(chart, pts)
         assert np.array_equal(g, chart.metric_many(pts)), name
         for k in range(pts.shape[1]):
             step = np.zeros(pts.shape[1])
@@ -513,10 +578,59 @@ def test_bumped_christoffel_derivative_memory_is_linear():
         case, fld = _directional("honeycomb-torus", "E1", n // 2, power=2, n=n)
         chart = conformal_family(case.chart, fld, 0.02)
         points = stencils.upsample_curve(case.net.edge_samples["E1"], 8)
-        chart.christoffel_deriv_many(points)
+        chart.factor_jet_many(points)
         tracemalloc.start()
-        chart.christoffel_deriv_many(points)
+        chart.factor_jet_many(points)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     # 4x the points; an all-pairs (points x anchors) table would give 16x
     assert peaks[1] <= 4.0 * peaks[0]
+
+
+def _close(got, want, rel=1e-13):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_closed_forms_match_the_tensor_reference_on_directional_bumps():
+    rng = np.random.default_rng(3)
+    for name, chart, pts in _jet_charts():
+        x_vec, y_vec, z_vec = rng.normal(size=(3,) + pts.shape)
+        g, dg, ddg = metric_tensor_jet(chart, pts)
+        gam, _ = _christoffel_reference(g, dg)
+        dgam = _christoffel_deriv_reference(g, dg, ddg)
+        _close(chart.christoffel_many(pts), gam)
+        _close(chart.curvature_many(pts, x_vec, y_vec, z_vec),
+               _curvature_reference(gam, dgam, x_vec, y_vec, z_vec))
+
+
+_COORD = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["euclidean", "torus", "sphere"]), dim=st.sampled_from([2, 3]),
+       bumps=st.lists(st.tuples(st.tuples(_COORD, _COORD, _COORD), st.floats(0.3, 1.5),
+                                st.floats(-0.4, 0.4)), max_size=2),
+       seed=st.integers(0, 2**16))
+def test_closed_forms_match_the_tensor_reference(kind, dim, bumps, seed):
+    """metric_many is lam I; the closed-form Christoffel symbols, their
+    contraction and the curvature equal the dense tensor formulas on every
+    chart kind, in 2-D and 3-D, under up to two stacked bumps."""
+    base = {"euclidean": EuclideanChart(dim),
+            "torus": FlatTorusChart(2.0 * np.eye(dim) + 0.5 * np.eye(dim, k=1)),
+            "sphere": StereographicSphereChart(0.8, dim)}[kind]
+    chart = base
+    for center, radius, amplitude in bumps:
+        field = RadialBumpField(center[:dim], radius, 1.0, chart=base)
+        chart = conformal_family(chart, field, amplitude)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(40, dim))
+    x_vec, y_vec, z_vec = rng.normal(size=(3, 40, dim))
+    lam, dphi, _ = chart.factor_jet_many(pts)
+    assert np.array_equal(chart.metric_many(pts), lam[:, None, None] * np.eye(dim))
+    g, dg, ddg = metric_tensor_jet(chart, pts)
+    gam, _ = _christoffel_reference(g, dg)
+    dgam = _christoffel_deriv_reference(g, dg, ddg)
+    _close(chart.christoffel_many(pts), gam)
+    _close(christoffel_apply(dphi, x_vec, y_vec), np.einsum("pkij,pi,pj->pk", gam, x_vec, y_vec))
+    _close(chart.curvature_many(pts, x_vec, y_vec, z_vec),
+           _curvature_reference(gam, dgam, x_vec, y_vec, z_vec))

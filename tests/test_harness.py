@@ -462,6 +462,8 @@ CIRCLE = {"generator": "circle-arc", "center": [0.0, 0.0], "radius": 1.0,
     ("sphere-theta", ("metric", "radius"), 0.0, "metric.radius must be a finite positive number"),
     ("honeycomb-torus", ("metric", "bumps"), [{"center": [0.5, 0.4], "radius": NAN, "amplitude": 1.0}],
      "metric.bumps[0].radius must be a finite positive number"),
+    ("honeycomb-torus", ("metric", "bumps"), [{"center": [0.5, 0.4], "radius": 1e100, "amplitude": 1.0}],
+     "metric.bumps[0].radius must be a finite positive number below 1e+50, got 1e+100"),
     ("honeycomb-torus", ("metric", "bumps"), [{"center": [0.5], "radius": 0.3, "amplitude": 1.0}],
      "metric.bumps[0].center must be a point of dimension 2"),
     ("honeycomb-torus", ("metric", "amplitude_schedule"), [0.0, NAN],
@@ -501,7 +503,8 @@ CIRCLE = {"generator": "circle-arc", "center": [0.0, 0.0], "radius": 1.0,
     ("honeycomb-torus", ("net", "edges", "E9"), {"generator": "straight"},
      "net.edges[E9] is not an edge of the graph"),
 ], ids=["options-list", "graph-list", "edge-list", "lattice-1x2", "lattice-singular", "lattice-nan",
-        "sphere-radius-nan", "sphere-radius-zero", "bump-radius-nan", "bump-center-1d",
+        "sphere-radius-nan", "sphere-radius-zero", "bump-radius-nan", "bump-radius-huge",
+        "bump-center-1d",
         "schedule-nan", "multiplicity-fraction", "edge-id-list", "vertex-scalar",
         "net-vertices-list", "net-edges-list", "sample-object", "periodic-nan", "periodic-number",
         "periodic-true", "periodic-nested-list", "periodic-object", "arc-radius-list",
@@ -552,15 +555,20 @@ def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name, where, message", [
+@pytest.mark.parametrize("name, where, code, message", [
     # the length overflows: the report would hold Infinity or NaN, which
     # strict JSON parsers reject
-    ("honeycomb-torus", ("net", "edges", "E1", "samples", 10, 1),
+    ("honeycomb-torus", ("net", "edges", "E1", "samples", 10, 1), 3,
      "numerical failure: report.stationarity.edge_max.E1 is not finite"),
-    # a finite radius whose square overflows
-    ("sphere-theta", ("metric", "radius"), "numerical failure:"),
-], ids=["sample", "sphere-radius"])
-def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, name, where, message):
+    # a finite radius whose square overflows is bad input, refused with its path
+    ("sphere-theta", ("metric", "radius"), 2,
+     "error: metric.radius must be a finite positive number below 1e+50, got 1e+308"),
+    ("honeycomb-torus", ("graph", "edges", 0, "multiplicity"), 2,
+     "error: graph.edges[0].multiplicity must be a positive integer at most 1000000, got 1e+308"),
+    ("honeycomb-torus", ("options", "n_samples"), 2,
+     "error: options.n_samples must be a positive integer at most 65536, got 1e+308"),
+], ids=["sample", "sphere-radius", "multiplicity", "n-samples"])
+def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, name, where, code, message):
     path, doc = write_case_spec(tmp_path, name, n=32)
     parent = doc
     for key in where[:-1]:
@@ -568,9 +576,25 @@ def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, name, where, mess
     parent[where[-1]] = 1e308
     specfile.write_spec(doc, str(path))
     out = tmp_path / "res.json"
-    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 3
+    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, most", [
+    (("graph", "edges", 0, "multiplicity"), specfile.MAX_MULTIPLICITY),
+    (("options", "n_samples"), specfile.MAX_SAMPLES),
+], ids=["multiplicity", "n-samples"])
+def test_counts_are_accepted_up_to_their_bound(where, most):
+    doc = specfile.spec_from_case("honeycomb-torus", 32)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = most
+    specfile.parse_spec(doc)
+    parent[where[-1]] = most + 1
+    with pytest.raises(specfile.SpecError, match=f"at most {most}, got {most + 1}"):
+        specfile.parse_spec(doc)
 
 
 def test_non_finite_report_keys_are_named():

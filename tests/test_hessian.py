@@ -340,10 +340,9 @@ def per_probe_fd_hessian(chart, net, basis, step=1e-5, refine=1):
 
     for j in range(nv):
         h_mat[:, j] = difference([j])
-    for members in jac._hat_groups(basis, net, refine):
-        delta = difference([col for col, _ in members])
-        for col, rows in members:
-            h_mat[rows, col] = delta[rows]
+    for cols, rows, at in jac._hat_groups(basis, net, refine):
+        delta = difference(list(cols))
+        h_mat[rows, at] = delta[rows]
     h_mat[:nv, nv:] = h_mat[nv:, :nv].T
     return 0.5 * (h_mat + h_mat.T)
 

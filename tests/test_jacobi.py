@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,13 +28,15 @@ from geodesicnets.geometry import (
     geodesic_integrate,
 )
 from geodesicnets.jacobi import (
+    _RefinedLength,
     _edge_fine_data,
     _propagate,
     approximate_embeddedness,
     assemble_jacobi_system,
     random_reduced_field,
+    reduced_basis_fields,
 )
-from geodesicnets.net import reparametrize_constant_speed
+from geodesicnets.net import length, reparametrize_constant_speed
 
 
 def edge_frame(case, eid):
@@ -69,7 +73,7 @@ def test_frame_loop_holonomy_identity():
     for name in ("flat-loop", "sphere-equator"):
         case = make_case(name, 128)
         s, v, frames = edge_frame(case, "E")
-        g0 = case.chart.metric(s[0])
+        g0 = case.chart.metric_many(s[:1])[0]
         o = frames[-1, 0] @ g0 @ frames[0, 0]
         assert abs(abs(o) - 1.0) < 1e-6
         assert abs(o - 1.0) < 1e-6  # orientable cases: identity
@@ -435,11 +439,56 @@ def test_reduced_fd_equator_eigenvectors(rng):
         assert np.linalg.norm(proj) / np.linalg.norm(vec) > 0.999
 
 
+def _reduced_hessian_by_lengths(chart, net, step, refine=8):
+    """Plain second central differences of the refined length over every
+    pair of columns of B: the O(d^2) reference of ``reduced_hessian_fd``,
+    independent of the length gradient."""
+    basis, _ = reduced_basis_fields(chart, net)
+    functional = _RefinedLength(chart, net, refine)
+    d = len(basis)
+
+    def l_of(i, a, j, b):
+        coef = np.zeros(d)
+        coef[i] += a
+        coef[j] += b
+        disp = {e: x[None] for e, x in basis.apply(coef).edge_values.items()}
+        fine = {}
+        for grp, stacked, _ in functional._fine_groups(disp):
+            fine.update(zip(grp.ids, stacked.samples))
+        return length(chart, replace(net, edge_samples=fine, lengths={}))
+
+    h_mat = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            h_mat[i, j] = h_mat[j, i] = (
+                l_of(i, step, j, step) - l_of(i, step, j, -step)
+                - l_of(i, -step, j, step) + l_of(i, -step, j, -step)
+            ) / (4 * step * step)
+    return h_mat
+
+
 def test_reduced_fd_modes_agree():
     case = make_case("sphere-equator", 16)
-    h_g, _ = reduced_hessian_fd(case.chart, case.net, mode="gradient")
-    h_l, _ = reduced_hessian_fd(case.chart, case.net, mode="length", step=1e-4)
+    h_g, _ = reduced_hessian_fd(case.chart, case.net)
+    h_l = _reduced_hessian_by_lengths(case.chart, case.net, step=1e-4)
     assert np.abs(h_g - h_l).max() <= 1e-5 * np.abs(h_g).max()
+
+
+@pytest.mark.parametrize("name", ["sphere-theta", "sphere-equator"])
+def test_certification_never_builds_christoffel_tensors(name, monkeypatch):
+    """Both certification routes run on the conformal factor jet alone."""
+    from geodesicnets import geometry
+
+    def refuse(self, points):
+        raise AssertionError("christoffel_many called")
+
+    for cls in vars(geometry).values():
+        if isinstance(cls, type) and "christoffel_many" in vars(cls):
+            monkeypatch.setattr(cls, "christoffel_many", refuse)
+    case = make_case(name, 64)
+    chart = conformal_family(case.chart, ConstantField(1.0), 0.5)
+    assert jacobi_kernel(chart, case.net).dimension == jacobi_kernel(case.chart, case.net).dimension
+    reduced_hessian_fd(chart, case.net)
 
 
 def test_reduced_fd_invalid_step():

@@ -271,27 +271,24 @@ def test_stacked_groups_match_groups_of_one_bitwise(name, monkeypatch):
 
 @pytest.mark.parametrize("two_groups", [False, True])
 def test_one_trial_evaluates_the_metric_once_per_group(two_groups, monkeypatch):
-    """One line-search trial (reparametrize, then the reduced gradient) on
-    sphere-theta: one metric and one metric-jet call per group, not per edge."""
+    """One line-search trial on sphere-theta: reparametrizing, and then the
+    reduced gradient, each make one factor-jet call per group, not per edge."""
     if two_groups:
         chart, net = _two_group_theta()
     else:
         case = make_case("sphere-theta", 32)
         chart, net = case.chart, jitter_net(case.net, np.random.default_rng(7), amp=0.02)
     calls = Counter()
+    method = StereographicSphereChart.factor_jet_many
 
-    def counted(name):
-        method = getattr(StereographicSphereChart, name)
+    def counted(self, points, order=2):
+        calls[order] += 1
+        return method(self, points, order)
 
-        def wrapper(self, points):
-            calls[name] += 1
-            return method(self, points)
-
-        return wrapper
-
-    for name in ("metric_many", "metric_jet_many"):
-        monkeypatch.setattr(StereographicSphereChart, name, counted(name))
-    reduced_gradient(chart, reparametrize_constant_speed(chart, net))
+    monkeypatch.setattr(StereographicSphereChart, "factor_jet_many", counted)
+    moved = reparametrize_constant_speed(chart, net)
     groups = 2 if two_groups else 1
     assert len(net.edge_groups()) == groups < len(net.graph.edges)
-    assert calls == {"metric_many": groups, "metric_jet_many": groups}
+    assert calls == {0: groups}
+    reduced_gradient(chart, moved)
+    assert calls == {0: groups, 1: groups}

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import jitter_net, random_ambient_field
+from conftest import jitter_net, metric_tensor_jet, random_ambient_field
 from test_stencils import _sbp42_reference
 
 from geodesicnets import (
@@ -20,7 +20,7 @@ from geodesicnets import (
     stationarity_residual,
     vertex_balance,
 )
-from geodesicnets.geometry import g_dot, g_norm
+from geodesicnets.geometry import christoffel_apply, g_dot, g_norm
 from geodesicnets.jacobi import parallel_frame, random_reduced_field
 from geodesicnets.net import displace, edge_lengths
 from geodesicnets.solver import SolveOptions, solve_stationary
@@ -169,8 +169,7 @@ def _stationarity_reference(chart, net):
             v = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c1)) / h
             acc = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c2)) / h**2
             pts = s[3:-3]
-        gam = chart.christoffel_many(pts)
-        cov = acc + np.einsum("pkij,pi,pj->pk", gam, v, v)
+        cov = acc + christoffel_apply(chart.factor_jet_many(pts, 1)[1], v, v)
         residuals[e.id] = cov
         worst.append(float((g_norm(chart, pts, cov) / g_dot(chart, pts, v, v)).max()))
     balance = {}
@@ -403,8 +402,8 @@ def _gradient_reference(chart, net):
         w = st.quadrature_weights(n, loop=shift is not None)
         v = st.velocity(s, loop_shift=shift)
         speed = g_norm(chart, s, v)
-        u = np.einsum("pij,pj->pi", chart.metric_many(s), v) / speed[:, None]
-        dg = chart.metric_jet_many(s)[1]
+        g, dg, _ = metric_tensor_jet(chart, s)
+        u = np.einsum("pij,pj->pi", g, v) / speed[:, None]
         grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
         if shift is None:
             grad += _sbp42_reference(n, h).T @ (w[:, None] * u)
