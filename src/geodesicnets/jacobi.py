@@ -34,9 +34,9 @@ from .geometry import (
     _dot,
     curvature_apply,
     curvature_form,
-    g_dot,
     g_norm,
     linear_rk4_flow,
+    metric_dot,
     metric_norm,
     min_distance,
     parallel_transport,
@@ -46,6 +46,8 @@ from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_l
 from .variation import (
     NotStationaryError,
     edge_length_gradient,
+    integrate_length_terms,
+    length_integrand,
     stationarity_residual,
 )
 
@@ -259,24 +261,33 @@ class ReducedField:
     u: dict[str, np.ndarray]  # (N+1, n-1)
 
     def to_net_field(self, chart: MetricChart, net: GeodesicNet) -> NetField:
-        vals = {}
-        for e in net.graph.edges:
-            s = net.edge_samples[e.id]
-            shift = net.loop_shift(e.id)
-            v = stencils.velocity(s, loop_shift=shift)
-            frames = parallel_frame(chart, s, v)
-            that = v / g_norm(chart, s, v)[:, None]
-            t = np.linspace(0.0, 1.0, s.shape[0])
-            if self.z:
-                z0 = self.z[e.endpoint(0)]
-                z1 = self.z[e.endpoint(1)]
-                a0 = float(g_dot(chart, s[0][None, :], z0[None, :], that[0][None, :])[0])
-                a1 = float(g_dot(chart, s[-1][None, :], z1[None, :], that[-1][None, :])[0])
+        return _ambient_fields(chart, net, [self])[0]
+
+
+def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[NetField]:
+    """``ReducedField.to_net_field`` of every field; each edge's velocity,
+    parallel frame and unit tangent, which depend on the net only, are
+    computed once for all of them."""
+    vals = [{} for _ in fields]
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        shift = net.loop_shift(e.id)
+        v = stencils.velocity(s, loop_shift=shift)
+        frames = parallel_frame(chart, s, v)
+        that = v / g_norm(chart, s, v)[:, None]
+        t = np.linspace(0.0, 1.0, s.shape[0])
+        ends = [chart.factor_jet_many(s[k][None, :], 0)[0] for k in (0, -1)]
+        for fld, out in zip(fields, vals):
+            if fld.z:
+                z0 = fld.z[e.endpoint(0)]
+                z1 = fld.z[e.endpoint(1)]
+                a0 = float(metric_dot(ends[0], z0[None, :], that[0][None, :])[0])
+                a1 = float(metric_dot(ends[1], z1[None, :], that[-1][None, :])[0])
                 alpha = (1 - t) * a0 + t * a1
             else:
                 alpha = np.zeros_like(t)
-            vals[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", self.u[e.id], frames)
-        return NetField(vals)
+            out[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", fld.u[e.id], frames)
+    return [NetField(v) for v in vals]
 
 
 class Verdict(Enum):
@@ -325,7 +336,7 @@ def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
     return JacobiKernel(
         dimension=len(basis),
         basis=basis,
-        ambient=[red.to_net_field(chart, net) for red in basis],
+        ambient=_ambient_fields(chart, net, basis),
         singular_values=svals,
         threshold=threshold,
         gap=gap,
@@ -704,51 +715,61 @@ def _colour_classes(layout: tuple, refine: int):
 
 
 class _RefinedLength:
-    """Refined-grid length functional, affine in the coarse samples.
+    """Central differences of the exact gradient of the refined-grid length.
 
-    The fine samples are the upsampled net plus T times the displacement,
-    and the coarse gradient is T^T times the fine one; at refine 1, T is
-    the identity and is not formed.  Displaced copies of the net are
-    evaluated stacked, one ``edge_length_gradient`` per edge group.
+    The fine samples are the upsampled net x0 plus T times the
+    displacement, and the coarse gradient is T^T times the fine one; at
+    refine 1, T is the identity and is not formed.  Only the
+    ``length_integrand`` is nonlinear, so a probe pair +-delta is
+    differenced first: dx = T delta and dv = D dx once, the integrand at
+    x0 +- dx and v0 +- dv (v0 = D x0, taken once), and the linear part
+    and T^T once, on the differences of the terms.
     """
 
     def __init__(self, chart, net, refine):
         self.chart = chart
-        self.net = net
+        self.order = [e.id for e in net.graph.edges]
         self.groups = net.edge_groups()
-        self.fine_base = [stencils.upsample_curve(grp.samples, refine, loop_shift=grp.shifts)
-                          for grp in self.groups]
+        self.base = []
+        for grp in self.groups:
+            x0 = stencils.upsample_curve(grp.samples, refine, loop_shift=grp.shifts)
+            v0 = stencils.velocity(x0, loop_shift=x0[:, -1] - x0[:, 0] if grp.loop else None)
+            self.base.append((x0, v0, stencils.quadrature_weights(x0.shape[1], loop=grp.loop)))
         # linear part only: displacement fields never wrap
         self.t_mats = None if refine == 1 else [
             stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
             for grp in self.groups]
 
-    def _fine_groups(self, disp: dict[str, np.ndarray]):
-        """The stacked fine edge groups of the copies displaced by disp, per
-        edge (K, N+1, n); with each group's T, or None."""
-        for j, (grp, base) in enumerate(zip(self.groups, self.fine_base)):
+    def differences(self, disp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """grad L(x + delta) - grad L(x - delta) in the coarse samples, for K
+        probe displacements delta: disp and the result map every edge to
+        (K, N+1, n).  Each probe's rows get the same operations as alone."""
+        out = {}
+        for j, (grp, (x0, v0, w)) in enumerate(zip(self.groups, self.base)):
             d = np.stack([disp[e] for e in grp.ids], axis=1).reshape((-1,) + grp.samples.shape[1:])
             t_mat = None if self.t_mats is None else self.t_mats[j]
-            moved = d if t_mat is None else t_mat @ d
-            fine = base + moved.reshape((-1,) + base.shape)
-            yield grp, grp.copies(fine.reshape((-1,) + base.shape[1:])), t_mat
-
-    def gradients(self, disp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Exact gradients in the coarse samples of K displaced copies: disp
-        and the result map every edge to (K, N+1, n)."""
-        out = {}
-        for grp, fine, t_mat in self._fine_groups(disp):
-            grad = edge_length_gradient(self.chart, fine)[2]
+            dx = d if t_mat is None else t_mat @ d
+            dv = stencils.velocity(dx, loop_shift=dx[:, -1] - dx[:, 0] if grp.loop else None)
+            # both signs of every probe in one integrand pass
+            _, a, u = length_integrand(self.chart, _plus_minus(x0, dx), _plus_minus(v0, dv), w)
+            half = dx.shape[0]
+            grad = integrate_length_terms(a[:half] - a[half:], u[:half] - u[half:], w, grp.loop,
+                                          np.tile(grp.multiplicities, half // len(grp.ids)))
             if t_mat is not None:
                 grad = t_mat.T @ grad
             grad = grad.reshape((-1,) + grp.samples.shape)
             out.update((e, grad[:, i]) for i, e in enumerate(grp.ids))
-        return {e.id: out[e.id] for e in self.net.graph.edges}
+        return {e: out[e] for e in self.order}
 
-    def gradient(self, displacement: NetField) -> dict[str, np.ndarray]:
-        """Exact gradient in the coarse samples at one displaced configuration."""
-        grad = self.gradients({e: d[None] for e, d in displacement.edge_values.items()})
-        return {e: g[0] for e, g in grad.items()}
+
+def _plus_minus(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """base + delta, then base - delta, for K stacked copies delta (K * E, M,
+    n) of base (E, M, n): (2 * K * E, M, n)."""
+    delta = delta.reshape((-1,) + base.shape)
+    out = np.empty((2,) + delta.shape)
+    np.add(base, delta, out=out[0])
+    np.subtract(base, delta, out=out[1])
+    return out.reshape((-1,) + base.shape[1:])
 
 
 def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
@@ -757,29 +778,30 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     differences of the exact gradient on the grid refined ``refine`` times.
 
     Column compression (Curtis, Powell & Reid 1974; Coleman & More 1983):
-    hat columns of one colour are perturbed together, two gradients per
+    hat columns of one colour are perturbed together, one probe pair per
     colour, and each hat row reads its entry from the one column of the
     colour it is coupled to.  Dense vertex columns are perturbed alone and
-    fill the vertex rows by symmetry.  The probe count, 2 (n_vertex +
-    colours), does not grow with the sample count.  The probes are
+    fill the vertex rows by symmetry.  The probe count, n_vertex +
+    colours, does not grow with the sample count.  B and B^T act once per
+    probe pair, around ``_RefinedLength.differences``.  The pairs are
     evaluated stacked, as many per pass as ``net.MAX_STACKED_ROWS`` fine
-    sample rows hold, and every probe's gradient is bitwise what it gets
+    sample rows hold, and every probe's difference is bitwise what it gets
     alone.
     """
     functional = _RefinedLength(chart, net, refine)
     d = len(basis)
     nv = basis.n_vertex
     members = _hat_groups(basis, net, refine)
-    # rows +step * coef and -step * coef of every probe coefficient coef
-    probes = np.zeros((2 * (nv + len(members)), d))
+    # step * coef of every probe coefficient coef
+    probes = np.zeros((nv + len(members), d))
     for j, cols in enumerate([[c] for c in range(nv)] + [cols for cols, _, _ in members]):
-        probes[2 * j, cols] = step
-        probes[2 * j + 1] = -probes[2 * j]
-    size = copies_per_pass(sum(base.shape[0] * base.shape[1] for base in functional.fine_base))
-    pulled = []
+        probes[j, cols] = step
+    # a probe pair is two fine copies of the net
+    size = copies_per_pass(2 * sum(x0.shape[0] * x0.shape[1] for x0, _, _ in functional.base))
+    delta = []
     for start in range(0, len(probes), size):
-        pulled += basis.pullback_many(functional.gradients(basis.apply_many(probes[start : start + size])))
-    delta = [(gp - gm) / (2 * step) for gp, gm in zip(pulled[0::2], pulled[1::2])]
+        diffs = functional.differences(basis.apply_many(probes[start : start + size]))
+        delta += [g / (2 * step) for g in basis.pullback_many(diffs)]
     h_mat = np.zeros((d, d))
     for j in range(nv):
         h_mat[:, j] = delta[j]
@@ -804,8 +826,12 @@ def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
 
 
 def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):
-    """Kernel count of the reduced Hessian with the same tolerance rule."""
-    svals = np.linalg.svd(h_mat, compute_uv=False)
+    """Kernel count of the reduced Hessian with the same tolerance rule.
+
+    H is symmetric, so its singular values are the |eigenvalues| from
+    ``eigvalsh``, returned in descending order as an SVD would.
+    """
+    svals = np.sort(np.abs(np.linalg.eigvalsh(h_mat)))[::-1]
     zero, _, gap = _split_spectrum(svals, svd_tol, float(svals.max()))
     return int(zero.sum()), svals, gap
 

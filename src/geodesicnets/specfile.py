@@ -42,6 +42,10 @@ TOOL_VERSION = "0.1.0"
 MAX_MULTIPLICITY = 10**6
 MAX_SAMPLES = 2**16
 MAX_RADIUS = 1e50
+# Largest accepted chart dimension (metric.dim, and the size of a flat
+# torus lattice): a flat torus scans 5^dim lattice combinations when it is
+# built and 3^dim neighbours per displacement, 81 at this bound.
+MAX_DIM = 4
 
 
 class SpecError(ValueError):
@@ -145,9 +149,10 @@ def _parse_metric(doc: dict):
         base = FlatTorusChart(_parse_lattice(doc.get("lattice")))
     elif kind == "stereographic-sphere":
         radius = _number(doc.get("radius", 1.0), "metric.radius", positive=True, below=MAX_RADIUS)
-        base = StereographicSphereChart(radius=radius, dim=_count(doc.get("dim", 2), "metric.dim"))
+        base = StereographicSphereChart(radius=radius,
+                                        dim=_count(doc.get("dim", 2), "metric.dim", MAX_DIM))
     elif kind == "euclidean":
-        dim = _count(doc.get("dim", 2), "metric.dim")
+        dim = _count(doc.get("dim", 2), "metric.dim", MAX_DIM)
         box = doc.get("box")
         if box is not None:
             box = _floats(box)
@@ -178,9 +183,12 @@ def _parse_metric(doc: dict):
 
 
 def _parse_lattice(value) -> np.ndarray:
-    """metric.lattice as a finite, square, non-singular matrix: |det| must
-    exceed 1e-12 times its Hadamard bound, the product of the row norms."""
+    """metric.lattice as a finite, square, non-singular matrix of at most
+    ``MAX_DIM`` rows: |det| must exceed 1e-12 times its Hadamard bound, the
+    product of the row norms."""
     lat = _floats(value)
+    if lat.ndim == 2 and lat.shape[0] > MAX_DIM:
+        raise SpecError(f"metric.lattice must have at most {MAX_DIM} rows, got {lat.shape[0]}")
     if (lat.ndim != 2 or lat.shape[0] != lat.shape[1] or lat.size == 0
             or not np.isfinite(lat).all()
             or not abs(np.linalg.det(lat)) > 1e-12 * np.prod(np.linalg.norm(lat, axis=1))):

@@ -39,6 +39,8 @@ __all__ = [
     "hessian_fd_oracle",
     "length_sample_gradient",
     "edge_length_gradient",
+    "length_integrand",
+    "integrate_length_terms",
     "covariant_deriv",
 ]
 
@@ -244,32 +246,56 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
     v is the SBP ``stencils.velocity`` of the stacked samples (E, N+1, n),
     lam the conformal factor at them, one entry per sample (E * (N+1),),
     and grad the gradient of each edge's discrete length in its samples,
-    multiplicity included (E, N+1, n).  Every edge's rows are computed
-    with the same per-row operations as for a group of one.
+    multiplicity included (E, N+1, n): ``integrate_length_terms`` of the
+    ``length_integrand``.  Every edge's rows are computed with the same
+    per-row operations as for a group of one.
     """
     s = group.samples
-    n_edges, npts, n = s.shape
-    h = 1.0 / (npts - 1)
     v = stencils.velocity(s, loop_shift=group.shifts)
-    lam, dphi, _ = chart.factor_jet_many(s.reshape(-1, n), 1)
-    rows = v.reshape(-1, n)
-    w = stencils.quadrature_weights(npts, loop=group.loop)
+    w = stencils.quadrature_weights(s.shape[1], loop=group.loop)
+    lam, a, u = length_integrand(chart, s, v, w)
+    return v, lam, integrate_length_terms(a, u, w, group.loop, group.multiplicities)
+
+
+def length_integrand(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
+                     weights: np.ndarray):
+    """The pointwise part of the length gradient: (lam, a, u) at stacked
+    samples and velocities (E, M, n), with the quadrature weights (M,).
+
+    lam is the conformal factor (E * M,), a = w speed grad(phi) the
+    metric-variation term and u = g v / speed the velocity term, each
+    (E, M, n).  This is the only nonlinear part of the gradient.
+    """
+    n_edges, npts, n = samples.shape
+    lam, dphi, _ = chart.factor_jet_many(samples.reshape(-1, n), 1)
+    rows = velocities.reshape(-1, n)
     speed = metric_norm(lam, rows).reshape(n_edges, npts, 1)
-    gv_over_s = (lam[:, None] * rows).reshape(s.shape) / speed
-    # metric-variation part: w (d_c g)(v, v) / (2 speed) = w speed d_c phi,
-    # as d_c g = 2 lam d_c phi delta
-    grad = w[:, None] * speed * dphi.reshape(s.shape)
-    if not group.loop:
+    u = (lam[:, None] * rows).reshape(samples.shape) / speed
+    # w (d_c g)(v, v) / (2 speed) = w speed d_c phi, as d_c g = 2 lam d_c phi delta
+    a = weights[:, None] * speed * dphi.reshape(samples.shape)
+    return lam, a, u
+
+
+def integrate_length_terms(a: np.ndarray, u: np.ndarray, weights: np.ndarray, loop: bool,
+                           multiplicities: np.ndarray) -> np.ndarray:
+    """The linear part of the length gradient: m (a - D^T (w u)) per edge,
+    from the ``length_integrand`` terms (E, M, n), or from differences of
+    them.  On loop edges the seam is folded onto sample 0 and the duplicate
+    end row zeroed.  a and u are overwritten.
+    """
+    grad = a
+    if not loop:
         # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
-        grad -= w[:, None] * _field_velocity(gv_over_s, None)
-        grad[:, 0] -= gv_over_s[:, 0]
-        grad[:, -1] += gv_over_s[:, -1]
+        grad -= weights[:, None] * stencils.velocity(u)
+        grad[:, 0] -= u[:, 0]
+        grad[:, -1] += u[:, -1]
     else:
         # D^T = -D on the uniform independent samples; the seam sample
-        # is one physical point, so fold the duplicate row onto row 0
-        u = gv_over_s.copy()
-        u[:, 0] = u[:, -1] = 0.5 * (gv_over_s[:, 0] + gv_over_s[:, -1])
+        # is one physical point, so fold the duplicate row onto row 0; the
+        # field u does not wrap, so its seam shift is zero
+        h = 1.0 / (u.shape[1] - 1)
+        u[:, 0] = u[:, -1] = 0.5 * (u[:, 0] + u[:, -1])
         grad[:, 0] += grad[:, -1]
-        grad -= _field_velocity(h * u, group.shifts)
+        grad -= stencils.velocity(h * u, loop_shift=np.zeros(u.shape[-1]))
         grad[:, -1] = 0.0
-    return v, lam, group.multiplicities[:, None, None] * grad
+    return multiplicities[:, None, None] * grad

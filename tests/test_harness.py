@@ -597,6 +597,42 @@ def test_counts_are_accepted_up_to_their_bound(where, most):
         specfile.parse_spec(doc)
 
 
+@pytest.mark.parametrize("name, metric, message", [
+    ("sphere-theta", {"kind": "stereographic-sphere", "radius": 1.0, "dim": 1e308},
+     "error: metric.dim must be a positive integer at most 4, got 1e+308"),
+    ("sphere-theta", {"kind": "stereographic-sphere", "radius": 1.0, "dim": 1e7},
+     "error: metric.dim must be a positive integer at most 4, got 10000000.0"),
+    ("honeycomb-torus", {"kind": "euclidean", "dim": 1e7},
+     "error: metric.dim must be a positive integer at most 4, got 10000000.0"),
+    # read, never run: a 15-row lattice would make the chart loop 5^15 times
+    ("honeycomb-torus", {"kind": "flat-torus", "lattice": np.eye(15).tolist()},
+     "error: metric.lattice must have at most 4 rows, got 15"),
+], ids=["sphere-1e308", "sphere-1e7", "euclidean-1e7", "lattice-15"])
+def test_cli_refuses_large_dimensions_with_their_path(tmp_path, capsys, monkeypatch, name,
+                                                     metric, message):
+    def no_chart(*args, **kwargs):
+        raise AssertionError("a chart was built before the dimension was checked")
+
+    path, _ = write_case_spec(tmp_path, name, n=32, metric=metric)
+    for chart in ("EuclideanChart", "FlatTorusChart", "StereographicSphereChart"):
+        monkeypatch.setattr(specfile, chart, no_chart)
+    out = tmp_path / "res.json"
+    assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_dimensions_are_accepted_up_to_their_bound():
+    most = specfile.MAX_DIM
+    for kind in ("euclidean", "stereographic-sphere"):
+        assert specfile._parse_metric({"kind": kind, "dim": most})[0].dim == most
+        with pytest.raises(specfile.SpecError, match=f"metric.dim must be .* at most {most}"):
+            specfile._parse_metric({"kind": kind, "dim": most + 1})
+    assert specfile._parse_metric({"kind": "flat-torus", "lattice": np.eye(most)})[0].dim == most
+    with pytest.raises(specfile.SpecError, match=f"at most {most} rows, got {most + 1}"):
+        specfile._parse_lattice(np.eye(most + 1))
+
+
 def test_non_finite_report_keys_are_named():
     report = {"kernel": {"spectral_gap": None, "singular_values": [1.0, 2.0]},
               "steps": [{"amplitude": 0.0}, {"amplitude": float("nan")}]}

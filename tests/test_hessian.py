@@ -1,8 +1,9 @@
 """The reduced map B and the column-compressed FD Hessian builder.
 
-The reference here is the per-column build the builder replaced: one
-NetField per reduced column, two gradients per column, each gradient
-paired with every field.
+The references here are the per-column build the builder replaced (one
+NetField per reduced column, one probe-pair difference per column,
+paired with every field) and the build that took two full gradients per
+probe and subtracted them after the linear operators.
 """
 
 import tracemalloc
@@ -67,41 +68,78 @@ def reference_fields(chart, net):
 
 
 def reference_oracle(chart, net, step=1e-5, refine=8):
-    """Per-column reduced FD Hessian: 2 d gradients, each paired with every field."""
+    """Per-column reduced FD Hessian: one probe-pair difference per column,
+    paired with every field."""
     fields = reference_fields(chart, net)
     functional = jac._RefinedLength(chart, net, refine)
     d = len(fields)
 
-    def paired(sign, j):
-        disp = NetField({e: sign * step * v for e, v in fields[j].edge_values.items()})
-        grad = functional.gradient(disp)
-        out = np.empty(d)
-        for i, f in enumerate(fields):
-            out[i] = sum(float(np.sum(grad[e] * f.edge_values[e])) for e in grad)
-        return out
-
     h_mat = np.empty((d, d))
     for j in range(d):
-        h_mat[:, j] = (paired(1.0, j) - paired(-1.0, j)) / (2 * step)
+        disp = {e: step * v[None] for e, v in fields[j].edge_values.items()}
+        diff = {e: g[0] for e, g in functional.differences(disp).items()}
+        for i, f in enumerate(fields):
+            paired = sum(float(np.sum(diff[e] * f.edge_values[e])) for e in diff)
+            h_mat[i, j] = paired / (2 * step)
     return 0.5 * (h_mat + h_mat.T)
 
 
 def reference_newton(chart, net, step):
-    """Per-column Newton matrix on the coarse grid, as the solver built it."""
+    """Per-column Newton matrix on the coarse grid: one probe-pair
+    difference per column, paired with the stacked fields."""
     fields = reference_fields(chart, net)
     stack = {e: np.stack([f.edge_values[e] for f in fields]) for e in net.edge_samples}
-
-    def reduced_gradient(moved):
-        grad = length_sample_gradient(chart, moved)
-        return sum(np.einsum("pn,dpn->d", g, stack[e]) for e, g in grad.items())
-
+    functional = jac._RefinedLength(chart, net, 1)
     d = len(fields)
     hess = np.empty((d, d))
     for j in range(d):
-        gp = reduced_gradient(displace(net, fields[j], step))
-        gm = reduced_gradient(displace(net, fields[j], -step))
-        hess[:, j] = (gp - gm) / (2 * step)
+        diff = functional.differences({e: step * v[None] for e, v in fields[j].edge_values.items()})
+        hess[:, j] = sum(np.einsum("pn,dpn->d", g[0], stack[e]) for e, g in diff.items()) / (2 * step)
     return 0.5 * (hess + hess.T)
+
+
+def fine_net_gradient(chart, net, refine, disp):
+    """T^T times the sample gradient of the net built from the upsampled
+    samples plus T times the displacement: the refined gradient, on the
+    fine net itself."""
+    fine, t_mats = {}, {}
+    for e in net.graph.edges:
+        s, shift = net.edge_samples[e.id], net.loop_shift(e.id)
+        t_mats[e.id] = (np.eye(s.shape[0]) if refine == 1 else
+                        stencils.upsample_operator(s.shape[0], refine, shift is not None)[0])
+        fine[e.id] = (stencils.upsample_curve(s, refine, loop_shift=shift)
+                      + t_mats[e.id] @ disp.edge_values[e.id])
+    fine_net = GeodesicNet(graph=net.graph, edge_samples=fine,
+                           vertex_positions=net.vertex_positions,
+                           periodic_edges=net.periodic_edges)
+    return {e: t_mats[e].T @ g for e, g in length_sample_gradient(chart, fine_net).items()}
+
+
+def compressed_hessian(net, basis, refine, difference):
+    """The column-compressed assembly of ``fd_hessian`` from difference(cols),
+    the central difference of the reduced gradient along those columns."""
+    d, nv = len(basis), basis.n_vertex
+    h_mat = np.zeros((d, d))
+    for j in range(nv):
+        h_mat[:, j] = difference([j])
+    for cols, rows, at in jac._hat_groups(basis, net, refine):
+        h_mat[rows, at] = difference(list(cols))[rows]
+    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
+    return 0.5 * (h_mat + h_mat.T)
+
+
+def two_gradient_fd_hessian(chart, net, basis, step=1e-5, refine=1):
+    """The compressed builder with two full gradients per probe, each
+    pulled back alone and then subtracted: the builder before the probe
+    pairs were differenced first."""
+    def difference(cols):
+        coef = np.zeros(len(basis))
+        coef[cols] = step
+        gp = basis.pullback(fine_net_gradient(chart, net, refine, basis.apply(coef)))
+        gm = basis.pullback(fine_net_gradient(chart, net, refine, basis.apply(-coef)))
+        return (gp - gm) / (2 * step)
+
+    return compressed_hessian(net, basis, refine, difference)
 
 
 def reference_pattern(chart, net, refine):
@@ -162,16 +200,16 @@ def test_compressed_oracle_matches_per_column_build(name, n_samples, refine):
 
 
 def count_gradients(monkeypatch) -> list:
-    """Gradient evaluations of the FD oracle: the list gets the number of
-    displaced copies of every stacked pass."""
+    """Probe pairs of the FD oracle: the list gets the number of pairs of
+    every stacked pass; each pair evaluates the integrand at two copies."""
     calls = []
-    original = jac._RefinedLength.gradients
+    original = jac._RefinedLength.differences
 
     def counted(self, disp):
         calls.append(len(next(iter(disp.values()))))
         return original(self, disp)
 
-    monkeypatch.setattr(jac._RefinedLength, "gradients", counted)
+    monkeypatch.setattr(jac._RefinedLength, "differences", counted)
     return calls
 
 
@@ -183,15 +221,16 @@ def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
         case = make_case(name, n_samples)
         calls.clear()
         h_mat, _ = reduced_hessian_fd(case.chart, case.net)
-        counts.append(sum(calls))
+        copies = 2 * sum(calls)
+        counts.append(copies)
         n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
         if case.net.periodic_edges:
             # the conflict graph is a circulant band of half-width k, so no
             # colouring needs more than 2k + 1 colours
             lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
             k = 2 * int(hi[0])
-            assert sum(calls) <= 2 * (n_vertex + 2 * k + 1)
-        assert sum(calls) < 2 * h_mat.shape[0]  # the per-column build makes 2 d
+            assert copies <= 2 * (n_vertex + 2 * k + 1)
+        assert copies < 2 * h_mat.shape[0]  # the per-column build makes 2 d
     if not case.net.periodic_edges:
         assert counts[0] == counts[1]
 
@@ -227,7 +266,7 @@ def test_loop_colouring_uses_balanced_blocks():
             blocks = n // (2 * width + 1)
             if blocks >= 2:
                 assert len(set(colour.tolist())) <= -(-n // blocks)
-    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 2 * (1 + 16) gradients
+    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 1 + 16 probe pairs
     assert jac._hat_colouring(65, 8, True)[0].max() + 1 == 16
 
 
@@ -235,7 +274,8 @@ def test_sphere_equator_oracle_gradient_count(monkeypatch):
     calls = count_gradients(monkeypatch)
     case = make_case("sphere-equator", 64)
     reduced_hessian_fd(case.chart, case.net)
-    assert sum(calls) == 34
+    # 17 probe pairs, 34 integrand copies
+    assert sum(calls) == 17
 
 
 # -- one trial of the Newton line search ---------------------------------------
@@ -293,18 +333,17 @@ def test_reduced_gradient_evaluates_each_bump_once_per_group():
 
 @pytest.mark.parametrize("name", CASES)
 def test_refined_length_at_refine_one_uses_no_operator(name):
-    """At refine 1 the displaced samples and the gradient are used as they
-    are, bitwise what the identity operator gave."""
+    """At refine 1 the probe displacements and the differences are used as
+    they are, bitwise what the identity operator gives."""
     case = make_case(name, 24)
     net = jitter_net(case.net, np.random.default_rng(3), amp=0.02)
     basis, _ = reduced_basis_fields(case.chart, net)
-    disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
+    disp = basis.apply_many(np.random.default_rng(4).normal(size=(3, len(basis))) * 1e-3)
     functional = jac._RefinedLength(case.chart, net, 1)
     assert functional.t_mats is None
-    eye = {e: np.eye(s.shape[0]) for e, s in net.edge_samples.items()}
-    moved = displace(net, NetField({e: eye[e] @ d for e, d in disp.edge_values.items()}), 1.0)
-    want = {e: eye[e].T @ g for e, g in length_sample_gradient(case.chart, moved).items()}
-    got = functional.gradient(disp)
+    got = functional.differences(disp)
+    functional.t_mats = [np.eye(grp.samples.shape[1]) for grp in functional.groups]
+    want = functional.differences(disp)
     assert all(np.array_equal(got[e], want[e]) for e in want)
 
 
@@ -325,26 +364,16 @@ def test_cached_basis_layout_is_read_only():
 
 def per_probe_fd_hessian(chart, net, basis, step=1e-5, refine=1):
     """The compressed builder probe by probe, as it was before the probes
-    were stacked: two gradients per probe, each pulled back alone."""
+    were stacked: one probe-pair difference per probe, pulled back alone."""
     functional = jac._RefinedLength(chart, net, refine)
-    d = len(basis)
-    nv = basis.n_vertex
-    h_mat = np.zeros((d, d))
 
     def difference(cols):
-        coef = np.zeros(d)
-        coef[cols] = 1.0
-        gp = basis.pullback(functional.gradient(basis.apply(step * coef)))
-        gm = basis.pullback(functional.gradient(basis.apply(-step * coef)))
-        return (gp - gm) / (2 * step)
+        coef = np.zeros(len(basis))
+        coef[cols] = step
+        disp = {e: v[None] for e, v in basis.apply(coef).edge_values.items()}
+        return basis.pullback({e: g[0] for e, g in functional.differences(disp).items()}) / (2 * step)
 
-    for j in range(nv):
-        h_mat[:, j] = difference([j])
-    for cols, rows, at in jac._hat_groups(basis, net, refine):
-        delta = difference(list(cols))
-        h_mat[rows, at] = delta[rows]
-    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
-    return 0.5 * (h_mat + h_mat.T)
+    return compressed_hessian(net, basis, refine, difference)
 
 
 def fine_rows(net, refine):
@@ -369,34 +398,94 @@ def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypa
     basis, _ = reduced_basis_fields(chart, net)
     want = per_probe_fd_hessian(chart, net, basis, refine=refine)
     assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
-    # k copies per pass: the probes span several passes, the last one short
-    n_probes = 2 * (basis.n_vertex + len(jac._hat_groups(basis, net, refine)))
-    k = next(k for k in range(3, n_probes) if n_probes % k)
-    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
-    assert n_probes > 2 * k
+    # k probe pairs, 2 k fine copies, per pass: the pairs span several
+    # passes, the last one short
+    n_pairs = basis.n_vertex + len(jac._hat_groups(basis, net, refine))
+    k = next(k for k in range(2, n_pairs) if n_pairs % k)
+    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", 2 * k * fine_rows(net, refine))
+    assert n_pairs > 2 * k
     assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
+
+
+class CountingOperator:
+    """A matrix that counts the stacked rows it is applied to, by name."""
+
+    def __init__(self, mat, log, name):
+        self.mat, self.log, self.name = mat, log, name
+
+    def __matmul__(self, other):
+        self.log[self.name] += other.shape[0]
+        return self.mat @ other
+
+    @property
+    def T(self):
+        return CountingOperator(self.mat.T, self.log, self.name + "^T")
+
+
+def counted(monkeypatch, owner, attr, log, name, rows):
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        log[name] += rows(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_probe_pair_applies_the_linear_maps_once(name, monkeypatch):
+    """B, T and D once per probe, the integrand at both signs, and D^T,
+    T^T and B^T once per probe pair, counted in stacked edge rows."""
+    case = make_case(name, 32)
+    basis, _ = reduced_basis_fields(case.chart, case.net)
+    n_pairs = basis.n_vertex + len(jac._hat_groups(basis, case.net, 8))
+    n_edges = len(case.net.graph.edges)
+    log = dict.fromkeys(["B", "B^T", "T", "T^T", "D", "integrand"], 0)
+    counted(monkeypatch, jac.ReducedBasis, "apply_many", log, "B", lambda self, c: len(c))
+    counted(monkeypatch, jac.ReducedBasis, "pullback_many", log, "B^T",
+            lambda self, g: len(next(iter(g.values()))))
+    counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop_shift=None: s.shape[0])
+    counted(monkeypatch, jac, "length_integrand", log, "integrand",
+            lambda chart, x, v, w: x.shape[0])
+    operator = stencils.upsample_operator
+    monkeypatch.setattr(stencils, "upsample_operator", lambda *args: (
+        CountingOperator(operator(*args)[0], log, "T"), operator(*args)[1]))
+    fd_hessian(case.chart, case.net, basis, refine=8)
+    # the base fine samples go through T, and their velocities through D,
+    # once per Hessian; D^T is a D of the (periodic) field
+    assert log == {"B": n_pairs, "B^T": n_pairs, "T": n_edges * (n_pairs + 1),
+                   "T^T": n_edges * n_pairs, "D": n_edges * (2 * n_pairs + 1),
+                   "integrand": 2 * n_edges * n_pairs}
+
+
+@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
+@pytest.mark.parametrize("refine", (1, 2, 8))
+def test_difference_first_hessian_matches_the_two_gradient_build(name, refine):
+    """Differencing the integrand before the linear operators moves H by
+    rounding only."""
+    chart, net = jittered(name)
+    basis, _ = reduced_basis_fields(chart, net)
+    want = two_gradient_fd_hessian(chart, net, basis, refine=refine)
+    got = fd_hessian(chart, net, basis, refine=refine)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
 def test_refined_gradient_is_the_gradient_of_the_fine_net(name):
-    """One displaced copy: T^T times the sample gradient of the net built
-    from the upsampled samples plus T times the displacement, bitwise."""
+    """One probe pair: the difference of the refined gradient at +-delta is
+    T^T times the difference of the sample gradients of the nets built from
+    the upsampled samples plus and minus T times delta."""
     chart, net = jittered(name, seed=3)
     basis, _ = reduced_basis_fields(chart, net)
     disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
-    t_mats, fine = {}, {}
-    for e in net.graph.edges:
-        s, shift = net.edge_samples[e.id], net.loop_shift(e.id)
-        t_mats[e.id] = stencils.upsample_operator(s.shape[0], 8, shift is not None)[0]
-        fine[e.id] = (stencils.upsample_curve(s, 8, loop_shift=shift)
-                      + t_mats[e.id] @ disp.edge_values[e.id])
-    fine_net = GeodesicNet(graph=net.graph, edge_samples=fine,
-                           vertex_positions=net.vertex_positions,
-                           periodic_edges=net.periodic_edges)
-    want = {e: t_mats[e].T @ g for e, g in length_sample_gradient(chart, fine_net).items()}
-    got = jac._RefinedLength(chart, net, 8).gradient(disp)
-    assert got.keys() == want.keys()
-    assert all(np.array_equal(got[e], want[e]) for e in want)
+    plus = fine_net_gradient(chart, net, 8, disp)
+    minus = fine_net_gradient(chart, net, 8, disp.scaled(-1.0))
+    got = jac._RefinedLength(chart, net, 8).differences(
+        {e: d[None] for e, d in disp.edge_values.items()})
+    assert got.keys() == plus.keys()
+    for e in plus:
+        want = plus[e] - minus[e]
+        assert np.abs(got[e][0] - want).max() <= 1e-12 * np.abs(plus[e]).max()
 
 
 def test_one_stacked_pass_stays_within_the_row_cap():

@@ -18,6 +18,7 @@ from geodesicnets import (
     reduced_hessian_fd,
     reduced_kernel_dimension,
 )
+from geodesicnets import jacobi as jac
 from geodesicnets import stencils as st
 from geodesicnets.geometry import (
     ConstantField,
@@ -28,7 +29,6 @@ from geodesicnets.geometry import (
     geodesic_integrate,
 )
 from geodesicnets.jacobi import (
-    _RefinedLength,
     _edge_fine_data,
     _propagate,
     approximate_embeddedness,
@@ -425,6 +425,66 @@ def test_reduced_fd_matches_shooting_dimensions():
         assert np.abs(h_mat - h_mat.T).max() <= 1e-8 * np.abs(h_mat).max()
 
 
+def test_kernel_spectrum_is_the_svd_of_the_symmetric_hessian():
+    expected = {"honeycomb-torus": 2, "sphere-equator": 2, "sphere-theta": 3}
+    for name, dim in expected.items():
+        case = make_case(name, 64)
+        h_mat, _ = reduced_hessian_fd(case.chart, case.net)
+        assert np.array_equal(h_mat, h_mat.T)
+        fd_dim, values, gap = reduced_kernel_dimension(h_mat)
+        svals = np.linalg.svd(h_mat, compute_uv=False)
+        assert np.all(np.diff(values) <= 0.0)
+        assert np.abs(values - svals).max() <= 1e-12 * svals[0]
+        # the acceptance gates: the expected count, a gap of at least 10
+        assert fd_dim == dim and gap >= 10.0, name
+
+
+def _old_to_net_field(red, chart, net):
+    """The per-field reconstruction: every edge's velocity, frame and unit
+    tangent recomputed for each kernel vector."""
+    vals = {}
+    for e in net.graph.edges:
+        s = net.edge_samples[e.id]
+        v = st.velocity(s, loop_shift=net.loop_shift(e.id))
+        frames = parallel_frame(chart, s, v)
+        that = v / g_norm(chart, s, v)[:, None]
+        t = np.linspace(0.0, 1.0, s.shape[0])
+        if red.z:
+            a0 = float(g_dot(chart, s[0][None, :], red.z[e.endpoint(0)][None, :],
+                             that[0][None, :])[0])
+            a1 = float(g_dot(chart, s[-1][None, :], red.z[e.endpoint(1)][None, :],
+                             that[-1][None, :])[0])
+            alpha = (1 - t) * a0 + t * a1
+        else:
+            alpha = np.zeros_like(t)
+        vals[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", red.u[e.id], frames)
+    return vals
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
+def test_kernel_reconstruction_frames_each_edge_once(name, monkeypatch):
+    case = make_case(name, 48)
+    calls = []
+    original = jac.parallel_frame
+
+    def counted(chart, samples, velocities):
+        calls.append(samples.shape[0])
+        return original(chart, samples, velocities)
+
+    monkeypatch.setattr(jac, "parallel_frame", counted)
+    ker = jacobi_kernel(case.chart, case.net)
+    assert ker.dimension >= 1
+    # one fine frame per edge for the shooting system, one coarse frame per
+    # edge for all kernel vectors
+    coarse = [n for n in calls if n == 49]
+    assert len(coarse) == len(case.net.graph.edges) == len(calls) - len(coarse)
+    monkeypatch.undo()
+    for red, amb in zip(ker.basis, ker.ambient):
+        want = _old_to_net_field(red, case.chart, case.net)
+        assert amb.edge_values.keys() == want.keys()
+        assert all(np.array_equal(amb.edge_values[e], want[e]) for e in want)
+
+
 def test_reduced_fd_equator_eigenvectors(rng):
     case = make_case("sphere-equator", 64)
     h_mat, labels = reduced_hessian_fd(case.chart, case.net)
@@ -444,17 +504,18 @@ def _reduced_hessian_by_lengths(chart, net, step, refine=8):
     pair of columns of B: the O(d^2) reference of ``reduced_hessian_fd``,
     independent of the length gradient."""
     basis, _ = reduced_basis_fields(chart, net)
-    functional = _RefinedLength(chart, net, refine)
     d = len(basis)
+    base, t_mats = {}, {}
+    for e, s in net.edge_samples.items():
+        shift = net.loop_shift(e)
+        base[e] = st.upsample_curve(s, refine, loop_shift=shift)
+        t_mats[e] = st.upsample_operator(s.shape[0], refine, shift is not None)[0]
 
     def l_of(i, a, j, b):
         coef = np.zeros(d)
         coef[i] += a
         coef[j] += b
-        disp = {e: x[None] for e, x in basis.apply(coef).edge_values.items()}
-        fine = {}
-        for grp, stacked, _ in functional._fine_groups(disp):
-            fine.update(zip(grp.ids, stacked.samples))
+        fine = {e: base[e] + t_mats[e] @ x for e, x in basis.apply(coef).edge_values.items()}
         return length(chart, replace(net, edge_samples=fine, lengths={}))
 
     h_mat = np.empty((d, d))
