@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -44,11 +44,10 @@ from .geometry import (
 from .multigraph import GraphClass, WeightedMultigraph, classify
 from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_lengths
 from .variation import (
-    NotStationaryError,
     edge_length_gradient,
     integrate_length_terms,
     length_integrand,
-    stationarity_residual,
+    stationarity_gate,
 )
 
 __all__ = [
@@ -196,11 +195,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8
     if refine < 2 or refine % 2:
         raise ValueError(f"refine must be an even integer >= 2, got {refine!r}")
     gclass = _good_class(net.graph)
-    agg = stationarity_residual(chart, net).aggregate
-    if not agg <= residual_tol:  # a NaN residual fails too
-        raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
-    if agg > 0.01 * residual_tol:
-        warnings.warn(f"assembling Jacobi system at marginal residual {agg:.3g}")
+    stationarity_gate(chart, net, residual_tol, "assembling Jacobi system at marginal residual {:.3g}")
     n = net.dim
     nm1 = n - 1
     edges = net.graph.edges
@@ -451,77 +446,79 @@ def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6
 
 @dataclass
 class ReducedBasis:
-    """The reduced displacement space as one linear map B.
+    """The reduced displacement space of K stacked copies of a net, as one
+    linear map B per copy.
 
-    B sends d coefficients to displacement samples on every edge.  Its
-    first ``n_vertex`` columns are dense: vertex displacements with linear
-    ramps into the incident edges (on loop graphs, the normal motion of the
-    marked vertex), stored as one block over the stacked edge samples.
-    Every other column is a hat: frame vector a at interior sample j of
-    edge E, at column ``hat_offset[E] + (j - 1) * (n - 1) + a``.
+    Displacements and gradients are laid out as ``net.edge_groups()`` stacks
+    the samples, the K copies copy-major as ``EdgeGroup.copies`` stacks
+    them: per group, (K * E, N+1, n).  B's first ``n_vertex`` columns are
+    dense: vertex displacements with linear ramps into the incident edges
+    (on loop graphs, the normal motion of the marked vertex, one block per
+    copy), stored as one block over the edge samples in graph order.  Every
+    other column is a hat: frame vector a at interior sample j of edge E, at
+    column ``hat_offset[E] + (j - 1) * (n - 1) + a``.  The basis of one copy
+    maps any number of coefficient rows.
     """
 
-    edges: tuple
-    vertex_block: np.ndarray          # (sum over edges of (N+1) * n, n_vertex)
-    frames: dict[str, np.ndarray]     # (N+1, n-1, n) per edge
+    frames: tuple                     # per group, (K * E, N+1, n-1, n)
+    vertex_block: np.ndarray          # (K or 1, sum over edges of (N+1) * n, n_vertex)
+    ids: tuple                        # per group, the edge ids of one copy
+    index: tuple                      # per group, block rows (E, (N+1) n), hat columns (E, (N-1)(n-1))
     hat_offset: Mapping[str, int]
-    dim: int
+    labels: tuple                     # one per column
 
     @property
     def n_vertex(self) -> int:
-        return self.vertex_block.shape[1]
+        return self.vertex_block.shape[-1]
 
     def __len__(self) -> int:
-        return self.dim
+        return len(self.labels)
+
+    def copy_at(self, c: int) -> "ReducedBasis":
+        """The basis of copy c alone."""
+        frames = tuple(fr[c * len(ids) : (c + 1) * len(ids)] for ids, fr in zip(self.ids, self.frames))
+        block = self.vertex_block[c : c + 1] if len(self.vertex_block) > 1 else self.vertex_block
+        return replace(self, frames=frames, vertex_block=block)
 
     def apply(self, coef: np.ndarray) -> NetField:
         """B @ coef as a displacement field."""
-        return NetField({e: v[0] for e, v in self.apply_many(coef[None]).items()})
-
-    def apply_many(self, coefs: np.ndarray) -> dict[str, np.ndarray]:
-        """B @ coef for every row of coefs (K, d): per edge, (K, N+1, n).
-        Each row is the same matrix-vector product as alone."""
-        flat = np.matmul(self.vertex_block, coefs[:, : self.n_vertex, None])[..., 0]
         vals = {}
-        start = 0
-        for e in self.edges:
-            npts, nm1, n = self.frames[e].shape
-            vals[e] = flat[:, start : start + npts * n].reshape(-1, npts, n)
-            start += npts * n
-            off = self.hat_offset[e]
-            c = coefs[:, off : off + (npts - 2) * nm1].reshape(-1, npts - 2, nm1)
-            vals[e][:, 1:-1] += (c[..., None] * self.frames[e][1:-1]).sum(axis=-2)
-        return vals
+        for ids, stack in zip(self.ids, self.apply_many(coef[None])):
+            vals.update(zip(ids, stack))
+        return NetField({e: vals[e] for e in self.hat_offset})
 
-    def pullback(self, grad: dict[str, np.ndarray]) -> np.ndarray:
-        """B^T g for a per-edge sample gradient g."""
-        return self.pullback_many({e: grad[e][None] for e in self.edges})[0]
+    def apply_many(self, coefs: np.ndarray) -> list[np.ndarray]:
+        """B @ coef for every row of coefs (P, d), in the group layout: per
+        group, (P * E, N+1, n).  Each row is the same matrix-vector product
+        as alone."""
+        p = len(coefs)
+        flat = np.matmul(self.vertex_block, coefs[:, : self.n_vertex, None])[..., 0]
+        out = []
+        for fr, (rows, hats) in zip(self.frames, self.index):
+            e, (m, nm1, n) = len(rows), fr.shape[1:]
+            vals = flat[:, rows].reshape(p, e, m, n)
+            c = coefs[:, hats].reshape(p, e, m - 2, nm1, 1)
+            vals[:, :, 1:-1] += (c * fr.reshape(-1, e, m, nm1, n)[:, :, 1:-1]).sum(axis=-2)
+            out.append(vals.reshape(p * e, m, n))
+        return out
 
-    def pullback_many(self, grads: dict[str, np.ndarray]) -> list[np.ndarray]:
-        """B^T g for K gradients stacked per edge, (K, N+1, n): K new (d,) arrays."""
-        return _pullback([self.vertex_block], {e: fr[None] for e, fr in self.frames.items()},
-                         grads, self.dim)
-
-
-def _pullback(blocks: list, frames: dict, grads: dict, dim: int) -> list[np.ndarray]:
-    """B^T g of K stacked copies, one new (d,) array per copy.
-
-    grads maps every edge, in graph order, to (K, N+1, n) and frames to
-    (K or 1, N+1, n-1, n); blocks holds the vertex block of every copy, or
-    one for all.  The hat columns follow the vertex columns edge by edge.
-    Each copy's vertex part is the same ``block.T @ g`` product as alone.
-    """
-    k = len(next(iter(grads.values())))
-    hats = np.concatenate([(g[:, 1:-1, None, :] * frames[e][:, 1:-1]).sum(axis=-1).reshape(k, -1)
-                           for e, g in grads.items()], axis=1)
-    out = []
-    for c in range(k):
-        block = blocks[c if len(blocks) > 1 else 0]
-        row = np.empty(dim)
-        row[: block.shape[1]] = block.T @ np.concatenate([g[c].ravel() for g in grads.values()])
-        row[block.shape[1] :] = hats[c]
-        out.append(row)
-    return out
+    def pullback_many(self, grads: list[np.ndarray]) -> np.ndarray:
+        """B^T g for P gradients in the group layout, per group (P * E, N+1,
+        n): (P, d).  Each row's vertex part is the same ``block.T @ g``
+        product as alone, over the samples in graph order."""
+        p = len(grads[0]) // len(self.ids[0])
+        flat = np.empty((p, self.vertex_block.shape[1]))
+        out = np.empty((p, len(self)))
+        for g, fr, (rows, hats) in zip(grads, self.frames, self.index):
+            e, (m, nm1, n) = len(rows), fr.shape[1:]
+            g = g.reshape(p, e, m, n)
+            flat[:, rows] = g.reshape(p, e, m * n)
+            hat = (g[:, :, 1:-1, None, :] * fr.reshape(-1, e, m, nm1, n)[:, :, 1:-1]).sum(axis=-1)
+            out[:, hats] = hat.reshape(p, e, -1)
+        for c in range(p):
+            block = self.vertex_block[c if len(self.vertex_block) > 1 else 0]
+            out[c, : self.n_vertex] = block.T @ flat[c]
+        return out
 
 
 def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
@@ -533,112 +530,83 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
     reparametrization and is excluded).  B is the basis of ``reduced_gradient``.
     """
     basis, _ = reduced_gradient(chart, net)
-    counts = tuple(basis.frames[e].shape[0] for e in basis.edges)
-    return basis, list(_basis_layout(net.graph, counts, net.dim)[0])
+    return basis, list(basis.labels)
 
 
 def reduced_gradient(chart: MetricChart, net: GeodesicNet):
-    """(B, B^T grad L): the reduced basis and the reduced length gradient.
-
-    The gradient is bitwise the pullback of ``length_sample_gradient``; one
-    velocity and one factor jet per edge group feed both the frames and the
-    gradient.
-    """
-    frames, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
-    basis, _ = _reduced_basis(net, {e: fr[0] for e, fr in frames.items()})
+    """(B, B^T grad L): the reduced basis and the reduced length gradient,
+    ``stacked_reduced_gradients`` of the net alone."""
+    basis, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
     return basis, grad
 
 
 def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list):
-    """Frames and reduced gradients of K configurations of net's edges.
+    """(B, B^T grad L) of K configurations of net's edges.
 
     groups are the K copies of ``net.edge_groups()`` stacked by
-    ``EdgeGroup.copies``.  Returns the frames of every edge, (K, N+1, n-1,
-    n) in graph order, and K reduced gradients B_k^T grad L_k, each equal bit
-    for bit to ``reduced_gradient`` of its configuration alone; no basis is
-    built.
+    ``EdgeGroup.copies``.  Returns the basis of the K copies and their
+    reduced gradients (K, d); one velocity and one factor jet per group
+    feed both the frames and the gradients, and every copy's gradient is
+    bitwise the pullback of ``length_sample_gradient`` of its
+    configuration alone.
     """
-    frames, grads = {}, {}
-    k = len(groups[0].ids) // len(set(groups[0].ids))
+    frames, grads = [], []
     for grp in groups:
         v, lam, grad = edge_length_gradient(chart, grp)
         if net.dim == 2:
             fr = _normal_frame(lam, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
         else:
             fr = np.array([parallel_frame(chart, s, vel) for s, vel in zip(grp.samples, v)])
-        for i, eid in enumerate(grp.ids[: len(grp.ids) // k]):
-            frames[eid] = fr.reshape((k, -1) + fr.shape[1:])[:, i]
-            grads[eid] = grad.reshape((k, -1) + grad.shape[1:])[:, i]
-    order = [e.id for e in net.graph.edges]
-    frames = {e: frames[e] for e in order}
-    counts = tuple(frames[e].shape[1] for e in order)
-    labels, _, dim, block = _basis_layout(net.graph, counts, net.dim)
-    blocks = [block] if block is not None else [
-        _loop_vertex_block(net, counts, labels, {e: fr[c] for e, fr in frames.items()})
-        for c in range(k)]
-    return frames, _pullback(blocks, frames, {e: grads[e] for e in order}, dim)
-
-
-def _reduced_basis(net: GeodesicNet, frames: dict[str, np.ndarray]):
-    """B for the frames (N+1, n-1, n) of every edge, and its column labels."""
-    graph = net.graph
-    counts = tuple(net.edge_samples[e.id].shape[0] for e in graph.edges)
-    labels, hat_offset, dim, block = _basis_layout(graph, counts, net.dim)
+        frames.append(fr)
+        grads.append(grad)
+    ids = tuple(grp.ids[: len(set(grp.ids))] for grp in groups)
+    block, index, hat_offset, labels = _basis_layout(
+        net.graph, tuple((i, grp.samples.shape[1]) for i, grp in zip(ids, groups)), net.dim)
     if block is None:
-        block = _loop_vertex_block(net, counts, labels, frames)
-    basis = ReducedBasis(edges=tuple(e.id for e in graph.edges), vertex_block=block,
-                         frames=frames, hat_offset=hat_offset, dim=dim)
-    return basis, labels
-
-
-def _loop_vertex_block(net: GeodesicNet, counts: tuple, labels: tuple, frames: dict):
-    """The vertex block of a loop graph: the normal motion of the marked
-    vertex, in its frame."""
-    graph = net.graph
-    block = np.zeros((net.dim * sum(counts), len(graph.vertices) * (net.dim - 1)))
-    for k, (_, vtx, a) in enumerate(labels[: block.shape[1]]):
-        eid, i = graph.incident_pairs(vtx)[0]
-        fr = frames[eid][0] if i == 0 else frames[eid][-1]
-        for eid2, i2 in graph.incident_pairs(vtx):
-            _edge_rows(block, graph, counts, eid2)[0 if i2 == 0 else -1, :, k] += fr[a]
-    return block
-
-
-def _edge_rows(block: np.ndarray, graph: WeightedMultigraph, counts: tuple, eid: str):
-    """An edge's rows of a vertex block over the stacked samples, as (N+1, n, columns)."""
-    k = [e.id for e in graph.edges].index(eid)
-    n = block.shape[0] // sum(counts)
-    start = n * sum(counts[:k])
-    return block[start : start + n * counts[k]].reshape(counts[k], n, -1)
+        # a loop graph is one self-loop edge: its marked vertex moves both
+        # end samples along the frame at the seam, one block per copy
+        fr = np.swapaxes(frames[0][:, 0], 1, 2)
+        block = np.zeros((len(fr), index[0][0].size, net.dim - 1))
+        block[:, : net.dim] += fr
+        block[:, -net.dim :] += fr
+    basis = ReducedBasis(tuple(frames), block, ids, index, hat_offset, labels)
+    return basis, basis.pullback_many(grads)
 
 
 @lru_cache(maxsize=32)
-def _basis_layout(graph: WeightedMultigraph, counts: tuple, n: int):
-    """The part of B that depends only on the graph, the sample counts and
-    the dimension: (labels, hat offsets, d, vertex block).
+def _basis_layout(graph: WeightedMultigraph, groups: tuple, n: int):
+    """The part of B that depends only on the graph, the edge groups
+    ((edge ids, sample count) per group) and the dimension: (vertex block,
+    per-group index, hat offsets, labels).
 
-    The vertex block is the read-only ramp block of good* graphs; on loop
-    graphs it is None, because there it is the marked vertex's frame.
+    The vertex block is the read-only ramp block (1, rows, n_vertex) of
+    good* graphs; on loop graphs it is None, because there it is the marked
+    vertex's frame.
     """
+    counts = {e: m for ids, m in groups for e in ids}
+    order = [e.id for e in graph.edges]
+    start = dict(zip(order, np.cumsum([0] + [n * counts[e] for e in order])))
     if classify(graph) is GraphClass.LOOP_WITH_MULTIPLICITY:
         labels = [("zn", vtx, a) for vtx in graph.vertices for a in range(n - 1)]
         block = None
     else:
         labels = [("z", vtx, c) for vtx in graph.vertices for c in range(n)]
-        block = np.zeros((n * sum(counts), len(labels)))
+        block = np.zeros((1, n * sum(counts.values()), len(labels)))
         for k, (_, vtx, c) in enumerate(labels):
             for eid, i in graph.incident_pairs(vtx):
-                rows = _edge_rows(block, graph, counts, eid)
-                t = np.linspace(0.0, 1.0, rows.shape[0])
-                rows[:, c, k] += (1 - t) if i == 0 else t
+                t = np.linspace(0.0, 1.0, counts[eid])
+                block[0, start[eid] + c : start[eid] + n * counts[eid] : n, k] += (1 - t) if i == 0 else t
         block.flags.writeable = False
     hat_offset = {}
-    col = len(labels)
-    for e, npts in zip(graph.edges, counts):
-        hat_offset[e.id] = col
-        labels.extend(("u", e.id, j, a) for j in range(1, npts - 1) for a in range(n - 1))
-        col += (npts - 2) * (n - 1)
-    return tuple(labels), MappingProxyType(hat_offset), col, block
+    for e in graph.edges:
+        hat_offset[e.id] = len(labels)
+        labels.extend(("u", e.id, j, a) for j in range(1, counts[e.id] - 1) for a in range(n - 1))
+    index = tuple((np.array([start[e] + np.arange(m * n) for e in ids]),
+                   np.array([hat_offset[e] + np.arange((m - 2) * (n - 1)) for e in ids]))
+                  for ids, m in groups)
+    for arr in (a for pair in index for a in pair):
+        arr.flags.writeable = False
+    return block, index, MappingProxyType(hat_offset), tuple(labels)
 
 
 @lru_cache(maxsize=32)
@@ -688,9 +656,9 @@ def _hat_groups(basis: ReducedBasis, net: GeodesicNet, refine: int):
     """Hat columns by colour: per colour, (its columns, and the row and
     column indices of the hat entries it determines).  Cached on the basis
     layout."""
-    return _colour_classes(tuple((basis.frames[e].shape[0], basis.frames[e].shape[1],
-                                  e in net.periodic_edges, basis.hat_offset[e])
-                                 for e in basis.edges), refine)
+    return _colour_classes(tuple((net.edge_samples[e].shape[0], net.dim - 1,
+                                  e in net.periodic_edges, off)
+                                 for e, off in basis.hat_offset.items()), refine)
 
 
 @lru_cache(maxsize=32)
@@ -728,7 +696,6 @@ class _RefinedLength:
 
     def __init__(self, chart, net, refine):
         self.chart = chart
-        self.order = [e.id for e in net.graph.edges]
         self.groups = net.edge_groups()
         self.base = []
         for grp in self.groups:
@@ -740,26 +707,24 @@ class _RefinedLength:
             stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
             for grp in self.groups]
 
-    def differences(self, disp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def differences(self, disp: list[np.ndarray]) -> list[np.ndarray]:
         """grad L(x + delta) - grad L(x - delta) in the coarse samples, for K
-        probe displacements delta: disp and the result map every edge to
-        (K, N+1, n).  Each probe's rows get the same operations as alone."""
-        out = {}
-        for j, (grp, (x0, v0, w)) in enumerate(zip(self.groups, self.base)):
-            d = np.stack([disp[e] for e in grp.ids], axis=1).reshape((-1,) + grp.samples.shape[1:])
+        probe displacements delta in the group layout of ``ReducedBasis``:
+        disp and the result hold (K * E, N+1, n) per group.  Each probe's
+        rows get the same operations as alone."""
+        out = []
+        for j, (grp, (x0, v0, w), d) in enumerate(zip(self.groups, self.base, disp)):
             t_mat = None if self.t_mats is None else self.t_mats[j]
-            dx = d if t_mat is None else t_mat @ d
-            dv = stencils.velocity(dx, loop_shift=dx[:, -1] - dx[:, 0] if grp.loop else None)
+            dx = grp.copies(d if t_mat is None else t_mat @ d)
+            dv = stencils.velocity(dx.samples, loop_shift=dx.shifts)
             # both signs of every probe in one integrand pass
-            _, a, u = length_integrand(self.chart, _plus_minus(x0, dx), _plus_minus(v0, dv), w)
-            half = dx.shape[0]
+            _, a, u = length_integrand(self.chart, _plus_minus(x0, dx.samples),
+                                       _plus_minus(v0, dv), w)
+            half = len(dv)
             grad = integrate_length_terms(a[:half] - a[half:], u[:half] - u[half:], w, grp.loop,
-                                          np.tile(grp.multiplicities, half // len(grp.ids)))
-            if t_mat is not None:
-                grad = t_mat.T @ grad
-            grad = grad.reshape((-1,) + grp.samples.shape)
-            out.update((e, grad[:, i]) for i, e in enumerate(grp.ids))
-        return {e: out[e] for e in self.order}
+                                          dx.multiplicities)
+            out.append(grad if t_mat is None else t_mat.T @ grad)
+        return out
 
 
 def _plus_minus(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -798,10 +763,9 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
         probes[j, cols] = step
     # a probe pair is two fine copies of the net
     size = copies_per_pass(2 * sum(x0.shape[0] * x0.shape[1] for x0, _, _ in functional.base))
-    delta = []
-    for start in range(0, len(probes), size):
-        diffs = functional.differences(basis.apply_many(probes[start : start + size]))
-        delta += [g / (2 * step) for g in basis.pullback_many(diffs)]
+    delta = np.concatenate([
+        basis.pullback_many(functional.differences(basis.apply_many(probes[start : start + size])))
+        / (2 * step) for start in range(0, len(probes), size)])
     h_mat = np.zeros((d, d))
     for j in range(nv):
         h_mat[:, j] = delta[j]
@@ -849,8 +813,8 @@ def random_reduced_field(chart: MetricChart, net: GeodesicNet, rng) -> NetField:
     loop = classify(net.graph) is GraphClass.LOOP_WITH_MULTIPLICITY
     coef = [] if loop else [rng.normal(size=net.dim) for _ in net.graph.vertices]
     modes = np.arange(1, 4)
-    for e in basis.edges:
-        t = np.linspace(0.0, 1.0, basis.frames[e].shape[0])[:, None]
+    for e in net.graph.edges:
+        t = np.linspace(0.0, 1.0, net.edge_samples[e.id].shape[0])[:, None]
         if loop:
             # per mode, the sine and then the cosine amplitudes
             amp = rng.normal(size=(modes.size, 2, net.dim - 1))

@@ -94,6 +94,13 @@ class GeodesicNet:
             out.update(zip(grp.ids, f(grp)))
         return {e.id: out[e.id] for e in self.graph.edges}
 
+    def with_groups(self, groups: list["EdgeGroup"]) -> "GeodesicNet":
+        """This net with the samples of ``groups``, one copy of
+        ``edge_groups``; ``lengths`` is left empty, as after ``displace``."""
+        samples = {e: s for grp in groups for e, s in zip(grp.ids, grp.samples)}
+        return replace(self, edge_samples={e.id: samples[e.id] for e in self.graph.edges},
+                       lengths={})
+
     def copy(self) -> "GeodesicNet":
         return replace(
             self,
@@ -129,6 +136,14 @@ class EdgeGroup:
         return EdgeGroup(ids=self.ids * k, samples=samples,
                          shifts=samples[:, -1] - samples[:, 0] if self.loop else None,
                          multiplicities=np.tile(self.multiplicities, k))
+
+    def copy_at(self, c: int) -> "EdgeGroup":
+        """Copy c of a group of ``copies``, with the ids of one copy."""
+        e = len(set(self.ids))
+        rows = slice(c * e, (c + 1) * e)
+        return EdgeGroup(ids=self.ids[rows], samples=self.samples[rows],
+                         shifts=None if self.shifts is None else self.shifts[rows],
+                         multiplicities=self.multiplicities[rows])
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .jacobi import (
     NondegeneracyVerdict,
-    _reduced_basis,
     classify_field,
     fd_hessian,
     is_nondegenerate,
@@ -254,28 +253,23 @@ def _line_search(chart, net, direction, gnorm, opts):
             break
         alpha *= opts.backtrack_factor
     groups = net.edge_groups()
-    moves = [np.array([direction.edge_values[e] for e in grp.ids]) for grp in groups]
     size = copies_per_pass(sum(len(grp.ids) * ((grp.samples.shape[1] - 1) * ARC_UPSAMPLE + 1)
                                for grp in groups))
 
     def first_accepted(alphas):
-        scale = np.array(alphas)[:, None, None, None]
+        moved = [displace(net, direction, alpha) for alpha in alphas]
+        moved_groups = [m.edge_groups() for m in moved]
         resampled = []
-        for grp, move in zip(groups, moves):
-            moved = (grp.samples + scale * move).reshape((-1,) + grp.samples.shape[1:])
-            resampled.append(grp.copies(constant_speed_samples(chart, grp.copies(moved))))
-        frames, grads = stacked_reduced_gradients(chart, net, resampled)
+        for i, grp in enumerate(groups):
+            stacked = grp.copies(np.concatenate([mg[i].samples for mg in moved_groups]))
+            resampled.append(grp.copies(constant_speed_samples(chart, stacked)))
+        basis, grads = stacked_reduced_gradients(chart, net, resampled)
         for c, (alpha, grad) in enumerate(zip(alphas, grads)):
             gn = float(np.linalg.norm(grad))
             if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
-                samples = {}
-                for grp, stacked in zip(groups, resampled):
-                    samples.update(zip(grp.ids, stacked.samples[c * len(grp.ids) :]))
-                cand = replace(displace(net, direction, alpha),
-                               edge_samples={e.id: samples[e.id] for e in net.graph.edges})
-                basis, _ = _reduced_basis(cand, {e: fr[c] for e, fr in frames.items()})
+                cand = moved[c].with_groups([grp.copy_at(c) for grp in resampled])
                 cand.lengths = edge_lengths(chart, cand)
-                return alpha, cand, basis, grad
+                return alpha, cand, basis.copy_at(c), grad
         return None
 
     def attempt(alphas):

@@ -33,6 +33,7 @@ __all__ = [
     "first_variation",
     "vertex_balance",
     "stationarity_residual",
+    "stationarity_gate",
     "apply_A_E",
     "apply_B_v",
     "hessian_form",
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 # hessian_form warns above this stationarity residual and refuses a net
-# above 100 times it.
+# above 100 times it (``stationarity_gate``).
 HESSIAN_RESIDUAL_TOL = 1e-4
 
 
@@ -152,6 +153,17 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
     return StationarityReport(edge_res, edge_max, vb, vn, agg)
 
 
+def stationarity_gate(chart: MetricChart, net: GeodesicNet, tol: float, warning: str) -> None:
+    """The stationarity gate of a second-variation computation: refuses the
+    net with a NotStationaryError above the residual tol (a NaN residual
+    fails too) and warns with ``warning.format(residual)`` above tol / 100."""
+    agg = stationarity_residual(chart, net).aggregate
+    if not agg <= tol:
+        raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
+    if agg > 0.01 * tol:
+        warnings.warn(warning.format(agg), stacklevel=2)
+
+
 def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
               lengths: dict[str, float] | None = None) -> np.ndarray:
     """Samples of A_E applied to the field; output is g-orthogonal to f'."""
@@ -197,11 +209,8 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
     errors above.
     """
     if check_stationary:
-        agg = stationarity_residual(chart, net).aggregate
-        if not agg <= 100 * HESSIAN_RESIDUAL_TOL:  # a NaN residual fails too
-            raise NotStationaryError(f"net is not stationary (residual {agg:.3g})")
-        if agg > HESSIAN_RESIDUAL_TOL:
-            warnings.warn(f"hessian at a marginally stationary net (residual {agg:.3g})")
+        stationarity_gate(chart, net, 100 * HESSIAN_RESIDUAL_TOL,
+                          "hessian at a marginally stationary net (residual {:.3g})")
     lengths = edge_lengths(chart, net)
     total = 0.0
     for e in net.graph.edges:

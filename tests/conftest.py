@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geodesicnets import NetField, make_case
+from geodesicnets import NetField, make_case, specfile, stencils
 from geodesicnets.net import displace
 
 # Property tests draw the same examples on every run and keep no example
@@ -54,6 +54,13 @@ def jitter_net(net, rng, amp=0.05, vertex_only=False):
     return out
 
 
+def edge_frames(basis):
+    """The frames (N+1, n-1, n) of every edge of a one-copy ``ReducedBasis``,
+    by edge id in group order."""
+    return {e: fr for ids, frames in zip(basis.ids, basis.frames)
+            for e, fr in zip(ids, frames)}
+
+
 def theta3d_doc():
     """Spec document of a theta net in flat 3-space (not planar)."""
     t = np.linspace(0.0, 1.0, 17)
@@ -70,6 +77,33 @@ def theta3d_doc():
                 "edges": {e: {"samples": c.tolist()} for e, c in curves.items()}},
         "options": {},
     }
+
+
+def interleaved_theta(n_samples=32):
+    """(chart, net): sphere-theta with edge E2 resampled to twice the
+    intervals, so that the sample counts 33/65/33 (at N = 32) give two edge
+    groups, [E1, E3] and [E2], which interleave in graph order."""
+    case = make_case("sphere-theta", n_samples)
+    net = case.net.copy()
+    s = net.edge_samples["E2"]
+    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 2 * n_samples + 1))
+    out[0], out[-1] = s[0], s[-1]
+    net.edge_samples["E2"] = out
+    return case.chart, net
+
+
+def jittered(name, n_samples=24, seed=8):
+    """(chart, net), jittered: a built-in case, the theta net in flat
+    3-space ("theta3d") or ``interleaved_theta`` ("interleaved", at N = 32)."""
+    if name == "theta3d":
+        spec = specfile.parse_spec(theta3d_doc())
+        chart, net = spec.chart(), spec.net
+    elif name == "interleaved":
+        chart, net = interleaved_theta()
+    else:
+        case = make_case(name, n_samples)
+        chart, net = case.chart, case.net
+    return chart, jitter_net(net, np.random.default_rng(seed), amp=0.02)
 
 
 def metric_tensor_jet(chart, points):

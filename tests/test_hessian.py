@@ -11,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import jitter_net, theta3d_doc
+from conftest import edge_frames, jitter_net, jittered
 
 from geodesicnets import RadialBumpField, ScalarField, conformal_family, make_case
-from geodesicnets import reduced_hessian_fd, specfile, stencils
+from geodesicnets import reduced_hessian_fd, stencils
 from geodesicnets import jacobi as jac
 from geodesicnets import net as net_mod
 from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
@@ -67,6 +67,21 @@ def reference_fields(chart, net):
     return fields
 
 
+def stacked(net, values):
+    """Per-edge arrays (N+1, n) in the group layout of one copy."""
+    return [np.array([values[e] for e in grp.ids]) for grp in net.edge_groups()]
+
+
+def per_edge(net, stacks):
+    """The group layout of one copy as per-edge arrays."""
+    return {e: s for grp, stack in zip(net.edge_groups(), stacks) for e, s in zip(grp.ids, stack)}
+
+
+def pullback(net, basis, grad):
+    """B^T g for a per-edge sample gradient g."""
+    return basis.pullback_many(stacked(net, grad))[0]
+
+
 def reference_oracle(chart, net, step=1e-5, refine=8):
     """Per-column reduced FD Hessian: one probe-pair difference per column,
     paired with every field."""
@@ -76,8 +91,8 @@ def reference_oracle(chart, net, step=1e-5, refine=8):
 
     h_mat = np.empty((d, d))
     for j in range(d):
-        disp = {e: step * v[None] for e, v in fields[j].edge_values.items()}
-        diff = {e: g[0] for e, g in functional.differences(disp).items()}
+        disp = stacked(net, {e: step * v for e, v in fields[j].edge_values.items()})
+        diff = per_edge(net, functional.differences(disp))
         for i, f in enumerate(fields):
             paired = sum(float(np.sum(diff[e] * f.edge_values[e])) for e in diff)
             h_mat[i, j] = paired / (2 * step)
@@ -93,8 +108,9 @@ def reference_newton(chart, net, step):
     d = len(fields)
     hess = np.empty((d, d))
     for j in range(d):
-        diff = functional.differences({e: step * v[None] for e, v in fields[j].edge_values.items()})
-        hess[:, j] = sum(np.einsum("pn,dpn->d", g[0], stack[e]) for e, g in diff.items()) / (2 * step)
+        diff = per_edge(net, functional.differences(
+            stacked(net, {e: step * v for e, v in fields[j].edge_values.items()})))
+        hess[:, j] = sum(np.einsum("pn,dpn->d", g, stack[e]) for e, g in diff.items()) / (2 * step)
     return 0.5 * (hess + hess.T)
 
 
@@ -135,8 +151,8 @@ def two_gradient_fd_hessian(chart, net, basis, step=1e-5, refine=1):
     def difference(cols):
         coef = np.zeros(len(basis))
         coef[cols] = step
-        gp = basis.pullback(fine_net_gradient(chart, net, refine, basis.apply(coef)))
-        gm = basis.pullback(fine_net_gradient(chart, net, refine, basis.apply(-coef)))
+        gp = pullback(net, basis, fine_net_gradient(chart, net, refine, basis.apply(coef)))
+        gm = pullback(net, basis, fine_net_gradient(chart, net, refine, basis.apply(-coef)))
         return (gp - gm) / (2 * step)
 
     return compressed_hessian(net, basis, refine, difference)
@@ -147,8 +163,9 @@ def reference_pattern(chart, net, refine):
     basis, labels = reduced_basis_fields(chart, net)
     d, nv = len(basis), basis.n_vertex
     allowed = np.zeros((d, d), dtype=bool)
-    for e in basis.edges:
-        npts, nm1, _ = basis.frames[e].shape
+    nm1 = net.dim - 1
+    for e in basis.hat_offset:
+        npts = net.edge_samples[e].shape[0]
         _, coupled = jac._hat_colouring(npts, refine, e in net.periodic_edges)
         off = basis.hat_offset[e]
         for j, reach in enumerate(coupled):
@@ -173,7 +190,7 @@ def test_basis_columns_match_reference_fields(name):
     assert len(basis) == len(fields) == len(labels)
     rng = np.random.default_rng(3)
     grad = {e: rng.normal(size=s.shape) for e, s in case.net.edge_samples.items()}
-    pulled = basis.pullback(grad)
+    pulled = pullback(case.net, basis, grad)
     for j, f in enumerate(fields):
         coef = np.zeros(len(basis))
         coef[j] = 1.0
@@ -206,7 +223,7 @@ def count_gradients(monkeypatch) -> list:
     original = jac._RefinedLength.differences
 
     def counted(self, disp):
-        calls.append(len(next(iter(disp.values()))))
+        calls.append(len(disp[0]) // len(self.groups[0].ids))
         return original(self, disp)
 
     monkeypatch.setattr(jac._RefinedLength, "differences", counted)
@@ -296,19 +313,26 @@ class CountingField(ScalarField):
 
 
 def assert_same_gradient(chart, net):
-    """``reduced_gradient`` equals, bitwise, the pullback of the sample
-    gradient through the basis built from edge-by-edge ``parallel_frame``s."""
+    """``reduced_gradient`` builds the basis of ``reference_fields``: its
+    frames are the edge-by-edge ``parallel_frame``s, its vertex block holds
+    the reference vertex columns over the samples in graph order, and its
+    hat columns start where the labels say.  Its gradient equals, bitwise,
+    the pullback of the sample gradient through that basis."""
     basis, grad = jac.reduced_gradient(chart, net)
-    frames = {}
-    for e in basis.edges:
+    labels = reduced_basis_fields(chart, net)[1]
+    fields = reference_fields(chart, net)
+    frames = edge_frames(basis)
+    assert list(basis.hat_offset) == [e.id for e in net.graph.edges]
+    assert frames.keys() == basis.hat_offset.keys()
+    for e in basis.hat_offset:
         s, shift = net.edge_samples[e], net.loop_shift(e)
-        frames[e] = parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift))
-    ref_basis, _ = jac._reduced_basis(net, frames)
-    assert np.array_equal(grad, ref_basis.pullback(length_sample_gradient(chart, net)))
-    assert np.array_equal(basis.vertex_block, ref_basis.vertex_block)
-    assert basis.dim == ref_basis.dim and dict(basis.hat_offset) == dict(ref_basis.hat_offset)
-    for e in basis.edges:
-        assert np.array_equal(basis.frames[e], ref_basis.frames[e])
+        assert np.array_equal(frames[e], parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift)))
+        assert basis.hat_offset[e] == labels.index(("u", e, 1, 0))
+    assert len(basis) == len(labels) == len(fields)
+    ref_block = np.stack([np.concatenate([f.edge_values[e].ravel() for e in basis.hat_offset])
+                          for f in fields[: basis.n_vertex]], axis=1)
+    assert np.array_equal(basis.vertex_block, ref_block[None])
+    assert np.array_equal(grad, pullback(net, basis, length_sample_gradient(chart, net)))
 
 
 @pytest.mark.parametrize("name", CASES + ("flat-loop",))
@@ -344,7 +368,8 @@ def test_refined_length_at_refine_one_uses_no_operator(name):
     got = functional.differences(disp)
     functional.t_mats = [np.eye(grp.samples.shape[1]) for grp in functional.groups]
     want = functional.differences(disp)
-    assert all(np.array_equal(got[e], want[e]) for e in want)
+    assert len(got) == len(want) == len(net.edge_groups())
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_cached_basis_layout_is_read_only():
@@ -370,8 +395,8 @@ def per_probe_fd_hessian(chart, net, basis, step=1e-5, refine=1):
     def difference(cols):
         coef = np.zeros(len(basis))
         coef[cols] = step
-        disp = {e: v[None] for e, v in basis.apply(coef).edge_values.items()}
-        return basis.pullback({e: g[0] for e, g in functional.differences(disp).items()}) / (2 * step)
+        disp = stacked(net, basis.apply(coef).edge_values)
+        return basis.pullback_many(functional.differences(disp))[0] / (2 * step)
 
     return compressed_hessian(net, basis, refine, difference)
 
@@ -380,18 +405,7 @@ def fine_rows(net, refine):
     return sum((s.shape[0] - 1) * refine + 1 for s in net.edge_samples.values())
 
 
-def jittered(name, n_samples=24, seed=8):
-    """(chart, net): a built-in case, or the theta net in flat 3-space, jittered."""
-    if name == "theta3d":
-        spec = specfile.parse_spec(theta3d_doc())
-        chart, net = spec.chart(), spec.net
-    else:
-        case = make_case(name, n_samples)
-        chart, net = case.chart, case.net
-    return chart, jitter_net(net, np.random.default_rng(seed), amp=0.02)
-
-
-@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
+@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d", "interleaved"))
 @pytest.mark.parametrize("refine", (1, 2, 8))
 def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypatch):
     chart, net = jittered(name)
@@ -443,7 +457,7 @@ def test_each_probe_pair_applies_the_linear_maps_once(name, monkeypatch):
     log = dict.fromkeys(["B", "B^T", "T", "T^T", "D", "integrand"], 0)
     counted(monkeypatch, jac.ReducedBasis, "apply_many", log, "B", lambda self, c: len(c))
     counted(monkeypatch, jac.ReducedBasis, "pullback_many", log, "B^T",
-            lambda self, g: len(next(iter(g.values()))))
+            lambda self, g: len(g[0]) // len(self.ids[0]))
     counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop_shift=None: s.shape[0])
     counted(monkeypatch, jac, "length_integrand", log, "integrand",
             lambda chart, x, v, w: x.shape[0])
@@ -480,12 +494,12 @@ def test_refined_gradient_is_the_gradient_of_the_fine_net(name):
     disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
     plus = fine_net_gradient(chart, net, 8, disp)
     minus = fine_net_gradient(chart, net, 8, disp.scaled(-1.0))
-    got = jac._RefinedLength(chart, net, 8).differences(
-        {e: d[None] for e, d in disp.edge_values.items()})
+    got = per_edge(net, jac._RefinedLength(chart, net, 8).differences(
+        stacked(net, disp.edge_values)))
     assert got.keys() == plus.keys()
     for e in plus:
         want = plus[e] - minus[e]
-        assert np.abs(got[e][0] - want).max() <= 1e-12 * np.abs(plus[e]).max()
+        assert np.abs(got[e] - want).max() <= 1e-12 * np.abs(plus[e]).max()
 
 
 def test_one_stacked_pass_stays_within_the_row_cap():
@@ -504,3 +518,46 @@ def test_one_stacked_pass_stays_within_the_row_cap():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * h_mat.nbytes + 512 * net_mod.MAX_STACKED_ROWS
+
+
+# -- the basis of K stacked copies ---------------------------------------------
+
+def stacked_copies(net, nets):
+    """The edge groups of nets, which share net's graph and sample counts,
+    stacked copy-major by ``EdgeGroup.copies``."""
+    copies = [other.edge_groups() for other in nets]
+    return [grp.copies(np.concatenate([groups[i].samples for groups in copies]))
+            for i, grp in enumerate(net.edge_groups())]
+
+
+@pytest.mark.parametrize("name", ("interleaved", "theta3d", "sphere-equator"))
+def test_basis_of_stacked_copies_is_each_copy_alone_bitwise(name):
+    """B, B^T and the reduced gradients of K stacked configurations equal,
+    bitwise, those of every configuration alone; so do the rows of a
+    one-copy basis applied to many coefficient rows."""
+    nets = [jittered(name, n_samples=32, seed=seed)[1] for seed in (1, 2, 3)]
+    chart = jittered(name, n_samples=32)[0]
+    k = len(nets)
+    basis, grads = jac.stacked_reduced_gradients(chart, nets[0], stacked_copies(nets[0], nets))
+    assert grads.shape == (k, len(basis))
+    rng = np.random.default_rng(5)
+    coefs = rng.normal(size=(k, len(basis)))
+    moved = basis.apply_many(coefs)
+    gradients = [rng.normal(size=stack.shape) for stack in moved]
+    pulled = basis.pullback_many(gradients)
+    for c, net in enumerate(nets):
+        alone, grad = jac.reduced_gradient(chart, net)
+        assert np.array_equal(grads[c], grad)
+        copy = basis.copy_at(c)
+        assert np.array_equal(copy.vertex_block, alone.vertex_block)
+        assert all(np.array_equal(f, g) for f, g in zip(copy.frames, alone.frames))
+        rows = [slice(c * len(ids), (c + 1) * len(ids)) for ids in basis.ids]
+        for got, want in zip([m[r] for m, r in zip(moved, rows)], alone.apply_many(coefs[c : c + 1])):
+            assert np.array_equal(got, want)
+        assert np.array_equal(pulled[c], alone.pullback_many([g[r] for g, r in zip(gradients, rows)])[0])
+        # one copy, many rows
+        assert np.array_equal(alone.pullback_many(alone.apply_many(coefs))[c],
+                              alone.pullback_many(alone.apply_many(coefs[c : c + 1]))[0])
+    if name == "interleaved":
+        assert [len(ids) for ids in basis.ids] == [2, 1]
+        assert list(basis.hat_offset) == ["E1", "E2", "E3"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import jitter_net
+from conftest import edge_frames, jitter_net, jittered
 
 from geodesicnets import (
     BreakOptions,
@@ -166,14 +166,15 @@ def assert_same_step(got, want):
     assert alpha == w_alpha
     assert np.array_equal(grad, w_grad)
     assert list(cand.edge_samples) == list(w_cand.edge_samples)
+    frames, w_frames = edge_frames(basis), edge_frames(w_basis)
     for e, s in w_cand.edge_samples.items():
         assert np.array_equal(cand.edge_samples[e], s)
-        assert np.array_equal(basis.frames[e], w_basis.frames[e])
+        assert np.array_equal(frames[e], w_frames[e])
     for v, p in w_cand.vertex_positions.items():
         assert np.array_equal(cand.vertex_positions[v], p)
     assert cand.lengths == w_cand.lengths
     assert np.array_equal(basis.vertex_block, w_basis.vertex_block)
-    assert basis.dim == w_basis.dim and dict(basis.hat_offset) == dict(w_basis.hat_offset)
+    assert len(basis) == len(w_basis) and dict(basis.hat_offset) == dict(w_basis.hat_offset)
 
 
 def ladder_rows(net):
@@ -206,6 +207,27 @@ def test_stacked_ladder_matches_sequential_trials(name, seed, newton, log_scale,
     with mock.patch.object(net_mod, "MAX_STACKED_ROWS", cap):
         got = outcome(_line_search, case.chart, net, direction, gnorm, opts)
     assert_same_step(got, want)
+
+
+@pytest.mark.parametrize("name", ["interleaved", "theta3d"])
+@pytest.mark.parametrize("scale, ratio", [(1.0, 1.0), (30.0, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize("copies", [1, 3, None])
+def test_stacked_ladder_matches_sequential_trials_on_grouped_nets(name, scale, ratio, copies):
+    """Two edge groups interleaved in graph order, and a 3-D net: a Newton
+    direction accepted at once or later in a pass, or refused."""
+    chart, net = jittered(name, n_samples=32)
+    net = reparametrize_constant_speed(chart, net)
+    basis, grad = reduced_gradient(chart, net)
+    coef = -np.linalg.lstsq(fd_hessian(chart, net, basis), grad, rcond=1e-8)[0]
+    direction = basis.apply(scale * coef)
+    gnorm = ratio * float(np.linalg.norm(grad))
+    opts = SolveOptions()
+    want = outcome(sequential_line_search, chart, net, direction, gnorm, opts)
+    cap = net_mod.MAX_STACKED_ROWS if copies is None else copies * ladder_rows(net)
+    with mock.patch.object(net_mod, "MAX_STACKED_ROWS", cap):
+        got = outcome(_line_search, chart, net, direction, gnorm, opts)
+    assert_same_step(got, want)
+    assert (want is None) == (ratio < 1.0)
 
 
 def collapsing_direction(net, eid, at):
