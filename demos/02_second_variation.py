@@ -13,6 +13,7 @@ from geodesicnets import (
     NetField,
     TangentialField,
     apply_A_E,
+    edge_lengths,
     hessian_fd_oracle,
     hessian_form,
     make_case,
@@ -23,7 +24,7 @@ from geodesicnets.geometry import g_norm
 
 case = make_case("sphere-equator", n_samples=256)
 chart, net = case.chart, case.net
-l_e = net.lengths["E"]
+l_e = edge_lengths(chart, net)["E"]
 print(f"== equator of the unit sphere (length {l_e:.6f}) ==")
 
 # a parallel unit normal field along the equator

@@ -26,14 +26,13 @@ from geodesicnets import (
 
 for name in ("honeycomb-torus", "sphere-equator", "sphere-theta"):
     case = make_case(name, n_samples=64)
-    ker = jacobi_kernel(case.chart, case.net)
+    ker = is_nondegenerate(case.chart, case.net)
     h_mat, _ = reduced_hessian_fd(case.chart, case.net)
     fd_dim, svals, fd_gap = reduced_kernel_dimension(h_mat)
-    verdict = is_nondegenerate(case.chart, case.net)
     print(f"== {name} ==")
     print(f"  shooting kernel dimension : {ker.dimension} (spectral gap {ker.gap:.2e})")
     print(f"  reduced FD dimension      : {fd_dim} (spectral gap {fd_gap:.2e})")
-    print(f"  verdict                   : {verdict.verdict.value}")
+    print(f"  verdict                   : {'nondegenerate' if ker.nondegenerate else 'degenerate'}")
     for j, fld in enumerate(ker.ambient):
         kind, _, _ = classify_field(case.chart, case.net, fld)
         vals = np.concatenate([v.ravel() for v in fld.edge_values.values()])

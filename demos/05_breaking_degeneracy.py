@@ -34,9 +34,9 @@ for name in ("honeycomb-torus", "sphere-equator"):
             f"  field {j}: bump on {spec.edge} at sample {spec.t_index} "
             f"(radius {spec.radius:.3f}); pairing {closed:+.4e} (FD {fd:+.4e})"
         )
-    chart2, net2, verdict, history = break_degeneracy(case.chart, case.net)
+    _, _, ker, history = break_degeneracy(case.chart, case.net)
     dims = [h["kernel_dimension"] for h in history]
-    print(f"  kernel dimensions across bumps: {dims} -> {verdict.verdict.value}\n")
+    print(f"  kernel dimensions across bumps: {dims} -> nondegenerate: {ker.nondegenerate}\n")
 
 print("== honeycomb under a generic seeded bump metric ==")
 rng = np.random.default_rng(2024)
@@ -52,7 +52,7 @@ amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
 charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
 results = continue_family(charts, case.net, verify_nondegenerate=False)
 print("continuation gradient norms:", ["%.1e" % r.gradient_norm for r in results])
-verdict = is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3)
-print(f"final verdict: {verdict.verdict.value}")
+ker = is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3)
+print(f"final kernel dimension {ker.dimension}, nondegenerate: {ker.nondegenerate}")
 moved = np.linalg.norm(results[-1].net.vertex_positions["A"] - case.net.vertex_positions["A"])
 print(f"vertex A moved by {moved:.4f} under the continuation")

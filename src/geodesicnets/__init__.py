@@ -29,9 +29,7 @@ from .geometry import (
 )
 from .jacobi import (
     JacobiKernel,
-    NondegeneracyVerdict,
     ReducedField,
-    Verdict,
     assemble_jacobi_system,
     classify_field,
     is_nondegenerate,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import FlatTorusChart, MetricChart, StereographicSphereChart
 from .multigraph import WeightedMultigraph
-from .net import GeodesicNet, edge_lengths
+from .net import GeodesicNet
 
 __all__ = ["Case", "make_case", "meridian", "CASE_NAMES", "HEX_LATTICE"]
 
@@ -52,13 +52,11 @@ def _honeycomb(n_samples: int) -> tuple[MetricChart, GeodesicNet]:
     }
     t = _grid(n_samples)
     samples = {e: (1 - t)[:, None] * a + t[:, None] * tgt for e, tgt in targets.items()}
-    net = GeodesicNet(
+    return chart, GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions={"A": a, "B": np.array([1.0, 0.0])},
     )
-    net.lengths = edge_lengths(chart, net)
-    return chart, net
 
 
 def _sphere_frame():
@@ -99,13 +97,11 @@ def _sphere_theta(n_samples: int) -> tuple[MetricChart, GeodesicNet]:
                for eid, lon in (("E1", 0.0), ("E2", 2 * np.pi / 3), ("E3", 4 * np.pi / 3))}
     north = _stereographic(np.array([0.0, 0.0, 1.0]))
     south = _stereographic(np.array([0.0, 0.0, -1.0]))
-    net = GeodesicNet(
+    return chart, GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions={"N": north, "S": south},
     )
-    net.lengths = edge_lengths(chart, net)
-    return chart, net
 
 
 def _sphere_equator(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, GeodesicNet]:
@@ -114,14 +110,12 @@ def _sphere_equator(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart,
     t = _grid(n_samples)
     samples = {"E": np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)}
     samples["E"][-1] = samples["E"][0]
-    net = GeodesicNet(
+    return chart, GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions={"V": np.array([1.0, 0.0])},
         periodic_edges=frozenset({"E"}),
     )
-    net.lengths = edge_lengths(chart, net)
-    return chart, net
 
 
 def _flat_loop(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, GeodesicNet]:
@@ -130,14 +124,12 @@ def _flat_loop(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, Geod
     t = _grid(n_samples)
     lam = HEX_LATTICE[0]
     samples = {"E": t[:, None] * lam}
-    net = GeodesicNet(
+    return chart, GeodesicNet(
         graph=graph,
         edge_samples=samples,
         vertex_positions={"V": np.zeros(2)},
         periodic_edges=frozenset({"E"}),
     )
-    net.lengths = edge_lengths(chart, net)
-    return chart, net
 
 
 def make_case(name: str, n_samples: int = 64, multiplicity: int = 1) -> Case:

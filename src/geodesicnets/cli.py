@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jacobi, localcoords, solver, specfile
 from .multigraph import classify
-from .net import length
+from .net import edge_lengths, length
 from .variation import stationarity_residual
 
 EXIT_OK = 0
@@ -42,7 +42,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", help="per-edge sample CSV path")
     common.add_argument("--tol", type=float, help="stationarity tolerance override")
     common.add_argument("--svd-tol", type=float, help="kernel SVD tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="seed for jitter generators")
+    common.add_argument("--seed", type=int,
+                        help="seed of the random draws (overrides options.seed; default 0)")
     for name, helptext in [
         ("check", "stationarity residual report"),
         ("solve", "Newton solve to a stationary net"),
@@ -62,17 +63,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def _resolve(spec, args):
     options = dict(spec.options)
-    if args.tol is not None:
-        options["tol"] = args.tol
-    if getattr(args, "svd_tol", None) is not None:
-        options["svd_tol"] = args.svd_tol
+    for key in ("tol", "svd_tol", "seed"):
+        if getattr(args, key) is not None:
+            options[key] = getattr(args, key)
     options.setdefault("tol", 1e-8)
     options.setdefault("svd_tol", 1e-6)
+    options.setdefault("seed", 0)
     # the stationarity gate of the command's kernel verdicts
     options.setdefault("residual_tol", solver.BreakOptions.residual_tol
                        if args.command == "perturb" else 1e-3)
     specfile.check_tolerances(options)
-    options["seed"] = args.seed
     return options
 
 
@@ -82,6 +82,10 @@ def _report_stationarity(chart, net, tol):
     doc["tolerance"] = tol
     doc["stationary"] = bool(rep.aggregate <= tol)
     return doc
+
+
+def _verdict(ker) -> str:
+    return "nondegenerate" if ker.nondegenerate else "degenerate"
 
 
 def _kernel_doc(ker, svd_tol):
@@ -113,7 +117,7 @@ def _finish(args, command, options, report, net=None, fields=None):
         raise FloatingPointError(f"{bad} is not finite; no results document written")
     doc = specfile.results_document(command, options, report)
     if args.out:
-        specfile.write_results(doc, args.out)
+        specfile.write_document(doc, args.out)
     else:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -127,7 +131,7 @@ def _cmd_check(spec, args, options):
     report = {
         "graph_class": classify(spec.graph).value,
         "stationarity": _report_stationarity(chart, spec.net, options["tol"]),
-        "lengths": {k: float(v) for k, v in spec.net.lengths.items()},
+        "lengths": edge_lengths(chart, spec.net),
         "total_length": length(chart, spec.net),
     }
     return _finish(args, "check", options, report, net=spec.net)
@@ -156,10 +160,9 @@ def _cmd_jacobi(spec, args, options):
     chart = spec.chart()
     ker = jacobi.jacobi_kernel(chart, spec.net, svd_tol=options["svd_tol"],
                                residual_tol=options["residual_tol"])
-    verdict = "nondegenerate" if ker.dimension == 0 else "degenerate"
     report = {
         "kernel": _kernel_doc(ker, options["svd_tol"]),
-        "verdict": verdict,
+        "verdict": _verdict(ker),
         "stationarity": _report_stationarity(chart, spec.net, options["tol"]),
     }
     fields = None
@@ -171,12 +174,12 @@ def _cmd_jacobi(spec, args, options):
 def _cmd_perturb(spec, args, options):
     chart = spec.chart()
     bopts = solver.BreakOptions(svd_tol=options["svd_tol"], residual_tol=options["residual_tol"])
-    chart2, net2, verdict, history = solver.break_degeneracy(chart, spec.net, bopts)
+    _, net2, ker, history = solver.break_degeneracy(chart, spec.net, bopts)
     report = {
         "history": history,
-        "verdict": verdict.verdict.value,
-        "kernel_dimension": verdict.kernel_dimension,
-        "kernel": _kernel_doc(verdict.kernel, options["svd_tol"]),
+        "verdict": _verdict(ker),
+        "kernel_dimension": ker.dimension,
+        "kernel": _kernel_doc(ker, options["svd_tol"]),
     }
     return _finish(args, "perturb", options, report, net=net2)
 
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             doc = specfile.spec_from_case(args.case, n_samples=args.n_samples)
-            specfile.write_spec(doc, args.out)
+            specfile.write_document(doc, args.out)
             return EXIT_OK
         spec = specfile.load_spec(args.spec)
         options = _resolve(spec, args)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -53,8 +52,6 @@ from .variation import (
 __all__ = [
     "ReducedField",
     "JacobiKernel",
-    "NondegeneracyVerdict",
-    "Verdict",
     "parallel_frame",
     "jacobi_ode_coefficients",
     "assemble_jacobi_system",
@@ -285,11 +282,6 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
     return [NetField(v) for v in vals]
 
 
-class Verdict(Enum):
-    NONDEGENERATE = "nondegenerate"
-    DEGENERATE = "degenerate"
-
-
 @dataclass
 class JacobiKernel:
     dimension: int
@@ -300,16 +292,10 @@ class JacobiKernel:
     gap: float
     ill_separated: bool
 
-
-@dataclass
-class NondegeneracyVerdict:
-    verdict: Verdict
-    kernel_dimension: int
-    kernel: JacobiKernel
-
     @property
     def nondegenerate(self) -> bool:
-        return self.verdict is Verdict.NONDEGENERATE
+        """The verdict: the net is nondegenerate when its kernel is empty."""
+        return self.dimension == 0
 
 
 def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
@@ -392,9 +378,8 @@ def approximate_embeddedness(chart: MetricChart, net: GeodesicNet,
                              threshold: float | None = None) -> bool:
     """Min pairwise sample distance away from shared vertices must clear
     the threshold (default 1e-3 of the shortest edge)."""
-    lengths = net.lengths or edge_lengths(chart, net)
     if threshold is None:
-        threshold = 1e-3 * min(lengths.values())
+        threshold = 1e-3 * min(edge_lengths(chart, net).values())
     eids = [e.id for e in net.graph.edges]
     guard = max(2, net.edge_samples[eids[0]].shape[0] // 16)
     for i, e1 in enumerate(eids):
@@ -432,12 +417,12 @@ def _ignored_pairs(net, e1, k, e2, guard):
 
 
 def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
-                     residual_tol: float = 1e-3) -> NondegeneracyVerdict:
+                     residual_tol: float = 1e-3) -> JacobiKernel:
+    """The Jacobi kernel whose ``nondegenerate`` is the verdict, after the
+    approximate embeddedness check of a star net (a ValueError if it fails)."""
     if classify(net.graph) is GraphClass.GOOD_STAR and not approximate_embeddedness(chart, net):
         raise ValueError("net failed the approximate embeddedness check")
-    ker = jacobi_kernel(chart, net, svd_tol=svd_tol, residual_tol=residual_tol)
-    verdict = Verdict.NONDEGENERATE if ker.dimension == 0 else Verdict.DEGENERATE
-    return NondegeneracyVerdict(verdict=verdict, kernel_dimension=ker.dimension, kernel=ker)
+    return jacobi_kernel(chart, net, svd_tol=svd_tol, residual_tol=residual_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,13 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
     """Tubes around a smooth (stationary) net, extended geodesically.
 
     The longitudinal radius is ``DELTA_REL`` in parameter units; the
-    normal radius is ``DELTA_REL`` times the edge length in background
-    units; edges are extended by ``ETA_REL`` parameter units.  Tubes need
+    normal radius is ``DELTA_REL`` times the edge's g-length in ``chart``;
+    edges are extended by ``ETA_REL`` parameter units.  Tubes need
     a planar chart; other nets are refused with ``TubeError``.
     """
     if net.dim != 2:
         raise TubeError(f"tube construction needs a planar chart; this net has dimension {net.dim}")
-    lengths = net.lengths or edge_lengths(chart, net)
+    lengths = edge_lengths(chart, net)
     fine_data = {}
     for e in net.graph.edges:
         shift = net.loop_shift(e.id)

@@ -9,7 +9,7 @@ seam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class GeodesicNet:
     edge_samples: dict[str, np.ndarray]
     vertex_positions: dict[str, np.ndarray]
     periodic_edges: frozenset[str] = frozenset()
-    lengths: dict[str, float] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -95,18 +94,15 @@ class GeodesicNet:
         return {e.id: out[e.id] for e in self.graph.edges}
 
     def with_groups(self, groups: list["EdgeGroup"]) -> "GeodesicNet":
-        """This net with the samples of ``groups``, one copy of
-        ``edge_groups``; ``lengths`` is left empty, as after ``displace``."""
+        """This net with the samples of ``groups``, one copy of ``edge_groups``."""
         samples = {e: s for grp in groups for e, s in zip(grp.ids, grp.samples)}
-        return replace(self, edge_samples={e.id: samples[e.id] for e in self.graph.edges},
-                       lengths={})
+        return replace(self, edge_samples={e.id: samples[e.id] for e in self.graph.edges})
 
     def copy(self) -> "GeodesicNet":
         return replace(
             self,
             edge_samples={e: s.copy() for e, s in self.edge_samples.items()},
             vertex_positions={v: p.copy() for v, p in self.vertex_positions.items()},
-            lengths=dict(self.lengths),
         )
 
 
@@ -255,14 +251,9 @@ def reparametrize_constant_speed(chart: MetricChart, net: GeodesicNet,
     """Arc-length resampling of every edge; endpoint samples are pinned.
 
     ``constant_speed_samples`` of each group of ``GeodesicNet.edge_groups``.
-    ``lengths`` is left empty, as after ``displace``: the solver fills it
-    only for the nets it accepts.
     """
     return replace(
-        net,
-        edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, n_samples)),
-        lengths={},
-    )
+        net, edge_samples=net.map_groups(lambda grp: constant_speed_samples(chart, grp, n_samples)))
 
 
 def constant_speed_samples(chart: MetricChart, group: EdgeGroup,
@@ -318,16 +309,9 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
 
 def displace(net: GeodesicNet, fld: NetField, s: float) -> GeodesicNet:
     """Move every sample by s * X through the Euclidean background metric."""
-    new_samples = {e: net.edge_samples[e] + s * fld.edge_values[e] for e in net.edge_samples}
-    new_positions = {}
-    for v in net.graph.vertices:
-        eid, i = net.graph.incident_pairs(v)[0]
-        vals = fld.edge_values[eid]
-        dv = vals[0] if i == 0 else vals[-1]
-        new_positions[v] = net.vertex_positions[v] + s * dv
     return replace(
         net,
-        edge_samples=new_samples,
-        vertex_positions=new_positions,
-        lengths={},
+        edge_samples={e: net.edge_samples[e] + s * fld.edge_values[e] for e in net.edge_samples},
+        vertex_positions={v: net.vertex_positions[v] + s * fld.vertex_value(net, v)
+                          for v in net.graph.vertices},
     )

@@ -31,7 +31,6 @@ from .geometry import (
     min_distance,
 )
 from .jacobi import (
-    NondegeneracyVerdict,
     classify_field,
     fd_hessian,
     is_nondegenerate,
@@ -167,7 +166,6 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     """
     opts = opts or SolveOptions()
     net = reparametrize_constant_speed(chart, init)
-    net.lengths = edge_lengths(chart, net)
     basis, grad = reduced_gradient(chart, net)
     trace = []
     evals = evecs = None
@@ -243,7 +241,7 @@ def _line_search(chart, net, direction, gnorm, opts):
     stacked as many candidates per pass as ``net.MAX_STACKED_ROWS``
     resampling rows hold, one pass per edge group.  Every candidate's
     reduced gradient is bitwise that of the candidate alone; the first that
-    passes is accepted, and only it gets its net, basis and lengths built.
+    passes is accepted, and only it gets its net and basis built.
     """
     ladder = []
     alpha = 1.0
@@ -268,7 +266,6 @@ def _line_search(chart, net, direction, gnorm, opts):
             gn = float(np.linalg.norm(grad))
             if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
                 cand = moved[c].with_groups([grp.copy_at(c) for grp in resampled])
-                cand.lengths = edge_lengths(chart, cand)
                 return alpha, cand, basis.copy_at(c), grad
         return None
 
@@ -324,9 +321,9 @@ def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
     for g_prev, g_next in zip(g_path[:-1], g_path[1:]):
         res = _continue_step(g_prev, g_next, net, opts)
         if start_nondeg:
-            verdict = is_nondegenerate(g_next, res.net)
-            res.trace.append({"nondegenerate": verdict.nondegenerate})
-            if not verdict.nondegenerate:
+            nondegenerate = is_nondegenerate(g_next, res.net).nondegenerate
+            res.trace.append({"nondegenerate": nondegenerate})
+            if not nondegenerate:
                 warnings.warn("continuation lost nondegeneracy")
         results.append(res)
         net = res.net
@@ -385,7 +382,7 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
     kind, _, normal = classify_field(chart, net, j_field)
     if kind == "tangential":
         raise NoNormalPointError("the field has no normal component to anchor a bump")
-    lengths = net.lengths or edge_lengths(chart, net)
+    lengths = edge_lengths(chart, net)
     candidates = []
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -486,7 +483,7 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
             j_field.edge_values[e.id], MIXED_REFINE,
             loop_shift=None if shift is None else np.zeros(net.dim),
         )
-    fine_net = replace(net, edge_samples=fine_samples, lengths={})
+    fine_net = replace(net, edge_samples=fine_samples)
     fld = NetField(fine_j)
     closed = 0.0
     for e in net.graph.edges:
@@ -526,23 +523,22 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
     sliding along its symmetry orbit, while the transverse second
     variation gains a positive term that lifts the kernel eigenvalue.
 
-    Returns (chart, net, verdict, history).  Accepted steps never increase
-    the kernel dimension; a step that would is retried at half amplitude.
+    Returns (chart, net, kernel, history), the kernel that of the last net.
+    Accepted steps never increase the kernel dimension; a step that would
+    is retried at half amplitude.
     """
     opts = opts or BreakOptions()
-    verdict = is_nondegenerate(chart, net, svd_tol=opts.svd_tol,
-                               residual_tol=opts.residual_tol)
-    history = [{"bumps": 0, "kernel_dimension": verdict.kernel_dimension}]
-    if verdict.nondegenerate:
-        return chart, net, verdict, history
+    kernel = is_nondegenerate(chart, net, svd_tol=opts.svd_tol, residual_tol=opts.residual_tol)
+    history = [{"bumps": 0, "kernel_dimension": kernel.dimension}]
+    if kernel.nondegenerate:
+        return chart, net, kernel, history
     cur_chart, cur_net = chart, net
     for bump_count in range(1, MAX_BUMPS + 1):
-        j_field = verdict.kernel.ambient[0]
-        spec, _ = build_condition_C_bump(cur_chart, cur_net, j_field)
-        anchor_pts, anchor_vel, center = _anchor_spline_data(cur_net, spec.edge, spec.t_index)
+        spec, h_fld = build_condition_C_bump(cur_chart, cur_net, kernel.ambient[0])
+        # the one-signed variant of the same bump, on the same anchor
         h_pin = DirectionalBumpField(
-            center, spec.radius, spec.direction, anchor_pts, anchor_vel,
-            chart=cur_chart, power=2,
+            h_fld.center, h_fld.radius, h_fld.direction, h_fld.anchor.values,
+            h_fld.anchor.derivatives, chart=cur_chart, power=2,
         )
         x = BUMP_AMPLITUDE
         accepted = None
@@ -550,8 +546,8 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
             g_new = conformal_family(cur_chart, h_pin, x)
             try:
                 res = solve_stationary(g_new, cur_net, opts.solve)
-                new_verdict = is_nondegenerate(g_new, res.net, svd_tol=opts.svd_tol,
-                                               residual_tol=opts.residual_tol)
+                new_kernel = is_nondegenerate(g_new, res.net, svd_tol=opts.svd_tol,
+                                              residual_tol=opts.residual_tol)
             except SolverError:
                 x *= 0.5
                 continue
@@ -559,26 +555,26 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
                 raise StationarityLostError(
                     f"solved net under bump {bump_count} (amplitude {x:g}) failed the gate: {ex}"
                 ) from ex
-            if new_verdict.kernel_dimension <= verdict.kernel_dimension:
-                accepted = (g_new, res.net, new_verdict, x)
+            if new_kernel.dimension <= kernel.dimension:
+                accepted = (g_new, res.net, new_kernel, x)
                 break
             x *= 0.5
         if accepted is None:
             raise NoProgressError(
                 f"bump {bump_count} could not be applied without growing the kernel"
             )
-        cur_chart, cur_net, verdict, x_used = accepted
+        cur_chart, cur_net, kernel, x_used = accepted
         history.append(
             {
                 "bumps": bump_count,
-                "kernel_dimension": verdict.kernel_dimension,
+                "kernel_dimension": kernel.dimension,
                 "amplitude": x_used,
                 "edge": spec.edge,
                 "radius": spec.radius,
             }
         )
-        if verdict.nondegenerate:
-            return cur_chart, cur_net, verdict, history
+        if kernel.nondegenerate:
+            return cur_chart, cur_net, kernel, history
     raise NoProgressError(
-        f"kernel still {verdict.kernel_dimension}-dimensional after {MAX_BUMPS} bumps"
+        f"kernel still {kernel.dimension}-dimensional after {MAX_BUMPS} bumps"
     )

@@ -25,13 +25,12 @@ from .geometry import (
     conformal_family,
 )
 from .multigraph import WeightedMultigraph, validate
-from .net import GeodesicNet, check_net, edge_lengths
+from .net import GeodesicNet, check_net
 from .stencils import MIN_SAMPLES
 from .variation import stationarity_residual
 
 __all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec", "spec_from_case",
-           "write_spec", "results_document", "write_results", "export_plot_csv",
-           "read_plot_csv"]
+           "write_document", "results_document", "export_plot_csv", "read_plot_csv"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -259,6 +258,9 @@ def parse_spec(doc: dict) -> NetSpec:
     )
     options = dict(doc.get("options", {}))
     check_tolerances(options)
+    seed = options.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SpecError(f"options.seed must be a non-negative integer, got {seed!r}")
     graph = _parse_graph(doc.get("graph", {}))
     problems = validate(graph)
     if problems:
@@ -270,7 +272,6 @@ def parse_spec(doc: dict) -> NetSpec:
     problems = check_net(chart, net, tol=1e-7)
     if problems:
         raise SpecError("invalid net: " + "; ".join(problems))
-    net.lengths = edge_lengths(chart, net)
     return NetSpec(
         graph=graph,
         base_chart=base,
@@ -345,7 +346,8 @@ def _metric_doc(chart: MetricChart) -> dict:
     raise SpecError("metric cannot be serialized")
 
 
-def write_spec(doc: dict, path: str) -> None:
+def write_document(doc: dict, path: str) -> None:
+    """A spec or results document as JSON, keys sorted, one trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -364,12 +366,6 @@ def results_document(command: str, options: dict, report: dict) -> dict:
         "report": report,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-
-
-def write_results(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def export_plot_csv(net: GeodesicNet, path: str, fields: dict | None = None) -> None:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from geodesicnets import NetField, make_case, specfile, stencils
-from geodesicnets.net import displace
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -50,7 +49,6 @@ def jitter_net(net, rng, amp=0.05, vertex_only=False):
             s += np.outer(np.sin(np.pi * t), rng.uniform(-amp, amp, size=net.dim))
     for v in out.vertex_positions:
         out.vertex_positions[v] = out.vertex_positions[v] + jit[v]
-    out.lengths = {}
     return out
 
 

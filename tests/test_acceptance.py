@@ -11,7 +11,6 @@ import pytest
 from conftest import jitter_net, random_ambient_field
 
 from geodesicnets import (
-    BreakOptions,
     SolveOptions,
     break_degeneracy,
     build_condition_C_bump,
@@ -37,7 +36,6 @@ from geodesicnets import (
     xi,
     xi_prime,
 )
-from geodesicnets.cases import HEX_LATTICE
 from geodesicnets.geometry import RadialBumpField, StereographicSphereChart, SumField, ConstantField
 from geodesicnets.jacobi import random_reduced_field
 from geodesicnets.localcoords import PathCoord
@@ -132,8 +130,7 @@ def test_criterion_3_kernel_dimensions():
 def test_criterion_4_verdicts():
     for name in ("honeycomb-torus", "sphere-equator", "sphere-theta"):
         case = make_case(name, 64)
-        verdict = is_nondegenerate(case.chart, case.net)
-        assert not verdict.nondegenerate, name
+        assert not is_nondegenerate(case.chart, case.net).nondegenerate, name
     rng = np.random.default_rng(2024)
     case = make_case("honeycomb-torus", 64)
     fields = []
@@ -146,8 +143,7 @@ def test_criterion_4_verdicts():
     amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
     charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
     results = continue_family(charts, case.net, verify_nondegenerate=False)
-    verdict = is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3)
-    assert verdict.nondegenerate
+    assert is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3).nondegenerate
     _report(
         "criterion 4 PASS: all three nets degenerate; honeycomb under the seeded "
         "generic bump metric after continuation is nondegenerate"
@@ -165,8 +161,8 @@ def test_criterion_5_condition_c_pipeline():
             assert closed > 0.0, name
             assert abs(closed - fd) <= 1e-4 * abs(fd), name
             agreements.append(abs(closed - fd) / abs(fd))
-        chart2, net2, verdict, history = break_degeneracy(case.chart, case.net)
-        assert verdict.nondegenerate, name
+        chart2, net2, kernel, history = break_degeneracy(case.chart, case.net)
+        assert kernel.nondegenerate, name
         assert history[-1]["bumps"] <= 3, name
     _report(
         f"criterion 5 PASS: condition-(C) pairing positive on every kernel field, "

@@ -46,12 +46,12 @@ def run_command(tmp_dir: Path, case: str, command: str):
     ``CONTINUE_METRIC`` for ``continue``."""
     spec = tmp_dir / f"{case}.json"
     if not spec.exists():
-        specfile.write_spec(specfile.spec_from_case(case, n_samples=N_SAMPLES), str(spec))
+        specfile.write_document(specfile.spec_from_case(case, n_samples=N_SAMPLES), str(spec))
     if command == "continue":
         doc = json.loads(spec.read_text(encoding="utf-8"))
         doc["metric"].update(CONTINUE_METRIC)
         spec = tmp_dir / f"{case}.continue-spec.json"
-        specfile.write_spec(doc, str(spec))
+        specfile.write_document(doc, str(spec))
     out = tmp_dir / f"{case}.{command}.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -17,7 +17,7 @@ def write_case_spec(tmp_path, name, n=64, **mods):
     for key, val in mods.items():
         doc[key] = val
     path = tmp_path / f"{name}.json"
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     return path, doc
 
 
@@ -55,7 +55,7 @@ def test_newton_commands_do_not_load_scipy(tmp_path):
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
     doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
     ramp = tmp_path / "ramp.json"
-    specfile.write_spec(doc, str(ramp))
+    specfile.write_document(doc, str(ramp))
     runs = [["solve", "--spec", str(path)], ["perturb", "--spec", str(path)],
             ["continue", "--spec", str(ramp)]]
     src = os.path.dirname(os.path.dirname(geodesicnets.__file__))
@@ -78,7 +78,7 @@ def test_no_cli_command_loads_scipy(tmp_path):
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
     doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
     ramp = tmp_path / "ramp.json"
-    specfile.write_spec(doc, str(ramp))
+    specfile.write_document(doc, str(ramp))
     runs = [["generate", "--case", "sphere-theta", "--out", str(tmp_path / "generated.json")]]
     runs += [[cmd, "--spec", str(path), "--out", os.devnull]
              for cmd in ("check", "solve", "jacobi", "perturb", "chart-roundtrip")]
@@ -185,7 +185,7 @@ def test_cli_validation_failure_names_vertex(tmp_path, capsys):
         "options": {},
     }
     path = tmp_path / "bad.json"
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     code = cli.main(["check", "--spec", str(path)])
     assert code == 2
     assert "'C'" in capsys.readouterr().err
@@ -196,7 +196,7 @@ def test_cli_solve_and_continue(tmp_path):
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
     doc["metric"]["amplitude_schedule"] = [0.0, 0.01, 0.02]
     path2 = tmp_path / "ramp.json"
-    specfile.write_spec(doc, str(path2))
+    specfile.write_document(doc, str(path2))
     out = tmp_path / "res.json"
     code = cli.main(["continue", "--spec", str(path2), "--out", str(out)])
     assert code == 0
@@ -299,7 +299,7 @@ def test_cli_rejects_inconsistent_net(tmp_path, capsys):
         arr = arr + rng.uniform(-0.2, 0.2, size=arr.shape)
         edge["samples"] = arr.tolist()
     path = tmp_path / "wild.json"
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     code = cli.main(["check", "--spec", str(path)])
     assert code == 2  # endpoint consistency broken -> validation failure
 
@@ -340,7 +340,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_cli_rejects_flat_sample_list(tmp_path, capsys):
     path, doc = write_case_spec(tmp_path, "honeycomb-torus")
     doc["net"]["edges"]["E2"]["samples"] = list(np.linspace(0.0, 1.0, 20))
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["check", "--spec", str(path)]) == 2
     assert "edge 'E2' samples have shape (20,)" in capsys.readouterr().err
 
@@ -349,7 +349,7 @@ def test_cli_rejects_samples_of_the_wrong_dimension(tmp_path, capsys):
     path, doc = write_case_spec(tmp_path, "honeycomb-torus")
     arr = np.asarray(doc["net"]["edges"]["E1"]["samples"])
     doc["net"]["edges"]["E1"]["samples"] = np.hstack([arr, np.zeros((len(arr), 1))]).tolist()
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["check", "--spec", str(path)]) == 2
     assert "edge 'E1' samples have shape (65, 3); expected (n, 2)" in capsys.readouterr().err
 
@@ -370,14 +370,14 @@ def test_cli_perturb_rejects_a_non_stationary_input(tmp_path, capsys):
     t = np.linspace(0.0, 1.0, len(arr))
     arr[:, 1] += 0.05 * np.sin(np.pi * t)
     doc["net"]["edges"]["E1"]["samples"] = arr.tolist()
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["perturb", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: net is not stationary")
 
 
 def test_cli_chart_roundtrip_rejects_a_3d_chart(tmp_path, capsys):
     path = tmp_path / "theta3d.json"
-    specfile.write_spec(theta3d_doc(), str(path))
+    specfile.write_document(theta3d_doc(), str(path))
     assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 2
     assert "needs a planar chart" in capsys.readouterr().err
 
@@ -392,7 +392,7 @@ def test_cli_refuses_non_finite_coordinates(tmp_path, capsys, command, where):
         doc["net"]["vertices"]["A"][0] = float("nan")
     else:
         doc["net"]["edges"]["E1"]["samples"][10][1] = float("nan")
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "res.json")]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "res.json").exists()
@@ -418,7 +418,7 @@ def _subdivided_loop_doc(n=32):
 
 def test_cli_certification_refuses_a_not_good_graph(tmp_path, capsys):
     path = tmp_path / "vmv.json"
-    specfile.write_spec(_subdivided_loop_doc(), str(path))
+    specfile.write_document(_subdivided_loop_doc(), str(path))
     out = tmp_path / "res.json"
     assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["report"]["graph_class"] == "not-good"
@@ -436,7 +436,7 @@ def test_cli_refuses_periodic_edges_that_are_not_self_loops(tmp_path, capsys, co
                                                             message):
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
     doc["net"]["periodic_edges"] = periodic
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main([command, "--spec", str(path)]) == 2
     assert message in capsys.readouterr().err
 
@@ -516,7 +516,7 @@ def test_cli_refuses_malformed_sections(tmp_path, capsys, name, where, value, me
     for key in where[:-1]:
         parent = parent[key]
     parent[where[-1]] = value
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["check", "--spec", str(path)]) == 2
     assert message in capsys.readouterr().err
 
@@ -528,7 +528,7 @@ def test_cli_perturb_gates_on_options_residual_tol(tmp_path, capsys):
         cli.solver.BreakOptions.residual_tol
     # below the residual of the built-in net (about 5e-13)
     doc["options"]["residual_tol"] = 1e-14
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["perturb", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: net is not stationary")
 
@@ -542,11 +542,35 @@ def test_spec_rejects_a_tolerance_that_is_not_finite_and_positive(key, value):
         specfile.parse_spec(doc)
 
 
+def test_cli_seed_comes_from_the_flag_then_the_spec_then_zero(tmp_path):
+    path, doc = write_case_spec(tmp_path, "flat-loop", n=32)
+    out = tmp_path / "res.json"
+
+    def seed(*flags):
+        assert cli.main(["check", "--spec", str(path), "--out", str(out), *flags]) == 0
+        return json.loads(out.read_text())["options"]["seed"]
+
+    assert seed() == 0
+    doc["options"]["seed"] = 5
+    specfile.write_document(doc, str(path))
+    assert seed() == 5
+    assert seed("--seed", "7") == 7
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3", True, None, [1]])
+def test_cli_refuses_a_spec_seed_that_is_not_a_non_negative_integer(tmp_path, capsys, value):
+    path, doc = write_case_spec(tmp_path, "flat-loop", n=32)
+    doc["options"]["seed"] = value
+    specfile.write_document(doc, str(path))
+    assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 2
+    assert "options.seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys):
     # options.tol: inf used to call every net stationary
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
     doc["options"]["tol"] = float("inf")
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     assert cli.main(["check", "--spec", str(path)]) == 2
     assert "options.tol" in capsys.readouterr().err
     good, _ = write_case_spec(tmp_path, "sphere-equator", n=32)
@@ -574,7 +598,7 @@ def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, name, where, code
     for key in where[:-1]:
         parent = parent[key]
     parent[where[-1]] = 1e308
-    specfile.write_spec(doc, str(path))
+    specfile.write_document(doc, str(path))
     out = tmp_path / "res.json"
     assert cli.main(["check", "--spec", str(path), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(message)

@@ -36,8 +36,7 @@ def placed(chart, net, shift, angle):
         def move(p):
             return p @ rot.T
     return replace(net, edge_samples={e: move(s) for e, s in net.edge_samples.items()},
-                   vertex_positions={v: move(p) for v, p in net.vertex_positions.items()},
-                   lengths={})
+                   vertex_positions={v: move(p) for v, p in net.vertex_positions.items()})
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import jitter_net, theta3d_doc
+from conftest import theta3d_doc
 
 from geodesicnets import (
     PathCoord,
     build_net_chart,
     constraint_C,
     coordinates_of,
+    edge_lengths,
     lagrangian_integral,
     lambda_map,
     length,
@@ -21,7 +22,9 @@ from geodesicnets import (
     xi_prime,
 )
 from geodesicnets import localcoords
-from geodesicnets.localcoords import TubeError, tube_coordinates
+from geodesicnets.localcoords import TubeError
+from geodesicnets.geometry import ConstantField, conformal_family
+from geodesicnets.net import GeodesicNet
 
 
 def chart_for(name, n=64):
@@ -148,11 +151,26 @@ def test_built_in_tubes_do_not_overlap(name):
         build_net_chart(case.chart, case.net)
 
 
+def test_tubes_depend_on_the_chart_they_are_built_in_only():
+    # the honeycomb's metric times 4: every edge has g-length 2
+    case = make_case("honeycomb-torus", 32)
+    scaled = conformal_family(case.chart, ConstantField(1.0), 3.0)
+    # the same samples, not built by make_case under the flat chart
+    net = case.net
+    rebuilt = GeodesicNet(graph=net.graph, edge_samples=dict(net.edge_samples),
+                          vertex_positions=dict(net.vertex_positions),
+                          periodic_edges=net.periodic_edges)
+    for built in (net, rebuilt):
+        tubes = build_net_chart(scaled, built).tubes
+        for e in net.graph.edges:
+            assert tubes[e.id].delta_norm == pytest.approx(0.2, rel=1e-12), e.id
+
+
 def test_build_net_chart_refuses_a_3d_net(tmp_path):
     from geodesicnets import specfile
 
     path = tmp_path / "theta3d.json"
-    specfile.write_spec(theta3d_doc(), str(path))
+    specfile.write_document(theta3d_doc(), str(path))
     spec = specfile.load_spec(str(path))
     with pytest.raises(TubeError, match="needs a planar chart"):
         build_net_chart(spec.chart(), spec.net)
@@ -244,7 +262,7 @@ def test_lagrangian_constant_on_straight_center():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
     vals = localcoords._lagrangian_values(case.chart, nc, coords.coords["E1"], "E1")
-    assert np.abs(vals - case.net.lengths["E1"]).max() < 1e-10
+    assert np.abs(vals - edge_lengths(case.chart, case.net)["E1"]).max() < 1e-10
     assert vals.min() > 0
 
 
@@ -294,7 +312,7 @@ def test_mean_curvature_flat_closed_form():
     amp = 1e-4
     coords.coords["E1"].u[:, 0] = amp * np.sin(np.pi * t)
     h1, _ = mean_curvature_H(case.chart, nc, coords)
-    expected = amp * np.pi**2 * np.sin(np.pi * t) / case.net.lengths["E1"]
+    expected = amp * np.pi**2 * np.sin(np.pi * t) / edge_lengths(case.chart, case.net)["E1"]
     # interior samples: the boundary closures of the grid stencil are
     # lower order and dominate the first few rows
     assert np.abs(h1["E1"][6:-6, 0] - expected[6:-6]).max() < 1e-3 * amp * np.pi**2
@@ -352,8 +370,6 @@ def test_coordinate_hessian_matches_ambient(rng):
         return NetField(vals)
 
     def coords_plus(direction, eps):
-        import copy
-
         out = {k: PathCoord(pc.a, pc.b, pc.u.copy()) for k, pc in coords.coords.items()}
         for eid, (da, db, prof) in direction.items():
             out[eid] = PathCoord(out[eid].a + eps * da, out[eid].b + eps * db,

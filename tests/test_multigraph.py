@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from geodesicnets import GraphClass, WeightedMultigraph, classify, star, validate

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import edge_frames, jitter_net, jittered
 
 from geodesicnets import (
-    BreakOptions,
     SolveOptions,
     break_degeneracy,
     build_condition_C_bump,
@@ -17,7 +16,6 @@ from geodesicnets import (
     continue_family,
     is_nondegenerate,
     jacobi_kernel,
-    length,
     make_case,
     mixed_second_derivative,
     solve_stationary,
@@ -31,7 +29,6 @@ from geodesicnets.net import (
     NetField,
     TangentialField,
     displace,
-    edge_lengths,
     reparametrize_constant_speed,
 )
 from geodesicnets.solver import ContinuationStall, NoNormalPointError, SolverError, _line_search
@@ -51,9 +48,10 @@ def test_solve_jittered_honeycomb(rng):
     assert np.linalg.norm(case.chart.wrap(d_a - d_b)) < 1e-8
 
 
-def test_solve_computes_lengths_of_accepted_nets_only(rng, monkeypatch):
-    import geodesicnets.net as net_mod
+def test_solve_stationary_computes_no_edge_lengths(rng, monkeypatch):
+    import geodesicnets.jacobi as jacobi_mod
     import geodesicnets.solver as solver_mod
+    import geodesicnets.variation as variation_mod
 
     calls = []
     original = net_mod.edge_lengths
@@ -62,8 +60,8 @@ def test_solve_computes_lengths_of_accepted_nets_only(rng, monkeypatch):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(net_mod, "edge_lengths", counted)
-    monkeypatch.setattr(solver_mod, "edge_lengths", counted)
+    for mod in (net_mod, solver_mod, jacobi_mod, variation_mod):
+        monkeypatch.setattr(mod, "edge_lengths", counted)
     # a jittered loop whose line search rejects most of its trials
     case = make_case("sphere-equator", 32)
     net = jitter_net(case.net, rng, amp=0.05)
@@ -71,10 +69,9 @@ def test_solve_computes_lengths_of_accepted_nets_only(rng, monkeypatch):
         res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-10, max_iterations=20))
     except solver_mod.MaxIterationsError as ex:
         res = ex.result
-    accepted = sum("step_size" in row for row in res.trace)
-    # the initial reparametrization plus one per accepted step, none per trial
-    assert accepted >= 2 and len(calls) == 1 + accepted
-    assert res.net.lengths == original(case.chart, res.net)
+    # neither the accepted steps nor the rejected trials need a length
+    assert sum("step_size" in row for row in res.trace) >= 2
+    assert calls == []
 
 
 def test_solve_newton_quadratic_tail(rng):
@@ -141,7 +138,6 @@ def sequential_line_search(chart, net, direction, gnorm, opts):
         cand_basis, cand_grad = reduced_gradient(chart, cand)
         cand_gnorm = float(np.linalg.norm(cand_grad))
         if cand_gnorm < gnorm * (1.0 - 1e-4 * alpha) or cand_gnorm <= opts.tolerance:
-            cand.lengths = edge_lengths(chart, cand)
             return alpha, cand, cand_basis, cand_grad
         if alpha < 1e-6:
             break
@@ -172,7 +168,6 @@ def assert_same_step(got, want):
         assert np.array_equal(frames[e], w_frames[e])
     for v, p in w_cand.vertex_positions.items():
         assert np.array_equal(cand.vertex_positions[v], p)
-    assert cand.lengths == w_cand.lengths
     assert np.array_equal(basis.vertex_block, w_basis.vertex_block)
     assert len(basis) == len(w_basis) and dict(basis.hat_offset) == dict(w_basis.hat_offset)
 
@@ -431,8 +426,8 @@ def test_mixed_second_derivative_rejects_bad_steps():
 
 def test_break_degeneracy_honeycomb():
     case = make_case("honeycomb-torus", 64)
-    chart2, net2, verdict, history = break_degeneracy(case.chart, case.net)
-    assert verdict.nondegenerate
+    chart2, net2, kernel, history = break_degeneracy(case.chart, case.net)
+    assert kernel.nondegenerate
     assert history[-1]["bumps"] <= 3
     dims = [h["kernel_dimension"] for h in history]
     assert all(d2 <= d1 for d1, d2 in zip(dims, dims[1:]))
@@ -440,18 +435,38 @@ def test_break_degeneracy_honeycomb():
 
 def test_break_degeneracy_equator():
     case = make_case("sphere-equator", 64)
-    chart2, net2, verdict, history = break_degeneracy(case.chart, case.net)
-    assert verdict.nondegenerate
+    chart2, net2, kernel, history = break_degeneracy(case.chart, case.net)
+    assert kernel.nondegenerate
     assert history[-1]["bumps"] <= 3
     rep = stationarity_residual(chart2, net2)
     assert rep.aggregate < 5e-3
 
 
+def test_break_degeneracy_pins_the_anchor_of_its_condition_c_bump():
+    from geodesicnets.geometry import DirectionalBumpField
+    from geodesicnets.solver import _anchor_spline_data
+
+    case = make_case("flat-loop", 32)
+    j_fld = is_nondegenerate(case.chart, case.net).ambient[0]
+    spec, _ = build_condition_C_bump(case.chart, case.net, j_fld)
+    # the pin as built from a second spline of the anchor
+    pts, vel, center = _anchor_spline_data(case.net, spec.edge, spec.t_index)
+    want = DirectionalBumpField(center, spec.radius, spec.direction, pts, vel,
+                                chart=case.chart, power=2)
+    chart2, _, _, history = break_degeneracy(case.chart, case.net)
+    assert len(history) == 2 and chart2.base is case.chart
+    points = center + spec.radius * np.random.default_rng(3).uniform(-1.0, 1.0, size=(256, 2))
+    got_jet, want_jet = chart2.field.jet_many(points), want.jet_many(points)
+    assert np.abs(want_jet[0]).max() > 0.0
+    for got_part, want_part in zip(got_jet, want_jet, strict=True):
+        assert np.array_equal(got_part, want_part)
+
+
 def test_break_degeneracy_returns_nondegenerate_unchanged():
     case = make_case("honeycomb-torus", 64)
-    chart2, net2, verdict, _ = break_degeneracy(case.chart, case.net)
-    chart3, net3, verdict3, history3 = break_degeneracy(chart2, net2)
-    assert verdict3.nondegenerate
+    chart2, net2, _, _ = break_degeneracy(case.chart, case.net)
+    chart3, net3, kernel3, history3 = break_degeneracy(chart2, net2)
+    assert kernel3.nondegenerate
     assert history3 == [{"bumps": 0, "kernel_dimension": 0}]
     assert chart3 is chart2 and net3 is net2
 
@@ -469,5 +484,4 @@ def test_generic_seeded_bumps_continuation_nondegenerate():
     amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
     charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
     results = continue_family(charts, case.net, verify_nondegenerate=False)
-    verdict = is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3)
-    assert verdict.nondegenerate
+    assert is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3).nondegenerate

@@ -254,7 +254,7 @@ def test_apply_A_E_constant_normal_magnitude():
     fld = unit_normal_field(case)
     out = apply_A_E(case.chart, case.net, "E", fld)
     norms = g_norm(case.chart, case.net.edge_samples["E"], out)
-    l_e = case.net.lengths["E"]
+    l_e = edge_lengths(case.chart, case.net)["E"]
     assert np.abs(norms - l_e).max() < 1e-4 * l_e
 
 
@@ -290,7 +290,7 @@ def test_apply_B_v_single_edge_ramp():
     fld = NetField({e.id: np.zeros((65, 2)) for e in case.net.graph.edges})
     fld.edge_values["E1"][:] = np.outer(t, normal)
     out = apply_B_v(case.chart, case.net, "B", fld)
-    expected = normal / case.net.lengths["E1"]
+    expected = normal / edge_lengths(case.chart, case.net)["E1"]
     assert np.abs(out - expected).max() < 1e-6
 
 
@@ -311,7 +311,7 @@ def test_hessian_constant_normal_value():
     val = hessian_form(case.chart, case.net, fld, fld)
     assert abs(val - (-2 * np.pi)) < 1e-3 * 2 * np.pi
     # per unit length it is -1
-    assert abs(val / case.net.lengths["E"] + 1.0) < 1e-3
+    assert abs(val / edge_lengths(case.chart, case.net)["E"] + 1.0) < 1e-3
 
 
 def test_hessian_symmetry(rng):
