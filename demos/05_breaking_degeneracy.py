@@ -6,7 +6,9 @@ vanishes along the net and pairs positively with a chosen Jacobi field
 makes the mixed derivative of length in (metric amplitude, field
 displacement) strictly positive; the pinning variant of the same bump
 lifts the kernel eigenvalue, and Newton continuation keeps the net
-stationary while the kernel empties.
+stationary while the kernel empties.  ``continue_family`` follows one
+conformal family (base chart, bump field, amplitudes) and judges no
+kernel, so the last step asks ``is_nondegenerate`` for the verdict.
 """
 
 import numpy as np
@@ -28,11 +30,11 @@ for name in ("honeycomb-torus", "sphere-equator"):
     ker = jacobi_kernel(case.chart, case.net)
     print(f"== {name}: kernel dimension {ker.dimension} ==")
     for j, j_fld in enumerate(ker.ambient):
-        spec, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
+        eid, idx, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
         closed, fd = mixed_second_derivative(case.chart, h_fld, case.net, j_fld)
         print(
-            f"  field {j}: bump on {spec.edge} at sample {spec.t_index} "
-            f"(radius {spec.radius:.3f}); pairing {closed:+.4e} (FD {fd:+.4e})"
+            f"  field {j}: bump on {eid} at sample {idx} "
+            f"(radius {h_fld.radius:.3f}); pairing {closed:+.4e} (FD {fd:+.4e})"
         )
     _, _, ker, history = break_degeneracy(case.chart, case.net)
     dims = [h["kernel_dimension"] for h in history]
@@ -49,10 +51,10 @@ for _ in range(3):
     fields.append(RadialBumpField(center, radius, amp, chart=case.chart))
 h_fld = SumField(fields)
 amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
-charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
-results = continue_family(charts, case.net, verify_nondegenerate=False)
+results = continue_family(case.chart, h_fld, amps, case.net)
 print("continuation gradient norms:", ["%.1e" % r.gradient_norm for r in results])
-ker = is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3)
+ker = is_nondegenerate(conformal_family(case.chart, h_fld, amps[-1]), results[-1].net,
+                       residual_tol=5e-3)
 print(f"final kernel dimension {ker.dimension}, nondegenerate: {ker.nondegenerate}")
 moved = np.linalg.norm(results[-1].net.vertex_positions["A"] - case.net.vertex_positions["A"])
 print(f"vertex A moved by {moved:.4f} under the continuation")

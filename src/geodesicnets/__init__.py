@@ -66,7 +66,6 @@ from .net import (
 )
 from .solver import (
     BreakOptions,
-    BumpSpec,
     SolveOptions,
     SolveResult,
     break_degeneracy,

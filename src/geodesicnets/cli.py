@@ -187,8 +187,8 @@ def _cmd_perturb(spec, args, options):
 def _cmd_continue(spec, args, options):
     if spec.bump_field is None or not spec.amplitude_schedule:
         raise specfile.SpecError("continue needs metric.bumps and metric.amplitude_schedule")
-    charts = [spec.chart(x) for x in spec.amplitude_schedule]
-    results = solver.continue_family(charts, spec.net)
+    results = solver.continue_family(spec.base_chart, spec.bump_field, spec.amplitude_schedule,
+                                     spec.net)
     report = {
         "amplitudes": spec.amplitude_schedule,
         "steps": [
@@ -196,9 +196,9 @@ def _cmd_continue(spec, args, options):
                 "amplitude": x,
                 "iterations": r.iterations,
                 "gradient_norm": r.gradient_norm,
-                "stationarity": _report_stationarity(c, r.net, options["tol"]),
+                "stationarity": _report_stationarity(spec.chart(x), r.net, options["tol"]),
             }
-            for x, c, r in zip(spec.amplitude_schedule, charts, results)
+            for x, r in zip(spec.amplitude_schedule, results)
         ],
     }
     return _finish(args, "continue", options, report, net=results[-1].net)

@@ -230,12 +230,10 @@ class DirectionalBumpField(ScalarField):
     """
 
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
-                 chart: "MetricChart | None" = None, amplitude: float = 1.0,
-                 power: int = 1):
+                 chart: "MetricChart | None" = None, power: int = 1):
         self.center = np.asarray(center, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.chart = chart
-        self.amplitude = float(amplitude)
         # power 1: the transversality pairing form; power 2: one-signed
         # pinning form with vanishing gradient along the anchor
         self.power = int(power)
@@ -305,7 +303,7 @@ class DirectionalBumpField(ScalarField):
         p = self.power
         chi, dchi, ddchi = _profile_jet(u, self.radius, order)
         powered = pairing**p
-        vals[inside] = self.amplitude * chi * powered
+        vals[inside] = chi * powered
         if order == 0:
             return vals, grads, hess
         # s(z): <z - F(s), F'(s)> = 0, so grad s = F' / D with
@@ -315,7 +313,7 @@ class DirectionalBumpField(ScalarField):
         d_pair = w - fp * (a_w / big_d)[:, None]
         dp1 = p * pairing ** (p - 1)
         d_pow = dp1[:, None] * d_pair
-        grads[inside] = self.amplitude * (powered[:, None] * dchi + chi[:, None] * d_pow)
+        grads[inside] = powered[:, None] * dchi + chi[:, None] * d_pow
         if order == 1:
             return vals, grads, hess
         # Hessian of the pairing, through grad D = K grad s - F'' with
@@ -327,17 +325,13 @@ class DirectionalBumpField(ScalarField):
         h_pow = dp1[:, None, None] * h_pair
         if p >= 2:
             h_pow += (p * (p - 1) * pairing ** (p - 2))[:, None, None] * _outer(d_pair, d_pair)
-        hess[inside] = self.amplitude * (
-            powered[:, None, None] * ddchi + _outer(dchi, d_pow) + _outer(d_pow, dchi)
-            + chi[:, None, None] * h_pow
-        )
+        hess[inside] = (powered[:, None, None] * ddchi + _outer(dchi, d_pow) + _outer(d_pow, dchi)
+                        + chi[:, None, None] * h_pow)
         return vals, grads, hess
 
     def bounds(self):
         scale = self.radius**self.power
-        if self.power % 2 == 0:
-            return (min(0.0, self.amplitude) * scale, max(0.0, self.amplitude) * scale)
-        return (-abs(self.amplitude) * scale, abs(self.amplitude) * scale)
+        return (0.0 if self.power % 2 == 0 else -scale, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +518,11 @@ class ConformalChart(MetricChart):
         return self.base.injectivity_bound()
 
 
-def conformal_family(base: MetricChart, field: ScalarField, amplitude: float) -> ConformalChart:
-    """Chart for (1 + amplitude*h) * g_base; rejects sign-violating factors."""
+def conformal_family(base: MetricChart, field: ScalarField, amplitude: float) -> MetricChart:
+    """Chart for (1 + amplitude*h) * g_base, which is ``base`` itself at
+    amplitude 0; rejects sign-violating factors."""
+    if amplitude == 0.0:
+        return base
     lo, hi = field.bounds()
     if min(1.0 + amplitude * lo, 1.0 + amplitude * hi) <= 0.0:
         raise ValueError("conformal factor 1 + x*h is not positive on the chart")

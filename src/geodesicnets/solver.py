@@ -16,16 +16,15 @@ perturbed metric and the kernel is re-measured.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import stencils
 from .geometry import (
-    ConformalChart,
     DirectionalBumpField,
     MetricChart,
+    ScalarField,
     conformal_family,
     g_norm,
     min_distance,
@@ -53,7 +52,6 @@ from .variation import NotStationaryError
 __all__ = [
     "SolveOptions",
     "SolveResult",
-    "BumpSpec",
     "SolverError",
     "MaxIterationsError",
     "SingularSystemError",
@@ -100,9 +98,7 @@ class MaxIterationsError(SolverError):
 
 
 class SingularSystemError(SolverError):
-    def __init__(self, message, kernel_dimension=0):
-        super().__init__(message)
-        self.kernel_dimension = kernel_dimension
+    pass
 
 
 class ContinuationStall(SolverError):
@@ -190,8 +186,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         null_frac = np.linalg.norm(g_eig[null]) / max(gnorm, 1e-300)
         if null.any() and null_frac > 0.9:
             raise SingularSystemError(
-                f"gradient lies in the Hessian null space (dimension {int(null.sum())})",
-                kernel_dimension=int(null.sum()),
+                f"gradient lies in the Hessian null space (dimension {int(null.sum())})"
             )
         coef_eig = np.zeros(d)
         act = ~null
@@ -286,79 +281,36 @@ def _line_search(chart, net, direction, gnorm, opts):
     return None
 
 
-def _interpolate_charts(g0: MetricChart, g1: MetricChart, frac: float) -> MetricChart | None:
-    if g0 is g1:
-        return g0
-    if (
-        isinstance(g0, ConformalChart)
-        and isinstance(g1, ConformalChart)
-        and g0.base is g1.base
-        and g0.field is g1.field
-    ):
-        amp = (1 - frac) * g0.amplitude + frac * g1.amplitude
-        return ConformalChart(g0.base, g0.field, amp)
-    if isinstance(g1, ConformalChart) and g1.base is g0:
-        return ConformalChart(g0, g1.field, frac * g1.amplitude)
-    return None
-
-
-def continue_family(g_path: list[MetricChart], f0: GeodesicNet,
-                    opts: SolveOptions | None = None,
-                    verify_nondegenerate: bool | None = None) -> list[SolveResult]:
-    """Warm-started solve along a metric path with step halving on failure."""
+def continue_family(base: MetricChart, field: ScalarField, amplitudes: list[float],
+                    net: GeodesicNet, opts: SolveOptions | None = None) -> list[SolveResult]:
+    """Warm-started solves at ``conformal_family(base, field, x)`` for each
+    amplitude x in turn; a step whose solve fails is halved in x."""
     opts = opts or SolveOptions()
-    res0 = solve_stationary(g_path[0], f0, opts)
-    results = [res0]
-    start_nondeg = None
-    if verify_nondegenerate is None:
-        try:
-            start_nondeg = is_nondegenerate(g_path[0], res0.net).nondegenerate
-        except ValueError:
-            start_nondeg = False
-    else:
-        start_nondeg = verify_nondegenerate
-    net = res0.net
-    for g_prev, g_next in zip(g_path[:-1], g_path[1:]):
-        res = _continue_step(g_prev, g_next, net, opts)
-        if start_nondeg:
-            nondegenerate = is_nondegenerate(g_next, res.net).nondegenerate
-            res.trace.append({"nondegenerate": nondegenerate})
-            if not nondegenerate:
-                warnings.warn("continuation lost nondegeneracy")
-        results.append(res)
-        net = res.net
+    results = [solve_stationary(conformal_family(base, field, amplitudes[0]), net, opts)]
+    for x_prev, x_next in zip(amplitudes[:-1], amplitudes[1:]):
+        results.append(_continue_step(base, field, x_prev, x_next, results[-1].net, opts))
     return results
 
 
-def _continue_step(g_prev, g_next, net, opts, depth=0) -> SolveResult:
-    """Solve at g_next from net; on failure, bisect the metric step and go
-    through the midpoint.  Returns the solve that reached g_next."""
+def _continue_step(base, field, x_prev, x_next, net, opts, depth=0) -> SolveResult:
+    """Solve at amplitude x_next from net, solved at x_prev; on failure,
+    bisect the step and go through the midpoint.  Returns the solve that
+    reached x_next."""
     try:
-        return solve_stationary(g_next, net, opts)
+        return solve_stationary(conformal_family(base, field, x_next), net, opts)
     except (MaxIterationsError, SingularSystemError):
         if depth >= MAX_HALVINGS:
             raise ContinuationStall(
                 "metric step fell below the floor without convergence (bifurcation?)"
             )
-        g_mid = _interpolate_charts(g_prev, g_next, 0.5)
-        if g_mid is None:
-            raise ContinuationStall("cannot bisect between unrelated metrics")
-        mid = _continue_step(g_prev, g_mid, net, opts, depth + 1)
-        return _continue_step(g_mid, g_next, mid.net, opts, depth + 1)
+        x_mid = 0.5 * (x_prev + x_next)
+        mid = _continue_step(base, field, x_prev, x_mid, net, opts, depth + 1)
+        return _continue_step(base, field, x_mid, x_next, mid.net, opts, depth + 1)
 
 
 # ---------------------------------------------------------------------------
 # condition-(C) bumps
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BumpSpec:
-    edge: str
-    t_index: int
-    center: np.ndarray
-    direction: np.ndarray
-    radius: float
-
 
 def _clearance(chart, net, eid, idx):
     """Distance from one anchor sample to every sample of the other edges.
@@ -377,7 +329,7 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
     """Conformal bump for a Jacobi field: supported in a small ball around an
     interior net point, vanishing along the net, with <grad h, J> >= 0.
 
-    Returns (BumpSpec, DirectionalBumpField).
+    Returns (anchor edge id, anchor sample index, DirectionalBumpField).
     """
     kind, _, normal = classify_field(chart, net, j_field)
     if kind == "tangential":
@@ -409,13 +361,11 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
         anchor_pts, anchor_vel, center = _anchor_spline_data(net, eid, idx)
         for _ in range(MAX_SHRINK):
             h_fld = DirectionalBumpField(center, r, w, anchor_pts, anchor_vel, chart=chart)
-            r = h_fld.radius  # may have been capped by the curvature bound
             ok, why = _verify_bump(chart, net, eid, idx, h_fld, j_field)
             if ok:
-                spec = BumpSpec(edge=eid, t_index=idx, center=center, direction=w, radius=r)
-                return spec, h_fld
+                return eid, idx, h_fld
             last_error = why
-            r *= 0.5
+            r = 0.5 * h_fld.radius  # the field may have capped r by the curvature bound
         # try the next candidate point
     raise ClearanceError(
         f"no admissible bump anchor found ({last_error or 'net too crowded'})"
@@ -496,7 +446,7 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
         closed += 0.5 * e.multiplicity * float(w @ (pair * speed))
 
     def l_at(x, sdisp):
-        g_x = ConformalChart(g0, h_fld, x) if x != 0.0 else g0
+        g_x = conformal_family(g0, h_fld, x)
         moved = displace(fine_net, fld, sdisp) if sdisp != 0.0 else fine_net
         return length(g_x, moved)
 
@@ -534,7 +484,7 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
         return chart, net, kernel, history
     cur_chart, cur_net = chart, net
     for bump_count in range(1, MAX_BUMPS + 1):
-        spec, h_fld = build_condition_C_bump(cur_chart, cur_net, kernel.ambient[0])
+        eid, _, h_fld = build_condition_C_bump(cur_chart, cur_net, kernel.ambient[0])
         # the one-signed variant of the same bump, on the same anchor
         h_pin = DirectionalBumpField(
             h_fld.center, h_fld.radius, h_fld.direction, h_fld.anchor.values,
@@ -569,8 +519,8 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
                 "bumps": bump_count,
                 "kernel_dimension": kernel.dimension,
                 "amplitude": x_used,
-                "edge": spec.edge,
-                "radius": spec.radius,
+                "edge": eid,
+                "radius": h_fld.radius,
             }
         )
         if kernel.nondegenerate:

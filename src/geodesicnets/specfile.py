@@ -114,13 +114,10 @@ class NetSpec:
     net: GeodesicNet
     options: dict = field(default_factory=dict)
 
-    def chart(self, amplitude: float | None = None) -> MetricChart:
+    def chart(self, amplitude: float = 1.0) -> MetricChart:
         if self.bump_field is None:
             return self.base_chart
-        x = 1.0 if amplitude is None else amplitude
-        if x == 0.0:
-            return self.base_chart
-        return conformal_family(self.base_chart, self.bump_field, x)
+        return conformal_family(self.base_chart, self.bump_field, amplitude)
 
 
 def _parse_graph(doc: dict) -> WeightedMultigraph:

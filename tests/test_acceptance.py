@@ -141,9 +141,9 @@ def test_criterion_4_verdicts():
         fields.append(RadialBumpField(center, radius, amp, chart=case.chart))
     h_fld = SumField(fields)
     amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
-    charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
-    results = continue_family(charts, case.net, verify_nondegenerate=False)
-    assert is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3).nondegenerate
+    results = continue_family(case.chart, h_fld, amps, case.net)
+    chart = conformal_family(case.chart, h_fld, amps[-1])
+    assert is_nondegenerate(chart, results[-1].net, residual_tol=5e-3).nondegenerate
     _report(
         "criterion 4 PASS: all three nets degenerate; honeycomb under the seeded "
         "generic bump metric after continuation is nondegenerate"
@@ -156,7 +156,7 @@ def test_criterion_5_condition_c_pipeline():
         case = make_case(name, 64)
         ker = jacobi_kernel(case.chart, case.net)
         for j_fld in ker.ambient:
-            spec, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
+            _, _, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
             closed, fd = mixed_second_derivative(case.chart, h_fld, case.net, j_fld)
             assert closed > 0.0, name
             assert abs(closed - fd) <= 1e-4 * abs(fd), name

@@ -6,7 +6,9 @@ their timestamp dropped, and ``runs.json`` the exit code and the warnings
 of every run.  The bump paths have their own battery, with its exit codes
 and warnings in ``runs-bumps.json``: ``perturb`` on the cases where it
 ends (sphere-theta at N = 32 exits 3 with no document) and ``continue``
-on the honeycomb torus along ``CONTINUE_METRIC``.  A refactor leaves every
+on the honeycomb torus along ``CONTINUE_METRIC``.  The honeycomb-torus
+documents are also judged by the benchmark's own rules (``check_cli`` and
+``KNOWN_DEFECTS`` of ``perfbench/run.py``).  A refactor leaves every
 document byte-identical.  A change that moves a number regenerates the
 files with
 
@@ -15,7 +17,9 @@ files with
 and says in CHANGES.md which numbers moved and why.
 """
 
+import importlib.util
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +28,7 @@ import pytest
 from geodesicnets import cli, specfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+BENCHMARK_RUNNER = Path(__file__).parent.parent / "perfbench" / "run.py"
 CASES = ("honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop")
 COMMANDS = ("check", "jacobi", "solve", "chart-roundtrip")
 N_SAMPLES = 32
@@ -77,6 +82,32 @@ def test_cli_document_matches_the_recorded_one(case, command, tmp_path):
 @pytest.mark.parametrize("case,command", BATTERIES["runs-bumps.json"])
 def test_bump_document_matches_the_recorded_one(case, command, tmp_path):
     _matches_the_recording("runs-bumps.json", case, command, tmp_path)
+
+
+def _benchmark_rules():
+    """``check_cli`` and ``KNOWN_DEFECTS`` of the benchmark runner, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK_RUNNER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up as they are made
+    spec.loader.exec_module(module)
+    return module.check_cli, module.KNOWN_DEFECTS
+
+
+@pytest.mark.parametrize("command", ["check", "jacobi", "chart-roundtrip", "perturb", "continue"])
+def test_recorded_document_meets_the_benchmark_rule(command):
+    """The benchmark judges these honeycomb-torus documents by the same rules:
+    each passes its rule or fails with the reason the benchmark expects, and
+    its run exits 0 (a nonzero exit would count as an unexpected failure)."""
+    check_cli, known_defects = _benchmark_rules()
+    label = f"honeycomb-torus:{command}"
+    doc = json.loads((GOLDEN / f"honeycomb-torus.{command}.json").read_text(encoding="utf-8"))
+    reason = check_cli(label, doc["report"])
+    assert reason is None or (label in known_defects
+                              and reason.startswith(known_defects[label][0])), reason
+    runs = {}
+    for runs_file in BATTERIES:
+        runs.update(json.loads((GOLDEN / runs_file).read_text(encoding="utf-8")))
+    assert runs[f"honeycomb-torus.{command}"]["exit_code"] == 0
 
 
 def regenerate():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,9 @@ from geodesicnets import (
     stationarity_residual,
 )
 from geodesicnets import net as net_mod
+from geodesicnets import solver as solver_mod
 from geodesicnets.cases import CASE_NAMES
-from geodesicnets.geometry import RadialBumpField, SumField
+from geodesicnets.geometry import ConstantField, RadialBumpField, SumField
 from geodesicnets.jacobi import fd_hessian, reduced_gradient
 from geodesicnets.net import (
     NetField,
@@ -31,7 +33,14 @@ from geodesicnets.net import (
     displace,
     reparametrize_constant_speed,
 )
-from geodesicnets.solver import ContinuationStall, NoNormalPointError, SolverError, _line_search
+from geodesicnets.solver import (
+    ContinuationStall,
+    MaxIterationsError,
+    NoNormalPointError,
+    NoProgressError,
+    SolverError,
+    _line_search,
+)
 
 
 # -- solve -------------------------------------------------------------------
@@ -279,7 +288,7 @@ def test_one_stacked_ladder_pass_stays_within_the_row_cap():
 
 def test_continue_constant_path():
     case = make_case("honeycomb-torus", 64)
-    results = continue_family([case.chart] * 3, case.net, verify_nondegenerate=False)
+    results = continue_family(case.chart, ConstantField(1.0), [0.0] * 3, case.net)
     assert len(results) == 3
     for r in results[1:]:
         worst = max(
@@ -293,11 +302,10 @@ def test_continue_amplitude_ramp_and_reverse(rng):
     case = make_case("honeycomb-torus", 64)
     bump = RadialBumpField(np.array([0.5, 0.45]), 0.35, 1.0, chart=case.chart)
     amps = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
-    charts = [conformal_family(case.chart, bump, x) if x else case.chart for x in amps]
-    fwd = continue_family(charts, case.net, verify_nondegenerate=False)
+    fwd = continue_family(case.chart, bump, amps, case.net)
     for r in fwd:
         assert r.gradient_norm <= 1e-8
-    back = continue_family(charts[::-1], fwd[-1].net, verify_nondegenerate=False)
+    back = continue_family(case.chart, bump, amps[::-1], fwd[-1].net)
     worst = max(
         np.abs(back[-1].net.edge_samples[e] - fwd[0].net.edge_samples[e]).max()
         for e in back[-1].net.edge_samples
@@ -308,22 +316,58 @@ def test_continue_amplitude_ramp_and_reverse(rng):
 def test_continue_sphere_family():
     case = make_case("sphere-equator", 64)
     bump = RadialBumpField(np.array([0.0, 0.9]), 0.5, 1.0, chart=None)
-    amps = [0.0, 0.02, 0.04]
-    charts = [conformal_family(case.chart, bump, x) if x else case.chart for x in amps]
-    results = continue_family(charts, case.net, verify_nondegenerate=False)
+    results = continue_family(case.chart, bump, [0.0, 0.02, 0.04], case.net)
     assert all(r.converged for r in results)
     # the continued loop stays a closed curve near the equator
     final = results[-1].net.edge_samples["E"]
     assert np.abs(np.linalg.norm(final, axis=1) - 1.0).max() < 0.2
 
 
-def test_continue_stall_between_unrelated_metrics():
-    case = make_case("honeycomb-torus", 64)
-    other = make_case("sphere-equator", 64)
-    hard_opts = SolveOptions(max_iterations=1, tolerance=1e-14)
-    with pytest.raises((ContinuationStall, SolverError)):
-        continue_family([case.chart, other.chart], case.net, hard_opts,
-                        verify_nondegenerate=False)
+def _recorded_bump(case):
+    """The bump field of the recorded honeycomb ``continue`` document."""
+    return SumField([RadialBumpField(np.array([0.5, 0.05]), 0.2, 0.4, chart=case.chart)])
+
+
+def test_continue_from_a_nondegenerate_net_returns_every_step():
+    """Continuation judges no kernel: break_degeneracy's nondegenerate
+    honeycomb is followed through a bump family whose bumped nets fail the
+    default stationarity gate of is_nondegenerate (residual 2.7e-3)."""
+    case = make_case("honeycomb-torus", 32)
+    chart2, net2, _, _ = break_degeneracy(case.chart, case.net)
+    h_fld = _recorded_bump(case)
+    results = continue_family(chart2, h_fld, [0.0, 0.25, 0.5, 0.75, 1.0], net2)
+    assert [r.converged for r in results] == [True] * 5
+
+
+FLOOR_MESSAGE = "metric step fell below the floor without convergence"
+
+
+def _solved_amplitudes(case, h_fld, amps, net, opts):
+    """The amplitudes continue_family solves at, in call order, until it stalls."""
+    with mock.patch.object(solver_mod, "solve_stationary",
+                           wraps=solver_mod.solve_stationary) as solve:
+        with pytest.raises(ContinuationStall, match=FLOOR_MESSAGE):
+            continue_family(case.chart, h_fld, amps, net, opts)
+    return [getattr(c.args[0], "amplitude", 0.0) for c in solve.call_args_list]
+
+
+def test_continue_bisects_a_step_back_to_amplitude_zero():
+    """A failed step from the bumped metric to the base one is halved in the
+    amplitude, towards the converged end, down to the floor."""
+    case = make_case("honeycomb-torus", 32)
+    h_fld = _recorded_bump(case)
+    net1 = solve_stationary(conformal_family(case.chart, h_fld, 1.0), case.net).net
+    opts = SolveOptions(max_iterations=1, tolerance=1e-12)
+    solved = _solved_amplitudes(case, h_fld, [1.0, 0.0], net1, opts)
+    assert solved == [1.0, 0.0] + [1.0 - 2.0**-k for k in range(1, solver_mod.MAX_HALVINGS + 1)]
+
+
+def test_continue_bisects_a_step_up_from_amplitude_zero():
+    case = make_case("honeycomb-torus", 32)
+    h_fld = _recorded_bump(case)
+    solved = _solved_amplitudes(case, h_fld, [0.0, 1.0], case.net,
+                                SolveOptions(max_iterations=4))
+    assert solved == [0.0] + [2.0**-k for k in range(solver_mod.MAX_HALVINGS + 1)]
 
 
 # -- bumps -------------------------------------------------------------------
@@ -331,20 +375,20 @@ def test_continue_stall_between_unrelated_metrics():
 def test_bump_construction_honeycomb():
     case = make_case("honeycomb-torus", 64)
     ker = jacobi_kernel(case.chart, case.net)
-    spec, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
+    eid, idx, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
     # vanishing along the whole net
     for e in case.net.graph.edges:
         vals = h_fld.value_many(case.net.edge_samples[e.id])
         assert np.abs(vals).max() <= 1e-9
     # support avoids the other edges entirely
     for e in case.net.graph.edges:
-        if e.id != spec.edge:
+        if e.id != eid:
             assert np.abs(h_fld.value_many(case.net.edge_samples[e.id])).max() == 0.0
     # pairing is nonnegative along the anchor, positive at the anchor point
-    grads = h_fld.gradient_many(case.net.edge_samples[spec.edge])
-    pair = np.einsum("pi,pi->p", grads, ker.ambient[0].edge_values[spec.edge])
+    grads = h_fld.gradient_many(case.net.edge_samples[eid])
+    pair = np.einsum("pi,pi->p", grads, ker.ambient[0].edge_values[eid])
     assert pair.min() > -1e-12
-    assert pair[spec.t_index] > 0
+    assert pair[idx] > 0
 
 
 @pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator"])
@@ -377,7 +421,7 @@ def test_mixed_second_derivative_positive_and_matching():
         case = make_case(name, 64)
         ker = jacobi_kernel(case.chart, case.net)
         for j_fld in ker.ambient:
-            spec, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
+            _, _, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
             closed, fd = mixed_second_derivative(case.chart, h_fld, case.net, j_fld)
             assert closed > 0
             assert abs(closed - fd) <= 1e-4 * abs(fd)
@@ -386,7 +430,7 @@ def test_mixed_second_derivative_positive_and_matching():
 def test_mixed_second_derivative_tangential_zero():
     case = make_case("honeycomb-torus", 64)
     ker = jacobi_kernel(case.chart, case.net)
-    spec, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
+    _, _, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
     t = np.linspace(0, 1, 65)
     tang = TangentialField(
         {e.id: 0.3 * np.sin(np.pi * t) for e in case.net.graph.edges}
@@ -397,16 +441,11 @@ def test_mixed_second_derivative_tangential_zero():
 
 
 def test_mixed_second_derivative_amplitude_linearity():
-    from geodesicnets.geometry import DirectionalBumpField
-    from geodesicnets.solver import _anchor_spline_data
-
     case = make_case("honeycomb-torus", 64)
     ker = jacobi_kernel(case.chart, case.net)
     j_fld = ker.ambient[0]
-    spec, h1 = build_condition_C_bump(case.chart, case.net, j_fld)
-    pts, vel, center = _anchor_spline_data(case.net, spec.edge, spec.t_index)
-    h2 = DirectionalBumpField(center, spec.radius, spec.direction, pts, vel,
-                              chart=case.chart, amplitude=2.0)
+    _, _, h1 = build_condition_C_bump(case.chart, case.net, j_fld)
+    h2 = SumField([h1, h1])
     c1, f1 = mixed_second_derivative(case.chart, h1, case.net, j_fld)
     c2, f2 = mixed_second_derivative(case.chart, h2, case.net, j_fld)
     assert abs(c2 - 2 * c1) <= 1e-6 * abs(c2)
@@ -416,7 +455,7 @@ def test_mixed_second_derivative_amplitude_linearity():
 def test_mixed_second_derivative_rejects_bad_steps():
     case = make_case("honeycomb-torus", 64)
     ker = jacobi_kernel(case.chart, case.net)
-    spec, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
+    _, _, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
     for steps in ((0.0, 1e-4), (float("nan"), 1e-4), (1e-4, float("nan")), (1e-4, float("inf"))):
         with pytest.raises(SolverError, match="finite and positive"):
             mixed_second_derivative(case.chart, h_fld, case.net, ker.ambient[0], steps=steps)
@@ -448,14 +487,14 @@ def test_break_degeneracy_pins_the_anchor_of_its_condition_c_bump():
 
     case = make_case("flat-loop", 32)
     j_fld = is_nondegenerate(case.chart, case.net).ambient[0]
-    spec, _ = build_condition_C_bump(case.chart, case.net, j_fld)
+    eid, idx, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
     # the pin as built from a second spline of the anchor
-    pts, vel, center = _anchor_spline_data(case.net, spec.edge, spec.t_index)
-    want = DirectionalBumpField(center, spec.radius, spec.direction, pts, vel,
+    pts, vel, center = _anchor_spline_data(case.net, eid, idx)
+    want = DirectionalBumpField(center, h_fld.radius, h_fld.direction, pts, vel,
                                 chart=case.chart, power=2)
     chart2, _, _, history = break_degeneracy(case.chart, case.net)
     assert len(history) == 2 and chart2.base is case.chart
-    points = center + spec.radius * np.random.default_rng(3).uniform(-1.0, 1.0, size=(256, 2))
+    points = center + h_fld.radius * np.random.default_rng(3).uniform(-1.0, 1.0, size=(256, 2))
     got_jet, want_jet = chart2.field.jet_many(points), want.jet_many(points)
     assert np.abs(want_jet[0]).max() > 0.0
     for got_part, want_part in zip(got_jet, want_jet, strict=True):
@@ -471,6 +510,62 @@ def test_break_degeneracy_returns_nondegenerate_unchanged():
     assert chart3 is chart2 and net3 is net2
 
 
+# The amplitudes break_degeneracy tries for one bump, in order.
+RUNGS = [solver_mod.BUMP_AMPLITUDE * 0.5**k for k in range(5)]
+
+
+def _ladder(monkeypatch, solve_fails=lambda x: False, kernel_grows=lambda x: False):
+    """The honeycomb at N = 32, with break_degeneracy's solves raising
+    MaxIterationsError, or its kernels reading dimension 3, at the bump
+    amplitudes chosen.  Returns the case and the list that records the
+    amplitude of every solve tried."""
+    tried = []
+    real_solve, real_judge = solver_mod.solve_stationary, solver_mod.is_nondegenerate
+
+    def solve(chart, net, opts=None):
+        tried.append(chart.amplitude)
+        if solve_fails(chart.amplitude):
+            raise MaxIterationsError("failed on purpose")
+        return real_solve(chart, net, opts)
+
+    def judge(chart, net, **kwargs):
+        kernel = real_judge(chart, net, **kwargs)
+        if kernel_grows(getattr(chart, "amplitude", 0.0)):
+            return replace(kernel, dimension=3)
+        return kernel
+
+    monkeypatch.setattr(solver_mod, "solve_stationary", solve)
+    monkeypatch.setattr(solver_mod, "is_nondegenerate", judge)
+    return make_case("honeycomb-torus", 32), tried
+
+
+@pytest.mark.parametrize("fault", ["solve_fails", "kernel_grows"])
+def test_break_degeneracy_halves_the_amplitude_to_the_first_rung_that_passes(monkeypatch, fault):
+    case, tried = _ladder(monkeypatch, **{fault: lambda x: x > RUNGS[2]})
+    _, _, kernel, history = break_degeneracy(case.chart, case.net)
+    assert tried[:3] == RUNGS[:3]
+    assert history[1]["amplitude"] == RUNGS[2]
+    assert all(h["amplitude"] == RUNGS[2] for h in history[1:])
+    assert kernel.nondegenerate
+
+
+@pytest.mark.parametrize("fault", ["solve_fails", "kernel_grows"])
+def test_break_degeneracy_refuses_a_bump_when_every_rung_fails(monkeypatch, fault):
+    case, tried = _ladder(monkeypatch, **{fault: lambda x: x > 0.0})
+    with pytest.raises(NoProgressError, match="bump 1 could not be applied"):
+        break_degeneracy(case.chart, case.net)
+    assert tried == RUNGS
+
+
+def test_break_degeneracy_gives_up_after_the_last_bump(monkeypatch):
+    case = make_case("honeycomb-torus", 32)
+    start = is_nondegenerate(case.chart, case.net)
+    monkeypatch.setattr(solver_mod, "is_nondegenerate", lambda chart, net, **kwargs: start)
+    with pytest.raises(NoProgressError,
+                       match=f"kernel still 2-dimensional after {solver_mod.MAX_BUMPS} bumps"):
+        break_degeneracy(case.chart, case.net)
+
+
 def test_generic_seeded_bumps_continuation_nondegenerate():
     rng = np.random.default_rng(2024)
     case = make_case("honeycomb-torus", 64)
@@ -482,6 +577,6 @@ def test_generic_seeded_bumps_continuation_nondegenerate():
         fields.append(RadialBumpField(center, radius, amp, chart=case.chart))
     h_fld = SumField(fields)
     amps = [0.0, 0.0125, 0.025, 0.0375, 0.05]
-    charts = [conformal_family(case.chart, h_fld, x) if x else case.chart for x in amps]
-    results = continue_family(charts, case.net, verify_nondegenerate=False)
-    assert is_nondegenerate(charts[-1], results[-1].net, residual_tol=5e-3).nondegenerate
+    results = continue_family(case.chart, h_fld, amps, case.net)
+    chart = conformal_family(case.chart, h_fld, amps[-1])
+    assert is_nondegenerate(chart, results[-1].net, residual_tol=5e-3).nondegenerate
