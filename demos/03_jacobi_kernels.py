@@ -5,8 +5,8 @@ The kernel of the second variation is computed two independent ways:
   * shooting: propagate the normal Jacobi ODE u'' + K(t) u = 0 along each
     edge and couple the boundary data through the vertex conditions (loops
     reduce to a monodromy periodicity condition);
-  * brute force: a dense finite-difference Hessian of the discrete length
-    over the reduced displacement basis, followed by an SVD.
+  * brute force: the dense exact Hessian of the discrete length over the
+    reduced displacement basis, followed by its |eigenvalues|.
 
 Both must count the same dimension: 2 translations for the honeycomb,
 2 rotation profiles (sin/cos) for the equator, 3 ambient rotations for
@@ -31,7 +31,7 @@ for name in ("honeycomb-torus", "sphere-equator", "sphere-theta"):
     fd_dim, svals, fd_gap = reduced_kernel_dimension(h_mat)
     print(f"== {name} ==")
     print(f"  shooting kernel dimension : {ker.dimension} (spectral gap {ker.gap:.2e})")
-    print(f"  reduced FD dimension      : {fd_dim} (spectral gap {fd_gap:.2e})")
+    print(f"  reduced Hessian dimension : {fd_dim} (spectral gap {fd_gap:.2e})")
     print(f"  verdict                   : {'nondegenerate' if ker.nondegenerate else 'degenerate'}")
     for j, fld in enumerate(ker.ambient):
         kind, _, _ = classify_field(case.chart, case.net, fld)

@@ -12,7 +12,7 @@ sum of perpendicular endpoint derivatives at every vertex.
 A loop graph is one self-loop edge.  It drops the vertex unknowns: moving
 the marked vertex along the loop is a reparametrization, so the system
 reduces to periodicity of (u, u') through the edge's monodromy and the
-frame holonomy at the seam.  Both the shooting system and the reduced FD
+frame holonomy at the seam.  Both the shooting system and the reduced
 Hessian refuse not-good graphs.
 """
 
@@ -45,7 +45,6 @@ from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_l
 from .variation import (
     edge_length_gradient,
     integrate_length_terms,
-    length_integrand,
     stationarity_gate,
 )
 
@@ -426,7 +425,7 @@ def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# reduced finite-difference Hessian (brute-force oracle)
+# the exact reduced Hessian (brute-force oracle)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -668,110 +667,111 @@ def _colour_classes(layout: tuple, refine: int):
 
 
 class _RefinedLength:
-    """Central differences of the exact gradient of the refined-grid length.
+    """Exact Hessian-vector products of the refined-grid length.
 
     The fine samples are the upsampled net x0 plus T times the
     displacement, and the coarse gradient is T^T times the fine one; at
     refine 1, T is the identity and is not formed.  Only the
-    ``length_integrand`` is nonlinear, so a probe pair +-delta is
-    differenced first: dx = T delta and dv = D dx once, the integrand at
-    x0 +- dx and v0 +- dv (v0 = D x0, taken once), and the linear part
-    and T^T once, on the differences of the terms.
-    """
+    ``length_integrand`` is nonlinear, so a probe delta takes dx = T delta,
+    dv = D dx, the derivatives of the terms at x0 and v0 = D x0, the linear
+    part and T^T, each once.  With speed s = e^phi |v|, vh = v / |v|, p =
+    grad(phi).dx and q = vh.dv: ds = s (p + q / |v|), da = w (ds grad(phi)
+    + s Hess(phi) dx) and du = e^phi (p vh + (dv - q vh) / |v|).  The
+    factor jet at x0 is evaluated once, here."""
 
     def __init__(self, chart, net, refine):
-        self.chart = chart
         self.groups = net.edge_groups()
         self.base = []
         for grp in self.groups:
             x0 = stencils.upsample_curve(grp.samples, refine, loop_shift=grp.shifts)
             v0 = stencils.velocity(x0, loop_shift=x0[:, -1] - x0[:, 0] if grp.loop else None)
-            self.base.append((x0, v0, stencils.quadrature_weights(x0.shape[1], loop=grp.loop)))
+            w = stencils.quadrature_weights(x0.shape[1], loop=grp.loop)
+            lam, dphi, ddphi = chart.factor_jet_many(x0.reshape(-1, x0.shape[-1]), 2)
+            ef = np.sqrt(lam).reshape(x0.shape[:2])
+            inv = 1.0 / np.linalg.norm(v0, axis=-1)
+            ws = w * ef / inv
+            self.base.append((w, ef, inv, ws, dphi.reshape(x0.shape), v0 * inv[..., None],
+                              ws[..., None, None] * ddphi.reshape(x0.shape + x0.shape[-1:])))
         # linear part only: displacement fields never wrap
-        self.t_mats = None if refine == 1 else [
-            stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
-            for grp in self.groups]
+        self.t_mats = [None if refine == 1 else
+                       stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
+                       for grp in self.groups]
 
-    def differences(self, disp: list[np.ndarray]) -> list[np.ndarray]:
-        """grad L(x + delta) - grad L(x - delta) in the coarse samples, for K
-        probe displacements delta in the group layout of ``ReducedBasis``:
-        disp and the result hold (K * E, N+1, n) per group.  Each probe's
-        rows get the same operations as alone."""
+    def products(self, disp: list[np.ndarray]) -> list[np.ndarray]:
+        """H delta in the coarse samples, for K probe displacements delta in
+        the group layout of ``ReducedBasis``: disp and the result hold (K *
+        E, N+1, n) per group.  Each probe's rows get the same operations as
+        alone."""
         out = []
-        for j, (grp, (x0, v0, w), d) in enumerate(zip(self.groups, self.base, disp)):
-            t_mat = None if self.t_mats is None else self.t_mats[j]
+        for grp, base, t_mat, d in zip(self.groups, self.base, self.t_mats, disp):
             dx = grp.copies(d if t_mat is None else t_mat @ d)
             dv = stencils.velocity(dx.samples, loop_shift=dx.shifts)
-            # both signs of every probe in one integrand pass
-            _, a, u = length_integrand(self.chart, _plus_minus(x0, dx.samples),
-                                       _plus_minus(v0, dv), w)
-            half = len(dv)
-            grad = integrate_length_terms(a[:half] - a[half:], u[:half] - u[half:], w, grp.loop,
-                                          dx.multiplicities)
+            grad = integrate_length_terms(*_integrand_derivative(base, dx.samples, dv), base[0],
+                                          grp.loop, dx.multiplicities)
             out.append(grad if t_mat is None else t_mat.T @ grad)
         return out
 
 
-def _plus_minus(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """base + delta, then base - delta, for K stacked copies delta (K * E, M,
-    n) of base (E, M, n): (2 * K * E, M, n)."""
-    delta = delta.reshape((-1,) + base.shape)
-    out = np.empty((2,) + delta.shape)
-    np.add(base, delta, out=out[0])
-    np.subtract(base, delta, out=out[1])
-    return out.reshape((-1,) + base.shape[1:])
+def _integrand_derivative(base, dx: np.ndarray, dv: np.ndarray):
+    """(da, du), the derivatives of the ``length_integrand`` terms a and u
+    at the base of ``_RefinedLength`` in the directions (dx, dv) of K
+    stacked probes (K * E, M, n), one coordinate at a time."""
+    _, ef, inv, ws, dphi, vh, ws_hess = base
+    n = dx.shape[-1]
+    x, v = dx.reshape((-1,) + dphi.shape), dv.reshape((-1,) + dphi.shape)
+    p = sum(dphi[..., i] * x[..., i] for i in range(n))
+    q = sum(vh[..., i] * v[..., i] for i in range(n))
+    w_ds, t = ws * (p + q * inv), ef * (p - q * inv)
+    da, du = np.empty(x.shape), np.empty(x.shape)
+    for i in range(n):
+        da[..., i] = w_ds * dphi[..., i] + sum(ws_hess[..., i, j] * x[..., j] for j in range(n))
+        du[..., i] = t * vh[..., i] + ef * inv * v[..., i]
+    return da.reshape(dx.shape), du.reshape(dx.shape)
 
 
 def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
-               step: float = 1e-5, refine: int = 1) -> np.ndarray:
-    """Symmetric Hessian of the discrete length over B, by central
-    differences of the exact gradient on the grid refined ``refine`` times.
+               refine: int = 1) -> np.ndarray:
+    """Symmetric Hessian of the discrete length over B on the grid refined
+    ``refine`` times: exact, one Hessian-vector product per probe.
 
     Column compression (Curtis, Powell & Reid 1974; Coleman & More 1983):
-    hat columns of one colour are perturbed together, one probe pair per
-    colour, and each hat row reads its entry from the one column of the
-    colour it is coupled to.  Dense vertex columns are perturbed alone and
-    fill the vertex rows by symmetry.  The probe count, n_vertex +
-    colours, does not grow with the sample count.  B and B^T act once per
-    probe pair, around ``_RefinedLength.differences``.  The pairs are
-    evaluated stacked, as many per pass as ``net.MAX_STACKED_ROWS`` fine
-    sample rows hold, and every probe's difference is bitwise what it gets
-    alone.
+    hat columns of one colour are probed together, one probe per colour,
+    and each hat row reads its entry from the one column of the colour it
+    is coupled to.  Dense vertex columns are probed alone and fill the
+    vertex rows by symmetry.  The probe count, n_vertex + colours, does not
+    grow with the sample count.  B and B^T act once per probe, around
+    ``_RefinedLength.products``.  The probes are evaluated stacked, as many
+    per pass as ``net.MAX_STACKED_ROWS`` fine sample rows hold, and every
+    probe's product is bitwise what it gets alone.
     """
     functional = _RefinedLength(chart, net, refine)
     d = len(basis)
     nv = basis.n_vertex
     members = _hat_groups(basis, net, refine)
-    # step * coef of every probe coefficient coef
     probes = np.zeros((nv + len(members), d))
     for j, cols in enumerate([[c] for c in range(nv)] + [cols for cols, _, _ in members]):
-        probes[j, cols] = step
-    # a probe pair is two fine copies of the net
-    size = copies_per_pass(2 * sum(x0.shape[0] * x0.shape[1] for x0, _, _ in functional.base))
+        probes[j, cols] = 1.0
+    # a probe is one fine copy: it traces about 130 bytes per fine row, as
+    # one integrand copy did; half or twice as many probes per pass were slower
+    size = copies_per_pass(sum(ef.size for _, ef, *_ in functional.base))
     delta = np.concatenate([
-        basis.pullback_many(functional.differences(basis.apply_many(probes[start : start + size])))
-        / (2 * step) for start in range(0, len(probes), size)])
+        basis.pullback_many(functional.products(basis.apply_many(probes[start : start + size])))
+        for start in range(0, len(probes), size)])
     h_mat = np.zeros((d, d))
-    for j in range(nv):
-        h_mat[:, j] = delta[j]
+    h_mat[:, :nv] = delta[:nv].T
     for (_, rows, cols), delta_c in zip(members, delta[nv:]):
         h_mat[rows, cols] = delta_c[rows]
     h_mat[:nv, nv:] = h_mat[nv:, :nv].T
     return 0.5 * (h_mat + h_mat.T)
 
 
-def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, step: float = 1e-5,
-                       refine: int = 8):
-    """Dense symmetric Hessian of the discrete length over the reduced basis:
-    central differences of the exact sample gradient, column-compressed by
-    ``fd_hessian``.  A not-good graph is refused with a ValueError, as by
-    the shooting route.
-    """
-    if not 0 < step < np.inf:  # written so that NaN fails too
-        raise ValueError("invalid step configuration")
+def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, refine: int = 8):
+    """Dense symmetric Hessian of the discrete length over the reduced basis,
+    exact, by ``fd_hessian``.  A not-good graph is refused with a
+    ValueError, as by the shooting route."""
     _good_class(net.graph)
     basis, labels = reduced_basis_fields(chart, net)
-    return fd_hessian(chart, net, basis, step, refine), labels
+    return fd_hessian(chart, net, basis, refine), labels
 
 
 def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):

@@ -36,7 +36,7 @@ __all__ = [
 ENDPOINT_TOL = 1e-9
 
 # Most sample rows one stacked pass over copies of a net may hold (the
-# FD-Hessian probes, the line-search ladder): bounds its memory whatever
+# Hessian probes, the line-search ladder): bounds its memory whatever
 # the number of copies.  A copy larger than this is passed alone.
 MAX_STACKED_ROWS = 8192
 # Refinement of the grid on which arc length is integrated.
@@ -159,9 +159,6 @@ class NetField:
 
     def scaled(self, c: float) -> "NetField":
         return NetField({e: c * val for e, val in self.edge_values.items()})
-
-    def plus(self, other: "NetField") -> "NetField":
-        return NetField({e: val + other.edge_values[e] for e, val in self.edge_values.items()})
 
     def max_norm(self, chart: MetricChart, net: GeodesicNet) -> float:
         return max(

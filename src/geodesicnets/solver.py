@@ -3,8 +3,8 @@
 The solve works in reduced coordinates relative to the running net
 (vertex displacements plus interior normal offsets; loop nets use normal
 offsets only).  Each iteration re-anchors at the constant-speed
-reparametrization, assembles the exact gradient of the discrete length,
-differences it for the Newton matrix, and backtracks on the gradient
+reparametrization, assembles the exact gradient and Hessian of the
+discrete length, takes the Newton step, and backtracks on the gradient
 norm.  Near-null Hessian directions are excluded from the step, so
 symmetry orbits (translations, rotations) do not wander.
 
@@ -67,15 +67,14 @@ __all__ = [
     "break_degeneracy",
 ]
 
-# The Newton matrix differences the gradient with step HESSIAN_STEP; its
-# eigenvalue counts as null at most NULL_THRESHOLD times the largest one,
-# or TIKHONOV_FLOOR; failed Newton steps escalate the damping at most
-# LM_MAX_BOOSTS times, and a continuation step is bisected at most
-# MAX_HALVINGS times.  Degeneracy breaking stacks at most MAX_BUMPS bumps,
-# halves an anchor's radius at most MAX_SHRINK times, and halves each
-# bump's amplitude from BUMP_AMPLITUDE down to MIN_AMPLITUDE_FACTOR of it.
-# mixed_second_derivative works on the grid MIXED_REFINE times finer.
-HESSIAN_STEP = 1e-5
+# An eigenvalue of the Newton matrix counts as null at most NULL_THRESHOLD
+# times the largest one, or TIKHONOV_FLOOR; failed Newton steps escalate
+# the damping at most LM_MAX_BOOSTS times, and a continuation step is
+# bisected at most MAX_HALVINGS times.  Degeneracy breaking stacks at most
+# MAX_BUMPS bumps, halves an anchor's radius at most MAX_SHRINK times, and
+# halves each bump's amplitude from BUMP_AMPLITUDE down to
+# MIN_AMPLITUDE_FACTOR of it.  mixed_second_derivative works on the grid
+# MIXED_REFINE times finer.
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
 LM_MAX_BOOSTS = 12
@@ -177,7 +176,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             break
         d = len(basis)
         if evals is None or stale >= opts.hessian_refresh:
-            hess = fd_hessian(chart, net, basis, step=HESSIAN_STEP)
+            hess = fd_hessian(chart, net, basis)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())

@@ -30,7 +30,7 @@ from .stencils import MIN_SAMPLES
 from .variation import stationarity_residual
 
 __all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec", "spec_from_case",
-           "write_document", "results_document", "export_plot_csv", "read_plot_csv"]
+           "write_document", "results_document", "export_plot_csv"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -386,17 +386,3 @@ def export_plot_csv(net: GeodesicNet, path: str, fields: dict | None = None) -> 
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_plot_csv(path: str) -> dict[str, np.ndarray]:
-    """Re-ingest an exported CSV: edge id -> sample array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        dim = sum(1 for c in header if c.startswith("x"))
-        rows: dict[str, list] = {}
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            rows.setdefault(parts[0], []).append([float(x) for x in parts[2 : 2 + dim]])
-    return {e: np.asarray(v) for e, v in rows.items()}

@@ -399,11 +399,17 @@ def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.nd
     return np.einsum("pj,pj...->p...", wgt, win).reshape(x.shape + samples.shape[-1:])
 
 
+# The 3-point Gauss-Legendre rule on [-1, 1], bitwise numpy's leggauss(3),
+# written out so that numpy.polynomial is never imported.
+_GAUSS3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GAUSS3_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+
+
 @lru_cache(maxsize=1)
 def _cell_integrals() -> np.ndarray:
     """Row o: integrals over [o, o + 1] of the 6 Lagrange basis polynomials
     on nodes 0..5 (3-point Gauss-Legendre, exact for degree 5)."""
-    gx, gw = np.polynomial.legendre.leggauss(3)
+    gx, gw = _GAUSS3_NODES, _GAUSS3_WEIGHTS
     rows = [0.5 * gw @ _lagrange(o + 0.5 * (gx + 1.0)) for o in range(_WINDOW - 1)]
     tab = np.stack(rows)
     tab.flags.writeable = False

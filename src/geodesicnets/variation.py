@@ -273,7 +273,8 @@ def length_integrand(chart: MetricChart, samples: np.ndarray, velocities: np.nda
 
     lam is the conformal factor (E * M,), a = w speed grad(phi) the
     metric-variation term and u = g v / speed the velocity term, each
-    (E, M, n).  This is the only nonlinear part of the gradient.
+    (E, M, n).  This is the only nonlinear part of the gradient; the
+    exact Hessian linearises it (``jacobi._RefinedLength``).
     """
     n_edges, npts, n = samples.shape
     lam, dphi, _ = chart.factor_jet_many(samples.reshape(-1, n), 1)
@@ -288,9 +289,9 @@ def length_integrand(chart: MetricChart, samples: np.ndarray, velocities: np.nda
 def integrate_length_terms(a: np.ndarray, u: np.ndarray, weights: np.ndarray, loop: bool,
                            multiplicities: np.ndarray) -> np.ndarray:
     """The linear part of the length gradient: m (a - D^T (w u)) per edge,
-    from the ``length_integrand`` terms (E, M, n), or from differences of
-    them.  On loop edges the seam is folded onto sample 0 and the duplicate
-    end row zeroed.  a and u are overwritten.
+    from the ``length_integrand`` terms (E, M, n), or from their
+    derivatives.  On loop edges the seam is folded onto sample 0 and the
+    duplicate end row zeroed.  a and u are overwritten.
     """
     grad = a
     if not loop:

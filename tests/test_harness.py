@@ -50,7 +50,7 @@ def test_kernel_certification_does_not_load_scipy():
 
 
 def test_newton_commands_do_not_load_scipy(tmp_path):
-    # solve, perturb and continue run on numpy alone
+    # solve, perturb and continue run on numpy alone, without numpy.polynomial
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=16)
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
     doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
@@ -65,7 +65,8 @@ def test_newton_commands_do_not_load_scipy(tmp_path):
         "from geodesicnets import cli\n"
         "warnings.simplefilter('ignore')\n"
         f"codes = [cli.main(argv + ['--out', os.devnull]) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                                 or m.split('.')[:2] == ['numpy', 'polynomial'])]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -73,7 +74,8 @@ def test_newton_commands_do_not_load_scipy(tmp_path):
 
 
 def test_no_cli_command_loads_scipy(tmp_path):
-    # every command in one interpreter, chart-roundtrip included
+    # every command in one interpreter, chart-roundtrip included; neither
+    # scipy nor numpy.polynomial is loaded
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
     doc["metric"]["amplitude_schedule"] = [0.0, 0.01]
@@ -92,7 +94,8 @@ def test_no_cli_command_loads_scipy(tmp_path):
         "from geodesicnets import cli\n"
         "warnings.simplefilter('ignore')\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                                 or m.split('.')[:2] == ['numpy', 'polynomial'])]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -232,9 +235,13 @@ def test_cli_export_plot_reingests_bitfaithfully(tmp_path):
     code = cli.main(["export-plot", "--spec", str(path), "--csv", str(csv),
                      "--out", str(tmp_path / "r.json")])
     assert code == 0
-    header = csv.read_text().splitlines()[0]
+    header, *lines = csv.read_text().splitlines()
     assert header == "edge,t,x1,x2"
-    samples = specfile.read_plot_csv(str(csv))
+    rows = {}
+    for line in lines:
+        eid, _, *coords = line.split(",")
+        rows.setdefault(eid, []).append([float(x) for x in coords])
+    samples = {e: np.array(r) for e, r in rows.items()}
     spec = specfile.load_spec(str(path))
     net2 = spec.net.copy()
     net2.edge_samples = samples

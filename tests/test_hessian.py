@@ -1,9 +1,9 @@
-"""The reduced map B and the column-compressed FD Hessian builder.
+"""The reduced map B and the column-compressed exact Hessian builder.
 
 The references here are the per-column build the builder replaced (one
-NetField per reduced column, one probe-pair difference per column,
-paired with every field) and the build that took two full gradients per
-probe and subtracted them after the linear operators.
+NetField per reduced column, one Hessian-vector product per column,
+paired with every field) and central differences of full gradients,
+whose error must fall as the step squared down to the exact product.
 """
 
 import tracemalloc
@@ -13,14 +13,16 @@ import pytest
 
 from conftest import edge_frames, jitter_net, jittered
 
-from geodesicnets import RadialBumpField, ScalarField, conformal_family, make_case
+from geodesicnets import (
+    DirectionalBumpField, RadialBumpField, ScalarField, conformal_family, make_case,
+)
 from geodesicnets import reduced_hessian_fd, stencils
 from geodesicnets import jacobi as jac
 from geodesicnets import net as net_mod
 from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
 from geodesicnets.multigraph import GraphClass, classify
 from geodesicnets.net import GeodesicNet, NetField, displace
-from geodesicnets.solver import HESSIAN_STEP
+from geodesicnets.solver import _anchor_spline_data
 from geodesicnets.variation import length_sample_gradient
 
 CASES = ("honeycomb-torus", "sphere-theta", "sphere-equator")
@@ -82,8 +84,8 @@ def pullback(net, basis, grad):
     return basis.pullback_many(stacked(net, grad))[0]
 
 
-def reference_oracle(chart, net, step=1e-5, refine=8):
-    """Per-column reduced FD Hessian: one probe-pair difference per column,
+def reference_oracle(chart, net, refine=8):
+    """Per-column reduced Hessian: one Hessian-vector product per column,
     paired with every field."""
     fields = reference_fields(chart, net)
     functional = jac._RefinedLength(chart, net, refine)
@@ -91,26 +93,23 @@ def reference_oracle(chart, net, step=1e-5, refine=8):
 
     h_mat = np.empty((d, d))
     for j in range(d):
-        disp = stacked(net, {e: step * v for e, v in fields[j].edge_values.items()})
-        diff = per_edge(net, functional.differences(disp))
+        prod = per_edge(net, functional.products(stacked(net, fields[j].edge_values)))
         for i, f in enumerate(fields):
-            paired = sum(float(np.sum(diff[e] * f.edge_values[e])) for e in diff)
-            h_mat[i, j] = paired / (2 * step)
+            h_mat[i, j] = sum(float(np.sum(prod[e] * f.edge_values[e])) for e in prod)
     return 0.5 * (h_mat + h_mat.T)
 
 
-def reference_newton(chart, net, step):
-    """Per-column Newton matrix on the coarse grid: one probe-pair
-    difference per column, paired with the stacked fields."""
+def reference_newton(chart, net):
+    """Per-column Newton matrix on the coarse grid: one Hessian-vector
+    product per column, paired with the stacked fields."""
     fields = reference_fields(chart, net)
     stack = {e: np.stack([f.edge_values[e] for f in fields]) for e in net.edge_samples}
     functional = jac._RefinedLength(chart, net, 1)
     d = len(fields)
     hess = np.empty((d, d))
     for j in range(d):
-        diff = per_edge(net, functional.differences(
-            stacked(net, {e: step * v for e, v in fields[j].edge_values.items()})))
-        hess[:, j] = sum(np.einsum("pn,dpn->d", g, stack[e]) for e, g in diff.items()) / (2 * step)
+        prod = per_edge(net, functional.products(stacked(net, fields[j].edge_values)))
+        hess[:, j] = sum(np.einsum("pn,dpn->d", g, stack[e]) for e, g in prod.items())
     return 0.5 * (hess + hess.T)
 
 
@@ -131,23 +130,22 @@ def fine_net_gradient(chart, net, refine, disp):
     return {e: t_mats[e].T @ g for e, g in length_sample_gradient(chart, fine_net).items()}
 
 
-def compressed_hessian(net, basis, refine, difference):
-    """The column-compressed assembly of ``fd_hessian`` from difference(cols),
-    the central difference of the reduced gradient along those columns."""
+def compressed_hessian(net, basis, refine, product):
+    """The column-compressed assembly of ``fd_hessian`` from product(cols),
+    the reduced Hessian applied to the sum of those columns."""
     d, nv = len(basis), basis.n_vertex
     h_mat = np.zeros((d, d))
     for j in range(nv):
-        h_mat[:, j] = difference([j])
+        h_mat[:, j] = product([j])
     for cols, rows, at in jac._hat_groups(basis, net, refine):
-        h_mat[rows, at] = difference(list(cols))[rows]
+        h_mat[rows, at] = product(list(cols))[rows]
     h_mat[:nv, nv:] = h_mat[nv:, :nv].T
     return 0.5 * (h_mat + h_mat.T)
 
 
-def two_gradient_fd_hessian(chart, net, basis, step=1e-5, refine=1):
-    """The compressed builder with two full gradients per probe, each
-    pulled back alone and then subtracted: the builder before the probe
-    pairs were differenced first."""
+def two_gradient_fd_hessian(chart, net, basis, step, refine=1):
+    """The compressed builder from central differences of two full
+    gradients per probe, each pulled back alone and then subtracted."""
     def difference(cols):
         coef = np.zeros(len(basis))
         coef[cols] = step
@@ -217,16 +215,16 @@ def test_compressed_oracle_matches_per_column_build(name, n_samples, refine):
 
 
 def count_gradients(monkeypatch) -> list:
-    """Probe pairs of the FD oracle: the list gets the number of pairs of
-    every stacked pass; each pair evaluates the integrand at two copies."""
+    """Probes of the oracle: the list gets the number of probes of every
+    stacked pass."""
     calls = []
-    original = jac._RefinedLength.differences
+    original = jac._RefinedLength.products
 
     def counted(self, disp):
         calls.append(len(disp[0]) // len(self.groups[0].ids))
         return original(self, disp)
 
-    monkeypatch.setattr(jac._RefinedLength, "differences", counted)
+    monkeypatch.setattr(jac._RefinedLength, "products", counted)
     return calls
 
 
@@ -238,16 +236,16 @@ def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
         case = make_case(name, n_samples)
         calls.clear()
         h_mat, _ = reduced_hessian_fd(case.chart, case.net)
-        copies = 2 * sum(calls)
-        counts.append(copies)
+        probes = sum(calls)
+        counts.append(probes)
         n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
         if case.net.periodic_edges:
             # the conflict graph is a circulant band of half-width k, so no
             # colouring needs more than 2k + 1 colours
             lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
             k = 2 * int(hi[0])
-            assert copies <= 2 * (n_vertex + 2 * k + 1)
-        assert copies < 2 * h_mat.shape[0]  # the per-column build makes 2 d
+            assert probes <= n_vertex + 2 * k + 1
+        assert probes < h_mat.shape[0]  # the per-column build makes d
     if not case.net.periodic_edges:
         assert counts[0] == counts[1]
 
@@ -260,8 +258,8 @@ def test_newton_matrix_matches_per_column_build():
     coef[basis.n_vertex:] = 1e-3 * rng.normal(size=len(basis) - basis.n_vertex)
     net = displace(case.net, basis.apply(coef), 1.0)
     basis, _ = reduced_basis_fields(case.chart, net)
-    h_new = fd_hessian(case.chart, net, basis, step=HESSIAN_STEP)
-    assert_matches(h_new, reference_newton(case.chart, net, HESSIAN_STEP), basis.n_vertex)
+    h_new = fd_hessian(case.chart, net, basis)
+    assert_matches(h_new, reference_newton(case.chart, net), basis.n_vertex)
 
 
 def test_hat_colouring_is_structurally_orthogonal():
@@ -283,7 +281,7 @@ def test_loop_colouring_uses_balanced_blocks():
             blocks = n // (2 * width + 1)
             if blocks >= 2:
                 assert len(set(colour.tolist())) <= -(-n // blocks)
-    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 1 + 16 probe pairs
+    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 1 + 16 probes
     assert jac._hat_colouring(65, 8, True)[0].max() + 1 == 16
 
 
@@ -291,7 +289,7 @@ def test_sphere_equator_oracle_gradient_count(monkeypatch):
     calls = count_gradients(monkeypatch)
     case = make_case("sphere-equator", 64)
     reduced_hessian_fd(case.chart, case.net)
-    # 17 probe pairs, 34 integrand copies
+    # 17 probes
     assert sum(calls) == 17
 
 
@@ -357,17 +355,17 @@ def test_reduced_gradient_evaluates_each_bump_once_per_group():
 
 @pytest.mark.parametrize("name", CASES)
 def test_refined_length_at_refine_one_uses_no_operator(name):
-    """At refine 1 the probe displacements and the differences are used as
+    """At refine 1 the probe displacements and the products are used as
     they are, bitwise what the identity operator gives."""
     case = make_case(name, 24)
     net = jitter_net(case.net, np.random.default_rng(3), amp=0.02)
     basis, _ = reduced_basis_fields(case.chart, net)
     disp = basis.apply_many(np.random.default_rng(4).normal(size=(3, len(basis))) * 1e-3)
     functional = jac._RefinedLength(case.chart, net, 1)
-    assert functional.t_mats is None
-    got = functional.differences(disp)
+    assert functional.t_mats == [None] * len(functional.groups)
+    got = functional.products(disp)
     functional.t_mats = [np.eye(grp.samples.shape[1]) for grp in functional.groups]
-    want = functional.differences(disp)
+    want = functional.products(disp)
     assert len(got) == len(want) == len(net.edge_groups())
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -387,18 +385,18 @@ def test_cached_basis_layout_is_read_only():
 
 # -- stacked probes --------------------------------------------------------------
 
-def per_probe_fd_hessian(chart, net, basis, step=1e-5, refine=1):
+def per_probe_fd_hessian(chart, net, basis, refine=1):
     """The compressed builder probe by probe, as it was before the probes
-    were stacked: one probe-pair difference per probe, pulled back alone."""
+    were stacked: one Hessian-vector product per probe, pulled back alone."""
     functional = jac._RefinedLength(chart, net, refine)
 
-    def difference(cols):
+    def product(cols):
         coef = np.zeros(len(basis))
-        coef[cols] = step
+        coef[cols] = 1.0
         disp = stacked(net, basis.apply(coef).edge_values)
-        return basis.pullback_many(functional.differences(disp))[0] / (2 * step)
+        return basis.pullback_many(functional.products(disp))[0]
 
-    return compressed_hessian(net, basis, refine, difference)
+    return compressed_hessian(net, basis, refine, product)
 
 
 def fine_rows(net, refine):
@@ -412,12 +410,12 @@ def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypa
     basis, _ = reduced_basis_fields(chart, net)
     want = per_probe_fd_hessian(chart, net, basis, refine=refine)
     assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
-    # k probe pairs, 2 k fine copies, per pass: the pairs span several
-    # passes, the last one short
-    n_pairs = basis.n_vertex + len(jac._hat_groups(basis, net, refine))
-    k = next(k for k in range(2, n_pairs) if n_pairs % k)
-    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", 2 * k * fine_rows(net, refine))
-    assert n_pairs > 2 * k
+    # k probes, k fine copies, per pass: the probes span several passes,
+    # the last one short
+    n_probes = basis.n_vertex + len(jac._hat_groups(basis, net, refine))
+    k = next(k for k in range(2, n_probes) if n_probes % k)
+    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
+    assert n_probes > 2 * k
     assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
 
 
@@ -448,58 +446,111 @@ def counted(monkeypatch, owner, attr, log, name, rows):
 
 @pytest.mark.parametrize("name", CASES)
 def test_each_probe_pair_applies_the_linear_maps_once(name, monkeypatch):
-    """B, T and D once per probe, the integrand at both signs, and D^T,
-    T^T and B^T once per probe pair, counted in stacked edge rows."""
+    """The factor jet once per Hessian; B, T, D, the integrand derivative,
+    D^T, T^T and B^T once per probe, counted in stacked edge rows."""
     case = make_case(name, 32)
     basis, _ = reduced_basis_fields(case.chart, case.net)
-    n_pairs = basis.n_vertex + len(jac._hat_groups(basis, case.net, 8))
+    n_probes = basis.n_vertex + len(jac._hat_groups(basis, case.net, 8))
     n_edges = len(case.net.graph.edges)
-    log = dict.fromkeys(["B", "B^T", "T", "T^T", "D", "integrand"], 0)
+    log = dict.fromkeys(["B", "B^T", "T", "T^T", "D", "derivative", "jet"], 0)
     counted(monkeypatch, jac.ReducedBasis, "apply_many", log, "B", lambda self, c: len(c))
     counted(monkeypatch, jac.ReducedBasis, "pullback_many", log, "B^T",
             lambda self, g: len(g[0]) // len(self.ids[0]))
     counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop_shift=None: s.shape[0])
-    counted(monkeypatch, jac, "length_integrand", log, "integrand",
-            lambda chart, x, v, w: x.shape[0])
+    counted(monkeypatch, jac, "_integrand_derivative", log, "derivative",
+            lambda base, dx, dv: dx.shape[0])
+    counted(monkeypatch, case.chart, "factor_jet_many", log, "jet", lambda points, order: 1)
     operator = stencils.upsample_operator
     monkeypatch.setattr(stencils, "upsample_operator", lambda *args: (
         CountingOperator(operator(*args)[0], log, "T"), operator(*args)[1]))
     fd_hessian(case.chart, case.net, basis, refine=8)
     # the base fine samples go through T, and their velocities through D,
     # once per Hessian; D^T is a D of the (periodic) field
-    assert log == {"B": n_pairs, "B^T": n_pairs, "T": n_edges * (n_pairs + 1),
-                   "T^T": n_edges * n_pairs, "D": n_edges * (2 * n_pairs + 1),
-                   "integrand": 2 * n_edges * n_pairs}
+    assert log == {"B": n_probes, "B^T": n_probes, "T": n_edges * (n_probes + 1),
+                   "T^T": n_edges * n_probes, "D": n_edges * (2 * n_probes + 1),
+                   "derivative": n_edges * n_probes, "jet": len(case.net.edge_groups())}
+
+
+def fd_errors(exact, gradient, steps):
+    """max |(gradient(h) - gradient(-h)) / 2h - exact| for each step h."""
+    return [np.abs((gradient(h) - gradient(-h)) / (2 * h) - exact).max() for h in steps]
+
+
+def assert_falls_as_step_squared(errors, exact):
+    """Each tenfold smaller step cuts the error at least 50-fold, until it
+    reaches rounding (1e-9 of the exact value)."""
+    floor = 1e-9 * np.abs(exact).max()
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= max(coarse / 50, floor)
 
 
 @pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
 @pytest.mark.parametrize("refine", (1, 2, 8))
 def test_difference_first_hessian_matches_the_two_gradient_build(name, refine):
-    """Differencing the integrand before the linear operators moves H by
-    rounding only."""
+    """The central differences of two full gradients per probe converge to
+    the exact Hessian as the step squared."""
     chart, net = jittered(name)
     basis, _ = reduced_basis_fields(chart, net)
-    want = two_gradient_fd_hessian(chart, net, basis, refine=refine)
-    got = fd_hessian(chart, net, basis, refine=refine)
-    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    exact = fd_hessian(chart, net, basis, refine=refine)
+    errors = [np.abs(two_gradient_fd_hessian(chart, net, basis, h, refine) - exact).max()
+              for h in (1e-3, 1e-4)]
+    assert_falls_as_step_squared(errors, exact)
 
 
 @pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
 def test_refined_gradient_is_the_gradient_of_the_fine_net(name):
-    """One probe pair: the difference of the refined gradient at +-delta is
-    T^T times the difference of the sample gradients of the nets built from
-    the upsampled samples plus and minus T times delta."""
+    """One probe: the product is the derivative of T^T times the sample
+    gradient of the net built from the upsampled samples plus T times the
+    displacement, the central differences converging as the step squared."""
     chart, net = jittered(name, seed=3)
     basis, _ = reduced_basis_fields(chart, net)
-    disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)) * 1e-3)
-    plus = fine_net_gradient(chart, net, 8, disp)
-    minus = fine_net_gradient(chart, net, 8, disp.scaled(-1.0))
-    got = per_edge(net, jac._RefinedLength(chart, net, 8).differences(
-        stacked(net, disp.edge_values)))
-    assert got.keys() == plus.keys()
-    for e in plus:
-        want = plus[e] - minus[e]
-        assert np.abs(got[e] - want).max() <= 1e-12 * np.abs(plus[e]).max()
+    disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)))
+    got = per_edge(net, jac._RefinedLength(chart, net, 8).products(stacked(net, disp.edge_values)))
+    exact = np.stack([got[e] for e in net.edge_samples])
+
+    def gradient(h):
+        return np.stack(list(fine_net_gradient(chart, net, 8, disp.scaled(h)).values()))
+
+    assert_falls_as_step_squared(fd_errors(exact, gradient, (1e-3, 1e-4, 1e-5)), exact)
+
+
+def bumped(kind, n_samples):
+    """honeycomb-torus under a radial (continue) or directional (perturb)
+    bump over edge E1.  The directional bump vanishes on its anchor, the
+    edge itself, so it gets ten times the amplitude: each moves H by at
+    least 0.3 % on a net jittered by 0.02."""
+    case = make_case("honeycomb-torus", n_samples)
+    if kind == "radial":
+        field, amplitude = RadialBumpField([0.5, 0.05], 0.2, 1.0, chart=case.chart), 0.4
+    else:
+        pts, vel, center = _anchor_spline_data(case.net, "E1", n_samples // 2)
+        field = DirectionalBumpField(center, 0.2, [0.6, 0.8], pts, vel, chart=case.chart)
+        amplitude = 4.0
+    return conformal_family(case.chart, field, amplitude), case.net
+
+
+@pytest.mark.parametrize("name", ("honeycomb-torus", "sphere-theta", "radial", "directional"))
+@pytest.mark.parametrize("n_samples", (32, 64))
+def test_newton_matrix_is_the_limit_of_gradient_differences(name, n_samples):
+    """H times a random direction of unit max norm against central
+    differences of the reduced gradient along it, B held fixed, on built-in
+    and bumped charts: the error falls as the step squared."""
+    if name in ("radial", "directional"):
+        chart, net = bumped(name, n_samples)
+    else:
+        case = make_case(name, n_samples)
+        chart, net = case.chart, case.net
+    net = jitter_net(net, np.random.default_rng(5), amp=0.02)
+    basis, _ = reduced_basis_fields(chart, net)
+    coef = np.random.default_rng(1).normal(size=len(basis))
+    coef /= basis.apply(coef).max_norm(chart, net)
+    exact = fd_hessian(chart, net, basis) @ coef
+
+    def gradient(h):
+        moved = displace(net, basis.apply(coef), h)
+        return pullback(net, basis, length_sample_gradient(chart, moved))
+
+    assert_falls_as_step_squared(fd_errors(exact, gradient, (1e-2, 1e-3, 1e-4)), exact)
 
 
 def test_one_stacked_pass_stays_within_the_row_cap():

@@ -547,13 +547,6 @@ def test_certification_never_builds_christoffel_tensors(name, monkeypatch):
     reduced_hessian_fd(chart, case.net)
 
 
-def test_reduced_fd_invalid_step():
-    case = make_case("sphere-equator", 16)
-    for step in (0.0, -1e-5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="invalid step"):
-            reduced_hessian_fd(case.chart, case.net, step=step)
-
-
 # -- invariances -------------------------------------------------------------
 
 def test_kernel_invariant_under_constant_scaling():

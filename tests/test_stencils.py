@@ -240,6 +240,12 @@ def test_cached_operators_are_read_only():
             arr[0] += 1
 
 
+def test_gauss_rule_is_numpys_leggauss_bitwise():
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    assert np.array_equal(st._GAUSS3_NODES, gx)
+    assert np.array_equal(st._GAUSS3_WEIGHTS, gw)
+
+
 def test_fixed_node_row_weights_match_explicit_rows():
     x = np.random.default_rng(4).uniform(0.0, 5.0, 40)
     rows = np.broadcast_to(st._NODES, (x.size, st._NODES.size))
