@@ -251,14 +251,12 @@ class ReducedField:
     z: dict[str, np.ndarray]
     u: dict[str, np.ndarray]  # (N+1, n-1)
 
-    def to_net_field(self, chart: MetricChart, net: GeodesicNet) -> NetField:
-        return _ambient_fields(chart, net, [self])[0]
-
 
 def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[NetField]:
-    """``ReducedField.to_net_field`` of every field; each edge's velocity,
-    parallel frame and unit tangent, which depend on the net only, are
-    computed once for all of them."""
+    """The ambient displacement of every reduced field: the tangential
+    ramp between its vertex displacements plus its normal profiles.  Each
+    edge's velocity, parallel frame and unit tangent, which depend on the
+    net only, are computed once for all of them."""
     vals = [{} for _ in fields]
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -269,14 +267,11 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
         t = np.linspace(0.0, 1.0, s.shape[0])
         ends = [chart.factor_jet_many(s[k][None, :], 0)[0] for k in (0, -1)]
         for fld, out in zip(fields, vals):
-            if fld.z:
-                z0 = fld.z[e.endpoint(0)]
-                z1 = fld.z[e.endpoint(1)]
-                a0 = float(metric_dot(ends[0], z0[None, :], that[0][None, :])[0])
-                a1 = float(metric_dot(ends[1], z1[None, :], that[-1][None, :])[0])
-                alpha = (1 - t) * a0 + t * a1
-            else:
-                alpha = np.zeros_like(t)
+            z0 = fld.z[e.endpoint(0)]
+            z1 = fld.z[e.endpoint(1)]
+            a0 = float(metric_dot(ends[0], z0[None, :], that[0][None, :])[0])
+            a1 = float(metric_dot(ends[1], z1[None, :], that[-1][None, :])[0])
+            alpha = (1 - t) * a0 + t * a1
             out[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", fld.u[e.id], frames)
     return [NetField(v) for v in vals]
 
@@ -380,38 +375,34 @@ def approximate_embeddedness(chart: MetricChart, net: GeodesicNet,
     if threshold is None:
         threshold = 1e-3 * min(edge_lengths(chart, net).values())
     eids = [e.id for e in net.graph.edges]
-    guard = max(2, net.edge_samples[eids[0]].shape[0] // 16)
     for i, e1 in enumerate(eids):
         for e2 in eids[i:]:
             gap = min_distance(chart, net.edge_samples[e1], net.edge_samples[e2],
-                               lambda k: _ignored_pairs(net, e1, k, e2, guard))
+                               lambda k: _ignored_pairs(net, e1, k, e2))
             if gap < threshold:
                 return False
     return True
 
 
-def _ignored_pairs(net, e1, k, e2, guard):
+def _ignored_pairs(net, e1, k, e2):
     """Mask (len(k), samples of e2) of the pairs of sample k of e1 and a
-    sample of e2 that are near by construction: neighbours along one edge,
-    the seam of a periodic edge, or the two sides of a shared vertex."""
+    sample of e2 that are near by construction.  An edge's guard is
+    max(2, samples // 16).  A pair is exempt when both samples are on one
+    edge at most its guard apart, or when each is closer than its own
+    edge's guard to an end at a vertex both edges share.  The two ends of a
+    self-loop are such a pair, which covers the seam of a periodic edge.
+    The rule is symmetric, so the order of the edges does not matter."""
     n1 = net.edge_samples[e1].shape[0]
     n2 = net.edge_samples[e2].shape[0]
+    g1, g2 = max(2, n1 // 16), max(2, n2 // 16)
     k = k[:, None]
     j = np.arange(n2)[None, :]
-    if e1 == e2:
-        mask = np.abs(j - k) <= guard
-        if e1 in net.periodic_edges:
-            # the seam pairs are the same point
-            mask |= (k < guard) & (j >= n2 - 1 - (guard - k))
-            mask |= (k > n1 - 1 - guard) & (j <= guard - (n1 - 1 - k))
-        return mask
-    mask = np.zeros((k.shape[0], n2), dtype=bool)
+    mask = np.abs(j - k) <= g1 if e1 == e2 else np.zeros((k.shape[0], n2), dtype=bool)
     edge1, edge2 = net.graph.edge(e1), net.graph.edge(e2)
-    for near, v in ((k < guard, edge1.endpoint(0)), (k > n1 - 1 - guard, edge1.endpoint(1))):
-        if edge2.endpoint(0) == v:
-            mask |= near & (j <= guard)
-        if edge2.endpoint(1) == v:
-            mask |= near & (j >= n2 - guard - 1)
+    for near, v in ((k < g1, edge1.endpoint(0)), (k > n1 - 1 - g1, edge1.endpoint(1))):
+        for far, w in ((j < g2, edge2.endpoint(0)), (j > n2 - 1 - g2, edge2.endpoint(1))):
+            if v == w:
+                mask |= near & far
     return mask
 
 
@@ -601,12 +592,14 @@ def _hat_colouring(n_samples: int, refine: int, loop: bool):
     the interior indices (j' - 1) of the samples coupled to it, which are
     the hat rows its columns can reach.  Two samples get the same colour
     only when no interior sample is coupled to both, so one perturbation
-    of a whole colour class determines every hat entry it touches.  Open
-    edges, and loops too short for two blocks, are coloured greedily.  On a
-    loop edge the coupling is a circulant band of half-width k, so the
-    n - 1 positions around the loop (the vertex last) are cut into
-    q = floor((n - 1) / (2k + 1)) balanced blocks and a sample's colour is
-    its offset in its block: at most ceil((n - 1) / q) colours.
+    of a whole colour class determines every hat entry it touches.  No
+    row is coupled to two samples ``width`` apart: ``width`` is the widest
+    coupled window of an open edge, and 2k + 1 for the circulant band of
+    half-width k of a loop.  A sample's colour is its offset in blocks of
+    at least ``width`` positions: consecutive blocks of ``width`` on an
+    open edge; on a loop, the n - 1 positions around it (the vertex last)
+    cut into q = floor((n - 1) / width) balanced blocks, or one block when
+    q < 2, so at most ceil((n - 1) / q) colours.
     """
     lo, hi = stencils.hessian_coupling(n_samples, refine, loop)
     m, n_int = n_samples - 1, n_samples - 2
@@ -617,21 +610,11 @@ def _hat_colouring(n_samples: int, refine: int, loop: bool):
             # a window of n - 1 consecutive samples already covers the loop
             q = q[:m] % m
         coupled.append(q[(q >= 1) & (q <= n_int)] - 1)
-    blocks = m // (2 * int(hi[0]) + 1) if loop else 0
-    if blocks >= 2:
-        # equal offsets in two blocks are at least one block, 2k + 1
-        # positions, apart both ways round
-        starts = np.arange(blocks) * m // blocks
-        k = np.arange(n_int)
-        colour = k - starts[np.searchsorted(starts, k, "right") - 1]
-    else:
-        used = [set() for _ in range(n_int)]
-        colour = np.empty(n_int, dtype=int)
-        for j, reach in enumerate(coupled):
-            taken = set().union(*(used[r] for r in reach))
-            colour[j] = min(set(range(len(taken) + 1)) - taken)
-            for r in reach:
-                used[r].add(int(colour[j]))
+    width = 2 * int(hi[0]) + 1 if loop else max(int(r[-1] - r[0]) + 1 for r in coupled)
+    blocks = max(m // width, 1) if loop else -(-n_int // width)
+    starts = np.arange(blocks) * (m if loop else blocks * width) // blocks
+    k = np.arange(n_int)
+    colour = k - starts[np.searchsorted(starts, k, "right") - 1]
     colour.flags.writeable = False
     return colour, tuple(coupled)
 

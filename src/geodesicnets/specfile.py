@@ -335,11 +335,6 @@ def _metric_doc(chart: MetricChart) -> dict:
         return {"kind": "flat-torus", "lattice": [[float(x) for x in row] for row in chart.lattice]}
     if isinstance(chart, StereographicSphereChart):
         return {"kind": "stereographic-sphere", "radius": chart.radius, "dim": chart.dim}
-    if isinstance(chart, EuclideanChart):
-        doc = {"kind": "euclidean", "dim": chart.dim}
-        if chart.box is not None:
-            doc["box"] = [[float(x) for x in b] for b in chart.box]
-        return doc
     raise SpecError("metric cannot be serialized")
 
 

@@ -22,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencils
-from .geometry import MetricChart, _dot, christoffel_apply, g_dot, g_norm, metric_dot, metric_norm
+from .geometry import (
+    MetricChart, _dot, christoffel_apply, curvature_apply, curvature_form, g_dot, g_norm,
+    metric_dot, metric_norm,
+)
 from .net import (
     EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, length, vertex_unit_tangents,
 )
@@ -42,7 +45,6 @@ __all__ = [
     "edge_length_gradient",
     "length_integrand",
     "integrate_length_terms",
-    "covariant_deriv",
 ]
 
 # hessian_form warns above this stationarity residual and refuses a net
@@ -65,12 +67,6 @@ def _field_velocity(values: np.ndarray, shift) -> np.ndarray:
     if shift is None:
         return stencils.velocity(values)
     return stencils.velocity(values, loop_shift=np.zeros(values.shape[-1]))
-
-
-def covariant_deriv(chart: MetricChart, samples, vel, values, shift) -> np.ndarray:
-    """(D_t Z)^k = dZ^k/dt + Gamma^k_ij f'^i Z^j along an edge."""
-    dphi = chart.factor_jet_many(samples, 1)[1]
-    return _field_velocity(values, shift) + christoffel_apply(dphi, vel, values)
 
 
 def _perp(vel, values) -> np.ndarray:
@@ -164,40 +160,40 @@ def stationarity_gate(chart: MetricChart, net: GeodesicNet, tol: float, warning:
         warnings.warn(warning.format(agg), stacklevel=2)
 
 
-def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
-              lengths: dict[str, float] | None = None) -> np.ndarray:
-    """Samples of A_E applied to the field; output is g-orthogonal to f'."""
-    lengths = lengths or edge_lengths(chart, net)
-    e = net.graph.edge(eid)
+def _edge_terms(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
+                length: float):
+    """(A_E(Y) at the samples, (n/l) (D_t Y^perp)^perp at the two ends) of
+    one edge of the given g-length, from one factor jet."""
     s, shift, _ = _edge_grid(net, eid)
-    y = fld.edge_values[eid]
     v = stencils.velocity(s, loop_shift=shift)
+    _, dphi, ddphi = chart.factor_jet_many(s, 2)
     # differentiate the perpendicular part: same operator in the continuum,
     # and tangential fields are annihilated exactly at the discrete level
-    yperp = _perp(v, y)
-    ydot = covariant_deriv(chart, s, v, yperp, shift)
-    yddot = covariant_deriv(chart, s, v, ydot, shift)
-    curv = chart.curvature_many(s, v, yperp, v)
-    out = -(e.multiplicity / lengths[eid]) * _perp(v, yddot + curv)
-    return out
+    yperp = _perp(v, fld.edge_values[eid])
+    # (D_t Z)^k = dZ^k/dt + Gamma^k_ij f'^i Z^j
+    ydot = _field_velocity(yperp, shift) + christoffel_apply(dphi, v, yperp)
+    yddot = _field_velocity(ydot, shift) + christoffel_apply(dphi, v, ydot)
+    curv = curvature_apply(curvature_form(dphi, ddphi), v, yperp, v)
+    scale = net.graph.edge(eid).multiplicity / length
+    return -scale * _perp(v, yddot + curv), scale * _perp(v[[0, -1]], ydot[[0, -1]])
 
 
-def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField,
-              lengths: dict[str, float] | None = None) -> np.ndarray:
+def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField) -> np.ndarray:
+    """Samples of A_E applied to the field; output is g-orthogonal to f'."""
+    return _edge_terms(chart, net, eid, fld, edge_lengths(chart, net)[eid])[0]
+
+
+def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField) -> np.ndarray:
     """Signed sum of perpendicular endpoint covariant derivatives at v."""
-    lengths = lengths or edge_lengths(chart, net)
-    out = np.zeros(net.dim)
-    for eid, i in net.graph.incident_pairs(v):
-        e = net.graph.edge(eid)
-        s, shift, _ = _edge_grid(net, eid)
-        y = fld.edge_values[eid]
-        vel = stencils.velocity(s, loop_shift=shift)
-        yperp = _perp(vel, y)
-        ydot = covariant_deriv(chart, s, vel, yperp, shift)
-        idx = 0 if i == 0 else -1
-        perp = _perp(vel[idx][None, :], ydot[idx][None, :])[0]
-        out += (-1.0) ** (i + 1) * (e.multiplicity / lengths[eid]) * perp
-    return out
+    lengths = edge_lengths(chart, net)
+    ends = {eid: _edge_terms(chart, net, eid, fld, lengths[eid])[1]
+            for eid, _ in net.graph.incident_pairs(v)}
+    return _vertex_sum(net, v, ends)
+
+
+def _vertex_sum(net: GeodesicNet, v: str, ends: dict) -> np.ndarray:
+    """B_v from the end rows of ``_edge_terms`` of its incident edges."""
+    return sum((-1.0) ** (i + 1) * ends[eid][i] for eid, i in net.graph.incident_pairs(v))
 
 
 def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: NetField,
@@ -206,19 +202,21 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
 
     Only defined at (approximately) stationary nets: warns when the
     stationarity residual is within 100x of ``HESSIAN_RESIDUAL_TOL``,
-    errors above.
+    errors above.  One ``_edge_terms`` pass per edge gives both A_E and
+    the end rows of every B_v.
     """
     if check_stationary:
         stationarity_gate(chart, net, 100 * HESSIAN_RESIDUAL_TOL,
                           "hessian at a marginally stationary net (residual {:.3g})")
     lengths = edge_lengths(chart, net)
     total = 0.0
+    ends = {}
     for e in net.graph.edges:
-        s, shift, w = _edge_grid(net, e.id)
-        a_of_y = apply_A_E(chart, net, e.id, y_fld, lengths)
+        s, _, w = _edge_grid(net, e.id)
+        a_of_y, ends[e.id] = _edge_terms(chart, net, e.id, y_fld, lengths[e.id])
         total += float(w @ g_dot(chart, s, a_of_y, x_fld.edge_values[e.id]))
     for v in net.graph.vertices:
-        bv = apply_B_v(chart, net, v, y_fld, lengths)
+        bv = _vertex_sum(net, v, ends)
         xv = x_fld.vertex_value(net, v)
         p = net.vertex_positions[v]
         total += float(g_dot(chart, p[None, :], bv[None, :], xv[None, :])[0])

@@ -8,7 +8,9 @@ and warnings in ``runs-bumps.json``: ``perturb`` on the cases where it
 ends (sphere-theta at N = 32 exits 3 with no document) and ``continue``
 on the honeycomb torus along ``CONTINUE_METRIC``.  The honeycomb-torus
 documents are also judged by the benchmark's own rules (``check_cli`` and
-``KNOWN_DEFECTS`` of ``perfbench/run.py``).  A refactor leaves every
+``KNOWN_DEFECTS`` of ``perfbench/run.py``), and so are the operations of
+its cli-newton workload, run in-process on inputs built as
+``perfbench/inputs.py`` builds them.  A refactor leaves every
 document byte-identical.  A change that moves a number regenerates the
 files with
 
@@ -17,18 +19,20 @@ files with
 and says in CHANGES.md which numbers moved and why.
 """
 
+import functools
 import importlib.util
 import json
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geodesicnets import cli, specfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-BENCHMARK_RUNNER = Path(__file__).parent.parent / "perfbench" / "run.py"
+BENCHMARK_DIR = Path(__file__).parent.parent / "perfbench"
 CASES = ("honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop")
 COMMANDS = ("check", "jacobi", "solve", "chart-roundtrip")
 N_SAMPLES = 32
@@ -84,12 +88,19 @@ def test_bump_document_matches_the_recorded_one(case, command, tmp_path):
     _matches_the_recording("runs-bumps.json", case, command, tmp_path)
 
 
-def _benchmark_rules():
-    """``check_cli`` and ``KNOWN_DEFECTS`` of the benchmark runner, loaded by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK_RUNNER)
+def _load_by_path(name: str):
+    """A module of the benchmark runner's directory, loaded by path."""
+    path = BENCHMARK_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look the module up as they are made
     spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_rules():
+    """``check_cli`` and ``KNOWN_DEFECTS`` of the benchmark runner."""
+    module = _load_by_path("run")
     return module.check_cli, module.KNOWN_DEFECTS
 
 
@@ -99,7 +110,7 @@ def test_recorded_document_meets_the_benchmark_rule(command):
     each passes its rule or fails with the reason the benchmark expects, and
     its run exits 0 (a nonzero exit would count as an unexpected failure)."""
     check_cli, known_defects = _benchmark_rules()
-    label = f"honeycomb-torus:{command}"
+    label = f"{command}:honeycomb-torus"
     doc = json.loads((GOLDEN / f"honeycomb-torus.{command}.json").read_text(encoding="utf-8"))
     reason = check_cli(label, doc["report"])
     assert reason is None or (label in known_defects
@@ -108,6 +119,47 @@ def test_recorded_document_meets_the_benchmark_rule(command):
     for runs_file in BATTERIES:
         runs.update(json.loads((GOLDEN / runs_file).read_text(encoding="utf-8")))
     assert runs[f"honeycomb-torus.{command}"]["exit_code"] == 0
+
+
+@functools.cache
+def _cli_newton_inputs() -> dict:
+    """The input documents of the benchmark's cli-newton workload, label ->
+    document, built in the runner's order: generated specs at N = 32,
+    perturbations drawn from ``SHAPE_SEED``, then isometric copies (half
+    turns on the sphere) drawn from benchmark seed 1."""
+    inputs = _load_by_path("inputs")
+    base = {case: json.loads(json.dumps(specfile.spec_from_case(case, n_samples=32)))
+            for case in ("honeycomb-torus", "flat-loop", "sphere-theta")}
+    shape = np.random.default_rng(inputs.SHAPE_SEED)
+    specs = {f"solve:{case}": inputs.perturbed(base[case], shape)
+             for case in ("honeycomb-torus", "flat-loop", "sphere-theta")}
+    specs["perturb:honeycomb-torus"] = base["honeycomb-torus"]
+    specs["continue:honeycomb-torus"] = inputs.with_continue_bump(
+        inputs.perturbed(base["honeycomb-torus"], shape))
+    rng = np.random.default_rng(1)
+    return {label: inputs.isometric(doc, rng, half_turns=True) for label, doc in specs.items()}
+
+
+@pytest.mark.parametrize("label", ["solve:honeycomb-torus", "solve:flat-loop", "solve:sphere-theta",
+                                   "perturb:honeycomb-torus", "continue:honeycomb-torus"])
+def test_cli_newton_operation_meets_the_benchmark_rule(label, tmp_path, capsys):
+    """Each cli-newton operation, run in-process on the benchmark's input,
+    passes the benchmark's rule or fails with the reason ``KNOWN_DEFECTS``
+    expects; the reason is formed as the runner forms it."""
+    check_cli, known_defects = _benchmark_rules()
+    command = label.split(":")[0]
+    spec, out = tmp_path / "input.json", tmp_path / "result.json"
+    spec.write_text(json.dumps(_cli_newton_inputs()[label]), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main([command, "--spec", str(spec), "--out", str(out)])
+    if code != 0:
+        err = capsys.readouterr().err.strip()
+        reason = f"exit {code}: {err.splitlines()[-1] if err else ''}"
+    else:
+        reason = check_cli(label, json.loads(out.read_text(encoding="utf-8"))["report"])
+    assert reason is None or (label in known_defects
+                              and reason.startswith(known_defects[label][0])), reason
 
 
 def regenerate():

@@ -347,32 +347,28 @@ def test_degenerate_verdicts():
 
 def _embedding_gap_reference(chart, net):
     """Smallest sample distance that ``approximate_embeddedness`` weighs, one
-    sample at a time against every sample of every edge."""
+    sample at a time against every sample of every edge, with a guard per
+    edge: pairs at most the guard apart on one edge, and pairs each closer
+    than its edge's guard to an end at a shared vertex, are skipped."""
     eids = [e.id for e in net.graph.edges]
-    guard = max(2, net.edge_samples[eids[0]].shape[0] // 16)
     best = np.inf
     for i, e1 in enumerate(eids):
         s1 = net.edge_samples[e1]
         for e2 in eids[i:]:
             s2 = net.edge_samples[e2]
             n1, n2 = s1.shape[0], s2.shape[0]
+            g1, g2 = max(2, n1 // 16), max(2, n2 // 16)
             for k, p in enumerate(s1):
                 d = np.linalg.norm(chart.displacement_many(np.broadcast_to(p, s2.shape), s2), axis=1)
                 if e1 == e2:
-                    d[max(0, k - guard) : k + guard + 1] = np.inf
-                    if e1 in net.periodic_edges:
-                        if k < guard:
-                            d[n2 - (guard - k) - 1 :] = np.inf
-                        if k > n2 - 1 - guard:
-                            d[: guard - (n2 - 1 - k) + 1] = np.inf
-                else:
-                    ends = [net.graph.edge(e1).endpoint(0)] if k < guard else []
-                    ends += [net.graph.edge(e1).endpoint(1)] if k > n1 - 1 - guard else []
-                    for v in ends:
-                        if net.graph.edge(e2).endpoint(0) == v:
-                            d[: guard + 1] = np.inf
-                        if net.graph.edge(e2).endpoint(1) == v:
-                            d[n2 - guard - 1 :] = np.inf
+                    d[max(0, k - g1) : k + g1 + 1] = np.inf
+                ends = [net.graph.edge(e1).endpoint(0)] if k < g1 else []
+                ends += [net.graph.edge(e1).endpoint(1)] if k > n1 - 1 - g1 else []
+                for v in ends:
+                    if net.graph.edge(e2).endpoint(0) == v:
+                        d[:g2] = np.inf
+                    if net.graph.edge(e2).endpoint(1) == v:
+                        d[n2 - g2 :] = np.inf
                 best = min(best, float(d.min()))
     return best
 
@@ -384,6 +380,48 @@ def test_blocked_embeddedness_matches_per_sample_reference(name):
     assert approximate_embeddedness(case.chart, case.net)
     assert approximate_embeddedness(case.chart, case.net, gap * (1 - 1e-12))
     assert not approximate_embeddedness(case.chart, case.net, gap * (1 + 1e-12))
+
+
+def test_embeddedness_accepts_a_good_star_net_with_self_loops():
+    """A and B joined by two bowed edges, with a circle at each: the two
+    ends of a self-loop meet at its vertex by construction."""
+    from geodesicnets.geometry import EuclideanChart
+    from geodesicnets.multigraph import GraphClass, WeightedMultigraph, classify
+    from geodesicnets.net import GeodesicNet
+
+    graph = WeightedMultigraph.build(
+        ["A", "B"], [("E1", "A", "B"), ("E2", "A", "B"), ("E3", "A", "A"), ("E4", "B", "B")])
+    t = np.linspace(0.0, 1.0, 33)[:, None]
+    bow = 0.3 * np.sin(np.pi * t)
+    circle = 0.3 * np.hstack([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)])
+    a, b = np.zeros(2), np.array([1.0, 0.0])
+    samples = {"E1": np.hstack([t, bow]), "E2": np.hstack([t, -bow]), "E3": a + circle,
+               "E4": b + circle * np.array([-1.0, 1.0])}
+    for e in ("E3", "E4"):
+        samples[e][-1] = samples[e][0]
+    net = GeodesicNet(graph, samples, {"A": a, "B": b})
+    assert classify(graph) is GraphClass.GOOD_STAR
+    assert approximate_embeddedness(EuclideanChart(2), net)
+    # the circle at A stretched until its middle reaches B is refused
+    samples["E3"] = samples["E3"] + np.sin(np.pi * t) * np.array([1.6, 0.0])
+    samples["E3"][-1] = samples["E3"][0]
+    assert not approximate_embeddedness(EuclideanChart(2), replace(net, edge_samples=samples))
+
+
+@pytest.mark.parametrize("order", [("E1", "E2", "E3"), ("E2", "E3", "E1")])
+def test_embeddedness_guards_each_edge_by_its_own_sample_count(order):
+    """The honeycomb with E1 at N = 16 and E2, E3 at N = 256: each edge's
+    guard follows its own count, so the verdict does not depend on which
+    edge is listed first."""
+    from geodesicnets.multigraph import WeightedMultigraph
+
+    coarse, fine = make_case("honeycomb-torus", 16), make_case("honeycomb-torus", 256)
+    samples = dict(fine.net.edge_samples, E1=coarse.net.edge_samples["E1"])
+    graph = WeightedMultigraph.build(["A", "B"], [(e, "A", "B") for e in order])
+    net = replace(coarse.net, graph=graph, edge_samples=samples)
+    # a guard of 2, taken from E1, would weigh sample 2 of E2 against A, 2/256 away
+    assert approximate_embeddedness(coarse.chart, net, 0.05)
+    assert _embedding_gap_reference(coarse.chart, net) > 0.05
 
 
 def test_not_good_graph_rejected():

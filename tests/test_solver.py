@@ -34,6 +34,7 @@ from geodesicnets.net import (
     reparametrize_constant_speed,
 )
 from geodesicnets.solver import (
+    ClearanceError,
     ContinuationStall,
     MaxIterationsError,
     NoNormalPointError,
@@ -414,6 +415,91 @@ def test_bump_rejects_tangential_field():
     tang = TangentialField({"E": 0.5 + 0.2 * np.sin(2 * np.pi * t)}).to_net_field(case.net)
     with pytest.raises(NoNormalPointError):
         build_condition_C_bump(case.chart, case.net, tang)
+
+
+def _honeycomb_bump_parts():
+    """The honeycomb at N = 32, a normal field J on E1 with the given
+    profile, and a maker of directional bumps anchored on E1."""
+    from geodesicnets.geometry import DirectionalBumpField
+    from geodesicnets.solver import _anchor_spline_data
+
+    case = make_case("honeycomb-torus", 32)
+    pts, vel, _ = _anchor_spline_data(case.net, "E1", 16)
+
+    def j_field(profile):
+        return NetField({e: (profile[:, None] * [0.0, 1.0] if e == "E1" else np.zeros((33, 2)))
+                         for e in case.net.edge_samples})
+
+    def bump(center, radius, direction, shift=(0.0, 0.0)):
+        return DirectionalBumpField(np.add(center, shift), radius, direction,
+                                    pts + np.asarray(shift), vel, chart=case.chart)
+
+    return case, j_field, bump
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("good", None),
+    ("support on E2", "support touches edge 'E2'"),
+    ("anchor off the net", "bump does not vanish along its anchor edge"),
+    ("reversed direction", "sign condition violated on the anchor edge"),
+    ("J zero at the anchor", "no strict positivity at the anchor point"),
+])
+def test_verify_bump_refusals(kind, reason):
+    from geodesicnets.solver import _verify_bump
+
+    case, j_field, bump = _honeycomb_bump_parts()
+    e1 = case.net.edge_samples["E1"]
+    up, t = np.array([0.0, 1.0]), np.linspace(0.0, 1.0, 33)
+    j_fld, idx, h_fld = j_field(np.ones(33)), 16, bump(e1[16], 0.1, up)
+    if kind == "support on E2":
+        # near A, a ball of radius 0.3 reaches E2 (and E3)
+        idx, h_fld = 6, bump(e1[6], 0.3, up)
+    elif kind == "anchor off the net":
+        h_fld = bump(e1[16], 0.1, up, shift=0.05 * up)
+    elif kind == "reversed direction":
+        h_fld = bump(e1[16], 0.1, -up)
+    elif kind == "J zero at the anchor":
+        j_fld = j_field((t - 0.5) ** 2)
+    assert _verify_bump(case.chart, case.net, "E1", idx, h_fld, j_fld) == (reason is None, reason)
+
+
+def _failing_verify(monkeypatch, failures):
+    """Replace ``_verify_bump``: its first ``failures`` calls fail with
+    "refusal k", the later ones run the real check.  Returns the list of
+    the radius of every bump it was given."""
+    radii = []
+    real = solver_mod._verify_bump
+
+    def verify(chart, net, eid, idx, h_fld, j_field):
+        radii.append(h_fld.radius)
+        if len(radii) <= failures:
+            return False, f"refusal {len(radii)}"
+        return real(chart, net, eid, idx, h_fld, j_field)
+
+    monkeypatch.setattr(solver_mod, "_verify_bump", verify)
+    return radii
+
+
+def test_bump_construction_halves_the_radius_after_a_refusal(monkeypatch):
+    case = make_case("honeycomb-torus", 32)
+    j_fld = is_nondegenerate(case.chart, case.net).ambient[0]
+    want = build_condition_C_bump(case.chart, case.net, j_fld)
+    radii = _failing_verify(monkeypatch, 1)
+    eid, idx, h_fld = build_condition_C_bump(case.chart, case.net, j_fld)
+    assert (eid, idx) == want[:2]
+    assert radii == [want[2].radius, 0.5 * want[2].radius] == [radii[0], h_fld.radius]
+
+
+def test_bump_construction_names_the_last_refusal(monkeypatch):
+    case = make_case("honeycomb-torus", 32)
+    j_fld = is_nondegenerate(case.chart, case.net).ambient[0]
+    radii = _failing_verify(monkeypatch, np.inf)
+    with pytest.raises(ClearanceError, match=r"^no admissible bump anchor found \(") as err:
+        build_condition_C_bump(case.chart, case.net, j_fld)
+    assert str(err.value).endswith(f"(refusal {len(radii)})")
+    # every candidate is tried MAX_SHRINK times, halving the radius
+    assert len(radii) % solver_mod.MAX_SHRINK == 0
+    assert radii[1] == 0.5 * radii[0]
 
 
 def test_mixed_second_derivative_positive_and_matching():

@@ -314,6 +314,24 @@ def test_hessian_constant_normal_value():
     assert abs(val / edge_lengths(case.chart, case.net)["E"] + 1.0) < 1e-3
 
 
+def test_hessian_form_evaluates_one_factor_jet_per_edge(rng, monkeypatch):
+    """The edge lengths, one jet per edge for A_E and the end rows of B_v,
+    and one metric per edge and per vertex for the pairings: 1 + 2 E + V."""
+    case = make_case("honeycomb-torus", 32)
+    x_fld = random_ambient_field(case.chart, case.net, rng)
+    calls = []
+    original = type(case.chart).factor_jet_many
+
+    def counted(chart, points, order=2):
+        calls.append(order)
+        return original(chart, points, order)
+
+    monkeypatch.setattr(type(case.chart), "factor_jet_many", counted)
+    hessian_form(case.chart, case.net, x_fld, x_fld, check_stationary=False)
+    bound = 1 + 2 * len(case.net.graph.edges) + len(case.net.graph.vertices)
+    assert bound == 9 and len(calls) <= bound
+
+
 def test_hessian_symmetry(rng):
     case = make_case("sphere-equator", 256)
     x_fld = random_ambient_field(case.chart, case.net, rng)
