@@ -5,9 +5,10 @@ one pipeline stage and writes a deterministic results document (plus an
 optional CSV of per-edge samples).
 
 Exit codes: 0 success, 2 validation failure, 3 solver or numerical failure
-(also a ``solve`` whose net fails the stationarity tolerance, whose results
-document is still written, and a report holding a non-finite number, which
-is not written).
+(also a ``solve`` whose net fails the stationarity tolerance and a
+``chart-roundtrip`` whose round-trip or equivalence check fails, whose
+results documents are still written, and a report holding a non-finite
+number, which is not written).
 """
 
 from __future__ import annotations
@@ -237,9 +238,17 @@ def _cmd_chart_roundtrip(spec, args, options):
         "equivalence_check": localcoords.stationarity_equivalence_check(
             chart, nc, coords, residuals=(h1, h2, c_res)),
     }
-    ok = worst <= 1e-9 and report["equivalence_check"]
+    failed = []
+    if not worst <= 1e-9:
+        failed.append(f"round-trip error {worst:.3g} > 1e-09")
+    if not report["equivalence_check"]:
+        failed.append("equivalence check failed")
     code = _finish(args, "chart-roundtrip", options, report, net=spec.net)
-    return code if ok else EXIT_VALIDATION
+    if failed:
+        # the library's own checks on a valid spec: a numerical failure
+        print(f"numerical failure: {'; '.join(failed)}", file=sys.stderr)
+        return EXIT_SOLVER
+    return code
 
 
 def _cmd_export_plot(spec, args, options):

@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 # An eigenvalue of the Newton matrix counts as null at most NULL_THRESHOLD
-# times the largest one, or TIKHONOV_FLOOR; failed Newton steps escalate
-# the damping at most LM_MAX_BOOSTS times, and a continuation step is
+# times the largest one, or TIKHONOV_FLOOR; a solve ends at the first line
+# search that fails on a fresh Newton matrix, and a continuation step is
 # bisected at most MAX_HALVINGS times.  Degeneracy breaking stacks at most
 # MAX_BUMPS bumps, halves an anchor's radius at most MAX_SHRINK times, and
 # halves each bump's amplitude from BUMP_AMPLITUDE down to
@@ -77,7 +77,6 @@ __all__ = [
 # MIXED_REFINE times finer.
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
-LM_MAX_BOOSTS = 12
 MAX_HALVINGS = 8
 MAX_SHRINK = 6
 MAX_BUMPS = 4
@@ -157,7 +156,9 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
     """Newton iteration to a critical point of the discrete length.
 
     Convergence is measured on the reduced gradient norm; the returned net
-    is constant-speed reparametrized.
+    is constant-speed reparametrized.  A line search that fails on a stale
+    Newton matrix is retried on a fresh one; one that fails on a fresh
+    matrix ends the solve with ``MaxIterationsError``.
     """
     opts = opts or SolveOptions()
     net = reparametrize_constant_speed(chart, init)
@@ -193,20 +194,9 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         direction = basis.apply(evecs @ coef_eig)
         step = _line_search(chart, net, direction, gnorm, opts)
         if step is None and stale > 0:
-            # retry with a fresh Newton matrix before damping
+            # retry with a fresh Newton matrix
             evals = None
-            stale = opts.hessian_refresh
             continue
-        if step is None:
-            # damped least-squares steps on the gradient norm
-            mu = max(1e-6 * emax**2, 1e-14)
-            for _ in range(LM_MAX_BOOSTS):
-                coef = -(evals * g_eig) / (evals**2 + mu)
-                direction = basis.apply(evecs @ coef)
-                step = _line_search(chart, net, direction, gnorm, opts)
-                if step is not None:
-                    break
-                mu *= 10.0
         if step is None:
             raise MaxIterationsError(
                 f"line search stalled at iteration {it} (gradient {gnorm:.3e})",
@@ -473,8 +463,9 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
     variation gains a positive term that lifts the kernel eigenvalue.
 
     Returns (chart, net, kernel, history), the kernel that of the last net.
-    Accepted steps never increase the kernel dimension; a step that would
-    is retried at half amplitude.
+    Accepted steps never increase the kernel dimension; a step that would,
+    or whose solve fails, is retried at half amplitude.  A bump no amplitude
+    takes raises ``NoProgressError`` with the reason of the smallest one.
     """
     opts = opts or BreakOptions()
     kernel = is_nondegenerate(chart, net, svd_tol=opts.svd_tol, residual_tol=opts.residual_tol)
@@ -490,34 +481,31 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
             h_fld.anchor.derivatives, chart=cur_chart, power=2,
         )
         x = BUMP_AMPLITUDE
-        accepted = None
         while x >= BUMP_AMPLITUDE * MIN_AMPLITUDE_FACTOR:
             g_new = conformal_family(cur_chart, h_pin, x)
             try:
                 res = solve_stationary(g_new, cur_net, opts.solve)
                 new_kernel = is_nondegenerate(g_new, res.net, svd_tol=opts.svd_tol,
                                               residual_tol=opts.residual_tol)
-            except SolverError:
-                x *= 0.5
-                continue
+            except SolverError as ex:
+                why = f": the solve at amplitude {x:g} failed: {ex}"
             except NotStationaryError as ex:
                 raise StationarityLostError(
                     f"solved net under bump {bump_count} (amplitude {x:g}) failed the gate: {ex}"
                 ) from ex
-            if new_kernel.dimension <= kernel.dimension:
-                accepted = (g_new, res.net, new_kernel, x)
-                break
+            else:
+                if new_kernel.dimension <= kernel.dimension:
+                    break
+                why = " without growing the kernel"
             x *= 0.5
-        if accepted is None:
-            raise NoProgressError(
-                f"bump {bump_count} could not be applied without growing the kernel"
-            )
-        cur_chart, cur_net, kernel, x_used = accepted
+        else:
+            raise NoProgressError(f"bump {bump_count} could not be applied{why}")
+        cur_chart, cur_net, kernel = g_new, res.net, new_kernel
         history.append(
             {
                 "bumps": bump_count,
                 "kernel_dimension": kernel.dimension,
-                "amplitude": x_used,
+                "amplitude": x,
                 "edge": eid,
                 "radius": h_fld.radius,
             }

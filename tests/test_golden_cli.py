@@ -4,9 +4,10 @@
 ``chart-roundtrip`` documents of the four built-in cases at N = 32, with
 their timestamp dropped, and ``runs.json`` the exit code and the warnings
 of every run.  The bump paths have their own battery, with its exit codes
-and warnings in ``runs-bumps.json``: ``perturb`` on the cases where it
-ends (sphere-theta at N = 32 exits 3 with no document) and ``continue``
-on the honeycomb torus along ``CONTINUE_METRIC``.  The honeycomb-torus
+and warnings in ``runs-bumps.json``: ``perturb`` on the four cases and
+``continue`` on the honeycomb torus along ``CONTINUE_METRIC``.  A run
+that writes no document (``perturb`` on sphere-theta exits 3) records
+its stderr instead.  The honeycomb-torus
 documents are also judged by the benchmark's own rules (``check_cli`` and
 ``KNOWN_DEFECTS`` of ``perfbench/run.py``), and so are the operations of
 its cli-newton workload, run in-process on inputs built as
@@ -19,8 +20,10 @@ files with
 and says in CHANGES.md which numbers moved and why.
 """
 
+import contextlib
 import functools
 import importlib.util
+import io
 import json
 import sys
 import warnings
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geodesicnets import cli, specfile
+from geodesicnets import cli, solver, specfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 BENCHMARK_DIR = Path(__file__).parent.parent / "perfbench"
@@ -45,14 +48,16 @@ CONTINUE_METRIC = {
 BATTERIES = {
     "runs.json": [(case, command) for case in CASES for command in COMMANDS],
     "runs-bumps.json": [("honeycomb-torus", "perturb"), ("sphere-equator", "perturb"),
-                        ("flat-loop", "perturb"), ("honeycomb-torus", "continue")],
+                        ("flat-loop", "perturb"), ("sphere-theta", "perturb"),
+                        ("honeycomb-torus", "continue")],
 }
 
 
 def run_command(tmp_dir: Path, case: str, command: str):
     """({exit code, warning messages}, document text without its timestamp)
     of one CLI run on the generated spec of a built-in case, with
-    ``CONTINUE_METRIC`` for ``continue``."""
+    ``CONTINUE_METRIC`` for ``continue``; a run that writes no document
+    gives ({exit code, warning messages, stderr}, None)."""
     spec = tmp_dir / f"{case}.json"
     if not spec.exists():
         specfile.write_document(specfile.spec_from_case(case, n_samples=N_SAMPLES), str(spec))
@@ -62,12 +67,16 @@ def run_command(tmp_dir: Path, case: str, command: str):
         spec = tmp_dir / f"{case}.continue-spec.json"
         specfile.write_document(doc, str(spec))
     out = tmp_dir / f"{case}.{command}.json"
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
         code = cli.main([command, "--spec", str(spec), "--out", str(out)])
+    run = {"exit_code": code, "warnings": [str(w.message) for w in caught]}
+    if not out.exists():
+        run["stderr"] = err.getvalue()
+        return run, None
     doc = json.loads(out.read_text(encoding="utf-8"))
     del doc["timestamp"]
-    run = {"exit_code": code, "warnings": [str(w.message) for w in caught]}
     return run, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -75,7 +84,11 @@ def _matches_the_recording(runs_file, case, command, tmp_path):
     run, text = run_command(tmp_path, case, command)
     runs = json.loads((GOLDEN / runs_file).read_text(encoding="utf-8"))
     assert run == runs[f"{case}.{command}"]
-    assert text == (GOLDEN / f"{case}.{command}.json").read_text(encoding="utf-8")
+    golden = GOLDEN / f"{case}.{command}.json"
+    if text is None:
+        assert not golden.exists()
+    else:
+        assert text == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case,command", BATTERIES["runs.json"])
@@ -162,6 +175,26 @@ def test_cli_newton_operation_meets_the_benchmark_rule(label, tmp_path, capsys):
                               and reason.startswith(known_defects[label][0])), reason
 
 
+def test_stalled_sphere_theta_solve_ends_at_its_first_failed_line_search(monkeypatch):
+    """On the cli-newton sphere-theta input, at the CLI's gradient tolerance,
+    the Newton steps stop reducing the gradient once the round sphere's soft
+    modes hold it; the solve ends at the first line search that fails on a
+    fresh Newton matrix, not after a run of damped retries."""
+    spec = specfile.parse_spec(_cli_newton_inputs()["solve:sphere-theta"])
+    calls = []
+    real_line_search = solver._line_search
+
+    def counted(*args):
+        calls.append(1)
+        return real_line_search(*args)
+
+    monkeypatch.setattr(solver, "_line_search", counted)
+    with pytest.raises(solver.MaxIterationsError, match="line search stalled") as info:
+        solver.solve_stationary(spec.chart(), spec.net, solver.SolveOptions(tolerance=1e-9))
+    assert info.value.result.iterations <= 6
+    assert len(calls) <= 8
+
+
 def regenerate():
     import tempfile
 
@@ -171,7 +204,8 @@ def regenerate():
             runs = {}
             for case, command in battery:
                 runs[f"{case}.{command}"], text = run_command(Path(tmp), case, command)
-                (GOLDEN / f"{case}.{command}.json").write_text(text, encoding="utf-8")
+                if text is not None:
+                    (GOLDEN / f"{case}.{command}.json").write_text(text, encoding="utf-8")
             (GOLDEN / runs_file).write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")
 

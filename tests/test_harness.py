@@ -10,6 +10,7 @@ from conftest import theta3d_doc
 
 import geodesicnets
 from geodesicnets import cli, length, make_case, specfile
+from geodesicnets.variation import NotStationaryError
 
 
 def write_case_spec(tmp_path, name, n=64, **mods):
@@ -229,6 +230,32 @@ def test_cli_chart_roundtrip(tmp_path, monkeypatch):
     assert calls == {"mean_curvature_H": 1, "constraint_C": 1}
 
 
+def test_cli_chart_roundtrip_failed_equivalence_is_a_numerical_failure(tmp_path, capsys):
+    # on the generated sphere-theta at N = 32 the coordinate vertex residual
+    # (1.8e-4) misses the 1e-4 the check compares at: a valid spec, so exit 3
+    path, _ = write_case_spec(tmp_path, "sphere-theta", n=32)
+    out = tmp_path / "res.json"
+    assert cli.main(["chart-roundtrip", "--spec", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: equivalence check failed\n"
+    assert json.loads(out.read_text())["report"]["equivalence_check"] is False
+
+
+def test_cli_chart_roundtrip_failed_round_trip_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                                      capsys):
+    real_xi_prime = cli.localcoords.xi_prime
+
+    def off(point):
+        pc = real_xi_prime(point)
+        return cli.localcoords.PathCoord(a=pc.a + 1e-6, b=pc.b, u=pc.u)
+
+    monkeypatch.setattr(cli.localcoords, "xi_prime", off)
+    path, _ = write_case_spec(tmp_path, "sphere-equator")
+    assert cli.main(["chart-roundtrip", "--spec", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: round-trip error 1e-06 > 1e-09")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_export_plot_reingests_bitfaithfully(tmp_path):
     path, _ = write_case_spec(tmp_path, "sphere-theta")
     csv = tmp_path / "net.csv"
@@ -361,14 +388,34 @@ def test_cli_rejects_samples_of_the_wrong_dimension(tmp_path, capsys):
     assert "edge 'E1' samples have shape (65, 3); expected (n, 2)" in capsys.readouterr().err
 
 
-def test_cli_perturb_solved_net_off_the_gate_is_a_solver_error(tmp_path, capsys):
-    # the bumped solve on sphere-theta returns a net that fails the residual
-    # gate: a numerical failure (exit 3), reported after that one solve
-    path, _ = write_case_spec(tmp_path, "sphere-theta", n=64)
+def test_cli_perturb_solved_net_off_the_gate_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # a bumped solve returns a net that fails the residual gate: a numerical
+    # failure (exit 3), reported after that one solve, not bad input (exit 2)
+    real_judge = cli.solver.is_nondegenerate
+
+    def judge(chart, net, **kwargs):
+        if getattr(chart, "amplitude", 0.0) > 0.0:
+            raise NotStationaryError("net is not stationary (residual 0.08)")
+        return real_judge(chart, net, **kwargs)
+
+    monkeypatch.setattr(cli.solver, "is_nondegenerate", judge)
+    path, _ = write_case_spec(tmp_path, "honeycomb-torus", n=32)
     assert cli.main(["perturb", "--spec", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver error: solved net under bump 1")
+    assert err.startswith("solver error: solved net under bump 1 (amplitude 0.02) failed the gate")
     assert "net is not stationary" in err
+
+
+def test_cli_perturb_on_sphere_theta_names_the_failed_solve(tmp_path, capsys):
+    # every bumped solve stalls: the refusal names the last solve, at the
+    # smallest amplitude, and no document is written
+    path, _ = write_case_spec(tmp_path, "sphere-theta", n=64)
+    out = tmp_path / "res.json"
+    assert cli.main(["perturb", "--spec", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: bump 1 could not be applied: "
+                          "the solve at amplitude 0.00125 failed: line search stalled")
+    assert not out.exists()
 
 
 def test_cli_perturb_rejects_a_non_stationary_input(tmp_path, capsys):

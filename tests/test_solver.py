@@ -40,8 +40,10 @@ from geodesicnets.solver import (
     NoNormalPointError,
     NoProgressError,
     SolverError,
+    StationarityLostError,
     _line_search,
 )
+from geodesicnets.variation import NotStationaryError
 
 
 # -- solve -------------------------------------------------------------------
@@ -600,11 +602,12 @@ def test_break_degeneracy_returns_nondegenerate_unchanged():
 RUNGS = [solver_mod.BUMP_AMPLITUDE * 0.5**k for k in range(5)]
 
 
-def _ladder(monkeypatch, solve_fails=lambda x: False, kernel_grows=lambda x: False):
+def _ladder(monkeypatch, solve_fails=lambda x: False, kernel_grows=lambda x: False,
+            off_the_gate=lambda x: False):
     """The honeycomb at N = 32, with break_degeneracy's solves raising
-    MaxIterationsError, or its kernels reading dimension 3, at the bump
-    amplitudes chosen.  Returns the case and the list that records the
-    amplitude of every solve tried."""
+    MaxIterationsError, its kernels reading dimension 3, or its solved nets
+    failing the stationarity gate, at the bump amplitudes chosen.  Returns
+    the case and the list that records the amplitude of every solve tried."""
     tried = []
     real_solve, real_judge = solver_mod.solve_stationary, solver_mod.is_nondegenerate
 
@@ -615,8 +618,11 @@ def _ladder(monkeypatch, solve_fails=lambda x: False, kernel_grows=lambda x: Fal
         return real_solve(chart, net, opts)
 
     def judge(chart, net, **kwargs):
+        amplitude = getattr(chart, "amplitude", 0.0)
+        if off_the_gate(amplitude):
+            raise NotStationaryError("net is not stationary (residual 0.08)")
         kernel = real_judge(chart, net, **kwargs)
-        if kernel_grows(getattr(chart, "amplitude", 0.0)):
+        if kernel_grows(amplitude):
             return replace(kernel, dimension=3)
         return kernel
 
@@ -635,12 +641,36 @@ def test_break_degeneracy_halves_the_amplitude_to_the_first_rung_that_passes(mon
     assert kernel.nondegenerate
 
 
-@pytest.mark.parametrize("fault", ["solve_fails", "kernel_grows"])
-def test_break_degeneracy_refuses_a_bump_when_every_rung_fails(monkeypatch, fault):
+@pytest.mark.parametrize("fault,reason", [
+    pytest.param("solve_fails", f": the solve at amplitude {RUNGS[-1]:g} failed: failed on purpose",
+                 id="solve_fails"),
+    pytest.param("kernel_grows", " without growing the kernel", id="kernel_grows"),
+])
+def test_break_degeneracy_refuses_a_bump_when_every_rung_fails(monkeypatch, fault, reason):
     case, tried = _ladder(monkeypatch, **{fault: lambda x: x > 0.0})
-    with pytest.raises(NoProgressError, match="bump 1 could not be applied"):
+    with pytest.raises(NoProgressError) as info:
+        break_degeneracy(case.chart, case.net)
+    assert str(info.value) == "bump 1 could not be applied" + reason
+    assert tried == RUNGS
+
+
+def test_break_degeneracy_names_the_smallest_rung_when_the_faults_differ(monkeypatch):
+    # the larger rungs grow the kernel, the smaller ones fail to solve
+    case, tried = _ladder(monkeypatch, kernel_grows=lambda x: x > RUNGS[2],
+                          solve_fails=lambda x: x <= RUNGS[2])
+    with pytest.raises(NoProgressError, match=f"at amplitude {RUNGS[-1]:g} failed"):
         break_degeneracy(case.chart, case.net)
     assert tried == RUNGS
+
+
+def test_break_degeneracy_refuses_a_solved_net_off_the_gate(monkeypatch):
+    # the bumped solve returns a net that fails the stationarity gate: a
+    # numerical failure, raised at once, not a reason to halve the amplitude
+    case, tried = _ladder(monkeypatch, off_the_gate=lambda x: x > 0.0)
+    with pytest.raises(StationarityLostError,
+                       match=f"solved net under bump 1 \\(amplitude {RUNGS[0]:g}\\) failed the gate"):
+        break_degeneracy(case.chart, case.net)
+    assert tried == RUNGS[:1]
 
 
 def test_break_degeneracy_gives_up_after_the_last_bump(monkeypatch):
