@@ -73,7 +73,7 @@ def _resolve(spec, args):
     # the stationarity gate of the command's kernel verdicts
     options.setdefault("residual_tol", solver.BreakOptions.residual_tol
                        if args.command == "perturb" else 1e-3)
-    specfile.check_tolerances(options)
+    specfile.check_options(options)
     return options
 
 

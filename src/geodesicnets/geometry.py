@@ -342,8 +342,8 @@ class MetricChart:
     """Base class of the conformally flat charts, g = lam * delta with
     lam = e^(2 phi).
 
-    Subclasses provide ``factor_jet_many``; the metric, the Christoffel
-    symbols and the curvature are derived from it here.
+    Subclasses provide ``factor_jet_many``; the metric and the Christoffel
+    symbols are derived from it here, the curvature by ``curvature_form``.
     """
 
     dim: int
@@ -367,11 +367,6 @@ class MetricChart:
         eye = np.eye(self.dim)
         return (eye[:, :, None] * dphi[:, None, None, :] + eye[:, None, :] * dphi[:, None, :, None]
                 - eye * dphi[:, :, None, None])
-
-    def curvature_many(self, points, X, Y, Z) -> np.ndarray:
-        """R(X,Y)Z at each point (Jacobi-compatible sign)."""
-        _, dphi, ddphi = self.factor_jet_many(points, 2)
-        return curvature_apply(curvature_form(dphi, ddphi), X, Y, Z)
 
     # -- domain -----------------------------------------------------------
     def contains(self, p) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -41,7 +41,7 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, TangentialField, copies_per_pass, edge_lengths
+from .net import GeodesicNet, NetField, TangentialField, edge_lengths
 from .variation import (
     edge_length_gradient,
     integrate_length_terms,
@@ -69,6 +69,10 @@ __all__ = [
 # classify_field calls a field tangential when its normal part is at most
 # this fraction of it.
 TANGENTIAL_TOL = 1e-7
+# Most fine sample rows one stacked pass of fd_hessian's probes may hold:
+# bounds its memory whatever the number of probes.  A probe larger than
+# this is passed alone.
+MAX_STACKED_ROWS = 8192
 
 # ---------------------------------------------------------------------------
 # frames and curvature coefficients
@@ -421,23 +425,21 @@ def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6
 
 @dataclass
 class ReducedBasis:
-    """The reduced displacement space of K stacked copies of a net, as one
-    linear map B per copy.
+    """The reduced displacement space of a net, as one linear map B.
 
     Displacements and gradients are laid out as ``net.edge_groups()`` stacks
-    the samples, the K copies copy-major as ``EdgeGroup.copies`` stacks
-    them: per group, (K * E, N+1, n).  B's first ``n_vertex`` columns are
+    the samples: per group, (E, N+1, n).  B's first ``n_vertex`` columns are
     dense: vertex displacements with linear ramps into the incident edges
-    (on loop graphs, the normal motion of the marked vertex, one block per
-    copy), stored as one block over the edge samples in graph order.  Every
-    other column is a hat: frame vector a at interior sample j of edge E, at
-    column ``hat_offset[E] + (j - 1) * (n - 1) + a``.  The basis of one copy
-    maps any number of coefficient rows.
+    (on loop graphs, the normal motion of the marked vertex), stored as one
+    block over the edge samples in graph order.  Every other column is a
+    hat: frame vector a at interior sample j of edge E, at column
+    ``hat_offset[E] + (j - 1) * (n - 1) + a``.  B maps any number of
+    coefficient rows at once.
     """
 
-    frames: tuple                     # per group, (K * E, N+1, n-1, n)
-    vertex_block: np.ndarray          # (K or 1, sum over edges of (N+1) * n, n_vertex)
-    ids: tuple                        # per group, the edge ids of one copy
+    frames: tuple                     # per group, (E, N+1, n-1, n)
+    vertex_block: np.ndarray          # (sum over edges of (N+1) * n, n_vertex)
+    ids: tuple                        # per group, its edge ids
     index: tuple                      # per group, block rows (E, (N+1) n), hat columns (E, (N-1)(n-1))
     hat_offset: Mapping[str, int]
     labels: tuple                     # one per column
@@ -448,12 +450,6 @@ class ReducedBasis:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def copy_at(self, c: int) -> "ReducedBasis":
-        """The basis of copy c alone."""
-        frames = tuple(fr[c * len(ids) : (c + 1) * len(ids)] for ids, fr in zip(self.ids, self.frames))
-        block = self.vertex_block[c : c + 1] if len(self.vertex_block) > 1 else self.vertex_block
-        return replace(self, frames=frames, vertex_block=block)
 
     def apply(self, coef: np.ndarray) -> NetField:
         """B @ coef as a displacement field."""
@@ -473,7 +469,7 @@ class ReducedBasis:
             e, (m, nm1, n) = len(rows), fr.shape[1:]
             vals = flat[:, rows].reshape(p, e, m, n)
             c = coefs[:, hats].reshape(p, e, m - 2, nm1, 1)
-            vals[:, :, 1:-1] += (c * fr.reshape(-1, e, m, nm1, n)[:, :, 1:-1]).sum(axis=-2)
+            vals[:, :, 1:-1] += (c * fr[:, 1:-1]).sum(axis=-2)
             out.append(vals.reshape(p * e, m, n))
         return out
 
@@ -482,17 +478,16 @@ class ReducedBasis:
         n): (P, d).  Each row's vertex part is the same ``block.T @ g``
         product as alone, over the samples in graph order."""
         p = len(grads[0]) // len(self.ids[0])
-        flat = np.empty((p, self.vertex_block.shape[1]))
+        flat = np.empty((p, len(self.vertex_block)))
         out = np.empty((p, len(self)))
         for g, fr, (rows, hats) in zip(grads, self.frames, self.index):
             e, (m, nm1, n) = len(rows), fr.shape[1:]
             g = g.reshape(p, e, m, n)
             flat[:, rows] = g.reshape(p, e, m * n)
-            hat = (g[:, :, 1:-1, None, :] * fr.reshape(-1, e, m, nm1, n)[:, :, 1:-1]).sum(axis=-1)
+            hat = (g[:, :, 1:-1, None, :] * fr[:, 1:-1]).sum(axis=-1)
             out[:, hats] = hat.reshape(p, e, -1)
         for c in range(p):
-            block = self.vertex_block[c if len(self.vertex_block) > 1 else 0]
-            out[c, : self.n_vertex] = block.T @ flat[c]
+            out[c, : self.n_vertex] = self.vertex_block.T @ flat[c]
         return out
 
 
@@ -509,22 +504,12 @@ def reduced_basis_fields(chart: MetricChart, net: GeodesicNet):
 
 
 def reduced_gradient(chart: MetricChart, net: GeodesicNet):
-    """(B, B^T grad L): the reduced basis and the reduced length gradient,
-    ``stacked_reduced_gradients`` of the net alone."""
-    basis, (grad,) = stacked_reduced_gradients(chart, net, net.edge_groups())
-    return basis, grad
+    """(B, B^T grad L): the reduced basis and the reduced length gradient.
 
-
-def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list):
-    """(B, B^T grad L) of K configurations of net's edges.
-
-    groups are the K copies of ``net.edge_groups()`` stacked by
-    ``EdgeGroup.copies``.  Returns the basis of the K copies and their
-    reduced gradients (K, d); one velocity and one factor jet per group
-    feed both the frames and the gradients, and every copy's gradient is
-    bitwise the pullback of ``length_sample_gradient`` of its
-    configuration alone.
+    One velocity and one factor jet per edge group feed both the frames and
+    the gradient, which is bitwise the pullback of ``length_sample_gradient``.
     """
+    groups = net.edge_groups()
     frames, grads = [], []
     for grp in groups:
         v, lam, grad = edge_length_gradient(chart, grp)
@@ -534,18 +519,18 @@ def stacked_reduced_gradients(chart: MetricChart, net: GeodesicNet, groups: list
             fr = np.array([parallel_frame(chart, s, vel) for s, vel in zip(grp.samples, v)])
         frames.append(fr)
         grads.append(grad)
-    ids = tuple(grp.ids[: len(set(grp.ids))] for grp in groups)
+    ids = tuple(grp.ids for grp in groups)
     block, index, hat_offset, labels = _basis_layout(
         net.graph, tuple((i, grp.samples.shape[1]) for i, grp in zip(ids, groups)), net.dim)
     if block is None:
         # a loop graph is one self-loop edge: its marked vertex moves both
-        # end samples along the frame at the seam, one block per copy
-        fr = np.swapaxes(frames[0][:, 0], 1, 2)
-        block = np.zeros((len(fr), index[0][0].size, net.dim - 1))
-        block[:, : net.dim] += fr
-        block[:, -net.dim :] += fr
+        # end samples along the frame at the seam
+        fr = frames[0][0, 0].T
+        block = np.zeros((index[0][0].size, net.dim - 1))
+        block[: net.dim] += fr
+        block[-net.dim :] += fr
     basis = ReducedBasis(tuple(frames), block, ids, index, hat_offset, labels)
-    return basis, basis.pullback_many(grads)
+    return basis, basis.pullback_many(grads)[0]
 
 
 @lru_cache(maxsize=32)
@@ -554,7 +539,7 @@ def _basis_layout(graph: WeightedMultigraph, groups: tuple, n: int):
     ((edge ids, sample count) per group) and the dimension: (vertex block,
     per-group index, hat offsets, labels).
 
-    The vertex block is the read-only ramp block (1, rows, n_vertex) of
+    The vertex block is the read-only ramp block (rows, n_vertex) of
     good* graphs; on loop graphs it is None, because there it is the marked
     vertex's frame.
     """
@@ -566,11 +551,11 @@ def _basis_layout(graph: WeightedMultigraph, groups: tuple, n: int):
         block = None
     else:
         labels = [("z", vtx, c) for vtx in graph.vertices for c in range(n)]
-        block = np.zeros((1, n * sum(counts.values()), len(labels)))
+        block = np.zeros((n * sum(counts.values()), len(labels)))
         for k, (_, vtx, c) in enumerate(labels):
             for eid, i in graph.incident_pairs(vtx):
                 t = np.linspace(0.0, 1.0, counts[eid])
-                block[0, start[eid] + c : start[eid] + n * counts[eid] : n, k] += (1 - t) if i == 0 else t
+                block[start[eid] + c : start[eid] + n * counts[eid] : n, k] += (1 - t) if i == 0 else t
         block.flags.writeable = False
     hat_offset = {}
     for e in graph.edges:
@@ -724,7 +709,7 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     vertex rows by symmetry.  The probe count, n_vertex + colours, does not
     grow with the sample count.  B and B^T act once per probe, around
     ``_RefinedLength.products``.  The probes are evaluated stacked, as many
-    per pass as ``net.MAX_STACKED_ROWS`` fine sample rows hold, and every
+    per pass as ``MAX_STACKED_ROWS`` fine sample rows hold, and every
     probe's product is bitwise what it gets alone.
     """
     functional = _RefinedLength(chart, net, refine)
@@ -736,7 +721,7 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
         probes[j, cols] = 1.0
     # a probe is one fine copy: it traces about 130 bytes per fine row, as
     # one integrand copy did; half or twice as many probes per pass were slower
-    size = copies_per_pass(sum(ef.size for _, ef, *_ in functional.base))
+    size = max(1, MAX_STACKED_ROWS // sum(ef.size for _, ef, *_ in functional.base))
     delta = np.concatenate([
         basis.pullback_many(functional.products(basis.apply_many(probes[start : start + size])))
         for start in range(0, len(probes), size)])

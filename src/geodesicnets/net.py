@@ -29,16 +29,9 @@ __all__ = [
     "displace",
     "check_net",
     "constant_speed_samples",
-    "MAX_STACKED_ROWS",
-    "copies_per_pass",
 ]
 
 ENDPOINT_TOL = 1e-9
-
-# Most sample rows one stacked pass over copies of a net may hold (the
-# Hessian probes, the line-search ladder): bounds its memory whatever
-# the number of copies.  A copy larger than this is passed alone.
-MAX_STACKED_ROWS = 8192
 # Refinement of the grid on which arc length is integrated.
 ARC_UPSAMPLE = 8
 
@@ -93,11 +86,6 @@ class GeodesicNet:
             out.update(zip(grp.ids, f(grp)))
         return {e.id: out[e.id] for e in self.graph.edges}
 
-    def with_groups(self, groups: list["EdgeGroup"]) -> "GeodesicNet":
-        """This net with the samples of ``groups``, one copy of ``edge_groups``."""
-        samples = {e: s for grp in groups for e, s in zip(grp.ids, grp.samples)}
-        return replace(self, edge_samples={e.id: samples[e.id] for e in self.graph.edges})
-
     def copy(self) -> "GeodesicNet":
         return replace(
             self,
@@ -132,14 +120,6 @@ class EdgeGroup:
         return EdgeGroup(ids=self.ids * k, samples=samples,
                          shifts=samples[:, -1] - samples[:, 0] if self.loop else None,
                          multiplicities=np.tile(self.multiplicities, k))
-
-    def copy_at(self, c: int) -> "EdgeGroup":
-        """Copy c of a group of ``copies``, with the ids of one copy."""
-        e = len(set(self.ids))
-        rows = slice(c * e, (c + 1) * e)
-        return EdgeGroup(ids=self.ids[rows], samples=self.samples[rows],
-                         shifts=None if self.shifts is None else self.shifts[rows],
-                         multiplicities=self.multiplicities[rows])
 
 
 @dataclass
@@ -236,11 +216,6 @@ def length(chart: MetricChart, net: GeodesicNet) -> float:
     """Total length: sum over edges of multiplicity times g-length."""
     per_edge = edge_lengths(chart, net)
     return sum(e.multiplicity * per_edge[e.id] for e in net.graph.edges)
-
-
-def copies_per_pass(rows_per_copy: int) -> int:
-    """Copies of rows_per_copy sample rows one stacked pass holds: at least one."""
-    return max(1, MAX_STACKED_ROWS // rows_per_copy)
 
 
 def reparametrize_constant_speed(chart: MetricChart, net: GeodesicNet,

@@ -5,8 +5,9 @@ The solve works in reduced coordinates relative to the running net
 offsets only).  Each iteration re-anchors at the constant-speed
 reparametrization, assembles the exact gradient and Hessian of the
 discrete length, takes the Newton step, and backtracks on the gradient
-norm.  Near-null Hessian directions are excluded from the step, so
-symmetry orbits (translations, rotations) do not wander.
+norm, one candidate net after another.  Near-null Hessian directions are
+excluded from the step, so symmetry orbits (translations, rotations) do
+not wander.
 
 Degeneracy breaking perturbs the metric conformally with a bump that
 vanishes along the net, pairs positively with a chosen Jacobi field, and
@@ -29,19 +30,10 @@ from .geometry import (
     g_norm,
     min_distance,
 )
-from .jacobi import (
-    classify_field,
-    fd_hessian,
-    is_nondegenerate,
-    reduced_gradient,
-    stacked_reduced_gradients,
-)
+from .jacobi import classify_field, fd_hessian, is_nondegenerate, reduced_gradient
 from .net import (
-    ARC_UPSAMPLE,
     GeodesicNet,
     NetField,
-    constant_speed_samples,
-    copies_per_pass,
     displace,
     edge_lengths,
     length,
@@ -68,15 +60,19 @@ __all__ = [
 ]
 
 # An eigenvalue of the Newton matrix counts as null at most NULL_THRESHOLD
-# times the largest one, or TIKHONOV_FLOOR; a solve ends at the first line
-# search that fails on a fresh Newton matrix, and a continuation step is
-# bisected at most MAX_HALVINGS times.  Degeneracy breaking stacks at most
+# times the largest one, or TIKHONOV_FLOOR.  The line search tries the step
+# sizes 1, BACKTRACK, BACKTRACK^2, ... up to and including the first below
+# MIN_STEP; a solve ends at the first line search that fails on a fresh
+# Newton matrix, and a continuation step is bisected at most MAX_HALVINGS
+# times.  Degeneracy breaking stacks at most
 # MAX_BUMPS bumps, halves an anchor's radius at most MAX_SHRINK times, and
 # halves each bump's amplitude from BUMP_AMPLITUDE down to
 # MIN_AMPLITUDE_FACTOR of it.  mixed_second_derivative works on the grid
 # MIXED_REFINE times finer.
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
+BACKTRACK = 0.5
+MIN_STEP = 1e-6
 MAX_HALVINGS = 8
 MAX_SHRINK = 6
 MAX_BUMPS = 4
@@ -124,8 +120,6 @@ class StationarityLostError(SolverError):
 class SolveOptions:
     max_iterations: int = 60
     tolerance: float = 1e-10
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 24
     hessian_refresh: int = 4      # rebuild the Newton matrix every k iterations
 
     def __post_init__(self):
@@ -134,10 +128,6 @@ class SolveOptions:
             raise ValueError("tolerance must be finite and positive")
         if not self.max_iterations >= 1:
             raise ValueError("max iterations must be at least 1")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack factor must lie strictly between 0 and 1")
-        if not self.max_backtracks >= 1:
-            raise ValueError("max backtracks must be at least 1")
         if not self.hessian_refresh >= 1:
             raise ValueError("hessian refresh must be at least 1")
 
@@ -219,55 +209,23 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
 def _line_search(chart, net, direction, gnorm, opts):
     """(step size, accepted net, its basis and reduced gradient), or None.
 
-    Backtracking on the gradient norm (Armijo) over the ladder alpha = f^k,
-    k < max_backtracks, which ends after the first alpha below 1e-6.
-    alpha = 1 is tried alone; the rest of the ladder goes in ladder order,
-    stacked as many candidates per pass as ``net.MAX_STACKED_ROWS``
-    resampling rows hold, one pass per edge group.  Every candidate's
-    reduced gradient is bitwise that of the candidate alone; the first that
-    passes is accepted, and only it gets its net and basis built.
+    Backtracking on the gradient norm (Armijo): for alpha = 1, BACKTRACK,
+    ..., up to and including the first alpha below MIN_STEP, the candidate
+    is the constant-speed reparametrization of the net moved by alpha times
+    the direction; the first whose reduced gradient passes is accepted.  A
+    candidate with a near-zero speed raises the ValueError of
+    ``reparametrize_constant_speed``.
     """
-    ladder = []
     alpha = 1.0
-    for _ in range(opts.max_backtracks):
-        ladder.append(alpha)
-        if alpha < 1e-6:
-            break
-        alpha *= opts.backtrack_factor
-    groups = net.edge_groups()
-    size = copies_per_pass(sum(len(grp.ids) * ((grp.samples.shape[1] - 1) * ARC_UPSAMPLE + 1)
-                               for grp in groups))
-
-    def first_accepted(alphas):
-        moved = [displace(net, direction, alpha) for alpha in alphas]
-        moved_groups = [m.edge_groups() for m in moved]
-        resampled = []
-        for i, grp in enumerate(groups):
-            stacked = grp.copies(np.concatenate([mg[i].samples for mg in moved_groups]))
-            resampled.append(grp.copies(constant_speed_samples(chart, stacked)))
-        basis, grads = stacked_reduced_gradients(chart, net, resampled)
-        for c, (alpha, grad) in enumerate(zip(alphas, grads)):
-            gn = float(np.linalg.norm(grad))
-            if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
-                cand = moved[c].with_groups([grp.copy_at(c) for grp in resampled])
-                return alpha, cand, basis.copy_at(c), grad
-        return None
-
-    def attempt(alphas):
-        try:
-            return first_accepted(alphas)
-        except ValueError:
-            if len(alphas) == 1:
-                raise
-            # a near-zero speed in the pass: candidate by candidate, the error
-            # is raised only when no candidate before the faulty one passes
-            return next((s for s in (attempt([a]) for a in alphas) if s is not None), None)
-
-    for start, stop in [(0, 1)] + [(i, i + size) for i in range(1, len(ladder), size)]:
-        step = attempt(ladder[start:stop])
-        if step is not None:
-            return step
-    return None
+    while True:
+        cand = reparametrize_constant_speed(chart, displace(net, direction, alpha))
+        basis, grad = reduced_gradient(chart, cand)
+        gn = float(np.linalg.norm(grad))
+        if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
+            return alpha, cand, basis, grad
+        if alpha < MIN_STEP:
+            return None
+        alpha *= BACKTRACK
 
 
 def continue_family(base: MetricChart, field: ScalarField, amplitudes: list[float],

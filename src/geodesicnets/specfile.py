@@ -29,7 +29,7 @@ from .net import GeodesicNet, check_net
 from .stencils import MIN_SAMPLES
 from .variation import stationarity_residual
 
-__all__ = ["NetSpec", "SpecError", "check_tolerances", "load_spec", "parse_spec", "spec_from_case",
+__all__ = ["NetSpec", "SpecError", "check_options", "load_spec", "parse_spec", "spec_from_case",
            "write_document", "results_document", "export_plot_csv"]
 
 TOOL_VERSION = "0.1.0"
@@ -242,10 +242,14 @@ def _parse_net(doc: dict, graph: WeightedMultigraph, chart: MetricChart, n_sampl
     )
 
 
-def check_tolerances(options: dict) -> None:
-    """Refuse a tolerance option that is not a finite positive number."""
+def check_options(options: dict) -> None:
+    """Refuse a tolerance option that is not a finite positive number and a
+    seed that is not a non-negative integer."""
     for key in ("tol", "svd_tol", "residual_tol"):
         _number(options.get(key, 1.0), f"options.{key}", positive=True)
+    seed = options.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SpecError(f"options.seed must be a non-negative integer, got {seed!r}")
 
 
 def parse_spec(doc: dict) -> NetSpec:
@@ -254,10 +258,7 @@ def parse_spec(doc: dict) -> NetSpec:
         doc.get("options", {}), {"n_samples", "tol", "svd_tol", "residual_tol", "seed"}, "options"
     )
     options = dict(doc.get("options", {}))
-    check_tolerances(options)
-    seed = options.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise SpecError(f"options.seed must be a non-negative integer, got {seed!r}")
+    check_options(options)
     graph = _parse_graph(doc.get("graph", {}))
     problems = validate(graph)
     if problems:

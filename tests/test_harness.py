@@ -620,6 +620,15 @@ def test_cli_refuses_a_spec_seed_that_is_not_a_non_negative_integer(tmp_path, ca
     assert "options.seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("check", "-5"), ("chart-roundtrip", "-1")])
+def test_cli_refuses_a_seed_flag_that_is_negative(tmp_path, capsys, command, flag):
+    path, _ = write_case_spec(tmp_path, "flat-loop", n=32)
+    out = tmp_path / "res.json"
+    assert cli.main([command, "--spec", str(path), "--out", str(out), "--seed", flag]) == 2
+    assert f"options.seed must be a non-negative integer, got {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys):
     # options.tol: inf used to call every net stationary
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)

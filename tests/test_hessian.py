@@ -18,7 +18,6 @@ from geodesicnets import (
 )
 from geodesicnets import reduced_hessian_fd, stencils
 from geodesicnets import jacobi as jac
-from geodesicnets import net as net_mod
 from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
 from geodesicnets.multigraph import GraphClass, classify
 from geodesicnets.net import GeodesicNet, NetField, displace
@@ -329,7 +328,7 @@ def assert_same_gradient(chart, net):
     assert len(basis) == len(labels) == len(fields)
     ref_block = np.stack([np.concatenate([f.edge_values[e].ravel() for e in basis.hat_offset])
                           for f in fields[: basis.n_vertex]], axis=1)
-    assert np.array_equal(basis.vertex_block, ref_block[None])
+    assert np.array_equal(basis.vertex_block, ref_block)
     assert np.array_equal(grad, pullback(net, basis, length_sample_gradient(chart, net)))
 
 
@@ -414,7 +413,7 @@ def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypa
     # the last one short
     n_probes = basis.n_vertex + len(jac._hat_groups(basis, net, refine))
     k = next(k for k in range(2, n_probes) if n_probes % k)
-    monkeypatch.setattr(net_mod, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
+    monkeypatch.setattr(jac, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
     assert n_probes > 2 * k
     assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
 
@@ -561,54 +560,34 @@ def test_one_stacked_pass_stays_within_the_row_cap():
     basis, _ = reduced_basis_fields(case.chart, case.net)
     fd_hessian(case.chart, case.net, basis, refine=8)  # the operator caches
     n_probes = 2 * (basis.n_vertex + len(jac._hat_groups(basis, case.net, 8)))
-    assert n_probes * fine_rows(case.net, 8) > 4 * net_mod.MAX_STACKED_ROWS
+    assert n_probes * fine_rows(case.net, 8) > 4 * jac.MAX_STACKED_ROWS
     tracemalloc.start()
     try:
         h_mat = fd_hessian(case.chart, case.net, basis, refine=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * h_mat.nbytes + 512 * net_mod.MAX_STACKED_ROWS
+    assert peak <= 3 * h_mat.nbytes + 512 * jac.MAX_STACKED_ROWS
 
 
-# -- the basis of K stacked copies ---------------------------------------------
-
-def stacked_copies(net, nets):
-    """The edge groups of nets, which share net's graph and sample counts,
-    stacked copy-major by ``EdgeGroup.copies``."""
-    copies = [other.edge_groups() for other in nets]
-    return [grp.copies(np.concatenate([groups[i].samples for groups in copies]))
-            for i, grp in enumerate(net.edge_groups())]
-
+# -- one basis, many coefficient rows -------------------------------------------
 
 @pytest.mark.parametrize("name", ("interleaved", "theta3d", "sphere-equator"))
 def test_basis_of_stacked_copies_is_each_copy_alone_bitwise(name):
-    """B, B^T and the reduced gradients of K stacked configurations equal,
-    bitwise, those of every configuration alone; so do the rows of a
-    one-copy basis applied to many coefficient rows."""
-    nets = [jittered(name, n_samples=32, seed=seed)[1] for seed in (1, 2, 3)]
-    chart = jittered(name, n_samples=32)[0]
-    k = len(nets)
-    basis, grads = jac.stacked_reduced_gradients(chart, nets[0], stacked_copies(nets[0], nets))
-    assert grads.shape == (k, len(basis))
+    """B and B^T over K stacked coefficient rows (the fd_hessian probes)
+    equal, bitwise, B and B^T of every row alone."""
+    chart, net = jittered(name, n_samples=32)
+    basis, _ = jac.reduced_gradient(chart, net)
     rng = np.random.default_rng(5)
-    coefs = rng.normal(size=(k, len(basis)))
+    coefs = rng.normal(size=(3, len(basis)))
     moved = basis.apply_many(coefs)
     gradients = [rng.normal(size=stack.shape) for stack in moved]
     pulled = basis.pullback_many(gradients)
-    for c, net in enumerate(nets):
-        alone, grad = jac.reduced_gradient(chart, net)
-        assert np.array_equal(grads[c], grad)
-        copy = basis.copy_at(c)
-        assert np.array_equal(copy.vertex_block, alone.vertex_block)
-        assert all(np.array_equal(f, g) for f, g in zip(copy.frames, alone.frames))
+    for c in range(len(coefs)):
         rows = [slice(c * len(ids), (c + 1) * len(ids)) for ids in basis.ids]
-        for got, want in zip([m[r] for m, r in zip(moved, rows)], alone.apply_many(coefs[c : c + 1])):
+        for got, want in zip([m[r] for m, r in zip(moved, rows)], basis.apply_many(coefs[c : c + 1])):
             assert np.array_equal(got, want)
-        assert np.array_equal(pulled[c], alone.pullback_many([g[r] for g, r in zip(gradients, rows)])[0])
-        # one copy, many rows
-        assert np.array_equal(alone.pullback_many(alone.apply_many(coefs))[c],
-                              alone.pullback_many(alone.apply_many(coefs[c : c + 1]))[0])
+        assert np.array_equal(pulled[c], basis.pullback_many([g[r] for g, r in zip(gradients, rows)])[0])
     if name == "interleaved":
         assert [len(ids) for ids in basis.ids] == [2, 1]
         assert list(basis.hat_offset) == ["E1", "E2", "E3"]
