@@ -65,7 +65,6 @@ from .net import (
     vertex_unit_tangents,
 )
 from .solver import (
-    BreakOptions,
     SolveOptions,
     SolveResult,
     break_degeneracy,

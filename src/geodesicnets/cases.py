@@ -104,7 +104,7 @@ def _sphere_theta(n_samples: int) -> tuple[MetricChart, GeodesicNet]:
     )
 
 
-def _sphere_equator(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, GeodesicNet]:
+def _sphere_equator(n_samples: int, multiplicity: int) -> tuple[MetricChart, GeodesicNet]:
     chart = StereographicSphereChart(radius=1.0)
     graph = WeightedMultigraph.build(["V"], [("E", "V", "V", multiplicity)])
     t = _grid(n_samples)
@@ -118,7 +118,7 @@ def _sphere_equator(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart,
     )
 
 
-def _flat_loop(n_samples: int, multiplicity: int = 1) -> tuple[MetricChart, GeodesicNet]:
+def _flat_loop(n_samples: int, multiplicity: int) -> tuple[MetricChart, GeodesicNet]:
     chart = FlatTorusChart(HEX_LATTICE)
     graph = WeightedMultigraph.build(["V"], [("E", "V", "V", multiplicity)])
     t = _grid(n_samples)

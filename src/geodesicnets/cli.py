@@ -28,6 +28,8 @@ from .variation import stationarity_residual
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+# Largest accepted round-trip error of ``chart-roundtrip``.
+ROUNDTRIP_TOL = 1e-9
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -68,11 +70,11 @@ def _resolve(spec, args):
         if getattr(args, key) is not None:
             options[key] = getattr(args, key)
     options.setdefault("tol", 1e-8)
-    options.setdefault("svd_tol", 1e-6)
+    options.setdefault("svd_tol", jacobi.SVD_TOL)
     options.setdefault("seed", 0)
     # the stationarity gate of the command's kernel verdicts
-    options.setdefault("residual_tol", solver.BreakOptions.residual_tol
-                       if args.command == "perturb" else 1e-3)
+    options.setdefault("residual_tol", solver.BREAK_RESIDUAL_TOL
+                       if args.command == "perturb" else jacobi.RESIDUAL_TOL)
     specfile.check_options(options)
     return options
 
@@ -111,7 +113,7 @@ def _non_finite_key(value, key: str):
     return next((bad for bad in (_non_finite_key(v, k) for k, v in items) if bad), None)
 
 
-def _finish(args, command, options, report, net=None, fields=None):
+def _finish(args, command, options, report, net, fields=None):
     bad = _non_finite_key(report, "report")
     if bad:
         # strict JSON has no NaN or Infinity
@@ -122,7 +124,7 @@ def _finish(args, command, options, report, net=None, fields=None):
     else:
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    if args.csv and net is not None:
+    if args.csv:
         specfile.export_plot_csv(net, args.csv, fields=fields)
     return EXIT_OK
 
@@ -174,8 +176,8 @@ def _cmd_jacobi(spec, args, options):
 
 def _cmd_perturb(spec, args, options):
     chart = spec.chart()
-    bopts = solver.BreakOptions(svd_tol=options["svd_tol"], residual_tol=options["residual_tol"])
-    _, net2, ker, history = solver.break_degeneracy(chart, spec.net, bopts)
+    _, net2, ker, history = solver.break_degeneracy(chart, spec.net, svd_tol=options["svd_tol"],
+                                                    residual_tol=options["residual_tol"])
     report = {
         "history": history,
         "verdict": _verdict(ker),
@@ -231,7 +233,7 @@ def _cmd_chart_roundtrip(spec, args, options):
     c_res = localcoords.constraint_C(nc, coords)
     report = {
         "roundtrip_worst": worst,
-        "roundtrip_tolerance": 1e-9,
+        "roundtrip_tolerance": ROUNDTRIP_TOL,
         "constraint_norm": c_res.norm,
         "interior_residual_max": max(float(np.abs(v).max()) for v in h1.values()),
         "vertex_residual_max": max(float(np.linalg.norm(v)) for v in h2.values()),
@@ -239,8 +241,8 @@ def _cmd_chart_roundtrip(spec, args, options):
             chart, nc, coords, residuals=(h1, h2, c_res)),
     }
     failed = []
-    if not worst <= 1e-9:
-        failed.append(f"round-trip error {worst:.3g} > 1e-09")
+    if not worst <= ROUNDTRIP_TOL:
+        failed.append(f"round-trip error {worst:.3g} > {ROUNDTRIP_TOL:g}")
     if not report["equivalence_check"]:
         failed.append("equivalence check failed")
     code = _finish(args, "chart-roundtrip", options, report, net=spec.net)

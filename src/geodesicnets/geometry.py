@@ -147,15 +147,14 @@ class SumField(ScalarField):
 class RadialBumpField(ScalarField):
     """amplitude * profile(|z - center| / radius), wrap-aware on tori."""
 
-    def __init__(self, center, radius: float, amplitude: float, chart: "MetricChart | None" = None):
+    def __init__(self, center, radius: float, amplitude: float, chart: "MetricChart"):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.amplitude = float(amplitude)
         self.chart = chart
 
     def jet_many(self, points, order=2):
-        d = (points - self.center if self.chart is None
-             else self.chart.displacement_many(self.center, points))
+        d = self.chart.displacement_many(self.center, points)
         jet = _profile_jet(d, self.radius, order)
         return tuple(None if part is None else self.amplitude * part for part in jet)
 
@@ -230,7 +229,7 @@ class DirectionalBumpField(ScalarField):
     """
 
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
-                 chart: "MetricChart | None" = None, power: int = 1):
+                 chart: "MetricChart", power: int = 1):
         self.center = np.asarray(center, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.chart = chart
@@ -246,8 +245,7 @@ class DirectionalBumpField(ScalarField):
         acc_perp = acc - vels * (np.einsum("pi,pi->p", acc, vels) / speed2)[:, None]
         kappa = np.linalg.norm(acc_perp, axis=1) / speed2
         inj = 0.5 / max(kappa.max(), 1e-12)
-        bound = np.inf if chart is None else chart.injectivity_bound()
-        self.radius = float(min(radius, inj, bound))
+        self.radius = float(min(radius, inj, chart.injectivity_bound()))
         self._window(vels)
 
     def _window(self, vels):
@@ -285,8 +283,7 @@ class DirectionalBumpField(ScalarField):
     def jet_many(self, points, order=2):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, n = points.shape
-        rel = (points - self.center if self.chart is None
-               else self.chart.displacement_many(self.center, points))
+        rel = self.chart.displacement_many(self.center, points)
         inside = np.flatnonzero(np.einsum("pi,pi->p", rel, rel) < self.radius**2)
         vals = np.zeros(m)
         grads = np.zeros((m, n)) if order >= 1 else None
@@ -372,20 +369,12 @@ class MetricChart:
     def contains(self, p) -> bool:
         return True
 
-    def wrap(self, p) -> np.ndarray:
-        return np.asarray(p, dtype=float)
-
     def wrap_many(self, points) -> np.ndarray:
         return np.asarray(points, dtype=float)
 
     def displacement_many(self, p, q) -> np.ndarray:
         """Shortest chart representative of q - p (vectorized)."""
         return np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-
-    def displacement(self, p, q) -> np.ndarray:
-        return self.displacement_many(
-            np.asarray(p, dtype=float)[None, :], np.asarray(q, dtype=float)[None, :]
-        )[0]
 
     def injectivity_bound(self) -> float:
         return np.inf
@@ -432,9 +421,6 @@ class FlatTorusChart(EuclideanChart):
         frac = points @ self._inv
         frac -= np.round(frac)
         return frac @ self.lattice
-
-    def wrap(self, p):
-        return self.wrap_many(np.asarray(p, dtype=float)[None, :])[0]
 
     def displacement_many(self, p, q):
         """Shortest representative of q - p: the one with rounded lattice
@@ -499,9 +485,6 @@ class ConformalChart(MetricChart):
 
     def contains(self, p):
         return self.base.contains(p)
-
-    def wrap(self, p):
-        return self.base.wrap(p)
 
     def wrap_many(self, points):
         return self.base.wrap_many(points)

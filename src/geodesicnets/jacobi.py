@@ -66,6 +66,15 @@ __all__ = [
     "approximate_embeddedness",
 ]
 
+# The default kernel rule: a singular value counts as zero at most SVD_TOL
+# times the largest, on a net the stationarity gate passes at RESIDUAL_TOL.
+# The shooting system is propagated on the grid SHOOTING_REFINE times finer
+# (even: one RK4 step spans two fine intervals), and the reduced Hessian
+# oracle works on the grid ORACLE_REFINE times finer.
+SVD_TOL = 1e-6
+RESIDUAL_TOL = 1e-3
+SHOOTING_REFINE = 8
+ORACLE_REFINE = 8
 # classify_field calls a field tangential when its normal part is at most
 # this fraction of it.
 TANGENTIAL_TOL = 1e-7
@@ -184,22 +193,18 @@ def _good_class(graph: WeightedMultigraph) -> GraphClass:
     return gclass
 
 
-def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet, refine: int = 8,
-                           residual_tol: float = 1e-3) -> ShootingSystem:
-    """Square linear system whose null space is the reduced Jacobi space.
-
-    ``refine`` must be even: one RK4 step spans two fine intervals, so an
-    odd refinement puts coarse nodes mid-step.  A not-good graph is
-    refused with a ValueError.
+def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet,
+                           residual_tol: float = RESIDUAL_TOL) -> ShootingSystem:
+    """Square linear system whose null space is the reduced Jacobi space,
+    propagated on the grid ``SHOOTING_REFINE`` times finer.  A not-good
+    graph is refused with a ValueError.
     """
-    if refine < 2 or refine % 2:
-        raise ValueError(f"refine must be an even integer >= 2, got {refine!r}")
     gclass = _good_class(net.graph)
     stationarity_gate(chart, net, residual_tol, "assembling Jacobi system at marginal residual {:.3g}")
     n = net.dim
     nm1 = n - 1
     edges = net.graph.edges
-    edata = {e.id: _edge_data(chart, net, e.id, refine) for e in edges}
+    edata = {e.id: _edge_data(chart, net, e.id, SHOOTING_REFINE) for e in edges}
 
     if gclass is GraphClass.LOOP_WITH_MULTIPLICITY:
         # one self-loop edge: (u, u') after the edge's flow, carried back
@@ -296,10 +301,10 @@ class JacobiKernel:
         return self.dimension == 0
 
 
-def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
-                  refine: int = 8, residual_tol: float = 1e-3) -> JacobiKernel:
+def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = SVD_TOL,
+                  residual_tol: float = RESIDUAL_TOL) -> JacobiKernel:
     """Null space of the shooting system, reconstructed to ambient fields."""
-    sysm = assemble_jacobi_system(chart, net, refine=refine, residual_tol=residual_tol)
+    sysm = assemble_jacobi_system(chart, net, residual_tol=residual_tol)
     a_mat = sysm.matrix
     _, svals, vt = np.linalg.svd(a_mat)
     if sysm.graph_class is GraphClass.LOOP_WITH_MULTIPLICITY:
@@ -410,8 +415,8 @@ def _ignored_pairs(net, e1, k, e2):
     return mask
 
 
-def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = 1e-6,
-                     residual_tol: float = 1e-3) -> JacobiKernel:
+def is_nondegenerate(chart: MetricChart, net: GeodesicNet, svd_tol: float = SVD_TOL,
+                     residual_tol: float = RESIDUAL_TOL) -> JacobiKernel:
     """The Jacobi kernel whose ``nondegenerate`` is the verdict, after the
     approximate embeddedness check of a star net (a ValueError if it fails)."""
     if classify(net.graph) is GraphClass.GOOD_STAR and not approximate_embeddedness(chart, net):
@@ -733,23 +738,24 @@ def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
     return 0.5 * (h_mat + h_mat.T)
 
 
-def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet, refine: int = 8):
+def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet):
     """Dense symmetric Hessian of the discrete length over the reduced basis,
-    exact, by ``fd_hessian``.  A not-good graph is refused with a
-    ValueError, as by the shooting route."""
+    exact, by ``fd_hessian`` on the grid ``ORACLE_REFINE`` times finer.  A
+    not-good graph is refused with a ValueError, as by the shooting route."""
     _good_class(net.graph)
     basis, labels = reduced_basis_fields(chart, net)
-    return fd_hessian(chart, net, basis, refine), labels
+    return fd_hessian(chart, net, basis, ORACLE_REFINE), labels
 
 
-def reduced_kernel_dimension(h_mat: np.ndarray, svd_tol: float = 1e-6):
-    """Kernel count of the reduced Hessian with the same tolerance rule.
+def reduced_kernel_dimension(h_mat: np.ndarray):
+    """Kernel count of the reduced Hessian by the shooting route's rule at
+    ``SVD_TOL``.
 
     H is symmetric, so its singular values are the |eigenvalues| from
     ``eigvalsh``, returned in descending order as an SVD would.
     """
     svals = np.sort(np.abs(np.linalg.eigvalsh(h_mat)))[::-1]
-    zero, _, gap = _split_spectrum(svals, svd_tol, float(svals.max()))
+    zero, _, gap = _split_spectrum(svals, SVD_TOL, float(svals.max()))
     return int(zero.sum()), svals, gap
 
 

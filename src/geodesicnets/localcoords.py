@@ -51,11 +51,13 @@ __all__ = [
 ]
 
 # Tube radius and extension (see ``build_net_chart``), the upsampling of
-# the tube curves, and the difference step of ``mean_curvature_H``.
+# the tube curves, the difference step of ``mean_curvature_H`` and of the
+# transfer maps, and the tolerance of ``stationarity_equivalence_check``.
 DELTA_REL = 0.1
 ETA_REL = 0.2
 TUBE_REFINE = 8
 FD_STEP = 1e-6
+EQUIVALENCE_TOL = 1e-4
 
 
 class TubeError(ValueError):
@@ -313,7 +315,7 @@ def lambda_map(nc: NetChart, coords: NetCoord) -> GeodesicNet:
     positions = {}
     for v in nc.reference.graph.vertices:
         eid, i = nc.preferred[v]
-        positions[v] = nc.chart.wrap(samples[eid][0 if i == 0 else -1])
+        positions[v] = nc.chart.wrap_many(samples[eid][[0 if i == 0 else -1]])[0]
     return GeodesicNet(
         graph=nc.reference.graph,
         edge_samples=samples,
@@ -342,12 +344,10 @@ def _endpoint_coordinate(pc: PathCoord, i: int) -> np.ndarray:
 
 
 def _transfer_point(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarray,
-                    s_hint: float | None = None) -> np.ndarray:
+                    s_hint: float) -> np.ndarray:
     """(c, u) of one tube -> coordinates of the same point in another tube."""
     z = nc.tubes[from_eid].embed(np.array([coord[0]]), coord[1:][None, :])[0]
-    guess = None if s_hint is None else np.array([s_hint])
-    triv = tube_coordinates(nc, to_eid, z[None, :], s_guess=guess)[0]
-    return triv
+    return tube_coordinates(nc, to_eid, z[None, :], s_guess=np.array([s_hint]))[0]
 
 
 def constraint_C(nc: NetChart, coords: NetCoord) -> ConstraintResidual:
@@ -368,16 +368,16 @@ def constraint_C(nc: NetChart, coords: NetCoord) -> ConstraintResidual:
 
 
 def _transfer_jacobian(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarray,
-                       s_hint: float, step: float = 1e-6) -> np.ndarray:
+                       s_hint: float) -> np.ndarray:
     n = coord.shape[0]
     out = np.empty((n, n))
     for j in range(n):
         dp = np.zeros(n)
-        dp[j] = step
+        dp[j] = FD_STEP
         out[:, j] = (
             _transfer_point(nc, from_eid, to_eid, coord + dp, s_hint=s_hint)
             - _transfer_point(nc, from_eid, to_eid, coord - dp, s_hint=s_hint)
-        ) / (2 * step)
+        ) / (2 * FD_STEP)
     return out
 
 
@@ -479,9 +479,9 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
 
 
 def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoord,
-                                   tol: float = 1e-4, residuals: tuple | None = None) -> bool:
+                                   residuals: tuple | None = None) -> bool:
     """True when the coordinate residual (H, C) and the ambient stationarity
-    residual agree on whether the net is stationary, both at ``tol``.
+    residual agree on whether the net is stationary at ``EQUIVALENCE_TOL``.
 
     ``residuals`` is (h1, h2, c_res) as ``mean_curvature_H`` and
     ``constraint_C`` return them for these coordinates, when the caller
@@ -492,7 +492,7 @@ def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoor
     h1, h2, c_res = residuals
     h1_norm = max(float(np.abs(v).max()) for v in h1.values())
     h2_norm = max(float(np.linalg.norm(v)) for v in h2.values())
-    coord_stationary = max(h1_norm, h2_norm, c_res.norm) <= tol
+    coord_stationary = max(h1_norm, h2_norm, c_res.norm) <= EQUIVALENCE_TOL
     net = lambda_map(nc, coords)
-    ambient_stationary = stationarity_residual(g, net).aggregate <= tol
+    ambient_stationary = stationarity_residual(g, net).aggregate <= EQUIVALENCE_TOL
     return coord_stationary == ambient_stationary

@@ -72,10 +72,6 @@ class VertexStar:
     pairs: tuple[tuple[str, int], ...]
     preferred: tuple[str, int]
 
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
-
 
 def validate(graph: WeightedMultigraph) -> list[str]:
     """Return a list of invariant violations (empty when the graph is valid)."""

@@ -30,7 +30,7 @@ from .geometry import (
     g_norm,
     min_distance,
 )
-from .jacobi import classify_field, fd_hessian, is_nondegenerate, reduced_gradient
+from .jacobi import SVD_TOL, classify_field, fd_hessian, is_nondegenerate, reduced_gradient
 from .net import (
     GeodesicNet,
     NetField,
@@ -67,8 +67,10 @@ __all__ = [
 # times.  Degeneracy breaking stacks at most
 # MAX_BUMPS bumps, halves an anchor's radius at most MAX_SHRINK times, and
 # halves each bump's amplitude from BUMP_AMPLITUDE down to
-# MIN_AMPLITUDE_FACTOR of it.  mixed_second_derivative works on the grid
-# MIXED_REFINE times finer.
+# MIN_AMPLITUDE_FACTOR of it; its kernel verdicts gate on the stationarity
+# residual at BREAK_RESIDUAL_TOL by default.  mixed_second_derivative works
+# on the grid MIXED_REFINE times finer, with the difference step MIXED_STEP
+# in both the amplitude and the displacement.
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
 BACKTRACK = 0.5
@@ -78,7 +80,9 @@ MAX_SHRINK = 6
 MAX_BUMPS = 4
 BUMP_AMPLITUDE = 0.02
 MIN_AMPLITUDE_FACTOR = 1.0 / 16.0
+BREAK_RESIDUAL_TOL = 5e-3
 MIXED_REFINE = 8
+MIXED_STEP = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -339,14 +343,13 @@ def _anchor_spline_data(net, eid, idx):
     return fine, vf, rolled[n_ind // 2].copy()
 
 
-def _verify_bump(chart, net, eid, idx, h_fld, j_field, tol=1e-9):
+def _verify_bump(chart, net, eid, idx, h_fld, j_field):
     # h vanishes along the whole net
     for e in net.graph.edges:
         vals = h_fld.value_many(net.edge_samples[e.id])
-        if e.id != eid and np.abs(vals).max(initial=0.0) > tol:
-            return False, f"support touches edge {e.id!r}"
-        if e.id == eid and np.abs(vals).max(initial=0.0) > tol:
-            return False, "bump does not vanish along its anchor edge"
+        if np.abs(vals).max(initial=0.0) > 1e-9:
+            return False, (f"support touches edge {e.id!r}" if e.id != eid
+                           else "bump does not vanish along its anchor edge")
     # sign condition along the anchor edge
     s = net.edge_samples[eid]
     grads = h_fld.gradient_many(s)
@@ -358,18 +361,15 @@ def _verify_bump(chart, net, eid, idx, h_fld, j_field, tol=1e-9):
     return True, None
 
 
-def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: NetField,
-                            steps: tuple[float, float] = (1e-4, 1e-4)) -> tuple[float, float]:
+def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet,
+                            j_field: NetField) -> tuple[float, float]:
     """d^2/dx ds of the length under (conformal amplitude x, displacement s J).
 
     Returns (closed_form, finite_difference): the quadrature of
     (1/2) <grad h, J> L along the net, and the central mixed difference of
-    the refined discrete length; both on the same grid, ``MIXED_REFINE``
-    times finer than the net's.
+    the refined discrete length with the step ``MIXED_STEP`` in x and s;
+    both on the same grid, ``MIXED_REFINE`` times finer than the net's.
     """
-    step_x, step_s = steps
-    if not (0 < step_x < np.inf and 0 < step_s < np.inf):  # written so that NaN fails too
-        raise SolverError("FD steps must be finite and positive")
     fine_samples = {}
     fine_j = {}
     for e in net.graph.edges:
@@ -397,21 +397,13 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet, j_field: N
         moved = displace(fine_net, fld, sdisp) if sdisp != 0.0 else fine_net
         return length(g_x, moved)
 
-    fd = (
-        l_at(step_x, step_s) - l_at(step_x, -step_s) - l_at(-step_x, step_s) + l_at(-step_x, -step_s)
-    ) / (4 * step_x * step_s)
+    h = MIXED_STEP
+    fd = (l_at(h, h) - l_at(h, -h) - l_at(-h, h) + l_at(-h, -h)) / (4 * h * h)
     return closed, fd
 
 
-@dataclass
-class BreakOptions:
-    svd_tol: float = 1e-6
-    residual_tol: float = 5e-3
-    solve: SolveOptions = field(default_factory=SolveOptions)
-
-
-def break_degeneracy(chart: MetricChart, net: GeodesicNet,
-                     opts: BreakOptions | None = None):
+def break_degeneracy(chart: MetricChart, net: GeodesicNet, svd_tol: float = SVD_TOL,
+                     residual_tol: float = BREAK_RESIDUAL_TOL):
     """Stack conformal bumps until the Jacobi kernel is empty.
 
     Each step anchors a bump via the transversality construction for one
@@ -425,8 +417,7 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
     or whose solve fails, is retried at half amplitude.  A bump no amplitude
     takes raises ``NoProgressError`` with the reason of the smallest one.
     """
-    opts = opts or BreakOptions()
-    kernel = is_nondegenerate(chart, net, svd_tol=opts.svd_tol, residual_tol=opts.residual_tol)
+    kernel = is_nondegenerate(chart, net, svd_tol=svd_tol, residual_tol=residual_tol)
     history = [{"bumps": 0, "kernel_dimension": kernel.dimension}]
     if kernel.nondegenerate:
         return chart, net, kernel, history
@@ -442,9 +433,9 @@ def break_degeneracy(chart: MetricChart, net: GeodesicNet,
         while x >= BUMP_AMPLITUDE * MIN_AMPLITUDE_FACTOR:
             g_new = conformal_family(cur_chart, h_pin, x)
             try:
-                res = solve_stationary(g_new, cur_net, opts.solve)
-                new_kernel = is_nondegenerate(g_new, res.net, svd_tol=opts.svd_tol,
-                                              residual_tol=opts.residual_tol)
+                res = solve_stationary(g_new, cur_net)
+                new_kernel = is_nondegenerate(g_new, res.net, svd_tol=svd_tol,
+                                              residual_tol=residual_tol)
             except SolverError as ex:
                 why = f": the solve at amplitude {x:g} failed: {ex}"
             except NotStationaryError as ex:

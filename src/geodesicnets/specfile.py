@@ -24,6 +24,7 @@ from .geometry import (
     SumField,
     conformal_family,
 )
+from .jacobi import SVD_TOL
 from .multigraph import WeightedMultigraph, validate
 from .net import GeodesicNet, check_net
 from .stencils import MIN_SAMPLES
@@ -267,7 +268,7 @@ def parse_spec(doc: dict) -> NetSpec:
     n_samples = _count(options.get("n_samples", 64), "options.n_samples", MAX_SAMPLES)
     chart = base if bumps is None else conformal_family(base, bumps, 1.0)
     net = _parse_net(doc.get("net", {}), graph, chart, n_samples)
-    problems = check_net(chart, net, tol=1e-7)
+    problems = check_net(chart, net)
     if problems:
         raise SpecError("invalid net: " + "; ".join(problems))
     return NetSpec(
@@ -295,6 +296,7 @@ def spec_from_case(name: str, n_samples: int = 64) -> dict:
             f"n_samples {n_samples} is too small: edges need at least {MIN_SAMPLES} samples "
             f"(n_samples >= {MIN_SAMPLES - 1})"
         )
+    _count(n_samples, "n_samples", MAX_SAMPLES)
     case = make_case(name, n_samples=n_samples)
     net = case.net
     doc = {
@@ -314,7 +316,7 @@ def spec_from_case(name: str, n_samples: int = 64) -> dict:
             },
         },
         "options": {"n_samples": n_samples, "tol": _case_tolerance(case.chart, net),
-                    "svd_tol": 1e-6},
+                    "svd_tol": SVD_TOL},
     }
     if net.periodic_edges:
         doc["net"]["periodic_edges"] = sorted(net.periodic_edges)

@@ -117,7 +117,7 @@ def test_criterion_3_kernel_dimensions():
         assert ker.dimension == dim, f"{name}: shooting {ker.dimension} != {dim}"
         assert ker.gap >= 10.0
         h_mat, _ = reduced_hessian_fd(case.chart, case.net)
-        fd_dim, _, fd_gap = reduced_kernel_dimension(h_mat, svd_tol=1e-6)
+        fd_dim, _, fd_gap = reduced_kernel_dimension(h_mat)
         assert fd_dim == dim, f"{name}: reduced FD {fd_dim} != {dim}"
         assert fd_gap >= 10.0
         gaps[name] = (ker.gap, fd_gap)

@@ -147,7 +147,7 @@ def test_conformal_constant_keeps_base_christoffels():
 
 
 def test_conformal_zero_amplitude_equals_base():
-    bump = RadialBumpField([0.3, 0.0], 0.4, 1.0)
+    bump = RadialBumpField([0.3, 0.0], 0.4, 1.0, chart=SPHERE)
     assert conformal_family(SPHERE, bump, 0.0) is SPHERE
 
 
@@ -274,11 +274,10 @@ def test_exp_background_injectivity_bound():
 def test_conformal_curve_in_zero_set_keeps_length():
     from geodesicnets.net import length
 
-    bump = RadialBumpField([5.0, 5.0], 0.5, 1.0)
-    base = EuclideanChart(2)
+    bump = RadialBumpField([5.0, 5.0], 0.5, 1.0, chart=EuclideanChart(2))
     case = make_case("honeycomb-torus", 32)
     for x in (0.0, 0.3, -0.3):
-        chart = conformal_family(TORUS, RadialBumpField([5.0, 5.0], 0.3, 1.0, chart=None), x)
+        chart = conformal_family(TORUS, bump, x)
         # support placed away from the net (no wrap applied for this field)
         assert abs(length(chart, case.net) - 3.0) < 1e-9
 
@@ -288,7 +287,7 @@ def test_conformal_length_derivative_in_amplitude():
     from geodesicnets import stencils as st
 
     case = make_case("sphere-equator", 128)
-    bump = RadialBumpField([0.9, 0.4], 0.6, 1.0)
+    bump = RadialBumpField([0.9, 0.4], 0.6, 1.0, chart=SPHERE)
     eps = 1e-6
     lp = length(conformal_family(SPHERE, bump, eps), case.net)
     lm = length(conformal_family(SPHERE, bump, -eps), case.net)
@@ -320,7 +319,7 @@ def test_shared_hermite_curve_matches_scipy_hermite():
     s_grid = np.linspace(0.0, 1.0, 40)
     pts = np.stack([np.cos(2 * s_grid), np.sin(3 * s_grid)], axis=1)
     vel = np.stack([-2 * np.sin(2 * s_grid), 3 * np.cos(3 * s_grid)], axis=1)
-    fld = DirectionalBumpField(pts[20], 0.1, [0.0, 1.0], pts, vel)
+    fld = DirectionalBumpField(pts[20], 0.1, [0.0, 1.0], pts, vel, chart=EuclideanChart(2))
     case = make_case("sphere-theta", 32)
     tube = build_net_chart(case.chart, case.net).tubes["E1"]
     rng = np.random.default_rng(5)
@@ -354,7 +353,8 @@ def _min_distance_reference(chart, a, b, mask):
     for i, p in enumerate(a):
         for j, q in enumerate(b):
             if not mask[i, j]:
-                best = min(best, float(np.linalg.norm(chart.displacement(p, q))))
+                d = chart.displacement_many(p[None], q[None])[0]
+                best = min(best, float(np.linalg.norm(d)))
     return best
 
 
@@ -490,7 +490,7 @@ def test_conformal_christoffel_derivative_matches_fd():
     stacked = conformal_family(inner, fld, 0.5)
     pts = _around(fld.center, fld.radius, 200, seed=4, lattice=HEX_LATTICE)
     # a radial bump over the round sphere: the base has curvature of its own
-    on_sphere = conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0), 0.3)
+    on_sphere = conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0, chart=SPHERE), 0.3)
     for chart, p in ((stacked, pts), (on_sphere, _around(np.array([0.3, 0.1]), 0.6, 200, seed=5))):
         exact = _christoffel_deriv_reference(*metric_tensor_jet(chart, p))
         assert np.abs(exact - _fd_christoffel_deriv(chart, p)).max() <= 1e-6 * np.abs(exact).max()
@@ -545,7 +545,8 @@ def _jet_charts():
         ("radial", inner, on_torus),
         ("directional", conformal_family(case.chart, fld, 0.5), on_torus),
         ("stacked", conformal_family(inner, fld, 0.5), on_torus),
-        ("radial-on-sphere", conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0), 0.3),
+        ("radial-on-sphere",
+         conformal_family(SPHERE, RadialBumpField([0.3, 0.1], 0.6, 1.0, chart=SPHERE), 0.3),
          on_sphere),
     ]
 

@@ -195,6 +195,26 @@ def test_cli_validation_failure_names_vertex(tmp_path, capsys):
     assert "'C'" in capsys.readouterr().err
 
 
+def test_cli_check_refuses_an_edge_that_leaves_the_box_between_samples(tmp_path, capsys):
+    # E1 reaches y = 1.7 at t = 1/4, but is inside the box at t = 0, 1/2 and 1
+    t = np.linspace(0.0, 1.0, 33)
+    curves = {"E1": 0.5 + 1.2 * np.sin(2 * np.pi * t), "E2": np.full_like(t, 0.5),
+              "E3": 0.5 - 0.4 * np.sin(np.pi * t)}
+    doc = {
+        "graph": {"vertices": ["A", "B"],
+                  "edges": [{"id": e, "v0": "A", "v1": "B"} for e in curves]},
+        "metric": {"kind": "euclidean", "dim": 2, "box": [[0.0, 0.0], [1.0, 1.0]]},
+        "net": {"vertices": {"A": [0.0, 0.5], "B": [1.0, 0.5]},
+                "edges": {e: {"samples": np.stack([t, y], axis=1).tolist()}
+                          for e, y in curves.items()}},
+        "options": {},
+    }
+    path = tmp_path / "outside.json"
+    specfile.write_document(doc, str(path))
+    assert cli.main(["check", "--spec", str(path)]) == 2
+    assert "edge 'E1' leaves the chart domain" in capsys.readouterr().err
+
+
 def test_cli_solve_and_continue(tmp_path):
     path, doc = write_case_spec(tmp_path, "honeycomb-torus")
     doc["metric"]["bumps"] = [{"center": [0.5, 0.4], "radius": 0.3, "amplitude": 1.0}]
@@ -305,6 +325,18 @@ def test_cli_generate_rejects_too_few_samples(tmp_path, capsys, n):
                      "--out", str(out_spec)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: n_samples")
+    assert not out_spec.exists()
+
+
+@pytest.mark.parametrize("n", [70000, 2**40])
+def test_cli_generate_rejects_more_samples_than_a_spec_takes(tmp_path, capsys, n):
+    # 2**40 would fail to allocate its samples: it must be refused first
+    out_spec = tmp_path / "gen.json"
+    code = cli.main(["generate", "--case", "sphere-equator", "--n-samples", str(n),
+                     "--out", str(out_spec)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: n_samples must be a positive integer at most {specfile.MAX_SAMPLES}, got {n}")
     assert not out_spec.exists()
 
 
@@ -579,7 +611,7 @@ def test_cli_perturb_gates_on_options_residual_tol(tmp_path, capsys):
     path, doc = write_case_spec(tmp_path, "honeycomb-torus", n=32)
     args = cli._parser().parse_args(["perturb", "--spec", str(path)])
     assert cli._resolve(specfile.load_spec(str(path)), args)["residual_tol"] == \
-        cli.solver.BreakOptions.residual_tol
+        cli.solver.BREAK_RESIDUAL_TOL
     # below the residual of the built-in net (about 5e-13)
     doc["options"]["residual_tol"] = 1e-14
     specfile.write_document(doc, str(path))

@@ -174,16 +174,6 @@ def test_propagate_matches_stepwise_reference(m, rng):
     assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("refine", [3, 5])
-@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator"])
-def test_odd_refine_refused(name, refine):
-    case = make_case(name, 64)
-    with pytest.raises(ValueError, match="refine"):
-        assemble_jacobi_system(case.chart, case.net, refine=refine)
-    with pytest.raises(ValueError, match="refine"):
-        jacobi_kernel(case.chart, case.net, refine=refine)
-
-
 # -- the shooting system -----------------------------------------------------
 
 def test_system_dimensions_honeycomb():

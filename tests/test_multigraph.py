@@ -93,14 +93,14 @@ def test_star_preferred_pair_deterministic():
     g = theta_graph()
     s = star(g, "A")
     assert s.preferred == ("E1", 0)
-    assert s.m == 3
+    assert len(s.pairs) == 3
 
 
 def test_star_self_loop_two_pairs():
     g = loop_graph()
     s = star(g, "V")
     assert s.pairs == (("E", 0), ("E", 1))
-    assert s.m == 2
+    assert len(s.pairs) == 2
 
 
 def test_star_vertex_b_all_incoming():

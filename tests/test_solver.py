@@ -22,7 +22,7 @@ from geodesicnets import (
 )
 from geodesicnets import net as net_mod
 from geodesicnets import solver as solver_mod
-from geodesicnets.geometry import ConstantField, RadialBumpField, SumField
+from geodesicnets.geometry import ConstantField, EuclideanChart, RadialBumpField, SumField
 from geodesicnets.jacobi import fd_hessian, reduced_gradient
 from geodesicnets.net import (
     NetField,
@@ -36,7 +36,6 @@ from geodesicnets.solver import (
     MaxIterationsError,
     NoNormalPointError,
     NoProgressError,
-    SolverError,
     StationarityLostError,
     _line_search,
 )
@@ -54,7 +53,7 @@ def test_solve_jittered_honeycomb(rng):
     # final positions match the symmetric honeycomb up to a global translation
     d_a = res.net.vertex_positions["A"] - case.net.vertex_positions["A"]
     d_b = res.net.vertex_positions["B"] - case.net.vertex_positions["B"]
-    assert np.linalg.norm(case.chart.wrap(d_a - d_b)) < 1e-8
+    assert np.linalg.norm(case.chart.wrap_many((d_a - d_b)[None])[0]) < 1e-8
 
 
 def test_solve_stationary_computes_no_edge_lengths(rng, monkeypatch):
@@ -243,7 +242,7 @@ def test_continue_amplitude_ramp_and_reverse(rng):
 
 def test_continue_sphere_family():
     case = make_case("sphere-equator", 64)
-    bump = RadialBumpField(np.array([0.0, 0.9]), 0.5, 1.0, chart=None)
+    bump = RadialBumpField(np.array([0.0, 0.9]), 0.5, 1.0, chart=EuclideanChart(2))
     results = continue_family(case.chart, bump, [0.0, 0.02, 0.04], case.net)
     assert all(r.converged for r in results)
     # the continued loop stays a closed curve near the equator
@@ -463,15 +462,6 @@ def test_mixed_second_derivative_amplitude_linearity():
     c2, f2 = mixed_second_derivative(case.chart, h2, case.net, j_fld)
     assert abs(c2 - 2 * c1) <= 1e-6 * abs(c2)
     assert abs(f2 - 2 * f1) <= 1e-6 * abs(f2)
-
-
-def test_mixed_second_derivative_rejects_bad_steps():
-    case = make_case("honeycomb-torus", 64)
-    ker = jacobi_kernel(case.chart, case.net)
-    _, _, h_fld = build_condition_C_bump(case.chart, case.net, ker.ambient[0])
-    for steps in ((0.0, 1e-4), (float("nan"), 1e-4), (1e-4, float("nan")), (1e-4, float("inf"))):
-        with pytest.raises(SolverError, match="finite and positive"):
-            mixed_second_derivative(case.chart, h_fld, case.net, ker.ambient[0], steps=steps)
 
 
 # -- degeneracy breaking -----------------------------------------------------

@@ -2,13 +2,16 @@
 own definition.
 
 The package, the demos and the benchmark runner are parsed with ``ast``.
-A definition in ``src/geodesicnets`` counts as used when its name is read
-somewhere else in them: as a name, an attribute, an imported name, or a
-word of a string that is neither a docstring nor an entry of ``__all__``
-(the benchmark's tracer patches functions by name).  Names read only in
-the definition's own body, such as a recursive call, do not count, and
-neither do the tests: a helper that only the tests call belongs in the
-tests.  Dunder methods are exempt.
+A function or class in ``src/geodesicnets`` counts as used when its name
+is read somewhere else in them: as a name, an attribute, an imported name,
+or a word of a string that is neither a docstring nor an entry of
+``__all__``.  A method or property counts as used only when its name is
+read as an attribute, or is a word of a string in the benchmark's tracer,
+which patches methods by name: a local variable or a command-line word of
+the same spelling does not use it.  Names read only in the definition's
+own body, such as a recursive call, do not count, and neither do the
+tests: a helper that only the tests call belongs in the tests.  Dunder
+methods are exempt.
 """
 
 import ast
@@ -26,6 +29,7 @@ READERS = sorted(
     + list((ROOT / "demos").glob("*.py"))
     + list((ROOT / "perfbench").glob("*.py"))
 )
+TRACER = ROOT / "perfbench" / "tracer.py"
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -44,14 +48,17 @@ def _skipped_strings(tree) -> set[int]:
     return skipped
 
 
-def _names(node, skipped: set[int]) -> Counter:
-    """How often each name is read within node."""
+def _names(node, skipped: set[int], attributes_only: bool = False) -> Counter:
+    """How often each name is read within node; only as an attribute when
+    ``attributes_only``."""
     names = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             names[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            names[sub.id] += 1
         elif isinstance(sub, ast.alias):
             names[sub.asname or sub.name] += 1
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
@@ -64,26 +71,35 @@ def _names(node, skipped: set[int]) -> Counter:
 def _parsed(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     skipped = _skipped_strings(tree)
-    return tree, skipped, _names(tree, skipped)
+    return tree, skipped, _names(tree, skipped), _names(tree, skipped, attributes_only=True)
 
 
 @functools.cache
-def _all_names() -> Counter:
+def _all_names(attributes_only: bool) -> Counter:
+    """Name reads over the readers; for methods, attribute reads plus the
+    words of the tracer's strings."""
     total = Counter()
     for path in READERS:
-        total.update(_parsed(path)[2])
+        total.update(_parsed(path)[3 if attributes_only else 2])
+    if attributes_only:
+        tree, skipped, _, _ = _parsed(TRACER)
+        total.update(word for sub in ast.walk(tree)
+                     if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                     and id(sub) not in skipped for word in WORD.findall(sub.value))
     return total
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_package_definition_is_named_outside_it(path):
-    tree, skipped, _ = _parsed(path)
-    total = _all_names()
+    tree, skipped, _, _ = _parsed(path)
+    methods = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))}
     unused = [
         f"{node.name} (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, DEFINITIONS)
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and total[node.name] <= _names(node, skipped)[node.name]
+        and _all_names(id(node) in methods)[node.name]
+        <= _names(node, skipped, id(node) in methods)[node.name]
     ]
     assert not unused, f"{path.name} defines names only the tests use: {', '.join(unused)}"
