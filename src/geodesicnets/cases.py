@@ -20,11 +20,14 @@ from .geometry import FlatTorusChart, MetricChart, StereographicSphereChart
 from .multigraph import WeightedMultigraph
 from .net import GeodesicNet
 
-__all__ = ["Case", "make_case", "meridian", "CASE_NAMES", "HEX_LATTICE"]
+__all__ = ["Case", "make_case", "meridian", "CASE_NAMES", "DEFAULT_SAMPLES", "HEX_LATTICE"]
 
 HEX_LATTICE = np.array([[1.5, np.sqrt(3.0) / 2.0], [1.5, -np.sqrt(3.0) / 2.0]])
 
 CASE_NAMES = ("honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop")
+# Samples per edge (intervals) of a built-in case or a spec that sets no
+# n_samples.
+DEFAULT_SAMPLES = 64
 
 
 @dataclass
@@ -132,7 +135,7 @@ def _flat_loop(n_samples: int, multiplicity: int) -> tuple[MetricChart, Geodesic
     )
 
 
-def make_case(name: str, n_samples: int = 64, multiplicity: int = 1) -> Case:
+def make_case(name: str, n_samples: int = DEFAULT_SAMPLES, multiplicity: int = 1) -> Case:
     """Build one of the named experiment nets at the given resolution."""
     if name == "honeycomb-torus":
         chart, net = _honeycomb(n_samples)

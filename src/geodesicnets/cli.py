@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import jacobi, localcoords, solver, specfile
+from .cases import DEFAULT_SAMPLES
 from .multigraph import classify
 from .net import edge_lengths, length
 from .variation import stationarity_residual
@@ -59,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[common], help=helptext)
     gen = sub.add_parser("generate", help="write a built-in case as a net-spec file")
     gen.add_argument("--case", required=True, help="honeycomb-torus | sphere-theta | sphere-equator | flat-loop")
-    gen.add_argument("--n-samples", type=int, default=64)
+    gen.add_argument("--n-samples", type=int, default=DEFAULT_SAMPLES)
     gen.add_argument("--out", required=True)
     return p
 
@@ -69,7 +70,7 @@ def _resolve(spec, args):
     for key in ("tol", "svd_tol", "seed"):
         if getattr(args, key) is not None:
             options[key] = getattr(args, key)
-    options.setdefault("tol", 1e-8)
+    options.setdefault("tol", specfile.DEFAULT_TOL)
     options.setdefault("svd_tol", jacobi.SVD_TOL)
     options.setdefault("seed", 0)
     # the stationarity gate of the command's kernel verdicts

@@ -167,12 +167,12 @@ class ShootingSystem:
 
 def _edge_fine_data(chart, net, eid, refine):
     s = net.edge_samples[eid]
-    shift = net.loop_shift(eid)
-    fine = stencils.upsample_curve(s, refine, loop_shift=shift)
-    vf = stencils.velocity_ho(fine, loop_shift=shift)
+    loop = eid in net.periodic_edges
+    fine = stencils.upsample_curve(s, refine, loop=loop)
+    vf = stencils.velocity_ho(fine, loop=loop)
     frames_f = parallel_frame(chart, fine, vf)
     K_f = jacobi_ode_coefficients(chart, fine, vf, frames_f)
-    w = stencils.quadrature_weights(fine.shape[0], loop=shift is not None)
+    w = stencils.quadrature_weights(fine.shape[0], loop=loop)
     l_e = float(w @ g_norm(chart, fine, vf))
     return s, fine, vf, frames_f, K_f, l_e
 
@@ -269,8 +269,7 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
     vals = [{} for _ in fields]
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
+        v = stencils.velocity(s, loop=e.id in net.periodic_edges)
         frames = parallel_frame(chart, s, v)
         that = v / g_norm(chart, s, v)[:, None]
         t = np.linspace(0.0, 1.0, s.shape[0])
@@ -364,8 +363,7 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
     max_perp = 0.0
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
+        v = stencils.velocity(s, loop=e.id in net.periodic_edges)
         vals = fld.edge_values[e.id]
         coef = _dot(vals, v) / _dot(v, v)  # the g-projection of a conformal g
         perp = vals - coef[:, None] * v
@@ -656,8 +654,8 @@ class _RefinedLength:
         self.groups = net.edge_groups()
         self.base = []
         for grp in self.groups:
-            x0 = stencils.upsample_curve(grp.samples, refine, loop_shift=grp.shifts)
-            v0 = stencils.velocity(x0, loop_shift=x0[:, -1] - x0[:, 0] if grp.loop else None)
+            x0 = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
+            v0 = stencils.velocity(x0, loop=grp.loop)
             w = stencils.quadrature_weights(x0.shape[1], loop=grp.loop)
             lam, dphi, ddphi = chart.factor_jet_many(x0.reshape(-1, x0.shape[-1]), 2)
             ef = np.sqrt(lam).reshape(x0.shape[:2])
@@ -677,10 +675,11 @@ class _RefinedLength:
         alone."""
         out = []
         for grp, base, t_mat, d in zip(self.groups, self.base, self.t_mats, disp):
-            dx = grp.copies(d if t_mat is None else t_mat @ d)
-            dv = stencils.velocity(dx.samples, loop_shift=dx.shifts)
-            grad = integrate_length_terms(*_integrand_derivative(base, dx.samples, dv), base[0],
-                                          grp.loop, dx.multiplicities)
+            dx = d if t_mat is None else t_mat @ d
+            dv = stencils.velocity(dx, loop=grp.loop)
+            mult = np.tile(grp.multiplicities, dx.shape[0] // len(grp.ids))
+            grad = integrate_length_terms(*_integrand_derivative(base, dx, dv), base[0],
+                                          grp.loop, mult)
             out.append(grad if t_mat is None else t_mat.T @ grad)
         return out
 

@@ -173,9 +173,9 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
     lengths = edge_lengths(chart, net)
     fine_data = {}
     for e in net.graph.edges:
-        shift = net.loop_shift(e.id)
-        fine = stencils.upsample_curve(net.edge_samples[e.id], TUBE_REFINE, loop_shift=shift)
-        fine_data[e.id] = (fine, stencils.velocity_ho(fine, loop_shift=shift))
+        loop = e.id in net.periodic_edges
+        fine = stencils.upsample_curve(net.edge_samples[e.id], TUBE_REFINE, loop=loop)
+        fine_data[e.id] = (fine, stencils.velocity_ho(fine, loop=loop))
     # both end extensions of every edge, one geodesic batch per fine sample count
     extensions = {}
     for m in {fine.shape[0] for fine, _ in fine_data.values()}:
@@ -392,10 +392,7 @@ def _lagrangian_values(g: MetricChart, nc: NetChart, pc: PathCoord, eid: str,
     npts = u.shape[0]
     t = np.linspace(0.0, 1.0, npts)
     if w is None:
-        shift = None
-        if eid in nc.reference.periodic_edges:
-            shift = np.zeros(u.shape[1])
-        w = stencils.velocity(u, loop_shift=shift)
+        w = stencils.velocity(u, loop=eid in nc.reference.periodic_edges)
     s = (1 - t) * a + t * b
     frame = tube.frame(s)
     pts = tube.curve(s) + np.einsum("pa,pai->pi", u, frame)
@@ -428,8 +425,8 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
         pc = coords.coords[e.id]
         npts = pc.u.shape[0]
         nm1 = pc.u.shape[1]
-        shift = np.zeros(nm1) if e.id in nc.reference.periodic_edges else None
-        w_arr = stencils.velocity(pc.u, loop_shift=shift)
+        loop = e.id in nc.reference.periodic_edges
+        w_arr = stencils.velocity(pc.u, loop=loop)
         grad_u = np.empty((npts, nm1))
         grad_w = np.empty((npts, nm1))
         for aidx in range(nm1):
@@ -443,7 +440,7 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
                 _lagrangian_values(g, nc, pc, e.id, w=w_arr + du)
                 - _lagrangian_values(g, nc, pc, e.id, w=w_arr - du)
             ) / (2 * FD_STEP)
-        ddt_grad_w = stencils.velocity(grad_w, loop_shift=shift)
+        ddt_grad_w = stencils.velocity(grad_w, loop=loop)
         h1[e.id] = e.multiplicity * (grad_u - ddt_grad_w)
         # endpoint blocks for the vertex part, integrated with the weights
         # of ``lagrangian_integral`` so they differentiate that functional
@@ -455,7 +452,7 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
             _lagrangian_values(g, nc, pc, e.id, b=pc.b + FD_STEP, w=w_arr)
             - _lagrangian_values(g, nc, pc, e.id, b=pc.b - FD_STEP, w=w_arr)
         ) / (2 * FD_STEP)
-        wq = stencils.quadrature_weights(npts, loop=shift is not None)
+        wq = stencils.quadrature_weights(npts, loop=loop)
         int_da = float(wq @ dl_da)
         int_db = float(wq @ dl_db)
         a1 = e.multiplicity * np.concatenate([[int_da], -grad_w[0]])

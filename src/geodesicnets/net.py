@@ -4,7 +4,7 @@ Edges are uniformly sampled over [0, 1] and stored as unwrapped lifts, so
 curves stay continuous in chart coordinates even on tori; endpoint
 consistency with vertex positions is checked modulo the lattice.  Edges
 marked periodic (smooth closed loops) use periodic stencils across the
-seam.
+seam, whose lattice shift ``stencils`` reads from the samples.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ class GeodesicNet:
     def dim(self) -> int:
         return next(iter(self.edge_samples.values())).shape[1]
 
-    def loop_shift(self, edge_id: str):
-        """Lattice shift across the seam of a periodic edge, else None."""
-        if edge_id not in self.periodic_edges:
-            return None
-        s = self.edge_samples[edge_id]
-        return s[-1] - s[0]
-
     def edge_groups(self) -> list["EdgeGroup"]:
         """The edges grouped by (sample count, loop flag), each group stacked
         for one numpy pass; groups and their edges come in graph order."""
@@ -67,16 +60,10 @@ class GeodesicNet:
         for e in self.graph.edges:
             key = (self.edge_samples[e.id].shape[0], e.id in self.periodic_edges)
             members.setdefault(key, []).append(e)
-        groups = []
-        for (_, loop), edges in members.items():
-            samples = np.array([self.edge_samples[e.id] for e in edges], dtype=float)
-            groups.append(EdgeGroup(
-                ids=tuple(e.id for e in edges),
-                samples=samples,
-                shifts=samples[:, -1] - samples[:, 0] if loop else None,
-                multiplicities=np.array([e.multiplicity for e in edges]),
-            ))
-        return groups
+        return [EdgeGroup(ids=tuple(e.id for e in edges),
+                          samples=np.array([self.edge_samples[e.id] for e in edges], dtype=float),
+                          loop=loop, multiplicities=np.array([e.multiplicity for e in edges]))
+                for (_, loop), edges in members.items()]
 
     def map_groups(self, f) -> dict:
         """``f(group)``, one result per edge of the group, for every group of
@@ -98,28 +85,14 @@ class GeodesicNet:
 class EdgeGroup:
     """Edges of a net with one sample count and one loop flag, stacked.
 
-    samples is (E, N+1, n); shifts holds the seam shift of every edge,
-    (E, n), on a group of loop edges and is None on open edges.  A single
+    samples is (E, N+1, n); loop marks a group of periodic edges.  A single
     edge is a group of one.
     """
 
     ids: tuple[str, ...]
     samples: np.ndarray
-    shifts: np.ndarray | None
+    loop: bool
     multiplicities: np.ndarray
-
-    @property
-    def loop(self) -> bool:
-        return self.shifts is not None
-
-    def copies(self, samples: np.ndarray) -> "EdgeGroup":
-        """The group of K displaced copies of these edges, with samples
-        (K * E, M, n) in copy-major order; loop groups read their seam
-        shifts from these samples."""
-        k = samples.shape[0] // len(self.ids)
-        return EdgeGroup(ids=self.ids * k, samples=samples,
-                         shifts=samples[:, -1] - samples[:, 0] if self.loop else None,
-                         multiplicities=np.tile(self.multiplicities, k))
 
 
 @dataclass
@@ -156,7 +129,7 @@ class TangentialField:
     def to_net_field(self, net: GeodesicNet) -> NetField:
         vals = {}
         for e, prof in self.profiles.items():
-            vel = stencils.velocity(net.edge_samples[e], loop_shift=net.loop_shift(e))
+            vel = stencils.velocity(net.edge_samples[e], loop=e in net.periodic_edges)
             vals[e] = prof[:, None] * vel
         return NetField(vals)
 
@@ -208,7 +181,7 @@ def edge_lengths(chart: MetricChart, net: GeodesicNet) -> dict[str, float]:
     """Per-edge g-length by the matched quadrature (no multiplicities)."""
 
     def group_lengths(grp):
-        speed = g_norm(chart, grp.samples, stencils.velocity(grp.samples, loop_shift=grp.shifts))
+        speed = g_norm(chart, grp.samples, stencils.velocity(grp.samples, loop=grp.loop))
         w = stencils.quadrature_weights(grp.samples.shape[1], loop=grp.loop)
         return [float(w @ sp) for sp in speed]
 
@@ -244,20 +217,20 @@ def constant_speed_samples(chart: MetricChart, group: EdgeGroup,
     divide by it).  Each edge's rows go through the same operations as in
     a group of one.
     """
-    s, shift = group.samples, group.shifts
-    fine = stencils.upsample_curve(s, ARC_UPSAMPLE, loop_shift=shift)
-    speed = g_norm(chart, fine, stencils.velocity(fine, loop_shift=shift))
+    s, loop = group.samples, group.loop
+    fine = stencils.upsample_curve(s, ARC_UPSAMPLE, loop=loop)
+    speed = g_norm(chart, fine, stencils.velocity(fine, loop=loop))
     slow = speed.min(axis=-1) < 1e-8 * speed.mean(axis=-1)
     if slow.any():
         eid = group.ids[int(np.argmax(slow))]
         raise ValueError(f"edge {eid!r} has a near-zero speed sample; not an immersion")
-    arc = stencils.running_integral(speed, loop=group.loop)
+    arc = stencils.running_integral(speed, loop=loop)
     n = s.shape[1] - 1 if n_samples is None else n_samples
     # np.linspace(0, arc[e, -1], n + 1) for every edge e, bit for bit
     targets = np.arange(n + 1.0) * (arc[:, -1:] / n)
     targets[:, -1] = arc[:, -1]
     ts = np.clip(stencils.inverse_interpolate(arc, targets), 0.0, 1.0)
-    out = stencils.evaluate_curve(s, ts, loop_shift=shift)
+    out = stencils.evaluate_curve(s, ts, loop=loop)
     out[:, 0] = s[:, 0]
     out[:, -1] = s[:, -1]
     return out
@@ -269,9 +242,8 @@ def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
     out = []
     for eid, i in net.graph.incident_pairs(v):
         s = net.edge_samples[eid]
-        shift = net.loop_shift(eid)
-        if shift is not None:
-            tang = stencils.velocity(s, loop_shift=shift)[0 if i == 0 else -1]
+        if eid in net.periodic_edges:
+            tang = stencils.velocity(s, loop=True)[0 if i == 0 else -1]
         else:
             tang = stencils.end_derivative_ho(s, 1, 0 if i == 0 else -1)
         p = s[0] if i == 0 else s[-1]

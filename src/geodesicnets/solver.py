@@ -327,19 +327,19 @@ def _anchor_spline_data(net, eid, idx):
     """Fine anchor samples and velocities; loop edges are rolled so the
     anchor sits centrally and the support never crosses the seam."""
     s = net.edge_samples[eid]
-    shift = net.loop_shift(eid)
-    if shift is None:
+    if eid not in net.periodic_edges:
         fine = stencils.upsample_curve(s, 4)
         vf = stencils.velocity_ho(fine)
         return fine, vf, s[idx].copy()
+    shift = s[-1] - s[0]
     n_ind = s.shape[0] - 1
     base = s[:-1]
     j = np.arange(n_ind)
     k_signed = j + idx - n_ind // 2
     rolled = base[k_signed % n_ind] + (k_signed // n_ind)[:, None] * shift
     rolled = np.concatenate([rolled, rolled[:1] + shift], axis=0)
-    fine = stencils.upsample_curve(rolled, 4, loop_shift=shift)
-    vf = stencils.velocity_ho(fine, loop_shift=shift)
+    fine = stencils.upsample_curve(rolled, 4, loop=True)
+    vf = stencils.velocity_ho(fine, loop=True)
     return fine, vf, rolled[n_ind // 2].copy()
 
 
@@ -373,22 +373,22 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet,
     fine_samples = {}
     fine_j = {}
     for e in net.graph.edges:
-        shift = net.loop_shift(e.id)
-        fine_samples[e.id] = stencils.upsample_curve(net.edge_samples[e.id], MIXED_REFINE,
-                                                     loop_shift=shift)
-        fine_j[e.id] = stencils.upsample_curve(
-            j_field.edge_values[e.id], MIXED_REFINE,
-            loop_shift=None if shift is None else np.zeros(net.dim),
-        )
+        s = net.edge_samples[e.id]
+        loop = e.id in net.periodic_edges
+        fine_samples[e.id] = stencils.upsample_curve(s, MIXED_REFINE, loop=loop)
+        # the field does not wrap, and a kernel field's seam rows may differ
+        # (3e-9 on sphere-equator): the linear part of the upsampling map alone
+        t_mat = stencils.upsample_operator(s.shape[0], MIXED_REFINE, loop)[0]
+        fine_j[e.id] = t_mat @ j_field.edge_values[e.id]
     fine_net = replace(net, edge_samples=fine_samples)
     fld = NetField(fine_j)
     closed = 0.0
     for e in net.graph.edges:
         s = fine_samples[e.id]
-        shift = fine_net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
+        loop = e.id in net.periodic_edges
+        v = stencils.velocity(s, loop=loop)
         speed = g_norm(g0, s, v)
-        w = stencils.quadrature_weights(s.shape[0], loop=shift is not None)
+        w = stencils.quadrature_weights(s.shape[0], loop=loop)
         pair = np.einsum("pi,pi->p", h_fld.gradient_many(s), fine_j[e.id])
         closed += 0.5 * e.multiplicity * float(w @ (pair * speed))
 

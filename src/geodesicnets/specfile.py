@@ -9,12 +9,13 @@ and numbers serialized with round-trip precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .cases import CASE_NAMES, make_case, meridian
+from .cases import CASE_NAMES, DEFAULT_SAMPLES, make_case, meridian
 from .geometry import (
     EuclideanChart,
     FlatTorusChart,
@@ -46,6 +47,9 @@ MAX_RADIUS = 1e50
 # torus lattice): a flat torus scans 5^dim lattice combinations when it is
 # built and 3^dim neighbours per displacement, 81 at this bound.
 MAX_DIM = 4
+# Stationarity tolerance of a spec that sets no tol option; the specs of
+# the built-in cases start from it (``_case_tolerance``).
+DEFAULT_TOL = 1e-8
 
 
 class SpecError(ValueError):
@@ -265,7 +269,7 @@ def parse_spec(doc: dict) -> NetSpec:
     if problems:
         raise SpecError("invalid graph: " + "; ".join(problems))
     base, bumps, schedule = _parse_metric(doc.get("metric", {}))
-    n_samples = _count(options.get("n_samples", 64), "options.n_samples", MAX_SAMPLES)
+    n_samples = _count(options.get("n_samples", DEFAULT_SAMPLES), "options.n_samples", MAX_SAMPLES)
     chart = base if bumps is None else conformal_family(base, bumps, 1.0)
     net = _parse_net(doc.get("net", {}), graph, chart, n_samples)
     problems = check_net(chart, net)
@@ -287,7 +291,7 @@ def load_spec(path: str) -> NetSpec:
     return parse_spec(doc)
 
 
-def spec_from_case(name: str, n_samples: int = 64) -> dict:
+def spec_from_case(name: str, n_samples: int = DEFAULT_SAMPLES) -> dict:
     """Net-spec document for one of the built-in cases."""
     if name not in CASE_NAMES:
         raise SpecError(f"unknown case {name!r}; choose from {CASE_NAMES}")
@@ -324,10 +328,11 @@ def spec_from_case(name: str, n_samples: int = 64) -> dict:
 
 
 def _case_tolerance(chart: MetricChart, net: GeodesicNet) -> float:
-    """1e-8, or the smallest power of ten at least twice the net's own
-    stationarity residual when that is larger, so the net passes ``check``."""
+    """``DEFAULT_TOL``, a power of ten, or the smallest power of ten at least
+    twice the net's own stationarity residual when that is larger, so the
+    net passes ``check``."""
     floor = 2.0 * stationarity_residual(chart, net).aggregate
-    power = -8
+    power = round(math.log10(DEFAULT_TOL))
     while 10.0**power < floor and power < 0:
         power += 1
     return 10.0**power

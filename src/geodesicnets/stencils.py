@@ -13,6 +13,12 @@ running integrals and inverse interpolation, for arc-length work.
 The edge-grid operators take one edge or a group of edges with the same
 sample count stacked on leading axes: curves are (..., N+1, d), scalar
 samples (..., N+1), and a single edge is a group of one.
+
+A loop edge (a smooth closed geodesic) is stored as an unwrapped lift: its
+closing sample N is its first plus a lattice shift.  The operators take a
+``loop`` flag and read that shift from the samples, as the last row minus
+the first, to continue the lift across the seam.  A field along a loop
+that repeats its seam row reads a zero shift, so it does not wrap.
 """
 
 from __future__ import annotations
@@ -95,22 +101,13 @@ def _require_open(n: int) -> None:
         raise ValueError(f"open-edge grids need at least {MIN_SAMPLES} samples")
 
 
-def _count(samples: np.ndarray) -> int:
-    """Samples per edge of values (N+1,) or of curves (..., N+1, d)."""
-    return samples.shape[0 if samples.ndim == 1 else -2]
-
-
-def _rows(samples: np.ndarray, start: int, stop: int | None = None) -> np.ndarray:
-    """The samples start:stop of values (N+1,) or of curves (..., N+1, d), as a view."""
-    return samples[start:stop] if samples.ndim == 1 else samples[..., start:stop, :]
-
-
 def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` outputs of a sliding stencil; output k reads samples k to k + len(coeffs) - 1."""
+    """``rows`` outputs of a sliding stencil along the sample axis of curves
+    (..., M, d); output k reads samples k to k + len(coeffs) - 1."""
     out = 0
     for k, c in enumerate(coeffs):
         if c != 0.0:
-            out = out + c * _rows(ext, k, k + rows)
+            out = out + c * ext[..., k : k + rows, :]
     return out
 
 
@@ -130,38 +127,37 @@ def quadrature_weights(n_samples: int, loop: bool = False) -> np.ndarray:
     return w
 
 
-def _extend_loop(samples: np.ndarray, shift, pad: int) -> np.ndarray:
-    """Periodic extension of loop edges' unwrapped samples.
+def _extend_loop(samples: np.ndarray, pad: int) -> np.ndarray:
+    """Periodic extension of loop edges' unwrapped curves (..., N+1, d) by
+    ``pad`` samples on both sides.
 
-    The last sample of an edge must equal its first plus the edge's shift
-    ((d,) or (..., d) for curves, one row per stacked edge); the lift is
-    continued on both sides by the same shift.
+    The seam shift of every edge is its last sample minus its first; the
+    lift is continued on both sides by that shift.
     """
-    if samples.ndim > 1:
-        shift = np.asarray(shift)[..., None, :]
-    head = _rows(samples, -1 - pad, -1) - shift
-    tail = _rows(samples, 1, 1 + pad) + shift
-    return np.concatenate([head, samples, tail], axis=0 if samples.ndim == 1 else -2)
+    shift = samples[..., -1:, :] - samples[..., :1, :]
+    head = samples[..., -1 - pad : -1, :] - shift
+    tail = samples[..., 1 : 1 + pad, :] + shift
+    return np.concatenate([head, samples, tail], axis=-2)
 
 
-def velocity(samples: np.ndarray, loop_shift=None) -> np.ndarray:
-    """SBP first parameter-derivative D of samples on the unit interval.
+def velocity(samples: np.ndarray, loop: bool = False) -> np.ndarray:
+    """SBP first parameter-derivative D of curves (..., N+1, d) sampled at
+    parameters k/N on the unit interval.
 
-    samples: (N+1,) values or (..., N+1, d) curves at parameters k/N.
     Open edges get the SBP(4,2) band: the central 4th-order stencil inside
-    and the one-sided boundary blocks in the first and last four rows.  For
-    loop edges pass the lattice shifts so the central stencil runs across
-    the seam.  No matrix is formed.
+    and the one-sided boundary blocks in the first and last four rows.  On
+    loop edges the central stencil runs across the seam.  No matrix is
+    formed.
     """
-    n = _count(samples)
+    n = samples.shape[-2]
     h = 1.0 / (n - 1)
-    if loop_shift is not None:
-        return _stencil(_extend_loop(samples, loop_shift, 2), _CENTRAL4, n) / h
+    if loop:
+        return _stencil(_extend_loop(samples, 2), _CENTRAL4, n) / h
     _require_open(n)
     out = np.empty(samples.shape)
-    _rows(out, 2, -2)[...] = _stencil(samples, _CENTRAL4, n - 4)
-    _rows(out, 0, 4)[...] = _SBP42_ROWS @ _rows(samples, 0, 6)
-    _rows(out, -4)[...] = _SBP42_END @ _rows(samples, -6)
+    out[..., 2:-2, :] = _stencil(samples, _CENTRAL4, n - 4)
+    out[..., :4, :] = _SBP42_ROWS @ samples[..., :6, :]
+    out[..., -4:, :] = _SBP42_END @ samples[..., -6:, :]
     out /= h
     return out
 
@@ -176,18 +172,18 @@ def _weights6(m: int) -> np.ndarray:
     return wgt
 
 
-def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:
+def derivative_ho(samples: np.ndarray, m: int, loop: bool = False) -> np.ndarray:
     """6th-order m-th parameter-derivative (m = 1 or 2) by central 7-point stencils.
 
     Every row of loop edges (the stencil runs across the seam); the n - 6
     rows [3:-3] of open edges, whose ends ``end_derivative_ho`` gives.
-    samples are shaped as for ``velocity``.
+    samples are curves (..., N+1, d), as for ``velocity``.
     """
-    n = samples.shape[0]
+    n = samples.shape[-2]
     h = 1.0 / (n - 1)
     central = _weights6(m)[3]
-    if loop_shift is not None:
-        return _stencil(_extend_loop(samples, loop_shift, 3), central, n) / h**m
+    if loop:
+        return _stencil(_extend_loop(samples, 3), central, n) / h**m
     if n < 8:
         raise ValueError("need at least 8 samples")
     return _stencil(samples, central, n - 6) / h**m
@@ -195,26 +191,28 @@ def derivative_ho(samples: np.ndarray, m: int, loop_shift=None) -> np.ndarray:
 
 def end_derivative_ho(samples: np.ndarray, m: int, row: int) -> np.ndarray:
     """One of the rows 0, 1, 2 or -3, -2, -1 of the 6th-order m-th derivative
-    on an open edge: the one-sided 7-point stencil on the end samples."""
-    h = 1.0 / (samples.shape[0] - 1)
+    of open curves (..., N+1, d): the one-sided 7-point stencil on the end
+    samples, (..., d)."""
+    h = 1.0 / (samples.shape[-2] - 1)
     if row >= 0:
-        return _weights6(m)[row] @ samples[:7] / h**m
-    return _weights6(m)[7 + row] @ samples[-7:] / h**m
+        return _weights6(m)[row] @ samples[..., :7, :] / h**m
+    return _weights6(m)[7 + row] @ samples[..., -7:, :] / h**m
 
 
-def velocity_ho(samples: np.ndarray, loop_shift=None) -> np.ndarray:
-    """6th-order first derivative (one-sided near open ends).
+def velocity_ho(samples: np.ndarray, loop: bool = False) -> np.ndarray:
+    """6th-order first derivative of curves (..., N+1, d) (one-sided near
+    open ends).
 
     For geometric construction work (frames, tube splines, endpoint
     tangents); the SBP ``velocity`` remains the operator paired with the
     length quadrature.
     """
-    if loop_shift is not None:
-        return derivative_ho(samples, 1, loop_shift)
+    if loop:
+        return derivative_ho(samples, 1, loop=True)
     out = np.empty(samples.shape)
-    out[3:-3] = derivative_ho(samples, 1)
+    out[..., 3:-3, :] = derivative_ho(samples, 1)
     for row in (0, 1, 2, -3, -2, -1):
-        out[row] = end_derivative_ho(samples, 1, row)
+        out[..., row, :] = end_derivative_ho(samples, 1, row)
     return out
 
 
@@ -324,7 +322,7 @@ def hessian_coupling(n_samples: int, factor: int, loop: bool):
     return lo, hi
 
 
-def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndarray:
+def upsample_curve(samples: np.ndarray, factor: int, loop: bool = False) -> np.ndarray:
     """Resample curves (..., N+1, d) on a ``factor`` times finer uniform grid.
 
     Sliding 6-point Lagrange interpolation (O(h^6) for smooth data); loop
@@ -332,10 +330,10 @@ def upsample_curve(samples: np.ndarray, factor: int, loop_shift=None) -> np.ndar
     """
     if factor == 1:
         return samples.copy()
-    t_mat, c_vec = upsample_operator(_count(samples), factor, loop_shift is not None)
+    t_mat, c_vec = upsample_operator(samples.shape[-2], factor, loop)
     out = t_mat @ samples
-    if loop_shift is not None:
-        out += c_vec[:, None] * np.asarray(loop_shift, dtype=float)[..., None, :]
+    if loop:
+        out += c_vec[:, None] * (samples[..., -1:, :] - samples[..., :1, :])
     return out
 
 
@@ -378,7 +376,7 @@ def _gather(stacked: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(stacked.reshape(-1, width), (idx + starts).ravel(), axis=0)
 
 
-def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.ndarray:
+def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop: bool = False) -> np.ndarray:
     """The ``upsample_curve`` interpolant of curves (..., N+1, d) at
     parameters t (..., P) in [0, 1], one row of t per stacked edge.
 
@@ -388,10 +386,10 @@ def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop_shift=None) -> np.nd
     n = samples.shape[-2]
     x = np.asarray(t, dtype=float) * (n - 1)
     k = np.minimum(np.maximum(np.floor(x).astype(int), 0), n - 2)
-    lo = _window_starts(n, loop_shift is not None)[k]
+    lo = _window_starts(n, loop)[k]
     wgt = _lagrange((x - k + (k - lo)).ravel())
-    if loop_shift is not None:
-        samples = _extend_loop(samples, loop_shift, _BACK)
+    if loop:
+        samples = _extend_loop(samples, _BACK)
         lo = lo + _BACK
     # only the windows of the intervals that hold a t, one row per t
     cols = (lo[..., None] + np.arange(_WINDOW)).reshape(lo.shape[:-1] + (-1,))

@@ -58,15 +58,8 @@ class NotStationaryError(ValueError):
 
 def _edge_grid(net: GeodesicNet, eid: str):
     s = net.edge_samples[eid]
-    shift = net.loop_shift(eid)
-    return s, shift, stencils.quadrature_weights(s.shape[0], loop=shift is not None)
-
-
-def _field_velocity(values: np.ndarray, shift) -> np.ndarray:
-    # field components never wrap: loop edges use a zero seam shift
-    if shift is None:
-        return stencils.velocity(values)
-    return stencils.velocity(values, loop_shift=np.zeros(values.shape[-1]))
+    loop = eid in net.periodic_edges
+    return s, loop, stencils.quadrature_weights(s.shape[0], loop=loop)
 
 
 def _perp(vel, values) -> np.ndarray:
@@ -125,13 +118,13 @@ def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityR
     edge_res = {}
     edge_max = {}
     for e in net.graph.edges:
-        s, shift, _ = _edge_grid(net, e.id)
+        s, loop, _ = _edge_grid(net, e.id)
         # open edges keep the central 6th-order rows only: their footprints
         # still cover every sample, and endpoint geodesy is what the vertex
         # balance measures
-        v = stencils.derivative_ho(s, 1, loop_shift=shift)
-        acc = stencils.derivative_ho(s, 2, loop_shift=shift)
-        pts = s if shift is not None else s[3:-3]
+        v = stencils.derivative_ho(s, 1, loop=loop)
+        acc = stencils.derivative_ho(s, 2, loop=loop)
+        pts = s if loop else s[3:-3]
         lam, dphi, _ = chart.factor_jet_many(pts, 1)
         cov = acc + christoffel_apply(dphi, v, v)
         norm = metric_norm(lam, cov) / metric_dot(lam, v, v)
@@ -164,15 +157,15 @@ def _edge_terms(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField,
                 length: float):
     """(A_E(Y) at the samples, (n/l) (D_t Y^perp)^perp at the two ends) of
     one edge of the given g-length, from one factor jet."""
-    s, shift, _ = _edge_grid(net, eid)
-    v = stencils.velocity(s, loop_shift=shift)
+    s, loop, _ = _edge_grid(net, eid)
+    v = stencils.velocity(s, loop=loop)
     _, dphi, ddphi = chart.factor_jet_many(s, 2)
     # differentiate the perpendicular part: same operator in the continuum,
     # and tangential fields are annihilated exactly at the discrete level
     yperp = _perp(v, fld.edge_values[eid])
     # (D_t Z)^k = dZ^k/dt + Gamma^k_ij f'^i Z^j
-    ydot = _field_velocity(yperp, shift) + christoffel_apply(dphi, v, yperp)
-    yddot = _field_velocity(ydot, shift) + christoffel_apply(dphi, v, ydot)
+    ydot = stencils.velocity(yperp, loop=loop) + christoffel_apply(dphi, v, yperp)
+    yddot = stencils.velocity(ydot, loop=loop) + christoffel_apply(dphi, v, ydot)
     curv = curvature_apply(curvature_form(dphi, ddphi), v, yperp, v)
     scale = net.graph.edge(eid).multiplicity / length
     return -scale * _perp(v, yddot + curv), scale * _perp(v[[0, -1]], ydot[[0, -1]])
@@ -258,7 +251,7 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
     per-row operations as for a group of one.
     """
     s = group.samples
-    v = stencils.velocity(s, loop_shift=group.shifts)
+    v = stencils.velocity(s, loop=group.loop)
     w = stencils.quadrature_weights(s.shape[1], loop=group.loop)
     lam, a, u = length_integrand(chart, s, v, w)
     return v, lam, integrate_length_terms(a, u, w, group.loop, group.multiplicities)
@@ -300,10 +293,10 @@ def integrate_length_terms(a: np.ndarray, u: np.ndarray, weights: np.ndarray, lo
     else:
         # D^T = -D on the uniform independent samples; the seam sample
         # is one physical point, so fold the duplicate row onto row 0; the
-        # field u does not wrap, so its seam shift is zero
+        # field u then repeats its seam row, so it does not wrap
         h = 1.0 / (u.shape[1] - 1)
         u[:, 0] = u[:, -1] = 0.5 * (u[:, 0] + u[:, -1])
         grad[:, 0] += grad[:, -1]
-        grad -= stencils.velocity(h * u, loop_shift=np.zeros(u.shape[-1]))
+        grad -= stencils.velocity(h * u, loop=True)
         grad[:, -1] = 0.0
     return multiplicities[:, None, None] * grad

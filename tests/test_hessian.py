@@ -34,8 +34,7 @@ def reference_fields(chart, net):
     frames_by_edge = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        shift = net.loop_shift(e.id)
-        v = stencils.velocity(s, loop_shift=shift)
+        v = stencils.velocity(s, loop=e.id in net.periodic_edges)
         frames_by_edge[e.id] = parallel_frame(chart, s, v)
 
     def zero_field():
@@ -118,10 +117,10 @@ def fine_net_gradient(chart, net, refine, disp):
     fine net itself."""
     fine, t_mats = {}, {}
     for e in net.graph.edges:
-        s, shift = net.edge_samples[e.id], net.loop_shift(e.id)
+        s, loop = net.edge_samples[e.id], e.id in net.periodic_edges
         t_mats[e.id] = (np.eye(s.shape[0]) if refine == 1 else
-                        stencils.upsample_operator(s.shape[0], refine, shift is not None)[0])
-        fine[e.id] = (stencils.upsample_curve(s, refine, loop_shift=shift)
+                        stencils.upsample_operator(s.shape[0], refine, loop)[0])
+        fine[e.id] = (stencils.upsample_curve(s, refine, loop=loop)
                       + t_mats[e.id] @ disp.edge_values[e.id])
     fine_net = GeodesicNet(graph=net.graph, edge_samples=fine,
                            vertex_positions=net.vertex_positions,
@@ -322,8 +321,8 @@ def assert_same_gradient(chart, net):
     assert list(basis.hat_offset) == [e.id for e in net.graph.edges]
     assert frames.keys() == basis.hat_offset.keys()
     for e in basis.hat_offset:
-        s, shift = net.edge_samples[e], net.loop_shift(e)
-        assert np.array_equal(frames[e], parallel_frame(chart, s, stencils.velocity(s, loop_shift=shift)))
+        s, loop = net.edge_samples[e], e in net.periodic_edges
+        assert np.array_equal(frames[e], parallel_frame(chart, s, stencils.velocity(s, loop=loop)))
         assert basis.hat_offset[e] == labels.index(("u", e, 1, 0))
     assert len(basis) == len(labels) == len(fields)
     ref_block = np.stack([np.concatenate([f.edge_values[e].ravel() for e in basis.hat_offset])
@@ -455,7 +454,7 @@ def test_each_probe_pair_applies_the_linear_maps_once(name, monkeypatch):
     counted(monkeypatch, jac.ReducedBasis, "apply_many", log, "B", lambda self, c: len(c))
     counted(monkeypatch, jac.ReducedBasis, "pullback_many", log, "B^T",
             lambda self, g: len(g[0]) // len(self.ids[0]))
-    counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop_shift=None: s.shape[0])
+    counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop=False: s.shape[0])
     counted(monkeypatch, jac, "_integrand_derivative", log, "derivative",
             lambda base, dx, dv: dx.shape[0])
     counted(monkeypatch, case.chart, "factor_jet_many", log, "jet", lambda points, order: 1)

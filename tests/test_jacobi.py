@@ -39,8 +39,7 @@ from geodesicnets.net import edge_lengths, length, reparametrize_constant_speed
 def edge_frame(case, eid):
     net = case.net
     s = net.edge_samples[eid]
-    shift = net.loop_shift(eid)
-    v = st.velocity(s, loop_shift=shift)
+    v = st.velocity(s, loop=eid in net.periodic_edges)
     return s, v, parallel_frame(case.chart, s, v)
 
 
@@ -205,7 +204,7 @@ def test_system_curvature_block_scales_with_radius():
                           vertex_positions={"V": samples[0]},
                           periodic_edges=frozenset({"E"}))
         s = net.edge_samples["E"]
-        v = st.velocity(s, loop_shift=net.loop_shift("E"))
+        v = st.velocity(s, loop=True)
         frames = parallel_frame(chart, s, v)
         k_mat = jacobi_ode_coefficients(chart, s, v, frames)
         mono[radius] = float(k_mat[:, 0, 0].mean()) / edge_lengths(chart, net)["E"] ** 2
@@ -302,7 +301,7 @@ def test_random_reduced_field_matches_edge_by_edge_reference(name):
 def test_classify_field_tangential():
     case = make_case("flat-loop", 64)
     s = case.net.edge_samples["E"]
-    v = st.velocity(s, loop_shift=case.net.loop_shift("E"))
+    v = st.velocity(s, loop="E" in case.net.periodic_edges)
     fld = NetField({"E": 0.3 * v})
     kind, tang, normal = classify_field(case.chart, case.net, fld)
     assert kind == "tangential"
@@ -468,7 +467,7 @@ def _old_to_net_field(red, chart, net):
     vals = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        v = st.velocity(s, loop_shift=net.loop_shift(e.id))
+        v = st.velocity(s, loop=e.id in net.periodic_edges)
         frames = parallel_frame(chart, s, v)
         that = v / g_norm(chart, s, v)[:, None]
         t = np.linspace(0.0, 1.0, s.shape[0])
@@ -530,9 +529,9 @@ def _reduced_hessian_by_lengths(chart, net, step, refine=8):
     d = len(basis)
     base, t_mats = {}, {}
     for e, s in net.edge_samples.items():
-        shift = net.loop_shift(e)
-        base[e] = st.upsample_curve(s, refine, loop_shift=shift)
-        t_mats[e] = st.upsample_operator(s.shape[0], refine, shift is not None)[0]
+        loop = e in net.periodic_edges
+        base[e] = st.upsample_curve(s, refine, loop=loop)
+        t_mats[e] = st.upsample_operator(s.shape[0], refine, loop)[0]
 
     def l_of(i, a, j, b):
         coef = np.zeros(d)

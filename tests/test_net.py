@@ -256,8 +256,7 @@ def test_stacked_groups_match_groups_of_one_bitwise(name, monkeypatch):
     stacked = _per_edge_results(chart, net)
 
     def groups_of_one(self):
-        return [EdgeGroup(ids=(eid,), samples=g.samples[k : k + 1],
-                          shifts=None if g.shifts is None else g.shifts[k : k + 1],
+        return [EdgeGroup(ids=(eid,), samples=g.samples[k : k + 1], loop=g.loop,
                           multiplicities=g.multiplicities[k : k + 1])
                 for g in grouped(self) for k, eid in enumerate(g.ids)]
 

@@ -54,7 +54,7 @@ def test_periodic_velocity_order():
     for n in (32, 64):
         t = np.arange(n + 1) / n
         c = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
-        v = st.velocity(c, loop_shift=np.zeros(2))
+        v = st.velocity(c, loop=True)
         vt = 2 * np.pi * np.stack([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)], axis=1)
         errs.append(np.abs(v - vt).max())
     order = np.log2(errs[0] / errs[1])
@@ -64,16 +64,16 @@ def test_periodic_velocity_order():
 def test_velocity_ho_endpoint_accuracy():
     n = 65
     t = np.linspace(0, 1, n)
-    f = np.sin(2.0 * t + 0.3)
-    v = st.velocity_ho(f)
+    f = np.sin(2.0 * t + 0.3)[:, None]
+    v = st.velocity_ho(f)[:, 0]
     assert abs(v[0] - 2.0 * np.cos(0.3)) < 1e-8
     assert abs(v[-1] - 2.0 * np.cos(2.3)) < 1e-8
 
 
 def test_endpoint_first_derivative_matches():
     t = np.linspace(0, 1, 65)
-    f = np.exp(0.7 * t)
-    v = st.velocity_ho(f)
+    f = np.exp(0.7 * t)[:, None]
+    v = st.velocity_ho(f)[:, 0]
     assert abs(v[0] - 0.7) < 1e-9
     assert abs(v[-1] - 0.7 * np.exp(0.7)) < 1e-9
 
@@ -82,7 +82,7 @@ def test_endpoint_first_derivative_matches():
 def test_banded_velocity_matches_dense_reference(n):
     rng = np.random.default_rng(n)
     d_mat = _sbp42_reference(n, 1.0 / (n - 1))
-    for x in (rng.normal(size=n), rng.normal(size=(n, 3))):
+    for x in (rng.normal(size=(n, 1)), rng.normal(size=(n, 3))):
         ref = d_mat @ x
         assert np.abs(st.velocity(x) - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -107,9 +107,9 @@ def test_upsample_preserves_nodes_and_accuracy():
 def test_upsample_loop_through_seam():
     n = 32
     t = np.arange(n + 1) / n
-    shift = np.array([2.0, 0.0])
+    # the lift advances by (2, 0) over one turn
     c = np.stack([2 * t, np.sin(2 * np.pi * t)], axis=1)
-    fine = st.upsample_curve(c, 4, loop_shift=shift)
+    fine = st.upsample_curve(c, 4, loop=True)
     tf = np.arange(4 * n + 1) / (4 * n)
     assert np.abs(fine[:, 1] - np.sin(2 * np.pi * tf)).max() < 1e-6
 
@@ -121,13 +121,22 @@ def test_fornberg_interpolation_weights():
     assert abs(w @ f - (2.5**4 - 2 * 2.5 + 1)) < 1e-10
 
 
+def _extend_reference(samples, shift, pad):
+    """Periodic extension of loop curves (..., N+1, d) by ``pad`` samples on
+    both sides, continued by explicit seam shifts (..., d)."""
+    shift = np.asarray(shift, dtype=float)[..., None, :]
+    head = samples[..., -1 - pad : -1, :] - shift
+    tail = samples[..., 1 : 1 + pad, :] + shift
+    return np.concatenate([head, samples, tail], axis=-2)
+
+
 def _upsample_reference(samples, factor, loop_shift=None):
     """Sample-by-sample 6-point Lagrange upsampling, one Fornberg call per point."""
     n = samples.shape[0]
     m = (n - 1) * factor
     pad = 3
     if loop_shift is not None:
-        ext = st._extend_loop(samples, loop_shift, pad)
+        ext = _extend_reference(samples, loop_shift, pad)
         base = pad
     else:
         ext = samples
@@ -174,13 +183,11 @@ def test_upsample_operator_matches_reference(n, factor, loop):
 def test_point_evaluation_matches_upsampling(n, factor, loop):
     rng = np.random.default_rng(n * factor)
     samples = rng.normal(size=(n, 2))
-    shift = None
     if loop:
-        shift = np.array([1.0, -0.5])
-        samples[-1] = samples[0] + shift
-    fine = st.upsample_curve(samples, factor, loop_shift=shift)
+        samples[-1] = samples[0] + np.array([1.0, -0.5])
+    fine = st.upsample_curve(samples, factor, loop=loop)
     t = np.arange(fine.shape[0]) / (fine.shape[0] - 1)
-    assert np.abs(st.evaluate_curve(samples, t, loop_shift=shift) - fine).max() < 1e-14
+    assert np.abs(st.evaluate_curve(samples, t, loop=loop) - fine).max() < 1e-14
 
 
 def test_running_integral_and_inverse_interpolation():
@@ -197,38 +204,91 @@ def test_running_integral_and_inverse_interpolation():
     assert np.abs(st.inverse_interpolate(np.sinh(t), targets) - np.arcsinh(targets)).max() < 1e-9
 
 
+def _curve_operators(curves, t, loop):
+    """Every edge-grid operator on curves (..., N+1, d), at parameters t (..., P)."""
+    out = {
+        "velocity": st.velocity(curves, loop=loop),
+        "derivative_ho 1": st.derivative_ho(curves, 1, loop=loop),
+        "derivative_ho 2": st.derivative_ho(curves, 2, loop=loop),
+        "velocity_ho": st.velocity_ho(curves, loop=loop),
+        "upsample": st.upsample_curve(curves, 8, loop=loop),
+        "evaluate": st.evaluate_curve(curves, t, loop=loop),
+    }
+    if not loop:
+        for row in (0, 1, 2, -3, -2, -1):
+            out[f"end_derivative_ho 2 {row}"] = st.end_derivative_ho(curves, 2, row)
+    return out
+
+
 @pytest.mark.parametrize("loop", [False, True])
 def test_stacked_edges_match_single_edges_bitwise(loop):
     """A group of edges with one sample count gives every edge the bits it
-    gets alone, for each operator the arc-length reparametrization uses."""
+    gets alone, for every edge-grid operator."""
     rng = np.random.default_rng(11)
     n, edges = 33, 3
     curves = rng.normal(size=(edges, n, 2))
-    shifts = None
     if loop:
-        shifts = rng.normal(size=(edges, 2))
-        curves[:, -1] = curves[:, 0] + shifts
+        curves[:, -1] = curves[:, 0] + rng.normal(size=(edges, 2))
     values = np.cumsum(rng.uniform(0.5, 1.5, size=(edges, 4 * n)), axis=1)
     targets = np.sort(rng.uniform(values[:, :1], values[:, -1:], size=(edges, 20)), axis=1)
     t = np.sort(rng.uniform(0.0, 1.0, size=(edges, 20)), axis=1)
     stacked = {
-        "velocity": st.velocity(curves, loop_shift=shifts),
-        "upsample": st.upsample_curve(curves, 8, loop_shift=shifts),
-        "evaluate": st.evaluate_curve(curves, t, loop_shift=shifts),
+        **_curve_operators(curves, t, loop),
         "integral": st.running_integral(values, loop=loop),
         "inverse": st.inverse_interpolate(values, targets),
     }
     for e in range(edges):
-        shift = None if shifts is None else shifts[e]
         alone = {
-            "velocity": st.velocity(curves[e], loop_shift=shift),
-            "upsample": st.upsample_curve(curves[e], 8, loop_shift=shift),
-            "evaluate": st.evaluate_curve(curves[e], t[e], loop_shift=shift),
+            **_curve_operators(curves[e], t[e], loop),
             "integral": st.running_integral(values[e], loop=loop),
             "inverse": st.inverse_interpolate(values[e], targets[e]),
         }
+        assert stacked.keys() == alone.keys()
         for name, got in stacked.items():
+            assert got.shape[1:] == alone[name].shape, name
             assert np.array_equal(got[e], alone[name]), name
+
+
+def _seam_reference(curves, t, shift, monkeypatch):
+    """The loop operators with every seam continued by the explicit shifts
+    (..., d) instead of the shifts read from the samples."""
+    n = curves.shape[-2]
+    with monkeypatch.context() as m:
+        m.setattr(st, "_extend_loop", lambda samples, pad: _extend_reference(samples, shift, pad))
+        ref = _curve_operators(curves, t, True)
+    t_mat, c_vec = st.upsample_operator(n, 8, True)
+    ref["upsample"] = t_mat @ curves + c_vec[:, None] * np.asarray(shift)[..., None, :]
+    return ref
+
+
+@pytest.mark.parametrize("edges", [None, 4])
+def test_loop_operators_read_the_lattice_shift_from_the_samples(edges, monkeypatch):
+    """On loop curves whose closing sample is the first plus a nonzero lattice
+    shift, every operator equals the explicit-shift reference bitwise.  The
+    samples are dyadic, so the closing row holds the shift exactly."""
+    rng = np.random.default_rng(5)
+    lead = () if edges is None else (edges,)
+    curves = rng.integers(-256, 256, size=lead + (33, 2)) / 64.0
+    shift = rng.choice([-2.0, -1.0, 1.0, 3.0], size=lead + (2,))
+    curves[..., -1, :] = curves[..., 0, :] + shift
+    t = rng.uniform(0.0, 1.0, size=lead + (25,))
+    ref = _seam_reference(curves, t, shift, monkeypatch)
+    for name, got in _curve_operators(curves, t, True).items():
+        assert np.array_equal(got, ref[name]), name
+
+
+@pytest.mark.parametrize("edges", [None, 4])
+def test_loop_field_with_repeated_seam_row_does_not_wrap(edges, monkeypatch):
+    """A field along a loop repeats its seam row: every operator gives the
+    bits of the zero-shift extension."""
+    rng = np.random.default_rng(6)
+    lead = () if edges is None else (edges,)
+    field = rng.normal(size=lead + (33, 3))
+    field[..., -1, :] = field[..., 0, :]
+    t = rng.uniform(0.0, 1.0, size=lead + (25,))
+    ref = _seam_reference(field, t, np.zeros(lead + (3,)), monkeypatch)
+    for name, got in _curve_operators(field, t, True).items():
+        assert np.array_equal(got, ref[name]), name
 
 
 def test_cached_operators_are_read_only():

@@ -24,6 +24,10 @@ CALLERS = sorted(
     + list((ROOT / "perfbench").glob("*.py"))
 )
 
+# The most settable values the package may define: the count when this
+# ratchet was last lowered.  A change may lower it, never raise it.
+MAX_SETTABLE = 59
+
 ONLY_TESTS_SET = {
     "cases.make_case(multiplicity)":
         "test_net, test_jacobi, test_invariance and the acceptance suite build multiple loops",
@@ -101,3 +105,8 @@ def test_every_settable_value_is_set_by_a_caller():
 def test_only_tests_set_lists_no_value_a_caller_sets():
     stale = sorted(set(ONLY_TESTS_SET) - set(_unset()))
     assert not stale, f"listed but set by a caller, or gone: {', '.join(stale)}"
+
+
+def test_settable_values_do_not_grow():
+    labels = [label for path in sorted(PACKAGE.glob("*.py")) for label, *_ in _settable(path)]
+    assert len(labels) <= MAX_SETTABLE, f"{len(labels)} settable values, at most {MAX_SETTABLE}"

@@ -32,7 +32,7 @@ def unit_normal_field(case):
     net = case.net
     eid = net.graph.edges[0].id
     s = net.edge_samples[eid]
-    v = st.velocity(s, loop_shift=net.loop_shift(eid))
+    v = st.velocity(s, loop=eid in net.periodic_edges)
     frames = parallel_frame(case.chart, s, v)
     return NetField({eid: frames[:, 0, :].copy()})
 
@@ -101,9 +101,8 @@ def test_balance_is_minus_weighted_inward_tangents():
             expect = np.zeros(net.dim)
             for eid, i in net.graph.incident_pairs(v):
                 s = net.edge_samples[eid]
-                shift = net.loop_shift(eid)
-                if shift is not None:
-                    vel = st.velocity(s, loop_shift=shift)
+                if eid in net.periodic_edges:
+                    vel = st.velocity(s, loop=True)
                 else:
                     vel = st.velocity_ho(s)
                 tang = vel[0] if i == 0 else vel[-1]
@@ -159,8 +158,8 @@ def _stationarity_reference(chart, net):
         s = net.edge_samples[e.id]
         n = s.shape[0]
         h = 1.0 / (n - 1)
-        shift = net.loop_shift(e.id)
-        if shift is not None:
+        if e.id in net.periodic_edges:
+            shift = s[-1] - s[0]
             ext = np.concatenate([s[-4:-1] - shift, s, s[1:4] + shift], axis=0)
             v = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c1)) / h
             acc = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c2)) / h**2
@@ -177,9 +176,8 @@ def _stationarity_reference(chart, net):
         out = np.zeros(net.dim)
         for eid, i in net.graph.incident_pairs(vtx):
             s = net.edge_samples[eid]
-            shift = net.loop_shift(eid)
-            if shift is not None:
-                vel = st.velocity(s, loop_shift=shift)
+            if eid in net.periodic_edges:
+                vel = st.velocity(s, loop=True)
                 tang = vel[0] if i == 0 else vel[-1]
             else:
                 tang = _endpoint_derivative_reference(s, i)
@@ -263,7 +261,7 @@ def test_apply_A_E_output_perpendicular(rng):
     fld = random_ambient_field(case.chart, case.net, rng)
     out = apply_A_E(case.chart, case.net, "E", fld)
     s = case.net.edge_samples["E"]
-    v = st.velocity(s, loop_shift=case.net.loop_shift("E"))
+    v = st.velocity(s, loop="E" in case.net.periodic_edges)
     pairing = g_dot(case.chart, s, out, v) / (g_norm(case.chart, s, out).clip(1e-300) * g_norm(case.chart, s, v))
     assert np.abs(pairing).max() < 1e-8
 
@@ -416,14 +414,14 @@ def _gradient_reference(chart, net):
         s = net.edge_samples[e.id]
         n = s.shape[0]
         h = 1.0 / (n - 1)
-        shift = net.loop_shift(e.id)
-        w = st.quadrature_weights(n, loop=shift is not None)
-        v = st.velocity(s, loop_shift=shift)
+        loop = e.id in net.periodic_edges
+        w = st.quadrature_weights(n, loop=loop)
+        v = st.velocity(s, loop=loop)
         speed = g_norm(chart, s, v)
         g, dg, _ = metric_tensor_jet(chart, s)
         u = np.einsum("pij,pj->pi", g, v) / speed[:, None]
         grad = w[:, None] * np.einsum("pcij,pi,pj->pc", dg, v, v) / (2.0 * speed[:, None])
-        if shift is None:
+        if not loop:
             grad += _sbp42_reference(n, h).T @ (w[:, None] * u)
         else:
             m = n - 1
