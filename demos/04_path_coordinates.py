@@ -33,7 +33,7 @@ nc = build_net_chart(chart, net)
 
 print("== chart centered at the theta net ==")
 coords = coordinates_of(nc, net)
-for eid, pc in coords.coords.items():
+for eid, pc in coords.items():
     print(f"  {eid}: a={pc.a:+.2e}  b-1={pc.b - 1:+.2e}  |u|={np.abs(pc.u).max():.2e}")
 
 print("\nround trip through a random in-radius coordinate:")
@@ -53,7 +53,7 @@ print(f"  coordinate drift under a smooth reparametrization: {np.abs(got.u - pc.
 
 print("\nvertex continuity constraint:")
 res = constraint_C(nc, coords)
-print(f"  residual at the genuine net: {res.norm:.2e} (stacked dimension {res.stacked().shape[0]})")
+print(f"  residual at the genuine net: {np.linalg.norm(res):.2e} (stacked dimension {res.shape[0]})")
 
 print("\ncoordinate stationarity residual (H1 interior, H2 vertex):")
 h1, h2 = mean_curvature_H(chart, nc, coords)
@@ -62,7 +62,7 @@ print(f"  |H2| max = {max(np.linalg.norm(v) for v in h2.values()):.2e}")
 print(f"  equivalence with the ambient residual: {stationarity_equivalence_check(chart, nc, coords)}")
 
 print("\nlength through the coordinate Lagrangian vs the net quadrature:")
-coords.coords["E1"].u[:, 0] += 0.2 * tube.delta_norm * np.sin(np.pi * t)
+coords["E1"].u[:, 0] += 0.2 * tube.delta_norm * np.sin(np.pi * t)
 net2 = lambda_map(nc, coords)
 a = lagrangian_integral(chart, nc, coords)
 b = length(chart, net2)

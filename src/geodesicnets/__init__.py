@@ -41,7 +41,6 @@ from .jacobi import (
 )
 from .localcoords import (
     NetChart,
-    NetCoord,
     PathCoord,
     build_net_chart,
     constraint_C,
@@ -53,7 +52,7 @@ from .localcoords import (
     xi,
     xi_prime,
 )
-from .multigraph import GraphClass, VertexStar, WeightedMultigraph, classify, star, validate
+from .multigraph import GraphClass, WeightedMultigraph, classify, preferred_pair, validate
 from .net import (
     GeodesicNet,
     NetField,
@@ -65,7 +64,6 @@ from .net import (
     vertex_unit_tangents,
 )
 from .solver import (
-    SolveOptions,
     SolveResult,
     break_degeneracy,
     build_condition_C_bump,

@@ -143,13 +143,13 @@ def _cmd_check(spec, args, options):
 
 def _cmd_solve(spec, args, options):
     chart = spec.chart()
-    sopts = solver.SolveOptions(tolerance=min(options["tol"], 1e-9))
-    res = solver.solve_stationary(chart, spec.net, sopts)
+    tolerance = min(options["tol"], 1e-9)
+    res = solver.solve_stationary(chart, spec.net, tolerance)
     report = {
         "converged": res.converged,
         "iterations": res.iterations,
         "gradient_norm": res.gradient_norm,
-        "gradient_tolerance": sopts.tolerance,
+        "gradient_tolerance": tolerance,
         "trace": res.trace,
         "stationarity": _report_stationarity(chart, res.net, options["tol"]),
     }
@@ -219,8 +219,8 @@ def _cmd_chart_roundtrip(spec, args, options):
     npts = spec.net.edge_samples[eid].shape[0]
     tgrid = np.linspace(0.0, 1.0, npts)
     for _ in range(200):
-        a = float(rng.uniform(-0.9, 0.9) * tube.delta_long)
-        b = float(1.0 + rng.uniform(-0.9, 0.9) * tube.delta_long)
+        a = float(rng.uniform(-0.9, 0.9) * localcoords.DELTA_REL)
+        b = float(1.0 + rng.uniform(-0.9, 0.9) * localcoords.DELTA_REL)
         u = np.zeros((npts, spec.net.dim - 1))
         for k in (1, 2, 3):
             u[:, 0] += rng.normal() * np.sin(np.pi * k * tgrid)
@@ -235,7 +235,7 @@ def _cmd_chart_roundtrip(spec, args, options):
     report = {
         "roundtrip_worst": worst,
         "roundtrip_tolerance": ROUNDTRIP_TOL,
-        "constraint_norm": c_res.norm,
+        "constraint_norm": float(np.linalg.norm(c_res)),
         "interior_residual_max": max(float(np.abs(v).max()) for v in h1.values()),
         "vertex_residual_max": max(float(np.linalg.norm(v)) for v in h2.values()),
         "equivalence_check": localcoords.stationarity_equivalence_check(

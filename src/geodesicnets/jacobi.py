@@ -78,6 +78,9 @@ ORACLE_REFINE = 8
 # classify_field calls a field tangential when its normal part is at most
 # this fraction of it.
 TANGENTIAL_TOL = 1e-7
+# approximate_embeddedness refuses samples of two edges (or far apart on
+# one) closer than this fraction of the shortest edge.
+EMBEDDEDNESS_FRACTION = 1e-3
 # Most fine sample rows one stacked pass of fd_hessian's probes may hold:
 # bounds its memory whatever the number of probes.  A probe larger than
 # this is passed alone.
@@ -165,23 +168,17 @@ class ShootingSystem:
     nm1: int                         # n - 1
 
 
-def _edge_fine_data(chart, net, eid, refine):
+def _edge_data(chart, net, eid, refine):
     s = net.edge_samples[eid]
     loop = eid in net.periodic_edges
     fine = stencils.upsample_curve(s, refine, loop=loop)
     vf = stencils.velocity_ho(fine, loop=loop)
     frames_f = parallel_frame(chart, fine, vf)
-    K_f = jacobi_ode_coefficients(chart, fine, vf, frames_f)
+    psi = _propagate(jacobi_ode_coefficients(chart, fine, vf, frames_f),
+                     1.0 / (fine.shape[0] - 1), record_stride=refine)
     w = stencils.quadrature_weights(fine.shape[0], loop=loop)
-    l_e = float(w @ g_norm(chart, fine, vf))
-    return s, fine, vf, frames_f, K_f, l_e
-
-
-def _edge_data(chart, net, eid, refine):
-    s, fine, vf, frames_f, K_f, l_e = _edge_fine_data(chart, net, eid, refine)
-    psi = _propagate(K_f, 1.0 / (fine.shape[0] - 1), record_stride=refine)
-    return _EdgeData(net.graph.edge(eid).multiplicity, l_e, frames_f[::refine], psi,
-                     tuple(chart.factor_jet_many(s[[0, -1]], 0)[0]))
+    return _EdgeData(net.graph.edge(eid).multiplicity, float(w @ g_norm(chart, fine, vf)),
+                     frames_f[::refine], psi, tuple(chart.factor_jet_many(s[[0, -1]], 0)[0]))
 
 
 def _good_class(graph: WeightedMultigraph) -> GraphClass:
@@ -265,11 +262,13 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
     """The ambient displacement of every reduced field: the tangential
     ramp between its vertex displacements plus its normal profiles.  Each
     edge's velocity, parallel frame and unit tangent, which depend on the
-    net only, are computed once for all of them."""
+    net only, are computed once for all of them.  On a loop edge the seam
+    is one point, so the last row repeats the first."""
     vals = [{} for _ in fields]
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
-        v = stencils.velocity(s, loop=e.id in net.periodic_edges)
+        loop = e.id in net.periodic_edges
+        v = stencils.velocity(s, loop=loop)
         frames = parallel_frame(chart, s, v)
         that = v / g_norm(chart, s, v)[:, None]
         t = np.linspace(0.0, 1.0, s.shape[0])
@@ -281,6 +280,8 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
             a1 = float(metric_dot(ends[1], z1[None, :], that[-1][None, :])[0])
             alpha = (1 - t) * a0 + t * a1
             out[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", fld.u[e.id], frames)
+            if loop:
+                out[e.id][-1] = out[e.id][0]
     return [NetField(v) for v in vals]
 
 
@@ -375,12 +376,10 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
     return kind, TangentialField(profiles), NetField(normal)
 
 
-def approximate_embeddedness(chart: MetricChart, net: GeodesicNet,
-                             threshold: float | None = None) -> bool:
+def approximate_embeddedness(chart: MetricChart, net: GeodesicNet) -> bool:
     """Min pairwise sample distance away from shared vertices must clear
-    the threshold (default 1e-3 of the shortest edge)."""
-    if threshold is None:
-        threshold = 1e-3 * min(edge_lengths(chart, net).values())
+    ``EMBEDDEDNESS_FRACTION`` of the shortest edge."""
+    threshold = EMBEDDEDNESS_FRACTION * min(edge_lengths(chart, net).values())
     eids = [e.id for e in net.graph.edges]
     for i, e1 in enumerate(eids):
         for e2 in eids[i:]:

@@ -27,16 +27,14 @@ from .geometry import (
     _ROT90, EuclideanChart, HermiteCurve, MetricChart, christoffel_apply, foot_parameters,
     g_norm, geodesic_integrate, min_distance,
 )
-from .multigraph import star
+from .multigraph import preferred_pair
 from .net import GeodesicNet, edge_lengths
 from .variation import stationarity_residual
 
 __all__ = [
     "PathCoord",
-    "NetCoord",
     "NetChart",
     "EdgeTube",
-    "ConstraintResidual",
     "build_net_chart",
     "xi",
     "xi_prime",
@@ -80,7 +78,6 @@ class EdgeTube:
     eid: str
     curve: HermiteCurve           # F(s) on a fine grid spanning [-eta, 1+eta]
     velocity: HermiteCurve        # F'(s) on the same grid
-    delta_long: float             # longitudinal chart radius (parameter units)
     delta_norm: float             # normal chart radius (background length units)
     eta: float
     periodic: bool = False        # reference edge is a smooth closed loop
@@ -123,25 +120,6 @@ class EdgeTube:
 
 
 @dataclass
-class ConstraintResidual:
-    """Per-vertex, per-non-preferred-pair continuity residuals."""
-
-    per_vertex: dict[str, dict[tuple, np.ndarray]]
-
-    def stacked(self) -> np.ndarray:
-        parts = []
-        for v in sorted(self.per_vertex):
-            for pair in sorted(self.per_vertex[v]):
-                parts.append(self.per_vertex[v][pair])
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    @property
-    def norm(self) -> float:
-        vec = self.stacked()
-        return float(np.linalg.norm(vec)) if vec.size else 0.0
-
-
-@dataclass
 class NetChart:
     """Tubes for every edge of a reference net plus preferred pairs."""
 
@@ -149,15 +127,6 @@ class NetChart:
     reference: GeodesicNet
     tubes: dict[str, EdgeTube]
     preferred: dict[str, tuple]
-
-    @property
-    def dim(self) -> int:
-        return self.reference.dim
-
-
-@dataclass
-class NetCoord:
-    coords: dict[str, PathCoord]
 
 
 def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
@@ -204,14 +173,13 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
             eid=e.id,
             curve=HermiteCurve(s_grid, pts, vels),
             velocity=HermiteCurve(s_grid, vels, accs),
-            delta_long=DELTA_REL,
             delta_norm=DELTA_REL * lengths[e.id],
             eta=eta,
             periodic=e.id in net.periodic_edges,
         )
         _validate_tube(tube)
         tubes[e.id] = tube
-    preferred = {v: star(net.graph, v).preferred for v in net.graph.vertices}
+    preferred = {v: preferred_pair(net.graph, v) for v in net.graph.vertices}
     return NetChart(chart=chart, reference=net, tubes=tubes, preferred=preferred)
 
 
@@ -302,14 +270,14 @@ def tube_coordinates(nc: NetChart, eid: str, samples: np.ndarray,
     return np.concatenate([s[:, None], u], axis=1)
 
 
-def lambda_map(nc: NetChart, coords: NetCoord) -> GeodesicNet:
-    """Coordinates -> net, through the tubes of the chart center."""
+def lambda_map(nc: NetChart, coords: dict[str, PathCoord]) -> GeodesicNet:
+    """Coordinates (a ``PathCoord`` per edge) -> net, through the tubes of
+    the chart center."""
     samples = {}
-    for eid, pc in coords.coords.items():
-        tube = nc.tubes[eid]
-        if not (-tube.delta_long < pc.a < tube.delta_long):
+    for eid, pc in coords.items():
+        if not (-DELTA_REL < pc.a < DELTA_REL):
             raise TubeError(f"coordinate a of {eid!r} outside its radius")
-        if not (1 - tube.delta_long < pc.b < 1 + tube.delta_long):
+        if not (1 - DELTA_REL < pc.b < 1 + DELTA_REL):
             raise TubeError(f"coordinate b of {eid!r} outside its radius")
         samples[eid] = tube_embed(nc, eid, xi(pc))
     positions = {}
@@ -324,13 +292,11 @@ def lambda_map(nc: NetChart, coords: NetCoord) -> GeodesicNet:
     )
 
 
-def coordinates_of(nc: NetChart, net: GeodesicNet) -> NetCoord:
-    """Net -> coordinates: tube projection then reparametrization quotient."""
-    out = {}
-    for e in net.graph.edges:
-        triv = tube_coordinates(nc, e.id, net.edge_samples[e.id])
-        out[e.id] = xi_prime(triv)
-    return NetCoord(coords=out)
+def coordinates_of(nc: NetChart, net: GeodesicNet) -> dict[str, PathCoord]:
+    """Net -> coordinates, a ``PathCoord`` per edge: tube projection then
+    reparametrization quotient."""
+    return {e.id: xi_prime(tube_coordinates(nc, e.id, net.edge_samples[e.id]))
+            for e in net.graph.edges}
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +316,23 @@ def _transfer_point(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarray,
     return tube_coordinates(nc, to_eid, z[None, :], s_guess=np.array([s_hint]))[0]
 
 
-def constraint_C(nc: NetChart, coords: NetCoord) -> ConstraintResidual:
-    """Vertex-continuity residual; zero iff the coordinates glue to a net."""
-    per_vertex = {}
-    for v in nc.reference.graph.vertices:
+def constraint_C(nc: NetChart, coords: dict[str, PathCoord]) -> np.ndarray:
+    """Vertex-continuity residual; zero iff the coordinates glue to a net.
+
+    One row of n per non-preferred incident pair, each its endpoint
+    transferred into the preferred pair's tube minus the preferred
+    endpoint, stacked by sorted vertex id and then sorted pair.
+    """
+    parts = []
+    for v in sorted(nc.reference.graph.vertices):
         pref_eid, pref_i = nc.preferred[v]
-        ref = _endpoint_coordinate(coords.coords[pref_eid], pref_i)
-        rows = {}
-        for eid, i in nc.reference.graph.incident_pairs(v):
+        ref = _endpoint_coordinate(coords[pref_eid], pref_i)
+        for eid, i in sorted(nc.reference.graph.incident_pairs(v)):
             if (eid, i) == (pref_eid, pref_i):
                 continue
-            here = _endpoint_coordinate(coords.coords[eid], i)
-            transferred = _transfer_point(nc, eid, pref_eid, here, s_hint=ref[0])
-            rows[(eid, i)] = transferred - ref
-        per_vertex[v] = rows
-    return ConstraintResidual(per_vertex=per_vertex)
+            here = _endpoint_coordinate(coords[eid], i)
+            parts.append(_transfer_point(nc, eid, pref_eid, here, s_hint=ref[0]) - ref)
+    return np.concatenate(parts)
 
 
 def _transfer_jacobian(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarray,
@@ -401,17 +369,17 @@ def _lagrangian_values(g: MetricChart, nc: NetChart, pc: PathCoord, eid: str,
     return g_norm(g, pts, vel)
 
 
-def lagrangian_integral(g: MetricChart, nc: NetChart, coords: NetCoord) -> float:
+def lagrangian_integral(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord]) -> float:
     """Sum over edges of multiplicity times the integral of L."""
     total = 0.0
     for e in nc.reference.graph.edges:
-        vals = _lagrangian_values(g, nc, coords.coords[e.id], e.id)
+        vals = _lagrangian_values(g, nc, coords[e.id], e.id)
         wq = stencils.quadrature_weights(vals.shape[0], loop=e.id in nc.reference.periodic_edges)
         total += e.multiplicity * float(wq @ vals)
     return total
 
 
-def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
+def mean_curvature_H(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord]):
     """Coordinate stationarity residual (interior part, vertex part).
 
     Interior: n(E) (grad_u L - d/dt grad_w L) per edge on the grid.
@@ -422,7 +390,7 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
     h1 = {}
     endpoint_data = {}
     for e in graph.edges:
-        pc = coords.coords[e.id]
+        pc = coords[e.id]
         npts = pc.u.shape[0]
         nm1 = pc.u.shape[1]
         loop = e.id in nc.reference.periodic_edges
@@ -461,21 +429,21 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: NetCoord):
     h2 = {}
     for v in graph.vertices:
         pref_eid, pref_i = nc.preferred[v]
-        ref = _endpoint_coordinate(coords.coords[pref_eid], pref_i)
-        acc = np.zeros(nc.dim)
+        ref = _endpoint_coordinate(coords[pref_eid], pref_i)
+        acc = np.zeros(nc.reference.dim)
         for eid, i in graph.incident_pairs(v):
             a_vec = endpoint_data[eid][i]
             if (eid, i) == (pref_eid, pref_i):
                 acc += a_vec
             else:
-                coord = _endpoint_coordinate(coords.coords[eid], i)
+                coord = _endpoint_coordinate(coords[eid], i)
                 t_jac = _transfer_jacobian(nc, eid, pref_eid, coord, s_hint=ref[0])
                 acc += t_jac.T @ a_vec
         h2[v] = acc
     return h1, h2
 
 
-def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoord,
+def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord],
                                    residuals: tuple | None = None) -> bool:
     """True when the coordinate residual (H, C) and the ambient stationarity
     residual agree on whether the net is stationary at ``EQUIVALENCE_TOL``.
@@ -489,7 +457,7 @@ def stationarity_equivalence_check(g: MetricChart, nc: NetChart, coords: NetCoor
     h1, h2, c_res = residuals
     h1_norm = max(float(np.abs(v).max()) for v in h1.values())
     h2_norm = max(float(np.linalg.norm(v)) for v in h2.values())
-    coord_stationary = max(h1_norm, h2_norm, c_res.norm) <= EQUIVALENCE_TOL
+    coord_stationary = max(h1_norm, h2_norm, float(np.linalg.norm(c_res))) <= EQUIVALENCE_TOL
     net = lambda_map(nc, coords)
     ambient_stationary = stationarity_residual(g, net).aggregate <= EQUIVALENCE_TOL
     return coord_stationary == ambient_stationary

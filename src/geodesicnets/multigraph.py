@@ -1,11 +1,11 @@
-"""Weighted multigraphs underlying nets: validation, classification, vertex stars."""
+"""Weighted multigraphs underlying nets: validation, classification, preferred pairs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["WeightedMultigraph", "GraphClass", "VertexStar", "validate", "classify", "star"]
+__all__ = ["WeightedMultigraph", "GraphClass", "validate", "classify", "preferred_pair"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class GraphClass(Enum):
     GOOD_STAR = "good*"
     LOOP_WITH_MULTIPLICITY = "loop"
     NOT_GOOD = "not-good"
-
-
-@dataclass(frozen=True)
-class VertexStar:
-    vertex: str
-    pairs: tuple[tuple[str, int], ...]
-    preferred: tuple[str, int]
 
 
 def validate(graph: WeightedMultigraph) -> list[str]:
@@ -136,14 +129,11 @@ def classify(graph: WeightedMultigraph) -> GraphClass:
     return GraphClass.NOT_GOOD
 
 
-def star(graph: WeightedMultigraph, v: str) -> VertexStar:
-    """Incident pairs at v with a deterministic preferred pair.
-
-    The preferred pair is the one with the lowest edge id, breaking ties by
-    the lower endpoint index.
+def preferred_pair(graph: WeightedMultigraph, v: str) -> tuple[str, int]:
+    """The deterministic preferred (edge id, endpoint index) at v: the
+    incident pair with the lowest edge id, breaking ties by the lower
+    endpoint index.  An unknown vertex raises KeyError.
     """
     if v not in graph.vertices:
         raise KeyError(f"unknown vertex {v!r}")
-    pairs = tuple(graph.incident_pairs(v))
-    preferred = min(pairs, key=lambda p: (p[0], p[1]))
-    return VertexStar(vertex=v, pairs=pairs, preferred=preferred)
+    return min(graph.incident_pairs(v))

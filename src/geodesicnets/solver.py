@@ -42,7 +42,6 @@ from .net import (
 from .variation import NotStationaryError
 
 __all__ = [
-    "SolveOptions",
     "SolveResult",
     "SolverError",
     "MaxIterationsError",
@@ -59,7 +58,10 @@ __all__ = [
     "break_degeneracy",
 ]
 
-# An eigenvalue of the Newton matrix counts as null at most NULL_THRESHOLD
+# A Newton solve stops when the reduced gradient norm is at most its
+# tolerance (TOLERANCE by default) or after MAX_ITERATIONS iterations, and
+# rebuilds its Newton matrix every HESSIAN_REFRESH iterations.  An
+# eigenvalue of the Newton matrix counts as null at most NULL_THRESHOLD
 # times the largest one, or TIKHONOV_FLOOR.  The line search tries the step
 # sizes 1, BACKTRACK, BACKTRACK^2, ... up to and including the first below
 # MIN_STEP; a solve ends at the first line search that fails on a fresh
@@ -71,6 +73,9 @@ __all__ = [
 # residual at BREAK_RESIDUAL_TOL by default.  mixed_second_derivative works
 # on the grid MIXED_REFINE times finer, with the difference step MIXED_STEP
 # in both the amplitude and the displacement.
+TOLERANCE = 1e-10
+MAX_ITERATIONS = 60
+HESSIAN_REFRESH = 4
 NULL_THRESHOLD = 1e-8
 TIKHONOV_FLOOR = 1e-10
 BACKTRACK = 0.5
@@ -121,22 +126,6 @@ class StationarityLostError(SolverError):
 
 
 @dataclass
-class SolveOptions:
-    max_iterations: int = 60
-    tolerance: float = 1e-10
-    hessian_refresh: int = 4      # rebuild the Newton matrix every k iterations
-
-    def __post_init__(self):
-        # written so that NaN fails every test
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be finite and positive")
-        if not self.max_iterations >= 1:
-            raise ValueError("max iterations must be at least 1")
-        if not self.hessian_refresh >= 1:
-            raise ValueError("hessian refresh must be at least 1")
-
-
-@dataclass
 class SolveResult:
     net: GeodesicNet
     converged: bool
@@ -146,31 +135,34 @@ class SolveResult:
 
 
 def solve_stationary(chart: MetricChart, init: GeodesicNet,
-                     opts: SolveOptions | None = None) -> SolveResult:
+                     tolerance: float = TOLERANCE) -> SolveResult:
     """Newton iteration to a critical point of the discrete length.
 
-    Convergence is measured on the reduced gradient norm; the returned net
-    is constant-speed reparametrized.  A line search that fails on a stale
-    Newton matrix is retried on a fresh one; one that fails on a fresh
-    matrix ends the solve with ``MaxIterationsError``.
+    Convergence is measured on the reduced gradient norm, at most
+    ``tolerance`` (finite and positive); the returned net is constant-speed
+    reparametrized.  A line search that fails on a stale Newton matrix is
+    retried on a fresh one; one that fails on a fresh matrix ends the solve
+    with ``MaxIterationsError``.
     """
-    opts = opts or SolveOptions()
+    # written so that NaN fails the test
+    if not 0 < tolerance < np.inf:
+        raise ValueError("tolerance must be finite and positive")
     net = reparametrize_constant_speed(chart, init)
     basis, grad = reduced_gradient(chart, net)
     trace = []
     evals = evecs = None
     stale = 0
 
-    for it in range(opts.max_iterations + 1):
+    for it in range(MAX_ITERATIONS + 1):
         gnorm = float(np.linalg.norm(grad))
         trace.append({"iteration": it, "gradient_norm": gnorm})
-        if gnorm <= opts.tolerance:
+        if gnorm <= tolerance:
             return SolveResult(net=net, converged=True, iterations=it,
                                gradient_norm=gnorm, trace=trace)
-        if it == opts.max_iterations:
+        if it == MAX_ITERATIONS:
             break
         d = len(basis)
-        if evals is None or stale >= opts.hessian_refresh:
+        if evals is None or stale >= HESSIAN_REFRESH:
             hess = fd_hessian(chart, net, basis)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
@@ -186,7 +178,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         act = ~null
         coef_eig[act] = -g_eig[act] / evals[act]
         direction = basis.apply(evecs @ coef_eig)
-        step = _line_search(chart, net, direction, gnorm, opts)
+        step = _line_search(chart, net, direction, gnorm, tolerance)
         if step is None and stale > 0:
             # retry with a fresh Newton matrix
             evals = None
@@ -202,15 +194,15 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
         trace[-1]["step_size"] = alpha
         stale += 1
         if alpha < 0.5:
-            stale = opts.hessian_refresh
+            stale = HESSIAN_REFRESH
     raise MaxIterationsError(
-        f"no convergence in {opts.max_iterations} iterations (gradient {gnorm:.3e})",
-        result=SolveResult(net=net, converged=False, iterations=opts.max_iterations,
+        f"no convergence in {MAX_ITERATIONS} iterations (gradient {gnorm:.3e})",
+        result=SolveResult(net=net, converged=False, iterations=MAX_ITERATIONS,
                            gradient_norm=gnorm, trace=trace),
     )
 
 
-def _line_search(chart, net, direction, gnorm, opts):
+def _line_search(chart, net, direction, gnorm, tolerance):
     """(step size, accepted net, its basis and reduced gradient), or None.
 
     Backtracking on the gradient norm (Armijo): for alpha = 1, BACKTRACK,
@@ -225,7 +217,7 @@ def _line_search(chart, net, direction, gnorm, opts):
         cand = reparametrize_constant_speed(chart, displace(net, direction, alpha))
         basis, grad = reduced_gradient(chart, cand)
         gn = float(np.linalg.norm(grad))
-        if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= opts.tolerance:
+        if gn < gnorm * (1.0 - 1e-4 * alpha) or gn <= tolerance:
             return alpha, cand, basis, grad
         if alpha < MIN_STEP:
             return None
@@ -233,30 +225,29 @@ def _line_search(chart, net, direction, gnorm, opts):
 
 
 def continue_family(base: MetricChart, field: ScalarField, amplitudes: list[float],
-                    net: GeodesicNet, opts: SolveOptions | None = None) -> list[SolveResult]:
+                    net: GeodesicNet) -> list[SolveResult]:
     """Warm-started solves at ``conformal_family(base, field, x)`` for each
     amplitude x in turn; a step whose solve fails is halved in x."""
-    opts = opts or SolveOptions()
-    results = [solve_stationary(conformal_family(base, field, amplitudes[0]), net, opts)]
+    results = [solve_stationary(conformal_family(base, field, amplitudes[0]), net)]
     for x_prev, x_next in zip(amplitudes[:-1], amplitudes[1:]):
-        results.append(_continue_step(base, field, x_prev, x_next, results[-1].net, opts))
+        results.append(_continue_step(base, field, x_prev, x_next, results[-1].net))
     return results
 
 
-def _continue_step(base, field, x_prev, x_next, net, opts, depth=0) -> SolveResult:
+def _continue_step(base, field, x_prev, x_next, net, depth=0) -> SolveResult:
     """Solve at amplitude x_next from net, solved at x_prev; on failure,
     bisect the step and go through the midpoint.  Returns the solve that
     reached x_next."""
     try:
-        return solve_stationary(conformal_family(base, field, x_next), net, opts)
+        return solve_stationary(conformal_family(base, field, x_next), net)
     except (MaxIterationsError, SingularSystemError):
         if depth >= MAX_HALVINGS:
             raise ContinuationStall(
                 "metric step fell below the floor without convergence (bifurcation?)"
             )
         x_mid = 0.5 * (x_prev + x_next)
-        mid = _continue_step(base, field, x_prev, x_mid, net, opts, depth + 1)
-        return _continue_step(base, field, x_mid, x_next, mid.net, opts, depth + 1)
+        mid = _continue_step(base, field, x_prev, x_mid, net, depth + 1)
+        return _continue_step(base, field, x_mid, x_next, mid.net, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +367,7 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet,
         s = net.edge_samples[e.id]
         loop = e.id in net.periodic_edges
         fine_samples[e.id] = stencils.upsample_curve(s, MIXED_REFINE, loop=loop)
-        # the field does not wrap, and a kernel field's seam rows may differ
-        # (3e-9 on sphere-equator): the linear part of the upsampling map alone
-        t_mat = stencils.upsample_operator(s.shape[0], MIXED_REFINE, loop)[0]
-        fine_j[e.id] = t_mat @ j_field.edge_values[e.id]
+        fine_j[e.id] = stencils.upsample_curve(j_field.edge_values[e.id], MIXED_REFINE, loop=loop)
     fine_net = replace(net, edge_samples=fine_samples)
     fld = NetField(fine_j)
     closed = 0.0

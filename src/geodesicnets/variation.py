@@ -189,8 +189,7 @@ def _vertex_sum(net: GeodesicNet, v: str, ends: dict) -> np.ndarray:
     return sum((-1.0) ** (i + 1) * ends[eid][i] for eid, i in net.graph.incident_pairs(v))
 
 
-def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: NetField,
-                 check_stationary: bool = True) -> float:
+def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: NetField) -> float:
     """Second variation: sum of edge integrals of <A_E(Y), X> plus vertex terms.
 
     Only defined at (approximately) stationary nets: warns when the
@@ -198,9 +197,8 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
     errors above.  One ``_edge_terms`` pass per edge gives both A_E and
     the end rows of every B_v.
     """
-    if check_stationary:
-        stationarity_gate(chart, net, 100 * HESSIAN_RESIDUAL_TOL,
-                          "hessian at a marginally stationary net (residual {:.3g})")
+    stationarity_gate(chart, net, 100 * HESSIAN_RESIDUAL_TOL,
+                      "hessian at a marginally stationary net (residual {:.3g})")
     lengths = edge_lengths(chart, net)
     total = 0.0
     ends = {}

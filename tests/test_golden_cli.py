@@ -2,8 +2,9 @@
 
 ``tests/data/golden/`` holds the ``check``, ``jacobi``, ``solve`` and
 ``chart-roundtrip`` documents of the four built-in cases at N = 32, with
-their timestamp dropped, and ``runs.json`` the exit code and the warnings
-of every run.  The bump paths have their own battery, with its exit codes
+their timestamp dropped, the ``jacobi --csv`` file of each case (the
+samples and the first reconstructed kernel field, 17 digits), and
+``runs.json`` the exit code and the warnings of every run.  The bump paths have their own battery, with its exit codes
 and warnings in ``runs-bumps.json``: ``perturb`` on the four cases and
 ``continue`` on the honeycomb torus along ``CONTINUE_METRIC``.  A run
 that writes no document (``perturb`` on sphere-theta exits 3) records
@@ -54,10 +55,11 @@ BATTERIES = {
 
 
 def run_command(tmp_dir: Path, case: str, command: str):
-    """({exit code, warning messages}, document text without its timestamp)
-    of one CLI run on the generated spec of a built-in case, with
-    ``CONTINUE_METRIC`` for ``continue``; a run that writes no document
-    gives ({exit code, warning messages, stderr}, None)."""
+    """({exit code, warning messages}, document text without its timestamp,
+    CSV text of a ``jacobi`` run or None) of one CLI run on the generated
+    spec of a built-in case, with ``CONTINUE_METRIC`` for ``continue``; a
+    run that writes no document gives ({exit code, warning messages,
+    stderr}, None, None)."""
     spec = tmp_dir / f"{case}.json"
     if not spec.exists():
         specfile.write_document(specfile.spec_from_case(case, n_samples=N_SAMPLES), str(spec))
@@ -67,28 +69,34 @@ def run_command(tmp_dir: Path, case: str, command: str):
         spec = tmp_dir / f"{case}.continue-spec.json"
         specfile.write_document(doc, str(spec))
     out = tmp_dir / f"{case}.{command}.json"
+    csv = tmp_dir / f"{case}.{command}.csv"
+    argv = [command, "--spec", str(spec), "--out", str(out)]
+    if command == "jacobi":
+        argv += ["--csv", str(csv)]
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
-        code = cli.main([command, "--spec", str(spec), "--out", str(out)])
+        code = cli.main(argv)
     run = {"exit_code": code, "warnings": [str(w.message) for w in caught]}
     if not out.exists():
         run["stderr"] = err.getvalue()
-        return run, None
+        return run, None, None
     doc = json.loads(out.read_text(encoding="utf-8"))
     del doc["timestamp"]
-    return run, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    csv_text = csv.read_text(encoding="utf-8") if csv.exists() else None
+    return run, json.dumps(doc, indent=2, sort_keys=True) + "\n", csv_text
 
 
 def _matches_the_recording(runs_file, case, command, tmp_path):
-    run, text = run_command(tmp_path, case, command)
+    run, text, csv_text = run_command(tmp_path, case, command)
     runs = json.loads((GOLDEN / runs_file).read_text(encoding="utf-8"))
     assert run == runs[f"{case}.{command}"]
-    golden = GOLDEN / f"{case}.{command}.json"
-    if text is None:
-        assert not golden.exists()
-    else:
-        assert text == golden.read_text(encoding="utf-8")
+    for recorded, suffix in ((text, "json"), (csv_text, "csv")):
+        golden = GOLDEN / f"{case}.{command}.{suffix}"
+        if recorded is None:
+            assert not golden.exists()
+        else:
+            assert recorded == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case,command", BATTERIES["runs.json"])
@@ -190,7 +198,7 @@ def test_stalled_sphere_theta_solve_ends_at_its_first_failed_line_search(monkeyp
 
     monkeypatch.setattr(solver, "_line_search", counted)
     with pytest.raises(solver.MaxIterationsError, match="line search stalled") as info:
-        solver.solve_stationary(spec.chart(), spec.net, solver.SolveOptions(tolerance=1e-9))
+        solver.solve_stationary(spec.chart(), spec.net, tolerance=1e-9)
     assert info.value.result.iterations <= 6
     assert len(calls) <= 8
 
@@ -203,9 +211,11 @@ def regenerate():
         for runs_file, battery in BATTERIES.items():
             runs = {}
             for case, command in battery:
-                runs[f"{case}.{command}"], text = run_command(Path(tmp), case, command)
-                if text is not None:
-                    (GOLDEN / f"{case}.{command}.json").write_text(text, encoding="utf-8")
+                runs[f"{case}.{command}"], text, csv_text = run_command(Path(tmp), case, command)
+                for recorded, suffix in ((text, "json"), (csv_text, "csv")):
+                    if recorded is not None:
+                        (GOLDEN / f"{case}.{command}.{suffix}").write_text(recorded,
+                                                                           encoding="utf-8")
             (GOLDEN / runs_file).write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")
 

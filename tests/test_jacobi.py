@@ -26,7 +26,6 @@ from geodesicnets.geometry import (
     geodesic_integrate,
 )
 from geodesicnets.jacobi import (
-    _edge_fine_data,
     _propagate,
     approximate_embeddedness,
     assemble_jacobi_system,
@@ -163,7 +162,9 @@ def test_propagate_matches_stepwise_reference(m, rng):
     n_coarse, refine = 64, 8
     if m == 1:
         case = make_case("sphere-theta", n_coarse)
-        k_fine = _edge_fine_data(case.chart, case.net, "E1", refine)[4]
+        fine = st.upsample_curve(case.net.edge_samples["E1"], refine)
+        vf = st.velocity_ho(fine)
+        k_fine = jacobi_ode_coefficients(case.chart, fine, vf, parallel_frame(case.chart, fine, vf))
     else:
         k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)
     h_fine = 1.0 / (k_fine.shape[0] - 1)
@@ -362,13 +363,22 @@ def _embedding_gap_reference(chart, net):
     return best
 
 
+def _with_threshold(monkeypatch, chart, net, threshold):
+    """Set ``EMBEDDEDNESS_FRACTION`` so that the check's threshold on this
+    net is the given distance."""
+    shortest = min(edge_lengths(chart, net).values())
+    monkeypatch.setattr(jac, "EMBEDDEDNESS_FRACTION", threshold / shortest)
+
+
 @pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
-def test_blocked_embeddedness_matches_per_sample_reference(name):
+def test_blocked_embeddedness_matches_per_sample_reference(name, monkeypatch):
     case = make_case(name, 64)
     gap = _embedding_gap_reference(case.chart, case.net)
     assert approximate_embeddedness(case.chart, case.net)
-    assert approximate_embeddedness(case.chart, case.net, gap * (1 - 1e-12))
-    assert not approximate_embeddedness(case.chart, case.net, gap * (1 + 1e-12))
+    _with_threshold(monkeypatch, case.chart, case.net, gap * (1 - 1e-12))
+    assert approximate_embeddedness(case.chart, case.net)
+    _with_threshold(monkeypatch, case.chart, case.net, gap * (1 + 1e-12))
+    assert not approximate_embeddedness(case.chart, case.net)
 
 
 def test_embeddedness_accepts_a_good_star_net_with_self_loops():
@@ -398,7 +408,7 @@ def test_embeddedness_accepts_a_good_star_net_with_self_loops():
 
 
 @pytest.mark.parametrize("order", [("E1", "E2", "E3"), ("E2", "E3", "E1")])
-def test_embeddedness_guards_each_edge_by_its_own_sample_count(order):
+def test_embeddedness_guards_each_edge_by_its_own_sample_count(order, monkeypatch):
     """The honeycomb with E1 at N = 16 and E2, E3 at N = 256: each edge's
     guard follows its own count, so the verdict does not depend on which
     edge is listed first."""
@@ -409,7 +419,8 @@ def test_embeddedness_guards_each_edge_by_its_own_sample_count(order):
     graph = WeightedMultigraph.build(["A", "B"], [(e, "A", "B") for e in order])
     net = replace(coarse.net, graph=graph, edge_samples=samples)
     # a guard of 2, taken from E1, would weigh sample 2 of E2 against A, 2/256 away
-    assert approximate_embeddedness(coarse.chart, net, 0.05)
+    _with_threshold(monkeypatch, coarse.chart, net, 0.05)
+    assert approximate_embeddedness(coarse.chart, net)
     assert _embedding_gap_reference(coarse.chart, net) > 0.05
 
 
@@ -463,7 +474,8 @@ def test_kernel_spectrum_is_the_svd_of_the_symmetric_hessian():
 
 def _old_to_net_field(red, chart, net):
     """The per-field reconstruction: every edge's velocity, frame and unit
-    tangent recomputed for each kernel vector."""
+    tangent recomputed for each kernel vector, and a loop edge's last row
+    set to its first."""
     vals = {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
@@ -480,7 +492,23 @@ def _old_to_net_field(red, chart, net):
         else:
             alpha = np.zeros_like(t)
         vals[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", red.u[e.id], frames)
+        if e.id in net.periodic_edges:
+            vals[e.id][-1] = vals[e.id][0]
     return vals
+
+
+@pytest.mark.parametrize("name, n", [("sphere-equator", 48), ("sphere-equator", 64),
+                                     ("flat-loop", 48), ("flat-loop", 64)])
+def test_loop_kernel_fields_repeat_their_seam_row(name, n):
+    """The seam of a loop edge is one point: every reconstructed kernel
+    field takes the same value at both of its ends, bit for bit, so the
+    loop-aware stencils read no shift from it."""
+    case = make_case(name, n)
+    ker = jacobi_kernel(case.chart, case.net)
+    assert ker.dimension >= 1
+    for fld in ker.ambient:
+        vals = fld.edge_values["E"]
+        assert np.array_equal(vals[-1], vals[0])
 
 
 @pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])

@@ -35,8 +35,8 @@ def chart_for(name, n=64):
 def random_in_radius_coord(nc, eid, npts, rng, frac=0.5):
     tube = nc.tubes[eid]
     t = np.linspace(0, 1, npts)
-    a = float(rng.uniform(-0.9, 0.9) * tube.delta_long)
-    b = float(1 + rng.uniform(-0.9, 0.9) * tube.delta_long)
+    a = float(rng.uniform(-0.9, 0.9) * localcoords.DELTA_REL)
+    b = float(1 + rng.uniform(-0.9, 0.9) * localcoords.DELTA_REL)
     u = np.zeros((npts, 1))
     for k in (1, 2, 3):
         u[:, 0] += rng.normal() * np.sin(np.pi * k * t) + rng.normal() * np.cos(np.pi * k * t)
@@ -131,13 +131,13 @@ def test_tube_folding_back_within_two_radii_warns():
     vels = np.gradient(pts, s, axis=0)
     accs = np.gradient(vels, s, axis=0)
     tube = EdgeTube(eid="E", curve=HermiteCurve(s, pts, vels), velocity=HermiteCurve(s, vels, accs),
-                    delta_long=0.1, delta_norm=0.05, eta=0.0)
+                    delta_norm=0.05, eta=0.0)
     with pytest.warns(UserWarning, match="may self-overlap"):
         _validate_tube(tube)
     # one turn only: nothing comes back
     one_turn = EdgeTube(eid="E", curve=HermiteCurve(s[:400], pts[:400], vels[:400]),
                         velocity=HermiteCurve(s[:400], vels[:400], accs[:400]),
-                        delta_long=0.1, delta_norm=0.05, eta=0.0)
+                        delta_norm=0.05, eta=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _validate_tube(one_turn)
@@ -180,7 +180,7 @@ def test_center_roundtrip_exact():
     for name in ("honeycomb-torus", "sphere-theta", "sphere-equator"):
         case, nc = chart_for(name)
         coords = coordinates_of(nc, case.net)
-        for eid, pc in coords.coords.items():
+        for eid, pc in coords.items():
             assert abs(pc.a) < 1e-12 and abs(pc.b - 1.0) < 1e-12
             assert np.abs(pc.u).max() < 1e-12
         back = lambda_map(nc, coords)
@@ -194,7 +194,7 @@ def test_center_roundtrip_exact():
 def test_lambda_map_constant_offset_is_parallel_segment():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
-    pc = coords.coords["E1"]
+    pc = coords["E1"]
     pc.u[:] = 0.05
     net2 = lambda_map(nc, coords)
     expected = case.net.edge_samples["E1"] + np.array([0.0, 0.05])
@@ -204,13 +204,13 @@ def test_lambda_map_constant_offset_is_parallel_segment():
 def test_lambda_tube_roundtrip_on_perturbed_coords(rng):
     case, nc = chart_for("sphere-theta")
     coords = coordinates_of(nc, case.net)
-    pc = coords.coords["E1"]
+    pc = coords["E1"]
     t = np.linspace(0, 1, 65)
     pc.u[:, 0] = 0.3 * nc.tubes["E1"].delta_norm * np.sin(np.pi * t)
-    coords.coords["E1"] = PathCoord(a=0.02, b=0.99, u=pc.u)
+    coords["E1"] = PathCoord(a=0.02, b=0.99, u=pc.u)
     net2 = lambda_map(nc, coords)
     back = coordinates_of(nc, net2)
-    pc2 = back.coords["E1"]
+    pc2 = back["E1"]
     assert abs(pc2.a - 0.02) < 1e-8
     assert abs(pc2.b - 0.99) < 1e-8
     assert np.abs(pc2.u - pc.u).max() < 1e-8
@@ -219,7 +219,7 @@ def test_lambda_tube_roundtrip_on_perturbed_coords(rng):
 def test_lambda_map_rejects_radius_violation():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
-    coords.coords["E1"] = PathCoord(a=0.5, b=1.0, u=coords.coords["E1"].u)
+    coords["E1"] = PathCoord(a=0.5, b=1.0, u=coords["E1"].u)
     with pytest.raises(TubeError):
         lambda_map(nc, coords)
 
@@ -231,14 +231,14 @@ def test_constraint_zero_on_valid_net():
         case, nc = chart_for(name)
         coords = coordinates_of(nc, case.net)
         res = constraint_C(nc, coords)
-        assert res.norm < 1e-9
+        assert np.linalg.norm(res) < 1e-9
 
 
 def test_constraint_dimension_honeycomb():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
     res = constraint_C(nc, coords)
-    assert res.stacked().shape == (8,)
+    assert res.shape == (8,)
 
 
 def test_constraint_measures_displacement(rng):
@@ -248,12 +248,12 @@ def test_constraint_measures_displacement(rng):
         eps = 1e-3
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
-        pc = coords.coords["E2"]
+        pc = coords["E2"]
         # displace the endpoint coordinate of a non-preferred pair
         pc.u[-1] += eps * direction[1]
-        coords.coords["E2"] = PathCoord(a=pc.a, b=pc.b + eps * direction[0], u=pc.u)
+        coords["E2"] = PathCoord(a=pc.a, b=pc.b + eps * direction[0], u=pc.u)
         res = constraint_C(nc, coords)
-        assert abs(res.norm - eps) < 2e-3 * eps
+        assert abs(np.linalg.norm(res) - eps) < 2e-3 * eps
 
 
 # -- lagrangian --------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_constraint_measures_displacement(rng):
 def test_lagrangian_constant_on_straight_center():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
-    vals = localcoords._lagrangian_values(case.chart, nc, coords.coords["E1"], "E1")
+    vals = localcoords._lagrangian_values(case.chart, nc, coords["E1"], "E1")
     assert np.abs(vals - edge_lengths(case.chart, case.net)["E1"]).max() < 1e-10
     assert vals.min() > 0
 
@@ -271,7 +271,7 @@ def test_lagrangian_integral_matches_length(rng):
     coords = coordinates_of(nc, case.net)
     t = np.linspace(0, 1, 257)
     for eid in ("E1", "E2"):
-        pc = coords.coords[eid]
+        pc = coords[eid]
         pc.u[:, 0] = 0.2 * nc.tubes[eid].delta_norm * np.sin(np.pi * t)
     net2 = lambda_map(nc, coords)
     a = lagrangian_integral(case.chart, nc, coords)
@@ -297,7 +297,7 @@ def test_mean_curvature_grows_with_jitter(rng):
     for amp in (0.005, 0.02, 0.08):
         coords = coordinates_of(nc, case.net)
         rng_local = np.random.default_rng(5)
-        for eid, pc in coords.coords.items():
+        for eid, pc in coords.items():
             pc.u[:, 0] += amp * np.sin(np.pi * t) * rng_local.normal()
         h1, _ = mean_curvature_H(case.chart, nc, coords)
         norms.append(max(np.abs(v).max() for v in h1.values()))
@@ -310,7 +310,7 @@ def test_mean_curvature_flat_closed_form():
     coords = coordinates_of(nc, case.net)
     t = np.linspace(0, 1, 65)
     amp = 1e-4
-    coords.coords["E1"].u[:, 0] = amp * np.sin(np.pi * t)
+    coords["E1"].u[:, 0] = amp * np.sin(np.pi * t)
     h1, _ = mean_curvature_H(case.chart, nc, coords)
     expected = amp * np.pi**2 * np.sin(np.pi * t) / edge_lengths(case.chart, case.net)["E1"]
     # interior samples: the boundary closures of the grid stencil are
@@ -330,7 +330,7 @@ def test_equivalence_check_on_jittered(rng):
     t = np.linspace(0, 1, 65)
     for _ in range(5):
         coords = coordinates_of(nc, case.net)
-        for eid, pc in coords.coords.items():
+        for eid, pc in coords.items():
             pc.u[:, 0] += 0.03 * np.sin(np.pi * t) * rng.normal()
         assert stationarity_equivalence_check(case.chart, nc, coords)
 
@@ -344,7 +344,7 @@ def test_equivalence_check_takes_the_residuals_it_would_compute():
                          ("sphere-theta", 32, 0.0)):
         case, nc = chart_for(name, n)
         coords = coordinates_of(nc, case.net)
-        coords.coords["E1"].u[:, 0] += amp * np.sin(np.pi * np.linspace(0, 1, n + 1))
+        coords["E1"].u[:, 0] += amp * np.sin(np.pi * np.linspace(0, 1, n + 1))
         residuals = (*mean_curvature_H(case.chart, nc, coords), constraint_C(nc, coords))
         verdict = stationarity_equivalence_check(case.chart, nc, coords, residuals=residuals)
         assert verdict == stationarity_equivalence_check(case.chart, nc, coords)
@@ -361,7 +361,7 @@ def test_coordinate_hessian_matches_ambient(rng):
 
     def coord_direction():
         out = {}
-        for eid in coords.coords:
+        for eid in coords:
             prof = np.zeros((257, 1))
             for k in (1, 2):
                 prof[:, 0] += rng.normal() * np.sin(np.pi * k * t)
@@ -377,13 +377,11 @@ def test_coordinate_hessian_matches_ambient(rng):
         return NetField(vals)
 
     def coords_plus(direction, eps):
-        out = {k: PathCoord(pc.a, pc.b, pc.u.copy()) for k, pc in coords.coords.items()}
+        out = {k: PathCoord(pc.a, pc.b, pc.u.copy()) for k, pc in coords.items()}
         for eid, (da, db, prof) in direction.items():
             out[eid] = PathCoord(out[eid].a + eps * da, out[eid].b + eps * db,
                                  out[eid].u + eps * prof)
-        from geodesicnets.localcoords import NetCoord
-
-        return NetCoord(coords=out)
+        return out
 
     dir_x = coord_direction()
     dir_y = coord_direction()

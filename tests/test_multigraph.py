@@ -1,6 +1,6 @@
 import pytest
 
-from geodesicnets import GraphClass, WeightedMultigraph, classify, star, validate
+from geodesicnets import GraphClass, WeightedMultigraph, classify, preferred_pair, validate
 
 
 def theta_graph():
@@ -91,25 +91,22 @@ def test_edge_end_count_identity():
 
 def test_star_preferred_pair_deterministic():
     g = theta_graph()
-    s = star(g, "A")
-    assert s.preferred == ("E1", 0)
-    assert len(s.pairs) == 3
+    assert preferred_pair(g, "A") == ("E1", 0)
+    assert len(g.incident_pairs("A")) == 3
 
 
 def test_star_self_loop_two_pairs():
     g = loop_graph()
-    s = star(g, "V")
-    assert s.pairs == (("E", 0), ("E", 1))
-    assert len(s.pairs) == 2
+    assert g.incident_pairs("V") == [("E", 0), ("E", 1)]
+    assert preferred_pair(g, "V") == ("E", 0)
 
 
 def test_star_vertex_b_all_incoming():
     g = theta_graph()
-    s = star(g, "B")
-    assert all(i == 1 for _, i in s.pairs)
-    assert s.preferred == ("E1", 1)
+    assert all(i == 1 for _, i in g.incident_pairs("B"))
+    assert preferred_pair(g, "B") == ("E1", 1)
 
 
 def test_star_unknown_vertex():
-    with pytest.raises(KeyError):
-        star(theta_graph(), "Z")
+    with pytest.raises(KeyError, match="unknown vertex 'Z'"):
+        preferred_pair(theta_graph(), "Z")

@@ -8,7 +8,6 @@ import pytest
 from conftest import jitter_net, jittered
 
 from geodesicnets import (
-    SolveOptions,
     break_degeneracy,
     build_condition_C_bump,
     conformal_family,
@@ -44,10 +43,11 @@ from geodesicnets.variation import NotStationaryError
 
 # -- solve -------------------------------------------------------------------
 
-def test_solve_jittered_honeycomb(rng):
+def test_solve_jittered_honeycomb(rng, monkeypatch):
+    monkeypatch.setattr(solver_mod, "HESSIAN_REFRESH", 1)
     case = make_case("honeycomb-torus", 64)
     net = jitter_net(case.net, rng, amp=0.05, vertex_only=True)
-    res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-10, hessian_refresh=1))
+    res = solve_stationary(case.chart, net)
     assert res.converged and res.iterations <= 10
     assert stationarity_residual(case.chart, res.net).aggregate <= 1e-10
     # final positions match the symmetric honeycomb up to a global translation
@@ -58,7 +58,6 @@ def test_solve_jittered_honeycomb(rng):
 
 def test_solve_stationary_computes_no_edge_lengths(rng, monkeypatch):
     import geodesicnets.jacobi as jacobi_mod
-    import geodesicnets.solver as solver_mod
     import geodesicnets.variation as variation_mod
 
     calls = []
@@ -70,11 +69,12 @@ def test_solve_stationary_computes_no_edge_lengths(rng, monkeypatch):
 
     for mod in (net_mod, solver_mod, jacobi_mod, variation_mod):
         monkeypatch.setattr(mod, "edge_lengths", counted)
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 20)
     # a jittered loop whose line search rejects most of its trials
     case = make_case("sphere-equator", 32)
     net = jitter_net(case.net, rng, amp=0.05)
     try:
-        res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-10, max_iterations=20))
+        res = solve_stationary(case.chart, net)
     except solver_mod.MaxIterationsError as ex:
         res = ex.result
     # neither the accepted steps nor the rejected trials need a length
@@ -82,10 +82,11 @@ def test_solve_stationary_computes_no_edge_lengths(rng, monkeypatch):
     assert calls == []
 
 
-def test_solve_newton_quadratic_tail(rng):
+def test_solve_newton_quadratic_tail(rng, monkeypatch):
+    monkeypatch.setattr(solver_mod, "HESSIAN_REFRESH", 1)
     case = make_case("honeycomb-torus", 64)
     net = jitter_net(case.net, rng, amp=0.05)
-    res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-12, hessian_refresh=1))
+    res = solve_stationary(case.chart, net, tolerance=1e-12)
     grads = [t["gradient_norm"] for t in res.trace]
     # quadratic tail: r_{k+1} <= C r_k^2 on the last decisive steps
     tail = [g for g in grads if g > 1e-13]
@@ -101,7 +102,7 @@ def test_solve_ellipse_to_equator():
     net.edge_samples["E"] = net.edge_samples["E"] * (1.0 + wobble)[:, None]
     net.edge_samples["E"][-1] = net.edge_samples["E"][0]
     net.vertex_positions["V"] = net.edge_samples["E"][0].copy()
-    res = solve_stationary(case.chart, net, SolveOptions(tolerance=1e-10))
+    res = solve_stationary(case.chart, net)
     assert res.converged
     assert stationarity_residual(case.chart, res.net).aggregate <= 1e-8
     radii = np.linalg.norm(res.net.edge_samples["E"], axis=1)
@@ -120,17 +121,19 @@ def test_solve_stationary_input_is_fixed_point():
 
 
 def test_solve_option_validation():
-    for field, value in [
-        ("tolerance", -1.0), ("tolerance", 0.0), ("tolerance", np.nan), ("tolerance", np.inf),
-        ("max_iterations", 0),
-        ("hessian_refresh", 0),
-    ]:
-        with pytest.raises(ValueError):
-            SolveOptions(**{field: value})
+    case = make_case("honeycomb-torus", 16)
+    for value in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive$"):
+            solve_stationary(case.chart, case.net, tolerance=value)
 
 
-def test_solve_options_accept_their_limits():
-    SolveOptions(tolerance=1e-300, max_iterations=1, hessian_refresh=1)
+def test_solve_options_accept_their_limits(monkeypatch):
+    """The smallest positive tolerance is accepted: the solve runs, and
+    cannot meet it."""
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
+    case = make_case("honeycomb-torus", 16)
+    with pytest.raises(MaxIterationsError):
+        solve_stationary(case.chart, case.net, tolerance=1e-300)
 
 
 # -- the line search -----------------------------------------------------------
@@ -156,7 +159,7 @@ def collapsing_direction(net, eid, at):
 def test_near_zero_speed_is_refused_only_before_an_accepted_step(at, gnorm, expect):
     case = make_case("honeycomb-torus", 32)
     direction = collapsing_direction(case.net, "E2", at)
-    args = (case.chart, case.net, direction, gnorm, SolveOptions())
+    args = (case.chart, case.net, direction, gnorm, solver_mod.TOLERANCE)
     if expect == "error":
         with pytest.raises(ValueError, match="^edge 'E2' has a near-zero speed sample; not an immersion$"):
             _line_search(*args)
@@ -182,7 +185,7 @@ def test_line_search_builds_one_candidate_per_step_size_tried(monkeypatch):
         return displace(*args)
 
     monkeypatch.setattr(solver_mod, "displace", counted)
-    alpha, cand, _, _ = _line_search(chart, net, direction, gnorm, SolveOptions())
+    alpha, cand, _, _ = _line_search(chart, net, direction, gnorm, solver_mod.TOLERANCE)
     assert alpha == 0.25 and len(built) == 3
     moved = displace(net, direction, 0.25)
     for e, s in reparametrize_constant_speed(chart, moved).edge_samples.items():
@@ -200,11 +203,11 @@ def test_a_failed_line_search_holds_one_candidate_at_a_time():
     net = reparametrize_constant_speed(case.chart, case.net)
     basis, _ = reduced_gradient(case.chart, net)
     direction = basis.apply(np.random.default_rng(0).normal(size=len(basis)) * 1e-3)
-    opts = SolveOptions()
-    assert _line_search(case.chart, net, direction, 0.0, opts) is None
+    tol = solver_mod.TOLERANCE
+    assert _line_search(case.chart, net, direction, 0.0, tol) is None
     tracemalloc.start()
     try:
-        _line_search(case.chart, net, direction, 0.0, opts)
+        _line_search(case.chart, net, direction, 0.0, tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,31 +272,31 @@ def test_continue_from_a_nondegenerate_net_returns_every_step():
 FLOOR_MESSAGE = "metric step fell below the floor without convergence"
 
 
-def _solved_amplitudes(case, h_fld, amps, net, opts):
+def _solved_amplitudes(case, h_fld, amps, net):
     """The amplitudes continue_family solves at, in call order, until it stalls."""
     with mock.patch.object(solver_mod, "solve_stationary",
                            wraps=solver_mod.solve_stationary) as solve:
         with pytest.raises(ContinuationStall, match=FLOOR_MESSAGE):
-            continue_family(case.chart, h_fld, amps, net, opts)
+            continue_family(case.chart, h_fld, amps, net)
     return [getattr(c.args[0], "amplitude", 0.0) for c in solve.call_args_list]
 
 
-def test_continue_bisects_a_step_back_to_amplitude_zero():
+def test_continue_bisects_a_step_back_to_amplitude_zero(monkeypatch):
     """A failed step from the bumped metric to the base one is halved in the
     amplitude, towards the converged end, down to the floor."""
     case = make_case("honeycomb-torus", 32)
     h_fld = _recorded_bump(case)
     net1 = solve_stationary(conformal_family(case.chart, h_fld, 1.0), case.net).net
-    opts = SolveOptions(max_iterations=1, tolerance=1e-12)
-    solved = _solved_amplitudes(case, h_fld, [1.0, 0.0], net1, opts)
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
+    solved = _solved_amplitudes(case, h_fld, [1.0, 0.0], net1)
     assert solved == [1.0, 0.0] + [1.0 - 2.0**-k for k in range(1, solver_mod.MAX_HALVINGS + 1)]
 
 
-def test_continue_bisects_a_step_up_from_amplitude_zero():
+def test_continue_bisects_a_step_up_from_amplitude_zero(monkeypatch):
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 4)
     case = make_case("honeycomb-torus", 32)
     h_fld = _recorded_bump(case)
-    solved = _solved_amplitudes(case, h_fld, [0.0, 1.0], case.net,
-                                SolveOptions(max_iterations=4))
+    solved = _solved_amplitudes(case, h_fld, [0.0, 1.0], case.net)
     assert solved == [0.0] + [2.0**-k for k in range(solver_mod.MAX_HALVINGS + 1)]
 
 
@@ -526,11 +529,11 @@ def _ladder(monkeypatch, solve_fails=lambda x: False, kernel_grows=lambda x: Fal
     tried = []
     real_solve, real_judge = solver_mod.solve_stationary, solver_mod.is_nondegenerate
 
-    def solve(chart, net, opts=None):
+    def solve(chart, net):
         tried.append(chart.amplitude)
         if solve_fails(chart.amplitude):
             raise MaxIterationsError("failed on purpose")
-        return real_solve(chart, net, opts)
+        return real_solve(chart, net)
 
     def judge(chart, net, **kwargs):
         amplitude = getattr(chart, "amplitude", 0.0)
