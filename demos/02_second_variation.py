@@ -11,13 +11,13 @@ import numpy as np
 
 from geodesicnets import (
     NetField,
-    TangentialField,
     apply_A_E,
     edge_lengths,
     hessian_fd_oracle,
     hessian_form,
     make_case,
     parallel_frame,
+    tangential_field,
 )
 from geodesicnets import stencils as st
 from geodesicnets.geometry import g_norm
@@ -47,7 +47,7 @@ out = apply_A_E(chart, net, "E", jacobi_like)
 print(f"  |A_E(sin-profile normal)| max: {g_norm(chart, s, out).max():.3e}")
 
 print("\ntangential fields are null directions:")
-tang = TangentialField({"E": 0.4 * np.sin(2 * np.pi * t)}).to_net_field(net)
+tang = tangential_field(net, {"E": 0.4 * np.sin(2 * np.pi * t)})
 rng = np.random.default_rng(1)
 probe = NetField({"E": rng.normal(size=(257, 2))})
 print(f"  Hess(probe, tangential) = {hessian_form(chart, net, probe, tang):.3e}")

@@ -34,7 +34,7 @@ for name in ("honeycomb-torus", "sphere-equator", "sphere-theta"):
     print(f"  reduced Hessian dimension : {fd_dim} (spectral gap {fd_gap:.2e})")
     print(f"  verdict                   : {'nondegenerate' if ker.nondegenerate else 'degenerate'}")
     for j, fld in enumerate(ker.ambient):
-        kind, _, _ = classify_field(case.chart, case.net, fld)
+        kind, _ = classify_field(case.chart, case.net, fld)
         vals = np.concatenate([v.ravel() for v in fld.edge_values.values()])
         print(f"  kernel field {j}: {kind}, max component {np.abs(vals).max():.3f}")
     print()

@@ -12,7 +12,6 @@ followed by Newton continuation.
 from .cases import Case, CASE_NAMES, make_case
 from .geometry import (
     ConformalChart,
-    ConstantField,
     DirectionalBumpField,
     EuclideanChart,
     FlatTorusChart,
@@ -56,11 +55,11 @@ from .multigraph import GraphClass, WeightedMultigraph, classify, preferred_pair
 from .net import (
     GeodesicNet,
     NetField,
-    TangentialField,
     displace,
     edge_lengths,
     length,
     reparametrize_constant_speed,
+    tangential_field,
     vertex_unit_tangents,
 )
 from .solver import (
@@ -74,7 +73,6 @@ from .solver import (
 from .variation import (
     StationarityReport,
     apply_A_E,
-    apply_B_v,
     first_variation,
     hessian_fd_oracle,
     hessian_form,

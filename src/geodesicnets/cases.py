@@ -25,14 +25,13 @@ __all__ = ["Case", "make_case", "meridian", "CASE_NAMES", "DEFAULT_SAMPLES", "HE
 HEX_LATTICE = np.array([[1.5, np.sqrt(3.0) / 2.0], [1.5, -np.sqrt(3.0) / 2.0]])
 
 CASE_NAMES = ("honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop")
-# Samples per edge (intervals) of a built-in case or a spec that sets no
-# n_samples.
+# Samples per edge (intervals) of ``generate`` without --n-samples and of a
+# spec that sets no n_samples.
 DEFAULT_SAMPLES = 64
 
 
 @dataclass
 class Case:
-    name: str
     chart: MetricChart
     net: GeodesicNet
 
@@ -135,7 +134,7 @@ def _flat_loop(n_samples: int, multiplicity: int) -> tuple[MetricChart, Geodesic
     )
 
 
-def make_case(name: str, n_samples: int = DEFAULT_SAMPLES, multiplicity: int = 1) -> Case:
+def make_case(name: str, n_samples: int, multiplicity: int = 1) -> Case:
     """Build one of the named experiment nets at the given resolution."""
     if name == "honeycomb-torus":
         chart, net = _honeycomb(n_samples)
@@ -147,4 +146,4 @@ def make_case(name: str, n_samples: int = DEFAULT_SAMPLES, multiplicity: int = 1
         chart, net = _flat_loop(n_samples, multiplicity)
     else:
         raise KeyError(f"unknown case {name!r}; choose from {CASE_NAMES}")
-    return Case(name=name, chart=chart, net=net)
+    return Case(chart=chart, net=net)

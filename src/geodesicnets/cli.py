@@ -133,7 +133,7 @@ def _finish(args, command, options, report, net, fields=None):
 def _cmd_check(spec, args, options):
     chart = spec.chart()
     report = {
-        "graph_class": classify(spec.graph).value,
+        "graph_class": classify(spec.net.graph).value,
         "stationarity": _report_stationarity(chart, spec.net, options["tol"]),
         "lengths": edge_lengths(chart, spec.net),
         "total_length": length(chart, spec.net),
@@ -214,7 +214,7 @@ def _cmd_chart_roundtrip(spec, args, options):
     coords = localcoords.coordinates_of(nc, spec.net)
     rng = np.random.default_rng(options["seed"])
     worst = 0.0
-    eid = spec.graph.edges[0].id
+    eid = spec.net.graph.edges[0].id
     tube = nc.tubes[eid]
     npts = spec.net.edge_samples[eid].shape[0]
     tgrid = np.linspace(0.0, 1.0, npts)

@@ -34,7 +34,6 @@ __all__ = [
     "StereographicSphereChart",
     "ConformalChart",
     "ScalarField",
-    "ConstantField",
     "SumField",
     "RadialBumpField",
     "DirectionalBumpField",
@@ -87,7 +86,7 @@ def _profile_jet(u: np.ndarray, radius: float, order: int):
 class ScalarField:
     """Scalar field h with chart gradient and Hessian; used as a conformal factor."""
 
-    def jet_many(self, points: np.ndarray, order: int = 2):
+    def jet_many(self, points: np.ndarray, order: int):
         """(value, gradient, Hessian) of h at each point, from one evaluation.
 
         Shapes (m,), (m, n) and (m, n, n); entries above ``order`` are None.
@@ -113,24 +112,13 @@ def _constant_jet(c: float, points: np.ndarray, order: int):
             np.zeros((m, n, n)) if order >= 2 else None)
 
 
-class ConstantField(ScalarField):
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def jet_many(self, points, order=2):
-        return _constant_jet(self.c, points, order)
-
-    def bounds(self):
-        return (self.c, self.c)
-
-
 class SumField(ScalarField):
     """Pointwise sum of scalar fields."""
 
     def __init__(self, fields):
         self.fields = list(fields)
 
-    def jet_many(self, points, order=2):
+    def jet_many(self, points, order):
         m, n = points.shape
         out = [np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))][: order + 1]
         for f in self.fields:
@@ -153,7 +141,7 @@ class RadialBumpField(ScalarField):
         self.amplitude = float(amplitude)
         self.chart = chart
 
-    def jet_many(self, points, order=2):
+    def jet_many(self, points, order):
         d = self.chart.displacement_many(self.center, points)
         jet = _profile_jet(d, self.radius, order)
         return tuple(None if part is None else self.amplitude * part for part in jet)
@@ -280,7 +268,7 @@ class DirectionalBumpField(ScalarField):
         frac = np.clip((key - along[k - 1]) / (along[k] - along[k - 1]), 0.0, 1.0)
         return s[k - 1] + frac * (s[k] - s[k - 1])
 
-    def jet_many(self, points, order=2):
+    def jet_many(self, points, order):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, n = points.shape
         rel = self.chart.displacement_many(self.center, points)
@@ -346,7 +334,7 @@ class MetricChart:
     dim: int
 
     # -- metric data ------------------------------------------------------
-    def factor_jet_many(self, points: np.ndarray, order: int = 2):
+    def factor_jet_many(self, points: np.ndarray, order: int):
         """(lam, dphi, ddphi) at each point, from one evaluation: the factor
         lam = e^(2 phi), shape (m,), and the gradient and Hessian of phi,
         (m, n) and (m, n, n); entries above ``order`` are None."""
@@ -387,7 +375,7 @@ class EuclideanChart(MetricChart):
         self.dim = dim
         self.box = None if box is None else (np.asarray(box[0], float), np.asarray(box[1], float))
 
-    def factor_jet_many(self, points, order=2):
+    def factor_jet_many(self, points, order):
         return _constant_jet(1.0, points, order)
 
     def contains(self, p):
@@ -441,12 +429,12 @@ class StereographicSphereChart(MetricChart):
     point itself sits at chart infinity, so the chart domain is all of R^n.
     """
 
-    def __init__(self, radius: float = 1.0, dim: int = 2):
+    def __init__(self, radius: float, dim: int = 2):
         self.radius = float(radius)
         self.dim = dim
         self._eye = np.eye(dim)
 
-    def factor_jet_many(self, points, order=2):
+    def factor_jet_many(self, points, order):
         # phi = log mu: d phi = -2 p / (r^2 + |p|^2)
         r2 = self.radius**2
         denom = r2 + np.einsum("ij,ij->i", points, points)
@@ -468,7 +456,7 @@ class ConformalChart(MetricChart):
         self.amplitude = float(amplitude)
         self.dim = base.dim
 
-    def factor_jet_many(self, points, order=2):
+    def factor_jet_many(self, points, order):
         """The base chart's jet plus that of (log f) / 2 for f = 1 + x*h,
         from one field evaluation, so stacked bumps recurse through their
         bases: d phi gains sigma = x dh / (2 f), and dd phi gains

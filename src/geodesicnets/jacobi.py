@@ -41,7 +41,7 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, TangentialField, edge_lengths
+from .net import GeodesicNet, NetField, edge_lengths
 from .variation import (
     edge_length_gradient,
     integrate_length_terms,
@@ -60,6 +60,7 @@ __all__ = [
     "ReducedBasis",
     "fd_hessian",
     "reduced_hessian_fd",
+    "reduced_kernel_dimension",
     "reduced_basis_fields",
     "reduced_gradient",
     "random_reduced_field",
@@ -191,7 +192,7 @@ def _good_class(graph: WeightedMultigraph) -> GraphClass:
 
 
 def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet,
-                           residual_tol: float = RESIDUAL_TOL) -> ShootingSystem:
+                           residual_tol: float) -> ShootingSystem:
     """Square linear system whose null space is the reduced Jacobi space,
     propagated on the grid ``SHOOTING_REFINE`` times finer.  A not-good
     graph is refused with a ValueError.
@@ -356,9 +357,9 @@ def _reconstruct(chart, net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedFi
 
 
 def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
-    """Split J into tangential h*f' plus normal rest; classify by the rest,
-    tangential when its max norm is at most ``TANGENTIAL_TOL`` of J's."""
-    profiles = {}
+    """(kind, normal part) of J: split J into tangential h*f' plus normal
+    rest; tangential when the rest's max norm is at most ``TANGENTIAL_TOL``
+    of J's."""
     normal = {}
     max_total = 0.0
     max_perp = 0.0
@@ -368,12 +369,11 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
         vals = fld.edge_values[e.id]
         coef = _dot(vals, v) / _dot(v, v)  # the g-projection of a conformal g
         perp = vals - coef[:, None] * v
-        profiles[e.id] = coef
         normal[e.id] = perp
         max_total = max(max_total, float(g_norm(chart, s, vals).max()))
         max_perp = max(max_perp, float(g_norm(chart, s, perp).max()))
     kind = "tangential" if max_perp <= TANGENTIAL_TOL * max(max_total, 1e-300) else "non-tangential"
-    return kind, TangentialField(profiles), NetField(normal)
+    return kind, NetField(normal)
 
 
 def approximate_embeddedness(chart: MetricChart, net: GeodesicNet) -> bool:

@@ -349,18 +349,10 @@ def _transfer_jacobian(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarr
     return out
 
 
-def _lagrangian_values(g: MetricChart, nc: NetChart, pc: PathCoord, eid: str,
-                       u: np.ndarray | None = None, w: np.ndarray | None = None,
-                       a: float | None = None, b: float | None = None) -> np.ndarray:
-    """L(t, a, b, u(t), w(t)) on the grid, any argument overridable."""
-    tube = nc.tubes[eid]
-    a = pc.a if a is None else a
-    b = pc.b if b is None else b
-    u = pc.u if u is None else u
-    npts = u.shape[0]
-    t = np.linspace(0.0, 1.0, npts)
-    if w is None:
-        w = stencils.velocity(u, loop=eid in nc.reference.periodic_edges)
+def _lagrangian_values(g: MetricChart, tube: EdgeTube, a: float, b: float, u: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+    """L(t, a, b, u(t), w(t)) on the grid of u, in the tube's coordinates."""
+    t = np.linspace(0.0, 1.0, u.shape[0])
     s = (1 - t) * a + t * b
     frame = tube.frame(s)
     pts = tube.curve(s) + np.einsum("pa,pai->pi", u, frame)
@@ -373,8 +365,11 @@ def lagrangian_integral(g: MetricChart, nc: NetChart, coords: dict[str, PathCoor
     """Sum over edges of multiplicity times the integral of L."""
     total = 0.0
     for e in nc.reference.graph.edges:
-        vals = _lagrangian_values(g, nc, coords[e.id], e.id)
-        wq = stencils.quadrature_weights(vals.shape[0], loop=e.id in nc.reference.periodic_edges)
+        pc = coords[e.id]
+        loop = e.id in nc.reference.periodic_edges
+        vals = _lagrangian_values(g, nc.tubes[e.id], pc.a, pc.b, pc.u,
+                                  stencils.velocity(pc.u, loop=loop))
+        wq = stencils.quadrature_weights(vals.shape[0], loop=loop)
         total += e.multiplicity * float(wq @ vals)
     return total
 
@@ -394,6 +389,7 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord])
         npts = pc.u.shape[0]
         nm1 = pc.u.shape[1]
         loop = e.id in nc.reference.periodic_edges
+        tube = nc.tubes[e.id]
         w_arr = stencils.velocity(pc.u, loop=loop)
         grad_u = np.empty((npts, nm1))
         grad_w = np.empty((npts, nm1))
@@ -401,24 +397,24 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord])
             du = np.zeros((npts, nm1))
             du[:, aidx] = FD_STEP
             grad_u[:, aidx] = (
-                _lagrangian_values(g, nc, pc, e.id, u=pc.u + du, w=w_arr)
-                - _lagrangian_values(g, nc, pc, e.id, u=pc.u - du, w=w_arr)
+                _lagrangian_values(g, tube, pc.a, pc.b, pc.u + du, w_arr)
+                - _lagrangian_values(g, tube, pc.a, pc.b, pc.u - du, w_arr)
             ) / (2 * FD_STEP)
             grad_w[:, aidx] = (
-                _lagrangian_values(g, nc, pc, e.id, w=w_arr + du)
-                - _lagrangian_values(g, nc, pc, e.id, w=w_arr - du)
+                _lagrangian_values(g, tube, pc.a, pc.b, pc.u, w_arr + du)
+                - _lagrangian_values(g, tube, pc.a, pc.b, pc.u, w_arr - du)
             ) / (2 * FD_STEP)
         ddt_grad_w = stencils.velocity(grad_w, loop=loop)
         h1[e.id] = e.multiplicity * (grad_u - ddt_grad_w)
         # endpoint blocks for the vertex part, integrated with the weights
         # of ``lagrangian_integral`` so they differentiate that functional
         dl_da = (
-            _lagrangian_values(g, nc, pc, e.id, a=pc.a + FD_STEP, w=w_arr)
-            - _lagrangian_values(g, nc, pc, e.id, a=pc.a - FD_STEP, w=w_arr)
+            _lagrangian_values(g, tube, pc.a + FD_STEP, pc.b, pc.u, w_arr)
+            - _lagrangian_values(g, tube, pc.a - FD_STEP, pc.b, pc.u, w_arr)
         ) / (2 * FD_STEP)
         dl_db = (
-            _lagrangian_values(g, nc, pc, e.id, b=pc.b + FD_STEP, w=w_arr)
-            - _lagrangian_values(g, nc, pc, e.id, b=pc.b - FD_STEP, w=w_arr)
+            _lagrangian_values(g, tube, pc.a, pc.b + FD_STEP, pc.u, w_arr)
+            - _lagrangian_values(g, tube, pc.a, pc.b - FD_STEP, pc.u, w_arr)
         ) / (2 * FD_STEP)
         wq = stencils.quadrature_weights(npts, loop=loop)
         int_da = float(wq @ dl_da)

@@ -21,7 +21,7 @@ __all__ = [
     "GeodesicNet",
     "EdgeGroup",
     "NetField",
-    "TangentialField",
+    "tangential_field",
     "length",
     "edge_lengths",
     "reparametrize_constant_speed",
@@ -120,18 +120,13 @@ class NetField:
         )
 
 
-@dataclass
-class TangentialField:
-    """Field of the form h_E(t) * f'_E(t), stored by its scalar profiles."""
-
-    profiles: dict[str, np.ndarray]
-
-    def to_net_field(self, net: GeodesicNet) -> NetField:
-        vals = {}
-        for e, prof in self.profiles.items():
-            vel = stencils.velocity(net.edge_samples[e], loop=e in net.periodic_edges)
-            vals[e] = prof[:, None] * vel
-        return NetField(vals)
+def tangential_field(net: GeodesicNet, profiles: dict[str, np.ndarray]) -> NetField:
+    """The field h_E(t) * f'_E(t) of the scalar profiles h_E."""
+    vals = {}
+    for e, prof in profiles.items():
+        vel = stencils.velocity(net.edge_samples[e], loop=e in net.periodic_edges)
+        vals[e] = prof[:, None] * vel
+    return NetField(vals)
 
 
 def check_net(chart: MetricChart, net: GeodesicNet) -> list[str]:
@@ -205,10 +200,10 @@ def reparametrize_constant_speed(chart: MetricChart, net: GeodesicNet,
 
 
 def constant_speed_samples(chart: MetricChart, group: EdgeGroup,
-                           n_samples: int | None = None) -> np.ndarray:
+                           n_samples: int | None) -> np.ndarray:
     """Arc-length resampling of one edge group, (E, n_samples + 1, n), in one pass.
 
-    ``n_samples`` intervals per edge (default: keep the count).  The SBP
+    ``n_samples`` intervals per edge (None: keep the count).  The SBP
     speed on the ``ARC_UPSAMPLE`` times finer grid is integrated to arc
     length, the arc-length map is inverted, and the edge's 6-point
     interpolant is evaluated at the parameters found (``stencils``).  A

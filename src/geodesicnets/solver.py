@@ -95,7 +95,7 @@ class SolverError(RuntimeError):
 
 
 class MaxIterationsError(SolverError):
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
 
@@ -230,14 +230,14 @@ def continue_family(base: MetricChart, field: ScalarField, amplitudes: list[floa
     amplitude x in turn; a step whose solve fails is halved in x."""
     results = [solve_stationary(conformal_family(base, field, amplitudes[0]), net)]
     for x_prev, x_next in zip(amplitudes[:-1], amplitudes[1:]):
-        results.append(_continue_step(base, field, x_prev, x_next, results[-1].net))
+        results.append(_continue_step(base, field, x_prev, x_next, results[-1].net, 0))
     return results
 
 
-def _continue_step(base, field, x_prev, x_next, net, depth=0) -> SolveResult:
+def _continue_step(base, field, x_prev, x_next, net, depth) -> SolveResult:
     """Solve at amplitude x_next from net, solved at x_prev; on failure,
-    bisect the step and go through the midpoint.  Returns the solve that
-    reached x_next."""
+    bisect the step and go through the midpoint, up to ``MAX_HALVINGS``
+    levels below depth 0.  Returns the solve that reached x_next."""
     try:
         return solve_stationary(conformal_family(base, field, x_next), net)
     except (MaxIterationsError, SingularSystemError):
@@ -273,7 +273,7 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
 
     Returns (anchor edge id, anchor sample index, DirectionalBumpField).
     """
-    kind, _, normal = classify_field(chart, net, j_field)
+    kind, normal = classify_field(chart, net, j_field)
     if kind == "tangential":
         raise NoNormalPointError("the field has no normal component to anchor a bump")
     lengths = edge_lengths(chart, net)

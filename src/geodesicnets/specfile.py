@@ -84,12 +84,11 @@ def _number(value, where: str, positive: bool = False, below: float = np.inf) ->
     return float(value)
 
 
-def _count(value, where: str, most: int | None = None) -> int:
-    """A JSON number that is a positive integer, at most ``most`` if given, as an int."""
+def _count(value, where: str, most: int) -> int:
+    """A JSON number that is a positive integer at most ``most``, as an int."""
     if not (_number(value, where, positive=True) >= 1 and float(value).is_integer()
-            and (most is None or value <= most)):
-        bound = "" if most is None else f" at most {most}"
-        raise SpecError(f"{where} must be a positive integer{bound}, got {value!r}")
+            and value <= most):
+        raise SpecError(f"{where} must be a positive integer at most {most}, got {value!r}")
     return int(value)
 
 
@@ -112,7 +111,6 @@ def _point(value, dim: int, where: str) -> np.ndarray:
 
 @dataclass
 class NetSpec:
-    graph: WeightedMultigraph
     base_chart: MetricChart
     bump_field: SumField | None
     amplitude_schedule: list[float] | None
@@ -276,7 +274,6 @@ def parse_spec(doc: dict) -> NetSpec:
     if problems:
         raise SpecError("invalid net: " + "; ".join(problems))
     return NetSpec(
-        graph=graph,
         base_chart=base,
         bump_field=bumps,
         amplitude_schedule=schedule,
@@ -291,7 +288,7 @@ def load_spec(path: str) -> NetSpec:
     return parse_spec(doc)
 
 
-def spec_from_case(name: str, n_samples: int = DEFAULT_SAMPLES) -> dict:
+def spec_from_case(name: str, n_samples: int) -> dict:
     """Net-spec document for one of the built-in cases."""
     if name not in CASE_NAMES:
         raise SpecError(f"unknown case {name!r}; choose from {CASE_NAMES}")
@@ -368,7 +365,7 @@ def results_document(command: str, options: dict, report: dict) -> dict:
     }
 
 
-def export_plot_csv(net: GeodesicNet, path: str, fields: dict | None = None) -> None:
+def export_plot_csv(net: GeodesicNet, path: str, fields: dict | None) -> None:
     """Per-edge samples: edge id, t, coordinates, optional field columns.
 
     Floats carry 17 significant digits so a re-ingested file reproduces

@@ -111,7 +111,7 @@ def _stencil(ext: np.ndarray, coeffs: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def quadrature_weights(n_samples: int, loop: bool = False) -> np.ndarray:
+def quadrature_weights(n_samples: int, loop: bool) -> np.ndarray:
     """Quadrature weights matching the derivative operator on the uniform
     grid of n_samples over [0, 1]."""
     h = 1.0 / (n_samples - 1)
@@ -428,7 +428,7 @@ def _cell_layout(n: int, loop: bool):
     return idx, weights
 
 
-def running_integral(values: np.ndarray, loop: bool = False) -> np.ndarray:
+def running_integral(values: np.ndarray, loop: bool) -> np.ndarray:
     """Integral from 0 to each grid parameter of the ``upsample_curve``
     interpolant of scalar values (..., N+1) sampled uniformly over [0, 1]."""
     n = values.shape[-1]

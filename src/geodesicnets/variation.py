@@ -38,7 +38,6 @@ __all__ = [
     "stationarity_residual",
     "stationarity_gate",
     "apply_A_E",
-    "apply_B_v",
     "hessian_form",
     "hessian_fd_oracle",
     "length_sample_gradient",
@@ -176,14 +175,6 @@ def apply_A_E(chart: MetricChart, net: GeodesicNet, eid: str, fld: NetField) -> 
     return _edge_terms(chart, net, eid, fld, edge_lengths(chart, net)[eid])[0]
 
 
-def apply_B_v(chart: MetricChart, net: GeodesicNet, v: str, fld: NetField) -> np.ndarray:
-    """Signed sum of perpendicular endpoint covariant derivatives at v."""
-    lengths = edge_lengths(chart, net)
-    ends = {eid: _edge_terms(chart, net, eid, fld, lengths[eid])[1]
-            for eid, _ in net.graph.incident_pairs(v)}
-    return _vertex_sum(net, v, ends)
-
-
 def _vertex_sum(net: GeodesicNet, v: str, ends: dict) -> np.ndarray:
     """B_v from the end rows of ``_edge_terms`` of its incident edges."""
     return sum((-1.0) ** (i + 1) * ends[eid][i] for eid, i in net.graph.incident_pairs(v))
@@ -215,7 +206,7 @@ def hessian_form(chart: MetricChart, net: GeodesicNet, x_fld: NetField, y_fld: N
 
 
 def hessian_fd_oracle(chart: MetricChart, net: GeodesicNet, x_fld: NetField,
-                      y_fld: NetField, step: float = 1e-4) -> float:
+                      y_fld: NetField, step: float) -> float:
     """Central mixed second difference of the length over net (+) sX (+) xY."""
     if not 1e-12 <= step < np.inf:  # written so that NaN fails too
         raise ValueError("step must be finite and at least 1e-12")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geodesicnets import NetField, make_case, specfile, stencils
+from geodesicnets import NetField, ScalarField, make_case, specfile, stencils
+from geodesicnets.geometry import _constant_jet
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -13,6 +14,19 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class ConstantField(ScalarField):
+    """The constant scalar field c: a constant conformal factor."""
+
+    def __init__(self, c: float):
+        self.c = float(c)
+
+    def jet_many(self, points, order):
+        return _constant_jet(self.c, points, order)
+
+    def bounds(self):
+        return (self.c, self.c)
 
 
 def case(name, n=64, **kw):
@@ -109,7 +123,7 @@ def metric_tensor_jet(chart, points):
     g_ij, d_k g_ij and d_k d_l g_ij, indexed [.., i, j], [.., k, i, j] and
     [.., k, l, i, j].  With g = lam delta and lam = e^(2 phi):
     d_k g = 2 lam phi_k delta and d_k d_l g = lam (4 phi_k phi_l + 2 phi_kl) delta."""
-    lam, dphi, ddphi = chart.factor_jet_many(points)
+    lam, dphi, ddphi = chart.factor_jet_many(points, 2)
     eye = np.eye(points.shape[1])
     g = lam[:, None, None] * eye
     dg = (2.0 * lam[:, None] * dphi)[:, :, None, None] * eye

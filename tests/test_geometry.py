@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import metric_tensor_jet
+from conftest import ConstantField, metric_tensor_jet
 
 from geodesicnets import (
-    ConstantField,
     EuclideanChart,
     FlatTorusChart,
     RadialBumpField,
@@ -80,9 +79,9 @@ def test_flat_torus_is_euclidean_locally():
     flat = EuclideanChart(2)
     for name in ("metric_many", "christoffel_many"):
         assert np.array_equal(getattr(TORUS, name)(pts), getattr(flat, name)(pts))
-    for a, b in zip(TORUS.factor_jet_many(pts), flat.factor_jet_many(pts)):
+    for a, b in zip(TORUS.factor_jet_many(pts, 2), flat.factor_jet_many(pts, 2)):
         assert np.array_equal(a, b)
-    assert np.all(TORUS.factor_jet_many(pts)[0] == 1.0)
+    assert np.all(TORUS.factor_jet_many(pts, 0)[0] == 1.0)
     assert TORUS.contains(pts[1])
 
 
@@ -461,7 +460,7 @@ def test_directional_bump_hessian_matches_fd_of_gradient(case_name, eid, idx, po
     case, fld = _directional(case_name, eid, idx, power)
     lattice = getattr(case.chart, "lattice", None)
     pts = _around(fld.center, fld.radius, 300, seed=idx, lattice=lattice)
-    v, g, h = fld.jet_many(pts)
+    v, g, h = fld.jet_many(pts, 2)
     assert np.count_nonzero(v) > 100
     assert np.array_equal(v, fld.value_many(pts)) and np.array_equal(g, fld.gradient_many(pts))
     assert np.abs(h - np.swapaxes(h, 1, 2)).max() <= 1e-14 * np.abs(h).max()
@@ -477,7 +476,7 @@ def test_radial_constant_and_sum_hessians_match_fd_of_gradient():
                         ConstantField(1.0)])]
     pts = _around(np.array([0.8, 0.3]), 0.3, 300, seed=2, lattice=HEX_LATTICE)
     for fld in fields:
-        h = fld.jet_many(pts)[2]
+        h = fld.jet_many(pts, 2)[2]
         assert h.shape == (300, 2, 2)
         assert np.abs(h - _fd_hessian(fld, pts)).max() <= 1e-6 * max(np.abs(h).max(), 1.0)
 
@@ -588,9 +587,9 @@ def test_bumped_christoffel_derivative_memory_is_linear():
         case, fld = _directional("honeycomb-torus", "E1", n // 2, power=2, n=n)
         chart = conformal_family(case.chart, fld, 0.02)
         points = stencils.upsample_curve(case.net.edge_samples["E1"], 8)
-        chart.factor_jet_many(points)
+        chart.factor_jet_many(points, 2)
         tracemalloc.start()
-        chart.factor_jet_many(points)
+        chart.factor_jet_many(points, 2)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     # 4x the points; an all-pairs (points x anchors) table would give 16x
@@ -635,7 +634,7 @@ def test_closed_forms_match_the_tensor_reference(kind, dim, bumps, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(40, dim))
     x_vec, y_vec, z_vec = rng.normal(size=(3, 40, dim))
-    lam, dphi, _ = chart.factor_jet_many(pts)
+    lam, dphi, _ = chart.factor_jet_many(pts, 2)
     assert np.array_equal(chart.metric_many(pts), lam[:, None, None] * np.eye(dim))
     g, dg, ddg = metric_tensor_jet(chart, pts)
     gam, _ = _christoffel_reference(g, dg)

@@ -204,6 +204,8 @@ def test_stalled_sphere_theta_solve_ends_at_its_first_failed_line_search(monkeyp
 
 
 def regenerate():
+    import os
+    import subprocess
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -218,6 +220,16 @@ def regenerate():
                                                                            encoding="utf-8")
             (GOLDEN / runs_file).write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")
+    # the acceptance verdict lines, as the acceptance suite prints them; a
+    # line is printed before it is compared with the old recording
+    suite = Path(__file__).parent / "test_acceptance.py"
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                          str(suite)], capture_output=True, text=True, cwd=suite.parent.parent,
+                         env=dict(os.environ, PYTHONPATH=str(suite.parent.parent / "src")))
+    lines = sorted(line.removeprefix("[acceptance] ") for line in out.stdout.splitlines()
+                   if line.startswith("[acceptance] "))
+    assert len(lines) == 8, out.stdout[-2000:]
+    (GOLDEN / "acceptance.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

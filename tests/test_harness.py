@@ -374,7 +374,7 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     from geodesicnets import solver as solver_mod
 
     def boom(*a, **kw):
-        raise solver_mod.MaxIterationsError("no convergence")
+        raise solver_mod.MaxIterationsError("no convergence", result=None)
 
     monkeypatch.setattr(cli.solver, "solve_stationary", boom)
     path, _ = write_case_spec(tmp_path, "honeycomb-torus")
@@ -789,4 +789,7 @@ def test_every_exported_name_resolves():
             module = importlib.import_module(f"geodesicnets.{node.module}")
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module} has no {alias.name!r}"
+                # a name the package re-exports is public in its own module too
+                assert alias.name in module.__all__, (
+                    f"{node.module}.__all__ omits {alias.name!r}")
                 assert hasattr(geodesicnets, alias.asname or alias.name)

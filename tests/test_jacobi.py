@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import ConstantField
+
 from geodesicnets import (
     NetField,
     classify_field,
@@ -18,7 +20,6 @@ from geodesicnets import (
 from geodesicnets import jacobi as jac
 from geodesicnets import stencils as st
 from geodesicnets.geometry import (
-    ConstantField,
     StereographicSphereChart,
     conformal_family,
     g_dot,
@@ -178,13 +179,13 @@ def test_propagate_matches_stepwise_reference(m, rng):
 
 def test_system_dimensions_honeycomb():
     case = make_case("honeycomb-torus", 64)
-    sysm = assemble_jacobi_system(case.chart, case.net)
+    sysm = assemble_jacobi_system(case.chart, case.net, jac.RESIDUAL_TOL)
     assert sysm.matrix.shape == (10, 10)
 
 
 def test_equator_monodromy_is_identity():
     case = make_case("sphere-equator", 64)
-    sysm = assemble_jacobi_system(case.chart, case.net)
+    sysm = assemble_jacobi_system(case.chart, case.net, jac.RESIDUAL_TOL)
     # the system matrix is monodromy minus identity
     assert np.abs(sysm.matrix).max() < 1e-6
 
@@ -304,15 +305,15 @@ def test_classify_field_tangential():
     s = case.net.edge_samples["E"]
     v = st.velocity(s, loop="E" in case.net.periodic_edges)
     fld = NetField({"E": 0.3 * v})
-    kind, tang, normal = classify_field(case.chart, case.net, fld)
+    kind, normal = classify_field(case.chart, case.net, fld)
     assert kind == "tangential"
-    assert np.abs(tang.profiles["E"] - 0.3).max() < 1e-10
+    assert np.abs(normal.edge_values["E"]).max() < 1e-10
 
 
 def test_classify_field_translation_non_tangential():
     case = make_case("honeycomb-torus", 64)
     fld = NetField({e.id: np.tile([1.0, 0.0], (65, 1)) for e in case.net.graph.edges})
-    kind, _, _ = classify_field(case.chart, case.net, fld)
+    kind, _ = classify_field(case.chart, case.net, fld)
     assert kind == "non-tangential"
 
 
@@ -321,7 +322,7 @@ def test_classify_field_normal_profile():
     s, v, frames = edge_frame(case, "E")
     t = np.linspace(0, 1, 65)
     fld = NetField({"E": np.sin(2 * np.pi * t)[:, None] * frames[:, 0, :]})
-    kind, _, _ = classify_field(case.chart, case.net, fld)
+    kind, _ = classify_field(case.chart, case.net, fld)
     assert kind == "non-tangential"
 
 
@@ -440,7 +441,10 @@ def test_not_good_graph_rejected():
         vertex_positions={"V": np.zeros(2), "M": 0.5 * lam},
     )
     # both certification routes refuse it, not only the verdict
-    for certify in (is_nondegenerate, jacobi_kernel, assemble_jacobi_system, reduced_hessian_fd):
+    def assemble(chart, net):
+        return assemble_jacobi_system(chart, net, jac.RESIDUAL_TOL)
+
+    for certify in (is_nondegenerate, jacobi_kernel, assemble, reduced_hessian_fd):
         with pytest.raises(ValueError, match="only defined for good graphs"):
             certify(chart, net)
 
@@ -636,7 +640,7 @@ def test_a_nan_sample_fails_the_residual_gates():
     net.edge_samples["E2"][10, 1] = np.nan
     assert np.isnan(stationarity_residual(chart, net).aggregate)
     with pytest.raises(NotStationaryError, match="residual nan"):
-        assemble_jacobi_system(chart, net)
+        assemble_jacobi_system(chart, net, jac.RESIDUAL_TOL)
     with pytest.raises(NotStationaryError, match="residual nan"):
         jacobi_kernel(chart, net)
     zero = NetField({e: np.zeros_like(s) for e, s in net.edge_samples.items()})

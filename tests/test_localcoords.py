@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import theta3d_doc
+from conftest import ConstantField, theta3d_doc
 
 from geodesicnets import (
     PathCoord,
@@ -21,9 +21,9 @@ from geodesicnets import (
     xi,
     xi_prime,
 )
-from geodesicnets import localcoords
+from geodesicnets import localcoords, stencils
 from geodesicnets.localcoords import TubeError
-from geodesicnets.geometry import ConstantField, conformal_family
+from geodesicnets.geometry import conformal_family
 from geodesicnets.net import GeodesicNet
 
 
@@ -261,7 +261,9 @@ def test_constraint_measures_displacement(rng):
 def test_lagrangian_constant_on_straight_center():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
-    vals = localcoords._lagrangian_values(case.chart, nc, coords["E1"], "E1")
+    pc = coords["E1"]
+    vals = localcoords._lagrangian_values(case.chart, nc.tubes["E1"], pc.a, pc.b, pc.u,
+                                          stencils.velocity(pc.u, loop=False))
     assert np.abs(vals - edge_lengths(case.chart, case.net)["E1"]).max() < 1e-10
     assert vals.min() > 0
 

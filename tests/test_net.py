@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import edge_frames, jitter_net
+from conftest import ConstantField, edge_frames, jitter_net
 
 from geodesicnets import (
     StereographicSphereChart,
@@ -16,7 +16,6 @@ from geodesicnets import (
 from geodesicnets.cases import HEX_LATTICE
 from geodesicnets import stencils
 from geodesicnets.geometry import (
-    ConstantField,
     DirectionalBumpField,
     FlatTorusChart,
     RadialBumpField,

@@ -22,7 +22,7 @@ def _banded_matrix(n):
 
 def test_sbp_pair_identity_exact():
     n = 41
-    d_mat, w = _banded_matrix(n), st.quadrature_weights(n)
+    d_mat, w = _banded_matrix(n), st.quadrature_weights(n, loop=False)
     q = np.diag(w) @ d_mat
     b = q + q.T
     expect = np.zeros((n, n))
@@ -32,7 +32,7 @@ def test_sbp_pair_identity_exact():
 
 
 def test_quadrature_weights_sum():
-    w = st.quadrature_weights(65)
+    w = st.quadrature_weights(65, loop=False)
     assert abs(w.sum() - 1.0) < 1e-14
     wl = st.quadrature_weights(65, loop=True)
     assert abs(wl.sum() - 1.0) < 1e-14
@@ -92,7 +92,7 @@ def test_open_grids_below_the_floor_are_refused():
         with pytest.raises(ValueError, match="at least"):
             st.velocity(np.zeros((n, 2)))
         with pytest.raises(ValueError, match="at least"):
-            st.quadrature_weights(n)
+            st.quadrature_weights(n, loop=False)
 
 
 def test_upsample_preserves_nodes_and_accuracy():
@@ -195,7 +195,7 @@ def test_running_integral_and_inverse_interpolation():
     t = np.linspace(0.0, 1.0, 41)
     f = 1.0 + t**5 - 0.5 * t**2
     exact = t + t**6 / 6.0 - t**3 / 6.0
-    assert np.abs(st.running_integral(f) - exact).max() < 1e-14
+    assert np.abs(st.running_integral(f, loop=False) - exact).max() < 1e-14
     # a loop value sequence integrates through the seam; its mean is exact
     per = 2.0 + np.sin(2.0 * np.pi * t)
     assert abs(st.running_integral(per, loop=True)[-1] - 2.0) < 1e-14

@@ -10,8 +10,9 @@ read as an attribute, or is a word of a string in the benchmark's tracer,
 which patches methods by name: a local variable or a command-line word of
 the same spelling does not use it.  Names read only in the definition's
 own body, such as a recursive call, do not count, and neither do the
-tests: a helper that only the tests call belongs in the tests.  Dunder
-methods are exempt.
+tests: a helper that only the tests call belongs in the tests.  The
+package's ``__init__`` is not a reader either: re-exporting a name does not
+use it.  Dunder methods are exempt.
 """
 
 import ast
@@ -25,7 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "geodesicnets"
 READERS = sorted(
-    list(PACKAGE.glob("*.py"))
+    [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     + list((ROOT / "demos").glob("*.py"))
     + list((ROOT / "perfbench").glob("*.py"))
 )

@@ -1,15 +1,18 @@
-"""Every settable value of the package is set by some caller.
+"""Every settable value of the package is set by some caller, and left to
+its default by some other.
 
 A settable value is a parameter with a default, or a field with a default
 of an ``*Options`` class, in ``src/geodesicnets``.  The package, the demos
 and the benchmark runner are parsed with ``ast``; each settable value must
-be set, by position or by keyword, at some call in them.  Calls are matched
-to definitions by name: ``f(...)`` and ``x.f(...)`` call every function or
-method named f, and ``C(...)`` calls the ``__init__`` of class C, or, for an
-``*Options`` class, sets its fields in declaration order.  A method's first
-parameter is bound by the call and is not counted.  A value that only the
-tests set is listed in ``ONLY_TESTS_SET`` with the tests that need it; a
-default that no caller overrides belongs in a module constant instead.
+be set, by position or by keyword, at some call in them, and left to its
+default at another.  Calls are matched to definitions by name: ``f(...)``
+and ``x.f(...)`` call every function or method named f, and ``C(...)``
+calls the ``__init__`` of class C, or, for an ``*Options`` class, sets its
+fields in declaration order.  A method's first parameter is bound by the
+call and is not counted.  A value that only the tests set is listed in
+``ONLY_TESTS_SET`` with the tests that need it; a default that no caller
+overrides belongs in a module constant instead, and a default that every
+caller overrides serves only the tests: the parameter should be required.
 """
 
 import ast
@@ -26,7 +29,7 @@ CALLERS = sorted(
 
 # The most settable values the package may define: the count when this
 # ratchet was last lowered.  A change may lower it, never raise it.
-MAX_SETTABLE = 53
+MAX_SETTABLE = 28
 
 ONLY_TESTS_SET = {
     "cases.make_case(multiplicity)":
@@ -76,20 +79,29 @@ def _calls() -> dict[str, list[tuple[int, frozenset]]]:
     return out
 
 
-def _unset() -> list[str]:
+def _settings() -> dict[str, list[bool]]:
+    """Per settable value, whether each call that may reach it sets it."""
     calls = _calls()
-    return sorted(
-        label
+    return {
+        label: [(pos is not None and n_pos > pos) or keyword in keywords
+                for n_pos, keywords in calls.get(name, ())]
         for path in sorted(PACKAGE.glob("*.py"))
         for label, name, pos, keyword in _settable(path)
-        if not any((pos is not None and n_pos > pos) or keyword in keywords
-                   for n_pos, keywords in calls.get(name, ()))
-    )
+    }
+
+
+def _unset() -> list[str]:
+    return sorted(label for label, sets in _settings().items() if not any(sets))
 
 
 def test_every_settable_value_is_set_by_a_caller():
     unset = [label for label in _unset() if label not in ONLY_TESTS_SET]
     assert not unset, f"settable values no caller sets: {', '.join(unset)}"
+
+
+def test_every_default_is_left_to_a_caller():
+    always_set = sorted(label for label, sets in _settings().items() if all(sets))
+    assert not always_set, f"defaults every caller overrides: {', '.join(always_set)}"
 
 
 def test_only_tests_set_lists_no_value_a_caller_sets():
