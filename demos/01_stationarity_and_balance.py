@@ -13,8 +13,6 @@ from geodesicnets import (
     length,
     make_case,
     stationarity_residual,
-    vertex_balance,
-    vertex_unit_tangents,
 )
 from geodesicnets.jacobi import random_reduced_field
 
@@ -27,11 +25,11 @@ print(f"total length (three unit edges): {length(chart, net):.12f}")
 rep = stationarity_residual(chart, net)
 print(f"aggregate stationarity residual: {rep.aggregate:.3e}")
 for v in net.graph.vertices:
-    print(f"  balance at {v}: {np.linalg.norm(vertex_balance(chart, net, v)):.3e}")
+    print(f"  balance at {v}: {np.linalg.norm(rep.vertex_balance[v]):.3e}")
 
 print("\ninward unit tangents at vertex A (120 degrees apart):")
-for eid, i, tangent, mult in vertex_unit_tangents(chart, net, "A"):
-    print(f"  {eid} end {i}: {np.round(tangent, 6)}")
+for eid, i in net.graph.incident_pairs("A"):
+    print(f"  {eid} end {i}: {np.round(rep.tangents[eid, i], 6)}")
 
 print("\nfirst variation along random reduced fields (critical point):")
 rng = np.random.default_rng(0)
@@ -50,5 +48,6 @@ for e in moved.graph.edges:
     if e.endpoint(0) == "A":
         s += np.outer(1 - t, shift)
 moved.vertex_positions["A"] = moved.vertex_positions["A"] + shift
-print(f"  balance at A: {np.linalg.norm(vertex_balance(chart, moved, 'A')):.3e}")
-print(f"  aggregate residual: {stationarity_residual(chart, moved).aggregate:.3e}")
+rep = stationarity_residual(chart, moved)
+print(f"  balance at A: {np.linalg.norm(rep.vertex_balance['A']):.3e}")
+print(f"  aggregate residual: {rep.aggregate:.3e}")

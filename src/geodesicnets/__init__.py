@@ -60,7 +60,6 @@ from .net import (
     length,
     reparametrize_constant_speed,
     tangential_field,
-    vertex_unit_tangents,
 )
 from .solver import (
     SolveResult,
@@ -77,7 +76,6 @@ from .variation import (
     hessian_fd_oracle,
     hessian_form,
     stationarity_residual,
-    vertex_balance,
 )
 
 __version__ = "0.1.0"

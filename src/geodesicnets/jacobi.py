@@ -43,6 +43,7 @@ from .geometry import (
 from .multigraph import GraphClass, WeightedMultigraph, classify
 from .net import GeodesicNet, NetField, edge_lengths
 from .variation import (
+    _perp,
     edge_length_gradient,
     integrate_length_terms,
     stationarity_gate,
@@ -173,7 +174,7 @@ def _edge_data(chart, net, eid, refine):
     s = net.edge_samples[eid]
     loop = eid in net.periodic_edges
     fine = stencils.upsample_curve(s, refine, loop=loop)
-    vf = stencils.velocity_ho(fine, loop=loop)
+    vf = stencils.derivative_ho(fine, 1, loop=loop)
     frames_f = parallel_frame(chart, fine, vf)
     psi = _propagate(jacobi_ode_coefficients(chart, fine, vf, frames_f),
                      1.0 / (fine.shape[0] - 1), record_stride=refine)
@@ -367,8 +368,7 @@ def classify_field(chart: MetricChart, net: GeodesicNet, fld: NetField):
         s = net.edge_samples[e.id]
         v = stencils.velocity(s, loop=e.id in net.periodic_edges)
         vals = fld.edge_values[e.id]
-        coef = _dot(vals, v) / _dot(v, v)  # the g-projection of a conformal g
-        perp = vals - coef[:, None] * v
+        perp = _perp(v, vals)
         normal[e.id] = perp
         max_total = max(max_total, float(g_norm(chart, s, vals).max()))
         max_perp = max(max_perp, float(g_norm(chart, s, perp).max()))

@@ -144,7 +144,7 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
     for e in net.graph.edges:
         loop = e.id in net.periodic_edges
         fine = stencils.upsample_curve(net.edge_samples[e.id], TUBE_REFINE, loop=loop)
-        fine_data[e.id] = (fine, stencils.velocity_ho(fine, loop=loop))
+        fine_data[e.id] = (fine, stencils.derivative_ho(fine, 1, loop=loop))
     # both end extensions of every edge, one geodesic batch per fine sample count
     extensions = {}
     for m in {fine.shape[0] for fine, _ in fine_data.values()}:

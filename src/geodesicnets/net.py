@@ -25,7 +25,6 @@ __all__ = [
     "length",
     "edge_lengths",
     "reparametrize_constant_speed",
-    "vertex_unit_tangents",
     "displace",
     "check_net",
     "constant_speed_samples",
@@ -228,24 +227,6 @@ def constant_speed_samples(chart: MetricChart, group: EdgeGroup,
     out = stencils.evaluate_curve(s, ts, loop=loop)
     out[:, 0] = s[:, 0]
     out[:, -1] = s[:, -1]
-    return out
-
-
-def vertex_unit_tangents(chart: MetricChart, net: GeodesicNet, v: str):
-    """Inward unit tangents at v: one entry (E, i, tangent, multiplicity) per
-    incident pair; the tangent points from the vertex into the edge."""
-    out = []
-    for eid, i in net.graph.incident_pairs(v):
-        s = net.edge_samples[eid]
-        if eid in net.periodic_edges:
-            tang = stencils.velocity(s, loop=True)[0 if i == 0 else -1]
-        else:
-            tang = stencils.end_derivative_ho(s, 1, 0 if i == 0 else -1)
-        p = s[0] if i == 0 else s[-1]
-        tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
-        if i == 1:
-            tang = -tang
-        out.append((eid, i, tang, net.graph.edge(eid).multiplicity))
     return out
 
 

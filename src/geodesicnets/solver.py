@@ -39,7 +39,7 @@ from .net import (
     length,
     reparametrize_constant_speed,
 )
-from .variation import NotStationaryError
+from .variation import NotStationaryError, _mixed_difference
 
 __all__ = [
     "SolveResult",
@@ -320,7 +320,7 @@ def _anchor_spline_data(net, eid, idx):
     s = net.edge_samples[eid]
     if eid not in net.periodic_edges:
         fine = stencils.upsample_curve(s, 4)
-        vf = stencils.velocity_ho(fine)
+        vf = stencils.derivative_ho(fine, 1)
         return fine, vf, s[idx].copy()
     shift = s[-1] - s[0]
     n_ind = s.shape[0] - 1
@@ -330,7 +330,7 @@ def _anchor_spline_data(net, eid, idx):
     rolled = base[k_signed % n_ind] + (k_signed // n_ind)[:, None] * shift
     rolled = np.concatenate([rolled, rolled[:1] + shift], axis=0)
     fine = stencils.upsample_curve(rolled, 4, loop=True)
-    vf = stencils.velocity_ho(fine, loop=True)
+    vf = stencils.derivative_ho(fine, 1, loop=True)
     return fine, vf, rolled[n_ind // 2].copy()
 
 
@@ -385,9 +385,7 @@ def mixed_second_derivative(g0: MetricChart, h_fld, net: GeodesicNet,
         moved = displace(fine_net, fld, sdisp) if sdisp != 0.0 else fine_net
         return length(g_x, moved)
 
-    h = MIXED_STEP
-    fd = (l_at(h, h) - l_at(h, -h) - l_at(-h, h) + l_at(-h, -h)) / (4 * h * h)
-    return closed, fd
+    return closed, _mixed_difference(l_at, MIXED_STEP)
 
 
 def break_degeneracy(chart: MetricChart, net: GeodesicNet, svd_tol: float = SVD_TOL,

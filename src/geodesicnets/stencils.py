@@ -33,8 +33,6 @@ __all__ = [
     "quadrature_weights",
     "velocity",
     "derivative_ho",
-    "end_derivative_ho",
-    "velocity_ho",
     "upsample_curve",
     "evaluate_curve",
     "running_integral",
@@ -173,46 +171,27 @@ def _weights6(m: int) -> np.ndarray:
 
 
 def derivative_ho(samples: np.ndarray, m: int, loop: bool = False) -> np.ndarray:
-    """6th-order m-th parameter-derivative (m = 1 or 2) by central 7-point stencils.
+    """6th-order m-th parameter-derivative (m = 1 or 2) of curves (..., N+1, d)
+    by 7-point stencils, every row.
 
-    Every row of loop edges (the stencil runs across the seam); the n - 6
-    rows [3:-3] of open edges, whose ends ``end_derivative_ho`` gives.
-    samples are curves (..., N+1, d), as for ``velocity``.
+    Central stencils inside an edge and across the seam of loop edges;
+    one-sided stencils on the first and last seven samples in the first and
+    last three rows of open edges.  For geometric work (tangents, frames,
+    tube splines, covariant accelerations); the SBP ``velocity`` remains the
+    operator paired with the length quadrature.
     """
     n = samples.shape[-2]
     h = 1.0 / (n - 1)
-    central = _weights6(m)[3]
+    wgt = _weights6(m)
     if loop:
-        return _stencil(_extend_loop(samples, 3), central, n) / h**m
+        return _stencil(_extend_loop(samples, 3), wgt[3], n) / h**m
     if n < 8:
         raise ValueError("need at least 8 samples")
-    return _stencil(samples, central, n - 6) / h**m
-
-
-def end_derivative_ho(samples: np.ndarray, m: int, row: int) -> np.ndarray:
-    """One of the rows 0, 1, 2 or -3, -2, -1 of the 6th-order m-th derivative
-    of open curves (..., N+1, d): the one-sided 7-point stencil on the end
-    samples, (..., d)."""
-    h = 1.0 / (samples.shape[-2] - 1)
-    if row >= 0:
-        return _weights6(m)[row] @ samples[..., :7, :] / h**m
-    return _weights6(m)[7 + row] @ samples[..., -7:, :] / h**m
-
-
-def velocity_ho(samples: np.ndarray, loop: bool = False) -> np.ndarray:
-    """6th-order first derivative of curves (..., N+1, d) (one-sided near
-    open ends).
-
-    For geometric construction work (frames, tube splines, endpoint
-    tangents); the SBP ``velocity`` remains the operator paired with the
-    length quadrature.
-    """
-    if loop:
-        return derivative_ho(samples, 1, loop=True)
     out = np.empty(samples.shape)
-    out[..., 3:-3, :] = derivative_ho(samples, 1)
-    for row in (0, 1, 2, -3, -2, -1):
-        out[..., row, :] = end_derivative_ho(samples, 1, row)
+    out[..., 3:-3, :] = _stencil(samples, wgt[3], n - 6) / h**m
+    for row in range(3):
+        out[..., row, :] = wgt[row] @ samples[..., :7, :] / h**m
+        out[..., row - 3, :] = wgt[row + 4] @ samples[..., -7:, :] / h**m
     return out
 
 
@@ -445,19 +424,9 @@ def running_integral(values: np.ndarray, loop: bool) -> np.ndarray:
 
 def _search_rows(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """``np.searchsorted`` of every row of targets (..., P) in the same row
-    of values (..., N+1).
-
-    Complex numbers order by real part, then by imaginary part, so with the
-    row index as real part each row keeps to its own block of one sorted
-    array, and the values and targets compare exactly as floats.
-    """
-    row = np.arange(values.size // values.shape[-1]).reshape(values.shape[:-1] + (1,))
-    keys = np.empty(values.shape, dtype=complex)
-    keys.real, keys.imag = row, values
-    probes = np.empty(targets.shape, dtype=complex)
-    probes.real, probes.imag = row, targets
-    found = np.searchsorted(keys.ravel(), probes.ravel()).reshape(targets.shape)
-    return found - row * values.shape[-1]
+    of values (..., N+1)."""
+    rows = zip(values.reshape(-1, values.shape[-1]), targets.reshape(-1, targets.shape[-1]))
+    return np.array([np.searchsorted(v, t) for v, t in rows]).reshape(targets.shape)
 
 
 def inverse_interpolate(values: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -26,15 +26,12 @@ from .geometry import (
     MetricChart, _dot, christoffel_apply, curvature_apply, curvature_form, g_dot, g_norm,
     metric_dot, metric_norm,
 )
-from .net import (
-    EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, length, vertex_unit_tangents,
-)
+from .net import EdgeGroup, GeodesicNet, NetField, displace, edge_lengths, length
 
 __all__ = [
     "NotStationaryError",
     "StationarityReport",
     "first_variation",
-    "vertex_balance",
     "stationarity_residual",
     "stationarity_gate",
     "apply_A_E",
@@ -81,26 +78,20 @@ def first_variation(chart: MetricChart, net: GeodesicNet, fld: NetField) -> floa
     return total
 
 
-def vertex_balance(chart: MetricChart, net: GeodesicNet, v: str) -> np.ndarray:
-    """V(v): signed multiplicity-weighted sum of endpoint unit velocities,
-    that is minus the weighted sum of the inward unit tangents."""
-    out = np.zeros(net.dim)
-    for _, _, tang, mult in vertex_unit_tangents(chart, net, v):
-        out += mult * tang
-    return -out
-
-
 @dataclass
 class StationarityReport:
     """Geodesic residual per edge plus balance defect per vertex.
 
-    Edge residuals are covariant accelerations normalized by the squared
-    speed (so they are parametrization-scale free); the aggregate is the
-    maximum over both parts, NaN if any part is NaN.
+    edge_max is each edge's largest covariant acceleration normalized by the
+    squared speed (so it is parametrization-scale free); tangents[E, i] is
+    the inward unit tangent at end i of edge E; vertex_balance[v] is minus
+    the multiplicity-weighted sum of the inward unit tangents at v, and
+    vertex_norm its g-norm.  The aggregate is the maximum over both parts,
+    NaN if any part is NaN.
     """
 
-    edge_residuals: dict[str, np.ndarray]
     edge_max: dict[str, float]
+    tangents: dict[tuple[str, int], np.ndarray]
     vertex_balance: dict[str, np.ndarray]
     vertex_norm: dict[str, float]
     aggregate: float
@@ -114,31 +105,37 @@ class StationarityReport:
 
 
 def stationarity_residual(chart: MetricChart, net: GeodesicNet) -> StationarityReport:
-    edge_res = {}
-    edge_max = {}
-    for e in net.graph.edges:
-        s, loop, _ = _edge_grid(net, e.id)
-        # open edges keep the central 6th-order rows only: their footprints
-        # still cover every sample, and endpoint geodesy is what the vertex
+    """The ``StationarityReport``, from one pass per edge group: one 6th-order
+    first and second derivative (``stencils.derivative_ho``) and one factor
+    jet; the end rows of the first derivative give the tangents."""
+
+    def group_terms(grp):
+        s, dim = grp.samples, grp.samples.shape[-1]
+        v = stencils.derivative_ho(s, 1, loop=grp.loop)
+        acc = stencils.derivative_ho(s, 2, loop=grp.loop)
+        # open edges keep the central rows only: their footprints still
+        # cover every sample, and endpoint geodesy is what the vertex
         # balance measures
-        v = stencils.derivative_ho(s, 1, loop=loop)
-        acc = stencils.derivative_ho(s, 2, loop=loop)
-        pts = s if loop else s[3:-3]
-        lam, dphi, _ = chart.factor_jet_many(pts, 1)
-        cov = acc + christoffel_apply(dphi, v, v)
-        norm = metric_norm(lam, cov) / metric_dot(lam, v, v)
-        edge_res[e.id] = cov
-        edge_max[e.id] = float(norm.max())
-    vb = {}
-    vn = {}
-    for v in net.graph.vertices:
-        bal = vertex_balance(chart, net, v)
-        vb[v] = bal
-        p = net.vertex_positions[v]
-        vn[v] = float(g_norm(chart, p[None, :], bal[None, :])[0])
+        rows = slice(None) if grp.loop else slice(3, -3)
+        vel = v[:, rows].reshape(-1, dim)
+        lam, dphi, _ = chart.factor_jet_many(s[:, rows].reshape(-1, dim), 1)
+        cov = acc[:, rows].reshape(-1, dim) + christoffel_apply(dphi, vel, vel)
+        norm = (metric_norm(lam, cov) / metric_dot(lam, vel, vel)).reshape(len(s), -1)
+        ends = v[:, [0, -1]] / g_norm(chart, s[:, [0, -1]], v[:, [0, -1]])[..., None]
+        ends[:, 1] = -ends[:, 1]
+        return zip(norm.max(axis=1).tolist(), ends)
+
+    per_edge = net.map_groups(group_terms)
+    edge_max = {eid: worst for eid, (worst, _) in per_edge.items()}
+    tangents = {(eid, i): ends[i] for eid, (_, ends) in per_edge.items() for i in (0, 1)}
+    balance = {vtx: -sum(net.graph.edge(eid).multiplicity * tangents[eid, i]
+                         for eid, i in net.graph.incident_pairs(vtx))
+               for vtx in net.graph.vertices}
+    vertex_norm = {vtx: float(g_norm(chart, net.vertex_positions[vtx], bal))
+                   for vtx, bal in balance.items()}
     # np.max, unlike max, does not drop a NaN
-    agg = float(np.max([*edge_max.values(), *vn.values()]))
-    return StationarityReport(edge_res, edge_max, vb, vn, agg)
+    agg = float(np.max([*edge_max.values(), *vertex_norm.values()]))
+    return StationarityReport(edge_max, tangents, balance, vertex_norm, agg)
 
 
 def stationarity_gate(chart: MetricChart, net: GeodesicNet, tol: float, warning: str) -> None:
@@ -214,9 +211,12 @@ def hessian_fd_oracle(chart: MetricChart, net: GeodesicNet, x_fld: NetField,
         moved = displace(displace(net, x_fld, a), y_fld, b)
         return length(chart, moved)
 
-    return (l_at(step, step) - l_at(step, -step) - l_at(-step, step) + l_at(-step, -step)) / (
-        4.0 * step * step
-    )
+    return _mixed_difference(l_at, step)
+
+
+def _mixed_difference(f, step: float) -> float:
+    """Central four-point mixed second difference of f(a, b) at (0, 0)."""
+    return (f(step, step) - f(step, -step) - f(-step, step) + f(-step, -step)) / (4.0 * step * step)
 
 
 def length_sample_gradient(chart: MetricChart, net: GeodesicNet) -> dict[str, np.ndarray]:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,32 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+NUMBER = re.compile(r"(\d+(?:\.\d*)?(?:e[-+]\d+)?)")
+# A spectral gap over a singular value at rounding level moves with the
+# BLAS thread count; a recorded ratio this large need only stay this large.
+HUGE_RATIO = 1e10
+
+
+def _agrees(got: str, want: str) -> bool:
+    """A printed number against its recording."""
+    if not any(c in want for c in ".e"):
+        return got == want
+    if float(want) >= HUGE_RATIO:
+        return float(got) >= HUGE_RATIO
+    mantissa, _, exponent = want.partition("e")
+    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+    return abs(float(got) - float(want)) <= unit * (1.0 + 1e-9)
+
+
+def text_agrees(got: str, want: str) -> bool:
+    """Printed text against its recording: the words and integers exactly,
+    every other number by ``_agrees`` (within one unit of its last recorded
+    digit, or at or above ``HUGE_RATIO`` where the recording is)."""
+    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
+    return (len(got_parts) == len(want_parts) and got_parts[::2] == want_parts[::2]
+            and all(map(_agrees, got_parts[1::2], want_parts[1::2])))
 
 
 class ConstantField(ScalarField):

@@ -3,22 +3,20 @@
 Resolutions are chosen per net so each quantity is measured where its
 discretization scheme meets the stated tolerance; kernel counting runs at
 64 samples per edge.  Each verdict line is compared with its
-recording in ``tests/data/golden/acceptance.txt``: words and integers
-exactly, every other number within one unit of its last recorded digit,
-except that a recorded ratio of 1e10 or more (a spectral gap over a
-singular value at rounding level, which moves with the BLAS thread count)
+recording in ``tests/data/golden/acceptance.txt`` by ``text_agrees`` of
+conftest: words and integers exactly, every other number within one unit
+of its last recorded digit, except that a recorded ratio of 1e10 or more
 need only stay at or above 1e10.  ``PYTHONPATH=src python
 tests/test_golden_cli.py`` regenerates the recording with the other golden
 files.
 """
 
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ConstantField, jitter_net, random_ambient_field
+from conftest import ConstantField, jitter_net, random_ambient_field, text_agrees
 
 from geodesicnets import (
     break_degeneracy,
@@ -54,19 +52,6 @@ from geodesicnets.net import GeodesicNet, edge_lengths, reparametrize_constant_s
 
 
 RECORDED = Path(__file__).parent / "data" / "golden" / "acceptance.txt"
-NUMBER = re.compile(r"(\d+(?:\.\d*)?(?:e[-+]\d+)?)")
-HUGE_RATIO = 1e10
-
-
-def _agrees(got: str, want: str) -> bool:
-    """A printed number against its recording."""
-    if not any(c in want for c in ".e"):
-        return got == want
-    if float(want) >= HUGE_RATIO:
-        return float(got) >= HUGE_RATIO
-    mantissa, _, exponent = want.partition("e")
-    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
-    return abs(float(got) - float(want)) <= unit * (1.0 + 1e-9)
 
 
 def _report(line):
@@ -74,10 +59,7 @@ def _report(line):
     criterion = line.split()[1]
     (want,) = [rec for rec in RECORDED.read_text(encoding="utf-8").splitlines()
                if rec.split()[1] == criterion]
-    got_parts, want_parts = NUMBER.split(line), NUMBER.split(want)
-    assert len(got_parts) == len(want_parts), (line, want)
-    assert got_parts[::2] == want_parts[::2], (line, want)
-    assert all(map(_agrees, got_parts[1::2], want_parts[1::2])), (line, want)
+    assert text_agrees(line, want), (line, want)
 
 
 def test_criterion_1_stationarity_suite():

@@ -8,7 +8,8 @@ samples and the first reconstructed kernel field, 17 digits), and
 and warnings in ``runs-bumps.json``: ``perturb`` on the four cases and
 ``continue`` on the honeycomb torus along ``CONTINUE_METRIC``.  A run
 that writes no document (``perturb`` on sphere-theta exits 3) records
-its stderr instead.  The honeycomb-torus
+its stderr instead.  ``demos/`` holds the stdout of every demo script
+(``test_demos.py``).  The honeycomb-torus
 documents are also judged by the benchmark's own rules (``check_cli`` and
 ``KNOWN_DEFECTS`` of ``perfbench/run.py``), and so are the operations of
 its cli-newton workload, run in-process on inputs built as
@@ -230,6 +231,11 @@ def regenerate():
                    if line.startswith("[acceptance] "))
     assert len(lines) == 8, out.stdout[-2000:]
     (GOLDEN / "acceptance.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    from test_demos import DEMOS, RECORDED, demo_stdout
+
+    RECORDED.mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (RECORDED / f"{demo.stem}.txt").write_text(demo_stdout(demo), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -164,7 +164,7 @@ def test_propagate_matches_stepwise_reference(m, rng):
     if m == 1:
         case = make_case("sphere-theta", n_coarse)
         fine = st.upsample_curve(case.net.edge_samples["E1"], refine)
-        vf = st.velocity_ho(fine)
+        vf = st.derivative_ho(fine, 1)
         k_fine = jacobi_ode_coefficients(case.chart, fine, vf, parallel_frame(case.chart, fine, vf))
     else:
         k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)

@@ -13,6 +13,12 @@ own body, such as a recursive call, do not count, and neither do the
 tests: a helper that only the tests call belongs in the tests.  The
 package's ``__init__`` is not a reader either: re-exporting a name does not
 use it.  Dunder methods are exempt.
+
+Stored values follow the method rule: every dataclass field, and every
+attribute a class sets on ``self`` in ``__init__``, is read as an attribute
+in the package, the demos or the benchmark runner, or is a word of a string
+in the tracer (which reads attributes by name).  A value that only the
+tests read need not be stored.
 """
 
 import ast
@@ -104,3 +110,35 @@ def test_every_package_definition_is_named_outside_it(path):
         <= _names(node, skipped, id(node) in methods)[node.name]
     ]
     assert not unused, f"{path.name} defines names only the tests use: {', '.join(unused)}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _stored_values(tree):
+    """(class, attribute, line) of every dataclass field and every attribute
+    set on ``self`` in an ``__init__``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if (_is_dataclass(node) and isinstance(sub, ast.AnnAssign)
+                    and isinstance(sub.target, ast.Name)):
+                yield node.name, sub.target.id, sub.lineno
+            elif isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                yield from ((node.name, st.attr, st.lineno) for st in ast.walk(sub)
+                            if isinstance(st, ast.Attribute) and isinstance(st.ctx, ast.Store)
+                            and isinstance(st.value, ast.Name) and st.value.id == "self")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_stored_value_is_read_outside_the_tests(path):
+    tree = _parsed(path)[0]
+    unread = [f"{cls}.{name} (line {line})" for cls, name, line in _stored_values(tree)
+              if not _all_names(True)[name]]
+    assert not unread, f"{path.name} stores values only the tests read: {', '.join(unread)}"

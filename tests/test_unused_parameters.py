@@ -29,7 +29,7 @@ CALLERS = sorted(
 
 # The most settable values the package may define: the count when this
 # ratchet was last lowered.  A change may lower it, never raise it.
-MAX_SETTABLE = 28
+MAX_SETTABLE = 27
 
 ONLY_TESTS_SET = {
     "cases.make_case(multiplicity)":

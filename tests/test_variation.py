@@ -17,7 +17,6 @@ from geodesicnets import (
     make_case,
     stationarity_residual,
     tangential_field,
-    vertex_balance,
 )
 from geodesicnets.geometry import christoffel_apply, g_dot, g_norm
 from geodesicnets.jacobi import parallel_frame, random_reduced_field
@@ -73,10 +72,14 @@ def test_first_variation_shape_mismatch():
 
 # -- balance -----------------------------------------------------------------
 
+def _balance(chart, net, v):
+    return stationarity_residual(chart, net).vertex_balance[v]
+
+
 def test_balance_honeycomb_vertices():
     case = make_case("honeycomb-torus", 64)
     for v in ("A", "B"):
-        assert np.linalg.norm(vertex_balance(case.chart, case.net, v)) < 1e-6
+        assert np.linalg.norm(_balance(case.chart, case.net, v)) < 1e-6
 
 
 def test_balance_detects_vertex_perturbation(rng):
@@ -89,27 +92,25 @@ def test_balance_detects_vertex_perturbation(rng):
         if e.endpoint(0) == "A":
             s += np.outer(1 - t, shift)
     net.vertex_positions["A"] = net.vertex_positions["A"] + shift
-    assert np.linalg.norm(vertex_balance(case.chart, net, "A")) > 1e-2
+    assert np.linalg.norm(_balance(case.chart, net, "A")) > 1e-2
 
 
 def test_balance_is_minus_weighted_inward_tangents():
     for name in CASE_NAMES:
         case = make_case(name, 64, multiplicity=2)  # the loop cases take the multiplicity
         net = case.net
+        rep = stationarity_residual(case.chart, net)
         for v in net.graph.vertices:
             # the signed sum of endpoint unit velocities, written out
             expect = np.zeros(net.dim)
             for eid, i in net.graph.incident_pairs(v):
                 s = net.edge_samples[eid]
-                if eid in net.periodic_edges:
-                    vel = st.velocity(s, loop=True)
-                else:
-                    vel = st.velocity_ho(s)
+                vel = st.derivative_ho(s, 1, loop=eid in net.periodic_edges)
                 tang = vel[0] if i == 0 else vel[-1]
                 p = s[0] if i == 0 else s[-1]
                 tang = tang / g_norm(case.chart, p[None, :], tang[None, :])[0]
                 expect += (-1.0) ** (i + 1) * net.graph.edge(eid).multiplicity * tang
-            assert np.array_equal(vertex_balance(case.chart, net, v), expect)
+            assert np.array_equal(rep.vertex_balance[v], expect)
 
 
 def test_balance_collinear_subdivision_cancels():
@@ -127,7 +128,7 @@ def test_balance_collinear_subdivision_cancels():
         edge_samples={"E1": t * 0.5 * lam, "E2": 0.5 * lam + t * 0.5 * lam},
         vertex_positions={"V": np.zeros(2), "M": 0.5 * lam},
     )
-    assert np.linalg.norm(vertex_balance(chart, net, "M")) < 1e-10
+    assert np.linalg.norm(_balance(chart, net, "M")) < 1e-10
 
 
 # -- stationarity residual ---------------------------------------------------
@@ -149,11 +150,12 @@ def _endpoint_derivative_reference(samples, end):
 
 
 def _stationarity_reference(chart, net):
-    """Edge residuals and balance with the inline 6th-order stencils."""
+    """Edge maxima, inward unit tangents, balance and vertex norms, edge by
+    edge and vertex by vertex, with the inline 6th-order stencils."""
     c1 = st.fd_weights(3.0, np.arange(7.0), 1)
     c2 = st.fd_weights(3.0, np.arange(7.0), 2)
     offsets = (-3, -2, -1, 0, 1, 2, 3)
-    residuals, worst = {}, []
+    edge_max, tangents = {}, {}
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
         n = s.shape[0]
@@ -164,45 +166,65 @@ def _stationarity_reference(chart, net):
             v = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c1)) / h
             acc = sum(cj * ext[3 + off : 3 + off + n] for off, cj in zip(offsets, c2)) / h**2
             pts = s
+            ends = (v[0], v[-1])
         else:
             v = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c1)) / h
             acc = sum(cj * s[3 + off : n - 3 + off] for off, cj in zip(offsets, c2)) / h**2
             pts = s[3:-3]
+            ends = (_endpoint_derivative_reference(s, 0), _endpoint_derivative_reference(s, 1))
         cov = acc + christoffel_apply(chart.factor_jet_many(pts, 1)[1], v, v)
-        residuals[e.id] = cov
-        worst.append(float((g_norm(chart, pts, cov) / g_dot(chart, pts, v, v)).max()))
-    balance = {}
+        edge_max[e.id] = float((g_norm(chart, pts, cov) / g_dot(chart, pts, v, v)).max())
+        for i, tang in enumerate(ends):
+            p = s[0] if i == 0 else s[-1]
+            tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
+            tangents[e.id, i] = -tang if i == 1 else tang
+    balance, vertex_norm = {}, {}
     for vtx in net.graph.vertices:
         out = np.zeros(net.dim)
         for eid, i in net.graph.incident_pairs(vtx):
-            s = net.edge_samples[eid]
-            if eid in net.periodic_edges:
-                vel = st.velocity(s, loop=True)
-                tang = vel[0] if i == 0 else vel[-1]
-            else:
-                tang = _endpoint_derivative_reference(s, i)
-            p = s[0] if i == 0 else s[-1]
-            tang = tang / g_norm(chart, p[None, :], tang[None, :])[0]
-            if i == 1:
-                tang = -tang
-            out += net.graph.edge(eid).multiplicity * tang
+            out += net.graph.edge(eid).multiplicity * tangents[eid, i]
         balance[vtx] = -out
         p = net.vertex_positions[vtx]
-        worst.append(float(g_norm(chart, p[None, :], balance[vtx][None, :])[0]))
-    return residuals, balance, max(worst)
+        vertex_norm[vtx] = float(g_norm(chart, p[None, :], balance[vtx][None, :])[0])
+    return edge_max, tangents, balance, vertex_norm
 
 
-@pytest.mark.parametrize("name", CASE_NAMES)
-def test_residual_matches_inline_stencil_reference(name):
-    case = make_case(name, 64)
-    rep = stationarity_residual(case.chart, case.net)
-    residuals, balance, aggregate = _stationarity_reference(case.chart, case.net)
-    for eid, cov in residuals.items():
-        assert np.array_equal(rep.edge_residuals[eid], cov)
+def _two_group_honeycomb():
+    """(chart, net): honeycomb-torus at N = 64 with edge E2 resampled to 48
+    intervals, its ends kept, so that the net has two edge groups."""
+    case = make_case("honeycomb-torus", 64)
+    net = case.net.copy()
+    s = net.edge_samples["E2"]
+    out = st.evaluate_curve(s, np.linspace(0.0, 1.0, 49))
+    out[0], out[-1] = s[0], s[-1]
+    net.edge_samples["E2"] = out
+    return case.chart, net
+
+
+@pytest.mark.parametrize("name", [*CASE_NAMES, "two-groups"])
+def test_residual_matches_inline_stencil_reference(name, monkeypatch):
+    """The one pass per edge group gives the per-edge reference bit for bit,
+    from two ``derivative_ho`` calls per group."""
+    if name == "two-groups":
+        chart, net = _two_group_honeycomb()
+    else:
+        case = make_case(name, 64)
+        chart, net = case.chart, case.net
+    calls = []
+    real = st.derivative_ho
+    monkeypatch.setattr(st, "derivative_ho", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rep = stationarity_residual(chart, net)
+    assert len(calls) == 2 * len(net.edge_groups())
+    edge_max, tangents, balance, vertex_norm = _stationarity_reference(chart, net)
+    assert list(rep.edge_max.items()) == list(edge_max.items())
+    assert rep.tangents.keys() == tangents.keys()
+    for pair, tang in tangents.items():
+        assert np.array_equal(rep.tangents[pair], tang)
+    assert rep.vertex_balance.keys() == balance.keys()
     for v, bal in balance.items():
         assert np.array_equal(rep.vertex_balance[v], bal)
-        assert np.array_equal(vertex_balance(case.chart, case.net, v), bal)
-    assert rep.aggregate == aggregate
+    assert list(rep.vertex_norm.items()) == list(vertex_norm.items())
+    assert rep.aggregate == max([*edge_max.values(), *vertex_norm.values()])
 
 
 def test_residual_flags_jitter(rng):
@@ -219,8 +241,8 @@ def test_balance_invariant_under_lattice_translation():
         net.edge_samples[e.id] += lam
     for v in net.vertex_positions:
         net.vertex_positions[v] = net.vertex_positions[v] + lam
-    b0 = vertex_balance(case.chart, case.net, "A")
-    b1 = vertex_balance(case.chart, net, "A")
+    b0 = _balance(case.chart, case.net, "A")
+    b1 = _balance(case.chart, net, "A")
     assert np.abs(b0 - b1).max() < 1e-12
 
 
