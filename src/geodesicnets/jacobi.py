@@ -41,11 +41,10 @@ from .geometry import (
     parallel_transport,
 )
 from .multigraph import GraphClass, WeightedMultigraph, classify
-from .net import GeodesicNet, NetField, edge_lengths
+from .net import EdgeGroup, GeodesicNet, NetField, edge_lengths
 from .variation import (
     _perp,
     edge_length_gradient,
-    integrate_length_terms,
     stationarity_gate,
 )
 
@@ -59,7 +58,7 @@ __all__ = [
     "classify_field",
     "is_nondegenerate",
     "ReducedBasis",
-    "fd_hessian",
+    "length_hessian",
     "reduced_hessian_fd",
     "reduced_kernel_dimension",
     "reduced_basis_fields",
@@ -83,10 +82,11 @@ TANGENTIAL_TOL = 1e-7
 # approximate_embeddedness refuses samples of two edges (or far apart on
 # one) closer than this fraction of the shortest edge.
 EMBEDDEDNESS_FRACTION = 1e-3
-# Most fine sample rows one stacked pass of fd_hessian's probes may hold:
-# bounds its memory whatever the number of probes.  A probe larger than
-# this is passed alone.
-MAX_STACKED_ROWS = 8192
+# Most fine sample rows of an edge group that one pass of length_hessian
+# assembles: bounds its memory whatever the sample count.  On honeycomb at
+# N = 256, refinement 8 (2-core Xeon, one BLAS thread), one pass of all
+# rows took 35 % longer, and passes of 128 rows 60 % longer.
+HESSIAN_PASS_ROWS = 384
 
 # ---------------------------------------------------------------------------
 # frames and curvature coefficients
@@ -435,8 +435,7 @@ class ReducedBasis:
     (on loop graphs, the normal motion of the marked vertex), stored as one
     block over the edge samples in graph order.  Every other column is a
     hat: frame vector a at interior sample j of edge E, at column
-    ``hat_offset[E] + (j - 1) * (n - 1) + a``.  B maps any number of
-    coefficient rows at once.
+    ``hat_offset[E] + (j - 1) * (n - 1) + a``.
     """
 
     frames: tuple                     # per group, (E, N+1, n-1, n)
@@ -455,41 +454,25 @@ class ReducedBasis:
 
     def apply(self, coef: np.ndarray) -> NetField:
         """B @ coef as a displacement field."""
+        flat = np.matmul(self.vertex_block, coef[: self.n_vertex, None])[:, 0]
         vals = {}
-        for ids, stack in zip(self.ids, self.apply_many(coef[None])):
+        for ids, fr, (rows, hats) in zip(self.ids, self.frames, self.index):
+            e, (m, nm1, n) = len(rows), fr.shape[1:]
+            stack = flat[rows].reshape(e, m, n)
+            stack[:, 1:-1] += (coef[hats].reshape(e, m - 2, nm1, 1) * fr[:, 1:-1]).sum(axis=-2)
             vals.update(zip(ids, stack))
         return NetField({e: vals[e] for e in self.hat_offset})
 
-    def apply_many(self, coefs: np.ndarray) -> list[np.ndarray]:
-        """B @ coef for every row of coefs (P, d), in the group layout: per
-        group, (P * E, N+1, n).  Each row is the same matrix-vector product
-        as alone."""
-        p = len(coefs)
-        flat = np.matmul(self.vertex_block, coefs[:, : self.n_vertex, None])[..., 0]
-        out = []
-        for fr, (rows, hats) in zip(self.frames, self.index):
-            e, (m, nm1, n) = len(rows), fr.shape[1:]
-            vals = flat[:, rows].reshape(p, e, m, n)
-            c = coefs[:, hats].reshape(p, e, m - 2, nm1, 1)
-            vals[:, :, 1:-1] += (c * fr[:, 1:-1]).sum(axis=-2)
-            out.append(vals.reshape(p * e, m, n))
-        return out
-
-    def pullback_many(self, grads: list[np.ndarray]) -> np.ndarray:
-        """B^T g for P gradients in the group layout, per group (P * E, N+1,
-        n): (P, d).  Each row's vertex part is the same ``block.T @ g``
-        product as alone, over the samples in graph order."""
-        p = len(grads[0]) // len(self.ids[0])
-        flat = np.empty((p, len(self.vertex_block)))
-        out = np.empty((p, len(self)))
+    def pullback(self, grads: list[np.ndarray]) -> np.ndarray:
+        """B^T g for a gradient in the group layout, per group (E, N+1, n);
+        the vertex part is one ``block.T @ g`` over the samples in graph
+        order."""
+        flat = np.empty(len(self.vertex_block))
+        out = np.empty(len(self))
         for g, fr, (rows, hats) in zip(grads, self.frames, self.index):
-            e, (m, nm1, n) = len(rows), fr.shape[1:]
-            g = g.reshape(p, e, m, n)
-            flat[:, rows] = g.reshape(p, e, m * n)
-            hat = (g[:, :, 1:-1, None, :] * fr[:, 1:-1]).sum(axis=-1)
-            out[:, hats] = hat.reshape(p, e, -1)
-        for c in range(p):
-            out[c, : self.n_vertex] = self.vertex_block.T @ flat[c]
+            flat[rows] = g.reshape(len(rows), -1)
+            out[hats] = (g[:, 1:-1, None, :] * fr[:, 1:-1]).sum(axis=-1).reshape(len(rows), -1)
+        out[: self.n_vertex] = self.vertex_block.T @ flat
         return out
 
 
@@ -532,7 +515,7 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
         block[: net.dim] += fr
         block[-net.dim :] += fr
     basis = ReducedBasis(tuple(frames), block, ids, index, hat_offset, labels)
-    return basis, basis.pullback_many(grads)[0]
+    return basis, basis.pullback(grads)
 
 
 @lru_cache(maxsize=32)
@@ -571,178 +554,104 @@ def _basis_layout(graph: WeightedMultigraph, groups: tuple, n: int):
     return block, index, MappingProxyType(hat_offset), tuple(labels)
 
 
-@lru_cache(maxsize=32)
-def _hat_colouring(n_samples: int, refine: int, loop: bool):
-    """Curtis-Powell-Reid colouring of the interior samples of an edge.
-
-    Returns (colour, coupled): for interior sample j, ``colour[j - 1]`` and
-    the interior indices (j' - 1) of the samples coupled to it, which are
-    the hat rows its columns can reach.  Two samples get the same colour
-    only when no interior sample is coupled to both, so one perturbation
-    of a whole colour class determines every hat entry it touches.  No
-    row is coupled to two samples ``width`` apart: ``width`` is the widest
-    coupled window of an open edge, and 2k + 1 for the circulant band of
-    half-width k of a loop.  A sample's colour is its offset in blocks of
-    at least ``width`` positions: consecutive blocks of ``width`` on an
-    open edge; on a loop, the n - 1 positions around it (the vertex last)
-    cut into q = floor((n - 1) / width) balanced blocks, or one block when
-    q < 2, so at most ceil((n - 1) / q) colours.
-    """
-    lo, hi = stencils.hessian_coupling(n_samples, refine, loop)
-    m, n_int = n_samples - 1, n_samples - 2
-    coupled = []
-    for j in range(1, n_samples - 1):
-        q = np.arange(lo[j], hi[j] + 1)
-        if loop:
-            # a window of n - 1 consecutive samples already covers the loop
-            q = q[:m] % m
-        coupled.append(q[(q >= 1) & (q <= n_int)] - 1)
-    width = 2 * int(hi[0]) + 1 if loop else max(int(r[-1] - r[0]) + 1 for r in coupled)
-    blocks = max(m // width, 1) if loop else -(-n_int // width)
-    starts = np.arange(blocks) * (m if loop else blocks * width) // blocks
-    k = np.arange(n_int)
-    colour = k - starts[np.searchsorted(starts, k, "right") - 1]
-    colour.flags.writeable = False
-    return colour, tuple(coupled)
+def _length_blocks(chart: MetricChart, grp: EdgeGroup, refine: int, rows: int) -> np.ndarray:
+    """Half the Hessian Lambda of each term w e^phi(x) |v| of an edge
+    group's length on the grid ``refine`` times finer, in (x, v) at the
+    base fine samples x0 and velocities v0 = D x0, multiplicity included:
+    (E, rows, 2n, 2n), from one factor jet.  Rows past the last fine sample
+    are zero.  With s = e^phi |v| and vh = v / |v|: Lambda_xx = w s
+    (grad(phi) grad(phi)^T + Hess(phi)), Lambda_xv = w e^phi grad(phi)
+    vh^T and Lambda_vv = w e^phi (I - vh vh^T) / |v|."""
+    x0 = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
+    v0 = stencils.velocity(x0, loop=grp.loop)
+    n_edges, m, n = x0.shape
+    w = np.zeros(rows)
+    w[:m] = 0.5 * stencils.quadrature_weights(m, loop=grp.loop)
+    # the padding rows repeat the last sample, at zero weight
+    x0, v0 = (np.concatenate([a, np.repeat(a[:, -1:], rows - m, axis=1)], axis=1) for a in (x0, v0))
+    lam, dphi, ddphi = chart.factor_jet_many(x0.reshape(-1, n), 2)
+    # coordinates first, rows last: one long pass per block entry
+    vel = v0.reshape(-1, n).T
+    speed = np.sqrt((vel * vel).sum(axis=0))
+    wef = (w * np.sqrt(lam).reshape(n_edges, rows) * grp.multiplicities[:, None]).ravel()
+    grad, vh = dphi.T, vel / speed
+    out = np.empty((2, n, 2, n, wef.size))
+    out[0, :, 0] = wef * speed * (grad[:, None] * grad + ddphi.transpose(1, 2, 0))
+    out[0, :, 1] = (wef * grad)[:, None] * vh
+    out[1, :, 0] = out[0, :, 1].swapaxes(0, 1)
+    out[1, :, 1] = -(wef / speed * vh)[:, None] * vh
+    diag = np.arange(n)
+    out[1, diag, 1, diag] += wef / speed
+    out = out.reshape(4 * n * n, -1).T
+    return np.ascontiguousarray(out).reshape(n_edges, rows, 2 * n, 2 * n)
 
 
-def _hat_groups(basis: ReducedBasis, net: GeodesicNet, refine: int):
-    """Hat columns by colour: per colour, (its columns, and the row and
-    column indices of the hat entries it determines).  Cached on the basis
-    layout."""
-    return _colour_classes(tuple((net.edge_samples[e].shape[0], net.dim - 1,
-                                  e in net.periodic_edges, off)
-                                 for e, off in basis.hat_offset.items()), refine)
+def _window_basis(basis: ReducedBasis, g: int, start: np.ndarray, width: int, loop: bool):
+    """B on the bin windows of edge group g (``stencils.refined_windows``):
+    the displacement (E, bins, width, n K) of each window sample under K
+    columns, and their indices (E, bins, K).  The hat columns come first,
+    block diagonal (a frame vector at its own sample; at a vertex none, so
+    index 0 and zeros), then every vertex column."""
+    fr, (rows, hats) = basis.frames[g], basis.index[g]
+    n_edges, n, nm1, dim = fr.shape
+    p = start[:, None] + np.arange(width)
+    if loop:
+        p = p % (n - 1)
+    inner = (p > 0) & (p < n - 1)
+    n_hat = width * nm1
+    out = np.zeros((n_edges,) + p.shape + (dim, n_hat + basis.n_vertex))
+    diag = np.arange(width)
+    out[..., :n_hat].reshape(out.shape[:4] + (width, nm1))[:, :, diag, :, diag] = \
+        np.moveaxis(fr[:, p] * inner[..., None, None], 2, 0).swapaxes(-1, -2)
+    out[..., n_hat:] = basis.vertex_block[rows].reshape(n_edges, n, dim, -1)[:, p]
+    hat_cols = hats.reshape(n_edges, n - 2, nm1)[:, np.clip(p - 1, 0, n - 3)] * inner[..., None]
+    cols = np.concatenate([hat_cols.reshape(n_edges, len(p), n_hat),
+                           np.broadcast_to(np.arange(basis.n_vertex), (n_edges, len(p), basis.n_vertex))],
+                          axis=-1)
+    return out.reshape(out.shape[:3] + (-1,)), cols
 
 
-@lru_cache(maxsize=32)
-def _colour_classes(layout: tuple, refine: int):
-    """``_hat_groups`` for the layout (samples, n - 1, loop, hat offset) per edge."""
-    groups = {}
-    for npts, nm1, loop, off in layout:
-        colour, coupled = _hat_colouring(npts, refine, loop)
-        for j, reach in enumerate(coupled):
-            rows = off + (reach[:, None] * nm1 + np.arange(nm1)).ravel()
-            for a in range(nm1):
-                groups.setdefault(colour[j] * nm1 + a, []).append((off + j * nm1 + a, rows))
-    out = []
-    for c in sorted(groups):
-        cols = np.array([col for col, _ in groups[c]])
-        rows = np.concatenate([r for _, r in groups[c]])
-        at = np.concatenate([np.full(r.size, col) for col, r in groups[c]])
-        for arr in (cols, rows, at):
-            arr.flags.writeable = False
-        out.append((cols, rows, at))
-    return tuple(out)
-
-
-class _RefinedLength:
-    """Exact Hessian-vector products of the refined-grid length.
-
-    The fine samples are the upsampled net x0 plus T times the
-    displacement, and the coarse gradient is T^T times the fine one; at
-    refine 1, T is the identity and is not formed.  Only the
-    ``length_integrand`` is nonlinear, so a probe delta takes dx = T delta,
-    dv = D dx, the derivatives of the terms at x0 and v0 = D x0, the linear
-    part and T^T, each once.  With speed s = e^phi |v|, vh = v / |v|, p =
-    grad(phi).dx and q = vh.dv: ds = s (p + q / |v|), da = w (ds grad(phi)
-    + s Hess(phi) dx) and du = e^phi (p vh + (dv - q vh) / |v|).  The
-    factor jet at x0 is evaluated once, here."""
-
-    def __init__(self, chart, net, refine):
-        self.groups = net.edge_groups()
-        self.base = []
-        for grp in self.groups:
-            x0 = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
-            v0 = stencils.velocity(x0, loop=grp.loop)
-            w = stencils.quadrature_weights(x0.shape[1], loop=grp.loop)
-            lam, dphi, ddphi = chart.factor_jet_many(x0.reshape(-1, x0.shape[-1]), 2)
-            ef = np.sqrt(lam).reshape(x0.shape[:2])
-            inv = 1.0 / np.linalg.norm(v0, axis=-1)
-            ws = w * ef / inv
-            self.base.append((w, ef, inv, ws, dphi.reshape(x0.shape), v0 * inv[..., None],
-                              ws[..., None, None] * ddphi.reshape(x0.shape + x0.shape[-1:])))
-        # linear part only: displacement fields never wrap
-        self.t_mats = [None if refine == 1 else
-                       stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
-                       for grp in self.groups]
-
-    def products(self, disp: list[np.ndarray]) -> list[np.ndarray]:
-        """H delta in the coarse samples, for K probe displacements delta in
-        the group layout of ``ReducedBasis``: disp and the result hold (K *
-        E, N+1, n) per group.  Each probe's rows get the same operations as
-        alone."""
-        out = []
-        for grp, base, t_mat, d in zip(self.groups, self.base, self.t_mats, disp):
-            dx = d if t_mat is None else t_mat @ d
-            dv = stencils.velocity(dx, loop=grp.loop)
-            mult = np.tile(grp.multiplicities, dx.shape[0] // len(grp.ids))
-            grad = integrate_length_terms(*_integrand_derivative(base, dx, dv), base[0],
-                                          grp.loop, mult)
-            out.append(grad if t_mat is None else t_mat.T @ grad)
-        return out
-
-
-def _integrand_derivative(base, dx: np.ndarray, dv: np.ndarray):
-    """(da, du), the derivatives of the ``length_integrand`` terms a and u
-    at the base of ``_RefinedLength`` in the directions (dx, dv) of K
-    stacked probes (K * E, M, n), one coordinate at a time."""
-    _, ef, inv, ws, dphi, vh, ws_hess = base
-    n = dx.shape[-1]
-    x, v = dx.reshape((-1,) + dphi.shape), dv.reshape((-1,) + dphi.shape)
-    p = sum(dphi[..., i] * x[..., i] for i in range(n))
-    q = sum(vh[..., i] * v[..., i] for i in range(n))
-    w_ds, t = ws * (p + q * inv), ef * (p - q * inv)
-    da, du = np.empty(x.shape), np.empty(x.shape)
-    for i in range(n):
-        da[..., i] = w_ds * dphi[..., i] + sum(ws_hess[..., i, j] * x[..., j] for j in range(n))
-        du[..., i] = t * vh[..., i] + ef * inv * v[..., i]
-    return da.reshape(dx.shape), du.reshape(dx.shape)
-
-
-def fd_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
-               refine: int = 1) -> np.ndarray:
+def length_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
+                   refine: int = 1) -> np.ndarray:
     """Symmetric Hessian of the discrete length over B on the grid refined
-    ``refine`` times: exact, one Hessian-vector product per probe.
+    ``refine`` times: exact, assembled from per-sample blocks.
 
-    Column compression (Curtis, Powell & Reid 1974; Coleman & More 1983):
-    hat columns of one colour are probed together, one probe per colour,
-    and each hat row reads its entry from the one column of the colour it
-    is coupled to.  Dense vertex columns are probed alone and fill the
-    vertex rows by symmetry.  The probe count, n_vertex + colours, does not
-    grow with the sample count.  B and B^T act once per probe, around
-    ``_RefinedLength.products``.  The probes are evaluated stacked, as many
-    per pass as ``MAX_STACKED_ROWS`` fine sample rows hold, and every
-    probe's product is bitwise what it gets alone.
+    The refined length is a sum of one term per fine sample, at x = x0 + T
+    B c and v = D x; ``_length_blocks`` gives each term's Hessian Lambda in
+    (x, v) once.  Every bin of fine rows reads a fixed window of coarse
+    samples: its rows of [T; D T] (``stencils.refined_windows``) times B on
+    that window (``_window_basis``) are its J, and J^T Lambda J is added
+    into H once, at B's columns, in passes of at most
+    ``HESSIAN_PASS_ROWS`` fine rows.
     """
-    functional = _RefinedLength(chart, net, refine)
     d = len(basis)
-    nv = basis.n_vertex
-    members = _hat_groups(basis, net, refine)
-    probes = np.zeros((nv + len(members), d))
-    for j, cols in enumerate([[c] for c in range(nv)] + [cols for cols, _, _ in members]):
-        probes[j, cols] = 1.0
-    # a probe is one fine copy: it traces about 130 bytes per fine row, as
-    # one integrand copy did; half or twice as many probes per pass were slower
-    size = max(1, MAX_STACKED_ROWS // sum(ef.size for _, ef, *_ in functional.base))
-    delta = np.concatenate([
-        basis.pullback_many(functional.products(basis.apply_many(probes[start : start + size])))
-        for start in range(0, len(probes), size)])
     h_mat = np.zeros((d, d))
-    h_mat[:, :nv] = delta[:nv].T
-    for (_, rows, cols), delta_c in zip(members, delta[nv:]):
-        h_mat[rows, cols] = delta_c[rows]
-    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
-    return 0.5 * (h_mat + h_mat.T)
+    for g, grp in enumerate(net.edge_groups()):
+        n_edges, n, dim = grp.samples.shape
+        start, table = stencils.refined_windows(n, refine, grp.loop)
+        bins, size = table.shape[0], table.shape[1] // 2
+        lam = _length_blocks(chart, grp, refine, bins * size).reshape(n_edges, bins, size, 2 * dim, 2 * dim)
+        b_win, cols = _window_basis(basis, g, start, table.shape[2], grp.loop)
+        k = cols.shape[-1]
+        step = max(1, HESSIAN_PASS_ROWS // (n_edges * size))
+        for sl in (slice(b, b + step) for b in range(0, bins, step)):
+            jac_ = np.matmul(table[sl], b_win[:, sl]).reshape(n_edges, -1, size, 2 * dim, k)
+            stack = (n_edges, -1, 2 * size * dim, k)
+            part = np.matmul(jac_.reshape(stack).swapaxes(-1, -2), np.matmul(lam[:, sl], jac_).reshape(stack))
+            ids = cols[:, sl]
+            # Lambda is halved: each term enters with its transpose
+            np.add.at(h_mat.reshape(-1), (ids[..., :, None] * d + ids[..., None, :]).ravel(),
+                      (part + part.swapaxes(-1, -2)).ravel())
+    return h_mat
 
 
 def reduced_hessian_fd(chart: MetricChart, net: GeodesicNet):
     """Dense symmetric Hessian of the discrete length over the reduced basis,
-    exact, by ``fd_hessian`` on the grid ``ORACLE_REFINE`` times finer.  A
+    exact, by ``length_hessian`` on the grid ``ORACLE_REFINE`` times finer.  A
     not-good graph is refused with a ValueError, as by the shooting route."""
     _good_class(net.graph)
     basis, labels = reduced_basis_fields(chart, net)
-    return fd_hessian(chart, net, basis, ORACLE_REFINE), labels
+    return length_hessian(chart, net, basis, ORACLE_REFINE), labels
 
 
 def reduced_kernel_dimension(h_mat: np.ndarray):

@@ -30,7 +30,7 @@ from .geometry import (
     g_norm,
     min_distance,
 )
-from .jacobi import SVD_TOL, classify_field, fd_hessian, is_nondegenerate, reduced_gradient
+from .jacobi import SVD_TOL, classify_field, is_nondegenerate, length_hessian, reduced_gradient
 from .net import (
     GeodesicNet,
     NetField,
@@ -163,7 +163,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             break
         d = len(basis)
         if evals is None or stale >= HESSIAN_REFRESH:
-            hess = fd_hessian(chart, net, basis)
+            hess = length_hessian(chart, net, basis)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())

@@ -37,7 +37,7 @@ __all__ = [
     "evaluate_curve",
     "running_integral",
     "inverse_interpolate",
-    "hessian_coupling",
+    "refined_windows",
 ]
 
 
@@ -249,56 +249,56 @@ def upsample_operator(n_samples: int, factor: int, loop: bool):
     return t_mat, c_vec
 
 
-def _sbp_footprint(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last column of every row of the open-edge SBP(4,2) matrix."""
-    m = np.arange(n)
-    half = len(_CENTRAL4) // 2
-    rows, width = _SBP42_ROWS.shape
-    head, tail = m < rows, m >= n - rows
-    lo = np.where(head, 0, np.where(tail, n - width, m - half))
-    hi = np.where(head, width - 1, np.where(tail, n - 1, m + half))
-    return lo, hi
+_BIN = 8  # fine sample rows per bin of refined_windows
 
 
-def hessian_coupling(n_samples: int, factor: int, loop: bool):
-    """Coarse samples that can share a nonzero Hessian entry of the refined length.
+@lru_cache(maxsize=64)
+def refined_windows(n_samples: int, factor: int, loop: bool):
+    """The rows of T and D T on coarse windows, bin by bin: (start, table).
 
-    The length of an edge upsampled by ``factor`` is a sum of local terms,
-    one per fine sample m, and term m reads the fine samples in the
-    footprint of row m of the derivative operator.  Coarse sample p moves
-    the fine samples of column p of the upsampling matrix T.  Samples p and
-    q are coupled when one term reads fine samples moved by both.  All of
-    these sets are index windows, so the pattern costs O(n): p is coupled
-    at most to the samples ``lo[p] <= q <= hi[p]``.  On loop edges the
-    windows are unwrapped; take q modulo n - 1.
+    T upsamples by ``factor`` (the identity at 1) and D is the fine grid's
+    ``velocity``.  Bin b holds fine rows 8b to 8b + 7, zero past the last,
+    and ``table[b, 2 i + k, j]`` is row 8b + i of T (k = 0) or D T (k = 1)
+    at coarse sample ``start[b] + j``; their other entries are zero.  Loop
+    starts are unwrapped: take samples modulo n - 1, as a field repeats its
+    seam row.  No (fine rows x samples) array beside T is formed; the
+    cached arrays are read-only.
     """
-    n, f = n_samples, factor
-    p = np.arange(n)
-    # the intervals whose interpolation window holds p
-    if loop:
-        kmin, kmax = p + _BACK - _WINDOW + 1, p + _BACK
+    n, m = n_samples, (n_samples - 1) * factor + 1
+    period = m - 1 if loop else m
+    # fine row r of T: weights on the 6-point window at lo[r]
+    r = np.arange(period)
+    lo = _window_starts(n, loop)[np.minimum(r // factor, n - 2)]
+    cols = lo[:, None] + np.arange(_WINDOW)
+    if factor == 1:
+        wgt = (cols == r[:, None]).astype(float)
     else:
-        starts = _window_starts(n, False)
-        kmin = np.searchsorted(starts + _WINDOW - 1, p, "left")
-        kmax = np.searchsorted(starts, p, "right") - 1
-    # fine rows [a, b] of column p of T: its node row and the inner rows of those intervals
-    a, b = p * f, p * f
-    if f > 1:
-        a = np.minimum(a, kmin * f + 1)
-        b = np.maximum(b, kmax * f + f - 1)
-    if loop:
-        # every footprint is [m - half, m + half], so the pattern is a circulant band
-        half = len(_CENTRAL4) // 2
-        width = int((b[0] - a[0] + 2 * half) // f)
-        lo, hi = p - width, p + width
-    else:
-        # the terms [tlo, thi] whose footprint meets [a, b], then the samples whose terms overlap
-        foot_lo, foot_hi = _sbp_footprint((n - 1) * f + 1)
-        tlo = np.searchsorted(foot_hi, a, "left")
-        thi = np.searchsorted(foot_lo, b, "right") - 1
-        lo = np.searchsorted(thi, tlo, "left")
-        hi = np.searchsorted(tlo, thi, "right") - 1
-    return lo, hi
+        seam = (cols > n - 1).astype(int) - (cols < 0) if loop else 0
+        wgt = upsample_operator(n, factor, loop)[0][r[:, None], cols - (n - 1) * seam]
+    first, last = (wgt != 0).argmax(axis=1), _WINDOW - 1 - (wgt[:, ::-1] != 0).argmax(axis=1)
+    # fine row k reads itself for T, then its D band (a central row's 6th read is itself, at 0)
+    k = np.arange(m)
+    reads = k[:, None] + np.array([0, -2, -1, 0, 1, 2, 0])
+    coef = np.tile(np.concatenate([[1.0], _CENTRAL4 * (m - 1), [0.0]]), (m, 1))
+    if not loop:
+        reads[:4, 1:], coef[:4, 1:] = np.arange(_WINDOW), _SBP42_ROWS * (m - 1)
+        reads[-4:, 1:], coef[-4:, 1:] = m - _WINDOW + np.arange(_WINDOW), _SBP42_END * (m - 1)
+    wraps, base = np.divmod(reads, period)
+    at = lo[base] + (n - 1) * wraps
+    # the coarse samples each bin reaches
+    bins = np.arange(0, m, _BIN)
+    start = np.minimum.reduceat((at + first[base]).min(axis=1), bins)
+    width = int((np.maximum.reduceat((at + last[base]).max(axis=1), bins) - start).max()) + 1
+    start = start if loop else np.minimum(start, n - width)
+    # windows reach up to _WINDOW - 1 before start (node rows) and past the end
+    table = np.zeros((bins.size * _BIN, 2, width + 2 * _WINDOW))
+    off = at - np.repeat(start, _BIN)[:m, None] + _WINDOW
+    for j in range(reads.shape[1]):
+        table[k[:, None], min(j, 1), off[:, j, None] + np.arange(_WINDOW)] += coef[:, j, None] * wgt[base[:, j]]
+    table = np.ascontiguousarray(table[:, :, _WINDOW : _WINDOW + width]).reshape(bins.size, 2 * _BIN, width)
+    table.flags.writeable = False
+    start.flags.writeable = False
+    return start, table
 
 
 def upsample_curve(samples: np.ndarray, factor: int, loop: bool = False) -> np.ndarray:

@@ -254,7 +254,7 @@ def length_integrand(chart: MetricChart, samples: np.ndarray, velocities: np.nda
     lam is the conformal factor (E * M,), a = w speed grad(phi) the
     metric-variation term and u = g v / speed the velocity term, each
     (E, M, n).  This is the only nonlinear part of the gradient; the
-    exact Hessian linearises it (``jacobi._RefinedLength``).
+    exact Hessian takes its derivatives per sample (``jacobi._length_blocks``).
     """
     n_edges, npts, n = samples.shape
     lam, dphi, _ = chart.factor_jet_many(samples.reshape(-1, n), 1)

@@ -1,9 +1,9 @@
-"""The reduced map B and the column-compressed exact Hessian builder.
+"""The reduced map B and the assembled exact Hessian builder.
 
-The references here are the per-column build the builder replaced (one
-NetField per reduced column, one Hessian-vector product per column,
-paired with every field) and central differences of full gradients,
-whose error must fall as the step squared down to the exact product.
+The references here are a per-column build (one NetField per reduced
+column, one exact Hessian-vector product per column, paired with every
+field) and central differences of full gradients, whose error must fall
+as the step squared down to the exact product.
 """
 
 import tracemalloc
@@ -16,15 +16,76 @@ from conftest import edge_frames, jitter_net, jittered
 from geodesicnets import (
     DirectionalBumpField, RadialBumpField, ScalarField, conformal_family, make_case,
 )
-from geodesicnets import reduced_hessian_fd, stencils
+from geodesicnets import stencils
 from geodesicnets import jacobi as jac
-from geodesicnets.jacobi import fd_hessian, parallel_frame, reduced_basis_fields
+from geodesicnets.jacobi import length_hessian, parallel_frame, reduced_basis_fields
 from geodesicnets.multigraph import GraphClass, classify
 from geodesicnets.net import GeodesicNet, NetField, displace
 from geodesicnets.solver import _anchor_spline_data
-from geodesicnets.variation import length_sample_gradient
+from geodesicnets.variation import integrate_length_terms, length_sample_gradient
 
 CASES = ("honeycomb-torus", "sphere-theta", "sphere-equator")
+NETS = CASES + ("flat-loop", "theta3d", "interleaved")
+
+
+class RefinedLength:
+    """Exact Hessian-vector products of the refined-grid length, one probe
+    at a time: the reference of ``length_hessian``.
+
+    The fine samples are the upsampled net x0 plus T times the
+    displacement, and the coarse gradient is T^T times the fine one; at
+    refine 1, T is the identity and is not formed.  Only the
+    ``length_integrand`` is nonlinear, so a probe delta takes dx = T delta,
+    dv = D dx, the derivatives of the terms at x0 and v0 = D x0, the linear
+    part and T^T, each once.  With speed s = e^phi |v|, vh = v / |v|, p =
+    grad(phi).dx and q = vh.dv: ds = s (p + q / |v|), da = w (ds grad(phi)
+    + s Hess(phi) dx) and du = e^phi (p vh + (dv - q vh) / |v|)."""
+
+    def __init__(self, chart, net, refine):
+        self.groups = net.edge_groups()
+        self.base = []
+        for grp in self.groups:
+            x0 = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
+            v0 = stencils.velocity(x0, loop=grp.loop)
+            w = stencils.quadrature_weights(x0.shape[1], loop=grp.loop)
+            lam, dphi, ddphi = chart.factor_jet_many(x0.reshape(-1, x0.shape[-1]), 2)
+            ef = np.sqrt(lam).reshape(x0.shape[:2])
+            inv = 1.0 / np.linalg.norm(v0, axis=-1)
+            ws = w * ef / inv
+            self.base.append((w, ef, inv, ws, dphi.reshape(x0.shape), v0 * inv[..., None],
+                              ws[..., None, None] * ddphi.reshape(x0.shape + x0.shape[-1:])))
+        # linear part only: displacement fields never wrap
+        self.t_mats = [None if refine == 1 else
+                       stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
+                       for grp in self.groups]
+
+    def products(self, disp: list) -> list:
+        """H delta in the coarse samples, for a displacement delta in the
+        group layout of ``ReducedBasis``, (E, N+1, n) per group."""
+        out = []
+        for grp, base, t_mat, d in zip(self.groups, self.base, self.t_mats, disp):
+            dx = d if t_mat is None else t_mat @ d
+            dv = stencils.velocity(dx, loop=grp.loop)
+            grad = integrate_length_terms(*integrand_derivative(base, dx, dv), base[0],
+                                          grp.loop, grp.multiplicities)
+            out.append(grad if t_mat is None else t_mat.T @ grad)
+        return out
+
+
+def integrand_derivative(base, dx, dv):
+    """(da, du), the derivatives of the ``length_integrand`` terms a and u
+    at the base of ``RefinedLength`` in the directions (dx, dv), (E, M, n),
+    one coordinate at a time."""
+    _, ef, inv, ws, dphi, vh, ws_hess = base
+    n = dx.shape[-1]
+    p = sum(dphi[..., i] * dx[..., i] for i in range(n))
+    q = sum(vh[..., i] * dv[..., i] for i in range(n))
+    w_ds, t = ws * (p + q * inv), ef * (p - q * inv)
+    da, du = np.empty(dx.shape), np.empty(dx.shape)
+    for i in range(n):
+        da[..., i] = w_ds * dphi[..., i] + sum(ws_hess[..., i, j] * dx[..., j] for j in range(n))
+        du[..., i] = t * vh[..., i] + ef * inv * dv[..., i]
+    return da, du
 
 
 def reference_fields(chart, net):
@@ -79,14 +140,14 @@ def per_edge(net, stacks):
 
 def pullback(net, basis, grad):
     """B^T g for a per-edge sample gradient g."""
-    return basis.pullback_many(stacked(net, grad))[0]
+    return basis.pullback(stacked(net, grad))
 
 
 def reference_oracle(chart, net, refine=8):
     """Per-column reduced Hessian: one Hessian-vector product per column,
     paired with every field."""
     fields = reference_fields(chart, net)
-    functional = jac._RefinedLength(chart, net, refine)
+    functional = RefinedLength(chart, net, refine)
     d = len(fields)
 
     h_mat = np.empty((d, d))
@@ -102,7 +163,7 @@ def reference_newton(chart, net):
     product per column, paired with the stacked fields."""
     fields = reference_fields(chart, net)
     stack = {e: np.stack([f.edge_values[e] for f in fields]) for e in net.edge_samples}
-    functional = jac._RefinedLength(chart, net, 1)
+    functional = RefinedLength(chart, net, 1)
     d = len(fields)
     hess = np.empty((d, d))
     for j in range(d):
@@ -128,54 +189,25 @@ def fine_net_gradient(chart, net, refine, disp):
     return {e: t_mats[e].T @ g for e, g in length_sample_gradient(chart, fine_net).items()}
 
 
-def compressed_hessian(net, basis, refine, product):
-    """The column-compressed assembly of ``fd_hessian`` from product(cols),
-    the reduced Hessian applied to the sum of those columns."""
-    d, nv = len(basis), basis.n_vertex
-    h_mat = np.zeros((d, d))
-    for j in range(nv):
-        h_mat[:, j] = product([j])
-    for cols, rows, at in jac._hat_groups(basis, net, refine):
-        h_mat[rows, at] = product(list(cols))[rows]
-    h_mat[:nv, nv:] = h_mat[nv:, :nv].T
-    return 0.5 * (h_mat + h_mat.T)
-
-
 def two_gradient_fd_hessian(chart, net, basis, step, refine=1):
-    """The compressed builder from central differences of two full
-    gradients per probe, each pulled back alone and then subtracted."""
-    def difference(cols):
+    """The reduced Hessian from central differences of two full gradients
+    per column, each pulled back alone and then subtracted."""
+    def difference(j):
         coef = np.zeros(len(basis))
-        coef[cols] = step
+        coef[j] = step
         gp = pullback(net, basis, fine_net_gradient(chart, net, refine, basis.apply(coef)))
         gm = pullback(net, basis, fine_net_gradient(chart, net, refine, basis.apply(-coef)))
         return (gp - gm) / (2 * step)
 
-    return compressed_hessian(net, basis, refine, difference)
+    h_mat = np.stack([difference(j) for j in range(len(basis))], axis=1)
+    return 0.5 * (h_mat + h_mat.T)
 
 
-def reference_pattern(chart, net, refine):
-    """Hat-hat entries the coupling pattern allows (True) or rules out."""
-    basis, labels = reduced_basis_fields(chart, net)
-    d, nv = len(basis), basis.n_vertex
-    allowed = np.zeros((d, d), dtype=bool)
-    nm1 = net.dim - 1
-    for e in basis.hat_offset:
-        npts = net.edge_samples[e].shape[0]
-        _, coupled = jac._hat_colouring(npts, refine, e in net.periodic_edges)
-        off = basis.hat_offset[e]
-        for j, reach in enumerate(coupled):
-            rows = off + (reach[:, None] * nm1 + np.arange(nm1)).ravel()
-            for a in range(nm1):
-                allowed[rows, off + j * nm1 + a] = True
-    return allowed[nv:, nv:]
-
-
-def assert_matches(h_new, h_ref, nv):
-    """Hat-hat block bitwise equal; every other entry within 1e-8 of max|H|."""
+def assert_matches(h_new, h_ref):
+    """Every entry within 1e-14 of max|H|, and H exactly symmetric."""
     assert h_new.shape == h_ref.shape
-    assert np.array_equal(h_new[nv:, nv:], h_ref[nv:, nv:])
-    assert np.abs(h_new - h_ref).max() <= 1e-8 * np.abs(h_ref).max()
+    assert np.array_equal(h_new, h_new.T)
+    assert np.abs(h_new - h_ref).max() <= 1e-14 * np.abs(h_ref).max()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -201,51 +233,28 @@ def test_basis_columns_match_reference_fields(name):
 @pytest.mark.parametrize("n_samples", (24, 33))
 @pytest.mark.parametrize("refine", (2, 8))
 def test_compressed_oracle_matches_per_column_build(name, n_samples, refine):
+    """The oracle's builder on the built-in nets as they are, against one
+    exact product per column."""
     case = make_case(name, n_samples)
     basis, _ = reduced_basis_fields(case.chart, case.net)
-    h_new = fd_hessian(case.chart, case.net, basis, refine=refine)
-    h_ref = reference_oracle(case.chart, case.net, refine=refine)
-    nv = basis.n_vertex
-    assert_matches(h_new, h_ref, nv)
-    # the structural pattern covers every nonzero of the reference
-    hat_ref = h_ref[nv:, nv:]
-    assert not np.any((hat_ref != 0.0) & ~reference_pattern(case.chart, case.net, refine))
+    assert_matches(length_hessian(case.chart, case.net, basis, refine=refine),
+                   reference_oracle(case.chart, case.net, refine=refine))
 
 
-def count_gradients(monkeypatch) -> list:
-    """Probes of the oracle: the list gets the number of probes of every
-    stacked pass."""
-    calls = []
-    original = jac._RefinedLength.products
-
-    def counted(self, disp):
-        calls.append(len(disp[0]) // len(self.groups[0].ids))
-        return original(self, disp)
-
-    monkeypatch.setattr(jac._RefinedLength, "products", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_gradient_count_does_not_grow_with_samples(name, monkeypatch):
-    calls = count_gradients(monkeypatch)
-    counts = []
-    for n_samples in (32, 96):
-        case = make_case(name, n_samples)
-        calls.clear()
-        h_mat, _ = reduced_hessian_fd(case.chart, case.net)
-        probes = sum(calls)
-        counts.append(probes)
-        n_vertex = reduced_basis_fields(case.chart, case.net)[0].n_vertex
-        if case.net.periodic_edges:
-            # the conflict graph is a circulant band of half-width k, so no
-            # colouring needs more than 2k + 1 colours
-            lo, hi = stencils.hessian_coupling(n_samples + 1, 8, True)
-            k = 2 * int(hi[0])
-            assert probes <= n_vertex + 2 * k + 1
-        assert probes < h_mat.shape[0]  # the per-column build makes d
-    if not case.net.periodic_edges:
-        assert counts[0] == counts[1]
+@pytest.mark.parametrize("name", NETS + ("radial", "directional"))
+@pytest.mark.parametrize("refine", (1, 2, 8))
+def test_assembled_hessian_matches_the_per_column_reference(name, refine):
+    """The assembly against one exact product per column, on jittered nets
+    of every edge kind (loops, 3-space, two interleaved edge groups) and on
+    both bumped charts, at every refinement."""
+    if name in ("radial", "directional"):
+        chart, net = bumped(name, 24)
+        net = jitter_net(net, np.random.default_rng(8), amp=0.02)
+    else:
+        chart, net = jittered(name)
+    basis, _ = reduced_basis_fields(chart, net)
+    assert_matches(length_hessian(chart, net, basis, refine=refine),
+                   reference_oracle(chart, net, refine=refine))
 
 
 def test_newton_matrix_matches_per_column_build():
@@ -256,39 +265,7 @@ def test_newton_matrix_matches_per_column_build():
     coef[basis.n_vertex:] = 1e-3 * rng.normal(size=len(basis) - basis.n_vertex)
     net = displace(case.net, basis.apply(coef), 1.0)
     basis, _ = reduced_basis_fields(case.chart, net)
-    h_new = fd_hessian(case.chart, net, basis)
-    assert_matches(h_new, reference_newton(case.chart, net), basis.n_vertex)
-
-
-def test_hat_colouring_is_structurally_orthogonal():
-    for loop in (False, True):
-        colour, coupled = jac._hat_colouring(40, 8, loop)
-        for c in set(colour.tolist()):
-            rows = np.concatenate([coupled[j] for j in np.flatnonzero(colour == c)])
-            assert len(rows) == len(np.unique(rows))
-
-
-def test_loop_colouring_uses_balanced_blocks():
-    for refine in (1, 8):
-        width = int(stencils.hessian_coupling(40, refine, True)[1][0])
-        for n in range(16, 513):
-            colour, coupled = jac._hat_colouring(n + 1, refine, True)
-            for c in set(colour.tolist()):
-                rows = np.concatenate([coupled[j] for j in np.flatnonzero(colour == c)])
-                assert len(rows) == len(np.unique(rows))
-            blocks = n // (2 * width + 1)
-            if blocks >= 2:
-                assert len(set(colour.tolist())) <= -(-n // blocks)
-    # 16 colours at N = 64, refine 8: the sphere-equator oracle makes 1 + 16 probes
-    assert jac._hat_colouring(65, 8, True)[0].max() + 1 == 16
-
-
-def test_sphere_equator_oracle_gradient_count(monkeypatch):
-    calls = count_gradients(monkeypatch)
-    case = make_case("sphere-equator", 64)
-    reduced_hessian_fd(case.chart, case.net)
-    # 17 probes
-    assert sum(calls) == 17
+    assert_matches(length_hessian(case.chart, net, basis), reference_newton(case.chart, net))
 
 
 # -- one trial of the Newton line search ---------------------------------------
@@ -352,20 +329,21 @@ def test_reduced_gradient_evaluates_each_bump_once_per_group():
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_refined_length_at_refine_one_uses_no_operator(name):
-    """At refine 1 the probe displacements and the products are used as
-    they are, bitwise what the identity operator gives."""
+def test_refined_length_at_refine_one_uses_no_operator(name, monkeypatch):
+    """At refine 1 the Newton matrix forms no upsampling operator: its
+    windows hold the derivative band alone."""
     case = make_case(name, 24)
     net = jitter_net(case.net, np.random.default_rng(3), amp=0.02)
     basis, _ = reduced_basis_fields(case.chart, net)
-    disp = basis.apply_many(np.random.default_rng(4).normal(size=(3, len(basis))) * 1e-3)
-    functional = jac._RefinedLength(case.chart, net, 1)
-    assert functional.t_mats == [None] * len(functional.groups)
-    got = functional.products(disp)
-    functional.t_mats = [np.eye(grp.samples.shape[1]) for grp in functional.groups]
-    want = functional.products(disp)
-    assert len(got) == len(want) == len(net.edge_groups())
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = reference_newton(case.chart, net)
+
+    def refuse(*args):
+        raise AssertionError("upsample_operator at refine 1")
+
+    monkeypatch.setattr(stencils, "upsample_operator", refuse)
+    for grp in net.edge_groups():
+        stencils.refined_windows.__wrapped__(grp.samples.shape[1], 1, grp.loop)
+    assert_matches(length_hessian(case.chart, net, basis), want)
 
 
 def test_cached_basis_layout_is_read_only():
@@ -381,92 +359,35 @@ def test_cached_basis_layout_is_read_only():
     assert len(reduced_basis_fields(case.chart, case.net)[1]) == len(basis)
 
 
-# -- stacked probes --------------------------------------------------------------
-
-def per_probe_fd_hessian(chart, net, basis, refine=1):
-    """The compressed builder probe by probe, as it was before the probes
-    were stacked: one Hessian-vector product per probe, pulled back alone."""
-    functional = jac._RefinedLength(chart, net, refine)
-
-    def product(cols):
-        coef = np.zeros(len(basis))
-        coef[cols] = 1.0
-        disp = stacked(net, basis.apply(coef).edge_values)
-        return basis.pullback_many(functional.products(disp))[0]
-
-    return compressed_hessian(net, basis, refine, product)
-
-
 def fine_rows(net, refine):
     return sum((s.shape[0] - 1) * refine + 1 for s in net.edge_samples.values())
 
 
-@pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d", "interleaved"))
-@pytest.mark.parametrize("refine", (1, 2, 8))
-def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypatch):
-    chart, net = jittered(name)
-    basis, _ = reduced_basis_fields(chart, net)
-    want = per_probe_fd_hessian(chart, net, basis, refine=refine)
-    assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
-    # k probes, k fine copies, per pass: the probes span several passes,
-    # the last one short
-    n_probes = basis.n_vertex + len(jac._hat_groups(basis, net, refine))
-    k = next(k for k in range(2, n_probes) if n_probes % k)
-    monkeypatch.setattr(jac, "MAX_STACKED_ROWS", k * fine_rows(net, refine))
-    assert n_probes > 2 * k
-    assert np.array_equal(fd_hessian(chart, net, basis, refine=refine), want)
-
-
-class CountingOperator:
-    """A matrix that counts the stacked rows it is applied to, by name."""
-
-    def __init__(self, mat, log, name):
-        self.mat, self.log, self.name = mat, log, name
-
-    def __matmul__(self, other):
-        self.log[self.name] += other.shape[0]
-        return self.mat @ other
-
-    @property
-    def T(self):
-        return CountingOperator(self.mat.T, self.log, self.name + "^T")
-
-
-def counted(monkeypatch, owner, attr, log, name, rows):
+def counted(monkeypatch, owner, attr, log, name):
+    """Count the calls of owner.attr into log[name]."""
     original = getattr(owner, attr)
 
     def wrapper(*args, **kwargs):
-        log[name] += rows(*args, **kwargs)
+        log[name] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_each_probe_pair_applies_the_linear_maps_once(name, monkeypatch):
-    """The factor jet once per Hessian; B, T, D, the integrand derivative,
-    D^T, T^T and B^T once per probe, counted in stacked edge rows."""
+def test_assembly_evaluates_each_map_once_per_group(name, monkeypatch):
+    """One upsampling, one SBP derivative and one factor jet per edge
+    group: the per-sample blocks are evaluated once, and no Hessian-vector
+    product is made."""
     case = make_case(name, 32)
     basis, _ = reduced_basis_fields(case.chart, case.net)
-    n_probes = basis.n_vertex + len(jac._hat_groups(basis, case.net, 8))
-    n_edges = len(case.net.graph.edges)
-    log = dict.fromkeys(["B", "B^T", "T", "T^T", "D", "derivative", "jet"], 0)
-    counted(monkeypatch, jac.ReducedBasis, "apply_many", log, "B", lambda self, c: len(c))
-    counted(monkeypatch, jac.ReducedBasis, "pullback_many", log, "B^T",
-            lambda self, g: len(g[0]) // len(self.ids[0]))
-    counted(monkeypatch, stencils, "velocity", log, "D", lambda s, loop=False: s.shape[0])
-    counted(monkeypatch, jac, "_integrand_derivative", log, "derivative",
-            lambda base, dx, dv: dx.shape[0])
-    counted(monkeypatch, case.chart, "factor_jet_many", log, "jet", lambda points, order: 1)
-    operator = stencils.upsample_operator
-    monkeypatch.setattr(stencils, "upsample_operator", lambda *args: (
-        CountingOperator(operator(*args)[0], log, "T"), operator(*args)[1]))
-    fd_hessian(case.chart, case.net, basis, refine=8)
-    # the base fine samples go through T, and their velocities through D,
-    # once per Hessian; D^T is a D of the (periodic) field
-    assert log == {"B": n_probes, "B^T": n_probes, "T": n_edges * (n_probes + 1),
-                   "T^T": n_edges * n_probes, "D": n_edges * (2 * n_probes + 1),
-                   "derivative": n_edges * n_probes, "jet": len(case.net.edge_groups())}
+    log = dict.fromkeys(["T", "D", "jet"], 0)
+    counted(monkeypatch, stencils, "upsample_curve", log, "T")
+    counted(monkeypatch, stencils, "velocity", log, "D")
+    counted(monkeypatch, case.chart, "factor_jet_many", log, "jet")
+    length_hessian(case.chart, case.net, basis, refine=8)
+    groups = len(case.net.edge_groups())
+    assert log == {"T": groups, "D": groups, "jet": groups}
 
 
 def fd_errors(exact, gradient, steps):
@@ -485,11 +406,11 @@ def assert_falls_as_step_squared(errors, exact):
 @pytest.mark.parametrize("name", CASES + ("flat-loop", "theta3d"))
 @pytest.mark.parametrize("refine", (1, 2, 8))
 def test_difference_first_hessian_matches_the_two_gradient_build(name, refine):
-    """The central differences of two full gradients per probe converge to
-    the exact Hessian as the step squared."""
+    """The central differences of two full gradients per column converge
+    to the exact Hessian as the step squared."""
     chart, net = jittered(name)
     basis, _ = reduced_basis_fields(chart, net)
-    exact = fd_hessian(chart, net, basis, refine=refine)
+    exact = length_hessian(chart, net, basis, refine=refine)
     errors = [np.abs(two_gradient_fd_hessian(chart, net, basis, h, refine) - exact).max()
               for h in (1e-3, 1e-4)]
     assert_falls_as_step_squared(errors, exact)
@@ -503,7 +424,7 @@ def test_refined_gradient_is_the_gradient_of_the_fine_net(name):
     chart, net = jittered(name, seed=3)
     basis, _ = reduced_basis_fields(chart, net)
     disp = basis.apply(np.random.default_rng(4).normal(size=len(basis)))
-    got = per_edge(net, jac._RefinedLength(chart, net, 8).products(stacked(net, disp.edge_values)))
+    got = per_edge(net, RefinedLength(chart, net, 8).products(stacked(net, disp.edge_values)))
     exact = np.stack([got[e] for e in net.edge_samples])
 
     def gradient(h):
@@ -542,7 +463,7 @@ def test_newton_matrix_is_the_limit_of_gradient_differences(name, n_samples):
     basis, _ = reduced_basis_fields(chart, net)
     coef = np.random.default_rng(1).normal(size=len(basis))
     coef /= basis.apply(coef).max_norm(chart, net)
-    exact = fd_hessian(chart, net, basis) @ coef
+    exact = length_hessian(chart, net, basis) @ coef
 
     def gradient(h):
         moved = displace(net, basis.apply(coef), h)
@@ -551,42 +472,18 @@ def test_newton_matrix_is_the_limit_of_gradient_differences(name, n_samples):
     assert_falls_as_step_squared(fd_errors(exact, gradient, (1e-2, 1e-3, 1e-4)), exact)
 
 
-def test_one_stacked_pass_stays_within_the_row_cap():
-    """Peak traced memory of the oracle: three d x d arrays for H plus at
-    most 512 bytes per row of one stacked pass, although the probes hold
-    several times the cap (all of them in one pass take about 12 MB here)."""
+def test_assembly_stays_within_its_memory_bound():
+    """Peak traced memory of the oracle on honeycomb-torus at N = 64, its
+    window table cached: three d x d arrays plus 512 bytes per fine sample
+    row of its edge group (1.67 MB; the column-compressed builder it
+    replaced peaked at 1.19 MB)."""
     case = make_case("honeycomb-torus", 64)
     basis, _ = reduced_basis_fields(case.chart, case.net)
-    fd_hessian(case.chart, case.net, basis, refine=8)  # the operator caches
-    n_probes = 2 * (basis.n_vertex + len(jac._hat_groups(basis, case.net, 8)))
-    assert n_probes * fine_rows(case.net, 8) > 4 * jac.MAX_STACKED_ROWS
+    length_hessian(case.chart, case.net, basis, refine=8)  # the window table caches
     tracemalloc.start()
     try:
-        h_mat = fd_hessian(case.chart, case.net, basis, refine=8)
+        h_mat = length_hessian(case.chart, case.net, basis, refine=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * h_mat.nbytes + 512 * jac.MAX_STACKED_ROWS
-
-
-# -- one basis, many coefficient rows -------------------------------------------
-
-@pytest.mark.parametrize("name", ("interleaved", "theta3d", "sphere-equator"))
-def test_basis_of_stacked_copies_is_each_copy_alone_bitwise(name):
-    """B and B^T over K stacked coefficient rows (the fd_hessian probes)
-    equal, bitwise, B and B^T of every row alone."""
-    chart, net = jittered(name, n_samples=32)
-    basis, _ = jac.reduced_gradient(chart, net)
-    rng = np.random.default_rng(5)
-    coefs = rng.normal(size=(3, len(basis)))
-    moved = basis.apply_many(coefs)
-    gradients = [rng.normal(size=stack.shape) for stack in moved]
-    pulled = basis.pullback_many(gradients)
-    for c in range(len(coefs)):
-        rows = [slice(c * len(ids), (c + 1) * len(ids)) for ids in basis.ids]
-        for got, want in zip([m[r] for m, r in zip(moved, rows)], basis.apply_many(coefs[c : c + 1])):
-            assert np.array_equal(got, want)
-        assert np.array_equal(pulled[c], basis.pullback_many([g[r] for g, r in zip(gradients, rows)])[0])
-    if name == "interleaved":
-        assert [len(ids) for ids in basis.ids] == [2, 1]
-        assert list(basis.hat_offset) == ["E1", "E2", "E3"]
+    assert peak <= 3 * h_mat.nbytes + 512 * fine_rows(case.net, 8)

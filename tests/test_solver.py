@@ -22,7 +22,7 @@ from geodesicnets import (
 from geodesicnets import net as net_mod
 from geodesicnets import solver as solver_mod
 from geodesicnets.geometry import EuclideanChart, RadialBumpField, SumField
-from geodesicnets.jacobi import fd_hessian, reduced_gradient
+from geodesicnets.jacobi import length_hessian, reduced_gradient
 from geodesicnets.net import (
     NetField,
     displace,
@@ -176,7 +176,7 @@ def test_line_search_builds_one_candidate_per_step_size_tried(monkeypatch):
     chart, net = jittered("honeycomb-torus", n_samples=32)
     net = reparametrize_constant_speed(chart, net)
     basis, grad = reduced_gradient(chart, net)
-    coef = -np.linalg.lstsq(fd_hessian(chart, net, basis), grad, rcond=1e-8)[0]
+    coef = -np.linalg.lstsq(length_hessian(chart, net, basis), grad, rcond=1e-8)[0]
     direction, gnorm = basis.apply(4.0 * coef), float(np.linalg.norm(grad))
     built = []
 

@@ -325,16 +325,51 @@ def _brute_coupling(n, factor, loop):
     return (terms.T.astype(int) @ terms.astype(int)) > 0
 
 
+def _dense_windows(n, factor, loop):
+    """``refined_windows`` scattered back: the fine rows of T and D T over
+    the coarse samples, the seam sample folded onto sample 0 on loops."""
+    start, table = st.refined_windows(n, factor, loop)
+    size = n - 1 if loop else n
+    bins, rows, width = table.shape
+    dense = np.zeros((bins * rows // 2, 2, size))
+    for b, block in enumerate(table):
+        for j in range(width):
+            dense[b * rows // 2 : (b + 1) * rows // 2, :, (start[b] + j) % size] += \
+                block[:, j].reshape(-1, 2)
+    return dense
+
+
+@pytest.mark.parametrize("loop", (False, True))
+@pytest.mark.parametrize("n", (12, 25))
+@pytest.mark.parametrize("factor", (1, 2, 3, 8))
+def test_refined_windows_hold_the_rows_of_t_and_dt(n, factor, loop):
+    """The window table is T and the SBP derivative of its columns (of
+    fields that repeat the seam row, on loops) up to rounding, zero past
+    the last fine row, and read-only."""
+    t_mat = np.eye(n) if factor == 1 else st.upsample_operator(n, factor, loop)[0]
+    if loop:
+        t_mat = t_mat @ np.vstack([np.eye(n - 1), np.eye(n - 1)[:1]])
+    want = np.stack([t_mat, st.velocity(t_mat.T[..., None], loop=loop)[..., 0].T], axis=1)
+    dense = _dense_windows(n, factor, loop)
+    assert not dense[len(want):].any()
+    assert np.abs(dense[: len(want)] - want).max() <= 1e-15 * np.abs(want).max()
+    start, table = st.refined_windows(n, factor, loop)
+    if not loop:
+        assert start.min() >= 0 and start.max() + table.shape[2] <= n
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("loop", (False, True))
 @pytest.mark.parametrize("n", (13, 24))
 @pytest.mark.parametrize("factor", (1, 2, 8))
 def test_hessian_coupling_covers_brute_force_pattern(n, factor, loop):
+    """Every two coarse samples that one term of the refined length
+    couples share a bin window of ``refined_windows``."""
     brute = _brute_coupling(n, factor, loop)
-    lo, hi = st.hessian_coupling(n, factor, loop)
-    size = brute.shape[0]
+    start, table = st.refined_windows(n, factor, loop)
     windows = np.zeros_like(brute)
-    for p in range(size):
-        windows[p, np.arange(lo[p], hi[p] + 1) % size] = True
+    for b, block in enumerate(table):
+        reach = (start[b] + np.flatnonzero(np.any(block != 0, axis=0))) % brute.shape[0]
+        windows[np.ix_(reach, reach)] = True
     assert not np.any(brute & ~windows)
-    if loop:
-        assert np.array_equal(windows, brute)
