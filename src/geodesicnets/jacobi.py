@@ -630,14 +630,14 @@ def length_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
         n_edges, n, dim = grp.samples.shape
         start, table = stencils.refined_windows(n, refine, grp.loop)
         bins, size = table.shape[0], table.shape[1] // 2
-        lam = _length_blocks(chart, grp, refine, bins * size).reshape(n_edges, bins, size, 2 * dim, 2 * dim)
+        blocks = _length_blocks(chart, grp, refine, bins * size).reshape(n_edges, bins, size, 2 * dim, 2 * dim)
         b_win, cols = _window_basis(basis, g, start, table.shape[2], grp.loop)
         k = cols.shape[-1]
         step = max(1, HESSIAN_PASS_ROWS // (n_edges * size))
         for sl in (slice(b, b + step) for b in range(0, bins, step)):
-            jac_ = np.matmul(table[sl], b_win[:, sl]).reshape(n_edges, -1, size, 2 * dim, k)
+            jac = np.matmul(table[sl], b_win[:, sl]).reshape(n_edges, -1, size, 2 * dim, k)
             stack = (n_edges, -1, 2 * size * dim, k)
-            part = np.matmul(jac_.reshape(stack).swapaxes(-1, -2), np.matmul(lam[:, sl], jac_).reshape(stack))
+            part = np.matmul(jac.reshape(stack).swapaxes(-1, -2), np.matmul(blocks[:, sl], jac).reshape(stack))
             ids = cols[:, sl]
             # Lambda is halved: each term enters with its transpose
             np.add.at(h_mat.reshape(-1), (ids[..., :, None] * d + ids[..., None, :]).ravel(),
