@@ -638,10 +638,12 @@ def length_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
             jac = np.matmul(table[sl], b_win[:, sl]).reshape(n_edges, -1, size, 2 * dim, k)
             stack = (n_edges, -1, 2 * size * dim, k)
             part = np.matmul(jac.reshape(stack).swapaxes(-1, -2), np.matmul(blocks[:, sl], jac).reshape(stack))
-            ids = cols[:, sl]
-            # Lambda is halved: each term enters with its transpose
+            # bins outermost, so H sums its terms in one order however the
+            # bins split into passes; Lambda is halved: each term enters
+            # with its transpose
+            ids = cols[:, sl].swapaxes(0, 1)
             np.add.at(h_mat.reshape(-1), (ids[..., :, None] * d + ids[..., None, :]).ravel(),
-                      (part + part.swapaxes(-1, -2)).ravel())
+                      (part + part.swapaxes(-1, -2)).swapaxes(0, 1).ravel())
     return h_mat
 
 

@@ -363,6 +363,29 @@ def fine_rows(net, refine):
     return sum((s.shape[0] - 1) * refine + 1 for s in net.edge_samples.values())
 
 
+@pytest.mark.parametrize("name", NETS)
+@pytest.mark.parametrize("refine", (1, 2, 8))
+def test_stacked_probes_match_the_per_probe_build_bitwise(name, refine, monkeypatch):
+    """The bins of fine rows stacked into passes of ``HESSIAN_PASS_ROWS``
+    give, bitwise, the H of one bin per pass: at the default cap, and at a
+    cap that spreads the first group's bins over several passes, the last
+    one short.  Vertex columns gather terms of every edge of a group, so
+    this holds only if the terms are summed in one order."""
+    chart, net = jittered(name)
+    basis, _ = reduced_basis_fields(chart, net)
+    monkeypatch.setattr(jac, "HESSIAN_PASS_ROWS", 1)
+    want = length_hessian(chart, net, basis, refine=refine)
+    monkeypatch.undo()
+    assert np.array_equal(length_hessian(chart, net, basis, refine=refine), want)
+    grp = net.edge_groups()[0]
+    table = stencils.refined_windows(grp.samples.shape[1], refine, grp.loop)[1]
+    bins, size = table.shape[0], table.shape[1] // 2
+    k = next(k for k in range(2, bins) if bins % k)
+    monkeypatch.setattr(jac, "HESSIAN_PASS_ROWS", k * len(grp.ids) * size)
+    assert bins > k
+    assert np.array_equal(length_hessian(chart, net, basis, refine=refine), want)
+
+
 def counted(monkeypatch, owner, attr, log, name):
     """Count the calls of owner.attr into log[name]."""
     original = getattr(owner, attr)
