@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import stencils
 from .geometry import (
     _ROT90, EuclideanChart, HermiteCurve, MetricChart, christoffel_apply, foot_parameters,
-    g_norm, geodesic_integrate, min_distance,
+    _dot, geodesic_integrate, metric_norm, min_distance,
 )
 from .multigraph import preferred_pair
 from .net import GeodesicNet, edge_lengths
-from .variation import stationarity_residual
+from .variation import length_integrand, stationarity_residual
 
 __all__ = [
     "PathCoord",
@@ -49,12 +50,10 @@ __all__ = [
 ]
 
 # Tube radius and extension (see ``build_net_chart``), the upsampling of
-# the tube curves, the difference step of ``mean_curvature_H`` and of the
-# transfer maps, and the tolerance of ``stationarity_equivalence_check``.
+# the tube curves, and the tolerance of ``stationarity_equivalence_check``.
 DELTA_REL = 0.1
 ETA_REL = 0.2
 TUBE_REFINE = 8
-FD_STEP = 1e-6
 EQUIVALENCE_TOL = 1e-4
 
 
@@ -73,7 +72,9 @@ class PathCoord:
 
 @dataclass
 class EdgeTube:
-    """Extended reference curve with a Euclidean normal frame, in a planar chart."""
+    """Extended reference curve with a Euclidean normal frame, in a planar chart:
+    the tube map and its s-derivative read ``curve``; the frame, its
+    derivatives and the foot point of ``project`` read ``velocity``."""
 
     eid: str
     curve: HermiteCurve           # F(s) on a fine grid spanning [-eta, 1+eta]
@@ -88,15 +89,17 @@ class EdgeTube:
 
     def frame(self, s) -> np.ndarray:
         """Euclidean-orthonormal normal frame at s, shape (len(s), n-1, n)."""
-        fp = self.velocity(s)
-        that = fp / np.linalg.norm(fp, axis=1, keepdims=True)
-        return (that @ _ROT90.T)[:, None, :]
+        return self.frame_jet(s)[0]
 
-    def frame_deriv(self, s) -> np.ndarray:
-        fp, fpp = self.velocity.jet(s, 1)
+    def frame_jet(self, s) -> tuple:
+        """(N, N', N'') at s, the frame and its s-derivatives, each (len(s), n-1, n)."""
+        fp, fpp, fppp = self.velocity.jet(s, 2)
         nrm = np.linalg.norm(fp, axis=1, keepdims=True)
-        that_d = fpp / nrm - fp * np.einsum("pi,pi->p", fp, fpp)[:, None] / nrm**3
-        return (that_d @ _ROT90.T)[:, None, :]
+        d1, d11, d2 = (np.einsum("pi,pi->p", x, y)[:, None]
+                       for x, y in ((fp, fpp), (fpp, fpp), (fp, fppp)))
+        that_d = fpp / nrm - fp * d1 / nrm**3
+        that_dd = fppp / nrm - (2 * fpp * d1 + fp * (d11 + d2)) / nrm**3 + 3 * fp * d1**2 / nrm**5
+        return tuple((x @ _ROT90.T)[:, None, :] for x in (fp / nrm, that_d, that_dd))
 
     def embed(self, s, u) -> np.ndarray:
         """(s, u) -> F(s) + sum_a u_a N_a(s)."""
@@ -335,30 +338,42 @@ def constraint_C(nc: NetChart, coords: dict[str, PathCoord]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _tube_jacobian(tube: EdgeTube, coord: np.ndarray) -> np.ndarray:
+    """d embed / d(s, u) at one tube coordinate: columns F'(s) + u N'(s), then N(s)."""
+    frame, frame_d, _ = tube.frame_jet(coord[:1])
+    along = tube.curve.jet(coord[:1], 1)[1][0] + coord[1:] @ frame_d[0]
+    return np.column_stack([along, *frame[0]])
+
+
 def _transfer_jacobian(nc: NetChart, from_eid: str, to_eid: str, coord: np.ndarray,
                        s_hint: float) -> np.ndarray:
-    n = coord.shape[0]
-    out = np.empty((n, n))
-    for j in range(n):
-        dp = np.zeros(n)
-        dp[j] = FD_STEP
-        out[:, j] = (
-            _transfer_point(nc, from_eid, to_eid, coord + dp, s_hint=s_hint)
-            - _transfer_point(nc, from_eid, to_eid, coord - dp, s_hint=s_hint)
-        ) / (2 * FD_STEP)
-    return out
+    """d ``_transfer_point`` / d coord: the inverse tube Jacobian at the image
+    times the tube Jacobian at coord (``project`` inverts ``embed``)."""
+    image = _transfer_point(nc, from_eid, to_eid, coord, s_hint=s_hint)
+    return np.linalg.solve(_tube_jacobian(nc.tubes[to_eid], image),
+                           _tube_jacobian(nc.tubes[from_eid], coord))
 
 
-def _lagrangian_values(g: MetricChart, tube: EdgeTube, a: float, b: float, u: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-    """L(t, a, b, u(t), w(t)) on the grid of u, in the tube's coordinates."""
-    t = np.linspace(0.0, 1.0, u.shape[0])
-    s = (1 - t) * a + t * b
-    frame = tube.frame(s)
-    pts = tube.curve(s) + np.einsum("pa,pai->pi", u, frame)
-    vel = (b - a) * (tube.velocity(s) + np.einsum("pa,pai->pi", u, tube.frame_deriv(s)))
-    vel = vel + np.einsum("pa,pai->pi", w, frame)
-    return g_norm(g, pts, vel)
+def _lagrangian_jet(g: MetricChart, tube: EdgeTube, pc: PathCoord, w: np.ndarray) -> tuple:
+    """L(t, a, b, u(t), w(t)) on the grid of u, in the tube's coordinates, and
+    its partials: (L, dL/du, dL/dw, dL/da, dL/db), by the chain rule through
+    ``length_integrand`` (dL/dx = speed grad(phi), dL/dv = g v / speed)."""
+    t = np.linspace(0.0, 1.0, pc.u.shape[0])
+    s = (1 - t) * pc.a + t * pc.b
+    span = pc.b - pc.a
+    frame, frame_d, frame_dd = tube.frame_jet(s)
+    (f, f_d), (fv, fv_d) = tube.curve.jet(s, 1), tube.velocity.jet(s, 1)
+    along, onto = partial(np.einsum, "pa,pai->pi"), partial(np.einsum, "pi,pai->pa")
+    pts = f + along(pc.u, frame)
+    vel_db = fv + along(pc.u, frame_d)
+    vel = span * vel_db + along(w, frame)
+    lam, dl_dx, dl_dv = length_integrand(g, pts[None], vel[None], np.ones(len(t)))
+    dl_dx, dl_dv = dl_dx[0], dl_dv[0]
+    dl_ds = _dot(dl_dx, f_d + along(pc.u, frame_d)) + _dot(
+        dl_dv, span * (fv_d + along(pc.u, frame_dd)) + along(w, frame_d))
+    r = _dot(dl_dv, vel_db)
+    return (metric_norm(lam, vel), onto(dl_dx, frame) + span * onto(dl_dv, frame_d),
+            onto(dl_dv, frame), (1 - t) * dl_ds - r, t * dl_ds + r)
 
 
 def lagrangian_integral(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord]) -> float:
@@ -367,8 +382,7 @@ def lagrangian_integral(g: MetricChart, nc: NetChart, coords: dict[str, PathCoor
     for e in nc.reference.graph.edges:
         pc = coords[e.id]
         loop = e.id in nc.reference.periodic_edges
-        vals = _lagrangian_values(g, nc.tubes[e.id], pc.a, pc.b, pc.u,
-                                  stencils.velocity(pc.u, loop=loop))
+        vals = _lagrangian_jet(g, nc.tubes[e.id], pc, stencils.velocity(pc.u, loop=loop))[0]
         wq = stencils.quadrature_weights(vals.shape[0], loop=loop)
         total += e.multiplicity * float(wq @ vals)
     return total
@@ -379,49 +393,23 @@ def mean_curvature_H(g: MetricChart, nc: NetChart, coords: dict[str, PathCoord])
 
     Interior: n(E) (grad_u L - d/dt grad_w L) per edge on the grid.
     Vertex: the transfer-adjoint sums of the endpoint data
-    (integral dL/da or dL/db, -/+ grad_w L at the endpoint).
+    (integral dL/da or dL/db, -/+ grad_w L at the endpoint).  The partials
+    are exact (``_lagrangian_jet``), so H differentiates ``lagrangian_integral``.
     """
     graph = nc.reference.graph
     h1 = {}
     endpoint_data = {}
     for e in graph.edges:
         pc = coords[e.id]
-        npts = pc.u.shape[0]
-        nm1 = pc.u.shape[1]
         loop = e.id in nc.reference.periodic_edges
-        tube = nc.tubes[e.id]
-        w_arr = stencils.velocity(pc.u, loop=loop)
-        grad_u = np.empty((npts, nm1))
-        grad_w = np.empty((npts, nm1))
-        for aidx in range(nm1):
-            du = np.zeros((npts, nm1))
-            du[:, aidx] = FD_STEP
-            grad_u[:, aidx] = (
-                _lagrangian_values(g, tube, pc.a, pc.b, pc.u + du, w_arr)
-                - _lagrangian_values(g, tube, pc.a, pc.b, pc.u - du, w_arr)
-            ) / (2 * FD_STEP)
-            grad_w[:, aidx] = (
-                _lagrangian_values(g, tube, pc.a, pc.b, pc.u, w_arr + du)
-                - _lagrangian_values(g, tube, pc.a, pc.b, pc.u, w_arr - du)
-            ) / (2 * FD_STEP)
-        ddt_grad_w = stencils.velocity(grad_w, loop=loop)
-        h1[e.id] = e.multiplicity * (grad_u - ddt_grad_w)
+        _, grad_u, grad_w, dl_da, dl_db = _lagrangian_jet(
+            g, nc.tubes[e.id], pc, stencils.velocity(pc.u, loop=loop))
+        h1[e.id] = e.multiplicity * (grad_u - stencils.velocity(grad_w, loop=loop))
         # endpoint blocks for the vertex part, integrated with the weights
         # of ``lagrangian_integral`` so they differentiate that functional
-        dl_da = (
-            _lagrangian_values(g, tube, pc.a + FD_STEP, pc.b, pc.u, w_arr)
-            - _lagrangian_values(g, tube, pc.a - FD_STEP, pc.b, pc.u, w_arr)
-        ) / (2 * FD_STEP)
-        dl_db = (
-            _lagrangian_values(g, tube, pc.a, pc.b + FD_STEP, pc.u, w_arr)
-            - _lagrangian_values(g, tube, pc.a, pc.b - FD_STEP, pc.u, w_arr)
-        ) / (2 * FD_STEP)
-        wq = stencils.quadrature_weights(npts, loop=loop)
-        int_da = float(wq @ dl_da)
-        int_db = float(wq @ dl_db)
-        a1 = e.multiplicity * np.concatenate([[int_da], -grad_w[0]])
-        a2 = e.multiplicity * np.concatenate([[int_db], grad_w[-1]])
-        endpoint_data[e.id] = (a1, a2)
+        wq = stencils.quadrature_weights(pc.u.shape[0], loop=loop)
+        endpoint_data[e.id] = (e.multiplicity * np.concatenate([[wq @ dl_da], -grad_w[0]]),
+                               e.multiplicity * np.concatenate([[wq @ dl_db], grad_w[-1]]))
     h2 = {}
     for v in graph.vertices:
         pref_eid, pref_i = nc.preferred[v]

@@ -249,12 +249,12 @@ def edge_length_gradient(chart: MetricChart, group: EdgeGroup):
 def length_integrand(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
                      weights: np.ndarray):
     """The pointwise part of the length gradient: (lam, a, u) at stacked
-    samples and velocities (E, M, n), with the quadrature weights (M,).
+    samples and velocities (E, M, n), with the quadrature weights w (M,).
 
-    lam is the conformal factor (E * M,), a = w speed grad(phi) the
-    metric-variation term and u = g v / speed the velocity term, each
-    (E, M, n).  This is the only nonlinear part of the gradient; the
-    exact Hessian takes its derivatives per sample (``jacobi._length_blocks``).
+    lam is the conformal factor (E * M,), a = w speed grad(phi) the metric-variation term and
+    u = g v / speed the velocity term, each (E, M, n): the only nonlinear part of the gradient.
+    The exact Hessian takes its derivatives per sample (``jacobi._length_blocks``); with unit w,
+    a and u are dL/dx and dL/dv of the path-coordinate Lagrangian (``localcoords._lagrangian_jet``).
     """
     n_edges, npts, n = samples.shape
     lam, dphi, _ = chart.factor_jet_many(samples.reshape(-1, n), 1)

@@ -262,8 +262,8 @@ def test_lagrangian_constant_on_straight_center():
     case, nc = chart_for("honeycomb-torus")
     coords = coordinates_of(nc, case.net)
     pc = coords["E1"]
-    vals = localcoords._lagrangian_values(case.chart, nc.tubes["E1"], pc.a, pc.b, pc.u,
-                                          stencils.velocity(pc.u, loop=False))
+    vals = localcoords._lagrangian_jet(case.chart, nc.tubes["E1"], pc,
+                                       stencils.velocity(pc.u, loop=False))[0]
     assert np.abs(vals - edge_lengths(case.chart, case.net)["E1"]).max() < 1e-10
     assert vals.min() > 0
 
@@ -284,12 +284,74 @@ def test_lagrangian_integral_matches_length(rng):
 # -- coordinate stationarity residual ----------------------------------------
 
 def test_mean_curvature_zero_at_stationary_nets():
-    for name in ("honeycomb-torus", "sphere-theta", "sphere-equator"):
+    # the tube's node accelerations are -Gamma(v, v), so H1 vanishes to rounding
+    for name in ("honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"):
         case, nc = chart_for(name)
         coords = coordinates_of(nc, case.net)
         h1, h2 = mean_curvature_H(case.chart, nc, coords)
-        assert max(np.abs(v).max() for v in h1.values()) < 1e-5
+        assert max(np.abs(v).max() for v in h1.values()) < 1e-12
         assert max(np.linalg.norm(v) for v in h2.values()) < 1e-4
+
+
+def _jittered_off_the_knots(name, rng):
+    """A chart at N = 32 and coordinates with bent profiles and (a, b) moved
+    off the knot lattice of the tubes, where L is smooth in (a, b)."""
+    case, nc = chart_for(name, 32)
+    t = np.linspace(0, 1, 33)[:, None]
+    coords = {}
+    for eid, pc in coordinates_of(nc, case.net).items():
+        bend = rng.normal() * np.sin(np.pi * t) + 0.5 * rng.normal() * np.cos(np.pi * t)
+        coords[eid] = PathCoord(pc.a + 0.0123, pc.b - 0.0171,
+                                pc.u + 0.2 * nc.tubes[eid].delta_norm * bend)
+    return case, nc, coords
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta"])
+def test_mean_curvature_is_the_gradient_of_the_lagrangian_integral(name, rng):
+    case, nc, coords = _jittered_off_the_knots(name, rng)
+    h1, _ = mean_curvature_H(case.chart, nc, coords)
+    step = 5e-6
+
+    def moved(eid, da=0.0, db=0.0, k=None, du=0.0):
+        out = dict(coords)
+        pc = coords[eid]
+        u = pc.u.copy()
+        if k is not None:
+            u[k, 0] += du
+        out[eid] = PathCoord(pc.a + da, pc.b + db, u)
+        return lagrangian_integral(case.chart, nc, out)
+
+    wq = stencils.quadrature_weights(33, loop=False)
+    for eid, pc in coords.items():
+        # interior rows: the SBP identity D^T W = -W D holds away from the ends
+        fd = np.array([(moved(eid, k=k, du=step) - moved(eid, k=k, du=-step)) / (2 * step * wq[k])
+                       for k in range(1, 32)])
+        assert np.abs(h1[eid][1:-1, 0] - fd).max() <= 1e-6 * np.abs(fd).max(), eid
+        # the endpoint integrals of the vertex part
+        _, _, _, dl_da, dl_db = localcoords._lagrangian_jet(
+            case.chart, nc.tubes[eid], pc, stencils.velocity(pc.u, loop=False))
+        for got, (da, db) in ((wq @ dl_da, (step, 0.0)), (wq @ dl_db, (0.0, step))):
+            fd = (moved(eid, da, db) - moved(eid, -da, -db)) / (2 * step)
+            assert abs(got - fd) <= 1e-8 * abs(fd), eid
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta"])
+def test_transfer_jacobian_is_the_derivative_of_the_transfer_point(name, rng):
+    case, nc, coords = _jittered_off_the_knots(name, rng)
+    step = 5e-6
+    for v in sorted(case.net.graph.vertices):
+        pref_eid, pref_i = nc.preferred[v]
+        hint = localcoords._endpoint_coordinate(coords[pref_eid], pref_i)[0]
+        for eid, i in sorted(case.net.graph.incident_pairs(v)):
+            if (eid, i) == (pref_eid, pref_i):
+                continue
+            coord = localcoords._endpoint_coordinate(coords[eid], i)
+            jac = localcoords._transfer_jacobian(nc, eid, pref_eid, coord, hint)
+            fd = np.column_stack([
+                (localcoords._transfer_point(nc, eid, pref_eid, coord + dp, hint)
+                 - localcoords._transfer_point(nc, eid, pref_eid, coord - dp, hint)) / (2 * step)
+                for dp in step * np.eye(2)])
+            assert np.abs(jac - fd).max() <= 1e-8 * np.abs(fd).max(), (v, eid, i)
 
 
 def test_mean_curvature_grows_with_jitter(rng):
