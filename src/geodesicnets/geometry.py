@@ -212,8 +212,9 @@ class DirectionalBumpField(ScalarField):
     injectivity bound, so the ball is one disc in the center's frame.
     Points are taken at their shortest displacement from the center and
     every point outside the ball is zero.  Only the survivors are lifted
-    and projected, seeded from the anchor window through the center; the
-    ball must not reach the ends of an open anchor curve.
+    and projected, each seeded on the tangent line at the anchor sample
+    nearest the center; the ball must not reach the ends of an open
+    anchor curve.
     """
 
     def __init__(self, center, radius: float, direction, anchor_points, anchor_velocities,
@@ -234,39 +235,6 @@ class DirectionalBumpField(ScalarField):
         kappa = np.linalg.norm(acc_perp, axis=1) / speed2
         inj = 0.5 / max(kappa.max(), 1e-12)
         self.radius = float(min(radius, inj, chart.injectivity_bound()))
-        self._window(vels)
-
-    def _window(self, vels):
-        """Anchor samples that can be the foot of a point in the ball.
-
-        The contiguous run through the sample nearest the center on which
-        the offset along the center tangent increases, out to the first
-        sample beyond 2 * radius (a foot is at most that far from the center).
-        """
-        rel = self.anchor.values - self.center
-        dist = np.linalg.norm(rel, axis=1)
-        jc = int(np.argmin(dist))
-        self._tangent = vels[jc] / np.linalg.norm(vels[jc])
-        along = rel @ self._tangent
-        ok = dist <= 2.0 * self.radius
-        step = np.diff(along) > 0
-        right = np.flatnonzero(~(step[jc:] & ok[jc:-1]))
-        hi = jc + (right[0] if right.size else step.size - jc)
-        left = np.flatnonzero(~(step[:jc] & ok[1:jc + 1])[::-1])
-        lo = jc - (left[0] if left.size else jc)
-        self._win_along = along[lo:hi + 1]
-        self._win_s = self.anchor.grid[lo:hi + 1]
-
-    def _seed(self, points):
-        """Anchor parameters interpolated between the window samples that
-        bracket each point's offset along the center tangent."""
-        along, s = self._win_along, self._win_s
-        if along.size == 1:
-            return np.full(points.shape[0], s[0])
-        key = (points - self.center) @ self._tangent
-        k = np.clip(np.searchsorted(along, key), 1, along.size - 1)
-        frac = np.clip((key - along[k - 1]) / (along[k] - along[k - 1]), 0.0, 1.0)
-        return s[k - 1] + frac * (s[k] - s[k - 1])
 
     def jet_many(self, points, order):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -280,8 +248,13 @@ class DirectionalBumpField(ScalarField):
             return vals, grads, hess
         u = rel[inside]
         z = self.center + u  # the lift in the center's frame
-        s = foot_parameters(lambda s: self.anchor.jet(s, 2), z, self._seed(z), 0.0, 1.0)
-        c, fp, fpp, fppp = self.anchor.jet(s)
+        # seed on the tangent line at the anchor sample nearest the center
+        a = self.anchor
+        jc = np.argmin(np.linalg.norm(a.values - self.center, axis=1))
+        tc = a.derivatives[jc]
+        seed = np.clip(a.grid[jc] + u @ tc / (tc @ tc), 0.0, 1.0)
+        s = foot_parameters(lambda s: a.jet(s, 2), z, seed, 0.0, 1.0)
+        c, fp, fpp, fppp = a.jet(s)
         offset = z - c
         w = self.direction
         pairing = offset @ w

@@ -143,29 +143,24 @@ def build_net_chart(chart: MetricChart, net: GeodesicNet) -> NetChart:
     if net.dim != 2:
         raise TubeError(f"tube construction needs a planar chart; this net has dimension {net.dim}")
     lengths = edge_lengths(chart, net)
+    # both end extensions of every edge, one geodesic batch per edge group
     fine_data = {}
-    for e in net.graph.edges:
-        loop = e.id in net.periodic_edges
-        fine = stencils.upsample_curve(net.edge_samples[e.id], TUBE_REFINE, loop=loop)
-        fine_data[e.id] = (fine, stencils.derivative_ho(fine, 1, loop=loop))
-    # both end extensions of every edge, one geodesic batch per fine sample count
-    extensions = {}
-    for m in {fine.shape[0] for fine, _ in fine_data.values()}:
-        eids = [eid for eid, (fine, _) in fine_data.items() if fine.shape[0] == m]
-        h_f = 1.0 / (m - 1)
+    for grp in net.edge_groups():
+        fine = stencils.upsample_curve(grp.samples, TUBE_REFINE, loop=grp.loop)
+        vf = stencils.derivative_ho(fine, 1, loop=grp.loop)
+        h_f = 1.0 / (fine.shape[1] - 1)
         n_ext = int(np.ceil(ETA_REL / h_f))
         eta = n_ext * h_f
-        starts = [fine_data[eid] for eid in eids]
         points, velocities = geodesic_integrate(
-            chart, [x for fine, _ in starts for x in (fine[-1], fine[0])],
-            [v for _, vf in starts for v in (vf[-1], -vf[0])], eta, n_ext)
-        for k, eid in enumerate(eids):
-            extensions[eid] = (eta, points[2 * k : 2 * k + 2], velocities[2 * k : 2 * k + 2])
+            chart, fine[:, [-1, 0]].reshape(-1, net.dim),
+            (vf[:, [-1, 0]] * [[1.0], [-1.0]]).reshape(-1, net.dim), eta, n_ext)
+        for k, eid in enumerate(grp.ids):
+            ends = slice(2 * k, 2 * k + 2)
+            fine_data[eid] = (fine[k], vf[k], eta, points[ends], velocities[ends])
     tubes = {}
     for e in net.graph.edges:
-        fine, vf = fine_data[e.id]
         # the forward and the backward run
-        eta, (fwd, bwd), (fwd_vel, bwd_vel) = extensions[e.id]
+        fine, vf, eta, (fwd, bwd), (fwd_vel, bwd_vel) = fine_data[e.id]
         pts = np.concatenate([bwd[1:][::-1], fine, fwd[1:]], axis=0)
         # integrator velocities are scaled to its own unit span; rescale to
         # the tube parameter (backward run flips the sign)

@@ -39,6 +39,7 @@ from .net import (
     length,
     reparametrize_constant_speed,
 )
+from .stencils import _extend_loop
 from .variation import NotStationaryError, _mixed_difference
 
 __all__ = [
@@ -315,23 +316,17 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
 
 
 def _anchor_spline_data(net, eid, idx):
-    """Fine anchor samples and velocities; loop edges are rolled so the
-    anchor sits centrally and the support never crosses the seam."""
+    """Fine anchor samples and velocities, and the center.  A loop edge is cut
+    from its lift continued past both ends with sample idx in the middle, so
+    the anchor sits centrally and the support never crosses the seam."""
     s = net.edge_samples[eid]
-    if eid not in net.periodic_edges:
-        fine = stencils.upsample_curve(s, 4)
-        vf = stencils.derivative_ho(fine, 1)
-        return fine, vf, s[idx].copy()
-    shift = s[-1] - s[0]
-    n_ind = s.shape[0] - 1
-    base = s[:-1]
-    j = np.arange(n_ind)
-    k_signed = j + idx - n_ind // 2
-    rolled = base[k_signed % n_ind] + (k_signed // n_ind)[:, None] * shift
-    rolled = np.concatenate([rolled, rolled[:1] + shift], axis=0)
-    fine = stencils.upsample_curve(rolled, 4, loop=True)
-    vf = stencils.derivative_ho(fine, 1, loop=True)
-    return fine, vf, rolled[n_ind // 2].copy()
+    loop = eid in net.periodic_edges
+    if loop:
+        n = s.shape[0] - 1
+        s, idx = _extend_loop(s, n // 2)[idx : idx + n + 1], n // 2
+    fine = stencils.upsample_curve(s, 4, loop=loop)
+    vf = stencils.derivative_ho(fine, 1, loop=loop)
+    return fine, vf, s[idx].copy()
 
 
 def _verify_bump(chart, net, eid, idx, h_fld, j_field):

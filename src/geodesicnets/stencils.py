@@ -170,7 +170,7 @@ def _weights6(m: int) -> np.ndarray:
     return wgt
 
 
-def derivative_ho(samples: np.ndarray, m: int, loop: bool = False) -> np.ndarray:
+def derivative_ho(samples: np.ndarray, m: int, loop: bool) -> np.ndarray:
     """6th-order m-th parameter-derivative (m = 1 or 2) of curves (..., N+1, d)
     by 7-point stencils, every row.
 
@@ -301,7 +301,7 @@ def refined_windows(n_samples: int, factor: int, loop: bool):
     return start, table
 
 
-def upsample_curve(samples: np.ndarray, factor: int, loop: bool = False) -> np.ndarray:
+def upsample_curve(samples: np.ndarray, factor: int, loop: bool) -> np.ndarray:
     """Resample curves (..., N+1, d) on a ``factor`` times finer uniform grid.
 
     Sliding 6-point Lagrange interpolation (O(h^6) for smooth data); loop

@@ -565,11 +565,31 @@ def test_metric_jet_equals_metric_and_derivative_bitwise():
 
 
 @pytest.mark.parametrize("power", (1, 2))
-@pytest.mark.parametrize("case_name,eid,idx", [("honeycomb-torus", "E2", 20), ("flat-loop", "E", 1)])
-def test_culled_bump_matches_all_pairs_reference(case_name, eid, idx, power):
+@pytest.mark.parametrize("case_name,eid,idx", [
+    ("honeycomb-torus", "E2", 20),
+    ("flat-loop", "E", 1),
+    ("sphere-theta", "E1", 16),    # an open meridian, curved in the chart
+    ("sphere-theta", "E2", 5),
+    ("sphere-equator", "E", 1),    # the seam inside the support
+    ("sphere-equator", "E", 20),
+])
+def test_culled_bump_matches_all_pairs_reference(case_name, eid, idx, power, monkeypatch):
+    from geodesicnets import geometry
+
+    feet, real = [], geometry.foot_parameters
+
+    def recorded(jet, points, s, lo, hi):
+        s = real(jet, points, s, lo, hi)
+        f, fp = jet(s)[:2]
+        feet.append(np.einsum("pi,pi->p", points - f, fp))
+        return s
+
+    monkeypatch.setattr(geometry, "foot_parameters", recorded)
     case, fld = _directional(case_name, eid, idx, power)
-    pts = _around(fld.center, fld.radius, 400, seed=7, lattice=HEX_LATTICE)
+    pts = _around(fld.center, fld.radius, 400, seed=7, lattice=getattr(case.chart, "lattice", None))
     vals, grads = fld.jet_many(pts, 1)[:2]
+    # every foot point is a root of <z - F(s), F'(s)>, not where Newton gave up
+    assert feet and np.abs(np.concatenate(feet)).max() <= 1e-12
     ref_vals, ref_grads = _all_pairs_reference(fld, pts)
     assert np.array_equal(vals != 0.0, ref_vals != 0.0)
     assert 100 < np.count_nonzero(vals) < 400
@@ -586,7 +606,7 @@ def test_bumped_christoffel_derivative_memory_is_linear():
     for n in (64, 256):
         case, fld = _directional("honeycomb-torus", "E1", n // 2, power=2, n=n)
         chart = conformal_family(case.chart, fld, 0.02)
-        points = stencils.upsample_curve(case.net.edge_samples["E1"], 8)
+        points = stencils.upsample_curve(case.net.edge_samples["E1"], 8, loop=False)
         chart.factor_jet_many(points, 2)
         tracemalloc.start()
         chart.factor_jet_many(points, 2)

@@ -163,8 +163,8 @@ def test_propagate_matches_stepwise_reference(m, rng):
     n_coarse, refine = 64, 8
     if m == 1:
         case = make_case("sphere-theta", n_coarse)
-        fine = st.upsample_curve(case.net.edge_samples["E1"], refine)
-        vf = st.derivative_ho(fine, 1)
+        fine = st.upsample_curve(case.net.edge_samples["E1"], refine, loop=False)
+        vf = st.derivative_ho(fine, 1, loop=False)
         k_fine = jacobi_ode_coefficients(case.chart, fine, vf, parallel_frame(case.chart, fine, vf))
     else:
         k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)

@@ -505,6 +505,41 @@ def test_break_degeneracy_pins_the_anchor_of_its_condition_c_bump():
         assert np.array_equal(got_part, want_part)
 
 
+def _rolled_anchor(net, eid, idx):
+    """The loop anchor as a roll of the lift: sample idx - N//2 + j is a stored
+    sample moved by whole seam shifts, and the closing sample is the first
+    plus the shift."""
+    from geodesicnets import stencils
+
+    s = net.edge_samples[eid]
+    shift = s[-1] - s[0]
+    n_ind = s.shape[0] - 1
+    k_signed = np.arange(n_ind) + idx - n_ind // 2
+    rolled = s[:-1][k_signed % n_ind] + (k_signed // n_ind)[:, None] * shift
+    rolled = np.concatenate([rolled, rolled[:1] + shift], axis=0)
+    fine = stencils.upsample_curve(rolled, 4, loop=True)
+    return fine, stencils.derivative_ho(fine, 1, loop=True), rolled[n_ind // 2]
+
+
+@pytest.mark.parametrize("n", [32, 33, 64])
+@pytest.mark.parametrize("case_name", ["sphere-equator", "flat-loop"])
+def test_loop_anchor_is_the_rolled_lift(case_name, n):
+    from geodesicnets.solver import _anchor_spline_data
+
+    net = make_case(case_name, n).net
+    offset = np.random.default_rng(n).uniform(-3.0, 3.0, size=2)
+    moved = replace(net, edge_samples={e: s + offset for e, s in net.edge_samples.items()})
+    # off the built-ins the stored closing sample and first + shift differ in
+    # the last bit, which the fine velocities magnify by their 1/h = 4N
+    ulp = np.finfo(float).eps * np.abs(moved.edge_samples["E"]).max()
+    for idx in (0, 1, n // 4, n // 2, n - 4):
+        got, want = _anchor_spline_data(net, "E", idx), _rolled_anchor(net, "E", idx)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        got, want = _anchor_spline_data(moved, "E", idx), _rolled_anchor(moved, "E", idx)
+        for a, b, tol in zip(got, want, (4 * ulp, 16 * n * ulp, 4 * ulp), strict=True):
+            assert np.abs(a - b).max() <= tol
+
+
 def test_break_degeneracy_returns_nondegenerate_unchanged():
     case = make_case("honeycomb-torus", 64)
     chart2, net2, _, _ = break_degeneracy(case.chart, case.net)
