@@ -549,30 +549,43 @@ def min_distance(chart: MetricChart, a: np.ndarray, b: np.ndarray, ignore=None) 
 # curves, geodesics, transport
 # ---------------------------------------------------------------------------
 
-def linear_rk4_flow(a_nodes: np.ndarray, a_mid: np.ndarray, h: float) -> np.ndarray:
-    """Running products of the classical RK4 steps of y' = A(t) y.
+def linear_rk4_flow(a_nodes: np.ndarray, a_mid: np.ndarray, h: float, stride: int) -> np.ndarray:
+    """Running products of the classical RK4 steps of y' = A(t) y, at
+    every ``stride``-th node.
 
     ``a_nodes`` holds A at the S + 1 nodes and ``a_mid`` at the S
-    half-steps, shapes (S + 1, d, d) and (S, d, d), for the step h.  Every
-    step matrix M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A_k,
+    half-steps, shapes (S + 1, ..., d, d) and (S, ..., d, d), for the step
+    h; the middle axes stack independent systems.  Every step matrix
+    M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = A_k,
     K2 = A_k+1/2 (I + h/2 K1), K3 = A_k+1/2 (I + h/2 K2) and
     K4 = A_k+1 (I + h K3), is formed in one batched pass; the products
     Phi_k = M_k ... M_1 come from a doubling prefix product (Blelloch
-    1990), ceil(log2 S) batched matmuls.  Returns Phi_0 = I to Phi_S,
-    shape (S + 1, d, d).
+    1990), ceil(log2 S) batched matmuls.  The first log2(stride) rounds
+    only multiply within each run of ``stride`` steps, and the rest only
+    read the nodes they keep, so the result is bitwise the full prefix at
+    those nodes; ``stride`` must be a power of two dividing S.  Returns
+    Phi_0 = I, Phi_stride, ..., Phi_S, shape (S / stride + 1, ..., d, d).
     """
+    n_steps = a_mid.shape[0]
+    if stride < 1 or stride & (stride - 1) or n_steps % stride:
+        raise ValueError(f"stride {stride} is not a power of two dividing {n_steps} steps")
     eye = np.eye(a_nodes.shape[-1])
     a0, a1 = a_nodes[:-1], a_nodes[1:]
     k2 = a_mid @ (eye + 0.5 * h * a0)
     k3 = a_mid @ (eye + 0.5 * h * k2)
     k4 = a1 @ (eye + h * k3)
     phi = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    # Hillis-Steele: Phi_k <- (M_k ... M_k-span+1) (M_k-span ... M_k-2 span+1),
+    # first inside every run, whose last step then holds the run's product
+    runs = phi.reshape((n_steps // stride, stride) + phi.shape[1:])
+    while runs.shape[1] > 1:
+        runs = runs[:, 1::2] @ runs[:, ::2]
+    phi = runs[:, 0]
     span = 1
     while span < phi.shape[0]:
-        # Hillis-Steele: Phi_k <- (M_k ... M_k-span+1) (M_k-span ... M_k-2 span+1)
         phi[span:] = phi[span:] @ phi[:-span]
         span *= 2
-    return np.concatenate([eye[None], phi])
+    return np.concatenate([np.broadcast_to(eye, phi[:1].shape), phi])
 
 
 def _geodesic_rhs(chart, x, v):
@@ -628,5 +641,5 @@ def parallel_transport(chart: MetricChart, points: np.ndarray, velocities: np.nd
     # A w = -Gamma(c', w): A = -((c'.dphi) I + c' dphi^T - dphi c'^T)
     a_mat = -(_dot(vel, dphi)[:, None, None] * np.eye(points.shape[1])
               + _outer(vel, dphi) - _outer(dphi, vel))
-    phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h)
+    phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h, stride=1)
     return np.einsum("sij,...j->s...i", phi, np.asarray(w0, dtype=float))

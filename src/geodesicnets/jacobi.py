@@ -122,11 +122,27 @@ def _normal_frame(lam: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     return (raw / metric_norm(lam, raw)[:, None])[:, None, :]
 
 
-def jacobi_ode_coefficients(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
-                            frames: np.ndarray) -> np.ndarray:
-    """K(t)_ab = <R(f', e_a) f', e_b>_g, shape (N+1, n-1, n-1), from one
-    factor jet."""
-    lam, dphi, ddphi = chart.factor_jet_many(samples, 2)
+def _group_frames(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
+                  lam: np.ndarray) -> np.ndarray:
+    """The ``parallel_frame`` of every edge of a stack (E, M, n), given the
+    conformal factors lam at its samples in the plane: (E, M, n-1, n)."""
+    if samples.shape[-1] == 2:
+        frames = _normal_frame(lam.ravel(), velocities.reshape(-1, 2))
+        return frames.reshape(velocities.shape[:2] + (1, 2))
+    return np.array([parallel_frame(chart, s, v) for s, v in zip(samples, velocities)])
+
+
+def jacobi_ode_coefficients(jet: tuple, velocities: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """K(t)_ab = <R(f', e_a) f', e_b>_g, shape (M, n-1, n-1), from the factor
+    jet (lam, dphi, ddphi) of ``factor_jet_many`` at the M samples.
+
+    On a surface K is the Gaussian curvature -e^(-2 phi) trace(ddphi) times
+    |f'|_g^2 (do Carmo, Riemannian Geometry, ch. 4): -|f'|^2 trace(ddphi)
+    with a Euclidean norm, whatever the g-unit normal frame.
+    """
+    lam, dphi, ddphi = jet
+    if velocities.shape[-1] == 2:
+        return (-_dot(velocities, velocities) * np.trace(ddphi, axis1=1, axis2=2))[:, None, None]
     vel = velocities[:, None, :]
     curv = curvature_apply(curvature_form(dphi, ddphi)[:, None], vel, frames, vel)
     K = lam[:, None, None] * _dot(curv[:, :, None], frames[:, None])
@@ -134,20 +150,20 @@ def jacobi_ode_coefficients(chart: MetricChart, samples: np.ndarray, velocities:
 
 
 def _propagate(K_fine: np.ndarray, h_fine: float, record_stride: int):
-    """Fundamental matrix of u'' + K(t) u = 0 on the fine grid.
+    """Fundamental matrices of u'' + K(t) u = 0 on the fine grid, at every
+    ``record_stride`` fine nodes.
 
-    RK4 with step 2*h_fine (midpoint values are exact fine samples), as
-    one ``linear_rk4_flow`` of y = (u, u'), y' = [[0, I], [-K, 0]] y;
-    returns the matrices at every ``record_stride`` fine nodes.
+    K_fine is (fine nodes, ..., m, m): the middle axes stack edges.  RK4
+    with step 2*h_fine (midpoint values are exact fine samples), as one
+    ``linear_rk4_flow`` of y = (u, u'), y' = [[0, I], [-K, 0]] y.
     """
-    m = K_fine.shape[1]
+    m = K_fine.shape[-1]
     if (K_fine.shape[0] - 1) % 2 or record_stride % 2:
         raise ValueError("fine grid and record stride must span an even interval count")
-    a_mat = np.zeros((K_fine.shape[0], 2 * m, 2 * m))
-    a_mat[:, :m, m:] = np.eye(m)
-    a_mat[:, m:, :m] = -K_fine
-    psi = linear_rk4_flow(a_mat[::2], a_mat[1::2], 2.0 * h_fine)
-    return psi[:: record_stride // 2]
+    a_mat = np.zeros(K_fine.shape[:-2] + (2 * m, 2 * m))
+    a_mat[..., :m, m:] = np.eye(m)
+    a_mat[..., m:, :m] = -K_fine
+    return linear_rk4_flow(a_mat[::2], a_mat[1::2], 2.0 * h_fine, stride=record_stride // 2)
 
 
 @dataclass
@@ -170,17 +186,24 @@ class ShootingSystem:
     nm1: int                         # n - 1
 
 
-def _edge_data(chart, net, eid, refine):
-    s = net.edge_samples[eid]
-    loop = eid in net.periodic_edges
-    fine = stencils.upsample_curve(s, refine, loop=loop)
-    vf = stencils.derivative_ho(fine, 1, loop=loop)
-    frames_f = parallel_frame(chart, fine, vf)
-    psi = _propagate(jacobi_ode_coefficients(chart, fine, vf, frames_f),
-                     1.0 / (fine.shape[0] - 1), record_stride=refine)
-    w = stencils.quadrature_weights(fine.shape[0], loop=loop)
-    return _EdgeData(net.graph.edge(eid).multiplicity, float(w @ g_norm(chart, fine, vf)),
-                     frames_f[::refine], psi, tuple(chart.factor_jet_many(s[[0, -1]], 0)[0]))
+def _group_data(chart: MetricChart, grp: EdgeGroup, refine: int) -> list[_EdgeData]:
+    """The shooting data of every edge of a group, from one pass on the
+    grid ``refine`` times finer: one upsampling, one derivative and one
+    factor jet feed the frames, K, the lengths and the propagation."""
+    fine = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
+    vf = stencils.derivative_ho(fine, 1, loop=grp.loop)
+    n_edges, m, n = fine.shape
+    jet = chart.factor_jet_many(fine.reshape(-1, n), 2)
+    lam = jet[0].reshape(n_edges, m)
+    frames = _group_frames(chart, fine, vf, lam)
+    k_mat = jacobi_ode_coefficients(jet, vf.reshape(-1, n), frames.reshape(-1, n - 1, n))
+    psi = _propagate(k_mat.reshape(n_edges, m, n - 1, n - 1).swapaxes(0, 1), 1.0 / (m - 1), refine)
+    speed = metric_norm(lam, vf)
+    w = stencils.quadrature_weights(m, loop=grp.loop)
+    # fine rows 0 and m - 1 are the coarse end samples, bit for bit
+    return [_EdgeData(int(mult), float(w @ speed[k]), frames[k, ::refine], psi[:, k],
+                      (lam[k, 0], lam[k, -1]))
+            for k, mult in enumerate(grp.multiplicities)]
 
 
 def _good_class(graph: WeightedMultigraph) -> GraphClass:
@@ -203,7 +226,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet,
     n = net.dim
     nm1 = n - 1
     edges = net.graph.edges
-    edata = {e.id: _edge_data(chart, net, e.id, SHOOTING_REFINE) for e in edges}
+    edata = net.map_groups(lambda grp: _group_data(chart, grp, SHOOTING_REFINE))
 
     if gclass is GraphClass.LOOP_WITH_MULTIPLICITY:
         # one self-loop edge: (u, u') after the edge's flow, carried back
@@ -262,29 +285,33 @@ class ReducedField:
 
 def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[NetField]:
     """The ambient displacement of every reduced field: the tangential
-    ramp between its vertex displacements plus its normal profiles.  Each
-    edge's velocity, parallel frame and unit tangent, which depend on the
-    net only, are computed once for all of them.  On a loop edge the seam
-    is one point, so the last row repeats the first."""
-    vals = [{} for _ in fields]
+    ramp between its vertex displacements plus its normal profiles, all
+    fields of an edge in one stack.  The velocities, parallel frames, unit
+    tangents and end factors, which depend on the net only, come from one
+    factor jet per edge group.  On a loop edge the seam is one point, so
+    the last row repeats the first."""
+
+    def group_parts(grp):
+        v = stencils.velocity(grp.samples, loop=grp.loop)
+        lam = chart.factor_jet_many(grp.samples.reshape(-1, net.dim), 0)[0].reshape(v.shape[:2])
+        that = v / metric_norm(lam, v)[..., None]
+        return zip(that, _group_frames(chart, grp.samples, v, lam), lam[:, [0, -1]])
+
+    if not fields:
+        return []
+    parts = net.map_groups(group_parts)
+    stacks = {}
     for e in net.graph.edges:
-        s = net.edge_samples[e.id]
-        loop = e.id in net.periodic_edges
-        v = stencils.velocity(s, loop=loop)
-        frames = parallel_frame(chart, s, v)
-        that = v / g_norm(chart, s, v)[:, None]
-        t = np.linspace(0.0, 1.0, s.shape[0])
-        ends = [chart.factor_jet_many(s[k][None, :], 0)[0] for k in (0, -1)]
-        for fld, out in zip(fields, vals):
-            z0 = fld.z[e.endpoint(0)]
-            z1 = fld.z[e.endpoint(1)]
-            a0 = float(metric_dot(ends[0], z0[None, :], that[0][None, :])[0])
-            a1 = float(metric_dot(ends[1], z1[None, :], that[-1][None, :])[0])
-            alpha = (1 - t) * a0 + t * a1
-            out[e.id] = alpha[:, None] * that + np.einsum("pa,pai->pi", fld.u[e.id], frames)
-            if loop:
-                out[e.id][-1] = out[e.id][0]
-    return [NetField(v) for v in vals]
+        that, frames, ends = parts[e.id]
+        t = np.linspace(0.0, 1.0, that.shape[0])
+        z = np.array([[fld.z[e.endpoint(0)], fld.z[e.endpoint(1)]] for fld in fields])
+        a = metric_dot(ends, z, that[[0, -1]])
+        alpha = (1 - t) * a[:, :1] + t * a[:, 1:]
+        u = np.array([fld.u[e.id] for fld in fields])
+        stacks[e.id] = alpha[..., None] * that + np.einsum("fpa,pai->fpi", u, frames)
+        if e.id in net.periodic_edges:
+            stacks[e.id][:, -1] = stacks[e.id][:, 0]
+    return [NetField({e: s[k] for e, s in stacks.items()}) for k in range(len(fields))]
 
 
 @dataclass
@@ -498,11 +525,7 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     frames, grads = [], []
     for grp in groups:
         v, lam, grad = edge_length_gradient(chart, grp)
-        if net.dim == 2:
-            fr = _normal_frame(lam, v.reshape(-1, 2)).reshape(v.shape[:2] + (1, 2))
-        else:
-            fr = np.array([parallel_frame(chart, s, vel) for s, vel in zip(grp.samples, v)])
-        frames.append(fr)
+        frames.append(_group_frames(chart, grp.samples, v, lam))
         grads.append(grad)
     ids = tuple(grp.ids for grp in groups)
     block, index, hat_offset, labels = _basis_layout(

@@ -21,6 +21,7 @@ from geodesicnets.geometry import (
     christoffel_apply,
     curvature_apply,
     curvature_form,
+    linear_rk4_flow,
     min_distance,
 )
 from geodesicnets.variation import stationarity_residual
@@ -253,6 +254,43 @@ def test_metric_compatibility_of_transport():
     w2 = parallel_transport(SPHERE, points, velocities, [-0.2, 0.5])
     dots = g_dot(SPHERE, points, w1, w2)
     assert np.abs(dots - dots[0]).max() < 1e-7
+
+
+# -- RK4 flows ---------------------------------------------------------------
+
+def _random_flow_coefficients(rng, steps, stack, d):
+    """A at the nodes and half-steps of ``steps`` RK4 steps, (steps + 1,
+    *stack, d, d) and (steps, *stack, d, d), smooth in t."""
+    t = np.linspace(0.0, 1.0, 2 * steps + 1).reshape((-1,) + (1,) * (len(stack) + 2))
+    c = rng.normal(size=(3,) + stack + (d, d))
+    a_mat = c[0] + np.sin(3 * t) * c[1] + np.cos(5 * t) * c[2]
+    return a_mat[::2], a_mat[1::2]
+
+
+@pytest.mark.parametrize("stride", [2, 4, 8, 32])
+def test_rk4_flow_strided_products_are_the_full_prefix_at_every_stride_node(stride, rng):
+    steps = 96 if stride < 32 else 128
+    a_nodes, a_mid = _random_flow_coefficients(rng, steps, (3,), 4)
+    full = linear_rk4_flow(a_nodes, a_mid, 1.0 / steps, stride=1)
+    got = linear_rk4_flow(a_nodes, a_mid, 1.0 / steps, stride=stride)
+    assert full.shape == (steps + 1, 3, 4, 4)
+    assert np.array_equal(got, full[::stride])
+
+
+def test_rk4_flow_stacked_systems_equal_separate_calls(rng):
+    a_nodes, a_mid = _random_flow_coefficients(rng, 64, (3,), 2)
+    for stride in (1, 4):
+        got = linear_rk4_flow(a_nodes, a_mid, 1.0 / 64, stride=stride)
+        for k in range(3):
+            one = linear_rk4_flow(a_nodes[:, k], a_mid[:, k], 1.0 / 64, stride=stride)
+            assert np.array_equal(got[:, k], one)
+
+
+@pytest.mark.parametrize("stride", [0, 3, 6, 128])
+def test_rk4_flow_refuses_strides_that_are_not_powers_of_two_dividing_the_steps(stride, rng):
+    a_nodes, a_mid = _random_flow_coefficients(rng, 96, (), 2)
+    with pytest.raises(ValueError, match="power of two"):
+        linear_rk4_flow(a_nodes, a_mid, 1.0 / 96, stride=stride)
 
 
 # -- background exponential --------------------------------------------------

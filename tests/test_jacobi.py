@@ -1,9 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import ConstantField
+from conftest import ConstantField, interleaved_theta, theta3d_doc
 
 from geodesicnets import (
     NetField,
@@ -22,9 +23,12 @@ from geodesicnets import stencils as st
 from geodesicnets.geometry import (
     StereographicSphereChart,
     conformal_family,
+    curvature_apply,
+    curvature_form,
     g_dot,
     g_norm,
     geodesic_integrate,
+    linear_rk4_flow,
 )
 from geodesicnets.jacobi import (
     _propagate,
@@ -92,14 +96,14 @@ def test_frame_in_three_dimensions_is_orthonormal_and_normal():
 def test_jacobi_coefficients_flat_zero():
     case = make_case("honeycomb-torus", 64)
     s, v, frames = edge_frame(case, "E1")
-    k_mat = jacobi_ode_coefficients(case.chart, s, v, frames)
+    k_mat = jacobi_ode_coefficients(case.chart.factor_jet_many(s, 2), v, frames)
     assert np.abs(k_mat).max() < 1e-12
 
 
 def test_jacobi_coefficients_equator_constant():
     case = make_case("sphere-equator", 128)
     s, v, frames = edge_frame(case, "E")
-    k_mat = jacobi_ode_coefficients(case.chart, s, v, frames)
+    k_mat = jacobi_ode_coefficients(case.chart.factor_jet_many(s, 2), v, frames)
     l_e = edge_lengths(case.chart, case.net)["E"]
     # K in arc-length normalization is the unit sectional curvature
     assert np.abs(k_mat[:, 0, 0] / l_e**2 - 1.0).max() < 1e-5
@@ -108,15 +112,15 @@ def test_jacobi_coefficients_equator_constant():
 def test_jacobi_coefficients_quadratic_in_speed():
     case = make_case("sphere-equator", 128)
     s, v, frames = edge_frame(case, "E")
-    k1 = jacobi_ode_coefficients(case.chart, s, v, frames)
-    k2 = jacobi_ode_coefficients(case.chart, s, 2.0 * v, frames)
+    k1 = jacobi_ode_coefficients(case.chart.factor_jet_many(s, 2), v, frames)
+    k2 = jacobi_ode_coefficients(case.chart.factor_jet_many(s, 2), 2.0 * v, frames)
     assert np.abs(k2 - 4.0 * k1).max() < 1e-8 * np.abs(k2).max()
 
 
 def test_jacobi_coefficients_symmetric():
     case = make_case("sphere-theta", 64)
     s, v, frames = edge_frame(case, "E2")
-    k_mat = jacobi_ode_coefficients(case.chart, s, v, frames)
+    k_mat = jacobi_ode_coefficients(case.chart.factor_jet_many(s, 2), v, frames)
     assert np.abs(k_mat - np.swapaxes(k_mat, 1, 2)).max() < 1e-8
 
 
@@ -165,7 +169,8 @@ def test_propagate_matches_stepwise_reference(m, rng):
         case = make_case("sphere-theta", n_coarse)
         fine = st.upsample_curve(case.net.edge_samples["E1"], refine, loop=False)
         vf = st.derivative_ho(fine, 1, loop=False)
-        k_fine = jacobi_ode_coefficients(case.chart, fine, vf, parallel_frame(case.chart, fine, vf))
+        k_fine = jacobi_ode_coefficients(case.chart.factor_jet_many(fine, 2), vf,
+                                         parallel_frame(case.chart, fine, vf))
     else:
         k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)
     h_fine = 1.0 / (k_fine.shape[0] - 1)
@@ -173,6 +178,119 @@ def test_propagate_matches_stepwise_reference(m, rng):
     ref = _propagate_reference(k_fine, h_fine, refine)
     assert psi.shape == ref.shape == (n_coarse + 1, 2 * m, 2 * m)
     assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _shooting_net(name, n_samples):
+    """(chart, net): a built-in case; ``interleaved_theta`` (two edge groups);
+    the theta net in flat 3-space, bare or under a radial bump
+    ("theta3d-bump"); or sphere-theta under a radial or a directional bump."""
+    from geodesicnets import specfile
+    from geodesicnets.geometry import DirectionalBumpField, RadialBumpField
+    from geodesicnets.solver import _anchor_spline_data
+
+    if name == "interleaved":
+        return interleaved_theta(n_samples)
+    if name.startswith("theta3d"):
+        spec = specfile.parse_spec(theta3d_doc())
+        chart, net = spec.chart(), spec.net
+        if name == "theta3d-bump":
+            bump = RadialBumpField([0.5, 0.1, 0.1], 0.4, 1.0, chart=chart)
+            chart = conformal_family(chart, bump, 0.5)
+        return chart, net
+    case = make_case("sphere-theta" if name.endswith("-bump") else name, n_samples)
+    if name == "radial-bump":
+        bump = RadialBumpField(case.net.edge_samples["E1"][n_samples // 3] + 0.05, 0.4, 1.0,
+                               chart=case.chart)
+        return conformal_family(case.chart, bump, 0.4), case.net
+    if name == "directional-bump":
+        pts, vel, center = _anchor_spline_data(case.net, "E1", 5 * n_samples // 8)
+        bump = DirectionalBumpField(center, 0.2, [0.6, 0.8], pts, vel, chart=case.chart, power=1)
+        return conformal_family(case.chart, bump, 0.3), case.net
+    return case.chart, case.net
+
+
+def _curvature_k_reference(chart, samples, velocities, frames):
+    """K = <R(f', e_a) f', e_b>_g by ``curvature_apply``, in any dimension."""
+    lam, dphi, ddphi = chart.factor_jet_many(samples, 2)
+    vel = velocities[:, None, :]
+    curv = curvature_apply(curvature_form(dphi, ddphi)[:, None], vel, frames, vel)
+    k_mat = lam[:, None, None] * np.einsum("...i,...i->...", curv[:, :, None], frames[:, None])
+    return 0.5 * (k_mat + np.swapaxes(k_mat, 1, 2))
+
+
+def _fine_edge(chart, net, eid, refine):
+    """(fine samples, their velocities, parallel frames) of one edge."""
+    loop = eid in net.periodic_edges
+    fine = st.upsample_curve(net.edge_samples[eid], refine, loop=loop)
+    vf = st.derivative_ho(fine, 1, loop=loop)
+    return fine, vf, parallel_frame(chart, fine, vf)
+
+
+def _edge_data_reference(chart, net, eid, refine):
+    """The shooting data of one edge on its own, K by ``curvature_apply`` and
+    the full prefix product: (length, coarse frames, psi at the coarse
+    nodes, end factors)."""
+    s = net.edge_samples[eid]
+    fine, vf, frames_f = _fine_edge(chart, net, eid, refine)
+    k_fine = _curvature_k_reference(chart, fine, vf, frames_f)
+    m = k_fine.shape[1]
+    a_mat = np.zeros((k_fine.shape[0], 2 * m, 2 * m))
+    a_mat[:, :m, m:] = np.eye(m)
+    a_mat[:, m:, :m] = -k_fine
+    psi = linear_rk4_flow(a_mat[::2], a_mat[1::2], 2.0 / (fine.shape[0] - 1), stride=1)
+    w = st.quadrature_weights(fine.shape[0], loop=eid in net.periodic_edges)
+    return (float(w @ g_norm(chart, fine, vf)), frames_f[::refine], psi[:: refine // 2],
+            chart.factor_jet_many(s[[0, -1]], 0)[0])
+
+
+_SHOOTING_NETS = ([(name, n) for name in ("honeycomb-torus", "sphere-theta", "sphere-equator",
+                                          "flat-loop") for n in (32, 64)]
+                  + [("interleaved", 32), ("theta3d", 16), ("theta3d-bump", 16),
+                     ("radial-bump", 32), ("directional-bump", 32)])
+
+
+@pytest.mark.parametrize("name, n", _SHOOTING_NETS)
+def test_grouped_shooting_data_matches_per_edge_reference(name, n):
+    """One pass per edge group gives every edge's frames, length and end
+    factors bit for bit, and its propagation too in three dimensions; on
+    surfaces the closed-form K moves psi at rounding level only."""
+    chart, net = _shooting_net(name, n)
+    refine = jac.SHOOTING_REFINE
+    data = net.map_groups(lambda grp: jac._group_data(chart, grp, refine))
+    for e in net.graph.edges:
+        length, frames, psi, ends = _edge_data_reference(chart, net, e.id, refine)
+        got = data[e.id]
+        assert got.multiplicity == e.multiplicity
+        assert got.length == length
+        assert np.array_equal(got.frames, frames)
+        assert np.array_equal(got.endpoints_lam, ends)
+        if net.dim > 2:
+            assert np.array_equal(got.psi, psi)
+        else:
+            assert np.abs(got.psi - psi).max() <= 1e-13 * np.abs(psi).max()
+
+
+@pytest.mark.parametrize("name", ["sphere-theta", "sphere-equator", "radial-bump",
+                                  "directional-bump"])
+def test_surface_coefficient_closed_form_matches_curvature_reference(name):
+    chart, net = _shooting_net(name, 64)
+    for e in net.graph.edges:
+        fine, vf, frames = _fine_edge(chart, net, e.id, jac.SHOOTING_REFINE)
+        got = jacobi_ode_coefficients(chart.factor_jet_many(fine, 2), vf, frames)
+        want = _curvature_k_reference(chart, fine, vf, frames)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["honeycomb-torus", "flat-loop", "euclidean"])
+def test_surface_coefficient_is_exactly_zero_on_flat_charts(name):
+    from geodesicnets.geometry import EuclideanChart
+
+    case = make_case("honeycomb-torus" if name == "euclidean" else name, 64)
+    chart = EuclideanChart(2) if name == "euclidean" else case.chart
+    for e in case.net.graph.edges:
+        fine, vf, frames = _fine_edge(chart, case.net, e.id, jac.SHOOTING_REFINE)
+        assert not jacobi_ode_coefficients(chart.factor_jet_many(fine, 2), vf, frames).any()
 
 
 # -- the shooting system -----------------------------------------------------
@@ -208,7 +326,7 @@ def test_system_curvature_block_scales_with_radius():
         s = net.edge_samples["E"]
         v = st.velocity(s, loop=True)
         frames = parallel_frame(chart, s, v)
-        k_mat = jacobi_ode_coefficients(chart, s, v, frames)
+        k_mat = jacobi_ode_coefficients(chart.factor_jet_many(s, 2), v, frames)
         mono[radius] = float(k_mat[:, 0, 0].mean()) / edge_lengths(chart, net)["E"] ** 2
     # sectional curvature scales with 1/r^2
     assert abs(mono[1.0] / mono[2.0] - 4.0) < 1e-3
@@ -515,27 +633,44 @@ def test_loop_kernel_fields_repeat_their_seam_row(name, n):
         assert np.array_equal(vals[-1], vals[0])
 
 
-@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop"])
-def test_kernel_reconstruction_frames_each_edge_once(name, monkeypatch):
-    case = make_case(name, 48)
+@pytest.mark.parametrize("name", ["honeycomb-torus", "sphere-theta", "sphere-equator", "flat-loop",
+                                  "interleaved"])
+def test_shooting_and_reconstruction_take_one_jet_per_edge_group(name, monkeypatch):
+    """The shooting system takes one order-2 factor jet of each edge group's
+    stacked fine samples, the reconstruction one coarse jet per group for
+    all kernel fields, and the fields equal the edge-by-edge ones bit for bit."""
+    if name == "interleaved":
+        chart, net = interleaved_theta()
+    else:
+        case = make_case(name, 48)
+        chart, net = case.chart, case.net
+    groups = net.edge_groups()
+    fine = sorted(len(g.ids) * ((g.samples.shape[1] - 1) * jac.SHOOTING_REFINE + 1) for g in groups)
+    coarse = sorted(g.samples.shape[0] * g.samples.shape[1] for g in groups)
     calls = []
-    original = jac.parallel_frame
+    original = chart.factor_jet_many
 
-    def counted(chart, samples, velocities):
-        calls.append(samples.shape[0])
-        return original(chart, samples, velocities)
+    def counted(points, order):
+        calls.append((order, points.shape[0]))
+        return original(points, order)
 
-    monkeypatch.setattr(jac, "parallel_frame", counted)
-    ker = jacobi_kernel(case.chart, case.net)
-    assert ker.dimension >= 1
-    # one fine frame per edge for the shooting system, one coarse frame per
-    # edge for all kernel vectors
-    coarse = [n for n in calls if n == 49]
-    assert len(coarse) == len(case.net.graph.edges) == len(calls) - len(coarse)
+    monkeypatch.setattr(chart, "factor_jet_many", counted)
+    # the resampled E2 leaves the interleaved net's residual at 1.1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sysm = assemble_jacobi_system(chart, net, 1e-2)
+    # one order-2 jet on the stacked fine samples of every group, none other
+    assert sorted(m for order, m in calls if order == 2) == fine
+    _, _, vt = np.linalg.svd(sysm.matrix)
+    basis = [jac._reconstruct(chart, net, sysm, vec) for vec in vt[-2:]]
+    calls.clear()
+    ambient = jac._ambient_fields(chart, net, basis)
+    # one coarse jet per group for all fields
+    assert sorted(m for _, m in calls) == coarse
     monkeypatch.undo()
-    for red, amb in zip(ker.basis, ker.ambient):
-        want = _old_to_net_field(red, case.chart, case.net)
-        assert amb.edge_values.keys() == want.keys()
+    for red, amb in zip(basis, ambient):
+        want = _old_to_net_field(red, chart, net)
+        assert list(amb.edge_values) == list(want)
         assert all(np.array_equal(amb.edge_values[e], want[e]) for e in want)
 
 
