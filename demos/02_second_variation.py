@@ -30,7 +30,7 @@ print(f"== equator of the unit sphere (length {l_e:.6f}) ==")
 # a parallel unit normal field along the equator
 s = net.edge_samples["E"]
 v = st.velocity(s, loop="E" in net.periodic_edges)
-frames = parallel_frame(chart, s, v)
+frames = parallel_frame(chart, s, v, chart.factor_jet_many(s, 0)[0])
 normal = NetField({"E": frames[:, 0, :].copy()})
 
 print("\nsecond variation along the unit normal (the classical -length):")

@@ -623,23 +623,28 @@ def geodesic_integrate(chart: MetricChart, p, v, T: float, steps: int):
 
 def parallel_transport(chart: MetricChart, points: np.ndarray, velocities: np.ndarray,
                        w0) -> np.ndarray:
-    """Transport w0 along the curve sampled by points and their parameter
+    """Transport w0 along the curves sampled by points and their parameter
     velocities over [0, 1]: W' + Gamma(c', W) = 0 (RK4 per interval).
 
-    ``w0`` is one vector (n,) or several (r, n); the result is (N+1, n) or
-    (N+1, r, n).  Positions and velocities at the half-steps come from the
-    cubic Hermite curve of the samples; one ``factor_jet_many`` call
-    covers nodes and half-steps, and one ``linear_rk4_flow`` moves every
-    vector.
+    ``points`` and ``velocities`` are one curve (N+1, n) or a stack
+    (..., N+1, n); ``w0`` is one vector (..., n) or several (..., r, n) per
+    curve, and the result is (..., N+1, n) or (..., N+1, r, n).  Positions
+    and velocities at the half-steps come from one cubic Hermite curve of
+    the curves side by side; one ``factor_jet_many`` call covers every
+    node and half-step, and one ``linear_rk4_flow`` moves every vector.
     """
-    n = points.shape[0]
-    h = 1.0 / (n - 1)
-    grid = np.linspace(0.0, 1.0, n)
-    mid, mid_vel = HermiteCurve(grid, points, velocities).jet(grid[:-1] + 0.5 * h, 1)
-    dphi = chart.factor_jet_many(np.concatenate([points, mid]), 1)[1]
-    vel = np.concatenate([velocities, mid_vel])
+    *lead, m, n = points.shape
+    h = 1.0 / (m - 1)
+    grid = np.linspace(0.0, 1.0, m)
+    pts, vel = (np.moveaxis(a, -2, 0).reshape(m, -1) for a in (points, velocities))
+    mid, mid_vel = HermiteCurve(grid, pts, vel).jet(grid[:-1] + 0.5 * h, 1)
+    pts, vel = (np.concatenate(a).reshape(-1, n) for a in ((pts, mid), (vel, mid_vel)))
+    dphi = chart.factor_jet_many(pts, 1)[1]
     # A w = -Gamma(c', w): A = -((c'.dphi) I + c' dphi^T - dphi c'^T)
-    a_mat = -(_dot(vel, dphi)[:, None, None] * np.eye(points.shape[1])
-              + _outer(vel, dphi) - _outer(dphi, vel))
-    phi = linear_rk4_flow(a_mat[:n], a_mat[n:], h, stride=1)
-    return np.einsum("sij,...j->s...i", phi, np.asarray(w0, dtype=float))
+    a_mat = -(_dot(vel, dphi)[:, None, None] * np.eye(n) + _outer(vel, dphi) - _outer(dphi, vel))
+    a_mat = a_mat.reshape([2 * m - 1] + lead + [n, n])
+    phi = linear_rk4_flow(a_mat[:m], a_mat[m:], h, stride=1)
+    w0 = np.asarray(w0, dtype=float)
+    one = w0.ndim == len(lead) + 1
+    w = np.einsum("s...ij,...rj->...sri", phi, w0[..., None, :] if one else w0)
+    return w[..., 0, :] if one else w

@@ -92,44 +92,28 @@ HESSIAN_PASS_ROWS = 384
 # frames and curvature coefficients
 # ---------------------------------------------------------------------------
 
-def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """g-orthonormal parallel normal frame along a geodesic edge.
+def parallel_frame(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
+                   lam: np.ndarray) -> np.ndarray:
+    """g-orthonormal parallel normal frames along geodesic edges.
 
-    Returns (N+1, n-1, n).  In two dimensions the frame is the continuous
-    g-unit normal, which is parallel along any geodesic; in higher
-    dimensions the initial normal space is transported.
+    ``samples`` and ``velocities`` are one edge (M, n) or a stack
+    (..., M, n), and lam (..., M) the conformal factors at the samples;
+    returns (..., M, n-1, n).  In two dimensions the frame is the
+    continuous g-unit normal, which is parallel along any geodesic.  In
+    higher dimensions each edge's initial normal space, the complement of
+    its first velocity in one stacked complete QR, is moved by one stacked
+    ``parallel_transport``.
     """
-    n = samples.shape[1]
+    n = samples.shape[-1]
     if n == 2:
-        return _normal_frame(chart.factor_jet_many(samples, 0)[0], velocities)
-    # g is conformal: Euclidean Gram-Schmidt, then g-unit vectors
-    basis = [velocities[0]]
-    for w in np.eye(n):
-        for b in basis:
-            w = w - (w @ b) / (b @ b) * b
-        if np.linalg.norm(w) > 1e-8:
-            basis.append(w / np.linalg.norm(w))
-        if len(basis) == n:
-            break
-    lam0 = chart.factor_jet_many(samples[:1], 0)[0][0]
-    return parallel_transport(chart, samples, velocities, np.array(basis[1:]) / np.sqrt(lam0))
-
-
-def _normal_frame(lam: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """The planar ``parallel_frame`` from the conformal factors lam at the
-    samples: the quarter-turned velocity, which is g-normal, made g-unit."""
-    raw = np.einsum("ij,pj->pi", _ROT90, velocities)
-    return (raw / metric_norm(lam, raw)[:, None])[:, None, :]
-
-
-def _group_frames(chart: MetricChart, samples: np.ndarray, velocities: np.ndarray,
-                  lam: np.ndarray) -> np.ndarray:
-    """The ``parallel_frame`` of every edge of a stack (E, M, n), given the
-    conformal factors lam at its samples in the plane: (E, M, n-1, n)."""
-    if samples.shape[-1] == 2:
-        frames = _normal_frame(lam.ravel(), velocities.reshape(-1, 2))
-        return frames.reshape(velocities.shape[:2] + (1, 2))
-    return np.array([parallel_frame(chart, s, v) for s, v in zip(samples, velocities)])
+        # the quarter-turned velocity is g-normal; made g-unit
+        raw = np.einsum("ij,pj->pi", _ROT90, velocities.reshape(-1, 2))
+        frames = raw / metric_norm(lam.reshape(-1), raw)[:, None]
+        return frames.reshape(velocities.shape[:-1] + (1, 2))
+    # g is conformal: a Euclidean orthonormal complement, then g-unit vectors
+    q = np.linalg.qr(velocities[..., 0, :, None], mode="complete")[0]
+    start = np.ascontiguousarray(np.swapaxes(q[..., 1:], -1, -2))
+    return parallel_transport(chart, samples, velocities, start / np.sqrt(lam[..., :1, None]))
 
 
 def jacobi_ode_coefficients(jet: tuple, velocities: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -170,7 +154,7 @@ def _propagate(K_fine: np.ndarray, h_fine: float, record_stride: int):
 class _EdgeData:
     multiplicity: int
     length: float
-    frames: np.ndarray        # coarse nodes, (N+1, n-1, n)
+    frames: np.ndarray        # at the two end samples, (2, n-1, n)
     psi: np.ndarray           # fundamental matrices at coarse nodes
     endpoints_lam: tuple      # conformal factors at the two endpoint samples
 
@@ -182,26 +166,25 @@ class ShootingSystem:
     edges: dict[str, _EdgeData]
     z_index: dict[str, int]          # vertex -> column offset (good* only)
     edge_index: dict[str, int]       # edge -> column offset of (u0, ud0)
-    dim: int                         # chart dimension
-    nm1: int                         # n - 1
 
 
 def _group_data(chart: MetricChart, grp: EdgeGroup, refine: int) -> list[_EdgeData]:
     """The shooting data of every edge of a group, from one pass on the
     grid ``refine`` times finer: one upsampling, one derivative and one
-    factor jet feed the frames, K, the lengths and the propagation."""
+    factor jet feed the frames, K, the lengths and the propagation (above
+    two dimensions the frames' transport takes one more jet)."""
     fine = stencils.upsample_curve(grp.samples, refine, loop=grp.loop)
     vf = stencils.derivative_ho(fine, 1, loop=grp.loop)
     n_edges, m, n = fine.shape
     jet = chart.factor_jet_many(fine.reshape(-1, n), 2)
     lam = jet[0].reshape(n_edges, m)
-    frames = _group_frames(chart, fine, vf, lam)
+    frames = parallel_frame(chart, fine, vf, lam)
     k_mat = jacobi_ode_coefficients(jet, vf.reshape(-1, n), frames.reshape(-1, n - 1, n))
     psi = _propagate(k_mat.reshape(n_edges, m, n - 1, n - 1).swapaxes(0, 1), 1.0 / (m - 1), refine)
     speed = metric_norm(lam, vf)
     w = stencils.quadrature_weights(m, loop=grp.loop)
     # fine rows 0 and m - 1 are the coarse end samples, bit for bit
-    return [_EdgeData(int(mult), float(w @ speed[k]), frames[k, ::refine], psi[:, k],
+    return [_EdgeData(int(mult), float(w @ speed[k]), frames[k, [0, -1]], psi[:, k],
                       (lam[k, 0], lam[k, -1]))
             for k, mult in enumerate(grp.multiplicities)]
 
@@ -238,7 +221,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet,
         hol[:nm1, :nm1] = ed.endpoints_lam[1] * (ed.frames[0] @ ed.frames[-1].T)
         hol[nm1:, nm1:] = hol[:nm1, :nm1]
         return ShootingSystem(matrix=hol @ ed.psi[-1] - np.eye(2 * nm1), graph_class=gclass,
-                              edges=edata, z_index={}, edge_index={eid: 0}, dim=n, nm1=nm1)
+                              edges=edata, z_index={}, edge_index={eid: 0})
 
     verts = net.graph.vertices
     z_index = {v: n * k for k, v in enumerate(verts)}
@@ -268,7 +251,7 @@ def assemble_jacobi_system(chart: MetricChart, net: GeodesicNet,
             else:
                 rows[:, c0 : c0 + 2 * nm1] += coef * (ed.frames[-1].T @ ed.psi[-1][nm1:])
     return ShootingSystem(matrix=a_mat, graph_class=gclass, edges=edata, z_index=z_index,
-                          edge_index=edge_index, dim=n, nm1=nm1)
+                          edge_index=edge_index)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +271,14 @@ def _ambient_fields(chart: MetricChart, net: GeodesicNet, fields: list) -> list[
     ramp between its vertex displacements plus its normal profiles, all
     fields of an edge in one stack.  The velocities, parallel frames, unit
     tangents and end factors, which depend on the net only, come from one
-    factor jet per edge group.  On a loop edge the seam is one point, so
+    factor jet per edge group (and above two dimensions one transport).  On a loop edge the seam is one point, so
     the last row repeats the first."""
 
     def group_parts(grp):
         v = stencils.velocity(grp.samples, loop=grp.loop)
         lam = chart.factor_jet_many(grp.samples.reshape(-1, net.dim), 0)[0].reshape(v.shape[:2])
         that = v / metric_norm(lam, v)[..., None]
-        return zip(that, _group_frames(chart, grp.samples, v, lam), lam[:, [0, -1]])
+        return zip(that, parallel_frame(chart, grp.samples, v, lam), lam[:, [0, -1]])
 
     if not fields:
         return []
@@ -345,7 +328,7 @@ def jacobi_kernel(chart: MetricChart, net: GeodesicNet, svd_tol: float = SVD_TOL
     ill = bool(np.any((ratios > svd_tol) & (ratios < 10 * svd_tol)))
     if ill:
         warnings.warn("ill-separated Jacobi kernel: singular values inside the tolerance band")
-    basis = [_reconstruct(chart, net, sysm, vec) for vec in vt[zero_mask]]
+    basis = [_reconstruct(net, sysm, vec) for vec in vt[zero_mask]]
     return JacobiKernel(
         dimension=len(basis),
         basis=basis,
@@ -370,8 +353,8 @@ def _split_spectrum(svals: np.ndarray, svd_tol: float, scale: float):
     return zero, threshold, float(retained.min() / discarded.max())
 
 
-def _reconstruct(chart, net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedField:
-    nm1 = sysm.nm1
+def _reconstruct(net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedField:
+    nm1 = net.dim - 1
     u_profiles = {eid: np.einsum("tij,j->ti", sysm.edges[eid].psi, vec[off : off + 2 * nm1])[:, :nm1]
                   for eid, off in sysm.edge_index.items()}
     if sysm.graph_class is GraphClass.LOOP_WITH_MULTIPLICITY:
@@ -380,7 +363,7 @@ def _reconstruct(chart, net, sysm: ShootingSystem, vec: np.ndarray) -> ReducedFi
         (v,) = net.graph.vertices
         return ReducedField(z={v: np.einsum("a,ai->i", prof[0], sysm.edges[eid].frames[0])},
                             u=u_profiles)
-    z = {v: vec[off : off + sysm.dim] for v, off in sysm.z_index.items()}
+    z = {v: vec[off : off + net.dim] for v, off in sysm.z_index.items()}
     return ReducedField(z=z, u=u_profiles)
 
 
@@ -519,13 +502,14 @@ def reduced_gradient(chart: MetricChart, net: GeodesicNet):
     """(B, B^T grad L): the reduced basis and the reduced length gradient.
 
     One velocity and one factor jet per edge group feed both the frames and
-    the gradient, which is bitwise the pullback of ``length_sample_gradient``.
+    the gradient, which is bitwise the pullback of ``length_sample_gradient``;
+    above two dimensions the frames' transport takes one more jet per group.
     """
     groups = net.edge_groups()
     frames, grads = [], []
     for grp in groups:
         v, lam, grad = edge_length_gradient(chart, grp)
-        frames.append(_group_frames(chart, grp.samples, v, lam))
+        frames.append(parallel_frame(chart, grp.samples, v, lam.reshape(v.shape[:-1])))
         grads.append(grad)
     ids = tuple(grp.ids for grp in groups)
     block, index, hat_offset, labels = _basis_layout(
@@ -635,7 +619,7 @@ def _window_basis(basis: ReducedBasis, g: int, start: np.ndarray, width: int, lo
 
 
 def length_hessian(chart: MetricChart, net: GeodesicNet, basis: ReducedBasis,
-                   refine: int = 1) -> np.ndarray:
+                   refine: int) -> np.ndarray:
     """Symmetric Hessian of the discrete length over B on the grid refined
     ``refine`` times: exact, assembled from per-sample blocks.
 

@@ -231,7 +231,7 @@ def xi_prime(curve: np.ndarray) -> PathCoord:
     # the targets of ``xi``, so a curve from ``xi`` is read at its own samples
     t = np.linspace(0.0, 1.0, curve.shape[0])
     params = stencils.inverse_interpolate(lon, (1 - t) * a + t * b)
-    return PathCoord(a=a, b=b, u=stencils.evaluate_curve(curve[:, 1:], params))
+    return PathCoord(a=a, b=b, u=stencils.evaluate_curve(curve[:, 1:], params, loop=False))
 
 
 def tube_embed(nc: NetChart, eid: str, triv_curve: np.ndarray) -> np.ndarray:

@@ -164,7 +164,7 @@ def solve_stationary(chart: MetricChart, init: GeodesicNet,
             break
         d = len(basis)
         if evals is None or stale >= HESSIAN_REFRESH:
-            hess = length_hessian(chart, net, basis)
+            hess = length_hessian(chart, net, basis, refine=1)
             evals, evecs = np.linalg.eigh(hess)
             stale = 0
         emax = float(np.abs(evals).max())
@@ -304,7 +304,7 @@ def build_condition_C_bump(chart: MetricChart, net: GeodesicNet, j_field: NetFie
         anchor_pts, anchor_vel, center = _anchor_spline_data(net, eid, idx)
         for _ in range(MAX_SHRINK):
             h_fld = DirectionalBumpField(center, r, w, anchor_pts, anchor_vel, chart=chart)
-            ok, why = _verify_bump(chart, net, eid, idx, h_fld, j_field)
+            ok, why = _verify_bump(net, eid, idx, h_fld, j_field)
             if ok:
                 return eid, idx, h_fld
             last_error = why
@@ -329,7 +329,7 @@ def _anchor_spline_data(net, eid, idx):
     return fine, vf, s[idx].copy()
 
 
-def _verify_bump(chart, net, eid, idx, h_fld, j_field):
+def _verify_bump(net, eid, idx, h_fld, j_field):
     # h vanishes along the whole net
     for e in net.graph.edges:
         vals = h_fld.value_many(net.edge_samples[e.id])

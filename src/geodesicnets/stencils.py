@@ -138,7 +138,7 @@ def _extend_loop(samples: np.ndarray, pad: int) -> np.ndarray:
     return np.concatenate([head, samples, tail], axis=-2)
 
 
-def velocity(samples: np.ndarray, loop: bool = False) -> np.ndarray:
+def velocity(samples: np.ndarray, loop: bool) -> np.ndarray:
     """SBP first parameter-derivative D of curves (..., N+1, d) sampled at
     parameters k/N on the unit interval.
 
@@ -355,7 +355,7 @@ def _gather(stacked: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(stacked.reshape(-1, width), (idx + starts).ravel(), axis=0)
 
 
-def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop: bool = False) -> np.ndarray:
+def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop: bool) -> np.ndarray:
     """The ``upsample_curve`` interpolant of curves (..., N+1, d) at
     parameters t (..., P) in [0, 1], one row of t per stacked edge.
 

@@ -276,7 +276,7 @@ def integrate_length_terms(a: np.ndarray, u: np.ndarray, weights: np.ndarray, lo
     grad = a
     if not loop:
         # D^T (w u) = B u - w (D u) with B = diag(-1, 0, ..., 0, 1), the SBP identity
-        grad -= weights[:, None] * stencils.velocity(u)
+        grad -= weights[:, None] * stencils.velocity(u, loop=False)
         grad[:, 0] -= u[:, 0]
         grad[:, -1] += u[:, -1]
     else:

@@ -1,11 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from geodesicnets import NetField, ScalarField, make_case, specfile, stencils
-from geodesicnets.geometry import _constant_jet
+from geodesicnets.geometry import StereographicSphereChart, _constant_jet
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -126,10 +127,25 @@ def interleaved_theta(n_samples=32):
     case = make_case("sphere-theta", n_samples)
     net = case.net.copy()
     s = net.edge_samples["E2"]
-    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 2 * n_samples + 1))
+    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 2 * n_samples + 1), loop=False)
     out[0], out[-1] = s[0], s[-1]
     net.edge_samples["E2"] = out
     return case.chart, net
+
+
+def lifted_sphere(name, n_samples):
+    """(chart, net): a built-in case on the unit sphere drawn in the
+    stereographic chart of the unit 3-sphere with a zero third coordinate.
+    That coordinate plane is a totally geodesic 2-sphere, so the net stays
+    stationary."""
+    net = make_case(name, n_samples).net
+
+    def lift(a):
+        return np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+
+    return StereographicSphereChart(1.0, dim=3), replace(
+        net, edge_samples={e: lift(s) for e, s in net.edge_samples.items()},
+        vertex_positions={v: lift(p) for v, p in net.vertex_positions.items()})
 
 
 def jittered(name, n_samples=24, seed=8):

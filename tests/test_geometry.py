@@ -256,6 +256,20 @@ def test_metric_compatibility_of_transport():
     assert np.abs(dots - dots[0]).max() < 1e-7
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_transport_equals_one_curve_at_a_time(dim, rng):
+    """A stack of three geodesics is transported bit for bit as three single
+    curves, for one start vector (n,) and for several (r, n) per curve."""
+    chart = StereographicSphereChart(1.0, dim=dim)
+    points, velocities = geodesic_integrate(chart, rng.uniform(-0.4, 0.4, size=(3, dim)),
+                                            rng.uniform(-0.8, 0.8, size=(3, dim)), 1.0, 48)
+    for w0 in (rng.normal(size=(3, dim)), rng.normal(size=(3, dim - 1, dim))):
+        stacked = parallel_transport(chart, points, velocities, w0)
+        assert stacked.shape == (3, 49) + w0.shape[1:]
+        for k in range(3):
+            assert np.array_equal(stacked[k], parallel_transport(chart, points[k], velocities[k], w0[k]))
+
+
 # -- RK4 flows ---------------------------------------------------------------
 
 def _random_flow_coefficients(rng, steps, stack, d):

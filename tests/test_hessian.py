@@ -96,7 +96,7 @@ def reference_fields(chart, net):
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
         v = stencils.velocity(s, loop=e.id in net.periodic_edges)
-        frames_by_edge[e.id] = parallel_frame(chart, s, v)
+        frames_by_edge[e.id] = parallel_frame(chart, s, v, chart.factor_jet_many(s, 0)[0])
 
     def zero_field():
         return {e.id: np.zeros_like(net.edge_samples[e.id]) for e in net.graph.edges}
@@ -265,7 +265,7 @@ def test_newton_matrix_matches_per_column_build():
     coef[basis.n_vertex:] = 1e-3 * rng.normal(size=len(basis) - basis.n_vertex)
     net = displace(case.net, basis.apply(coef), 1.0)
     basis, _ = reduced_basis_fields(case.chart, net)
-    assert_matches(length_hessian(case.chart, net, basis), reference_newton(case.chart, net))
+    assert_matches(length_hessian(case.chart, net, basis, refine=1), reference_newton(case.chart, net))
 
 
 # -- one trial of the Newton line search ---------------------------------------
@@ -299,7 +299,8 @@ def assert_same_gradient(chart, net):
     assert frames.keys() == basis.hat_offset.keys()
     for e in basis.hat_offset:
         s, loop = net.edge_samples[e], e in net.periodic_edges
-        assert np.array_equal(frames[e], parallel_frame(chart, s, stencils.velocity(s, loop=loop)))
+        want = parallel_frame(chart, s, stencils.velocity(s, loop=loop), chart.factor_jet_many(s, 0)[0])
+        assert np.array_equal(frames[e], want)
         assert basis.hat_offset[e] == labels.index(("u", e, 1, 0))
     assert len(basis) == len(labels) == len(fields)
     ref_block = np.stack([np.concatenate([f.edge_values[e].ravel() for e in basis.hat_offset])
@@ -343,7 +344,7 @@ def test_refined_length_at_refine_one_uses_no_operator(name, monkeypatch):
     monkeypatch.setattr(stencils, "upsample_operator", refuse)
     for grp in net.edge_groups():
         stencils.refined_windows.__wrapped__(grp.samples.shape[1], 1, grp.loop)
-    assert_matches(length_hessian(case.chart, net, basis), want)
+    assert_matches(length_hessian(case.chart, net, basis, refine=1), want)
 
 
 def test_cached_basis_layout_is_read_only():
@@ -486,7 +487,7 @@ def test_newton_matrix_is_the_limit_of_gradient_differences(name, n_samples):
     basis, _ = reduced_basis_fields(chart, net)
     coef = np.random.default_rng(1).normal(size=len(basis))
     coef /= basis.apply(coef).max_norm(chart, net)
-    exact = length_hessian(chart, net, basis) @ coef
+    exact = length_hessian(chart, net, basis, refine=1) @ coef
 
     def gradient(h):
         moved = displace(net, basis.apply(coef), h)

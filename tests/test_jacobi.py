@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantField, interleaved_theta, theta3d_doc
+from conftest import ConstantField, interleaved_theta, lifted_sphere, theta3d_doc
 
 from geodesicnets import (
     NetField,
@@ -44,7 +44,7 @@ def edge_frame(case, eid):
     net = case.net
     s = net.edge_samples[eid]
     v = st.velocity(s, loop=eid in net.periodic_edges)
-    return s, v, parallel_frame(case.chart, s, v)
+    return s, v, parallel_frame(case.chart, s, v, case.chart.factor_jet_many(s, 0)[0])
 
 
 # -- frames ------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_frame_loop_holonomy_identity():
 def test_frame_in_three_dimensions_is_orthonormal_and_normal():
     chart = StereographicSphereChart(1.0, dim=3)
     points, velocities = geodesic_integrate(chart, [0.1, 0.2, -0.1], [0.5, -0.3, 0.4], 1.0, 256)
-    frames = parallel_frame(chart, points, velocities)
+    frames = parallel_frame(chart, points, velocities, chart.factor_jet_many(points, 0)[0])
     assert frames.shape == (257, 2, 3)
     g = chart.metric_many(points)
     gram = np.einsum("pai,pij,pbj->pab", frames, g, frames)
@@ -169,8 +169,8 @@ def test_propagate_matches_stepwise_reference(m, rng):
         case = make_case("sphere-theta", n_coarse)
         fine = st.upsample_curve(case.net.edge_samples["E1"], refine, loop=False)
         vf = st.derivative_ho(fine, 1, loop=False)
-        k_fine = jacobi_ode_coefficients(case.chart.factor_jet_many(fine, 2), vf,
-                                         parallel_frame(case.chart, fine, vf))
+        jet = case.chart.factor_jet_many(fine, 2)
+        k_fine = jacobi_ode_coefficients(jet, vf, parallel_frame(case.chart, fine, vf, jet[0]))
     else:
         k_fine = _smooth_symmetric_k(rng, n_coarse * refine, m)
     h_fine = 1.0 / (k_fine.shape[0] - 1)
@@ -223,13 +223,13 @@ def _fine_edge(chart, net, eid, refine):
     loop = eid in net.periodic_edges
     fine = st.upsample_curve(net.edge_samples[eid], refine, loop=loop)
     vf = st.derivative_ho(fine, 1, loop=loop)
-    return fine, vf, parallel_frame(chart, fine, vf)
+    return fine, vf, parallel_frame(chart, fine, vf, chart.factor_jet_many(fine, 0)[0])
 
 
 def _edge_data_reference(chart, net, eid, refine):
     """The shooting data of one edge on its own, K by ``curvature_apply`` and
-    the full prefix product: (length, coarse frames, psi at the coarse
-    nodes, end factors)."""
+    the full prefix product: (length, frames at the two end samples, psi at
+    the coarse nodes, end factors)."""
     s = net.edge_samples[eid]
     fine, vf, frames_f = _fine_edge(chart, net, eid, refine)
     k_fine = _curvature_k_reference(chart, fine, vf, frames_f)
@@ -239,7 +239,7 @@ def _edge_data_reference(chart, net, eid, refine):
     a_mat[:, m:, :m] = -k_fine
     psi = linear_rk4_flow(a_mat[::2], a_mat[1::2], 2.0 / (fine.shape[0] - 1), stride=1)
     w = st.quadrature_weights(fine.shape[0], loop=eid in net.periodic_edges)
-    return (float(w @ g_norm(chart, fine, vf)), frames_f[::refine], psi[:: refine // 2],
+    return (float(w @ g_norm(chart, fine, vf)), frames_f[[0, -1]], psi[:: refine // 2],
             chart.factor_jet_many(s[[0, -1]], 0)[0])
 
 
@@ -251,7 +251,7 @@ _SHOOTING_NETS = ([(name, n) for name in ("honeycomb-torus", "sphere-theta", "sp
 
 @pytest.mark.parametrize("name, n", _SHOOTING_NETS)
 def test_grouped_shooting_data_matches_per_edge_reference(name, n):
-    """One pass per edge group gives every edge's frames, length and end
+    """One pass per edge group gives every edge's end frames, length and end
     factors bit for bit, and its propagation too in three dimensions; on
     surfaces the closed-form K moves psi at rounding level only."""
     chart, net = _shooting_net(name, n)
@@ -268,6 +268,49 @@ def test_grouped_shooting_data_matches_per_edge_reference(name, n):
             assert np.array_equal(got.psi, psi)
         else:
             assert np.abs(got.psi - psi).max() <= 1e-13 * np.abs(psi).max()
+
+
+@pytest.mark.parametrize("name", ["theta3d", "lifted-sphere-theta"])
+def test_three_dimensional_frames_take_one_transport_jet_per_group(name, monkeypatch):
+    """Above two dimensions the frames of a whole edge group come from one
+    stacked transport: ``_group_data`` takes one order-2 jet of the fine
+    samples and one order-1 jet of their nodes and half-steps per group,
+    and ``reduced_gradient`` one order-1 jet for the gradient and one for
+    the transport per group, whatever the number of edges."""
+    if name == "theta3d":
+        chart, net = _shooting_net(name, 16)
+    else:
+        chart, net = lifted_sphere("sphere-theta", 32)
+    calls = []
+    original = chart.factor_jet_many
+
+    def counted(points, order):
+        calls.append((order, points.shape[0]))
+        return original(points, order)
+
+    monkeypatch.setattr(chart, "factor_jet_many", counted)
+    groups = net.edge_groups()
+    for grp in groups:
+        e, m = len(grp.ids), (grp.samples.shape[1] - 1) * jac.SHOOTING_REFINE + 1
+        calls.clear()
+        jac._group_data(chart, grp, jac.SHOOTING_REFINE)
+        assert calls == [(2, e * m), (1, e * (2 * m - 1))]
+    calls.clear()
+    jac.reduced_gradient(chart, net)
+    want = [(1, len(g.ids) * m) for g in groups for m in (g.samples.shape[1], 2 * g.samples.shape[1] - 1)]
+    assert calls == want
+
+
+@pytest.mark.parametrize("name, dimension", [("sphere-theta", 6), ("sphere-equator", 4)])
+def test_curved_three_dimensional_kernels_by_both_routes(name, dimension):
+    """Sphere nets drawn in the unit 3-sphere, where transport is not the
+    identity: shooting and the reduced Hessian count the same kernel, the
+    2-D count plus the rotations that move the equatorial 2-sphere."""
+    chart, net = lifted_sphere(name, 64)
+    ker = jacobi_kernel(chart, net)
+    assert ker.dimension == dimension
+    assert not ker.ill_separated
+    assert reduced_kernel_dimension(reduced_hessian_fd(chart, net)[0])[0] == dimension
 
 
 @pytest.mark.parametrize("name", ["sphere-theta", "sphere-equator", "radial-bump",
@@ -325,7 +368,7 @@ def test_system_curvature_block_scales_with_radius():
                           periodic_edges=frozenset({"E"}))
         s = net.edge_samples["E"]
         v = st.velocity(s, loop=True)
-        frames = parallel_frame(chart, s, v)
+        frames = parallel_frame(chart, s, v, chart.factor_jet_many(s, 0)[0])
         k_mat = jacobi_ode_coefficients(chart.factor_jet_many(s, 2), v, frames)
         mono[radius] = float(k_mat[:, 0, 0].mean()) / edge_lengths(chart, net)["E"] ** 2
     # sectional curvature scales with 1/r^2
@@ -602,7 +645,7 @@ def _old_to_net_field(red, chart, net):
     for e in net.graph.edges:
         s = net.edge_samples[e.id]
         v = st.velocity(s, loop=e.id in net.periodic_edges)
-        frames = parallel_frame(chart, s, v)
+        frames = parallel_frame(chart, s, v, chart.factor_jet_many(s, 0)[0])
         that = v / g_norm(chart, s, v)[:, None]
         t = np.linspace(0.0, 1.0, s.shape[0])
         if red.z:
@@ -662,7 +705,7 @@ def test_shooting_and_reconstruction_take_one_jet_per_edge_group(name, monkeypat
     # one order-2 jet on the stacked fine samples of every group, none other
     assert sorted(m for order, m in calls if order == 2) == fine
     _, _, vt = np.linalg.svd(sysm.matrix)
-    basis = [jac._reconstruct(chart, net, sysm, vec) for vec in vt[-2:]]
+    basis = [jac._reconstruct(net, sysm, vec) for vec in vt[-2:]]
     calls.clear()
     ambient = jac._ambient_fields(chart, net, basis)
     # one coarse jet per group for all fields

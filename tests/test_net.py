@@ -207,7 +207,7 @@ def _two_group_theta():
     case = make_case("sphere-theta", 32)
     net = jitter_net(case.net, np.random.default_rng(7), amp=0.02)
     s = net.edge_samples["E2"]
-    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 41))
+    out = stencils.evaluate_curve(s, np.linspace(0.0, 1.0, 41), loop=False)
     out[0], out[-1] = s[0], s[-1]
     net.edge_samples["E2"] = out
     return case.chart, net

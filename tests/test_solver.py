@@ -176,7 +176,7 @@ def test_line_search_builds_one_candidate_per_step_size_tried(monkeypatch):
     chart, net = jittered("honeycomb-torus", n_samples=32)
     net = reparametrize_constant_speed(chart, net)
     basis, grad = reduced_gradient(chart, net)
-    coef = -np.linalg.lstsq(length_hessian(chart, net, basis), grad, rcond=1e-8)[0]
+    coef = -np.linalg.lstsq(length_hessian(chart, net, basis, refine=1), grad, rcond=1e-8)[0]
     direction, gnorm = basis.apply(4.0 * coef), float(np.linalg.norm(grad))
     built = []
 
@@ -389,7 +389,7 @@ def test_verify_bump_refusals(kind, reason):
         h_fld = bump(e1[16], 0.1, -up)
     elif kind == "J zero at the anchor":
         j_fld = j_field((t - 0.5) ** 2)
-    assert _verify_bump(case.chart, case.net, "E1", idx, h_fld, j_fld) == (reason is None, reason)
+    assert _verify_bump(case.net, "E1", idx, h_fld, j_fld) == (reason is None, reason)
 
 
 def _failing_verify(monkeypatch, failures):
@@ -399,11 +399,11 @@ def _failing_verify(monkeypatch, failures):
     radii = []
     real = solver_mod._verify_bump
 
-    def verify(chart, net, eid, idx, h_fld, j_field):
+    def verify(net, eid, idx, h_fld, j_field):
         radii.append(h_fld.radius)
         if len(radii) <= failures:
             return False, f"refusal {len(radii)}"
-        return real(chart, net, eid, idx, h_fld, j_field)
+        return real(net, eid, idx, h_fld, j_field)
 
     monkeypatch.setattr(solver_mod, "_verify_bump", verify)
     return radii

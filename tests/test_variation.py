@@ -32,7 +32,7 @@ def unit_normal_field(case):
     eid = net.graph.edges[0].id
     s = net.edge_samples[eid]
     v = st.velocity(s, loop=eid in net.periodic_edges)
-    frames = parallel_frame(case.chart, s, v)
+    frames = parallel_frame(case.chart, s, v, case.chart.factor_jet_many(s, 0)[0])
     return NetField({eid: frames[:, 0, :].copy()})
 
 
@@ -195,7 +195,7 @@ def _two_group_honeycomb():
     case = make_case("honeycomb-torus", 64)
     net = case.net.copy()
     s = net.edge_samples["E2"]
-    out = st.evaluate_curve(s, np.linspace(0.0, 1.0, 49))
+    out = st.evaluate_curve(s, np.linspace(0.0, 1.0, 49), loop=False)
     out[0], out[-1] = s[0], s[-1]
     net.edge_samples["E2"] = out
     return case.chart, net
