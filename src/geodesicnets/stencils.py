@@ -5,10 +5,11 @@ The first-derivative operator D and the quadrature weights w used for
 lengths form a summation-by-parts pair, diag(w) D + D^T diag(w) =
 diag(-1, 0, ..., 0, 1), so the discrete integration-by-parts identity holds
 exactly; this keeps discrete first variations equal to exact derivatives
-of the discrete length.  Every derivative is applied as a sliding stencil
-(a band); no (N x N) matrix is formed, and D^T is taken from the identity.
-The 6-point windows of the upsampling map also give point evaluation,
-running integrals and inverse interpolation, for arc-length work.
+of the discrete length.  Every derivative and the upsampling map T are
+applied as sliding windows (bands); no (N x N) or (fine rows x samples)
+matrix is formed, and D^T is taken from the identity.  The 6-point windows
+of T also give point evaluation, running integrals and inverse
+interpolation, for arc-length work.
 
 The edge-grid operators take one edge or a group of edges with the same
 sample count stacked on leading axes: curves are (..., N+1, d), scalar
@@ -214,39 +215,31 @@ def _window_starts(n: int, loop: bool) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def upsample_operator(n_samples: int, factor: int, loop: bool):
-    """Cached affine pieces of the upsampling map: fine = T @ x + c * shift.
+    """Cached banded upsampling map: window columns (n-1, 6) and weights
+    (n-1, factor+1, 6), read-only.
 
-    Fine sample ``k * factor + r`` is interpolated from the 6-point window
-    starting at ``lo_k``: centred on coarse interval k, clamped at the ends
-    of open edges, wrapped across the seam of loop edges (where the lattice
-    shift enters through c).  The weights depend only on the position
-    ``xi`` inside the window, so there is one Fornberg call per distinct
-    ``xi`` (5 per sub-step on open edges, 1 on loop edges), not one per
-    fine sample.  The cached arrays are read-only.
+    Fine sample ``k * factor + r`` (0 <= r <= factor) is ``wgt[k, r]`` on
+    the samples at ``cols[k]``: the 6-point window of coarse interval k
+    (``_cell_layout``), clamped at the ends of open edges and read from the
+    samples continued by ``_extend_loop(samples, _BACK)`` on loop edges.
+    Rows r = 0 and r = factor are the interval's end samples, exactly
+    one-hot.  The weights depend only on the position ``xi`` inside the
+    window, so there is one Fornberg call per distinct ``xi`` (5 per
+    sub-step on open edges, 1 on loop edges), not one per fine sample.
     """
     n = n_samples
     k = np.arange(n - 1)
     lo = _window_starts(n, loop)
-    cols = lo[:, None] + np.arange(_WINDOW)
-    if loop:
-        # window index -j is sample n-1-j minus the shift; n-1+j is sample j plus it
-        seam = (cols > n - 1).astype(int) - (cols < 0)
-        cols = cols - (n - 1) * seam
-    t_mat = np.zeros(((n - 1) * factor + 1, n))
-    t_mat[::factor] = np.eye(n)
-    c_vec = np.zeros(t_mat.shape[0])
+    wgt = np.zeros((n - 1, factor + 1, _WINDOW))
+    wgt[k, 0, k - lo] = 1.0
+    wgt[k, factor, k + 1 - lo] = 1.0
     for r in range(1, factor):
         tau = r / factor
         xi = np.full(n - 1, _BACK + tau) if loop else (k + tau) - lo
         uniq, which = np.unique(xi, return_inverse=True)
-        wgt = np.stack([fd_weights(float(x), _NODES, 0) for x in uniq])[which]
-        rows = k * factor + r
-        np.add.at(t_mat, (rows[:, None], cols), wgt)
-        if loop:
-            c_vec[rows] = (wgt * seam).sum(axis=1)
-    t_mat.flags.writeable = False
-    c_vec.flags.writeable = False
-    return t_mat, c_vec
+        wgt[:, r] = np.stack([fd_weights(float(x), _NODES, 0) for x in uniq])[which]
+    wgt.flags.writeable = False
+    return _cell_layout(n, loop)[0], wgt
 
 
 _BIN = 8  # fine sample rows per bin of refined_windows
@@ -261,20 +254,20 @@ def refined_windows(n_samples: int, factor: int, loop: bool):
     and ``table[b, 2 i + k, j]`` is row 8b + i of T (k = 0) or D T (k = 1)
     at coarse sample ``start[b] + j``; their other entries are zero.  Loop
     starts are unwrapped: take samples modulo n - 1, as a field repeats its
-    seam row.  No (fine rows x samples) array beside T is formed; the
-    cached arrays are read-only.
+    seam row.  The rows of T are the weights of ``upsample_operator``; no
+    (fine rows x samples) array is formed, and the cached arrays are
+    read-only.
     """
     n, m = n_samples, (n_samples - 1) * factor + 1
     period = m - 1 if loop else m
-    # fine row r of T: weights on the 6-point window at lo[r]
+    # fine row r of T: weights on the 6-point window of coarse interval kr at lo
     r = np.arange(period)
-    lo = _window_starts(n, loop)[np.minimum(r // factor, n - 2)]
-    cols = lo[:, None] + np.arange(_WINDOW)
+    kr = np.minimum(r // factor, n - 2)
+    lo = _window_starts(n, loop)[kr]
     if factor == 1:
-        wgt = (cols == r[:, None]).astype(float)
+        wgt = (lo[:, None] + np.arange(_WINDOW) == r[:, None]).astype(float)
     else:
-        seam = (cols > n - 1).astype(int) - (cols < 0) if loop else 0
-        wgt = upsample_operator(n, factor, loop)[0][r[:, None], cols - (n - 1) * seam]
+        wgt = upsample_operator(n, factor, loop)[1][kr, r - factor * kr]
     first, last = (wgt != 0).argmax(axis=1), _WINDOW - 1 - (wgt[:, ::-1] != 0).argmax(axis=1)
     # fine row k reads itself for T, then its D band (a central row's 6th read is itself, at 0)
     k = np.arange(m)
@@ -290,12 +283,15 @@ def refined_windows(n_samples: int, factor: int, loop: bool):
     start = np.minimum.reduceat((at + first[base]).min(axis=1), bins)
     width = int((np.maximum.reduceat((at + last[base]).max(axis=1), bins) - start).max()) + 1
     start = start if loop else np.minimum(start, n - width)
-    # windows reach up to _WINDOW - 1 before start (node rows) and past the end
-    table = np.zeros((bins.size * _BIN, 2, width + 2 * _WINDOW))
-    off = at - np.repeat(start, _BIN)[:m, None] + _WINDOW
+    # a window may reach past its bin's samples only with zero weights (node
+    # rows): those are clipped onto the bin's edge columns, where they add 0
+    table = np.zeros(bins.size * _BIN * 2 * width)
+    off = at - np.repeat(start, _BIN)[:m, None]
     for j in range(reads.shape[1]):
-        table[k[:, None], min(j, 1), off[:, j, None] + np.arange(_WINDOW)] += coef[:, j, None] * wgt[base[:, j]]
-    table = np.ascontiguousarray(table[:, :, _WINDOW : _WINDOW + width]).reshape(bins.size, 2 * _BIN, width)
+        cols = np.clip(off[:, j, None] + np.arange(_WINDOW), 0, width - 1)
+        flat = (2 * k[:, None] + min(j, 1)) * width + cols
+        np.add.at(table, flat.ravel(), (coef[:, j, None] * wgt[base[:, j]]).ravel())
+    table = table.reshape(bins.size, 2 * _BIN, width)
     table.flags.writeable = False
     start.flags.writeable = False
     return start, table
@@ -304,16 +300,18 @@ def refined_windows(n_samples: int, factor: int, loop: bool):
 def upsample_curve(samples: np.ndarray, factor: int, loop: bool) -> np.ndarray:
     """Resample curves (..., N+1, d) on a ``factor`` times finer uniform grid.
 
-    Sliding 6-point Lagrange interpolation (O(h^6) for smooth data); loop
-    edges are interpolated through the periodic seam.
+    Sliding 6-point Lagrange interpolation (O(h^6) for smooth data) by the
+    banded ``upsample_operator``: one gather of every interval's window and
+    one batched product per edge; loop edges are interpolated through the
+    periodic seam.  The coarse samples come back bit for bit.
     """
     if factor == 1:
         return samples.copy()
-    t_mat, c_vec = upsample_operator(samples.shape[-2], factor, loop)
-    out = t_mat @ samples
-    if loop:
-        out += c_vec[:, None] * (samples[..., -1:, :] - samples[..., :1, :])
-    return out
+    cols, wgt = upsample_operator(samples.shape[-2], factor, loop)
+    ext = _extend_loop(samples, _BACK) if loop else samples
+    fine = np.matmul(wgt[:, :factor], np.take(ext, cols, axis=-2))
+    fine = fine.reshape(samples.shape[:-2] + (-1, samples.shape[-1]))
+    return np.concatenate([fine, samples[..., -1:, :]], axis=-2)
 
 
 def _denominators(nodes: np.ndarray) -> np.ndarray:
@@ -359,19 +357,18 @@ def evaluate_curve(samples: np.ndarray, t: np.ndarray, loop: bool) -> np.ndarray
     """The ``upsample_curve`` interpolant of curves (..., N+1, d) at
     parameters t (..., P) in [0, 1], one row of t per stacked edge.
 
-    Same 6-point windows and seam handling, so on the fine grid it returns
-    ``upsample_curve`` up to rounding.
+    Same 6-point windows (``_cell_layout``) on the same samples, continued
+    by ``_extend_loop`` across the seam, with Lagrange weights at t, so on
+    the fine grid it returns ``upsample_curve`` up to rounding.
     """
     n = samples.shape[-2]
     x = np.asarray(t, dtype=float) * (n - 1)
     k = np.minimum(np.maximum(np.floor(x).astype(int), 0), n - 2)
     lo = _window_starts(n, loop)[k]
     wgt = _lagrange((x - k + (k - lo)).ravel())
-    if loop:
-        samples = _extend_loop(samples, _BACK)
-        lo = lo + _BACK
+    samples = _extend_loop(samples, _BACK) if loop else samples
     # only the windows of the intervals that hold a t, one row per t
-    cols = (lo[..., None] + np.arange(_WINDOW)).reshape(lo.shape[:-1] + (-1,))
+    cols = _cell_layout(n, loop)[0][k].reshape(k.shape[:-1] + (-1,))
     win = _gather(samples, cols).reshape(-1, _WINDOW, samples.shape[-1])
     return np.einsum("pj,pj...->p...", wgt, win).reshape(x.shape + samples.shape[-1:])
 
@@ -395,10 +392,11 @@ def _cell_integrals() -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _cell_layout(n: int, loop: bool):
-    """The interpolation window of every interval, as ``upsample_operator``
-    takes it: sample indices (n-1, 6), into the samples continued by _BACK
-    across the seam on loop edges, and the ``_cell_integrals`` row of each
-    interval's offset inside its window.  Read-only."""
+    """The interpolation window of every interval, the window columns that
+    ``upsample_operator``, ``evaluate_curve`` and ``running_integral`` read:
+    sample indices (n-1, 6), into the samples continued by _BACK across the
+    seam on loop edges, and the ``_cell_integrals`` row of each interval's
+    offset inside its window.  Read-only."""
     lo = _window_starts(n, loop)
     idx = (lo + _BACK if loop else lo)[:, None] + np.arange(_WINDOW)
     weights = _cell_integrals()[np.arange(n - 1) - lo]

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -174,3 +175,52 @@ def metric_tensor_jet(chart, points):
     ddg = (lam[:, None, None] * (4.0 * dphi[:, :, None] * dphi[:, None, :] + 2.0 * ddphi)
            )[:, :, :, None, None] * eye
     return g, dg, ddg
+
+
+def extend_reference(samples, shift, pad):
+    """Periodic extension of loop curves (..., N+1, d) by ``pad`` samples on
+    both sides, continued by explicit seam shifts (..., d)."""
+    shift = np.asarray(shift, dtype=float)[..., None, :]
+    head = samples[..., -1 - pad : -1, :] - shift
+    tail = samples[..., 1 : 1 + pad, :] + shift
+    return np.concatenate([head, samples, tail], axis=-2)
+
+
+def upsample_reference(samples, factor, loop_shift=None):
+    """Sample-by-sample 6-point Lagrange upsampling of curves (N+1, d), one
+    Fornberg call per point; loop curves are continued by ``loop_shift``."""
+    n = samples.shape[0]
+    m = (n - 1) * factor
+    pad = 3
+    if loop_shift is not None:
+        ext = extend_reference(samples, loop_shift, pad)
+        base = pad
+    else:
+        ext = samples
+        base = 0
+    out = np.empty((m + 1,) + samples.shape[1:], dtype=float)
+    out[::factor] = samples
+    for r in range(1, factor):
+        tau = r / factor
+        for k in range(n - 1):
+            lo = base + k - 2
+            hi = lo + 6
+            if loop_shift is None:
+                lo = min(max(lo, 0), n - 6)
+                hi = lo + 6
+                xi = (base + k + tau) - lo
+            else:
+                xi = 2.0 + tau
+            wgt = stencils.fd_weights(xi, np.arange(6, dtype=float), 0)
+            out[k * factor + r] = np.tensordot(wgt, ext[lo:hi], axes=(0, 0))
+    return out
+
+
+@lru_cache(maxsize=16)
+def upsample_matrix(n, factor, loop):
+    """The dense upsampling matrix T (fine rows, n) of ``upsample_reference``:
+    its linear part, which a field that repeats its seam row sees on loops
+    (read-only)."""
+    t_mat = upsample_reference(np.eye(n), factor, loop_shift=np.zeros(n) if loop else None)
+    t_mat.flags.writeable = False
+    return t_mat

@@ -188,6 +188,21 @@ def test_cli_newton_operation_meets_the_benchmark_rule(label, tmp_path, capsys):
                               and reason.startswith(known_defects[label][0])), reason
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_translated_honeycomb_loses_its_kernel_one_dimension_per_bump(seed):
+    """The benchmark's perturb rule reads the kernel history [2, 1, 0] on
+    translated honeycomb tori.  Rounding rotates the basis of the
+    2-dimensional kernel, so which edge the first bump lands on varies with
+    the translation; the history does not."""
+    inputs = _load_by_path("inputs")
+    doc = json.loads(json.dumps(specfile.spec_from_case("honeycomb-torus", n_samples=N_SAMPLES)))
+    spec = specfile.parse_spec(inputs.translated(doc, np.random.default_rng(seed)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        history = solver.break_degeneracy(spec.chart(), spec.net)[3]
+    assert [h["kernel_dimension"] for h in history] == [2, 1, 0]
+
+
 def test_stalled_sphere_theta_solve_ends_at_its_first_failed_line_search(monkeypatch):
     """On the cli-newton sphere-theta input, at the CLI's gradient tolerance,
     the Newton steps stop reducing the gradient once the round sphere's soft

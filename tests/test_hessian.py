@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edge_frames, jitter_net, jittered
+from conftest import edge_frames, jitter_net, jittered, upsample_matrix
 
 from geodesicnets import (
     DirectionalBumpField, RadialBumpField, ScalarField, conformal_family, make_case,
@@ -32,14 +32,15 @@ class RefinedLength:
     """Exact Hessian-vector products of the refined-grid length, one probe
     at a time: the reference of ``length_hessian``.
 
-    The fine samples are the upsampled net x0 plus T times the
-    displacement, and the coarse gradient is T^T times the fine one; at
-    refine 1, T is the identity and is not formed.  Only the
-    ``length_integrand`` is nonlinear, so a probe delta takes dx = T delta,
-    dv = D dx, the derivatives of the terms at x0 and v0 = D x0, the linear
-    part and T^T, each once.  With speed s = e^phi |v|, vh = v / |v|, p =
-    grad(phi).dx and q = vh.dv: ds = s (p + q / |v|), da = w (ds grad(phi)
-    + s Hess(phi) dx) and du = e^phi (p vh + (dv - q vh) / |v|)."""
+    The fine samples are the upsampled net x0 plus T (the dense reference
+    ``upsample_matrix``) times the displacement, and the coarse gradient is
+    T^T times the fine one; at refine 1, T is the identity and is not
+    formed.  Only the ``length_integrand`` is nonlinear, so a probe delta
+    takes dx = T delta, dv = D dx, the derivatives of the terms at x0 and
+    v0 = D x0, the linear part and T^T, each once.  With speed s = e^phi
+    |v|, vh = v / |v|, p = grad(phi).dx and q = vh.dv: ds = s (p + q / |v|),
+    da = w (ds grad(phi) + s Hess(phi) dx) and du = e^phi (p vh + (dv - q
+    vh) / |v|)."""
 
     def __init__(self, chart, net, refine):
         self.groups = net.edge_groups()
@@ -56,7 +57,7 @@ class RefinedLength:
                               ws[..., None, None] * ddphi.reshape(x0.shape + x0.shape[-1:])))
         # linear part only: displacement fields never wrap
         self.t_mats = [None if refine == 1 else
-                       stencils.upsample_operator(grp.samples.shape[1], refine, grp.loop)[0]
+                       upsample_matrix(grp.samples.shape[1], refine, grp.loop)
                        for grp in self.groups]
 
     def products(self, disp: list) -> list:
@@ -179,8 +180,7 @@ def fine_net_gradient(chart, net, refine, disp):
     fine, t_mats = {}, {}
     for e in net.graph.edges:
         s, loop = net.edge_samples[e.id], e.id in net.periodic_edges
-        t_mats[e.id] = (np.eye(s.shape[0]) if refine == 1 else
-                        stencils.upsample_operator(s.shape[0], refine, loop)[0])
+        t_mats[e.id] = upsample_matrix(s.shape[0], refine, loop)
         fine[e.id] = (stencils.upsample_curve(s, refine, loop=loop)
                       + t_mats[e.id] @ disp.edge_values[e.id])
     fine_net = GeodesicNet(graph=net.graph, edge_samples=fine,

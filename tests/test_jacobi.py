@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantField, interleaved_theta, lifted_sphere, theta3d_doc
+from conftest import ConstantField, interleaved_theta, lifted_sphere, theta3d_doc, upsample_matrix
 
 from geodesicnets import (
     NetField,
@@ -741,7 +741,7 @@ def _reduced_hessian_by_lengths(chart, net, step, refine=8):
     for e, s in net.edge_samples.items():
         loop = e in net.periodic_edges
         base[e] = st.upsample_curve(s, refine, loop=loop)
-        t_mats[e] = st.upsample_operator(s.shape[0], refine, loop)[0]
+        t_mats[e] = upsample_matrix(s.shape[0], refine, loop)
 
     def l_of(i, a, j, b):
         coef = np.zeros(d)

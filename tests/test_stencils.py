@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from conftest import extend_reference, upsample_matrix, upsample_reference
 
 from geodesicnets import stencils as st
 
@@ -113,6 +117,38 @@ def test_upsample_loop_through_seam():
     assert np.abs(fine[:, 1] - np.sin(2 * np.pi * tf)).max() < 1e-6
 
 
+@pytest.mark.parametrize("factor", [2, 3, 8])
+@pytest.mark.parametrize("loop", [False, True])
+def test_upsampling_returns_the_coarse_samples_bitwise(loop, factor):
+    """Every factor-th fine sample is the coarse sample itself, bit for bit,
+    for stacked edges and for one edge alone."""
+    rng = np.random.default_rng(factor)
+    curves = rng.normal(size=(3, 33, 2))
+    if loop:
+        curves[:, -1] = curves[:, 0] + rng.normal(size=(3, 2))
+    assert np.array_equal(st.upsample_curve(curves, factor, loop)[..., ::factor, :], curves)
+    for edge in curves:
+        assert np.array_equal(st.upsample_curve(edge, factor, loop)[::factor], edge)
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_upsampling_forms_no_fine_by_coarse_array(loop):
+    """Cold builds of the upsampling map and the refined windows at N = 1025
+    and factor 8 stay far below the 67 MB of a dense T."""
+    n, factor = 1025, 8
+    samples = np.random.default_rng(1).normal(size=(n, 2))
+    for run in (lambda: st.upsample_curve(samples, factor, loop),
+                lambda: st.refined_windows.__wrapped__(n, factor, loop)):
+        st.upsample_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 def test_fornberg_interpolation_weights():
     x = np.arange(6.0)
     w = st.fd_weights(2.5, x, 0)
@@ -120,56 +156,30 @@ def test_fornberg_interpolation_weights():
     assert abs(w @ f - (2.5**4 - 2 * 2.5 + 1)) < 1e-10
 
 
-def _extend_reference(samples, shift, pad):
-    """Periodic extension of loop curves (..., N+1, d) by ``pad`` samples on
-    both sides, continued by explicit seam shifts (..., d)."""
-    shift = np.asarray(shift, dtype=float)[..., None, :]
-    head = samples[..., -1 - pad : -1, :] - shift
-    tail = samples[..., 1 : 1 + pad, :] + shift
-    return np.concatenate([head, samples, tail], axis=-2)
-
-
-def _upsample_reference(samples, factor, loop_shift=None):
-    """Sample-by-sample 6-point Lagrange upsampling, one Fornberg call per point."""
-    n = samples.shape[0]
-    m = (n - 1) * factor
-    pad = 3
-    if loop_shift is not None:
-        ext = _extend_reference(samples, loop_shift, pad)
-        base = pad
-    else:
-        ext = samples
-        base = 0
-    out = np.empty((m + 1,) + samples.shape[1:], dtype=float)
-    out[::factor] = samples
-    for r in range(1, factor):
-        tau = r / factor
-        for k in range(n - 1):
-            lo = base + k - 2
-            hi = lo + 6
-            if loop_shift is None:
-                lo = min(max(lo, 0), n - 6)
-                hi = lo + 6
-                xi = (base + k + tau) - lo
-            else:
-                xi = 2.0 + tau
-            wgt = st.fd_weights(xi, np.arange(6, dtype=float), 0)
-            out[k * factor + r] = np.tensordot(wgt, ext[lo:hi], axes=(0, 0))
-    return out
+def _scatter_upsample(n, factor, loop):
+    """T and c of fine = T x + c * shift, scattered from the banded pieces of
+    ``upsample_operator``: on loops, an extended column before the first
+    sample or past the last reads the sample one period away, shifted."""
+    cols, wgt = st.upsample_operator(n, factor, loop)
+    at = cols - st._BACK if loop else cols
+    seam = (at > n - 1).astype(int) - (at < 0)
+    t_mat = np.zeros(((n - 1) * factor + 1, n))
+    c_vec = np.zeros(t_mat.shape[0])
+    for k in range(n - 1):
+        rows = k * factor + np.arange(factor + 1)
+        t_mat[rows[:, None], at[k] - (n - 1) * seam[k]] = wgt[k]
+        c_vec[rows] = wgt[k] @ seam[k]
+    return t_mat, c_vec
 
 
 @pytest.mark.parametrize("loop", [False, True])
 @pytest.mark.parametrize("factor", [2, 4, 8])
 @pytest.mark.parametrize("n", [12, 33, 65])
 def test_upsample_operator_matches_reference(n, factor, loop):
-    t_mat, c_vec = st.upsample_operator(n, factor, loop)
-    shift = np.zeros(1) if loop else None
-    ref_t = np.stack(
-        [_upsample_reference(col[:, None], factor, loop_shift=shift)[:, 0] for col in np.eye(n)],
-        axis=1,
-    )
+    t_mat, c_vec = _scatter_upsample(n, factor, loop)
+    ref_t = upsample_matrix(n, factor, loop)
     if loop:
-        ref_c = _upsample_reference(np.zeros((n, 1)), factor, loop_shift=np.ones(1))[:, 0]
+        ref_c = upsample_reference(np.zeros((n, 1)), factor, loop_shift=np.ones(1))[:, 0]
     else:
         ref_c = np.zeros(ref_t.shape[0])
     assert np.array_equal(t_mat, ref_t)
@@ -246,13 +256,9 @@ def test_stacked_edges_match_single_edges_bitwise(loop):
 def _seam_reference(curves, t, shift, monkeypatch):
     """The loop operators with every seam continued by the explicit shifts
     (..., d) instead of the shifts read from the samples."""
-    n = curves.shape[-2]
     with monkeypatch.context() as m:
-        m.setattr(st, "_extend_loop", lambda samples, pad: _extend_reference(samples, shift, pad))
-        ref = _curve_operators(curves, t, True)
-    t_mat, c_vec = st.upsample_operator(n, 8, True)
-    ref["upsample"] = t_mat @ curves + c_vec[:, None] * np.asarray(shift)[..., None, :]
-    return ref
+        m.setattr(st, "_extend_loop", lambda samples, pad: extend_reference(samples, shift, pad))
+        return _curve_operators(curves, t, True)
 
 
 @pytest.mark.parametrize("edges", [None, 4])
@@ -286,8 +292,8 @@ def test_loop_field_with_repeated_seam_row_does_not_wrap(edges, monkeypatch):
 
 
 def test_cached_operators_are_read_only():
-    t_mat, c_vec = st.upsample_operator(33, 4, True)
-    for arr in (t_mat, c_vec, st._weights6(1), st._weights6(2), st._cell_integrals(),
+    for arr in (*st.upsample_operator(33, 4, True), *st.upsample_operator(33, 4, False),
+                *st._cell_layout(33, True), st._weights6(1), st._weights6(2), st._cell_integrals(),
                 st._window_starts(33, False), st._window_starts(33, True),
                 st._node_denominators()):
         with pytest.raises(ValueError):
@@ -308,7 +314,7 @@ def test_fixed_node_row_weights_match_explicit_rows():
 
 def _brute_coupling(n, factor, loop):
     """Coarse coupling of the refined length from dense boolean products."""
-    t_mat, _ = st.upsample_operator(n, factor, loop)
+    t_mat = upsample_matrix(n, factor, loop)
     moved = (t_mat != 0).astype(int)
     n_fine = t_mat.shape[0]
     if loop:
@@ -346,7 +352,7 @@ def test_refined_windows_hold_the_rows_of_t_and_dt(n, factor, loop):
     """The window table is T and the SBP derivative of its columns (of
     fields that repeat the seam row, on loops) up to rounding, zero past
     the last fine row, and read-only."""
-    t_mat = np.eye(n) if factor == 1 else st.upsample_operator(n, factor, loop)[0]
+    t_mat = upsample_matrix(n, factor, loop)
     if loop:
         t_mat = t_mat @ np.vstack([np.eye(n - 1), np.eye(n - 1)[:1]])
     want = np.stack([t_mat, st.velocity(t_mat.T[..., None], loop=loop)[..., 0].T], axis=1)
